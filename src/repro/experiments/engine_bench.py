@@ -3,8 +3,8 @@
 Three hot paths are measured, each against the behaviour-preserved seed
 implementation in :mod:`repro.nn.reference`:
 
-* **train step** — one ``SplitCNN.train_batch`` (forward, backward, fused
-  optimiser update) per architecture;
+* **train step** — one ``SplitCNN.train_batch`` (channel-major kernels at
+  ``lanes=1``: forward, backward, fused optimiser update) per architecture;
 * **eval step** — one inference forward pass over a held-out batch;
 * **aggregation** — a 16-client FedAvg/FedNova reduction, seed per-key
   dictionary loops versus the flat-vector kernels the federators now use.
@@ -88,34 +88,34 @@ def _time_ms(fn: Callable[[], object], repeats: int, warmup: int) -> float:
     return float(median(samples))
 
 
-def _time_paired_ms(
-    fn_a: Callable[[], object], fn_b: Callable[[], object], repeats: int, warmup: int
-) -> Tuple[float, float, float]:
-    """Interleaved A/B timing: ``(median_a_ms, median_b_ms, a_over_b)``.
+def _time_interleaved_ms(
+    fns: Sequence[Callable[[], object]], repeats: int, warmup: int
+) -> Tuple[List[float], List[float]]:
+    """Interleaved timing: ``(median_ms per fn, median of fns[0] / fn per fn)``.
 
-    Timing the two engines back to back in alternating pairs exposes both
-    to the same machine-load drift; the reported ratio is the median of the
-    per-pair ratios, which cancels any drift slower than one pair (a
-    sequential A-block/B-block layout instead attributes a mid-run phase
-    change entirely to one side).  The in-pair order flips every pair so
-    neither engine always runs with the other's working set freshly
-    evicted from cache.
+    Timing the contenders back to back in rotating order exposes all of
+    them to the same machine-load drift; each reported ratio is the median
+    of the per-repetition ratios, which cancels any drift slower than one
+    repetition (a sequential block-per-contender layout instead attributes
+    a mid-run phase change entirely to one side).  The order rotates every
+    repetition so no contender always runs with another's working set
+    freshly evicted from cache.
     """
     for _ in range(warmup):
-        fn_a()
-        fn_b()
-    a_ms: List[float] = []
-    b_ms: List[float] = []
-    for pair in range(repeats):
-        ordered = (fn_a, a_ms), (fn_b, b_ms)
-        if pair % 2:
-            ordered = ordered[::-1]
-        for fn, sink in ordered:
-            start = time.perf_counter()
+        for fn in fns:
             fn()
-            sink.append((time.perf_counter() - start) * 1000.0)
-    ratios = [a / b for a, b in zip(a_ms, b_ms)]
-    return float(median(a_ms)), float(median(b_ms)), float(median(ratios))
+    samples: List[List[float]] = [[] for _ in fns]
+    for repetition in range(repeats):
+        for offset in range(len(fns)):
+            index = (repetition + offset) % len(fns)
+            start = time.perf_counter()
+            fns[index]()
+            samples[index].append((time.perf_counter() - start) * 1000.0)
+    ratios = [
+        float(median(base / own for base, own in zip(samples[0], column)))
+        for column in samples
+    ]
+    return [float(median(column)) for column in samples], ratios
 
 
 def _input_batch(arch: str, batch_size: int, dtype) -> tuple:
@@ -233,14 +233,20 @@ def bench_aggregation(
 def bench_round_step(
     arch: str, num_clients: int, batch_size: int, repeats: int, warmup: int
 ) -> Dict[str, float]:
-    """One round's coincident client batches: per-client loop vs one
-    lockstep :class:`~repro.nn.batched.BatchedModel` wave.
+    """One round's coincident client batches, three ways.
+
+    * ``layerwise`` — a loop of ``train_batch_layerwise`` calls: the
+      sample-major layer loop, the oracle every kernel is pinned against;
+    * ``lanes1`` — a loop of ``train_batch`` calls: the per-client path,
+      i.e. the channel-major kernels at ``lanes=1``;
+    * ``batched`` — one lockstep :class:`~repro.nn.batched.BatchedModel`
+      wave over all clients.
 
     Every client starts from distinct weights and trains on distinct data
-    (as in a real round after the first local step); the batched lane
-    arenas are loaded from the same per-client states, so both sides do
-    identical arithmetic — the batched path just does it in ``O(layers)``
-    large kernels instead of ``O(clients * layers)`` small ones.
+    (as in a real round after the first local step); all three sides do
+    identical arithmetic.  ``speedup`` is layerwise over batched,
+    ``lanes1_speedup`` layerwise over lanes1: how close the two are is how
+    much of the gain is the kernel layout rather than the lockstep.
     """
     from repro.nn.architectures import ARCHITECTURES
 
@@ -248,31 +254,44 @@ def bench_round_step(
     results: Dict[str, float] = {}
     for dtype_name in ("float64", "float32"):
         with using_dtype(dtype_name):
+            oracles = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
             models = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
             batched = BatchedModel(models[0], num_clients)
         dtype = models[0].dtype
         rng = np.random.default_rng(7)
         x = rng.normal(size=(num_clients, batch_size, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, size=(num_clients, batch_size))
+        oracle_optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
         optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
         batched_optimizer = BatchedSGD(lr=0.05, momentum=0.9, backend=batched.backend)
         for lane, model in enumerate(models):
             for section in model.SECTIONS:
                 batched.load_lane(section, lane, model.get_flat_weights(section))
 
-        def per_client_round() -> None:
+        def layerwise_round() -> None:
+            for model, optimizer, xi, yi in zip(oracles, oracle_optimizers, x, y):
+                model.train_batch_layerwise(xi, yi, optimizer)
+
+        def lanes1_round() -> None:
             for model, optimizer, xi, yi in zip(models, optimizers, x, y):
                 model.train_batch(xi, yi, optimizer)
 
-        per_ms, batched_ms, ratio = _time_paired_ms(
-            per_client_round,
-            lambda: batched.train_step(x, y, batched_optimizer),
-            repeats,
-            warmup,
+        (layerwise_ms, lanes1_ms, batched_ms), (_, lanes1_ratio, batched_ratio) = (
+            _time_interleaved_ms(
+                [
+                    layerwise_round,
+                    lanes1_round,
+                    lambda: batched.train_step(x, y, batched_optimizer),
+                ],
+                repeats,
+                warmup,
+            )
         )
-        results[f"{dtype_name}_per_client_ms"] = per_ms
+        results[f"{dtype_name}_layerwise_ms"] = layerwise_ms
+        results[f"{dtype_name}_lanes1_ms"] = lanes1_ms
         results[f"{dtype_name}_batched_ms"] = batched_ms
-        results[f"{dtype_name}_speedup"] = ratio
+        results[f"{dtype_name}_lanes1_speedup"] = lanes1_ratio
+        results[f"{dtype_name}_speedup"] = batched_ratio
     results["speedup"] = results["float32_speedup"]
     return results
 
@@ -311,8 +330,8 @@ def run_engine_bench(
     results["aggregation"][architectures[0]] = bench_aggregation(
         architectures[0], num_clients, max(repeats * 5, 50), warmup * 5
     )
-    # Batched round step: the paper-default architecture at the evaluation
-    # round size, per-client loop vs one lockstep cohort.
+    # Round step: the paper-default architecture at the evaluation round
+    # size — layer-loop oracle, lanes=1 kernels, one lockstep cohort.
     results["round_step"][architectures[0]] = bench_round_step(
         architectures[0], round_clients, batch_size, repeats, warmup
     )
@@ -354,13 +373,14 @@ def render_engine_bench(results: Dict[str, object]) -> str:
         clients = results["meta"].get("round_step_clients", ROUND_STEP_CLIENTS)  # type: ignore[union-attr]
         lines.append(
             f"  {'round step (' + str(clients) + ' clients)':<28} "
-            f"{'per-client':>10} {'batched':>10} {'speedup':>9}"
+            f"{'layerwise':>10} {'lanes=1':>10} {'batched':>10} {'speedup':>9}"
         )
         for arch, row in round_step.items():
             for dtype_name in ("float64", "float32"):
                 lines.append(
                     f"  {arch + ' ' + dtype_name:<28} "
-                    f"{row[f'{dtype_name}_per_client_ms']:>10.2f} "
+                    f"{row[f'{dtype_name}_layerwise_ms']:>10.2f} "
+                    f"{row[f'{dtype_name}_lanes1_ms']:>10.2f} "
                     f"{row[f'{dtype_name}_batched_ms']:>10.2f} "
                     f"{row[f'{dtype_name}_speedup']:>8.2f}x"
                 )

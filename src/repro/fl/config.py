@@ -356,12 +356,12 @@ class ExperimentConfig:
 
     #: Batched multi-client compute: "on" installs a BatchedClientExecutor
     #: that runs each synchronous round's lockstep-compatible clients as one
-    #: ``(clients, params)`` kernel set, "off" keeps the per-client oracle
-    #: path, "auto" enables batching for rounds of
-    #: BATCHED_AUTO_MIN_CLIENTS+ participants.  Batched numerics are
-    #: bitwise identical to the per-client path (pinned by tests), so —
-    #: like ``client_pool`` — the field is an execution knob excluded from
-    #: ``config_hash``/``run_key``.
+    #: ``(clients, params)`` kernel set, "off" steps every client on its
+    #: own (``SplitCNN.train_batch``: the same kernels at ``lanes=1``),
+    #: "auto" enables batching for rounds of BATCHED_AUTO_MIN_CLIENTS+
+    #: participants.  Numerics are bitwise identical either way (pinned by
+    #: tests), so — like ``client_pool`` — the field is an execution knob
+    #: excluded from ``config_hash``/``run_key``.
     batched_execution: str = "auto"
 
     # Sharded multi-process simulation

@@ -199,12 +199,13 @@ def uses_virtual_pool(config: ExperimentConfig) -> bool:
 
 
 def uses_batched_execution(config: ExperimentConfig) -> bool:
-    """Whether this configuration installs the batched compute engine.
+    """Whether this configuration installs the lockstep cohort executor.
 
     ``"auto"`` (the default) batches rounds with
     :data:`~repro.nn.batched.BATCHED_AUTO_MIN_CLIENTS` or more
-    participants; smaller rounds stay on the per-client path, whose
-    numerics the batched engine reproduces bitwise anyway.
+    participants; smaller rounds step each client on its own through
+    ``SplitCNN.train_batch`` — the same kernels at ``lanes=1``, bitwise
+    the same numerics.
     """
     if config.batched_execution == "off":
         return False

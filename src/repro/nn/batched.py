@@ -1,27 +1,39 @@
-"""Batched multi-client compute engine: lockstep ``(clients, params)`` kernels.
+"""The channel-major compute kernels, and the lockstep cohorts built on them.
 
-A synchronous round at ``city``/``metro`` scale runs dozens of clients
-through the same architecture at the same time; the per-client engine
-executes them one at a time through many small numpy calls.  This module
-stacks the coincident clients' flat section vectors into one
-``(lanes, params)`` arena per section and runs forward / backward / loss /
-optimiser steps with a leading *lane* (client) dimension, so one round
-step costs a few large kernels instead of ``N`` small ones.
+One kernel set computes every training step and every inference pass of a
+kernel-covered :class:`~repro.nn.model.SplitCNN`.  :class:`BatchedModel`
+holds ``lanes`` copies of a model in one ``(lanes, params)`` arena per
+section and runs forward / backward / loss with a leading *lane*
+dimension:
+
+* ``lanes=1`` over arenas that alias a model's own flat section vectors
+  (:func:`solo_kernels`) *is* the per-client path —
+  ``SplitCNN.train_batch``, ``forward`` and ``evaluate`` run on it;
+* ``lanes=N`` over the coincident clients of a synchronous round is a
+  lockstep cohort: one round step costs a few large kernels instead of
+  ``N`` small ones.
+
+What makes the kernels fast is their layout — channel-major activations,
+pad and pool staging fused into the consumer's scratch, no input-layer dX
+— not the lockstep: a step costs the same per lane at ``lanes=1`` as at
+``lanes=8`` (see ``BATCHED_AUTO_MIN_CLIENTS``).
 
 Parity contract
 ---------------
-Every batched kernel mirrors the exact floating-point operation order of
-its per-client counterpart in :mod:`repro.nn.layers`,
-:mod:`repro.nn.loss` and :mod:`repro.nn.optim`, relying only on
-transformations that are bitwise-exact per lane (stacked GEMMs over
-independent slices, elementwise ops, per-row reductions).  The
-per-client path therefore stays on as the *parity oracle*: a batched run
-must reproduce its summaries bit for bit, which the test suite pins.
+Every kernel reproduces the exact floating-point operation order of the
+layer it stands for in :mod:`repro.nn.layers` (and :mod:`repro.nn.loss`,
+:mod:`repro.nn.optim`), relying only on transformations that are
+bitwise-exact per lane (stacked GEMMs over independent slices,
+elementwise ops, per-row reductions).  The layer-by-layer loop
+(``SplitCNN.train_batch_layerwise`` / ``forward_layerwise``) stays on as
+the *parity oracle* — and as the generic path for a model with a layer
+type this module has no kernel for: kernels, at any lane count, must
+reproduce it bit for bit, which the test suite pins.
 
-Timing is untouched: batch durations still come from analytic
+Timing is untouched: batch durations come from analytic
 :class:`~repro.nn.model.PhaseTrace` FLOP counts (identical to what the
-per-client engine would record), so the discrete-event loop — stragglers,
-deadlines, churn, transport faults — behaves exactly as before.
+layer loop records), so the discrete-event loop — stragglers, deadlines,
+churn, transport faults — behaves exactly as before.
 
 Cohorts and fallback
 --------------------
@@ -31,10 +43,10 @@ hyper-parameters, input shape, and uniform batch-size sequence.  Clients
 whose execution diverges from the cohort — mid-round freeze-and-offload,
 checkpoint capture, disconnects, give-up budgets — *materialize* their
 lane back into the per-client buffers (fast copy when the cohort is at
-their step, per-client replay otherwise) and continue on the oracle
-path.  Anything that cannot join a cohort (ragged epoch tails, unknown
-optimisers, late or duplicated training requests) silently falls back to
-the per-client path, which is always correct.
+their step, per-client replay otherwise) and continue on their own.
+Anything that cannot join a cohort (ragged epoch tails, unknown
+optimisers, layers without a kernel, late or duplicated training
+requests) silently stays per-client, which is always correct.
 
 All kernels go through the :class:`~repro.nn.backend.ArrayBackend` seam
 (numpy today; a cupy/torch backend can be registered without touching
@@ -50,12 +62,19 @@ import numpy as np
 from repro.data.loader import BatchLoader
 from repro.nn.backend import ArrayBackend, get_array_backend
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, ResidualBlock
-from repro.nn.model import Phase, PhaseTrace, SplitCNN
+from repro.nn.model import PhaseTrace, SplitCNN, phase_flops
 from repro.nn.optim import ProximalSGD, SGD
 
 #: ``batched_execution="auto"`` batches rounds with at least this many
-#: selected clients; smaller rounds stay on the per-client path where the
-#: dispatch overhead being amortised is negligible anyway.
+#: selected clients.  A cohort amortises Python and numpy dispatch, not
+#: arithmetic — the per-client path runs the same kernels — and measured
+#: that is worth little: on the BENCH_engine host (mnist-cnn, float32, one
+#: BLAS thread) a B=16 step costs 4.9 ms/lane at ``lanes=1``, 5.5 at
+#: ``lanes=8`` and 5.6 at ``lanes=32``, against 8.2 ms through the layer
+#: loop; at B=32 it is 11.6 ms/lane at ``lanes=1`` against 10.5 at
+#: ``lanes=32`` (``round_step`` in BENCH_engine.json).  The threshold marks
+#: no speed crossover; it keeps small rounds clear of cohort bookkeeping
+#: (plan, activate, materialize, replay) that cannot pay for itself there.
 BATCHED_AUTO_MIN_CLIENTS = 16
 
 
@@ -64,74 +83,6 @@ def _scratch(current: Optional[np.ndarray], shape: Tuple[int, ...], dtype, xp) -
     if current is not None and current.shape == shape and current.dtype == dtype:
         return current
     return xp.empty(shape, dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
-# Analytic per-phase FLOP counts
-# ---------------------------------------------------------------------------
-def _conv_flops(layer: Conv2D, n: int, in_shape: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
-    out_shape = layer.output_shape(in_shape)
-    _, out_h, out_w = out_shape
-    k = layer.kernel_size
-    macs = n * out_h * out_w * layer.out_channels * layer.in_channels * k * k
-    return 2 * macs, 4 * macs, out_shape
-
-
-def _layer_flops(layer, n: int, in_shape: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
-    """``(forward_flops, backward_flops, out_shape)`` for one batch of ``n``.
-
-    Mirrors the ``last_forward_flops``/``last_backward_flops`` accounting of
-    each layer in :mod:`repro.nn.layers` exactly (pinned by tests), so a
-    batched client can hand the cost model the same :class:`PhaseTrace` the
-    per-client engine would have recorded — without running the layer.
-    """
-    size_in = n * int(np.prod(in_shape))
-    if isinstance(layer, Conv2D):
-        return _conv_flops(layer, n, in_shape)
-    if isinstance(layer, MaxPool2D):
-        return size_in, size_in, layer.output_shape(in_shape)
-    if isinstance(layer, ReLU):
-        return size_in, size_in, in_shape
-    if isinstance(layer, Flatten):
-        return 0, 0, layer.output_shape(in_shape)
-    if isinstance(layer, Dense):
-        macs = n * layer.in_features * layer.out_features
-        return 2 * macs, 4 * macs, (layer.out_features,)
-    if isinstance(layer, ResidualBlock):
-        c1_fwd, c1_bwd, s1 = _conv_flops(layer.conv1, n, in_shape)
-        relu1 = n * int(np.prod(s1))
-        c2_fwd, c2_bwd, s2 = _conv_flops(layer.conv2, n, s1)
-        proj_fwd = proj_bwd = 0
-        if layer.proj is not None:
-            proj_fwd, proj_bwd, _ = _conv_flops(layer.proj, n, in_shape)
-        out_size = n * int(np.prod(s2))
-        # forward: conv1 + relu1 + conv2 + proj + relu_out + (h + shortcut)
-        fwd = c1_fwd + relu1 + c2_fwd + proj_fwd + out_size + out_size
-        # backward: relu_out + conv2 + relu1 + conv1 + proj + grad_out.size
-        bwd = c1_bwd + relu1 + c2_bwd + proj_bwd + out_size + out_size
-        return fwd, bwd, s2
-    raise TypeError(f"no analytic FLOP model for layer {type(layer).__name__}")
-
-
-def phase_flops(model: SplitCNN, batch_size: int, input_shape: Sequence[int]) -> PhaseTrace:
-    """Analytic :class:`PhaseTrace` of one unfrozen training batch.
-
-    Bitwise identical to the trace ``SplitCNN.train_batch`` records (FLOP
-    counts are shape-derived integers, never data-dependent).  Needed
-    because a batched client reports its batch duration *before* the
-    cohort's first wave has computed anything.
-    """
-    trace = PhaseTrace()
-    shape = tuple(int(dim) for dim in input_shape)
-    for layer in model.feature_layers:
-        fwd, bwd, shape = _layer_flops(layer, batch_size, shape)
-        trace.add(Phase.FORWARD_FEATURES, fwd)
-        trace.add(Phase.BACKWARD_FEATURES, bwd)
-    for layer in model.classifier_layers:
-        fwd, bwd, shape = _layer_flops(layer, batch_size, shape)
-        trace.add(Phase.FORWARD_CLASSIFIER, fwd)
-        trace.add(Phase.BACKWARD_CLASSIFIER, bwd)
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +99,35 @@ class _BatchedLayer:
         self.backend = backend
         self.xp = backend.xp
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
+        """``training=False`` skips whatever only ``backward`` reads."""
         raise NotImplementedError
 
     def backward(self, grad_out, need_input_grad: bool = True):
         raise NotImplementedError
 
 
-_GEMM_PROBE_CACHE: Dict[Tuple[int, int, int, str], Tuple[bool, str, bool]] = {}
+def _probe_operand(rng: np.random.Generator, shape: Tuple[int, int], dtype) -> np.ndarray:
+    """``rng.standard_normal(shape).astype(dtype)``, drawn one row at a time.
+
+    The values are the same (the generator fills row-major); the float64
+    staging buffer is one row instead of the whole operand.  The im2col
+    operand of a 256-sample evaluation batch is the largest array a process
+    holds, and the probe's transient copies of it set the process's peak
+    RSS (``serve_checkin``: 213 MB through the layer loop, 293-319 MB with
+    whole-operand staging and every operand live to the end, 236-242 MB as
+    written here).
+    """
+    out = np.empty(shape, dtype=dtype)
+    for row in out:
+        row[...] = rng.standard_normal(shape[1])
+    return out
 
 
-def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype) -> Tuple[bool, str, bool]:
+_GEMM_PROBE_CACHE: Dict[tuple, Tuple[bool, str, bool]] = {}
+
+
+def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype, single: bool = False) -> Tuple[bool, str, bool]:
     """Check the channel-major GEMM orientations bitwise at one shape.
 
     BLAS picks its blocking from shapes and operand layouts, never from
@@ -174,17 +143,24 @@ def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype) -> Tuple[bool, str, b
     gradient ``colsT @ gradT.T`` (a wide-N GEMM, typically ~2x the speed of
     the reduction-heavy direct form on OpenBLAS) and ``"gT"`` the direct
     ``gradT @ colsT.T``; ``"slow"`` falls back to the oracle layout.
+
+    ``single`` marks a batch of one sample.  There the oracle's
+    ``(rows, oc)`` output gradient is not a row-major copy but a transposed
+    view of the ``(oc, rows)`` feature map (numpy reshapes a lone sample
+    without copying), so its backward GEMMs see different operand layouts;
+    the probe compares against those.
     """
-    key = (rows, ckk, oc, np.dtype(dtype).name)
+    key = (rows, ckk, oc, np.dtype(dtype).name) + (("single",) if single else ())
     cached = _GEMM_PROBE_CACHE.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(0xC0FFEE)
-    colsT = np.ascontiguousarray(rng.standard_normal((ckk, rows)).astype(dtype))
-    w_mat = np.ascontiguousarray(rng.standard_normal((oc, ckk)).astype(dtype))
-    gradT = np.ascontiguousarray(rng.standard_normal((oc, rows)).astype(dtype))
+    colsT = _probe_operand(rng, (ckk, rows), dtype)
+    w_mat = _probe_operand(rng, (oc, ckk), dtype)
+    gradT = _probe_operand(rng, (oc, rows), dtype)
     cols = np.ascontiguousarray(colsT.T)  # oracle layout (rows, ckk)
-    grad = np.ascontiguousarray(gradT.T)  # oracle layout (rows, oc)
+    # Oracle layout (rows, oc): a view of the feature map for a lone sample.
+    grad = gradT.T if single else np.ascontiguousarray(gradT.T)
     fwd_ok = np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
     gw_oracle = grad.T @ cols
     if np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle):
@@ -193,6 +169,9 @@ def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype) -> Tuple[bool, str, b
         gw_mode = "gT"
     else:
         gw_mode = "slow"
+    # The two input-gradient products are each as large as an im2col
+    # operand: drop those first, so the probe never holds more than two.
+    del colsT, cols
     dc_ok = np.array_equal(np.matmul(w_mat.T, gradT), (grad @ w_mat).T)
     result = (fwd_ok, gw_mode, dc_ok)
     _GEMM_PROBE_CACHE[key] = result
@@ -376,7 +355,7 @@ class _BatchedConv2D(_BatchedLayer):
         self.xp.copyto(buf, colsT[lane].T)
         return buf
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
         xp = self.xp
         L, c, n, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -385,7 +364,7 @@ class _BatchedConv2D(_BatchedLayer):
         rows = n * out_h * out_w
         ckk = c * k * k
         oc = self.out_channels
-        fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype)
+        fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype, n == 1)
         w_mat = self.W.reshape(L, oc, ckk)
         self._out = _scratch(self._out, (L, oc, rows), x.dtype, xp)
         out = self._out
@@ -430,7 +409,7 @@ class _BatchedConv2D(_BatchedLayer):
         grad3 = grad_out.reshape(L, oc, rows)
         colsT = self._cache_colsT
         ckk = colsT.shape[1]
-        _, gw_mode, fast_dc = _probe_fast_gemms(rows, ckk, oc, grad3.dtype)
+        _, gw_mode, fast_dc = _probe_fast_gemms(rows, ckk, oc, grad3.dtype, n == 1)
 
         grad_w = self._gw = _scratch(self._gw, (L, oc, ckk), grad3.dtype, xp)
         w_mat = self.W.reshape(L, oc, ckk)
@@ -445,8 +424,14 @@ class _BatchedConv2D(_BatchedLayer):
             # (rows, oc) buffer along its first axis for gb; the per-lane
             # staging keeps that layout (and a per-lane 2-D reduce is
             # bitwise the stacked 3-D one), so the reduction order matches.
-            gbuf_l = self._gbuf = _scratch(self._gbuf, (rows, oc), grad3.dtype, xp)
-            gb_fast = _probe_gb_reduce(rows, oc, grad3.dtype)
+            # For a lone sample the oracle's buffer is instead a transposed
+            # view of the feature map (see _probe_fast_gemms) — which is
+            # what grad3[lane].T is, so no staging copy is made.
+            single = n == 1
+            gbuf_l = None
+            if not single:
+                gbuf_l = self._gbuf = _scratch(self._gbuf, (rows, oc), grad3.dtype, xp)
+            gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
             gb_row = self._gb_row = _scratch(self._gb_row, (oc,), grad3.dtype, xp)
             gc = gc7 = acc_l = gx = None
             if need_input_grad:
@@ -464,7 +449,10 @@ class _BatchedConv2D(_BatchedLayer):
                     self._gwT_lane, (ckk, oc), grad3.dtype, xp
                 )
             for lane in range(L):
-                np.copyto(gbuf_l, grad3[lane].T)
+                if single:
+                    gbuf_l = grad3[lane].T
+                else:
+                    np.copyto(gbuf_l, grad3[lane].T)
                 if gw_mode == "csT":
                     np.matmul(colsT[lane], grad3[lane].T, out=gwT)
                     np.copyto(grad_w[lane], gwT.T)
@@ -614,7 +602,18 @@ class _BatchedMaxPool2D(_BatchedLayer):
         )
         return self._base_offsets
 
-    def forward(self, x):
+    def _fold_max(self, columns, out):
+        """Sequential window fold, first operand kept on ties (the oracle's)."""
+        xp = self.xp
+        if len(columns) == 1:
+            xp.copyto(out, columns[0])
+        else:
+            xp.maximum(columns[0], columns[1], out=out)
+            for col in columns[2:]:
+                xp.maximum(out, col, out=out)
+        return out
+
+    def forward(self, x, training: bool = True):
         xp = self.xp
         L, c, n, h, w = x.shape
         p = self.pool_size
@@ -631,6 +630,9 @@ class _BatchedMaxPool2D(_BatchedLayer):
         if out is None:
             out = self._out = _scratch(self._out, (L, c, n, h // p, w // p), x.dtype, xp)
         columns = [reshaped[:, :, :, :, i, :, j] for i in range(p) for j in range(p)]
+        if not training:
+            # Maxima only: the arg-max bookkeeping below serves backward.
+            return self._fold_max(columns, out)
         idx = self._idx = _scratch(self._idx, out.shape, np.int8, xp)
         eq = self._eq = _scratch(self._eq, out.shape, bool, xp)
         if xp is np and p == 2:
@@ -665,12 +667,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
             if eq.any():
                 np.copyto(idx, np.int8(3), where=eq)
         else:
-            if p == 1:
-                xp.copyto(out, columns[0])
-            else:
-                xp.maximum(columns[0], columns[1], out=out)
-                for col in columns[2:]:
-                    xp.maximum(out, col, out=out)
+            self._fold_max(columns, out)
             idx.fill(len(columns) - 1)
             for t in range(len(columns) - 2, -1, -1):
                 xp.equal(columns[t], out, out=eq)
@@ -712,11 +709,12 @@ class _BatchedReLU(_BatchedLayer):
         self._mask: Optional[np.ndarray] = None
         self._gx: Optional[np.ndarray] = None
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
         xp = self.xp
-        if self._mask is None or self._mask.shape != x.shape:
-            self._mask = xp.empty(x.shape, dtype=bool)
-        xp.greater(x, 0.0, out=self._mask)
+        if training:
+            if self._mask is None or self._mask.shape != x.shape:
+                self._mask = xp.empty(x.shape, dtype=bool)
+            xp.greater(x, 0.0, out=self._mask)
         if self.inplace:
             return xp.maximum(x, 0.0, out=x)
         self._out = _scratch(self._out, x.shape, x.dtype, xp)
@@ -745,7 +743,7 @@ class _BatchedFlatten(_BatchedLayer):
         self._gx: Optional[np.ndarray] = None
         self._cache_shape: Optional[Tuple[int, ...]] = None
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
         self._cache_shape = x.shape
         if x.ndim == 5:
             L, c, n, h, w = x.shape
@@ -780,7 +778,7 @@ class _BatchedDense(_BatchedLayer):
         self._gx: Optional[np.ndarray] = None
         self._cache_x = None
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
         xp = self.xp
         self._cache_x = x
         L, n = x.shape[0], x.shape[1]
@@ -826,15 +824,15 @@ class _BatchedResidualBlock(_BatchedLayer):
             self.proj = _BatchedConv2D(template.proj, pp, gp, backend)
         self._sum: Optional[np.ndarray] = None
 
-    def forward(self, x):
+    def forward(self, x, training: bool = True):
         xp = self.xp
-        h = self.conv1.forward(x)
-        h = self.relu1.forward(h)
-        h = self.conv2.forward(h)
-        shortcut = x if self.proj is None else self.proj.forward(x)
+        h = self.conv1.forward(x, training)
+        h = self.relu1.forward(h, training)
+        h = self.conv2.forward(h, training)
+        shortcut = x if self.proj is None else self.proj.forward(x, training)
         self._sum = _scratch(self._sum, h.shape, np.result_type(h.dtype, shortcut.dtype), xp)
         xp.add(h, shortcut, out=self._sum)
-        return self.relu_out.forward(self._sum)
+        return self.relu_out.forward(self._sum, training)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         grad_sum = self.relu_out.backward(grad_out)
@@ -1014,16 +1012,41 @@ class BatchedProximalSGD(BatchedSGD):
 # ---------------------------------------------------------------------------
 # Batched model
 # ---------------------------------------------------------------------------
+#: Layer types with a channel-major kernel.  Matched on the exact type: a
+#: subclass may override ``forward``/``backward``, and only the layer loop
+#: honours that.
+_KERNEL_LAYER_TYPES = (Conv2D, MaxPool2D, ReLU, Flatten, Dense, ResidualBlock)
+
+
+def kernels_cover(model: SplitCNN) -> bool:
+    """Whether every layer of ``model`` has a channel-major kernel."""
+    return all(
+        type(layer) in _KERNEL_LAYER_TYPES
+        for layer in (*model.feature_layers, *model.classifier_layers)
+    )
+
+
 class BatchedModel:
     """``lanes`` independent copies of a :class:`SplitCNN` in section arenas.
 
     Parameters live in one ``(lanes, section_size)`` array per section;
     every layer parameter is a ``(lanes,) + shape`` view into it, mirroring
     the flat-vector storage of the per-client model.  ``train_step`` is the
-    lane-stacked mirror of ``SplitCNN.train_batch``.
+    lane-stacked form of ``SplitCNN.train_batch`` — and, at ``lanes=1``
+    over ``arenas`` that alias a model's own flat vectors, its
+    implementation (:func:`solo_kernels`).
+
+    ``arenas`` is an optional ``(weights, grads)`` pair of per-section
+    ``(lanes, section_size)`` arrays to adopt instead of allocating.
     """
 
-    def __init__(self, template: SplitCNN, lanes: int, backend: Optional[ArrayBackend] = None) -> None:
+    def __init__(
+        self,
+        template: SplitCNN,
+        lanes: int,
+        backend: Optional[ArrayBackend] = None,
+        arenas: Optional[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]] = None,
+    ) -> None:
         if lanes < 1:
             raise ValueError(f"lanes must be positive, got {lanes}")
         self.backend = backend if backend is not None else get_array_backend()
@@ -1034,14 +1057,17 @@ class BatchedModel:
         self.features_frozen = False
         self.classifier_frozen = False
         self.loss = _BatchedCrossEntropyLoss(self.backend)
-        self._weights: Dict[str, np.ndarray] = {}
-        self._grads: Dict[str, np.ndarray] = {}
-        self.section_sizes: Dict[str, int] = {}
-        for section in SplitCNN.SECTIONS:
-            size = int(template.flat_parameters(section).size)
-            self.section_sizes[section] = size
-            self._weights[section] = self.xp.empty((lanes, size), dtype=self.dtype)
-            self._grads[section] = self.xp.zeros((lanes, size), dtype=self.dtype)
+        self.section_sizes: Dict[str, int] = {
+            section: int(template.flat_parameters(section).size)
+            for section in SplitCNN.SECTIONS
+        }
+        if arenas is None:
+            shapes = {s: (lanes, size) for s, size in self.section_sizes.items()}
+            arenas = (
+                {s: self.xp.empty(shape, dtype=self.dtype) for s, shape in shapes.items()},
+                {s: self.xp.zeros(shape, dtype=self.dtype) for s, shape in shapes.items()},
+            )
+        self._weights, self._grads = arenas
         self.feature_layers = self._build_layers(template, SplitCNN.FEATURE_PREFIX)
         self.classifier_layers = self._build_layers(template, SplitCNN.CLASSIFIER_PREFIX)
         for prev, nxt in zip(self.feature_layers, self.feature_layers[1:]):
@@ -1071,25 +1097,28 @@ class BatchedModel:
                 slot = next(slots)
                 pviews[param_name] = self._lane_view(self._weights[section], slot)
                 gviews[param_name] = self._lane_view(self._grads[section], slot)
-            layers.append(self._batch_layer(layer, pviews, gviews, position > 0))
+            # A ReLU fed by another kernel's scratch buffer may rewrite it in
+            # place; a leading one, or one behind a Flatten (which hands a
+            # flat input through as a view), would rewrite the caller's batch.
+            owns_input = position > 0 and type(source[position - 1]) is not Flatten
+            layers.append(self._batch_layer(layer, pviews, gviews, owns_input))
         return layers
 
     def _batch_layer(self, layer, pviews, gviews, owns_input: bool = False) -> _BatchedLayer:
-        if isinstance(layer, Conv2D):
+        kind = type(layer)
+        if kind is Conv2D:
             return _BatchedConv2D(layer, pviews, gviews, self.backend)
-        if isinstance(layer, MaxPool2D):
+        if kind is MaxPool2D:
             return _BatchedMaxPool2D(layer, self.backend)
-        if isinstance(layer, ReLU):
-            # A non-leading ReLU always receives another batched layer's
-            # scratch buffer, so it may rewrite it in place.
+        if kind is ReLU:
             return _BatchedReLU(self.backend, inplace=owns_input)
-        if isinstance(layer, Flatten):
+        if kind is Flatten:
             return _BatchedFlatten(self.backend)
-        if isinstance(layer, Dense):
+        if kind is Dense:
             return _BatchedDense(layer, pviews, gviews, self.backend)
-        if isinstance(layer, ResidualBlock):
+        if kind is ResidualBlock:
             return _BatchedResidualBlock(layer, pviews, gviews, self.backend)
-        raise TypeError(f"no batched kernel for layer {type(layer).__name__}")
+        raise TypeError(f"no batched kernel for layer {kind.__name__}")
 
     # ------------------------------------------------------------- weights IO
     def load_all_lanes(self, section_vectors: Dict[str, np.ndarray]) -> None:
@@ -1149,6 +1178,31 @@ class BatchedModel:
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
         self.zero_grad()
+        logits = self._forward(x, training=True)
+        losses, grad = self.loss.forward_backward(logits, y)
+        for layer in reversed(self.classifier_layers):
+            grad = layer.backward(grad)
+        if not self.features_frozen and self.feature_layers:
+            for layer in reversed(self.feature_layers[1:]):
+                grad = layer.backward(grad)
+            # The input-layer dX is never consumed: skip its grad-cols GEMM
+            # and col2im (values unaffected; the analytic FLOP trace still
+            # charges the oracle's cost).
+            self.feature_layers[0].backward(grad, need_input_grad=False)
+        if optimizer is not None:
+            optimizer.step(self._trainable_arenas())
+        return self.backend.to_host(losses)
+
+    def infer(self, x):
+        """Forward-only pass; ``x`` is ``(lanes, n, ...)``, returns the logits.
+
+        The result is scratch of this model, overwritten by its next pass.
+        """
+        if x.dtype != self.dtype:
+            raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
+        return self._forward(x, training=False)
+
+    def _forward(self, x, training: bool):
         h = x
         if h.ndim == 5:
             # Feature kernels run channel-major (L, C, N, H, W): one cheap
@@ -1156,35 +1210,38 @@ class BatchedModel:
             # When the first layer is a padded conv the copy lands straight
             # in its pad-scratch interior, fusing out the pad pass.
             L, n, c, ih, iw = h.shape
-            first = self.feature_layers[0]
             cm = None
-            if isinstance(first, _BatchedConv2D):
-                cm = first.stage_input((L, c, n, ih, iw), h.dtype)
+            if self.feature_layers and isinstance(self.feature_layers[0], _BatchedConv2D):
+                cm = self.feature_layers[0].stage_input((L, c, n, ih, iw), h.dtype)
             if cm is None:
                 cm = self._x_cm = _scratch(self._x_cm, (L, c, n, ih, iw), h.dtype, self.xp)
             self.xp.copyto(cm, h.transpose(0, 2, 1, 3, 4))
             h = cm
         for layer in self.feature_layers:
-            h = layer.forward(h)
-        logits = h
+            h = layer.forward(h, training)
         for layer in self.classifier_layers:
-            logits = layer.forward(logits)
-        losses, grad = self.loss.forward_backward(logits, y)
-        for layer in reversed(self.classifier_layers):
-            grad = layer.backward(grad)
-        if not self.features_frozen:
-            first = self.feature_layers[0]
-            for layer in reversed(self.feature_layers):
-                if layer is first:
-                    # The input-layer dX is never consumed: skip its
-                    # grad-cols GEMM and col2im (values unaffected; the
-                    # analytic FLOP trace still charges the oracle's cost).
-                    layer.backward(grad, need_input_grad=False)
-                else:
-                    grad = layer.backward(grad)
-        if optimizer is not None:
-            optimizer.step(self._trainable_arenas())
-        return self.backend.to_host(losses)
+            h = layer.forward(h, training)
+        return h
+
+
+def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
+    """``(training, inference)`` kernel sets running ``model`` itself.
+
+    Both are ``lanes=1`` :class:`BatchedModel` instances whose arenas are
+    ``(1, size)`` reshapes of the model's flat section vectors — no copy,
+    so whatever writes those vectors (optimiser steps, weight loads, lane
+    materialization) is what the kernels read next.  Returns ``()`` when a
+    layer has no kernel; the model then runs its layer loop.
+    """
+    if not kernels_cover(model):
+        return ()
+    arenas = (
+        {s: model.flat_parameters(s).reshape(1, -1) for s in model.SECTIONS},
+        {s: model.flat_grads(s).reshape(1, -1) for s in model.SECTIONS},
+    )
+    # Host numpy whatever REPRO_ARRAY_BACKEND says: the arenas are host memory.
+    backend = get_array_backend("numpy")
+    return BatchedModel(model, 1, backend, arenas), BatchedModel(model, 1, backend, arenas)
 
 
 # ---------------------------------------------------------------------------
@@ -1462,7 +1519,7 @@ class BatchedClientExecutor:
         model = getattr(actor, "model", None)
         loader = getattr(actor, "loader", None)
         optimizer = getattr(actor, "optimizer", None)
-        if type(model) is not SplitCNN or loader is None:
+        if type(model) is not SplitCNN or loader is None or not kernels_cover(model):
             return None
         if type(optimizer) is ProximalSGD:
             opt_key = (

@@ -51,11 +51,21 @@ class Layer:
     reset by :meth:`zero_grad`.
     """
 
+    #: Instance attributes that hold per-batch scratch or activation caches.
+    #: Pickling and ``copy.deepcopy`` reset them to ``None``: a copy carries
+    #: structure and parameters, and rebuilds scratch on its next forward.
+    _transient: Tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self._params: Dict[str, np.ndarray] = {}
         self._grads: Dict[str, np.ndarray] = {}
         self.last_forward_flops: int = 0
         self.last_backward_flops: int = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.update(dict.fromkeys(self._transient))
+        return state
 
     # ------------------------------------------------------------------ API
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -149,6 +159,15 @@ class Conv2D(Layer):
     scratches so that an evaluation pass between ``forward(training=True)``
     and ``backward`` cannot clobber the cached activations.
     """
+
+    _transient = (
+        "_cache_cols",
+        "_cols_train",
+        "_cols_eval",
+        "_pad_scratch",
+        "_grad_cols_scratch",
+        "_col2im_scratch",
+    )
 
     def __init__(
         self,
@@ -318,6 +337,8 @@ class MaxPool2D(Layer):
     window order, exactly as before.
     """
 
+    _transient = ("_cache_flat_idx", "_idx_scratch", "_eq_scratch", "_base_offsets")
+
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
         self.pool_size = pool_size
@@ -413,6 +434,8 @@ class ReLU(Layer):
     buffer that is reused across same-shape batches.
     """
 
+    _transient = ("_cache_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._cache_mask: Optional[np.ndarray] = None
@@ -461,6 +484,8 @@ class Flatten(Layer):
 
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
+
+    _transient = ("_cache_x",)
 
     def __init__(
         self,

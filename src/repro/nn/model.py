@@ -21,10 +21,18 @@ named view into it (see :meth:`SplitCNN.flat_parameters`).  Weight
 aggregation, optimiser steps and payload sizing operate on the vectors in
 single fused numpy operations; the dictionary API (:meth:`get_weights` /
 :meth:`set_weights`) remains available as a thin adapter over the views.
+
+Compute runs on one kernel set: :meth:`SplitCNN.train_batch` and
+inference drive the channel-major kernels of :mod:`repro.nn.batched` at
+``lanes=1``, over ``(1, size)`` reshapes of the same flat vectors.  The
+layer-by-layer loop over :mod:`repro.nn.layers` objects remains as the
+generic path for a model holding a layer type without a kernel — and, for
+that reason, as the oracle the parity tests compare the kernels against.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -32,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.dtype import DtypeLike, compute_dtype, resolve_dtype
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU, ResidualBlock
 from repro.nn.loss import CrossEntropyLoss, softmax
 from repro.nn.optim import Optimizer
 
@@ -94,6 +102,75 @@ class PhaseTrace:
         for phase in Phase:
             scaled.flops[phase] = self.flops[phase] * factor
         return scaled
+
+
+# ---------------------------------------------------------------------------
+# Analytic per-phase FLOP counts
+# ---------------------------------------------------------------------------
+def _conv_flops(layer: Conv2D, n: int, in_shape: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
+    out_shape = layer.output_shape(in_shape)
+    _, out_h, out_w = out_shape
+    k = layer.kernel_size
+    macs = n * out_h * out_w * layer.out_channels * layer.in_channels * k * k
+    return 2 * macs, 4 * macs, out_shape
+
+
+def _layer_flops(layer, n: int, in_shape: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
+    """``(forward_flops, backward_flops, out_shape)`` for one batch of ``n``.
+
+    Mirrors the ``last_forward_flops``/``last_backward_flops`` accounting of
+    each layer in :mod:`repro.nn.layers` exactly (pinned by tests), so the
+    channel-major kernels can hand the cost model the same
+    :class:`PhaseTrace` the layer loop records — without running a layer.
+    """
+    size_in = n * int(np.prod(in_shape))
+    if isinstance(layer, Conv2D):
+        return _conv_flops(layer, n, in_shape)
+    if isinstance(layer, MaxPool2D):
+        return size_in, size_in, layer.output_shape(in_shape)
+    if isinstance(layer, ReLU):
+        return size_in, size_in, in_shape
+    if isinstance(layer, Flatten):
+        return 0, 0, layer.output_shape(in_shape)
+    if isinstance(layer, Dense):
+        macs = n * layer.in_features * layer.out_features
+        return 2 * macs, 4 * macs, (layer.out_features,)
+    if isinstance(layer, ResidualBlock):
+        c1_fwd, c1_bwd, s1 = _conv_flops(layer.conv1, n, in_shape)
+        relu1 = n * int(np.prod(s1))
+        c2_fwd, c2_bwd, s2 = _conv_flops(layer.conv2, n, s1)
+        proj_fwd = proj_bwd = 0
+        if layer.proj is not None:
+            proj_fwd, proj_bwd, _ = _conv_flops(layer.proj, n, in_shape)
+        out_size = n * int(np.prod(s2))
+        # forward: conv1 + relu1 + conv2 + proj + relu_out + (h + shortcut)
+        fwd = c1_fwd + relu1 + c2_fwd + proj_fwd + out_size + out_size
+        # backward: relu_out + conv2 + relu1 + conv1 + proj + grad_out.size
+        bwd = c1_bwd + relu1 + c2_bwd + proj_bwd + out_size + out_size
+        return fwd, bwd, s2
+    raise TypeError(f"no analytic FLOP model for layer {type(layer).__name__}")
+
+
+def phase_flops(model: "SplitCNN", batch_size: int, input_shape: Sequence[int]) -> PhaseTrace:
+    """Analytic :class:`PhaseTrace` of one unfrozen training batch.
+
+    Bitwise identical to the trace the layer loop records (FLOP counts
+    are shape-derived integers, never data-dependent).  It is the trace of
+    every kernel-path step — the input-layer dX the kernels skip stays
+    charged at its canonical cost — and what a cohort lane reports
+    *before* the cohort's first wave has computed anything.
+    """
+    trace = PhaseTrace()
+    shape = tuple(int(dim) for dim in input_shape)
+    for layer in model.feature_layers:
+        fwd, bwd, shape = _layer_flops(layer, batch_size, shape)
+        trace.add(Phase.FORWARD_FEATURES, fwd)
+        trace.add(Phase.BACKWARD_FEATURES, bwd)
+    for layer in model.classifier_layers:
+        fwd, bwd, shape = _layer_flops(layer, batch_size, shape)
+        trace.add(Phase.FORWARD_CLASSIFIER, fwd)
+        trace.add(Phase.BACKWARD_CLASSIFIER, bwd)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -217,16 +294,50 @@ class SplitCNN:
     def _rebuild_flat_buffers(self) -> None:
         """(Re)allocate the per-section flat vectors and rebase all layers.
 
-        Called from ``__init__`` and after :meth:`clone_architecture`'s
-        deepcopy (which severs numpy view relationships).
+        Called from ``__init__`` and from ``__setstate__`` (pickling and
+        deepcopy sever numpy view relationships).
         """
         self._sections = {
             section: _FlatSection(section, self._section_layers(section), self.dtype)
             for section in self.SECTIONS
         }
-        # The legacy dict-view adapter aliases the section view tables just
-        # rebuilt above, so any cached copy is stale now.
+        # The legacy dict-view adapter and the kernel sets alias the section
+        # buffers just replaced, so any cached copy is stale now.
         self._trainable_cache = None
+        self._kernels: Optional[tuple] = None
+        self._batch_traces: Dict[Tuple[int, ...], PhaseTrace] = {}
+
+    # Pickling and ``copy.deepcopy`` carry structure and parameter values
+    # only: the flat buffers are rebuilt around the restored layers, and
+    # kernel sets, their scratch and the view caches are dropped (layers
+    # drop their own scratch, see ``Layer.__getstate__``).
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for key in ("_sections", "_trainable_cache", "_kernels", "_batch_traces"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_flat_buffers()
+
+    def _kernel_sets(self) -> tuple:
+        """``(training, inference)`` kernel sets, or ``()`` for the layer loop.
+
+        Built on first use: ``lanes=1`` :class:`~repro.nn.batched.BatchedModel`
+        pairs whose arenas are reshapes of this model's flat section
+        vectors, so the optimiser, the flat/dict weight API and the cohort
+        engine's materialize path keep operating on the same memory.  The
+        two sets share parameters but not scratch: an evaluation between a
+        forward and its backward cannot clobber cached activations, and
+        alternating train/eval batch shapes do not reallocate.
+        """
+        if self._kernels is None:
+            # Imported here: repro.nn.batched imports this module.
+            from repro.nn.batched import solo_kernels
+
+            self._kernels = solo_kernels(self)
+        return self._kernels
 
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
@@ -369,7 +480,21 @@ class SplitCNN:
         return x.astype(self.dtype)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Full forward pass returning logits."""
+        """Full forward pass returning logits.
+
+        Runs the forward-only kernels (no pooling arg-max, no ReLU masks);
+        ``training`` only reaches the layer loop of a model the kernels do
+        not cover.  To drive ``layer.backward`` by hand, call
+        :meth:`forward_layerwise` with ``training=True``.
+        """
+        kernels = self._kernel_sets()
+        if not kernels:
+            return self.forward_layerwise(x, training)
+        # The logits live in kernel scratch; the caller gets its own.
+        return kernels[1].infer(self._cast_input(x)[None])[0].copy()
+
+    def forward_layerwise(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """:meth:`forward` through the layer objects (generic path and oracle)."""
         h = self._cast_input(x)
         for layer in self.feature_layers:
             h = layer.forward(h, training)
@@ -455,10 +580,16 @@ class SplitCNN:
     ) -> Tuple[float, PhaseTrace]:
         """Run one training step on a mini-batch.
 
-        Executes the four phases in order, accumulating per-phase FLOPs into
-        a :class:`PhaseTrace`.  When the feature layers are frozen the ``bf``
+        Executes the four phases in order and reports their FLOPs as a
+        :class:`PhaseTrace`.  When the feature layers are frozen the ``bf``
         phase is skipped entirely, which is exactly the saving that Aergia's
         weak clients realise after offloading.
+
+        The step runs on the channel-major kernels (``lanes=1``, see
+        :meth:`_kernel_sets`) and its trace is the analytic
+        :func:`phase_flops`; a model with a layer type the kernels do not
+        cover runs :meth:`train_batch_layerwise` instead.  Both are bitwise
+        the same function of the inputs.
 
         Parameters
         ----------
@@ -474,6 +605,41 @@ class SplitCNN:
         -------
         tuple
             ``(loss, phase_trace)``.
+        """
+        kernels = self._kernel_sets()
+        if not kernels:
+            return self.train_batch_layerwise(x, y, optimizer)
+        step = kernels[0]
+        step.features_frozen = self.features_frozen
+        losses = step.train_step(self._cast_input(x)[None], y[None])
+        if optimizer is not None:
+            optimizer.step_flat(self._trainable_sections())
+        return float(losses[0]), self._batch_trace(x.shape)
+
+    def _batch_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
+        """The trace :meth:`train_batch_layerwise` would record for this batch."""
+        unfrozen = self._batch_traces.get(batch_shape)
+        if unfrozen is None:
+            unfrozen = phase_flops(self, batch_shape[0], batch_shape[1:])
+            self._batch_traces[batch_shape] = unfrozen
+        flops = dict(unfrozen.flops)
+        if self.features_frozen:
+            flops[Phase.BACKWARD_FEATURES] = 0.0
+        return PhaseTrace(flops)
+
+    def train_batch_layerwise(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        optimizer: Optional[Optimizer] = None,
+    ) -> Tuple[float, PhaseTrace]:
+        """:meth:`train_batch` through the layer objects, one at a time.
+
+        The generic path: :meth:`train_batch` lands here for a model that
+        holds a layer type without a channel-major kernel (the seed engine
+        of :mod:`repro.nn.reference`, third-party layers).  Parity tests
+        call it directly as the oracle of the kernel path; the per-phase
+        FLOPs are read off the layers as they run.
         """
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"batch size mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}")
@@ -539,16 +705,12 @@ class SplitCNN:
     def clone_architecture(self) -> "SplitCNN":
         """Create a structurally identical model sharing no arrays with the original.
 
-        Callers typically follow up with :meth:`set_weights` (or
+        Copies structure and parameter values only (see ``__getstate__``):
+        no layer scratch, no activation caches, no kernel sets.  Callers
+        typically follow up with :meth:`set_weights` (or
         :meth:`set_flat_weights`) to copy the state.
         """
-        import copy
-
         clone = copy.deepcopy(self)
-        # deepcopy severs numpy view relationships (each view becomes an
-        # independent array), so rebuild the flat buffers around the copied
-        # parameter values.
-        clone._rebuild_flat_buffers()
         clone.unfreeze_features()
         clone.unfreeze_classifier()
         return clone

@@ -1,0 +1,428 @@
+"""The per-client path runs on the channel-major kernels: kernel == oracle.
+
+``SplitCNN.train_batch`` and inference drive ``lanes=1`` kernel sets of
+:mod:`repro.nn.batched` over the model's own flat vectors; the layer loop
+(``train_batch_layerwise`` / ``forward_layerwise``) is the generic path and
+the oracle.  Pinned here, bitwise:
+
+* the parity grid — every registered architecture x dtype (see ``GRID``) x
+  frozen-section mask x batch size x optimiser family: loss, every flat
+  section, every gradient and the ``PhaseTrace``, step after step;
+  inference logits at B=256 and over a ragged tail;
+* aliasing — whatever writes the flat vectors (the weight-loading API, an
+  offload package, a cohort lane materializing) is what the kernels read
+  next;
+* selection — by exact layer type, nothing else;
+* the copy contract — clone / pickle / deepcopy of a model that has trained
+  and evaluated carries parameters and structure, no scratch, no kernels.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.core.freezing import FrozenModelPackage
+from repro.data.loader import BatchLoader
+from repro.nn.architectures import ARCHITECTURES, build_model
+from repro.nn.batched import BatchedClientExecutor, BatchedModel
+from repro.nn.dtype import compute_dtype, using_dtype
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.loss import softmax
+from repro.nn.model import SplitCNN
+from repro.nn.optim import SGD, ProximalSGD
+from repro.nn.reference import reference_mnist_cnn
+
+DTYPES = ("float32", "float64")
+#: The 28x28 networks run at both dtypes in every session.  The CIFAR
+#: networks cost 10-30x as much per sample, so a session runs them at its
+#: own compute dtype: float32 by default, float64 in CI's
+#: ``REPRO_DTYPE=float64`` leg — the matrix covers the product, no single
+#: run pays for all of it.
+CHEAP = ("mnist-cnn", "fmnist-cnn")
+GRID = [
+    pytest.param(arch, dtype_name, id=f"{arch}-{dtype_name}")
+    for arch in sorted(ARCHITECTURES)
+    for dtype_name in (DTYPES if arch in CHEAP else (compute_dtype().name,))
+]
+FROZEN = ("none", "features", "classifier")
+#: Odd sizes land on GEMM shapes where ``_probe_fast_gemms`` rejects an
+#: orientation, so the fallback operand layouts are exercised too.
+BATCH_SIZES = (1, 7, 16, 32)
+OPTIMIZERS = ("sgd", "prox")
+#: Steps per batch size.  One model pair walks all four sizes, so every cell
+#: of the grid sees at least four consecutive steps on live optimiser state;
+#: the cheap networks take three at each size.
+STEPS = dict.fromkeys(CHEAP, 3)
+
+
+def _twins(arch, dtype_name, seed=0):
+    """Two identically initialised models: one per path."""
+    with using_dtype(dtype_name):
+        return (
+            build_model(arch, rng=np.random.default_rng(seed)),
+            build_model(arch, rng=np.random.default_rng(seed)),
+        )
+
+
+def _batch(arch, model, n, seed):
+    spec = ARCHITECTURES[arch]
+    rng = np.random.default_rng(seed)
+    x = (0.5 * rng.standard_normal((n,) + spec.input_shape)).astype(model.dtype)
+    return x, rng.integers(0, spec.num_classes, size=n)
+
+
+def _optimizer(opt_name, model):
+    if opt_name == "sgd":
+        return SGD(lr=0.01, momentum=0.9, weight_decay=1e-3)
+    optimizer = ProximalSGD(lr=0.01, mu=0.1)
+    optimizer.set_anchor({s: model.flat_parameters(s) for s in model.SECTIONS})
+    return optimizer
+
+
+def _freeze(model, frozen):
+    if frozen == "features":
+        model.freeze_features()
+    elif frozen == "classifier":
+        model.freeze_classifier()
+
+
+def _assert_same_state(kernel, oracle, label):
+    for section in SplitCNN.SECTIONS:
+        assert np.array_equal(
+            kernel.flat_parameters(section), oracle.flat_parameters(section)
+        ), f"{label}: {section} weights diverged"
+        assert np.array_equal(
+            kernel.flat_grads(section), oracle.flat_grads(section)
+        ), f"{label}: {section} gradients diverged"
+
+
+def _assert_same_step(kernel, oracle, x, y, kernel_opt, oracle_opt, label):
+    loss, trace = kernel.train_batch(x, y, kernel_opt)
+    ref_loss, ref_trace = oracle.train_batch_layerwise(x, y, oracle_opt)
+    assert np.isfinite(ref_loss), f"{label}: the oracle diverged, the comparison is void"
+    assert loss == ref_loss, f"{label}: loss"
+    assert trace.flops == ref_trace.flops, f"{label}: PhaseTrace"
+    assert list(trace.flops) == list(ref_trace.flops), f"{label}: PhaseTrace phase order"
+    _assert_same_state(kernel, oracle, label)
+
+
+# ---------------------------------------------------------------------------
+# The parity grid
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("arch, dtype_name", GRID)
+def test_training_on_kernels_is_bitwise_the_layer_loop(arch, dtype_name):
+    for frozen in FROZEN:
+        for opt_name in OPTIMIZERS:
+            # One model pair walks the batch sizes, so consecutive steps also
+            # change the kernel scratch shapes under live optimiser state.
+            kernel, oracle = _twins(arch, dtype_name)
+            _freeze(kernel, frozen)
+            _freeze(oracle, frozen)
+            kernel_opt, oracle_opt = _optimizer(opt_name, kernel), _optimizer(opt_name, oracle)
+            for n in BATCH_SIZES:
+                for step in range(STEPS.get(arch, 1)):
+                    x, y = _batch(arch, kernel, n, seed=100 * n + step)
+                    label = f"{arch}/{dtype_name}/{frozen}/{opt_name}/B={n}/step {step}"
+                    _assert_same_step(kernel, oracle, x, y, kernel_opt, oracle_opt, label)
+            assert kernel._kernels and not oracle._kernels, "each twin must stay on its path"
+
+
+@pytest.mark.parametrize("arch, dtype_name", GRID)
+def test_inference_on_kernels_is_bitwise_the_layer_loop(arch, dtype_name):
+    kernel, oracle = _twins(arch, dtype_name)
+    x, y = _batch(arch, kernel, 256 + 37, seed=5)
+    # A training step first: its scratch and the inference scratch are apart.
+    kernel.train_batch(x[:16], y[:16], SGD(lr=0.01))
+    oracle.train_batch_layerwise(x[:16], y[:16], SGD(lr=0.01))
+    for chunk in (x[:256], x[256:]):
+        logits = oracle.forward_layerwise(chunk)
+        assert np.array_equal(kernel.forward(chunk), logits)
+    assert np.array_equal(kernel.predict_proba(chunk), softmax(logits))
+    assert np.array_equal(kernel.predict(chunk), logits.argmax(axis=1))
+
+
+@pytest.mark.parametrize("dtype_name", DTYPES)
+def test_evaluate_walks_full_batches_and_the_ragged_tail(dtype_name):
+    kernel, oracle = _twins("mnist-cnn", dtype_name)
+    x, y = _batch("mnist-cnn", kernel, 256 + 37, seed=6)
+    total_loss, correct = 0.0, 0
+    for start in (0, 256):
+        logits = oracle.forward_layerwise(x[start : start + 256])
+        labels = y[start : start + 256]
+        total_loss += oracle.loss_fn.forward(logits, labels) * len(labels)
+        correct += int((logits.argmax(axis=1) == labels).sum())
+    assert kernel.evaluate(x, y, batch_size=256) == (total_loss / len(x), correct / len(x))
+    # The same tail shape again, after the full one: scratch is re-fitted.
+    assert kernel.evaluate(x, y, batch_size=256) == (total_loss / len(x), correct / len(x))
+
+
+def test_inference_between_forward_and_backward_keeps_the_activations():
+    """Inference has its own scratch: run in the middle of a training step
+    (here: between two steps' worth of cached state) it changes nothing."""
+    kernel, oracle = _twins("mnist-cnn", "float32")
+    x, y = _batch("mnist-cnn", kernel, 16, seed=1)
+    step, infer = kernel._kernel_sets()
+    logits = step._forward(x[None], training=True)
+    cached = logits.copy()
+    kernel.forward(x[:5])
+    kernel.evaluate(x, y, batch_size=8)
+    assert np.array_equal(logits, cached)
+    assert not np.shares_memory(logits, infer.infer(x[None]))
+    # Returned logits are the caller's, not scratch of the next call.
+    first = kernel.forward(x[:5])
+    kept = first.copy()
+    kernel.forward(x[5:10])
+    assert np.array_equal(first, kept)
+    # One selection, by layer coverage: ``training`` does not pick a path.
+    assert np.array_equal(kernel.forward(x[:5], training=True), first)
+    assert all(layer._cache_cols is None for layer in kernel.feature_layers if type(layer) is Conv2D)
+
+
+def test_inference_does_not_rewrite_the_callers_batch():
+    """A ReLU behind a Flatten sees the caller's array through a view."""
+    with using_dtype("float32"):
+        rng = np.random.default_rng(0)
+        model = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=rng)])
+        oracle = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=np.random.default_rng(0))])
+    x = np.random.default_rng(1).standard_normal((6, 12)).astype(np.float32)
+    y = np.arange(6) % 3
+    before = x.copy()
+    assert np.array_equal(model.forward(x), oracle.forward_layerwise(x))
+    _assert_same_step(model, oracle, x, y, SGD(lr=0.1), SGD(lr=0.1), "flat input")
+    assert model._kernels, "a Flatten/ReLU/Dense model is kernel-covered"
+    assert np.array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
+# Aliasing: the kernels read the model's own flat vectors
+# ---------------------------------------------------------------------------
+def _donor_weights(seed=9):
+    with using_dtype("float32"):
+        return build_model("mnist-cnn", rng=np.random.default_rng(seed))
+
+
+def _load_flat(model, donor):
+    model.set_flat_weights(donor.get_flat_weights())
+
+
+def _load_flat_sections(model, donor):
+    for section in SplitCNN.SECTIONS:
+        model.set_flat_weights(donor.get_flat_weights(section), section=section)
+
+
+def _load_dict(model, donor):
+    model.set_weights(donor.get_weights())
+
+
+def _load_partial(model, donor):
+    model.set_partial_weights(donor.get_feature_weights())
+    model.set_partial_weights(donor.get_classifier_weights())
+
+
+def _load_package(model, donor):
+    FrozenModelPackage.from_model(donor, 0, 1, batches_to_train=1).load_into(model)
+
+
+@pytest.mark.parametrize(
+    "load", [_load_flat, _load_flat_sections, _load_dict, _load_partial, _load_package]
+)
+def test_weights_loaded_after_the_kernels_exist_are_what_they_train_on(load):
+    kernel, oracle = _twins("mnist-cnn", "float32")
+    x, y = _batch("mnist-cnn", kernel, 16, seed=2)
+    kernel_opt, oracle_opt = SGD(lr=0.01, momentum=0.9), SGD(lr=0.01, momentum=0.9)
+    _assert_same_step(kernel, oracle, x, y, kernel_opt, oracle_opt, "warm-up")
+    assert kernel._kernels
+    donor = _donor_weights()
+    load(kernel, donor)
+    load(oracle, donor)
+    _assert_same_step(kernel, oracle, x, y, kernel_opt, oracle_opt, load.__name__)
+    assert np.array_equal(kernel.forward(x), oracle.forward_layerwise(x))
+
+
+def test_kernel_arenas_are_views_of_the_flat_vectors():
+    model = _donor_weights()
+    step, infer = model._kernel_sets()
+    for kernels in (step, infer):
+        assert type(kernels) is BatchedModel and kernels.lanes == 1
+        for section in SplitCNN.SECTIONS:
+            assert np.shares_memory(kernels._weights[section], model.flat_parameters(section))
+            assert np.shares_memory(kernels._grads[section], model.flat_grads(section))
+            assert kernels._weights[section].shape == (1, model.flat_parameters(section).size)
+
+
+def _lane_actor(client_id, n_samples=32):
+    with using_dtype("float32"):
+        model = build_model("mnist-cnn", rng=np.random.default_rng(client_id))
+    x, y = _batch("mnist-cnn", model, n_samples, seed=40 + client_id)
+    return SimpleNamespace(
+        client_id=client_id,
+        model=model,
+        loader=BatchLoader(x, y, batch_size=16, shuffle=False),
+        optimizer=SGD(lr=0.01, momentum=0.9),
+    )
+
+
+def test_a_materialized_lane_is_what_the_next_train_batch_sees():
+    """Cohort lane -> per-client buffers -> kernels, all one memory."""
+    global_model = _donor_weights(seed=77)
+    actors = [_lane_actor(0), _lane_actor(1)]
+    x, y = actors[0].loader.x, actors[0].loader.y
+    # The client's kernel sets exist (and have run) before the lane lands.
+    actors[0].model.train_batch(x[:16], y[:16], None)
+
+    executor = BatchedClientExecutor()
+    executor.plan_round(1, [(a.client_id, a, 2) for a in actors], global_model)
+    lanes = [executor.activate(a, 1) for a in actors]
+    assert all(lane is not None for lane in lanes)
+    lane_loss = lanes[0].consume_loss()
+    assert lanes[0].materialize(actors[0], drawn=1) == lane_loss
+    assert executor.stats["fast_materializations"] == 1
+
+    oracle = _donor_weights(seed=77)
+    oracle_opt = SGD(lr=0.01, momentum=0.9)
+    ref_loss, _ = oracle.train_batch_layerwise(x[:16], y[:16], oracle_opt)
+    assert lane_loss == ref_loss
+    _assert_same_step(
+        actors[0].model, oracle, x[16:], y[16:], actors[0].optimizer, oracle_opt, "after lane"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Selection: exact layer types, nothing else
+# ---------------------------------------------------------------------------
+class _ScaledConv(Conv2D):
+    """A subclass may change the math; only the layer loop honours that."""
+
+    def forward(self, x, training=True):
+        return 2.0 * super().forward(x, training)
+
+
+def _tiny_cnn(conv_cls):
+    rng = np.random.default_rng(0)
+    with using_dtype("float32"):
+        return SplitCNN(
+            [conv_cls(1, 2, 3, padding=1, rng=rng), ReLU(), MaxPool2D(2), Flatten()],
+            [Dense(2 * 4 * 4, 3, rng=rng)],
+        )
+
+
+def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
+    x = np.random.default_rng(1).standard_normal((4, 1, 8, 8)).astype(np.float32)
+    y = np.arange(4) % 3
+    plain, scaled = _tiny_cnn(Conv2D), _tiny_cnn(_ScaledConv)
+    plain.train_batch(x, y, None)
+    scaled.train_batch(x, y, None)
+    assert plain._kernels and scaled._kernels == ()
+    assert np.array_equal(scaled.forward(x), scaled.forward_layerwise(x))
+    assert not np.array_equal(scaled.forward(x), plain.forward(x))
+    # ... and never joins a lockstep cohort either.
+    loader = BatchLoader(x, y, batch_size=4, shuffle=False)
+    key = BatchedClientExecutor()._eligibility_key
+    assert key(SimpleNamespace(model=plain, loader=loader, optimizer=SGD(lr=0.1))) is not None
+    assert key(SimpleNamespace(model=scaled, loader=loader, optimizer=SGD(lr=0.1))) is None
+    with pytest.raises(TypeError, match="_ScaledConv"):
+        BatchedModel(scaled, 2)
+
+
+def test_the_seed_reference_engine_takes_the_layer_loop():
+    model = reference_mnist_cnn(np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((4, 1, 28, 28))
+    y = np.arange(4)
+    loss, trace = model.train_batch(x, y, None)
+    assert model._kernels == ()
+    twin = reference_mnist_cnn(np.random.default_rng(0))
+    ref_loss, ref_trace = twin.train_batch_layerwise(x, y, None)
+    assert loss == ref_loss and trace.flops == ref_trace.flops
+    assert np.array_equal(model.forward(x), twin.forward_layerwise(x))
+
+
+# ---------------------------------------------------------------------------
+# Copies carry parameters and structure only
+# ---------------------------------------------------------------------------
+def _array_bytes(obj, seen=None):
+    """Bytes of every distinct array buffer reachable from ``obj``."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(item, seen) for item in obj)
+    if hasattr(obj, "__dict__") and type(obj).__module__.startswith("repro."):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return _array_bytes(vars(obj), seen)
+    return 0
+
+
+def _used_model(arch="cifar10-resnet"):
+    """A model that has trained and evaluated on both paths."""
+    with using_dtype("float32"):
+        model = build_model(arch, rng=np.random.default_rng(3))
+    x, y = _batch(arch, model, 8, seed=4)
+    model.train_batch(x, y, SGD(lr=0.01))
+    model.train_batch_layerwise(x, y, SGD(lr=0.01))
+    model.forward_layerwise(x)
+    model.evaluate(x, y)
+    model.freeze_features()
+    return model, x, y
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda model: model.clone_architecture(),
+        copy.deepcopy,
+        lambda model: pickle.loads(pickle.dumps(model)),
+    ],
+    ids=["clone_architecture", "deepcopy", "pickle"],
+)
+def test_copies_of_a_used_model_carry_parameters_and_structure_only(duplicate):
+    model, x, y = _used_model()
+    params_bytes = model.num_parameters() * model.dtype.itemsize
+    assert _array_bytes(model) > 10 * params_bytes, "the original holds scratch"
+    twin = duplicate(model)
+    # Weights and gradients, nothing else.
+    assert _array_bytes(twin) == 2 * params_bytes
+    assert twin._kernels is None
+    assert np.array_equal(twin.get_flat_weights(), model.get_flat_weights())
+    for section in SplitCNN.SECTIONS:
+        assert not np.shares_memory(
+            twin.flat_parameters(section), model.flat_parameters(section)
+        )
+    # The copy is a working model on both paths, independent of the original.
+    model.unfreeze_features()
+    twin.unfreeze_features()
+    oracle = duplicate(model)
+    _assert_same_step(twin, oracle, x, y, SGD(lr=0.01), SGD(lr=0.01), "copy")
+    assert not np.array_equal(twin.get_flat_weights(), model.get_flat_weights())
+
+
+def test_clone_architecture_unfreezes_and_other_copies_keep_the_mask():
+    model, _, _ = _used_model("mnist-cnn")
+    assert model.features_frozen
+    assert not model.clone_architecture().features_frozen
+    assert copy.deepcopy(model).features_frozen
+
+
+def test_rebuilding_the_flat_buffers_drops_the_kernel_sets():
+    model, x, y = _used_model("mnist-cnn")
+    stale = model._kernels
+    model._rebuild_flat_buffers()
+    assert model._kernels is None
+    oracle = copy.deepcopy(model)
+    model.unfreeze_features()
+    oracle.unfreeze_features()
+    _assert_same_step(model, oracle, x, y, SGD(lr=0.01), SGD(lr=0.01), "rebuilt")
+    assert model._kernels is not stale
