@@ -8,7 +8,12 @@ every round:
 2. **Centralized scheduling** — once all reports are in, the federator runs
    Algorithm 1 (with Algorithm 2 as the pair-wise cost estimator) to match
    stragglers with strong clients, refining the matching with the dataset
-   similarity matrix that the SGX enclave computed before training started.
+   similarities of that round's cohort, which the SGX enclave computes from
+   the class distributions the clients sealed for it before training
+   started.  (The paper's enclave releases the whole population's matrix
+   once; asking per round for the cohort's block releases a subset of it
+   and keeps set-up linear in the population — see
+   :mod:`repro.core.enclave`.)
 3. **Model freezing and offloading** — stragglers freeze their feature
    layers, ship their model to the matched strong client and keep training
    only their classifier; strong clients train the offloaded feature layers
@@ -20,7 +25,7 @@ every round:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,12 +63,16 @@ class AergiaFederator(BaseFederator):
     ) -> None:
         super().__init__(cluster, config, global_model, x_test, y_test, client_ids=client_ids)
         self.similarity_factor = config.aergia_similarity_factor
-        self._similarity: Optional[ClientSimilarity] = similarity
-        if self._similarity is None and enclave is not None:
-            # The enclave releases only the aggregate similarity matrix; the
-            # raw client class distributions never reach this (untrusted)
-            # federator code.
-            self._similarity = enclave.similarity_matrix()
+        #: The similarities of a cohort, from an injected matrix or else from
+        #: the enclave, which releases only pair-wise distances: the raw
+        #: client class distributions never reach this (untrusted) federator
+        #: code.  Asked per round, so no population-sized matrix is held and
+        #: a client that submits to the enclave later is seen.
+        self._similarity_for: Optional[Callable[[Sequence[int]], ClientSimilarity]] = None
+        if similarity is not None:
+            self._similarity_for = similarity.submatrix
+        elif enclave is not None:
+            self._similarity_for = enclave.similarity_for
         #: Offloading plans per round, kept for analysis and tests.
         self.plans: Dict[int, OffloadPlan] = {}
 
@@ -109,9 +118,8 @@ class AergiaFederator(BaseFederator):
             )
         similarity_matrix = None
         similarity_ids: Optional[List[int]] = None
-        if self._similarity is not None and self.similarity_factor > 0:
-            selected = [p.client_id for p in performances]
-            restricted = self._similarity.submatrix(selected)
+        if self._similarity_for is not None and self.similarity_factor > 0:
+            restricted = self._similarity_for([p.client_id for p in performances])
             similarity_matrix = restricted.matrix
             similarity_ids = list(restricted.client_ids)
         decision = schedule_offloading(

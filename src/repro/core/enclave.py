@@ -6,6 +6,20 @@ clients, decrypts the distributions inside the trusted boundary, computes
 the pair-wise EMD similarity matrix, and only the matrix leaves the
 enclave.  The federator never observes a client's raw class distribution.
 
+**Deviation from the paper.**  The paper's enclave releases the whole
+``n x n`` matrix once, before training.  Here the enclave keeps the
+decrypted distributions and the Aergia federator asks it, each round, for
+the block of that round's cohort (:meth:`SGXEnclave.similarity_for`): a
+subset of what the paper releases, every entry bitwise equal to the full
+matrix's.  A round only ever reads its cohort's block, and the full matrix
+is quadratic in the *population*: computing it as a Python loop over pairs
+made an Aergia ``build_experiment`` take 1.2 s at 500 clients, 4.3 s at
+``city`` (1 000) and 100 s at ``metro`` (5 000), against 0.10 s, 0.31 s
+and 0.9 s now, and at ``continent`` the matrix alone would be 80 GB.  A
+32-client cohort block takes 0.25 ms.
+:meth:`SGXEnclave.similarity_matrix` still computes the paper's full
+release, through the same kernel, for analysis code.
+
 This module simulates that trusted execution environment:
 
 * :meth:`SGXEnclave.attest` produces an :class:`AttestationReport` with the
@@ -20,7 +34,8 @@ This module simulates that trusted execution environment:
   code holding only the sealed blob cannot read the distribution without
   the enclave's session key.
 * :meth:`SGXEnclave.submit_distribution` decrypts inside the enclave;
-  :meth:`SGXEnclave.similarity_matrix` releases only the aggregate matrix.
+  :meth:`SGXEnclave.similarity_for` and
+  :meth:`SGXEnclave.similarity_matrix` release only pair-wise distances.
   Any attempt to read raw distributions from outside raises
   :class:`EnclaveError`.
 
@@ -32,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +93,15 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return stream[:length]
 
 
+def _xor_keystream(data: bytes, key: bytes, client_id: int) -> bytes:
+    """XOR ``data`` with the keystream of ``client_id`` (its own inverse)."""
+    nonce = client_id.to_bytes(8, "big", signed=True)
+    stream = _keystream(key, nonce, len(data))
+    return np.bitwise_xor(
+        np.frombuffer(data, dtype=np.uint8), np.frombuffer(stream, dtype=np.uint8)
+    ).tobytes()
+
+
 def seal_distribution(
     client_id: int, class_counts: np.ndarray, report: AttestationReport
 ) -> SealedDistribution:
@@ -93,10 +117,7 @@ def seal_distribution(
         raise ValueError("class_counts must be a one-dimensional vector")
     if np.any(counts < 0):
         raise ValueError("class counts cannot be negative")
-    plaintext = counts.tobytes()
-    nonce = client_id.to_bytes(8, "big", signed=True)
-    stream = _keystream(report.session_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor_keystream(counts.tobytes(), report.session_key, client_id)
     return SealedDistribution(
         client_id=client_id, ciphertext=ciphertext, num_classes=int(counts.shape[0])
     )
@@ -105,8 +126,9 @@ def seal_distribution(
 class SGXEnclave:
     """The federator-hosted trusted execution environment.
 
-    Only two things ever leave the enclave: attestation reports and the
-    similarity matrix.  The raw per-client distributions stay inside.
+    Only two things ever leave the enclave: attestation reports and
+    pair-wise similarities (a cohort's block or the whole matrix).  The raw
+    per-client distributions stay inside.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -124,9 +146,7 @@ class SGXEnclave:
     # ------------------------------------------------------------- submission
     def submit_distribution(self, sealed: SealedDistribution) -> None:
         """Accept an encrypted class distribution from a client."""
-        nonce = sealed.client_id.to_bytes(8, "big", signed=True)
-        stream = _keystream(self._session_key, nonce, len(sealed.ciphertext))
-        plaintext = bytes(c ^ s for c, s in zip(sealed.ciphertext, stream))
+        plaintext = _xor_keystream(sealed.ciphertext, self._session_key, sealed.client_id)
         if len(plaintext) % np.dtype(np.int64).itemsize != 0:
             raise EnclaveError(
                 "sealed distribution failed integrity checks (truncated ciphertext)"
@@ -147,10 +167,23 @@ class SGXEnclave:
         return len(self._distributions)
 
     # ----------------------------------------------------------- computation
-    def similarity_matrix(self) -> ClientSimilarity:
-        """Compute (or return the cached) pair-wise similarity matrix.
+    def similarity_for(self, client_ids: Sequence[int]) -> ClientSimilarity:
+        """The pair-wise similarities of ``client_ids``, in that order.
 
-        This is the only data product released to the untrusted federator.
+        What the federator asks for each round: the cohort's block of
+        :meth:`similarity_matrix`, bitwise, computed from the submissions
+        held right now (so a client that submitted after training started
+        is included).  ``KeyError`` for a client that has not submitted.
+        """
+        if not self._distributions:
+            raise EnclaveError("no client distributions have been submitted")
+        return compute_similarity_matrix(self._distributions, client_ids)
+
+    def similarity_matrix(self) -> ClientSimilarity:
+        """Compute (or return the cached) similarity matrix of every client.
+
+        The paper's one-off release; quadratic in the population, so the
+        federator asks for :meth:`similarity_for` a cohort instead.
         """
         if not self._distributions:
             raise EnclaveError("no client distributions have been submitted")
@@ -167,6 +200,6 @@ class SGXEnclave:
         if name in {"distributions", "raw_distributions", "class_counts"}:
             raise EnclaveError(
                 "client class distributions never leave the enclave; "
-                "use similarity_matrix() instead"
+                "use similarity_for() or similarity_matrix() instead"
             )
         raise AttributeError(name)

@@ -31,6 +31,7 @@ from repro.data.distribution import (
     class_distribution,
     normalized_class_distribution,
     earth_movers_distance,
+    pairwise_emd,
     similarity_matrix,
 )
 from repro.data.loader import BatchLoader
@@ -51,6 +52,7 @@ __all__ = [
     "class_distribution",
     "normalized_class_distribution",
     "earth_movers_distance",
+    "pairwise_emd",
     "similarity_matrix",
     "BatchLoader",
 ]

@@ -119,14 +119,24 @@ def _generate_split(
     images = np.empty((n_samples, c, h, w), dtype=np.float64)
     shifts_y = rng.integers(-max_shift, max_shift + 1, size=n_samples)
     shifts_x = rng.integers(-max_shift, max_shift + 1, size=n_samples)
-    for i in range(n_samples):
-        proto = prototypes[labels[i], mode_choice[i]]
-        shifted = np.roll(proto, (shifts_y[i], shifts_x[i]), axis=(1, 2))
-        images[i] = shifted
+    # One gather and one roll per distinct shift (at most 49), not per
+    # sample.  The samples of a shift are rolled, not the prototype bank:
+    # the work is then the size of the split whatever the number of classes.
+    span = 2 * max_shift + 1
+    shift_codes = (shifts_y + max_shift) * span + (shifts_x + max_shift)
+    for code in np.unique(shift_codes):
+        group = np.flatnonzero(shift_codes == code)
+        shift_y, shift_x = divmod(int(code), span)
+        images[group] = np.roll(
+            prototypes[labels[group], mode_choice[group]],
+            (shift_y - max_shift, shift_x - max_shift),
+            axis=(2, 3),
+        )
     images += rng.normal(0.0, noise, size=images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     # Standardise to zero mean / unit-ish scale, like torchvision transforms.
-    images = (images - 0.5) / 0.5
+    images -= 0.5
+    images /= 0.5
     return images, labels.astype(np.int64)
 
 

@@ -58,6 +58,48 @@ def earth_movers_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(cdf_diff).sum() / p.size)
 
 
+#: Bytes the EMD kernel's ``(rows, clients, classes)`` temporary may take;
+#: the full matrix is filled this many rows at a time.
+_EMD_BLOCK_BYTES = 4 << 20
+
+
+def _normalized_rows(counts: np.ndarray) -> np.ndarray:
+    """:func:`normalized_class_distribution` applied to every row."""
+    totals = counts.sum(axis=1)
+    empty = totals <= 0
+    rows = counts / np.where(empty, 1.0, totals)[:, None]
+    rows[empty] = 1.0 / counts.shape[1]
+    return rows
+
+
+def pairwise_emd(class_counts: np.ndarray, block_rows: Optional[int] = None) -> np.ndarray:
+    """EMD between every pair of rows of an ``(clients, classes)`` array.
+
+    The vectorised form of :func:`earth_movers_distance` over all pairs and
+    bitwise equal to it: the same subtractions, the same sequential
+    ``cumsum`` and the same summation order per pair.  That includes
+    normalising twice (callers of the scalar function hand it distributions
+    it normalises again, and the quotient by a sum that is only nearly 1
+    moves the last bits).  The matrix is filled ``block_rows`` rows at a
+    time, which bounds the temporary and changes no value.
+    """
+    counts = np.asarray(class_counts, dtype=np.float64)
+    if counts.ndim != 2:
+        raise ValueError(f"expected a (clients, classes) array, got shape {counts.shape}")
+    num_clients, num_classes = counts.shape
+    distributions = _normalized_rows(_normalized_rows(counts))
+    if block_rows is None:
+        block_rows = _EMD_BLOCK_BYTES // max(1, num_clients * num_classes * counts.itemsize)
+    block_rows = max(1, block_rows)
+    matrix = np.empty((num_clients, num_clients), dtype=np.float64)
+    for start in range(0, num_clients, block_rows):
+        block = distributions[start : start + block_rows, None, :] - distributions[None, :, :]
+        np.cumsum(block, axis=2, out=block)
+        np.abs(block, out=block)
+        matrix[start : start + block_rows] = block.sum(axis=2) / num_classes
+    return matrix
+
+
 def similarity_matrix(
     class_counts: Sequence[np.ndarray], metric: str = "emd"
 ) -> np.ndarray:
@@ -79,15 +121,9 @@ def similarity_matrix(
     """
     if metric != "emd":
         raise ValueError(f"unsupported similarity metric {metric!r}")
-    num_clients = len(class_counts)
-    matrix = np.zeros((num_clients, num_clients), dtype=np.float64)
-    distributions = [normalized_class_distribution(c) for c in class_counts]
-    for i in range(num_clients):
-        for j in range(i + 1, num_clients):
-            distance = earth_movers_distance(distributions[i], distributions[j])
-            matrix[i, j] = distance
-            matrix[j, i] = distance
-    return matrix
+    if len(class_counts) == 0:
+        return np.zeros((0, 0), dtype=np.float64)
+    return pairwise_emd(np.asarray(class_counts, dtype=np.float64))
 
 
 def heterogeneity_index(

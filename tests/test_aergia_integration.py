@@ -122,6 +122,42 @@ class TestAergiaEndToEnd:
             assert len(record.selected_clients) == 3
 
 
+class TestAergiaAtPopulationScale:
+    def test_metro_population_builds_and_schedules_without_the_full_matrix(self, monkeypatch):
+        """5000 clients: the 12.5 M-pair matrix is on neither the build nor
+        the run path; each round asks the enclave for its 64-client block."""
+        import repro.api as api
+        from repro.core.enclave import SGXEnclave
+        from repro.core.similarity import ClientSimilarity
+
+        def refuse(self):
+            raise AssertionError("the population's full similarity matrix was requested")
+
+        monkeypatch.setattr(SGXEnclave, "similarity_matrix", refuse)
+        config = (
+            api.experiment("aergia")
+            .dataset("mnist")
+            .partition("noniid")
+            .scale("metro")
+            .seed(3)
+            .dtype("float32")
+            .override(rounds=1, train_size=10000, test_size=32, local_updates=3, profile_batches=1)
+            .build()
+        )
+        assert config.num_clients == 5000
+        handle = build_experiment(config)
+        assert handle.pool is not None, "metro must route through the virtual pool"
+        result = handle.run()
+        assert result.num_rounds == 1
+        assert result.total_offloads() >= 1
+        plan = handle.federator.plans[1]
+        assert set(plan.as_dict()) <= set(result.rounds[0].selected_clients)
+        for name, value in vars(handle.federator).items():
+            assert not isinstance(value, ClientSimilarity), name
+            if isinstance(value, np.ndarray):
+                assert value.shape != (config.num_clients, config.num_clients), name
+
+
 class TestAergiaAgainstTiFL:
     def test_aergia_beats_tifl_total_time_with_high_intra_tier_variance(self):
         """§5.2 observes that TiFL cannot equalise rounds when the intra-tier

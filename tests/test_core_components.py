@@ -3,15 +3,19 @@ similarity and the simulated SGX enclave."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aergia import AergiaFederator
 from repro.core.enclave import (
     EXPECTED_MEASUREMENT,
     AttestationReport,
     EnclaveError,
+    SealedDistribution,
     SGXEnclave,
     seal_distribution,
 )
@@ -25,8 +29,13 @@ from repro.core.offloading import OffloadAssignment, OffloadPlan
 from repro.core.profiler import OnlineProfiler, PhaseProfile, profile_model_phases
 from repro.core.scheduler import ClientPerformance, calc_op, schedule_offloading
 from repro.core.similarity import compute_similarity_matrix
+from repro.fl.config import ExperimentConfig
+from repro.fl.federator import RoundState
+from repro.fl.messages import ProfileReport
 from repro.nn.architectures import build_model
 from repro.nn.model import Phase
+from repro.simulation.cluster import SimulatedCluster
+from repro.simulation.resources import ResourceProfile
 
 
 # ---------------------------------------------------------------------------
@@ -521,3 +530,177 @@ class TestSimilarityAndEnclave:
             seal_distribution(0, np.array([[1, 2]]), report)
         with pytest.raises(ValueError):
             seal_distribution(0, np.array([-1, 2]), report)
+
+    def test_unknown_clients_raise_key_error(self):
+        similarity = compute_similarity_matrix(self._counts())
+        with pytest.raises(KeyError):
+            similarity.value(0, 99)
+        with pytest.raises(KeyError):
+            compute_similarity_matrix(self._counts(), [0, 99])
+        enclave = _enclave_with(self._counts())
+        with pytest.raises(KeyError):
+            enclave.similarity_for([0, 99])
+        with pytest.raises(EnclaveError):
+            SGXEnclave().similarity_for([0])
+
+    def test_lookup_index_is_built_once(self):
+        similarity = compute_similarity_matrix(self._counts())
+        rows = similarity._rows
+        assert rows == {0: 0, 1: 1, 2: 2}
+        similarity.value(0, 1)
+        assert similarity.submatrix([2, 0])._rows == {2: 0, 0: 1}
+        assert similarity._rows is rows
+
+    def test_cohort_of_nobody_is_an_empty_block(self):
+        block = _enclave_with(self._counts()).similarity_for([])
+        assert block.client_ids == () and block.matrix.shape == (0, 0)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cohort_block_equals_the_full_matrix_bitwise(self, data):
+        """Any subset, any order, repeats included: what the enclave
+        releases per round is the paper's matrix restricted to the cohort."""
+        num_clients = data.draw(st.integers(min_value=1, max_value=24), label="clients")
+        num_classes = data.draw(st.integers(min_value=2, max_value=30), label="classes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        counts = rng.integers(0, 500, size=(num_clients, num_classes))
+        counts[rng.random(counts.shape) < 0.6] = 0
+        ids = [int(c) for c in rng.permutation(1000)[:num_clients]]  # not 0..n-1, not sorted
+        enclave = _enclave_with(dict(zip(ids, counts)))
+        cohort = data.draw(st.lists(st.sampled_from(ids), max_size=2 * num_clients), label="cohort")
+
+        block = enclave.similarity_for(cohort)
+        expected = enclave.similarity_matrix().submatrix(cohort)
+        assert block.client_ids == expected.client_ids == tuple(cohort)
+        assert np.array_equal(block.matrix, expected.matrix)
+        assert np.array_equal(block.matrix, block.matrix.T)
+        assert not np.diag(block.matrix).any()
+
+    def test_late_submission_is_released_on_the_next_lookup(self):
+        counts = self._counts()
+        enclave = _enclave_with({cid: counts[cid] for cid in (0, 1)})
+        first = enclave.similarity_for([1, 0])
+        with pytest.raises(KeyError):
+            enclave.similarity_for([0, 1, 2])
+        enclave.submit_distribution(seal_distribution(2, counts[2], enclave.attest()))
+        second = enclave.similarity_for([0, 1, 2])
+        assert second.value(0, 1) == first.value(0, 1)
+        assert np.array_equal(second.matrix, compute_similarity_matrix(counts).matrix)
+
+
+def _enclave_with(counts_by_client) -> SGXEnclave:
+    enclave = SGXEnclave(seed=3)
+    report = enclave.attest()
+    for client_id, counts in counts_by_client.items():
+        enclave.submit_distribution(seal_distribution(client_id, counts, report))
+    return enclave
+
+
+def _per_byte_xor(client_id: int, data: bytes, key: bytes) -> bytes:
+    """The sealing cipher as it was written first, a byte at a time."""
+    nonce = client_id.to_bytes(8, "big", signed=True)
+    stream = b""
+    counter = 0
+    while len(stream) < len(data):
+        stream += hashlib.sha256(key + nonce + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    return bytes(d ^ s for d, s in zip(data, stream))
+
+
+class TestSealing:
+    KEY = bytes(range(7, 39))
+
+    @pytest.mark.parametrize("client_id", [0, 1, 4999, -3, 2**40])
+    @pytest.mark.parametrize("num_classes", [1, 3, 10, 100])
+    def test_ciphertext_equals_the_per_byte_cipher(self, client_id, num_classes):
+        report = AttestationReport(measurement=EXPECTED_MEASUREMENT, session_key=self.KEY)
+        counts = np.random.default_rng(num_classes).integers(0, 2**40, size=num_classes)
+        sealed = seal_distribution(client_id, counts, report)
+        assert sealed.num_classes == num_classes
+        assert sealed.ciphertext == _per_byte_xor(client_id, counts.astype(np.int64).tobytes(), self.KEY)
+
+    def test_round_trip_through_the_enclave(self):
+        counts = {5: np.array([9, 0, 3, 1]), -2: np.array([0, 0, 0, 0]), 11: np.array([1, 1, 1, 1])}
+        enclave = _enclave_with(counts)
+        assert np.array_equal(enclave.similarity_matrix().matrix, compute_similarity_matrix(counts).matrix)
+
+    def _blob(self, enclave, client_id, values, num_classes=None, cut=None):
+        """A blob sealed by the per-byte cipher, so it can hold what
+        ``seal_distribution`` refuses to seal."""
+        plaintext = np.asarray(values, dtype=np.int64).tobytes()
+        ciphertext = _per_byte_xor(client_id, plaintext, enclave.attest().session_key)
+        return SealedDistribution(
+            client_id=client_id,
+            ciphertext=ciphertext[:cut],
+            num_classes=len(values) if num_classes is None else num_classes,
+        )
+
+    def test_integrity_checks_still_refuse_bad_blobs(self):
+        enclave = SGXEnclave(seed=3)
+        enclave.submit_distribution(self._blob(enclave, 0, [3, 4, 5]))  # the helper seals correctly
+        assert enclave.num_submissions == 1
+        for bad, reason in (
+            (self._blob(enclave, 1, [3, 4, 5], cut=-4), "truncated"),
+            (self._blob(enclave, 1, [3, 4, 5], cut=-8), "wrong length"),
+            (self._blob(enclave, 1, [3, 4, 5], num_classes=4), "wrong length"),
+            (self._blob(enclave, 1, [3, -4, 5]), "negative"),
+        ):
+            with pytest.raises(EnclaveError, match=reason):
+                enclave.submit_distribution(bad)
+        assert enclave.num_submissions == 1
+
+
+def _aergia_federator(enclave=None, similarity=None) -> AergiaFederator:
+    cluster = SimulatedCluster([ResourceProfile(speed_fraction=s) for s in (0.1, 0.9, 1.0)])
+    config = ExperimentConfig(
+        dataset="mnist", architecture="mnist-cnn", algorithm="aergia", num_clients=3,
+        rounds=1, local_updates=6, profile_batches=2, train_size=96, test_size=16, batch_size=16,
+    )  # fmt: skip
+    model = build_model("mnist-cnn", rng=np.random.default_rng(0))
+    x_test, y_test = np.zeros((16, 1, 28, 28)), np.zeros(16, dtype=np.int64)
+    return AergiaFederator(cluster, config, model, x_test, y_test, enclave=enclave, similarity=similarity)
+
+
+def _reported_round(client_ids) -> RoundState:
+    """A round in which client 0 is a clear straggler and all have reported."""
+    state = RoundState(round_number=1, start_time=0.0, selected_clients=list(client_ids))
+    for client_id in client_ids:
+        batch = 1.0 if client_id == 0 else 0.1
+        state.profile_reports[client_id] = ProfileReport(
+            client_id=client_id,
+            round_number=1,
+            phase_seconds={
+                Phase.FORWARD_FEATURES: 0.4 * batch,
+                Phase.FORWARD_CLASSIFIER: 0.1 * batch,
+                Phase.BACKWARD_CLASSIFIER: 0.1 * batch,
+                Phase.BACKWARD_FEATURES: 0.4 * batch,
+            },
+            batches_measured=2,
+            batches_completed=2,
+            remaining_batches=4,
+        )
+    return state
+
+
+class TestAergiaAsksTheEnclavePerRound:
+    COUNTS = {0: np.array([10, 0, 0, 0]), 1: np.array([0, 0, 0, 10]), 2: np.array([9, 1, 0, 0])}
+
+    def test_late_joiner_reaches_the_scheduler(self):
+        """A distribution submitted after the federator was built is part of
+        the next plan (the federator used to snapshot the matrix)."""
+        enclave = _enclave_with({cid: self.COUNTS[cid] for cid in (0, 1)})
+        federator = _aergia_federator(enclave=enclave)
+        assert federator._compute_plan(_reported_round([0, 1])).as_dict() == {0: 1}
+        with pytest.raises(KeyError):
+            federator._compute_plan(_reported_round([0, 1, 2]))
+        enclave.submit_distribution(seal_distribution(2, self.COUNTS[2], enclave.attest()))
+        # Clients 1 and 2 are equally fast; 2 holds the straggler's classes.
+        assert federator._compute_plan(_reported_round([0, 1, 2])).as_dict() == {0: 2}
+
+    def test_injected_similarity_serves_the_same_call_site(self):
+        full = compute_similarity_matrix(self.COUNTS)
+        from_matrix = _aergia_federator(similarity=full)._compute_plan(_reported_round([0, 1, 2]))
+        from_enclave = _aergia_federator(enclave=_enclave_with(self.COUNTS))._compute_plan(_reported_round([0, 1, 2]))
+        assert from_matrix.as_dict() == from_enclave.as_dict() == {0: 2}
+        with pytest.raises(KeyError):
+            _aergia_federator(similarity=full.submatrix([0, 1]))._compute_plan(_reported_round([0, 1, 2]))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.data.datasets import (
     DATASETS,
+    Dataset,
+    _smooth_prototype,
     load_dataset,
     make_dataset,
     synthetic_cifar10,
@@ -19,6 +21,7 @@ from repro.data.distribution import (
     earth_movers_distance,
     heterogeneity_index,
     normalized_class_distribution,
+    pairwise_emd,
     similarity_matrix,
 )
 from repro.data.loader import BatchLoader
@@ -102,6 +105,73 @@ class TestDatasets:
             make_dataset("x", (1, 8, 8), 1, 10, 10)
         with pytest.raises(ValueError):
             make_dataset("x", (1, 8, 8), 3, 10, 10, modes_per_class=0)
+
+
+def _per_sample_dataset(name, shape, num_classes, train_size, test_size, noise, max_shift=3, modes_per_class=2, seed=0):
+    """``make_dataset`` as it was written first: one ``np.roll`` per sample.
+
+    The oracle the vectorised ``_generate_split`` must equal bit for bit,
+    draw for draw.
+    """
+    rng = np.random.default_rng(seed)
+    prototypes = np.stack(
+        [
+            np.stack([_smooth_prototype(shape, rng) for _ in range(modes_per_class)])
+            for _ in range(num_classes)
+        ]
+    )
+
+    def split(n_samples):
+        labels = rng.integers(0, num_classes, size=n_samples)
+        mode_choice = rng.integers(0, modes_per_class, size=n_samples)
+        images = np.empty((n_samples,) + shape, dtype=np.float64)
+        shifts_y = rng.integers(-max_shift, max_shift + 1, size=n_samples)
+        shifts_x = rng.integers(-max_shift, max_shift + 1, size=n_samples)
+        for i in range(n_samples):
+            proto = prototypes[labels[i], mode_choice[i]]
+            images[i] = np.roll(proto, (shifts_y[i], shifts_x[i]), axis=(1, 2))
+        images += rng.normal(0.0, noise, size=images.shape)
+        np.clip(images, 0.0, 1.0, out=images)
+        images = (images - 0.5) / 0.5
+        return images, labels.astype(np.int64)
+
+    x_train, y_train = split(train_size)
+    x_test, y_test = split(test_size)
+    return Dataset(name, x_train, y_train, x_test, y_test, num_classes)
+
+
+def _assert_same_arrays(dataset, oracle):
+    for field in ("x_train", "y_train", "x_test", "y_test"):
+        got, expected = getattr(dataset, field), getattr(oracle, field)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, field
+        assert np.array_equal(got, expected), field
+
+
+#: geometry and noise of the registered datasets (their factories' constants)
+_REGISTERED = {
+    "mnist": ((1, 28, 28), 10, 0.35),
+    "fmnist": ((1, 28, 28), 10, 0.45),
+    "cifar10": ((3, 32, 32), 10, 0.5),
+    "cifar100": ((3, 32, 32), 100, 0.5),
+}
+
+
+class TestDatasetSynthesisMatchesPerSampleRoll:
+    @pytest.mark.parametrize("seed", [1, 23])
+    @pytest.mark.parametrize("sizes", [(97, 1), (400, 60)])
+    @pytest.mark.parametrize("name", sorted(_REGISTERED))
+    def test_registered_datasets(self, name, sizes, seed):
+        shape, num_classes, noise = _REGISTERED[name]
+        train_size, test_size = sizes
+        dataset = load_dataset(name, train_size=train_size, test_size=test_size, seed=seed)
+        oracle = _per_sample_dataset(name, shape, num_classes, train_size, test_size, noise, seed=seed)
+        _assert_same_arrays(dataset, oracle)
+
+    @pytest.mark.parametrize("max_shift", [0, 1, 5])
+    def test_shift_range_and_modes(self, max_shift):
+        kwargs = dict(noise=0.2, max_shift=max_shift, modes_per_class=3, seed=7)
+        dataset = make_dataset("probe", (2, 9, 11), 4, 150, 1, **kwargs)
+        _assert_same_arrays(dataset, _per_sample_dataset("probe", (2, 9, 11), 4, 150, 1, **kwargs))
 
 
 class TestPartitioning:
@@ -234,6 +304,49 @@ class TestDistributionAndEMD:
     def test_similarity_metric_validation(self):
         with pytest.raises(ValueError):
             similarity_matrix([np.ones(3)], metric="cosine")
+
+    def test_similarity_matrix_of_no_clients_is_empty(self):
+        assert similarity_matrix([]).shape == (0, 0)
+        with pytest.raises(ValueError):
+            similarity_matrix([np.ones(3), np.ones(4)])
+        with pytest.raises(ValueError):
+            pairwise_emd(np.ones(3))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_scalar_emd_bitwise(self, data):
+        """Every pair, every bit: 2-100 classes, 1-64 clients, empty and
+        single-class clients, any block size."""
+        num_classes = data.draw(st.integers(min_value=2, max_value=100), label="classes")
+        num_clients = data.draw(st.integers(min_value=1, max_value=64), label="clients")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 2000, size=(num_clients, num_classes))
+        counts[rng.random(counts.shape) < rng.random()] = 0  # label skew
+        kinds = rng.integers(0, 4, size=num_clients)
+        counts[kinds == 0] = 0  # a client with no data
+        for row in np.flatnonzero(kinds == 1):  # a client with one class
+            counts[row] = 0
+            counts[row, rng.integers(num_classes)] = rng.integers(1, 2000)
+
+        matrix = similarity_matrix(list(counts))
+
+        # The scalar path as it was: normalise, then a distance that
+        # normalises again.
+        distributions = [normalized_class_distribution(c) for c in counts]
+        expected = np.zeros((num_clients, num_clients))
+        for i in range(num_clients):
+            for j in range(num_clients):
+                if i != j:
+                    expected[i, j] = earth_movers_distance(distributions[i], distributions[j])
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diag(matrix).any()
+        block_rows = data.draw(st.integers(min_value=1, max_value=num_clients), label="block_rows")
+        assert np.array_equal(pairwise_emd(counts, block_rows=block_rows), matrix)
+        # A pair's distance does not depend on who else is in the cohort.
+        subset = rng.permutation(num_clients)[: data.draw(st.integers(1, num_clients), label="subset")]
+        assert np.array_equal(pairwise_emd(counts[subset]), matrix[np.ix_(subset, subset)])
 
     def test_heterogeneity_index_empty_raises(self):
         with pytest.raises(ValueError):
