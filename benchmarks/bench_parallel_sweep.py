@@ -1,11 +1,11 @@
-"""Parallel sweep runner: speed and determinism at bench scale.
+"""Pooled sweeps: speed and determinism at bench scale.
 
-Runs the Figure 6-style (dataset x algorithm) grid once through the serial
-:func:`run_configs` path and once through :func:`run_configs_parallel`, and
-checks the invariant the whole subsystem rests on: per-label summaries are
-byte-identical regardless of how the sweep was executed.  The printed table
-reports both wall-clocks; the speedup depends on the core count of the
-machine (a single-core CI runner will show parity plus a small pool
+Runs the Figure 6-style (dataset x algorithm) grid through
+:func:`repro.api.sweep` once in-process (``workers=1``) and once in a
+process pool, and checks the invariant the whole subsystem rests on:
+per-label summaries are byte-identical regardless of how the sweep was
+executed.  The printed table reports both wall-clocks; the speedup
+depends on the core count of the machine (a single-core CI runner will show parity plus a small pool
 overhead, a workstation shows near-linear scaling across cells).
 """
 
@@ -16,9 +16,9 @@ import time
 
 from conftest import run_once
 
-from repro.experiments.parallel import default_workers, run_configs_parallel
+import repro.api as api
+from repro.experiments.parallel import default_workers
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_configs
 from repro.experiments.workloads import evaluation_config, scale_from_env
 
 
@@ -31,16 +31,18 @@ def _grid():
     }
 
 
-def test_parallel_sweep_matches_serial(benchmark, print_figure):
+def test_parallel_sweep_matches_serial(benchmark, print_figure, monkeypatch):
     configs = _grid()
+    # Time execution: a default store would replay the second leg.
+    monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
 
     start = time.perf_counter()
-    serial = run_configs(configs)
+    serial = api.sweep(configs, workers=1)
     serial_s = time.perf_counter() - start
 
     workers = default_workers()
     start = time.perf_counter()
-    parallel = run_once(benchmark, run_configs_parallel, configs, workers=workers)
+    parallel = run_once(benchmark, api.sweep, configs, workers=workers)
     parallel_s = time.perf_counter() - start
 
     rows = [
@@ -51,7 +53,7 @@ def test_parallel_sweep_matches_serial(benchmark, print_figure):
         format_table(
             headers=["path", "wall_seconds", "workers"],
             rows=rows,
-            title=f"Parallel sweep runner on {len(configs)} cells "
+            title=f"Pooled sweep on {len(configs)} cells "
             f"(speedup {serial_s / parallel_s:.2f}x)",
         )
     )

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from conftest import run_once
 
+import repro.api as api
 from repro.experiments.report import render_table1, table1_comparison
-from repro.experiments.runner import run_configs
 from repro.experiments.workloads import evaluation_config, scale_from_env
 
 
@@ -25,7 +25,7 @@ def _run_behavioural_check():
         algorithm: evaluation_config("mnist", algorithm, "noniid", scale)
         for algorithm in ("fedavg", "fedprox", "fednova", "tifl", "aergia")
     }
-    return run_configs(configs)
+    return api.sweep(configs).suite
 
 
 def test_table1_claims(benchmark, print_figure):

@@ -5,10 +5,11 @@ Every benchmark regenerates one table or figure of the paper at the
 prints the regenerated rows/series so they can be compared with the paper;
 EXPERIMENTS.md records that comparison.
 
-The figure functions route their sweeps through
-:func:`repro.experiments.parallel.run_suite`, so the whole harness can be
-parallelised and/or cached without code changes: set ``REPRO_WORKERS=8``
-and/or ``REPRO_CACHE_DIR=.repro-cache`` before invoking pytest.
+The figure functions hand their sweeps to :func:`repro.api.sweep` — one
+path, the :class:`~repro.experiments.scheduler.SweepScheduler`, and one
+cache, the run store — so the whole harness can be parallelised and/or
+replayed without code changes: set ``REPRO_WORKERS=8`` and/or
+``REPRO_RESULTS_DIR=results/`` before invoking pytest.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ if str(SRC_ROOT) not in sys.path:
 # Benchmarks default to the "bench" scale unless the user overrides it.
 os.environ.setdefault("REPRO_SCALE", "bench")
 
-# Every figure sweep routes through repro.experiments.parallel.run_suite,
-# which reads REPRO_WORKERS/REPRO_CACHE_DIR itself (serial when unset) —
-# no explicit configure() call is needed here.
+# api.sweep reads REPRO_WORKERS/REPRO_RESULTS_DIR itself (in-process and
+# storeless when unset) — nothing to configure here.
 
 
 @pytest.fixture

@@ -32,8 +32,8 @@ without touching its internals.  Three pieces:
             print(record.round_number, record.test_accuracy)
         print(handle.summary())
 
-    :func:`sweep` is the batch equivalent (process pool + caching +
-    persistence), accepting ``{label: config-or-spec}`` mappings.
+    :func:`sweep` is the batch equivalent (store hits, budget, optional
+    process pool), accepting ``{label: config-or-spec}`` mappings.
 
 **The persistent RunStore**
     Runs persist as a typed manifest plus per-round JSONL under a results
@@ -47,9 +47,8 @@ without touching its internals.  Three pieces:
     A second ``run()``/``sweep()`` of an already-stored configuration is
     detected by its config hash and served from disk, not recomputed.
 
-The old entry points (``repro.fl.runtime.run_experiment``,
-``repro.experiments.parallel.run_suite``, the figure functions) remain as
-thin shims over the same machinery.
+``repro.fl.runtime.run_experiment`` remains as the storeless blocking
+call, and the figure functions are thin clients of :func:`sweep`.
 """
 
 from repro.api.handles import RunHandle, SweepHandle, run, sweep

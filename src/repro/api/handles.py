@@ -19,9 +19,10 @@ exact same event sequence as ``cluster.run()``, so summaries stay
 bit-for-bit identical to the classic blocking path.
 
 :func:`sweep` is the batch entry point: it accepts labelled configs (or
-specs), serves already-present cells from the :class:`RunStore`, routes the
-rest through the execution policy of :mod:`repro.experiments.parallel`
-(process pool + result cache), and persists every newly computed result.
+specs) and hands them to the one sweep executor, the
+:class:`~repro.experiments.scheduler.SweepScheduler`, which serves
+already-present cells from the :class:`RunStore` and runs every other cell
+as a store-backed :func:`run` — inline, or in a process pool.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from repro.api.spec import ExperimentSpec
 from repro.api.store import RunStore, StoredRun, default_store, run_key
-from repro.experiments.parallel import run_configs_parallel, run_suite
+from repro.experiments.parallel import resolve_workers
 from repro.experiments.runner import SuiteResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import ExperimentResult, RoundRecord
@@ -324,9 +325,10 @@ class SweepHandle:
     """Results of a batch of runs executed through :func:`sweep`.
 
     Wraps the familiar :class:`~repro.experiments.runner.SuiteResult`
-    (``.suite``) and records which cells were served from the persistent
-    store (``.store_hits``) versus the execution-policy cache
-    (``.cache_hits``).
+    (``.suite``: the cells that completed, in label order) and records
+    which of them were served from the persistent store (``.store_hits``),
+    the scheduler state every cell ended in (``.states``) and the
+    exceptions of the failed ones (``.errors``).
     """
 
     def __init__(
@@ -334,23 +336,18 @@ class SweepHandle:
         suite: SuiteResult,
         store: Optional[RunStore] = None,
         store_hits: Iterable[str] = (),
+        states: Optional[Mapping[str, str]] = None,
+        errors: Optional[Mapping[str, BaseException]] = None,
     ) -> None:
         self.suite = suite
         self.store = store
         self.store_hits = list(store_hits)
-        #: Per-cell scheduler states (populated on the budget-aware path;
-        #: plain ``sweep`` marks every returned cell complete).
-        self.states: Dict[str, str] = {label: "complete" for label in suite.results}
-        #: Exceptions of failed cells (budget-aware path only).
-        self.errors: Dict[str, BaseException] = {}
+        self.states: Dict[str, str] = dict(states or {})
+        self.errors: Dict[str, BaseException] = dict(errors or {})
 
     @property
     def results(self) -> Dict[str, ExperimentResult]:
         return self.suite.results
-
-    @property
-    def cache_hits(self) -> List[str]:
-        return self.suite.cache_hits
 
     def labels(self) -> Iterable[str]:
         return self.suite.labels()
@@ -400,7 +397,6 @@ def sweep(
     *,
     store: StoreLike = None,
     workers: Optional[int] = None,
-    cache_dir: Union[str, Path, None] = None,
     progress: Optional[Callable[[str, ExperimentResult], None]] = None,
     budget_seconds: Optional[float] = None,
     max_cells: Optional[int] = None,
@@ -409,76 +405,27 @@ def sweep(
 ) -> SweepHandle:
     """Run a labelled batch of experiments, persisting through the store.
 
-    Cells whose exact configuration is already complete in the store are
-    loaded from disk (listed in ``SweepHandle.store_hits``); the rest run
-    through the parallel sweep infrastructure — honouring the active
-    execution policy (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` or the CLI's
-    ``--workers`` / ``--cache-dir``) unless ``workers``/``cache_dir`` are
-    given explicitly — and are then persisted.
-
-    Any of ``budget_seconds`` / ``max_cells`` / ``resume`` /
-    ``checkpoint_interval`` routes the batch through the
-    :class:`~repro.experiments.scheduler.SweepScheduler` instead: cells run
-    serially with per-cell states, the budget is checked before each cell
-    (exhaustion marks the rest ``budget_exceeded``), and interrupted cells
-    resume from their mid-run checkpoints.
+    Every batch runs through one
+    :class:`~repro.experiments.scheduler.SweepScheduler`.  Cells whose exact
+    configuration is already complete in the store are loaded from disk
+    (listed in ``SweepHandle.store_hits``); every other cell executes as a
+    store-backed :func:`run` — in this process, or in a pool of ``workers``
+    processes (an unset ``workers`` is filled from ``REPRO_WORKERS``; with
+    neither, the sweep stays in-process).  The budget
+    (``budget_seconds`` / ``max_cells``) is checked before each cell and
+    marks what it never let start ``budget_exceeded``; a cell that raises
+    is recorded in ``SweepHandle.errors`` and the sweep continues; with
+    ``resume`` and ``checkpoint_interval`` interrupted cells continue from
+    their mid-run checkpoints.
     """
-    normalised = _normalise_configs(configs)
-    run_store = _coerce_store(store)
+    from repro.experiments.scheduler import BudgetTracker, SweepScheduler
 
-    if (
-        budget_seconds is not None
-        or max_cells is not None
-        or resume
-        or checkpoint_interval is not None
-    ):
-        from repro.experiments.scheduler import BudgetTracker, SweepScheduler
-
-        scheduler = SweepScheduler(
-            normalised,
-            store=run_store,
-            budget=BudgetTracker(wall_seconds=budget_seconds, max_cells=max_cells),
-            resume=resume,
-            checkpoint_interval=checkpoint_interval,
-            progress=progress,
-        )
-        return scheduler.run()
-
-    results: Dict[str, ExperimentResult] = {}
-    walls: Dict[str, float] = {}
-    store_hits: List[str] = []
-    pending: Dict[str, ExperimentConfig] = {}
-    for label, config in normalised.items():
-        stored = run_store.get(config) if run_store is not None else None
-        if stored is not None:
-            result = stored.load_result()
-            results[label] = result
-            walls[label] = 0.0
-            store_hits.append(label)
-            if progress is not None:
-                progress(label, result)
-        else:
-            pending[label] = config
-
-    cache_hits: List[str] = []
-    if pending:
-        if workers is None and cache_dir is None:
-            executed = run_suite(pending, progress=progress)
-        else:
-            executed = run_configs_parallel(
-                pending, workers=workers, cache_dir=cache_dir, progress=progress
-            )
-        cache_hits = executed.cache_hits
-        for label, config in pending.items():
-            result = executed.results[label]
-            wall = executed.wall_seconds[label]
-            results[label] = result
-            walls[label] = wall
-            if run_store is not None:
-                run_store.put(config, result, wall_seconds=wall, label=label)
-
-    suite = SuiteResult(cache_hits=cache_hits)
-    for label in normalised:
-        suite.results[label] = results[label]
-        suite.wall_seconds[label] = walls[label]
-    return SweepHandle(suite, store=run_store, store_hits=store_hits)
+    return SweepScheduler(
+        _normalise_configs(configs),
+        store=_coerce_store(store),
+        budget=BudgetTracker(wall_seconds=budget_seconds, max_cells=max_cells),
+        resume=resume,
+        checkpoint_interval=checkpoint_interval,
+        workers=resolve_workers(workers, default=1),
+        progress=progress,
+    ).run()

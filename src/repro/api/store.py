@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import fcntl
+import hashlib
 import json
 import os
 import random
@@ -34,12 +35,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-import hashlib
-
 import repro
-from repro.experiments.parallel import _canonical as _jsonable
-from repro.experiments.parallel import canonical_config
-from repro.fl.config import ExperimentConfig
+from repro.fl.config import ExperimentConfig, TransportConfig
 from repro.fl.metrics import ExperimentResult, RoundRecord
 from repro.nn.dtype import resolve_dtype
 
@@ -48,21 +45,75 @@ from repro.nn.dtype import resolve_dtype
 #: run would silently misrepresent the current code's behaviour.
 STORE_FORMAT = 1
 
+# ---------------------------------------------------------------------------
+# Run identity: which config fields name a run, and the key derived from them
+# ---------------------------------------------------------------------------
+#: Config fields describing *how* an experiment executes, not *what* it
+#: computes; each is pinned bitwise-neutral by a parity suite, so runs that
+#: differ only here share one store entry (and archives written before a
+#: knob existed keep their keys):
+#: ``client_pool``/``pool_slots`` — virtual == eager materialization
+#: (tests/test_virtual_pool.py); ``checkpoint_interval`` — checkpointed ==
+#: straight-through (tests/test_resume.py); ``batched_execution`` — batched
+#: == per-client (tests/test_batched_engine.py); ``shards`` — sharded ==
+#: single-process (tests/test_shard.py), except under
+#: ``shard_aggregate="partial"``, where :func:`canonical_config` re-adds it.
+EXECUTION_FIELDS = (
+    "client_pool",
+    "pool_slots",
+    "checkpoint_interval",
+    "batched_execution",
+    "shards",
+)
+
+
+def _jsonable(value: object) -> object:
+    """Normalise a config field value into a JSON-stable representation."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    return value
+
+
+def canonical_config(config: ExperimentConfig) -> Dict[str, object]:
+    """Canonical JSON-stable dict of a config's *result-relevant* fields.
+
+    Drops :data:`EXECUTION_FIELDS` — execution-strategy knobs that cannot
+    change results — so store keys are shared across materialization modes
+    and across checkpointed/straight-through runs.
+    """
+    canonical = _jsonable(dataclasses.asdict(config))
+    for field_name in EXECUTION_FIELDS:
+        canonical.pop(field_name, None)
+    # A null transport is bitwise identical to the historical network
+    # (pinned by tests/test_golden_baselines.py), so it is dropped from the
+    # canonical form: archives written before the field existed keep their
+    # keys.  A non-null transport changes results and therefore the key.
+    if canonical.get("transport") == _jsonable(dataclasses.asdict(TransportConfig())):
+        canonical.pop("transport", None)
+    # The exact shard-aggregation mode is bitwise identical to the flat
+    # reduction, so (like the null transport) it is dropped and archives
+    # written before the field existed keep their keys.  The partial mode
+    # changes the float reduction order: it stays in the canonical form
+    # *and* makes the shard topology result-relevant, so ``shards`` is
+    # re-added alongside it.
+    if canonical.get("shard_aggregate", "exact") == "exact":
+        canonical.pop("shard_aggregate", None)
+    else:
+        canonical["shards"] = config.shards
+    return canonical
+
 
 def run_key(config: ExperimentConfig) -> str:
     """The store key of a configuration: a sha256 over its canonical JSON.
 
-    Unlike the result cache's :func:`repro.experiments.parallel.config_hash`
-    — which deliberately salts in the package version and cache format so
-    stale cache entries die across releases — the store key depends only on
-    the configuration (with the dtype resolved) and :data:`STORE_FORMAT`.
-    The RunStore is an *archive*: a version bump must not orphan weeks of
-    persisted runs, and provenance lives in each manifest's ``version`` /
-    ``source_revision`` fields instead.  For the same reason the key drops
-    the client-materialization knobs (``client_pool``/``pool_slots``):
-    materialization cannot change results, so virtual and eager runs of one
-    experiment share a key — and archives written before those knobs
-    existed keep theirs.
+    The key depends only on the configuration (with the dtype resolved) and
+    :data:`STORE_FORMAT` — not on the package version.  The RunStore is an
+    *archive*: a version bump must not orphan weeks of persisted runs, so a
+    complete run is a hit whatever release wrote it; provenance lives in
+    each manifest's ``version`` / ``source_revision`` fields, and pointing
+    at a fresh results directory is how to force a recompute.
     """
     canonical = canonical_config(config)
     # A config with dtype=None resolves to the process default at build
@@ -72,6 +123,7 @@ def run_key(config: ExperimentConfig) -> str:
     payload = {"store_format": STORE_FORMAT, "config": canonical}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
@@ -381,12 +433,40 @@ class RunWriter:
         _release_run_lock(self._lock_path)
 
 
+#: Manifest fields the readers index or convert unguarded, with the types
+#: they rely on.  The identity fields are written when a run starts and
+#: must be present; the rest appear as it progresses (a ``running``
+#: manifest has no ``num_rounds`` yet) and are checked when present.
+_MANIFEST_REQUIRED = {"config_hash": str, "algorithm": str, "dataset": str}
+_MANIFEST_OPTIONAL = {
+    "created_at": (int, float),
+    "num_rounds": int,
+    "summary": dict,
+    "result": dict,
+    "config": dict,
+}
+
+
 class StoredRun:
-    """One persisted run: lazy access to its manifest, rounds and result."""
+    """One persisted run: a point-in-time view of its manifest, rounds and result.
+
+    Raises ``ValueError`` for a manifest that is not JSON, not an object,
+    or ill-typed in a field the readers rely on — :meth:`RunStore.get`
+    reads that as an absent run and :meth:`RunStore.runs` skips it, so one
+    damaged file never breaks a report, a server start-up or a sweep.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.manifest: Dict[str, Any] = json.loads((self.path / MANIFEST_NAME).read_text())
+        manifest = json.loads((self.path / MANIFEST_NAME).read_text())
+        if not (
+            isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), t) for k, t in _MANIFEST_REQUIRED.items())
+            and all(isinstance(manifest[k], t) for k, t in _MANIFEST_OPTIONAL.items() if k in manifest)
+        ):
+            raise ValueError(f"ill-typed manifest: {self.path / MANIFEST_NAME}")
+        self.manifest: Dict[str, Any] = manifest
+        self._rounds: Optional[List[RoundRecord]] = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -441,7 +521,15 @@ class StoredRun:
         append is flushed whole), so callers see the longest clean prefix —
         :meth:`load_result` and :meth:`RunStore.get` then compare that
         prefix length against the manifest to detect the truncation.
+
+        The file is parsed once per :class:`StoredRun` (a store hit is a
+        ``get`` followed by a ``load_result``; both count these records).
         """
+        if self._rounds is None:
+            self._rounds = self._parse_rounds()
+        return list(self._rounds)
+
+    def _parse_rounds(self) -> List[RoundRecord]:
         records: List[RoundRecord] = []
         path = self.path / ROUNDS_NAME
         if not path.exists():

@@ -7,8 +7,9 @@ experiment harness without writing any Python:
     One experiment (algorithm x dataset x partition) at a chosen scale,
     streamed round by round through :mod:`repro.api`.
 ``repro sweep``
-    A dataset x algorithm grid, executed through the parallel sweep runner
-    with optional result caching and run persistence.
+    A dataset x algorithm grid, executed through the sweep scheduler: store
+    hits replayed, the rest run in a process pool, optionally under a
+    budget and resumable.
 ``repro figures``
     Regenerate one or more figures/tables of the paper and print their
     text renderings.
@@ -26,7 +27,7 @@ experiment harness without writing any Python:
 
 Every subcommand accepts ``--scale {smoke,bench,full}`` (defaulting to the
 ``REPRO_SCALE`` environment variable) and the sweep-shaped ones accept
-``--workers``, ``--cache-dir`` and ``--results-dir``.
+``--workers`` and ``--results-dir``.
 
 The CLI is a thin consumer of :mod:`repro.api`: every name it accepts
 (``--algorithm``, ``--scenario``, ``--dataset``, ``--scale``) comes from
@@ -41,16 +42,12 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import repro.api as api
-from repro.experiments.parallel import (
-    configure,
-    resolve_workers,
-    run_configs_parallel,
-)
+from repro.experiments.parallel import resolve_workers
 from repro.experiments.report import render_network_counters, render_summaries, render_table1
-from repro.experiments.runner import run_configs
 from repro.experiments.workloads import (
     SCALES,
     ScaleProfile,
@@ -182,22 +179,18 @@ def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
         help="process-pool size for the sweep "
-        "(default: $REPRO_WORKERS, else one per CPU; 1 = serial)",
+        "(default: $REPRO_WORKERS, else one per CPU; 1 = in-process)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk result cache; already-computed cells are loaded, not re-run "
-        "(default: $REPRO_CACHE_DIR)",
-    )
+
+
+def _add_results_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--results-dir",
         default=None,
@@ -291,12 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flag(run_p)
     _add_scale_flag(run_p)
     _add_dtype_flag(run_p)
-    _add_execution_flags(run_p)
+    _add_results_dir_flag(run_p)
 
     sweep_p = sub.add_parser(
         "sweep",
-        help="run a dataset x algorithm grid through the parallel runner",
-        description="Run a dataset x algorithm sweep in parallel with caching.",
+        help="run a dataset x algorithm grid through the sweep scheduler",
+        description="Run a dataset x algorithm sweep: cells already in the results "
+        "dir are replayed, the rest run in a process pool.",
         epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -354,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flag(sweep_p)
     _add_scale_flag(sweep_p)
     _add_dtype_flag(sweep_p)
-    _add_execution_flags(sweep_p)
+    _add_workers_flag(sweep_p)
+    _add_results_dir_flag(sweep_p)
 
     fig_p = sub.add_parser(
         "figures",
@@ -374,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_flag(fig_p)
     _add_dtype_flag(fig_p)
-    _add_execution_flags(fig_p)
+    _add_workers_flag(fig_p)
+    _add_results_dir_flag(fig_p)
 
     report_p = sub.add_parser(
         "report",
@@ -532,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="--serve concurrent hosted experiments (default: 4)",
     )
-    # No --cache-dir here: bench times actual execution, and serving the
-    # parallel leg from a warm cache would turn the "speedup" into a
-    # cache-load measurement.
+    # No --results-dir here: bench times actual execution, and serving the
+    # parallel leg from a warm store would turn the "speedup" into a
+    # store-load measurement.
     bench_p.add_argument(
         "--workers",
         type=int,
@@ -648,48 +644,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.cache_dir or os.environ.get("REPRO_CACHE_DIR"):
-        # Cache path: api.sweep consults the ResultCache exactly like the
-        # pre-api CLI did, *and* still persists/replays through the
-        # RunStore when --results-dir / REPRO_RESULTS_DIR is set.
-        policy = configure(workers=args.workers, cache_dir=args.cache_dir)
-        start = time.perf_counter()
-        handle = api.sweep(
-            {args.algorithm: spec.build()},
-            workers=policy.workers,
-            cache_dir=policy.cache_dir,
-            store=args.results_dir,
-            resume=args.resume,
+    start = time.perf_counter()
+    handle = spec.run(store=args.results_dir, resume=args.resume)
+    if handle.resumed_from_round is not None:
+        print(
+            f"  resuming from checkpoint at round {handle.resumed_from_round}",
+            file=sys.stderr,
         )
-        elapsed = time.perf_counter() - start
-        summaries = handle.summaries()
-        cached = (
-            " (cached)"
-            if handle.cache_hits
-            else (" (from store)" if handle.store_hits else "")
+    for record in handle.stream():
+        print(
+            f"  round {record.round_number}: "
+            f"accuracy={record.test_accuracy:.3f} "
+            f"duration={record.duration:.2f}s "
+            f"dropped={len(record.dropped_clients)}",
+            file=sys.stderr,
         )
-    else:
-        # The api path: stream the run round by round, optionally persisted.
-        start = time.perf_counter()
-        handle = spec.run(store=args.results_dir, resume=args.resume)
-        if handle.resumed_from_round is not None:
-            print(
-                f"  resuming from checkpoint at round {handle.resumed_from_round}",
-                file=sys.stderr,
-            )
-        for record in handle.stream():
-            print(
-                f"  round {record.round_number}: "
-                f"accuracy={record.test_accuracy:.3f} "
-                f"duration={record.duration:.2f}s "
-                f"dropped={len(record.dropped_clients)}",
-                file=sys.stderr,
-            )
-        elapsed = time.perf_counter() - start
-        summaries = {args.algorithm: handle.summary()}
-        cached = " (from store)" if handle.loaded_from_store else ""
-        if handle.resumed_from_round is not None:
-            cached = f" (resumed from round {handle.resumed_from_round})"
+    elapsed = time.perf_counter() - start
+    summaries = {args.algorithm: handle.summary()}
+    cached = " (from store)" if handle.loaded_from_store else ""
+    if handle.resumed_from_round is not None:
+        cached = f" (resumed from round {handle.resumed_from_round})"
 
     print(
         render_summaries(
@@ -719,19 +693,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         dtype=args.dtype,
         scenario=args.scenario,
     )
-    policy = configure(args.workers, args.cache_dir)
-    workers, cache_dir = policy.workers, policy.cache_dir
-    budgeted = (
-        args.budget_seconds is not None
-        or args.max_cells is not None
-        or args.resume
-        or args.checkpoint_interval is not None
-    )
+    workers = resolve_workers(args.workers)
     start = time.perf_counter()
     handle = api.sweep(
         configs,
         workers=workers,
-        cache_dir=cache_dir,
         store=args.results_dir,
         progress=lambda label, _result: print(f"  done: {label}", file=sys.stderr),
         budget_seconds=args.budget_seconds,
@@ -740,38 +706,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
     )
     elapsed = time.perf_counter() - start
-    mode = "budget-aware serial scheduler" if budgeted else (
-        f"{workers} worker{'s' if workers != 1 else ''}"
-    )
     print(
         render_summaries(
             handle.summaries(),
-            title=f"repro sweep: {len(configs)} cells, {scale.name} scale, {mode}",
+            title=f"repro sweep: {len(configs)} cells, {scale.name} scale, "
+            f"{workers} worker{'s' if workers != 1 else ''}",
         )
     )
-    if budgeted:
-        from collections import Counter
-
-        counts = Counter(handle.states.values())
-        print(
-            "cell states: "
-            + ", ".join(f"{state}={count}" for state, count in sorted(counts.items())),
-            file=sys.stderr,
-        )
-        for label, error in sorted(handle.errors.items()):
-            print(f"  failed: {label}: {error}", file=sys.stderr)
+    counts = Counter(handle.states.values())
+    print(
+        "cell states: "
+        + ", ".join(f"{state}={count}" for state, count in sorted(counts.items())),
+        file=sys.stderr,
+    )
+    for label, error in sorted(handle.errors.items()):
+        print(f"  failed: {label}: {error}", file=sys.stderr)
     print(
         f"\nwall-clock: {elapsed:.2f}s  "
         f"(sum of per-cell compute: {handle.total_wall_seconds():.2f}s)"
     )
-    if cache_dir is not None:
-        print(f"cache hits: {len(handle.cache_hits)}/{len(configs)} in {cache_dir}")
     if handle.store is not None:
         print(
             f"results dir: {handle.store.root} "
             f"(store hits: {len(handle.store_hits)}/{len(configs)})"
         )
-    return 0
+    # A budget_exceeded cell is unfinished work for a later --resume, not a
+    # failure; only a cell that ran and raised fails the command.
+    return 1 if handle.errors else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -820,7 +781,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         return 2
     _apply_dtype(args)
     _apply_results_dir(args)
-    configure(workers=args.workers, cache_dir=args.cache_dir)
+    # Like --results-dir, the worker count reaches the figure functions
+    # (which take no such argument) through the environment.
+    os.environ["REPRO_WORKERS"] = str(resolve_workers(args.workers))
     if "all" in names:
         names = list(FIGURE_NAMES)
     for name in names:
@@ -909,16 +872,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenario=args.scenario,
     )
     workers = resolve_workers(args.workers)
+    # bench times execution: a default store would replay the second leg.
+    os.environ.pop("REPRO_RESULTS_DIR", None)
 
     print(f"benchmarking {len(configs)} cells at {scale.name} scale ...", file=sys.stderr)
     start = time.perf_counter()
-    serial = run_configs(configs)
+    serial = api.sweep(configs, workers=1)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_configs_parallel(configs, workers=workers)
+    parallel = api.sweep(configs, workers=workers)
     parallel_s = time.perf_counter() - start
 
+    for error in (*serial.errors.values(), *parallel.errors.values()):
+        raise error
     mismatched = [
         label
         for label in configs
@@ -973,18 +940,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     load_plugins()
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --results-dir routes through REPRO_RESULTS_DIR so that code with no
-    # store parameter of its own (the figure sweeps) persists too; restore
-    # the variable afterwards so the store never leaks past the command
-    # into library callers sharing this process.
-    saved_results_dir = os.environ.get("REPRO_RESULTS_DIR")
+    # --results-dir and (for figures) --workers route through the
+    # environment so that code with no such parameter of its own (the
+    # figure sweeps) sees them too; restore the variables afterwards so
+    # neither leaks past the command into library callers sharing this
+    # process.
+    routed = ("REPRO_RESULTS_DIR", "REPRO_WORKERS")
+    saved = {name: os.environ.get(name) for name in routed}
     try:
         return _COMMANDS[args.command](args)
     finally:
-        if saved_results_dir is None:
-            os.environ.pop("REPRO_RESULTS_DIR", None)
-        else:
-            os.environ["REPRO_RESULTS_DIR"] = saved_results_dir
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":

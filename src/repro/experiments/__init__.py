@@ -18,14 +18,7 @@ from repro.experiments.workloads import (
     scale_from_env,
     scenario_dynamics,
 )
-from repro.experiments.runner import run_configs, SuiteResult
-from repro.experiments.parallel import (
-    ResultCache,
-    config_hash,
-    configure,
-    run_configs_parallel,
-    run_suite,
-)
+from repro.experiments.runner import SuiteResult
 from repro.experiments.report import format_table, table1_comparison, render_table1
 
 __all__ = [
@@ -37,12 +30,6 @@ __all__ = [
     "known_datasets",
     "scale_from_env",
     "scenario_dynamics",
-    "run_configs",
-    "run_configs_parallel",
-    "run_suite",
-    "configure",
-    "config_hash",
-    "ResultCache",
     "SuiteResult",
     "format_table",
     "table1_comparison",

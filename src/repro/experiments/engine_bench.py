@@ -263,7 +263,7 @@ def bench_round_step(
         y = rng.integers(0, spec.num_classes, size=(num_clients, batch_size))
         oracle_optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
         optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
-        batched_optimizer = BatchedSGD(lr=0.05, momentum=0.9, backend=batched.backend)
+        batched_optimizer = BatchedSGD(lr=0.05, momentum=0.9)
         for lane, model in enumerate(models):
             for section in model.SECTIONS:
                 batched.load_lane(section, lane, model.get_flat_weights(section))

@@ -33,19 +33,23 @@ from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.model import Phase
 
 
-def _run_suite(configs, progress=None) -> SuiteResult:
+def _sweep(configs) -> SuiteResult:
     """Run a labelled batch through the public API.
 
     The figure functions are thin clients of :func:`repro.api.sweep`: the
-    batch honours the active execution policy (workers/result cache) and —
-    when a results directory is configured (``REPRO_RESULTS_DIR`` or the
-    CLI's ``--results-dir``) — every run is persisted to, and replayed
-    from, the :class:`repro.api.RunStore`, so figures can be re-rendered
-    from the store alone.
+    batch runs in ``REPRO_WORKERS`` processes (in-process when unset; the
+    CLI's ``--workers`` travels through it) and — when a results directory
+    is configured (``REPRO_RESULTS_DIR`` or the CLI's ``--results-dir``) —
+    every run is persisted to, and replayed from, the
+    :class:`repro.api.RunStore`, so figures can be re-rendered from the
+    store alone.  A figure needs every cell: the first failed one raises.
     """
     from repro.api import sweep
 
-    return sweep(configs, progress=progress).suite
+    handle = sweep(configs)
+    for error in handle.errors.values():
+        raise error
+    return handle.suite
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ def figure1a(
         for clients in client_counts
         for variance in variances
     }
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     multipliers: Dict[int, Dict[float, float]] = {}
     for clients in client_counts:
         baseline = suite[f"{clients}/{variances[0]}"].total_time
@@ -110,7 +114,7 @@ def figure1b_1c(
         ("inf" if d is None else f"{int(d)}s"): motivation_deadline_config(d, scale, seed=seed)
         for d in deadlines
     }
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     rows = []
     for label, result in suite.results.items():
         rows.append(
@@ -206,7 +210,7 @@ def _evaluation_grid(
             algorithm: evaluation_config(dataset, algorithm, partition, scale, seed=seed)
             for algorithm in algorithms
         }
-        per_dataset[dataset] = _run_suite(configs)
+        per_dataset[dataset] = _sweep(configs)
 
     rows = []
     accuracy: Dict[str, Dict[str, float]] = {}
@@ -276,7 +280,7 @@ def figure8(
         algorithm: evaluation_config("fmnist", algorithm, "noniid", scale, seed=seed)
         for algorithm in algorithms
     }
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     densities = round_duration_density(list(suite.results.values()), bins=bins)
     mean_durations = {
         algorithm: result.mean_round_duration() for algorithm, result in suite.results.items()
@@ -313,7 +317,7 @@ def figure9(
     configs = {
         f"f={factor}": similarity_factor_config(factor, scale, seed=seed) for factor in factors
     }
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     rows = []
     for label, result in suite.results.items():
         rows.append([label, result.final_accuracy, result.mean_round_duration()])
@@ -346,7 +350,7 @@ def figure10(scale: Optional[ScaleProfile] = None, seed: int = 42) -> Dict[str, 
         (label, config.with_overrides(rounds=max(config.rounds * 2, 6)))
         for label, config in noniid_degree_configs(scale, seed=seed)
     ]
-    suite = _run_suite(dict(labelled))
+    suite = _sweep(dict(labelled))
     rows = []
     timelines: Dict[str, List[Tuple[float, float]]] = {}
     for label, result in suite.results.items():
@@ -386,7 +390,7 @@ def headline_claims(
         algorithm: evaluation_config(dataset, algorithm, partition, scale, seed=seed)
         for algorithm in ("fedavg", "tifl", "aergia")
     }
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     aergia = suite["aergia"]
     fedavg = suite["fedavg"]
     tifl = suite["tifl"]
@@ -426,7 +430,7 @@ def profiler_overhead(
     scale = scale or scale_from_env()
     config = evaluation_config("fmnist", "aergia", "iid", scale, seed=seed)
     no_profile_config = config.with_overrides(profile_batches=0, algorithm="fedavg")
-    suite = _run_suite({"with": config, "without": no_profile_config})
+    suite = _sweep({"with": config, "without": no_profile_config})
     with_profiling = suite["with"]
     without_profiling = suite["without"]
 
@@ -469,7 +473,7 @@ def ablation_profile_length(
         configs[f"P={length}"] = config.with_overrides(
             profile_batches=min(length, config.local_updates)
         )
-    suite = _run_suite(configs)
+    suite = _sweep(configs)
     rows = [
         [label, result.final_accuracy, result.total_time, result.mean_round_duration()]
         for label, result in suite.results.items()

@@ -1,30 +1,24 @@
-"""Helpers for running batches of experiment configurations."""
+"""The labelled results of a batch of experiment configurations."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable
 
-from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import ExperimentResult
-from repro.fl.runtime import run_experiment
 
 
 @dataclass
 class SuiteResult:
     """Results of a batch of experiments, keyed by a caller-chosen label.
 
-    ``cache_hits`` lists the labels that were loaded from the on-disk
-    result cache rather than executed — always empty for the serial
-    :func:`run_configs` path, populated by
-    :func:`repro.experiments.parallel.run_configs_parallel` when a cache
-    directory is in use.
+    Built by the :class:`~repro.experiments.scheduler.SweepScheduler`, in
+    the caller's label order; ``wall_seconds`` is the compute spent on each
+    cell in this sweep (0.0 for a cell served from the run store).
     """
 
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
     wall_seconds: Dict[str, float] = field(default_factory=dict)
-    cache_hits: List[str] = field(default_factory=list)
 
     def __getitem__(self, label: str) -> ExperimentResult:
         return self.results[label]
@@ -41,29 +35,3 @@ class SuiteResult:
 
     def total_wall_seconds(self) -> float:
         return float(sum(self.wall_seconds.values()))
-
-
-def run_configs(
-    configs: Mapping[str, ExperimentConfig],
-    progress: Optional[Callable[[str, ExperimentResult], None]] = None,
-) -> SuiteResult:
-    """Run every configuration in ``configs`` and collect the results.
-
-    Parameters
-    ----------
-    configs:
-        Mapping from a label (e.g. ``"aergia"`` or ``"deadline=30"``) to the
-        experiment configuration to run.
-    progress:
-        Optional callback invoked after each experiment with the label and
-        its result — handy for long sweeps.
-    """
-    suite = SuiteResult()
-    for label, config in configs.items():
-        start = time.perf_counter()
-        result = run_experiment(config)
-        suite.results[label] = result
-        suite.wall_seconds[label] = time.perf_counter() - start
-        if progress is not None:
-            progress(label, result)
-    return suite

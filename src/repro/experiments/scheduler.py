@@ -1,7 +1,8 @@
-"""Budget-aware sweep scheduling with an explicit per-cell state machine.
+"""The sweep executor: every batch of cells runs through :class:`SweepScheduler`.
 
-:func:`repro.api.sweep` runs every cell unconditionally; the
-:class:`SweepScheduler` adds the operational layer a long campaign needs:
+:func:`repro.api.sweep`, ``repro sweep``, ``repro figures`` and ``repro
+bench`` all construct one scheduler per batch; there is no other way a
+batch executes.  What it guarantees:
 
 * every cell moves through an explicit state machine
   (``pending -> running -> complete | failed``, plus the terminal
@@ -17,20 +18,31 @@
   served from disk before the budget starts ticking, and a crashed cell
   with a checkpoint resumes instead of recomputing (``resume=True``);
 * a cell that raises is marked ``failed`` and the sweep *continues* —
-  one bad configuration does not abort the campaign.
+  one bad configuration does not abort the campaign;
+* admitted cells run inline at ``workers == 1`` and in a process pool
+  otherwise.  Either way a cell executes as :func:`repro.api.run` against
+  the scheduler's store, so the process that computes it streams its
+  ``rounds.jsonl``, writes its checkpoints and holds its writer lock: a
+  pooled cell killed mid-run is as resumable as an inline one, and the
+  two modes leave byte-identical round files;
+* labels whose configurations share a :func:`~repro.api.store.run_key`
+  are one execution: the first runs, the rest receive its outcome.
 
-The executor is injectable (``executor(label, config) -> (result,
+The inline executor is injectable (``executor(label, config) -> (result,
 wall_seconds)``) so the state machine is testable with fake clocks and
-scripted failures; the default executor routes through
-:func:`repro.api.run` with the scheduler's ``resume`` and
-``checkpoint_interval`` settings applied.
+scripted failures.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.experiments.parallel import worker_pool
+from repro.experiments.runner import SuiteResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import ExperimentResult
 
@@ -107,16 +119,27 @@ class BudgetTracker:
         """Record one executed (not store-served) cell."""
         self.cells_executed += 1
 
-    def exhausted(self) -> bool:
+    def exhausted(self, in_flight: int = 0) -> bool:
+        """Whether no further cell may start (``in_flight`` cells are running)."""
         if self.wall_seconds is not None and self.elapsed() >= self.wall_seconds:
             return True
-        if self.max_cells is not None and self.cells_executed >= self.max_cells:
+        if self.max_cells is not None and self.cells_executed + in_flight >= self.max_cells:
             return True
         return False
 
 
+def _run_cell(
+    label: str, config: ExperimentConfig, store, resume: bool
+) -> Tuple[ExperimentResult, float]:
+    """One cell as :func:`repro.api.run`; module-level so it pickles for the pool."""
+    from repro.api.handles import run
+
+    handle = run(config, store=store, label=label, resume=resume)
+    return handle.result(), handle.wall_seconds
+
+
 class SweepScheduler:
-    """Serial budget-aware scheduler over labelled experiment configs.
+    """Budget-aware scheduler over labelled experiment configs.
 
     After :meth:`run`, inspect ``states`` (label -> :class:`CellState`
     value), ``errors`` (label -> exception, for failed cells),
@@ -131,6 +154,7 @@ class SweepScheduler:
         budget: Optional[BudgetTracker] = None,
         resume: bool = False,
         checkpoint_interval: Optional[int] = None,
+        workers: int = 1,
         executor: Optional[
             Callable[[str, ExperimentConfig], Tuple[ExperimentResult, float]]
         ] = None,
@@ -141,6 +165,7 @@ class SweepScheduler:
         self.budget = budget if budget is not None else BudgetTracker()
         self.resume = resume
         self.checkpoint_interval = checkpoint_interval
+        self.workers = max(1, int(workers))
         self._executor = executor if executor is not None else self._default_executor
         self.progress = progress
 
@@ -161,67 +186,111 @@ class SweepScheduler:
             )
         self.states[label] = new_state
 
+    def _complete(self, label: str, result: ExperimentResult, wall: float) -> None:
+        self.results[label] = result
+        self.wall_seconds[label] = wall
+        self.transition(label, CellState.COMPLETE)
+        if self.progress is not None:
+            self.progress(label, result)
+
     # --------------------------------------------------------------- execution
     def _default_executor(
         self, label: str, config: ExperimentConfig
     ) -> Tuple[ExperimentResult, float]:
-        from repro.api.handles import run
+        return _run_cell(label, config, self.store, self.resume)
 
+    def _submit(self, pool, label: str) -> Future:
+        """Start one admitted cell: inline without a pool, else on a worker."""
+        config = self.configs[label]
         if self.checkpoint_interval is not None and config.checkpoint_interval is None:
             # checkpoint_interval is an execution field: the override keeps
             # the run key (and thus the store identity) unchanged.
             config = config.with_overrides(checkpoint_interval=self.checkpoint_interval)
-        handle = run(config, store=self.store, label=label, resume=self.resume)
-        result = handle.result()
-        return result, handle.wall_seconds
+        if pool is not None and config.dtype is None:
+            # A worker resolves dtype=None from its *own* environment (fresh
+            # module state under the spawn start method), so an explicit
+            # set_compute_dtype() in this process would otherwise key the
+            # cell by one dtype and execute it in another.
+            from repro.nn.dtype import resolve_dtype
+
+            config = config.with_overrides(dtype=resolve_dtype(None).name)
+        done: Future = Future()
+        try:
+            if pool is not None:
+                return pool.submit(_run_cell, label, config, self.store, self.resume)
+            done.set_result(self._executor(label, config))
+        except Exception as exc:
+            # The cell raised — or a killed worker (SIGKILL, OOM) broke the
+            # pool and it refuses new work: the cells still queued then fail
+            # like the ones that were in flight.
+            done.set_exception(exc)
+        return done
+
+    def _groups(self) -> List[List[str]]:
+        """Pending labels grouped by run key (label order; first one runs)."""
+        from repro.api.store import run_key
+
+        groups: Dict[str, List[str]] = {}
+        for label, config in self.configs.items():
+            if self.states[label] == CellState.PENDING:
+                groups.setdefault(run_key(config), []).append(label)
+        return list(groups.values())
+
+    def _settle(self, group: List[str], future: Future) -> None:
+        try:
+            result, wall = future.result()
+        except Exception as exc:
+            for label in group:
+                self.errors[label] = exc
+                self.transition(label, CellState.FAILED)
+            return
+        self.budget.note_cell()
+        for position, label in enumerate(group):
+            # One execution: its compute is booked on the label that ran.
+            self._complete(label, result, wall if position == 0 else 0.0)
 
     def run(self):
         """Execute the campaign; returns a :class:`repro.api.SweepHandle`."""
         from repro.api.handles import SweepHandle
-        from repro.experiments.runner import SuiteResult
 
         # Store-complete cells are free: served before the budget starts,
         # and never counted against it.
         if self.store is not None:
             for label, config in self.configs.items():
                 stored = self.store.get(config)
-                if stored is None:
-                    continue
-                result = stored.load_result()
-                self.results[label] = result
-                self.wall_seconds[label] = 0.0
-                self.store_hits.append(label)
-                self.transition(label, CellState.COMPLETE)
-                if self.progress is not None:
-                    self.progress(label, result)
+                if stored is not None:
+                    self.store_hits.append(label)
+                    self._complete(label, stored.load_result(), 0.0)
 
         self.budget.start()
-        for label, config in self.configs.items():
-            if self.states[label] != CellState.PENDING:
-                continue
-            if self.budget.exhausted():
-                self.transition(label, CellState.BUDGET_EXCEEDED)
-                continue
-            self.transition(label, CellState.RUNNING)
-            try:
-                result, wall = self._executor(label, config)
-            except Exception as exc:
-                self.errors[label] = exc
-                self.transition(label, CellState.FAILED)
-                continue
-            self.budget.note_cell()
-            self.results[label] = result
-            self.wall_seconds[label] = wall
-            self.transition(label, CellState.COMPLETE)
-            if self.progress is not None:
-                self.progress(label, result)
+        queue = deque(self._groups())
+        slots = max(1, min(self.workers, len(queue)))
+        in_flight: Dict[Future, List[str]] = {}
+        with (worker_pool(slots) if slots > 1 else nullcontext()) as pool:
+            while queue or in_flight:
+                while queue and len(in_flight) < slots:
+                    group = queue.popleft()
+                    state = (
+                        CellState.BUDGET_EXCEEDED
+                        if self.budget.exhausted(len(in_flight))
+                        else CellState.RUNNING
+                    )
+                    for label in group:
+                        self.transition(label, state)
+                    if state == CellState.RUNNING:
+                        in_flight[self._submit(pool, group[0])] = group
+                for future in wait(in_flight, return_when=FIRST_COMPLETED).done:
+                    self._settle(in_flight.pop(future), future)
 
         suite = SuiteResult()
         for label in self.configs:
             if label in self.results:
                 suite.results[label] = self.results[label]
                 suite.wall_seconds[label] = self.wall_seconds[label]
-        handle = SweepHandle(suite, store=self.store, store_hits=self.store_hits)
-        handle.states = dict(self.states)
-        handle.errors = dict(self.errors)
-        return handle
+        return SweepHandle(
+            suite,
+            store=self.store,
+            store_hits=self.store_hits,
+            states=self.states,
+            errors=self.errors,
+        )

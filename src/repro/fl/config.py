@@ -175,7 +175,7 @@ class TransportConfig:
     are injected, no acknowledgements or retransmit timers are scheduled,
     and the simulation is bitwise identical to the historical fail-stop
     network.  Like the inert :class:`DynamicsConfig`, a null transport is
-    excluded from ``config_hash``/``run_key`` so existing result archives
+    excluded from ``run_key`` so existing result archives
     keep their keys.
 
     Attributes
@@ -361,7 +361,7 @@ class ExperimentConfig:
     #: "auto" enables batching for rounds of BATCHED_AUTO_MIN_CLIENTS+
     #: participants.  Numerics are bitwise identical either way (pinned by
     #: tests), so — like ``client_pool`` — the field is an execution knob
-    #: excluded from ``config_hash``/``run_key``.
+    #: excluded from ``run_key``.
     batched_execution: str = "auto"
 
     # Sharded multi-process simulation
@@ -372,7 +372,7 @@ class ExperimentConfig:
     #: shard workers.  Sharded execution is bitwise identical to the
     #: single-process path (pinned by tests), so — like ``client_pool``
     #: and ``batched_execution`` — the field is an execution knob excluded
-    #: from ``config_hash``/``run_key`` (except under
+    #: from ``run_key`` (except under
     #: ``shard_aggregate="partial"``, which makes the shard topology
     #: results-relevant; see below).  Sharding requires batched execution
     #: and a synchronous federator; otherwise it is inert.
@@ -394,7 +394,7 @@ class ExperimentConfig:
     #: every this many completed (virtual) rounds; ``None`` disables
     #: checkpointing.  Purely an execution knob: a checkpointed run and a
     #: straight-through run produce bitwise-identical results, so the field
-    #: is excluded from ``config_hash``/``run_key`` (like ``client_pool``).
+    #: is excluded from ``run_key`` (like ``client_pool``).
     checkpoint_interval: Optional[int] = None
 
     # Reproducibility

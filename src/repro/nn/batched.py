@@ -47,10 +47,6 @@ their step, per-client replay otherwise) and continue on their own.
 Anything that cannot join a cohort (ragged epoch tails, unknown
 optimisers, layers without a kernel, late or duplicated training
 requests) silently stays per-client, which is always correct.
-
-All kernels go through the :class:`~repro.nn.backend.ArrayBackend` seam
-(numpy today; a cupy/torch backend can be registered without touching
-the federation layer).
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.loader import BatchLoader
-from repro.nn.backend import ArrayBackend, get_array_backend
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, ResidualBlock
 from repro.nn.model import PhaseTrace, SplitCNN, phase_flops
 from repro.nn.optim import ProximalSGD, SGD
@@ -78,11 +73,11 @@ from repro.nn.optim import ProximalSGD, SGD
 BATCHED_AUTO_MIN_CLIENTS = 16
 
 
-def _scratch(current: Optional[np.ndarray], shape: Tuple[int, ...], dtype, xp) -> np.ndarray:
+def _scratch(current: Optional[np.ndarray], shape: Tuple[int, ...], dtype) -> np.ndarray:
     """Return ``current`` if it matches ``shape``/``dtype``, else a new buffer."""
     if current is not None and current.shape == shape and current.dtype == dtype:
         return current
-    return xp.empty(shape, dtype=dtype)
+    return np.empty(shape, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +89,6 @@ class _BatchedLayer:
     ``params``/``grads`` are views into the owning model's
     ``(lanes, params)`` section arenas, shaped ``(lanes,) + param_shape``.
     """
-
-    def __init__(self, backend: ArrayBackend) -> None:
-        self.backend = backend
-        self.xp = backend.xp
 
     def forward(self, x, training: bool = True):
         """``training=False`` skips whatever only ``backward`` reads."""
@@ -225,8 +216,7 @@ class _BatchedConv2D(_BatchedLayer):
     as the stacked form (the batch loop issues the identical 2-D GEMMs).
     """
 
-    def __init__(self, template: Conv2D, params, grads, backend: ArrayBackend) -> None:
-        super().__init__(backend)
+    def __init__(self, template: Conv2D, params, grads) -> None:
         self.in_channels = template.in_channels
         self.out_channels = template.out_channels
         self.kernel_size = template.kernel_size
@@ -245,8 +235,6 @@ class _BatchedConv2D(_BatchedLayer):
         self._cols_sm: Optional[np.ndarray] = None
         self._gbuf: Optional[np.ndarray] = None
         self._gw: Optional[np.ndarray] = None
-        self._grad_colsT: Optional[np.ndarray] = None
-        self._grad_cols_sm: Optional[np.ndarray] = None
         self._cols_sm_lane: Optional[np.ndarray] = None
         self._gcols_lane: Optional[np.ndarray] = None
         self._gcols_sm_lane: Optional[np.ndarray] = None
@@ -276,7 +264,7 @@ class _BatchedConv2D(_BatchedLayer):
             or self._pad.shape != padded_shape
             or self._pad.dtype != dtype
         ):
-            self._pad = self.xp.zeros(padded_shape, dtype=dtype)
+            self._pad = np.zeros(padded_shape, dtype=dtype)
             self._interior = None
         if self._interior is None:
             self._interior = self._pad[:, :, :, p:-p, p:-p]
@@ -295,39 +283,31 @@ class _BatchedConv2D(_BatchedLayer):
         if self._pad is None or self._pad.shape != shape or self._pad.dtype != x.dtype:
             # Zeroed once; only the interior is rewritten per wave, the
             # border stays zero (same trick as the oracle's pad buffer).
-            self._pad = self.xp.zeros(shape, dtype=x.dtype)
+            self._pad = np.zeros(shape, dtype=x.dtype)
             self._interior = None
         self._pad[:, :, :, p:-p, p:-p] = x
         return self._pad
 
     def _im2colT(self, x):
         """Transposed im2col: ``(L, c*k*k, n*oh*ow)`` with contiguous rows."""
-        xp = self.xp
         L, c, n, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
         rows = n * out_h * out_w
-        colsT = self._colsT = _scratch(self._colsT, (L, c * k * k, rows), x.dtype, xp)
+        colsT = self._colsT = _scratch(self._colsT, (L, c * k * k, rows), x.dtype)
         padded = self._padded(x)
         colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
-        if xp is np:
-            # One overlapping window view + one copy: the nditer walks the
-            # destination in C order, so each (lane, channel) image block is
-            # read cache-hot across all k*k taps.
-            sL, sc, sn, sH, sW = padded.strides
-            windows = np.lib.stride_tricks.as_strided(
-                padded,
-                shape=(L, c, k, k, n, out_h, out_w),
-                strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
-            )
-            np.copyto(colsT7, windows)
-        else:
-            for i in range(k):
-                i_max = i + s * out_h
-                for j in range(k):
-                    j_max = j + s * out_w
-                    xp.copyto(colsT7[:, :, i, j], padded[:, :, :, i:i_max:s, j:j_max:s])
+        # One overlapping window view + one copy: the nditer walks the
+        # destination in C order, so each (lane, channel) image block is
+        # read cache-hot across all k*k taps.
+        sL, sc, sn, sH, sW = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(L, c, k, k, n, out_h, out_w),
+            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
+        )
+        np.copyto(colsT7, windows)
         return colsT
 
     def _cols_oracle(self, colsT):
@@ -339,8 +319,8 @@ class _BatchedConv2D(_BatchedLayer):
         if self._cache_cols_sm is not None:
             return self._cache_cols_sm
         L, ckk, rows = colsT.shape
-        cols = self._cols_sm = _scratch(self._cols_sm, (L, rows, ckk), colsT.dtype, self.xp)
-        self.xp.copyto(cols, colsT.transpose(0, 2, 1))
+        cols = self._cols_sm = _scratch(self._cols_sm, (L, rows, ckk), colsT.dtype)
+        np.copyto(cols, colsT.transpose(0, 2, 1))
         self._cache_cols_sm = cols
         return cols
 
@@ -349,14 +329,11 @@ class _BatchedConv2D(_BatchedLayer):
         if self._cache_cols_sm is not None:
             return self._cache_cols_sm[lane]
         _, ckk, rows = colsT.shape
-        buf = self._cols_sm_lane = _scratch(
-            self._cols_sm_lane, (rows, ckk), colsT.dtype, self.xp
-        )
-        self.xp.copyto(buf, colsT[lane].T)
+        buf = self._cols_sm_lane = _scratch(self._cols_sm_lane, (rows, ckk), colsT.dtype)
+        np.copyto(buf, colsT[lane].T)
         return buf
 
     def forward(self, x, training: bool = True):
-        xp = self.xp
         L, c, n, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = (h + 2 * p - k) // s + 1
@@ -366,13 +343,13 @@ class _BatchedConv2D(_BatchedLayer):
         oc = self.out_channels
         fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype, n == 1)
         w_mat = self.W.reshape(L, oc, ckk)
-        self._out = _scratch(self._out, (L, oc, rows), x.dtype, xp)
+        self._out = _scratch(self._out, (L, oc, rows), x.dtype)
         out = self._out
         self._cache_cols_sm = None
-        if xp is np and fast_fwd:
+        if fast_fwd:
             # Lane-interleaved: copy one lane's windows, then GEMM that lane
             # while its im2col block is still cache-hot.
-            colsT = self._colsT = _scratch(self._colsT, (L, ckk, rows), x.dtype, xp)
+            colsT = self._colsT = _scratch(self._colsT, (L, ckk, rows), x.dtype)
             padded = self._padded(x)
             colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
             sL, sc, sn, sH, sW = padded.strides
@@ -387,13 +364,10 @@ class _BatchedConv2D(_BatchedLayer):
                 out[lane] += self.b[lane, :, None]
         else:
             colsT = self._im2colT(x)
-            if fast_fwd:
-                xp.matmul(w_mat, colsT, out=out)
-            else:
-                cols = self._cols_oracle(colsT)
-                self._out_sm = _scratch(self._out_sm, (L, rows, oc), x.dtype, xp)
-                out_sm = xp.matmul(cols, w_mat.transpose(0, 2, 1), out=self._out_sm)
-                xp.copyto(out, out_sm.transpose(0, 2, 1))
+            cols = self._cols_oracle(colsT)
+            self._out_sm = _scratch(self._out_sm, (L, rows, oc), x.dtype)
+            out_sm = np.matmul(cols, w_mat.transpose(0, 2, 1), out=self._out_sm)
+            np.copyto(out, out_sm.transpose(0, 2, 1))
             out += self.b[:, :, None]
         self._cache_colsT = colsT
         self._cache_x_shape = x.shape
@@ -402,7 +376,6 @@ class _BatchedConv2D(_BatchedLayer):
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_colsT is None or self._cache_x_shape is None:
             raise RuntimeError("_BatchedConv2D.backward called before forward")
-        xp = self.xp
         L, oc, n, out_h, out_w = grad_out.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         rows = n * out_h * out_w
@@ -411,132 +384,75 @@ class _BatchedConv2D(_BatchedLayer):
         ckk = colsT.shape[1]
         _, gw_mode, fast_dc = _probe_fast_gemms(rows, ckk, oc, grad3.dtype, n == 1)
 
-        grad_w = self._gw = _scratch(self._gw, (L, oc, ckk), grad3.dtype, xp)
+        grad_w = self._gw = _scratch(self._gw, (L, oc, ckk), grad3.dtype)
         w_mat = self.W.reshape(L, oc, ckk)
         result_dtype = np.result_type(grad3.dtype, w_mat.dtype)
         _, c, _, h, w = self._cache_x_shape
 
-        if xp is np:
-            # Lane-at-a-time: each lane's staging, grad-cols and col2im
-            # accumulator live in small reused buffers that are consumed
-            # before the next lane evicts them, instead of materializing the
-            # full (L, ...) blocks.  The oracle reduces a row-major
-            # (rows, oc) buffer along its first axis for gb; the per-lane
-            # staging keeps that layout (and a per-lane 2-D reduce is
-            # bitwise the stacked 3-D one), so the reduction order matches.
-            # For a lone sample the oracle's buffer is instead a transposed
-            # view of the feature map (see _probe_fast_gemms) — which is
-            # what grad3[lane].T is, so no staging copy is made.
-            single = n == 1
-            gbuf_l = None
-            if not single:
-                gbuf_l = self._gbuf = _scratch(self._gbuf, (rows, oc), grad3.dtype, xp)
-            gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
-            gb_row = self._gb_row = _scratch(self._gb_row, (oc,), grad3.dtype, xp)
-            gc = gc7 = acc_l = gx = None
-            if need_input_grad:
-                gc = self._gcols_lane = _scratch(
-                    self._gcols_lane, (ckk, rows), result_dtype, xp
-                )
-                gc7 = gc.reshape(c, k, k, n, out_h, out_w)
-                acc_l = self._acc = _scratch(
-                    self._acc, (c, n, h + 2 * p, w + 2 * p), result_dtype, xp
-                )
-                gx = self._gx = _scratch(self._gx, (L, c, n, h, w), result_dtype, xp)
-            gwT = None
-            if gw_mode == "csT":
-                gwT = self._gwT_lane = _scratch(
-                    self._gwT_lane, (ckk, oc), grad3.dtype, xp
-                )
-            for lane in range(L):
-                if single:
-                    gbuf_l = grad3[lane].T
-                else:
-                    np.copyto(gbuf_l, grad3[lane].T)
-                if gw_mode == "csT":
-                    np.matmul(colsT[lane], grad3[lane].T, out=gwT)
-                    np.copyto(grad_w[lane], gwT.T)
-                elif gw_mode == "gT":
-                    np.matmul(grad3[lane], colsT[lane].T, out=grad_w[lane])
-                else:
-                    np.matmul(
-                        gbuf_l.T, self._lane_cols_sm(colsT, lane), out=grad_w[lane]
-                    )
-                if gb_fast:
-                    np.einsum("ro->o", gbuf_l, out=gb_row)
-                    self.gb[lane] += gb_row
-                else:
-                    self.gb[lane] += gbuf_l.sum(axis=0)
-                if not need_input_grad:
-                    continue
-                if fast_dc:
-                    np.matmul(w_mat[lane].T, grad3[lane], out=gc)
-                else:
-                    gsm = self._gcols_sm_lane = _scratch(
-                        self._gcols_sm_lane, (rows, ckk), result_dtype, xp
-                    )
-                    np.matmul(gbuf_l, w_mat[lane], out=gsm)
-                    np.copyto(gc, gsm.T)
-                acc_l.fill(0)
-                for i in range(k):
-                    i_max = i + s * out_h
-                    for j in range(k):
-                        j_max = j + s * out_w
-                        acc_l[:, :, i:i_max:s, j:j_max:s] += gc7[:, i, j]
-                if p > 0:
-                    np.copyto(gx[lane], acc_l[:, :, p:-p, p:-p])
-                else:
-                    np.copyto(gx[lane], acc_l)
-            self.gW += grad_w.reshape(self.gW.shape)
-            return gx if need_input_grad else None
-
-        # Generic-backend path: stacked 3-D kernels, full-size scratch.
-        gbuf = self._gbuf = _scratch(self._gbuf, (L, rows, oc), grad3.dtype, xp)
-        xp.copyto(gbuf, grad3.transpose(0, 2, 1))
-        acc = None
+        # Lane-at-a-time: each lane's staging, grad-cols and col2im
+        # accumulator live in small reused buffers that are consumed
+        # before the next lane evicts them, instead of materializing the
+        # full (L, ...) blocks.  The oracle reduces a row-major
+        # (rows, oc) buffer along its first axis for gb; the per-lane
+        # staging keeps that layout (and a per-lane 2-D reduce is
+        # bitwise the stacked 3-D one), so the reduction order matches.
+        # For a lone sample the oracle's buffer is instead a transposed
+        # view of the feature map (see _probe_fast_gemms) — which is
+        # what grad3[lane].T is, so no staging copy is made.
+        single = n == 1
+        gbuf_l = None
+        if not single:
+            gbuf_l = self._gbuf = _scratch(self._gbuf, (rows, oc), grad3.dtype)
+        gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
+        gb_row = self._gb_row = _scratch(self._gb_row, (oc,), grad3.dtype)
+        gc = gc7 = acc_l = gx = None
         if need_input_grad:
-            acc_shape = (L, c, n, h + 2 * p, w + 2 * p)
-            acc = self._acc = _scratch(self._acc, acc_shape, result_dtype, xp)
-            acc.fill(0)
+            gc = self._gcols_lane = _scratch(self._gcols_lane, (ckk, rows), result_dtype)
+            gc7 = gc.reshape(c, k, k, n, out_h, out_w)
+            acc_l = self._acc = _scratch(self._acc, (c, n, h + 2 * p, w + 2 * p), result_dtype)
+            gx = self._gx = _scratch(self._gx, (L, c, n, h, w), result_dtype)
+        gwT = None
         if gw_mode == "csT":
-            gwT = xp.matmul(colsT, grad3.transpose(0, 2, 1))
-            xp.copyto(grad_w, gwT.transpose(0, 2, 1))
-        elif gw_mode == "gT":
-            xp.matmul(grad3, colsT.transpose(0, 2, 1), out=grad_w)
-        else:
-            xp.matmul(gbuf.transpose(0, 2, 1), self._cols_oracle(colsT), out=grad_w)
-        if need_input_grad:
-            self._grad_colsT = _scratch(
-                self._grad_colsT, (L, ckk, rows), result_dtype, xp
-            )
-            if fast_dc:
-                grad_colsT = xp.matmul(
-                    w_mat.transpose(0, 2, 1), grad3, out=self._grad_colsT
-                )
+            gwT = self._gwT_lane = _scratch(self._gwT_lane, (ckk, oc), grad3.dtype)
+        for lane in range(L):
+            if single:
+                gbuf_l = grad3[lane].T
             else:
-                self._grad_cols_sm = _scratch(
-                    self._grad_cols_sm, (L, rows, ckk), result_dtype, xp
+                np.copyto(gbuf_l, grad3[lane].T)
+            if gw_mode == "csT":
+                np.matmul(colsT[lane], grad3[lane].T, out=gwT)
+                np.copyto(grad_w[lane], gwT.T)
+            elif gw_mode == "gT":
+                np.matmul(grad3[lane], colsT[lane].T, out=grad_w[lane])
+            else:
+                np.matmul(
+                    gbuf_l.T, self._lane_cols_sm(colsT, lane), out=grad_w[lane]
                 )
-                grad_cols_sm = xp.matmul(gbuf, w_mat, out=self._grad_cols_sm)
-                grad_colsT = self._grad_colsT
-                xp.copyto(grad_colsT, grad_cols_sm.transpose(0, 2, 1))
-            gcT7 = grad_colsT.reshape(L, c, k, k, n, out_h, out_w)
+            if gb_fast:
+                np.einsum("ro->o", gbuf_l, out=gb_row)
+                self.gb[lane] += gb_row
+            else:
+                self.gb[lane] += gbuf_l.sum(axis=0)
+            if not need_input_grad:
+                continue
+            if fast_dc:
+                np.matmul(w_mat[lane].T, grad3[lane], out=gc)
+            else:
+                gsm = self._gcols_sm_lane = _scratch(self._gcols_sm_lane, (rows, ckk), result_dtype)
+                np.matmul(gbuf_l, w_mat[lane], out=gsm)
+                np.copyto(gc, gsm.T)
+            acc_l.fill(0)
             for i in range(k):
                 i_max = i + s * out_h
                 for j in range(k):
                     j_max = j + s * out_w
-                    acc[:, :, :, i:i_max:s, j:j_max:s] += gcT7[:, :, i, j]
-
+                    acc_l[:, :, i:i_max:s, j:j_max:s] += gc7[:, i, j]
+            if p > 0:
+                np.copyto(gx[lane], acc_l[:, :, p:-p, p:-p])
+            else:
+                np.copyto(gx[lane], acc_l)
         self.gW += grad_w.reshape(self.gW.shape)
-        self.gb += gbuf.sum(axis=1)
-        if not need_input_grad:
-            return None
-        self._gx = _scratch(self._gx, (L, c, n, h, w), result_dtype, xp)
-        if p > 0:
-            xp.copyto(self._gx, acc[:, :, :, p:-p, p:-p])
-        else:
-            xp.copyto(self._gx, acc)
-        return self._gx
+        return gx if need_input_grad else None
 
 
 class _BatchedMaxPool2D(_BatchedLayer):
@@ -550,8 +466,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
     reverse equality sweep below replicates it exactly.
     """
 
-    def __init__(self, template: MaxPool2D, backend: ArrayBackend) -> None:
-        super().__init__(backend)
+    def __init__(self, template: MaxPool2D) -> None:
         self.pool_size = template.pool_size
         if self.pool_size * self.pool_size > 127:
             raise ValueError("MaxPool2D pool_size too large for int8 window slots")
@@ -584,58 +499,55 @@ class _BatchedMaxPool2D(_BatchedLayer):
         """
         if self._base_shape == (images, h, w) and self._base_offsets is not None:
             return self._base_offsets
-        xp = self.xp
         p = self.pool_size
         # int32 indices halve the scatter traffic; a lane never exceeds
         # 2**31 elements in practice, but fall back to intp if it would.
         idx_dtype = np.int32 if images * h * w < 2**31 else np.intp
-        rows = xp.arange(0, h, p, dtype=idx_dtype) * idx_dtype(w)
-        cols = xp.arange(0, w, p, dtype=idx_dtype)
+        rows = np.arange(0, h, p, dtype=idx_dtype) * idx_dtype(w)
+        cols = np.arange(0, w, p, dtype=idx_dtype)
         plane = (rows[:, None] + cols[None, :]).ravel()
-        image_base = xp.arange(images, dtype=idx_dtype) * idx_dtype(h * w)
+        image_base = np.arange(images, dtype=idx_dtype) * idx_dtype(h * w)
         self._base_offsets = (image_base[:, None] + plane[None, :]).ravel()
         self._base_shape = (images, h, w)
         # In-window slot t = (i, j) sits i rows and j columns past the
         # window's top-left corner.
-        self._slot_table = xp.array(
+        self._slot_table = np.array(
             [i * w + j for i in range(p) for j in range(p)], dtype=idx_dtype
         )
         return self._base_offsets
 
     def _fold_max(self, columns, out):
         """Sequential window fold, first operand kept on ties (the oracle's)."""
-        xp = self.xp
         if len(columns) == 1:
-            xp.copyto(out, columns[0])
+            np.copyto(out, columns[0])
         else:
-            xp.maximum(columns[0], columns[1], out=out)
+            np.maximum(columns[0], columns[1], out=out)
             for col in columns[2:]:
-                xp.maximum(out, col, out=out)
+                np.maximum(out, col, out=out)
         return out
 
     def forward(self, x, training: bool = True):
-        xp = self.xp
         L, c, n, h, w = x.shape
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"MaxPool2D input spatial dims {h}x{w} not divisible by {p}")
         if not x.flags["C_CONTIGUOUS"]:
-            xc = self._xc = _scratch(self._xc, x.shape, x.dtype, xp)
-            xp.copyto(xc, x)
+            xc = self._xc = _scratch(self._xc, x.shape, x.dtype)
+            np.copyto(xc, x)
             x = xc
         reshaped = x.reshape(L, c, n, h // p, p, w // p, p)
         out = None
         if self.sink is not None:
             out = self.sink.stage_input((L, c, n, h // p, w // p), x.dtype)
         if out is None:
-            out = self._out = _scratch(self._out, (L, c, n, h // p, w // p), x.dtype, xp)
+            out = self._out = _scratch(self._out, (L, c, n, h // p, w // p), x.dtype)
         columns = [reshaped[:, :, :, :, i, :, j] for i in range(p) for j in range(p)]
         if not training:
             # Maxima only: the arg-max bookkeeping below serves backward.
             return self._fold_max(columns, out)
-        idx = self._idx = _scratch(self._idx, out.shape, np.int8, xp)
-        eq = self._eq = _scratch(self._eq, out.shape, bool, xp)
-        if xp is np and p == 2:
+        idx = self._idx = _scratch(self._idx, out.shape, np.int8)
+        eq = self._eq = _scratch(self._eq, out.shape, bool)
+        if p == 2:
             # 2x2 tournament: six cheap passes instead of the generic
             # seven double-strided ones.  Per window [c0 c1; c2 c3]
             # (row-major slots 0..3): M_r = max of row r, winner-in-row
@@ -647,12 +559,12 @@ class _BatchedMaxPool2D(_BatchedLayer):
             # the NaN into out, every equality is False, and the oracle
             # sweep leaves slot p*p-1 there — restored by the fixup.
             c0, c1, c2, c3 = columns
-            m0 = self._m0 = _scratch(self._m0, out.shape, x.dtype, xp)
-            m1 = self._m1 = _scratch(self._m1, out.shape, x.dtype, xp)
-            b0 = self._b0 = _scratch(self._b0, out.shape, bool, xp)
-            b1 = self._b1 = _scratch(self._b1, out.shape, bool, xp)
-            brow = self._brow = _scratch(self._brow, out.shape, bool, xp)
-            t8 = self._t8 = _scratch(self._t8, out.shape, np.int8, xp)
+            m0 = self._m0 = _scratch(self._m0, out.shape, x.dtype)
+            m1 = self._m1 = _scratch(self._m1, out.shape, x.dtype)
+            b0 = self._b0 = _scratch(self._b0, out.shape, bool)
+            b1 = self._b1 = _scratch(self._b1, out.shape, bool)
+            brow = self._brow = _scratch(self._brow, out.shape, bool)
+            t8 = self._t8 = _scratch(self._t8, out.shape, np.int8)
             np.maximum(c0, c1, out=m0)
             np.equal(c0, m0, out=b0)
             np.maximum(c2, c3, out=m1)
@@ -670,8 +582,8 @@ class _BatchedMaxPool2D(_BatchedLayer):
             self._fold_max(columns, out)
             idx.fill(len(columns) - 1)
             for t in range(len(columns) - 2, -1, -1):
-                xp.equal(columns[t], out, out=eq)
-                xp.copyto(idx, np.int8(t), where=eq)
+                np.equal(columns[t], out, out=eq)
+                np.copyto(idx, np.int8(t), where=eq)
         self._cache_idx = idx
         self._cache_shape = x.shape
         return out
@@ -679,16 +591,15 @@ class _BatchedMaxPool2D(_BatchedLayer):
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_idx is None or self._cache_shape is None:
             raise RuntimeError("_BatchedMaxPool2D.backward called before forward")
-        xp = self.xp
         L, c, n, h, w = self._cache_shape
         idx = self._cache_idx
         base = self._window_base_offsets(c * n, h, w)
-        flat = self._flat = _scratch(self._flat, (L, idx[0].size), base.dtype, xp)
-        xp.take(self._slot_table, idx.reshape(L, -1), out=flat)
-        xp.add(flat, base[None, :], out=flat)
-        grad = self._grad = _scratch(self._grad, (L, c * n * h * w), grad_out.dtype, xp)
+        flat = self._flat = _scratch(self._flat, (L, idx[0].size), base.dtype)
+        np.take(self._slot_table, idx.reshape(L, -1), out=flat)
+        np.add(flat, base[None, :], out=flat)
+        grad = self._grad = _scratch(self._grad, (L, c * n * h * w), grad_out.dtype)
         grad.fill(0)
-        xp.put_along_axis(grad, flat, grad_out.reshape(L, -1), axis=1)
+        np.put_along_axis(grad, flat, grad_out.reshape(L, -1), axis=1)
         return grad.reshape(L, c, n, h, w)
 
 
@@ -702,31 +613,29 @@ class _BatchedReLU(_BatchedLayer):
     default out-of-place form is kept (the skip path aliases buffers).
     """
 
-    def __init__(self, backend: ArrayBackend, inplace: bool = False) -> None:
-        super().__init__(backend)
+    def __init__(self, inplace: bool = False) -> None:
         self.inplace = inplace
         self._out: Optional[np.ndarray] = None
         self._mask: Optional[np.ndarray] = None
         self._gx: Optional[np.ndarray] = None
 
     def forward(self, x, training: bool = True):
-        xp = self.xp
         if training:
             if self._mask is None or self._mask.shape != x.shape:
-                self._mask = xp.empty(x.shape, dtype=bool)
-            xp.greater(x, 0.0, out=self._mask)
+                self._mask = np.empty(x.shape, dtype=bool)
+            np.greater(x, 0.0, out=self._mask)
         if self.inplace:
-            return xp.maximum(x, 0.0, out=x)
-        self._out = _scratch(self._out, x.shape, x.dtype, xp)
-        return xp.maximum(x, 0.0, out=self._out)
+            return np.maximum(x, 0.0, out=x)
+        self._out = _scratch(self._out, x.shape, x.dtype)
+        return np.maximum(x, 0.0, out=self._out)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._mask is None:
             raise RuntimeError("_BatchedReLU.backward called before forward")
         if self.inplace:
-            return self.xp.multiply(grad_out, self._mask, out=grad_out)
-        self._gx = _scratch(self._gx, grad_out.shape, grad_out.dtype, self.xp)
-        return self.xp.multiply(grad_out, self._mask, out=self._gx)
+            return np.multiply(grad_out, self._mask, out=grad_out)
+        self._gx = _scratch(self._gx, grad_out.shape, grad_out.dtype)
+        return np.multiply(grad_out, self._mask, out=self._gx)
 
 
 class _BatchedFlatten(_BatchedLayer):
@@ -737,8 +646,7 @@ class _BatchedFlatten(_BatchedLayer):
     pays one small transposed copy here (and one on the way back).
     """
 
-    def __init__(self, backend: ArrayBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
         self._out: Optional[np.ndarray] = None
         self._gx: Optional[np.ndarray] = None
         self._cache_shape: Optional[Tuple[int, ...]] = None
@@ -747,8 +655,8 @@ class _BatchedFlatten(_BatchedLayer):
         self._cache_shape = x.shape
         if x.ndim == 5:
             L, c, n, h, w = x.shape
-            out = self._out = _scratch(self._out, (L, n, c, h, w), x.dtype, self.xp)
-            self.xp.copyto(out, x.transpose(0, 2, 1, 3, 4))
+            out = self._out = _scratch(self._out, (L, n, c, h, w), x.dtype)
+            np.copyto(out, x.transpose(0, 2, 1, 3, 4))
             return out.reshape(L, n, c * h * w)
         return x.reshape(x.shape[0], x.shape[1], -1)
 
@@ -758,15 +666,14 @@ class _BatchedFlatten(_BatchedLayer):
         shape = self._cache_shape
         if len(shape) == 5:
             L, c, n, h, w = shape
-            gx = self._gx = _scratch(self._gx, shape, grad_out.dtype, self.xp)
-            self.xp.copyto(gx, grad_out.reshape(L, n, c, h, w).transpose(0, 2, 1, 3, 4))
+            gx = self._gx = _scratch(self._gx, shape, grad_out.dtype)
+            np.copyto(gx, grad_out.reshape(L, n, c, h, w).transpose(0, 2, 1, 3, 4))
             return gx
         return grad_out.reshape(shape)
 
 
 class _BatchedDense(_BatchedLayer):
-    def __init__(self, template: Dense, params, grads, backend: ArrayBackend) -> None:
-        super().__init__(backend)
+    def __init__(self, template: Dense, params, grads) -> None:
         self.in_features = template.in_features
         self.out_features = template.out_features
         self.W = params["W"]  # (L, in, out)
@@ -779,32 +686,29 @@ class _BatchedDense(_BatchedLayer):
         self._cache_x = None
 
     def forward(self, x, training: bool = True):
-        xp = self.xp
         self._cache_x = x
         L, n = x.shape[0], x.shape[1]
-        self._out = _scratch(self._out, (L, n, self.out_features), x.dtype, xp)
-        out = xp.matmul(x, self.W, out=self._out)
+        self._out = _scratch(self._out, (L, n, self.out_features), x.dtype)
+        out = np.matmul(x, self.W, out=self._out)
         out += self.b[:, None, :]
         return out
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_x is None:
             raise RuntimeError("_BatchedDense.backward called before forward")
-        xp = self.xp
         x = self._cache_x
-        self._gw = _scratch(self._gw, self.gW.shape, self.gW.dtype, xp)
-        self.gW += xp.matmul(x.transpose(0, 2, 1), grad_out, out=self._gw)
+        self._gw = _scratch(self._gw, self.gW.shape, self.gW.dtype)
+        self.gW += np.matmul(x.transpose(0, 2, 1), grad_out, out=self._gw)
         self.gb += grad_out.sum(axis=1)
         if not need_input_grad:
             return None
         L, n = grad_out.shape[0], grad_out.shape[1]
-        self._gx = _scratch(self._gx, (L, n, self.in_features), grad_out.dtype, xp)
-        return xp.matmul(grad_out, self.W.transpose(0, 2, 1), out=self._gx)
+        self._gx = _scratch(self._gx, (L, n, self.in_features), grad_out.dtype)
+        return np.matmul(grad_out, self.W.transpose(0, 2, 1), out=self._gx)
 
 
 class _BatchedResidualBlock(_BatchedLayer):
-    def __init__(self, template: ResidualBlock, params, grads, backend: ArrayBackend) -> None:
-        super().__init__(backend)
+    def __init__(self, template: ResidualBlock, params, grads) -> None:
 
         def sub(prefix: str):
             return (
@@ -813,25 +717,24 @@ class _BatchedResidualBlock(_BatchedLayer):
             )
 
         p1, g1 = sub("conv1")
-        self.conv1 = _BatchedConv2D(template.conv1, p1, g1, backend)
-        self.relu1 = _BatchedReLU(backend)
+        self.conv1 = _BatchedConv2D(template.conv1, p1, g1)
+        self.relu1 = _BatchedReLU()
         p2, g2 = sub("conv2")
-        self.conv2 = _BatchedConv2D(template.conv2, p2, g2, backend)
-        self.relu_out = _BatchedReLU(backend)
+        self.conv2 = _BatchedConv2D(template.conv2, p2, g2)
+        self.relu_out = _BatchedReLU()
         self.proj: Optional[_BatchedConv2D] = None
         if template.proj is not None:
             pp, gp = sub("proj")
-            self.proj = _BatchedConv2D(template.proj, pp, gp, backend)
+            self.proj = _BatchedConv2D(template.proj, pp, gp)
         self._sum: Optional[np.ndarray] = None
 
     def forward(self, x, training: bool = True):
-        xp = self.xp
         h = self.conv1.forward(x, training)
         h = self.relu1.forward(h, training)
         h = self.conv2.forward(h, training)
         shortcut = x if self.proj is None else self.proj.forward(x, training)
-        self._sum = _scratch(self._sum, h.shape, np.result_type(h.dtype, shortcut.dtype), xp)
-        xp.add(h, shortcut, out=self._sum)
+        self._sum = _scratch(self._sum, h.shape, np.result_type(h.dtype, shortcut.dtype))
+        np.add(h, shortcut, out=self._sum)
         return self.relu_out.forward(self._sum, training)
 
     def backward(self, grad_out, need_input_grad: bool = True):
@@ -843,34 +746,32 @@ class _BatchedResidualBlock(_BatchedLayer):
             proj_grad = self.proj.backward(grad_sum, need_input_grad=need_input_grad)
             if not need_input_grad:
                 return None
-            self.xp.add(grad_x, proj_grad, out=grad_x)
+            np.add(grad_x, proj_grad, out=grad_x)
         else:
             if not need_input_grad:
                 return None
-            self.xp.add(grad_x, grad_sum, out=grad_x)
+            np.add(grad_x, grad_sum, out=grad_x)
         return grad_x
 
 
 class _BatchedCrossEntropyLoss:
     """Lane-stacked softmax cross-entropy (row ops mirror repro.nn.loss)."""
 
-    def __init__(self, backend: ArrayBackend) -> None:
-        self.xp = backend.xp
+    def __init__(self) -> None:
         self._lane_ix: Optional[np.ndarray] = None
         self._row_ix: Optional[np.ndarray] = None
 
     def forward_backward(self, logits, labels):
-        xp = self.xp
         lanes, n = logits.shape[0], logits.shape[1]
         if self._lane_ix is None or self._lane_ix.shape[0] != lanes:
-            self._lane_ix = xp.arange(lanes)[:, None]
+            self._lane_ix = np.arange(lanes)[:, None]
         if self._row_ix is None or self._row_ix.shape[1] != n:
-            self._row_ix = xp.arange(n)[None, :]
+            self._row_ix = np.arange(n)[None, :]
         shifted = logits - logits.max(axis=2, keepdims=True)
-        exp = xp.exp(shifted)
+        exp = np.exp(shifted)
         probs = exp / exp.sum(axis=2, keepdims=True)
         picked = probs[self._lane_ix, self._row_ix, labels]
-        losses = -xp.mean(xp.log(xp.clip(picked, 1e-12, None)), axis=1, dtype=np.float64)
+        losses = -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=1, dtype=np.float64)
         grad = probs.copy()
         grad[self._lane_ix, self._row_ix, labels] -= 1.0
         grad /= n
@@ -895,34 +796,30 @@ class BatchedSGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.backend = backend if backend is not None else get_array_backend()
-        self.xp = self.backend.xp
         self._velocity: Dict[str, np.ndarray] = {}
         self._scratch: Dict[str, np.ndarray] = {}
 
     def _scratch_for(self, key: str, template) -> np.ndarray:
         scratch = self._scratch.get(key)
         if scratch is None or scratch.shape != template.shape or scratch.dtype != template.dtype:
-            scratch = self.xp.empty_like(template)
+            scratch = np.empty_like(template)
             self._scratch[key] = scratch
         return scratch
 
     def _apply_update(self, key: str, param, grad) -> None:
-        xp = self.xp
         scratch = self._scratch_for(key, param)
         if self.weight_decay:
-            xp.multiply(param, self.weight_decay, out=scratch)
+            np.multiply(param, self.weight_decay, out=scratch)
             scratch += grad
             grad = scratch
         if self.momentum:
             velocity = self._velocity.get(key)
             if velocity is None or velocity.shape != param.shape:
-                velocity = xp.zeros_like(param)
+                velocity = np.zeros_like(param)
                 self._velocity[key] = velocity
             velocity *= self.momentum
             velocity += grad
@@ -932,7 +829,7 @@ class BatchedSGD:
         if update is scratch:
             scratch *= self.lr
         else:
-            xp.multiply(update, self.lr, out=scratch)
+            np.multiply(update, self.lr, out=scratch)
         param -= scratch
 
     def step(self, sections: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> None:
@@ -945,10 +842,9 @@ class BatchedSGD:
 
     def lane_state(self, lane: int) -> dict:
         """One lane's state, shaped for ``Optimizer.restore_state``."""
-        to_host = self.backend.to_host
         return {
             "velocity": {
-                key: np.array(to_host(value[lane]), copy=True)
+                key: np.array(value[lane], copy=True)
                 for key, value in self._velocity.items()
             }
         }
@@ -963,29 +859,25 @@ class BatchedProximalSGD(BatchedSGD):
         mu: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
-        super().__init__(lr=lr, momentum=momentum, weight_decay=weight_decay, backend=backend)
+        super().__init__(lr=lr, momentum=momentum, weight_decay=weight_decay)
         self.mu = mu
         self._anchor: Optional[Dict[str, np.ndarray]] = None
         self._prox_scratch: Dict[str, np.ndarray] = {}
 
     def set_anchor(self, weights: Dict[str, np.ndarray]) -> None:
-        self._anchor = {
-            key: self.backend.asarray(np.array(value, copy=True)) for key, value in weights.items()
-        }
+        self._anchor = {key: np.array(value, copy=True) for key, value in weights.items()}
 
     def _apply_update(self, key: str, param, grad) -> None:
-        xp = self.xp
         anchor = self._anchor.get(key) if self._anchor is not None else None
         if self.mu and anchor is not None:
             scratch = self._prox_scratch.get(key)
             if scratch is None or scratch.shape != param.shape or scratch.dtype != param.dtype:
-                scratch = xp.empty_like(param)
+                scratch = np.empty_like(param)
                 self._prox_scratch[key] = scratch
             # (L, P) minus broadcast (P,): per-lane identical to the solo
             # np.subtract(param, anchor).
-            xp.subtract(param, anchor, out=scratch)
+            np.subtract(param, anchor, out=scratch)
             scratch *= self.mu
             scratch += grad
             grad = scratch
@@ -1000,7 +892,7 @@ class BatchedProximalSGD(BatchedSGD):
         state = super().lane_state(lane)
         state["anchor"] = (
             {
-                key: np.array(self.backend.to_host(value), copy=True)
+                key: np.array(value, copy=True)
                 for key, value in self._anchor.items()
             }
             if self._anchor is not None
@@ -1044,19 +936,16 @@ class BatchedModel:
         self,
         template: SplitCNN,
         lanes: int,
-        backend: Optional[ArrayBackend] = None,
         arenas: Optional[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]] = None,
     ) -> None:
         if lanes < 1:
             raise ValueError(f"lanes must be positive, got {lanes}")
-        self.backend = backend if backend is not None else get_array_backend()
-        self.xp = self.backend.xp
         self.lanes = lanes
         self.name = template.name
         self.dtype = template.dtype
         self.features_frozen = False
         self.classifier_frozen = False
-        self.loss = _BatchedCrossEntropyLoss(self.backend)
+        self.loss = _BatchedCrossEntropyLoss()
         self.section_sizes: Dict[str, int] = {
             section: int(template.flat_parameters(section).size)
             for section in SplitCNN.SECTIONS
@@ -1064,8 +953,8 @@ class BatchedModel:
         if arenas is None:
             shapes = {s: (lanes, size) for s, size in self.section_sizes.items()}
             arenas = (
-                {s: self.xp.empty(shape, dtype=self.dtype) for s, shape in shapes.items()},
-                {s: self.xp.zeros(shape, dtype=self.dtype) for s, shape in shapes.items()},
+                {s: np.empty(shape, dtype=self.dtype) for s, shape in shapes.items()},
+                {s: np.zeros(shape, dtype=self.dtype) for s, shape in shapes.items()},
             )
         self._weights, self._grads = arenas
         self.feature_layers = self._build_layers(template, SplitCNN.FEATURE_PREFIX)
@@ -1078,8 +967,7 @@ class BatchedModel:
     # ----------------------------------------------------------- construction
     def _lane_view(self, arena, slot):
         view = arena[:, slot.offset : slot.offset + slot.size].reshape((self.lanes,) + slot.shape)
-        if self.xp is np:
-            assert np.shares_memory(view, arena)
+        assert np.shares_memory(view, arena)
         return view
 
     def _build_layers(self, template: SplitCNN, section: str) -> List[_BatchedLayer]:
@@ -1107,31 +995,31 @@ class BatchedModel:
     def _batch_layer(self, layer, pviews, gviews, owns_input: bool = False) -> _BatchedLayer:
         kind = type(layer)
         if kind is Conv2D:
-            return _BatchedConv2D(layer, pviews, gviews, self.backend)
+            return _BatchedConv2D(layer, pviews, gviews)
         if kind is MaxPool2D:
-            return _BatchedMaxPool2D(layer, self.backend)
+            return _BatchedMaxPool2D(layer)
         if kind is ReLU:
-            return _BatchedReLU(self.backend, inplace=owns_input)
+            return _BatchedReLU(inplace=owns_input)
         if kind is Flatten:
-            return _BatchedFlatten(self.backend)
+            return _BatchedFlatten()
         if kind is Dense:
-            return _BatchedDense(layer, pviews, gviews, self.backend)
+            return _BatchedDense(layer, pviews, gviews)
         if kind is ResidualBlock:
-            return _BatchedResidualBlock(layer, pviews, gviews, self.backend)
+            return _BatchedResidualBlock(layer, pviews, gviews)
         raise TypeError(f"no batched kernel for layer {kind.__name__}")
 
     # ------------------------------------------------------------- weights IO
     def load_all_lanes(self, section_vectors: Dict[str, np.ndarray]) -> None:
         """Broadcast one flat vector per section into every lane."""
         for section, vector in section_vectors.items():
-            self._weights[section][...] = self.backend.asarray(vector)[None, :]
+            self._weights[section][...] = vector[None, :]
 
     def load_lane(self, section: str, lane: int, vector: np.ndarray) -> None:
-        self._weights[section][lane, :] = self.backend.asarray(vector)
+        self._weights[section][lane, :] = vector
 
     def lane_flat(self, section: str, lane: int) -> np.ndarray:
         """Copy of one lane's flat section vector (host array)."""
-        return np.array(self.backend.to_host(self._weights[section][lane]), copy=True)
+        return np.array(self._weights[section][lane], copy=True)
 
     # --------------------------------------------------------------- training
     def zero_grad(self) -> None:
@@ -1191,7 +1079,7 @@ class BatchedModel:
             self.feature_layers[0].backward(grad, need_input_grad=False)
         if optimizer is not None:
             optimizer.step(self._trainable_arenas())
-        return self.backend.to_host(losses)
+        return losses
 
     def infer(self, x):
         """Forward-only pass; ``x`` is ``(lanes, n, ...)``, returns the logits.
@@ -1214,8 +1102,8 @@ class BatchedModel:
             if self.feature_layers and isinstance(self.feature_layers[0], _BatchedConv2D):
                 cm = self.feature_layers[0].stage_input((L, c, n, ih, iw), h.dtype)
             if cm is None:
-                cm = self._x_cm = _scratch(self._x_cm, (L, c, n, ih, iw), h.dtype, self.xp)
-            self.xp.copyto(cm, h.transpose(0, 2, 1, 3, 4))
+                cm = self._x_cm = _scratch(self._x_cm, (L, c, n, ih, iw), h.dtype)
+            np.copyto(cm, h.transpose(0, 2, 1, 3, 4))
             h = cm
         for layer in self.feature_layers:
             h = layer.forward(h, training)
@@ -1239,9 +1127,7 @@ def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
         {s: model.flat_parameters(s).reshape(1, -1) for s in model.SECTIONS},
         {s: model.flat_grads(s).reshape(1, -1) for s in model.SECTIONS},
     )
-    # Host numpy whatever REPRO_ARRAY_BACKEND says: the arenas are host memory.
-    backend = get_array_backend("numpy")
-    return BatchedModel(model, 1, backend, arenas), BatchedModel(model, 1, backend, arenas)
+    return BatchedModel(model, 1, arenas), BatchedModel(model, 1, arenas)
 
 
 # ---------------------------------------------------------------------------
@@ -1488,8 +1374,7 @@ class BatchedClientExecutor:
     #: Cohort class; the sharded executor swaps in its remote cohort.
     cohort_cls = _Cohort
 
-    def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
-        self.backend = backend if backend is not None else get_array_backend()
+    def __init__(self) -> None:
         self._plan: Dict[int, _Cohort] = {}
         self._plan_round: Optional[int] = None
         self._live: List[_Cohort] = []
@@ -1617,7 +1502,7 @@ class BatchedClientExecutor:
         cached = self._kernel_cache.get(cache_key)
         if cached is not None:
             return cached
-        model = BatchedModel(template, lanes, backend=self.backend)
+        model = BatchedModel(template, lanes)
         opt_key = key[5]
         if opt_key[0] == "prox":
             optimizer: BatchedSGD = BatchedProximalSGD(
@@ -1625,16 +1510,12 @@ class BatchedClientExecutor:
                 mu=opt_key[2],
                 momentum=opt_key[3],
                 weight_decay=opt_key[4],
-                backend=self.backend,
             )
         else:
-            optimizer = BatchedSGD(
-                lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3], backend=self.backend
-            )
-        xp = self.backend.xp
+            optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
         batch_n, input_shape, y_dtype = key[2], key[3], key[4]
-        x_arena = xp.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
-        y_arena = xp.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
+        x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
+        y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
         kernels = (model, optimizer, x_arena, y_arena)
         self._kernel_cache[cache_key] = kernels
         return kernels

@@ -41,7 +41,7 @@ import dataclasses
 import json
 from typing import Dict, Optional, Tuple
 
-from repro.experiments.parallel import _canonical as _jsonable
+from repro.api.store import _jsonable
 from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import RoundRecord
 

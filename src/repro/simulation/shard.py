@@ -61,7 +61,7 @@ from repro.nn.batched import (
 from repro.nn.optim import ProximalSGD, SGD
 
 #: Directory whose presence on ``sys.path`` makes ``import repro`` work in
-#: spawned workers (mirrors ``experiments/parallel.package_parent``).
+#: spawned workers (as ``experiments/parallel.worker_pool`` does).
 _PACKAGE_PARENT = str(Path(__file__).resolve().parents[2])
 
 
@@ -161,15 +161,9 @@ class _WorkerCaches:
                 mu=opt_key[2],
                 momentum=opt_key[3],
                 weight_decay=opt_key[4],
-                backend=model.backend,
             )
         else:
-            optimizer = BatchedSGD(
-                lr=opt_key[1],
-                momentum=opt_key[2],
-                weight_decay=opt_key[3],
-                backend=model.backend,
-            )
+            optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
         batch_n, input_shape, y_dtype = key[2], key[3], key[4]
         x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
         y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
@@ -779,9 +773,8 @@ class ShardedClientExecutor(BatchedClientExecutor):
         architecture: str,
         seed: int,
         aggregate_mode: str = "exact",
-        backend=None,
     ) -> None:
-        super().__init__(backend=backend)
+        super().__init__()
         self.plan = ShardPlan(num_clients, num_shards)
         self.architecture = architecture
         self.seed = int(seed)

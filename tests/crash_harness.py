@@ -12,6 +12,12 @@ finalize — a real, unclean death (no atexit handlers, no flushing, no
 parent side (:func:`run_and_crash`) asserts the child actually died from
 the signal, then resumes in-process and compares byte-for-byte against
 an uninterrupted golden run.
+
+It is also a ``REPRO_PLUGINS`` module for crashing a *pool worker* of a
+sweep, where there is no child command line to own: with
+``CRASH_HARNESS_PROBE_DIR`` set, importing it (every pool worker does,
+through ``load_plugins``) registers the ``fedavg-probe`` algorithm — see
+:func:`register_probe_federator`.
 """
 
 from __future__ import annotations
@@ -84,6 +90,42 @@ def read_rounds_bytes(store_dir: Path, key: str) -> bytes:
 
 def round_dicts(result) -> List[dict]:
     return [dataclasses.asdict(record) for record in result.rounds]
+
+
+# ------------------------------------------------------- pool-worker side
+PROBE_ALGORITHM = "fedavg-probe"
+PROBE_DIR_ENV = "CRASH_HARNESS_PROBE_DIR"
+KILL_ROUND_ENV = "CRASH_HARNESS_KILL_ROUND"
+
+
+def register_probe_federator() -> None:
+    """Register ``fedavg-probe``: FedAvg that reports and can kill its process.
+
+    Every finalized round drops a file named after the process id into
+    ``$CRASH_HARNESS_PROBE_DIR`` (which processes executed cells); with
+    ``$CRASH_HARNESS_KILL_ROUND`` set, the process SIGKILLs itself when that
+    round finalizes.  Both are read at run time, so one registration serves
+    a crashing sweep and the clean sweep that resumes it.
+    """
+    from repro.fl.federator import FedAvgFederator
+    from repro.registry import FEDERATORS
+
+    class ProbeFederator(FedAvgFederator):
+        algorithm_name = PROBE_ALGORITHM
+
+        def finalize_round(self, state) -> None:
+            super().finalize_round(state)
+            (Path(os.environ[PROBE_DIR_ENV]) / str(os.getpid())).touch()
+            kill_round = os.environ.get(KILL_ROUND_ENV)
+            if kill_round and state.round_number >= int(kill_round):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+    FEDERATORS.unregister(PROBE_ALGORITHM)
+    FEDERATORS.register(PROBE_ALGORITHM, ProbeFederator, description="crash-harness probe")
+
+
+if os.environ.get(PROBE_DIR_ENV):
+    register_probe_federator()
 
 
 # --------------------------------------------------------------- child side

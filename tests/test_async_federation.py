@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.baselines.fedasync import FedAsyncFederator
 from repro.baselines.fedbuff import FedBuffFederator
-from repro.experiments.parallel import run_configs_parallel
-from repro.experiments.runner import run_configs
 from repro.experiments.workloads import SCALES, evaluation_config
 from repro.fl.runtime import available_algorithms, build_experiment, federator_class, run_experiment
 
@@ -135,8 +134,8 @@ class TestAsyncDeterminism:
             algo: _async_config(algo, scenario="churn")
             for algo in ("fedasync", "fedbuff")
         }
-        serial = run_configs(configs)
-        parallel = run_configs_parallel(configs, workers=2)
+        serial = api.sweep(configs, workers=1).suite
+        parallel = api.sweep(configs, workers=2).suite
         for label in configs:
             assert serial.results[label].summary() == parallel.results[label].summary()
 

@@ -6,7 +6,7 @@ execution"): running a round's lockstep-compatible clients as one
 losses and summaries to the per-client oracle path — across every
 architecture, dtype, frozen-section mask and optimizer family — so
 ``batched_execution`` is a pure execution knob, excluded from
-``run_key``/``config_hash`` exactly like ``client_pool``.
+``run_key`` exactly like ``client_pool``.
 
 Three layers of pinning:
 
@@ -77,11 +77,11 @@ def _run_parity_case(arch, dtype_name, frozen, opt_name, lanes=2, n=3, steps=2):
         if opt_name == "sgd":
             if batched_model is None:
                 return SGD(lr=0.05, momentum=0.9)
-            return BatchedSGD(lr=0.05, momentum=0.9, backend=batched_model.backend)
+            return BatchedSGD(lr=0.05, momentum=0.9)
         if batched_model is None:
             optimizer = ProximalSGD(lr=0.05, mu=0.01)
         else:
-            optimizer = BatchedProximalSGD(lr=0.05, mu=0.01, backend=batched_model.backend)
+            optimizer = BatchedProximalSGD(lr=0.05, mu=0.01)
         optimizer.set_anchor({s: anchor[s] for s in SplitCNN.SECTIONS})
         return optimizer
 
@@ -182,8 +182,6 @@ def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
     """Tie-breaks and NaN windows are the order-pinned part of pooling: the
     2x2 tournament and the generic equality sweep must both reproduce the
     oracle's first-max (row-major) argmax bitwise."""
-    from repro.nn.backend import get_array_backend
-
     lanes, channels, n = 3, 4, 5
     h = w = 6 * pool_size
     rng = np.random.default_rng(7)
@@ -196,7 +194,7 @@ def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
     flat[3::11] = 0.0
     flat[4::23] = np.nan
 
-    layer = batched_mod._BatchedMaxPool2D(MaxPool2D(pool_size), get_array_backend())
+    layer = batched_mod._BatchedMaxPool2D(MaxPool2D(pool_size))
     out = layer.forward(x)
     grad_out = rng.standard_normal(out.shape).astype(np.float32)
     grad_in = layer.backward(grad_out)
@@ -436,7 +434,7 @@ def test_batched_execution_is_excluded_from_run_key_and_cache():
     config = _smoke_config("fedavg", "iid", "stable")
     for mode in ("on", "off"):
         assert run_key(config) == run_key(config.with_overrides(batched_execution=mode))
-    from repro.experiments.parallel import canonical_config
+    from repro.api.store import canonical_config
 
     assert "batched_execution" not in canonical_config(config.with_overrides(batched_execution="on"))
     with pytest.raises(ValueError):

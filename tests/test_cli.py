@@ -7,14 +7,12 @@ import os
 import pytest
 
 from repro.cli import FIGURE_NAMES, build_parser, main
-from repro.experiments.parallel import reset_policy
 from repro.fl.runtime import available_algorithms
 
 
 @pytest.fixture(autouse=True)
-def _reset_execution_policy():
+def _no_leaked_store():
     yield
-    reset_policy()
     # --results-dir routes through the environment (so figure sweeps see it);
     # drop it after each test so stores never leak across in-process calls.
     os.environ.pop("REPRO_RESULTS_DIR", None)
@@ -91,23 +89,27 @@ class TestCommands:
             "fedsgd",
             "--workers",
             "2",
-            "--cache-dir",
+            "--results-dir",
             str(tmp_path),
         ]
         assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "cache hits: 0/2" in cold
+        cold = capsys.readouterr()
+        assert "store hits: 0/2" in cold.out
+        assert "cell states: complete=2" in cold.err
 
         assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert "cache hits: 2/2" in warm
+        warm = capsys.readouterr()
+        assert "store hits: 2/2" in warm.out
+        cold, warm = cold.out, warm.out
 
         # The summary rows themselves are identical cold vs warm.
         rows = lambda text: [line for line in text.splitlines() if line.startswith("mnist/")]
         assert rows(cold) == rows(warm)
 
     def test_sweep_honors_env_cache_dir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        """The one cache a sweep has is the run store, and its environment
+        default is ``REPRO_RESULTS_DIR``."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         argv = [
             "sweep",
             "--scale",
@@ -120,9 +122,48 @@ class TestCommands:
             "1",
         ]
         assert main(argv) == 0
-        assert "cache hits: 0/1" in capsys.readouterr().out
+        assert "store hits: 0/1" in capsys.readouterr().out
         assert main(argv) == 0
-        assert "cache hits: 1/1" in capsys.readouterr().out
+        assert "store hits: 1/1" in capsys.readouterr().out
+
+    def test_sweep_with_a_failing_cell_exits_1_and_prints_the_rest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.experiments.scheduler as scheduler
+
+        run_cell = scheduler._run_cell
+
+        def failing(label, config, store, resume):
+            if config.algorithm == "fedsgd":
+                raise RuntimeError("scripted failure")
+            return run_cell(label, config, store, resume)
+
+        monkeypatch.setattr(scheduler, "_run_cell", failing)
+        argv = [
+            "sweep",
+            "--scale",
+            "smoke",
+            "--datasets",
+            "mnist",
+            "--algorithms",
+            "fedsgd",
+            "fedavg",
+            "--workers",
+            "1",
+            "--results-dir",
+            str(tmp_path),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert any(line.startswith("mnist/fedavg") for line in captured.out.splitlines())
+        assert not any(line.startswith("mnist/fedsgd") for line in captured.out.splitlines())
+        assert "cell states: complete=1, failed=1" in captured.err
+        assert "failed: mnist/fedsgd: scripted failure" in captured.err
+
+        # A cell the budget never let start is unfinished, not failed.
+        monkeypatch.setattr(scheduler, "_run_cell", run_cell)
+        assert main(argv + ["--max-cells", "0"]) == 0
+        assert "budget_exceeded=1, complete=1" in capsys.readouterr().err
 
     def test_figures_table1(self, capsys):
         assert main(["figures", "table1", "--scale", "smoke", "--workers", "1"]) == 0
@@ -191,28 +232,22 @@ class TestCommands:
     def test_run_with_cache_dir_still_persists_to_results_dir(
         self, tmp_path, capsys, monkeypatch
     ):
+        """``repro run`` has one path — the streaming handle over the run
+        store — and none of the sweep-only flags."""
         monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
-        cache = tmp_path / "cache"
-        store = tmp_path / "store"
-        argv = [
-            "run",
-            "--algorithm",
-            "fedsgd",
-            "--scale",
-            "smoke",
-            "--cache-dir",
-            str(cache),
-            "--results-dir",
-            str(store),
-        ]
+        argv = ["run", "--algorithm", "fedsgd", "--scale", "smoke", "--results-dir", str(tmp_path)]
+        for sweep_only in (["--cache-dir", str(tmp_path / "cache")], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + sweep_only)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
         assert main(argv) == 0
-        capsys.readouterr()
-        # Both the result cache and the RunStore were written.
-        assert list(cache.glob("*.json"))
-        assert len(list(store.glob("*/manifest.json"))) == 1
+        streamed = capsys.readouterr()
+        assert "round 1:" in streamed.err  # rounds stream even with a store
+        assert len(list(tmp_path.glob("*/manifest.json"))) == 1
         # And the env-routed store does not leak past main().
         assert "REPRO_RESULTS_DIR" not in os.environ
-        # A rerun is served from the store (store hit beats cache hit).
+        # A rerun is served from the store.
         assert main(argv) == 0
         assert "(from store)" in capsys.readouterr().out
 

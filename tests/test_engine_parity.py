@@ -165,7 +165,7 @@ class TestModelParity:
 
 class TestSuiteParity:
     def _suite_summaries(self):
-        from repro.experiments.runner import run_configs
+        import repro.api as api
         from repro.experiments.workloads import SCALES, evaluation_config
 
         cells = {
@@ -174,7 +174,7 @@ class TestSuiteParity:
             )
             for algorithm in ("fedavg", "fedprox")
         }
-        suite = run_configs(cells)
+        suite = api.sweep(cells, workers=1).suite
         return {label: suite.results[label].summary() for label in cells}
 
     def test_serial_suite_summaries_match_reference_engine(self):

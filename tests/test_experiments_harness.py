@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.experiments.figures import (
     ablation_freeze_side,
     ablation_offload_point,
@@ -13,7 +14,6 @@ from repro.experiments.figures import (
     figure9,
 )
 from repro.experiments.report import format_table, render_summaries, render_table1, table1_comparison
-from repro.experiments.runner import run_configs
 from repro.experiments.workloads import (
     SCALES,
     architecture_for,
@@ -91,12 +91,13 @@ class TestWorkloads:
 
 class TestRunnerAndReport:
     def test_run_configs_collects_all_labels(self, smoke_config):
-        suite = run_configs(
+        suite = api.sweep(
             {
                 "fedavg": smoke_config,
                 "aergia": smoke_config.with_overrides(algorithm="aergia"),
-            }
-        )
+            },
+            workers=1,
+        ).suite
         assert set(suite.labels()) == {"fedavg", "aergia"}
         assert suite.total_wall_seconds() > 0
         assert "fedavg" in suite
@@ -105,7 +106,7 @@ class TestRunnerAndReport:
 
     def test_run_configs_progress_callback(self, smoke_config):
         seen = []
-        run_configs({"only": smoke_config}, progress=lambda label, result: seen.append(label))
+        api.sweep({"only": smoke_config}, workers=1, progress=lambda label, result: seen.append(label))
         assert seen == ["only"]
 
     def test_format_table_alignment(self):
@@ -124,7 +125,7 @@ class TestRunnerAndReport:
         assert "Aergia" in rendering and "TiFL" in rendering
 
     def test_render_summaries(self, smoke_config):
-        suite = run_configs({"fedavg": smoke_config})
+        suite = api.sweep({"fedavg": smoke_config}, workers=1).suite
         text = render_summaries(suite.summaries(), title="demo")
         assert "fedavg" in text
 

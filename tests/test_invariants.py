@@ -20,8 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import run_configs_parallel
-from repro.experiments.runner import run_configs
+import repro.api as api
 from repro.experiments.workloads import SCALES, ScaleProfile, evaluation_config, scenario_dynamics
 from repro.fl.aggregation import fedavg_aggregate_flat, fednova_aggregate_flat
 from repro.fl.config import ExperimentConfig
@@ -63,8 +62,8 @@ def _random_configs(seed: int, count: int):
 # ---------------------------------------------------------------------------
 def test_random_configs_serial_equals_parallel():
     configs = _random_configs(seed=2026, count=3)
-    serial = run_configs(configs)
-    parallel = run_configs_parallel(configs, workers=2)
+    serial = api.sweep(configs, workers=1)
+    parallel = api.sweep(configs, workers=2)
     for label in configs:
         assert serial[label].summary() == parallel[label].summary(), (
             label,
@@ -159,7 +158,6 @@ def test_materialization_knobs_do_not_change_cache_or_store_keys():
     """Virtual and eager runs are bit-identical, so they share keys — and
     archives written before the knobs existed keep theirs."""
     from repro.api.store import run_key
-    from repro.experiments.parallel import config_hash
 
     config = evaluation_config(
         "mnist", "fedavg", "noniid", SCALES["smoke"], seed=1, dtype="float32"
@@ -170,7 +168,6 @@ def test_materialization_knobs_do_not_change_cache_or_store_keys():
         config.with_overrides(client_pool="virtual", pool_slots=5),
     ):
         assert run_key(variant) == run_key(config)
-        assert config_hash(variant) == config_hash(config)
     # Result-relevant fields still distinguish runs.
     assert run_key(config.with_overrides(seed=2)) != run_key(config)
 

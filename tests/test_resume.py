@@ -209,14 +209,14 @@ def test_checkpoint_interval_excluded_from_run_key():
     assert run_key(base) == run_key(base.with_overrides(checkpoint_interval=1))
     assert run_key(base) == run_key(base.with_overrides(checkpoint_interval=7))
 
-    from repro.experiments.parallel import canonical_config
+    from repro.api.store import canonical_config
 
     canonical = canonical_config(base.with_overrides(checkpoint_interval=3))
     assert "checkpoint_interval" not in canonical
 
 
 # ---------------------------------------------------------------------------
-# Torn-file hardening: truncated JSONL / cache entries are misses, not errors
+# Torn-file hardening: truncated JSONL / manifests are misses, not errors
 # ---------------------------------------------------------------------------
 def test_store_treats_torn_rounds_line_as_incomplete(tmp_path):
     config = make_config("fedavg")
@@ -251,16 +251,20 @@ def test_store_treats_corrupt_manifest_as_missing(tmp_path):
 
 
 def test_result_cache_treats_truncated_entry_as_miss(tmp_path):
-    from repro.experiments.parallel import ResultCache
-    from repro.fl.runtime import run_experiment
-
+    """The store is the sweep's cache: a manifest cut in half is a miss the
+    next sweep recomputes, and an unreadable neighbour breaks no listing."""
     config = make_config("fedavg", checkpoint_interval=None, rounds=1)
-    cache = ResultCache(tmp_path / "cache")
-    result = run_experiment(config)
-    cache.put(config, result, wall_seconds=1.0)
-    assert cache.get(config) is not None
+    store = RunStore(tmp_path / "store")
+    cold = api.sweep({"only": config}, store=store)
+    assert store.get(config) is not None
 
-    (entry,) = cache.cache_dir.glob("*.json")
+    entry = store.run_dir(run_key(config)) / "manifest.json"
     payload = entry.read_bytes()
     entry.write_bytes(payload[: len(payload) // 2])
-    assert cache.get(config) is None, "truncated cache entries are misses"
+    assert store.get(config) is None, "truncated manifests are misses"
+    assert store.runs() == []
+
+    again = api.sweep({"only": config}, store=store)
+    assert again.store_hits == []
+    assert round_dicts(again.results["only"]) == round_dicts(cold.results["only"])
+    assert store.get(config) is not None

@@ -6,7 +6,7 @@ processes — with per-shard seeded RNG streams, edge aggregators and a
 root federator merge — produces **bitwise identical** round records,
 weights and summaries to the single-process run, for every registered
 federator under stable and churn scenarios.  ``shards`` is therefore a
-pure execution knob, excluded from ``run_key``/``config_hash`` exactly
+pure execution knob, excluded from ``run_key`` exactly
 like ``batched_execution`` (only the opt-in ``shard_aggregate="partial"``
 mode, which reorders the floating-point reduction, is hash-relevant).
 
@@ -29,7 +29,7 @@ import pytest
 import repro.api as api
 from crash_harness import read_rounds_bytes, run_and_crash
 from repro.api import RunStore, run, run_key
-from repro.experiments.parallel import canonical_config
+from repro.api.store import canonical_config
 from repro.experiments.workloads import SCALES, evaluation_config
 from repro.fl.runtime import (
     available_algorithms,

@@ -20,8 +20,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import canonical_config, config_hash, run_configs_parallel
-from repro.experiments.runner import run_configs
+import repro.api as api
+from repro.api.store import canonical_config, run_key
 from repro.experiments.workloads import SCALES, evaluation_config, scenario_transport
 from repro.fl.config import ExperimentConfig, TransportConfig
 from repro.fl.runtime import build_experiment
@@ -275,8 +275,8 @@ class TestTransportConfig:
 
     def test_null_transport_excluded_from_config_hash(self):
         config = evaluation_config("mnist", "fedavg", "iid", SCALES["smoke"])
-        # Pre-transport cache archives and store keys must keep their
-        # hashes: the default transport vanishes from the canonical form.
+        # Pre-transport store archives must keep their keys: the default
+        # transport vanishes from the canonical form.
         assert "transport" not in canonical_config(config)
 
     def test_non_null_transport_changes_config_hash(self):
@@ -284,7 +284,7 @@ class TestTransportConfig:
         lossy = base.with_overrides(transport=TransportConfig(drop_rate=0.1))
         reliable = base.with_overrides(transport=TransportConfig(reliable=True))
         assert "transport" in canonical_config(lossy)
-        assert len({config_hash(base), config_hash(lossy), config_hash(reliable)}) == 3
+        assert len({run_key(base), run_key(lossy), run_key(reliable)}) == 3
 
     def test_lossy_scenario_resolves_transport_knobs(self):
         transport = scenario_transport("lossy", SCALES["smoke"])
@@ -346,8 +346,8 @@ class TestLossyEndToEnd:
             "lossy/fedavg": _lossy_config("fedavg"),
             "lossy/fedbuff": _lossy_config("fedbuff"),
         }
-        serial = run_configs(configs)
-        parallel = run_configs_parallel(configs, workers=2)
+        serial = api.sweep(configs, workers=1)
+        parallel = api.sweep(configs, workers=2)
         for label in configs:
             assert serial[label].summary() == parallel[label].summary(), label
 
