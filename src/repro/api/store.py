@@ -52,14 +52,13 @@ STORE_FORMAT = 1
 #: computes; each is pinned bitwise-neutral by a parity suite, so runs that
 #: differ only here share one store entry (and archives written before a
 #: knob existed keep their keys):
-#: ``client_pool``/``pool_slots`` — virtual == eager materialization
+#: ``pool_slots`` — a tight arena == one that never evicts
 #: (tests/test_virtual_pool.py); ``checkpoint_interval`` — checkpointed ==
 #: straight-through (tests/test_resume.py); ``batched_execution`` — batched
 #: == per-client (tests/test_batched_engine.py); ``shards`` — sharded ==
 #: single-process (tests/test_shard.py), except under
 #: ``shard_aggregate="partial"``, where :func:`canonical_config` re-adds it.
 EXECUTION_FIELDS = (
-    "client_pool",
     "pool_slots",
     "checkpoint_interval",
     "batched_execution",

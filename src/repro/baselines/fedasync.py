@@ -155,11 +155,10 @@ class AsyncFederatorBase(BaseFederator):
             or len(self._in_flight) >= self.concurrency
         ):
             return
-        if self.client_pool is not None:
-            # Pin the in-flight set plus the new dispatchee: the async loop
-            # has no round boundary, so the pinned set tracks whoever is
-            # currently training.
-            self.client_pool.ensure_active([*self._in_flight, client_id])
+        # Pin the in-flight set plus the new dispatchee: the async loop has
+        # no round boundary, so the pinned set tracks whoever is currently
+        # training.
+        self.pool.ensure_active([*self._in_flight, client_id])
         self._task_counter += 1
         task_id = self._task_counter
         self._in_flight[client_id] = DispatchRecord(

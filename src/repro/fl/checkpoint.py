@@ -6,9 +6,10 @@ discrete-event simulation deterministic:
 * the federator's aggregation state (global weights, rng stream, round
   counter, algorithm extras such as TiFL's tier credits or FedBuff's
   delta buffer),
-* every client's execution state (loader position, lifetime counters,
-  mid-round model/optimizer state and the pending batch completion),
-  captured directly on the eager path or through the virtual pool,
+* the client pool: every hydrated client's execution state (loader
+  position, lifetime counters, mid-round model/optimizer state and the
+  pending batch completion) in LRU order, plus the descriptor records of
+  the dehydrated rest,
 * the cluster's mutable environment (offline set, speed fractions, link
   overrides, clock skews) and the scenario driver's declarative pending
   events plus its rng stream,
@@ -53,7 +54,9 @@ from typing import List, Optional, Tuple
 #: 3: snapshots grew the ``"shard"`` section — the sharded executor's
 #:    merged per-shard state (seed streams, cumulative counters, per-worker
 #:    stats/RSS) — ``None`` for unsharded runs.
-CHECKPOINT_FORMAT = 3
+#: 4: every cohort lives in the client pool, so the per-client ``"clients"``
+#:    section is gone and ``"pool"`` is always present.
+CHECKPOINT_FORMAT = 4
 
 
 # --------------------------------------------------------------------- capture
@@ -71,21 +74,9 @@ def capture_snapshot(experiment) -> Optional[dict]:
     if federator_state is None:
         return None
 
-    pool_state = None
-    client_states: Optional[List[Tuple[int, dict]]] = None
-    if experiment.pool is not None:
-        pool_state = experiment.pool.capture_state()
-        if pool_state is None:
-            return None
-        live_states = pool_state["hydrated"]
-    else:
-        client_states = []
-        for client in experiment.clients:
-            state = client.capture_execution_state()
-            if state is None:
-                return None
-            client_states.append((client.client_id, state))
-        live_states = client_states
+    pool_state = experiment.pool.capture_state()
+    if pool_state is None:
+        return None
 
     dynamics_state = None
     dynamics_pending = 0
@@ -95,7 +86,7 @@ def capture_snapshot(experiment) -> Optional[dict]:
 
     messages = cluster.network.capture_in_flight()
     pending_batches = sum(
-        1 for _cid, state in live_states if state["pending_batch"] is not None
+        1 for _cid, state in pool_state["hydrated"] if state["pending_batch"] is not None
     )
     transport_state = cluster.transport.capture_state()
     transport_timers = cluster.transport.pending_count()
@@ -124,7 +115,6 @@ def capture_snapshot(experiment) -> Optional[dict]:
         "bootstrap_round": federator.checkpoint_bootstraps_round and not federator.finished,
         "records": list(federator.result.rounds),
         "federator": federator_state,
-        "clients": client_states,
         "pool": pool_state,
         "cluster": cluster.capture_state(),
         "dynamics": dynamics_state,
@@ -150,16 +140,7 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
     cluster.restore_state(snapshot["cluster"])
 
     # Clients before messages: hydration re-registers network handlers.
-    if experiment.pool is not None:
-        experiment.pool.restore_state(snapshot["pool"])
-        live_states = snapshot["pool"]["hydrated"]
-        resolve = experiment.pool.client
-    else:
-        by_id = {client.client_id: client for client in experiment.clients}
-        for client_id, state in snapshot["clients"]:
-            by_id[client_id].restore_execution_state(state)
-        live_states = snapshot["clients"]
-        resolve = by_id.get
+    experiment.pool.restore_state(snapshot["pool"])
 
     federator.restore_checkpoint_state(snapshot["federator"])
     federator.result.rounds.extend(snapshot["records"])
@@ -188,7 +169,7 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
     if snapshot["transport"] is not None:
         for entry in snapshot["transport"]["pending"]:
             entries.append((entry["fire_at"], entry["sequence"], ("transport", entry)))
-    for client_id, state in live_states:
+    for client_id, state in snapshot["pool"]["hydrated"]:
         pending = state["pending_batch"]
         if pending is not None:
             time, sequence, loss = pending
@@ -203,7 +184,7 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
         elif action[0] == "transport":
             cluster.transport.schedule_restored(action[1])
         else:  # "batch"
-            resolve(action[1]).schedule_restored_batch(_time, action[2])
+            experiment.pool.client(action[1]).schedule_restored_batch(_time, action[2])
 
     if snapshot["bootstrap_round"]:
         # The sync engine checkpoints before the next round starts; in the

@@ -341,17 +341,14 @@ class ExperimentConfig:
     dtype: Optional[str] = None
 
     # Client materialization
-    #: How simulated clients are materialized: "eager" builds one fully-
-    #: hydrated FLClient per cohort member at setup (the historical
-    #: behaviour), "virtual" keeps the cohort as lightweight descriptors and
-    #: hydrates clients only when a round selects them (memory tracks
-    #: participants-per-round, not cohort size), "auto" picks virtual for
-    #: cohorts larger than VIRTUAL_POOL_AUTO_THRESHOLD clients.  Both modes
-    #: produce bit-for-bit identical results.
-    client_pool: str = "auto"
-    #: Hydrated-slot budget of the virtual pool's LRU arena; None sizes it
-    #: from the per-round participant count (plus headroom for clients that
-    #: are still finishing after being dropped from a round).
+    #: Hydrated-slot budget of the client pool's LRU arena.  The cohort
+    #: lives as lightweight descriptors and a client is hydrated only when
+    #: a round selects it; None sizes the arena from the per-round
+    #: participant count (plus headroom for clients still finishing after
+    #: being dropped from a round), capped at the cohort — so a
+    #: full-participation run hydrates each client once and never evicts.
+    #: Every budget produces bit-for-bit identical results (pinned by
+    #: tests), so the field is an execution knob excluded from ``run_key``.
     pool_slots: Optional[int] = None
 
     #: Batched multi-client compute: "on" installs a BatchedClientExecutor
@@ -360,7 +357,7 @@ class ExperimentConfig:
     #: own (``SplitCNN.train_batch``: the same kernels at ``lanes=1``),
     #: "auto" enables batching for rounds of BATCHED_AUTO_MIN_CLIENTS+
     #: participants.  Numerics are bitwise identical either way (pinned by
-    #: tests), so — like ``client_pool`` — the field is an execution knob
+    #: tests), so — like ``pool_slots`` — the field is an execution knob
     #: excluded from ``run_key``.
     batched_execution: str = "auto"
 
@@ -370,7 +367,7 @@ class ExperimentConfig:
     #: ``N >= 2`` partitions the client population into N contiguous
     #: ownership ranges and dispatches each cohort's lanes to the owning
     #: shard workers.  Sharded execution is bitwise identical to the
-    #: single-process path (pinned by tests), so — like ``client_pool``
+    #: single-process path (pinned by tests), so — like ``pool_slots``
     #: and ``batched_execution`` — the field is an execution knob excluded
     #: from ``run_key`` (except under
     #: ``shard_aggregate="partial"``, which makes the shard topology
@@ -394,7 +391,7 @@ class ExperimentConfig:
     #: every this many completed (virtual) rounds; ``None`` disables
     #: checkpointing.  Purely an execution knob: a checkpointed run and a
     #: straight-through run produce bitwise-identical results, so the field
-    #: is excluded from ``run_key`` (like ``client_pool``).
+    #: is excluded from ``run_key`` (like ``pool_slots``).
     checkpoint_interval: Optional[int] = None
 
     # Reproducibility
@@ -431,10 +428,6 @@ class ExperimentConfig:
             raise ValueError("fedbuff_buffer_size must be at least 1 when set")
         if self.async_concurrency is not None and self.async_concurrency < 1:
             raise ValueError("async_concurrency must be at least 1 when set")
-        if self.client_pool not in {"auto", "eager", "virtual"}:
-            raise ValueError(
-                f"unknown client_pool mode {self.client_pool!r}; valid: auto, eager, virtual"
-            )
         if self.pool_slots is not None and self.pool_slots < 1:
             raise ValueError("pool_slots must be at least 1 when set")
         if self.batched_execution not in {"auto", "on", "off"}:
@@ -489,13 +482,19 @@ class ExperimentConfig:
             "seed": self.seed,
             "dtype": self.dtype,
             "scenario": self.dynamics.scenario,
-            "client_pool": self.client_pool,
         }
 
 
 # ---------------------------------------------------------------------------
 # Round-tripping configs through JSON (RunStore manifests, the serve protocol)
 # ---------------------------------------------------------------------------
+#: Config keys of earlier releases that :func:`config_from_dict` drops.
+#: Only provably result-neutral execution fields belong here: the one
+#: entry chose between eager and pooled client materialization, pinned
+#: bitwise-equal before the eager path was deleted.
+RETIRED_CONFIG_KEYS = ("client_pool",)
+
+
 def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
     """JSON-safe dict round-trippable through :func:`config_from_dict`."""
     import dataclasses
@@ -509,11 +508,13 @@ def config_from_dict(payload: Dict[str, object]) -> ExperimentConfig:
     This is how a restarted ``repro serve`` reconstructs in-flight runs
     from their :class:`repro.api.RunStore` manifests (``manifest["config"]``
     is exactly this shape), and how the wire protocol accepts full-config
-    submissions.  Unknown keys raise ``TypeError`` like the dataclass
+    submissions.  :data:`RETIRED_CONFIG_KEYS` are dropped, so manifests and
+    submissions written before a result-neutral field was retired still
+    load; every other unknown key raises ``TypeError`` like the dataclass
     constructor would, so a manifest from an incompatible version fails
     loudly instead of running a silently different experiment.
     """
-    payload = dict(payload)
+    payload = {key: value for key, value in payload.items() if key not in RETIRED_CONFIG_KEYS}
     payload["resources"] = ResourceConfig(**dict(payload.get("resources") or {}))
     payload["dynamics"] = DynamicsConfig(**dict(payload.get("dynamics") or {}))
     payload["transport"] = TransportConfig(**dict(payload.get("transport") or {}))

@@ -156,10 +156,11 @@ class BaseFederator:
             sorted(client_ids) if client_ids is not None else cluster.client_ids
         )
         self._rng = np.random.default_rng(config.seed + 1)
-        #: Virtual client pool (large cohorts): selection works on client
-        #: ids/descriptors and the winners are hydrated just before the
-        #: round's training requests go out.  ``None`` on the eager path.
-        self.client_pool = None
+        #: The :class:`~repro.simulation.virtual_pool.VirtualClientPool`,
+        #: set by the runtime before :meth:`start`: selection works on
+        #: client ids/descriptors and the winners are hydrated just before
+        #: the round's training requests go out.
+        self.pool = None
         self._round_state: Optional[RoundState] = None
         #: Set when a round could not start because no client was online;
         #: the next rejoin restarts the loop.
@@ -190,15 +191,6 @@ class BaseFederator:
         cluster.add_membership_listener(self._on_membership_change)
 
     # ---------------------------------------------------------------- lifecycle
-    def attach_client_pool(self, pool) -> None:
-        """Use a :class:`~repro.simulation.virtual_pool.VirtualClientPool`.
-
-        Called by the runtime before :meth:`start` when the configuration
-        virtualizes the cohort; the round engine then hydrates each round's
-        selection via ``pool.ensure_active``.
-        """
-        self.client_pool = pool
-
     def start(self) -> None:
         """Schedule the first round; call before running the simulation."""
         self.env.schedule(self.setup_time, self._start_round)
@@ -232,14 +224,10 @@ class BaseFederator:
 
         Extreme non-IID splits of huge cohorts can leave clients with zero
         samples — the paper's sampling simply leaves such clients out, so
-        selection skips them on both materialization paths (keeping virtual
-        and eager runs of one config identical).  The virtual pool answers
-        from the descriptor; the eager path from the attached actor.
+        selection skips them.  The pool answers from the descriptor, without
+        hydrating anyone.
         """
-        if self.client_pool is not None:
-            return self.client_pool.has_data(client_id)
-        actor = self.cluster.actor(client_id)
-        return actor is None or actor.num_samples > 0
+        return self.pool.has_data(client_id)
 
     def selectable_clients(self) -> List[int]:
         """Clients eligible for selection: the online subset, in id order."""
@@ -377,10 +365,9 @@ class BaseFederator:
             self._round_pending = True
             return
         self._round_pending = False
-        if self.client_pool is not None:
-            # Materialise the round's participants (recycling arena slots);
-            # everything before this point touched descriptors only.
-            self.client_pool.ensure_active(selected)
+        # Materialise the round's participants (recycling arena slots);
+        # everything before this point touched descriptors only.
+        self.pool.ensure_active(selected)
         state = RoundState(
             round_number=round_number,
             start_time=self.env.now,

@@ -2,8 +2,9 @@
 
 :func:`build_experiment` turns an :class:`repro.fl.config.ExperimentConfig`
 into a ready-to-run system: synthetic dataset, client partitions,
-heterogeneous cluster, one :class:`repro.fl.client.FLClient` per node and
-the federator implementing the requested algorithm.  :func:`run_experiment`
+heterogeneous cluster, the :class:`repro.simulation.virtual_pool.VirtualClientPool`
+that hydrates a :class:`repro.fl.client.FLClient` per selected node, and the
+federator implementing the requested algorithm.  :func:`run_experiment`
 runs the simulation to completion and returns the
 :class:`repro.fl.metrics.ExperimentResult`.
 """
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.data.datasets import load_dataset
-from repro.data.partition import ClientPartition, PartitionPlan, plan_partition
+from repro.data.partition import PartitionPlan, plan_partition
 from repro.fl.client import FLClient
 from repro.fl.config import ExperimentConfig, ResourceConfig
 from repro.fl.federator import BaseFederator
@@ -29,7 +30,7 @@ from repro.fl.transport import build_transport
 from repro.simulation.cluster import SimulatedCluster
 from repro.simulation.dynamics import ScenarioDynamics
 from repro.simulation.network import FaultProfile, LinkSpec
-from repro.simulation.virtual_pool import VIRTUAL_POOL_AUTO_THRESHOLD, VirtualClientPool
+from repro.simulation.virtual_pool import VirtualClientPool
 from repro.simulation.resources import (
     ResourceProfile,
     speeds_with_variance,
@@ -42,29 +43,24 @@ from repro.simulation.resources import (
 class ExperimentHandle:
     """Everything :func:`build_experiment` creates, for inspection by tests.
 
-    Under the virtualized client pool (``config.client_pool``), ``clients``
-    and ``partitions`` are empty — the cohort exists as descriptors in
-    ``pool`` and shards derive on demand from ``partition_plan``; use
-    :meth:`active_clients` for whatever is hydrated right now.
+    The cohort exists as descriptors in ``pool`` and shards derive on
+    demand from ``partition_plan``; ``pool.hydrate(client_id)`` returns any
+    client's actor and :meth:`active_clients` whatever is hydrated right now.
     """
 
     config: ExperimentConfig
     cluster: SimulatedCluster
     federator: BaseFederator
-    clients: List[FLClient]
-    partitions: List[ClientPartition]
+    #: The client pool every cohort member lives in.
+    pool: VirtualClientPool
+    #: Lazy shard derivation the pool slices client data from.
+    partition_plan: PartitionPlan
     #: The scenario driver, when the config's dynamics are active.
     dynamics: Optional["ScenarioDynamics"] = None
-    #: The virtual client pool, when the config selects virtualization.
-    pool: Optional[VirtualClientPool] = None
-    #: Lazy shard derivation (always present; source of ``partitions``).
-    partition_plan: Optional[PartitionPlan] = None
 
     def active_clients(self) -> List[FLClient]:
-        """The live client actors: all of them (eager) or the hydrated ones."""
-        if self.pool is not None:
-            return self.pool.hydrated_clients()
-        return list(self.clients)
+        """The currently hydrated client actors."""
+        return self.pool.hydrated_clients()
 
     def run(self) -> ExperimentResult:
         """Start the federator and run the simulation to completion."""
@@ -184,20 +180,6 @@ def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
         return _build_experiment(config, dtype)
 
 
-def uses_virtual_pool(config: ExperimentConfig) -> bool:
-    """Whether this configuration materializes clients through the pool.
-
-    ``"auto"`` (the default) virtualizes cohorts larger than
-    :data:`~repro.simulation.virtual_pool.VIRTUAL_POOL_AUTO_THRESHOLD`
-    clients, keeping the historical small profiles on the eager path.
-    """
-    if config.client_pool == "eager":
-        return False
-    if config.client_pool == "virtual":
-        return True
-    return config.num_clients > VIRTUAL_POOL_AUTO_THRESHOLD
-
-
 def uses_batched_execution(config: ExperimentConfig) -> bool:
     """Whether this configuration installs the lockstep cohort executor.
 
@@ -241,8 +223,6 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         seed=config.seed,
     )
     dataset = _cast_dataset(dataset, dtype)
-    # The plan performs the same draws eager partitioning would, so the rng
-    # stays in sync for the profile generation below regardless of mode.
     plan = plan_partition(
         dataset,
         config.num_clients,
@@ -251,8 +231,6 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         alpha=config.dirichlet_alpha,
         rng=rng,
     )
-    virtual = uses_virtual_pool(config)
-    partitions: List[ClientPartition] = [] if virtual else plan.materialize()
 
     profiles = _build_profiles(config.resources, config.num_clients, rng)
     cluster = SimulatedCluster(
@@ -307,39 +285,22 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
     global_model = build_model(config.architecture, rng=np.random.default_rng(config.seed))
 
     def client_model_factory():
-        # Every client model starts from the same seeded initializer (as in
-        # the eager path); TRAIN_REQUESTs overwrite the weights anyway.
-        # Pin the experiment dtype explicitly: the virtual pool calls this
-        # lazily at hydration time, long after build_experiment's
-        # using_dtype context has exited, and the ambient default may
-        # differ from the config's dtype.
+        # Every slot's model starts from the same seeded initializer;
+        # TRAIN_REQUESTs overwrite the weights anyway.  Pin the experiment
+        # dtype explicitly: the pool calls this lazily at hydration time,
+        # long after build_experiment's using_dtype context has exited, and
+        # the ambient default may differ from the config's dtype.
         with using_dtype(dtype):
             return build_model(config.architecture, rng=np.random.default_rng(config.seed))
 
-    clients: List[FLClient] = []
-    pool: Optional[VirtualClientPool] = None
-    if virtual:
-        pool = VirtualClientPool(
-            cluster,
-            config,
-            dataset,
-            plan,
-            model_factory=client_model_factory,
-            slots=config.pool_slots,
-        )
-    else:
-        for partition in partitions:
-            clients.append(
-                FLClient(
-                    client_id=partition.client_id,
-                    cluster=cluster,
-                    model=client_model_factory(),
-                    x_train=dataset.x_train[partition.indices],
-                    y_train=dataset.y_train[partition.indices],
-                    config=config,
-                    class_counts=partition.class_counts,
-                )
-            )
+    pool = VirtualClientPool(
+        cluster,
+        config,
+        dataset,
+        plan,
+        model_factory=client_model_factory,
+        slots=config.pool_slots,
+    )
 
     federator_cls = federator_class(config.algorithm)
     extra_kwargs: Dict[str, object] = {}
@@ -350,13 +311,10 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         report = enclave.attest()
         for client_id in range(config.num_clients):
             # Class counts derive from the plan one client at a time: no
-            # shard materialization even for virtualized cohorts.
-            counts = (
-                partitions[client_id].class_counts
-                if partitions
-                else plan.class_counts_for(client_id)
+            # shard is materialized for it.
+            enclave.submit_distribution(
+                seal_distribution(client_id, plan.class_counts_for(client_id), report)
             )
-            enclave.submit_distribution(seal_distribution(client_id, counts, report))
         extra_kwargs["enclave"] = enclave
     elif config.algorithm == "tifl":
         extra_kwargs["client_batch_seconds"] = _estimate_client_batch_seconds(
@@ -371,8 +329,7 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         y_test=dataset.y_test,
         **extra_kwargs,
     )
-    if pool is not None:
-        federator.attach_client_pool(pool)
+    federator.pool = pool
 
     dynamics: Optional[ScenarioDynamics] = None
     if config.dynamics.is_active():
@@ -388,11 +345,9 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         config=config,
         cluster=cluster,
         federator=federator,
-        clients=clients,
-        partitions=partitions,
-        dynamics=dynamics,
         pool=pool,
         partition_plan=plan,
+        dynamics=dynamics,
     )
 
 

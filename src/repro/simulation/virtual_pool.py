@@ -1,28 +1,30 @@
-"""Virtualized client pool: O(participants) memory for O(cohort) clients.
+"""The client pool: O(hydrated) memory for O(cohort) clients.
 
-The eager runtime materializes one fully-hydrated
-:class:`repro.fl.client.FLClient` per cohort member at setup time — a model
-(the dominant allocation: per-layer parameter/scratch buffers), an
-optimizer, and a private copy of the client's data shard.  That caps
-simulated cohorts at a few dozen clients even though a round only ever
-*trains* ``clients_per_round`` of them.
+A fully hydrated :class:`repro.fl.client.FLClient` owns a model (the
+dominant allocation: per-layer parameter/scratch buffers), an optimizer,
+and a private copy of the client's data shard — but a round only ever
+*trains* ``clients_per_round`` of the cohort.
 
-:class:`VirtualClientPool` inverts the ownership.  The cohort exists as
-lightweight :class:`ClientDescriptor` records (a few counters plus the
-dehydrated loader position), and a bounded LRU arena of reusable
+:class:`VirtualClientPool` is the one way a client exists.  The cohort
+lives as lightweight :class:`ClientDescriptor` records (a few counters plus
+the dehydrated loader position), and a bounded LRU arena of reusable
 :class:`_Slot` objects holds the expensive state.  A client is *hydrated* —
 given a slot's recycled model, a freshly sliced data shard (derived on
 demand from the lazy :class:`repro.data.partition.PartitionPlan`) and a new
 optimizer — only when the federator selects it for a round; when the arena
 is full, the least-recently-used idle client is dehydrated back into its
-descriptor and its slot recycled.
+descriptor and its slot recycled.  The arena is sized from the per-round
+participant count and capped at the cohort, so a full-participation run
+(the paper's 8-24 client regime) hydrates each client once and never
+evicts, while a 10 000-client cohort holds only its participants.
 
-Hydration is bit-for-bit transparent:
+Hydration is bit-for-bit transparent (a tight arena and one that never
+evicts produce identical runs):
 
 * Model weights and optimizer state are overwritten by every
   ``TRAIN_REQUEST`` (clients load the global model at round start), so a
-  recycled model never leaks state between clients — the eager path's
-  per-client models are all built from the same seeded initializer anyway.
+  recycled model never leaks state between clients — every slot's model is
+  built from the same seeded initializer anyway.
 * The batch loader is the only numeric state that persists across rounds;
   its exact position (generator state, shuffle order, cursor) round-trips
   through the descriptor, so a re-selected client resumes its batch
@@ -31,7 +33,7 @@ Hydration is bit-for-bit transparent:
   completions, no buffered offloaded model, and no messages in flight to or
   from it on the network.  Clients that keep training after being dropped
   from a round (the deadline baseline) therefore stay hydrated until their
-  stale work drains, exactly like the eager path lets them finish.
+  stale work drains.
 
 Churn, dropout and selection logic never touches hydrated state: scenario
 dynamics flip descriptor-level liveness on the cluster, and the federators
@@ -49,11 +51,6 @@ from repro.data.partition import PartitionPlan
 from repro.fl.client import FLClient
 from repro.fl.config import ExperimentConfig
 from repro.simulation.cluster import SimulatedCluster
-
-#: ``client_pool="auto"`` switches to the virtual pool above this cohort
-#: size.  The historical profiles (smoke/bench/full, ≤ 24 clients) stay on
-#: the eager path; the large-cohort profiles (city/metro) go virtual.
-VIRTUAL_POOL_AUTO_THRESHOLD = 64
 
 #: Extra slots beyond the per-round participant count: clients dropped from
 #: a round keep training until their stale work drains, so two rounds'
@@ -155,7 +152,7 @@ class VirtualClientPool:
 
         # Churn can disconnect a client that is not hydrated (no actor to
         # notify): record it on the descriptor so the lifetime counter
-        # survives, exactly as on the eager path.
+        # survives.
         cluster.add_membership_listener(self._on_membership_change)
 
     def _on_membership_change(self, client_id: int, online: bool) -> None:

@@ -50,9 +50,11 @@ class TestAergiaEndToEnd:
     def test_weak_client_froze_and_strong_client_trained_offloaded_model(self):
         handle = build_experiment(aergia_config(rounds=1))
         handle.run()
-        weak = handle.clients[0]
+        weak = handle.pool.hydrate(0)
         assert weak.total_offloads_sent >= 1
-        trained = sum(c.total_offloads_trained for c in handle.clients[1:])
+        others = [c for c in handle.active_clients() if c is not weak]
+        assert len(others) == handle.config.num_clients - 1
+        trained = sum(c.total_offloads_trained for c in others)
         assert trained == weak.total_offloads_sent
 
     def test_faster_than_fedavg_on_heterogeneous_cluster(self):
@@ -146,7 +148,7 @@ class TestAergiaAtPopulationScale:
         )
         assert config.num_clients == 5000
         handle = build_experiment(config)
-        assert handle.pool is not None, "metro must route through the virtual pool"
+        assert handle.pool.slots < config.num_clients, "metro must not hold its cohort"
         result = handle.run()
         assert result.num_rounds == 1
         assert result.total_offloads() >= 1

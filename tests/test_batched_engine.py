@@ -6,7 +6,7 @@ execution"): running a round's lockstep-compatible clients as one
 losses and summaries to the per-client oracle path — across every
 architecture, dtype, frozen-section mask and optimizer family — so
 ``batched_execution`` is a pure execution knob, excluded from
-``run_key`` exactly like ``client_pool``.
+``run_key`` exactly like ``pool_slots``.
 
 Three layers of pinning:
 
@@ -313,14 +313,23 @@ def test_churn_scenario_is_bitwise_identical_with_batching():
 
 
 def test_virtual_pool_runs_bitwise_identical_with_batching():
-    """Dehydration/rehydration interleaves with lane lifecycles: a pooled
-    churn run must still match the eager per-client run bitwise."""
-    kwargs = dict(seed=13, train_size=384, client_pool="virtual")
-    config_on = _smoke_config("fedavg", "iid", "churn", batched_execution="on", **kwargs)
+    """Dehydration/rehydration interleaves with lane lifecycles: a batched
+    churn run on a tight arena must still match the per-client run on a
+    never-evicting one bitwise."""
+    # Partial participation: a full-participation round pins the whole
+    # cohort, so nobody would ever be evicted.
+    kwargs = dict(seed=13, train_size=384, num_clients=6, clients_per_round=3, rounds=4)
+    config_on = _smoke_config(
+        "fedavg", "iid", "churn", batched_execution="on", pool_slots=3, **kwargs
+    )
     result_on, stats, handle = _run_with_stats(config_on)
-    assert handle.pool is not None
-    config_off = _smoke_config("fedavg", "iid", "churn", batched_execution="off", **kwargs)
-    result_off, _, _ = _run_with_stats(config_off)
+    assert handle.pool.evictions > 0, "config no longer exercises rehydration"
+    config_off = _smoke_config(
+        "fedavg", "iid", "churn", batched_execution="off",
+        pool_slots=config_on.num_clients, **kwargs,
+    )  # fmt: skip
+    result_off, _, handle_off = _run_with_stats(config_off)
+    assert handle_off.pool.evictions == 0
     assert _round_dicts(result_on) == _round_dicts(result_off)
     assert stats["waves"] > 0
 
@@ -328,11 +337,9 @@ def test_virtual_pool_runs_bitwise_identical_with_batching():
 def test_virtual_pool_hydrates_models_at_config_dtype():
     """Slot models are built lazily at hydration time; the factory must pin
     the experiment's dtype even when the ambient default differs, or
-    every client fails cohort eligibility (and eager/virtual runs would
-    silently train at different precisions)."""
-    config = _smoke_config(
-        "fedavg", "iid", "stable", train_size=384, client_pool="virtual"
-    )
+    every client fails cohort eligibility (and clients would silently
+    train at a precision other than the config's)."""
+    config = _smoke_config("fedavg", "iid", "stable", train_size=384)
     handle = build_experiment(config)
     with using_dtype("float64"):
         actor = handle.pool.hydrate(0)

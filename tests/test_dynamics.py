@@ -450,7 +450,7 @@ class TestDroppedClientAccounting:
     def test_dropped_client_aborts_local_work(self):
         handle = build_experiment(self._config().with_overrides(rounds=1))
         cluster = handle.cluster
-        client0 = handle.clients[0]
+        client0 = handle.pool.hydrate(0)
         cluster.env.schedule(0.4, lambda: cluster.set_client_offline(0))
         handle.run()
         assert client0.times_disconnected == 1

@@ -65,6 +65,18 @@ class TestExperimentConfig:
         assert description["algorithm"] == "aergia"
         assert "rounds" in description and "dataset" in description
 
+    def test_describe_carries_no_execution_field(self):
+        # describe() lands in every stored result/manifest: an execution
+        # choice in it would let two runs with one run_key store different
+        # bytes.  And a stale name in EXECUTION_FIELDS would exclude nothing.
+        import dataclasses
+
+        from repro.api.store import EXECUTION_FIELDS
+
+        field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(EXECUTION_FIELDS) <= field_names
+        assert not set(EXECUTION_FIELDS) & set(ExperimentConfig().describe())
+
 
 def _weights(value: float):
     return {"a": np.full((2, 2), value), "b": np.full((3,), value)}

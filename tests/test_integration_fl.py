@@ -37,13 +37,15 @@ class TestRuntimeAssembly:
     def test_build_experiment_creates_all_parts(self):
         handle = build_experiment(smoke("fedavg"))
         assert handle.cluster.num_clients == 4
-        assert len(handle.clients) == 4
-        assert len(handle.partitions) == 4
+        assert len(handle.pool.descriptors) == 4
+        handle.pool.ensure_active(range(4))
+        assert len(handle.active_clients()) == 4
+        assert handle.partition_plan.num_clients == 4
         assert handle.federator.algorithm_name == "fedavg"
 
     def test_partition_data_reaches_clients(self):
         handle = build_experiment(smoke("fedavg"))
-        total = sum(client.num_samples for client in handle.clients)
+        total = sum(handle.pool.hydrate(cid).num_samples for cid in range(4))
         assert total == handle.config.train_size
 
     def test_federator_class_registry(self):
@@ -121,14 +123,18 @@ class TestBaselineBehaviours:
         result = handle.run()
         assert result.num_rounds == 2
         # Every client performed exactly one local step per round.
-        for client in handle.clients:
+        clients = handle.active_clients()
+        assert len(clients) == 4
+        for client in clients:
             assert client.total_batches_trained == 2
 
     def test_fedprox_clients_use_proximal_optimizer(self):
         from repro.nn.optim import ProximalSGD
 
         handle = build_experiment(smoke("fedprox"))
-        assert all(isinstance(c.optimizer, ProximalSGD) for c in handle.clients)
+        assert all(
+            isinstance(handle.pool.hydrate(cid).optimizer, ProximalSGD) for cid in range(4)
+        )
         result = handle.run()
         assert result.num_rounds == 2
 

@@ -48,7 +48,9 @@ def _random_config(rng: np.random.Generator) -> ExperimentConfig:
         clients_per_round=int(rng.integers(2, num_clients + 1)),
         rounds=int(rng.integers(2, 4)),
         local_updates=int(rng.integers(3, 6)),
-        client_pool=str(rng.choice(["eager", "virtual"])),
+        # Never-evicting or tight arena (one draw, as ever: the configs
+        # that follow in a batch keep their seeds).
+        pool_slots=int(rng.choice([num_clients, 3])),
     )
 
 
@@ -155,17 +157,17 @@ def test_replayed_rounds_match_live_rounds(tmp_path):
 # Materialization knobs are not part of a run's identity
 # ---------------------------------------------------------------------------
 def test_materialization_knobs_do_not_change_cache_or_store_keys():
-    """Virtual and eager runs are bit-identical, so they share keys — and
-    archives written before the knobs existed keep theirs."""
+    """Every slot budget runs bit-identically, so they share keys — and
+    archives written before the knob existed keep theirs."""
     from repro.api.store import run_key
 
     config = evaluation_config(
         "mnist", "fedavg", "noniid", SCALES["smoke"], seed=1, dtype="float32"
     )
     for variant in (
-        config.with_overrides(client_pool="eager"),
-        config.with_overrides(client_pool="virtual"),
-        config.with_overrides(client_pool="virtual", pool_slots=5),
+        config.with_overrides(pool_slots=config.num_clients),
+        config.with_overrides(pool_slots=3),
+        config.with_overrides(pool_slots=5),
     ):
         assert run_key(variant) == run_key(config)
     # Result-relevant fields still distinguish runs.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -27,7 +28,7 @@ import repro.api as api
 from crash_harness import read_rounds_bytes, round_dicts, run_and_crash
 from repro.api import RunStore, run, run_key
 from repro.api.store import CHECKPOINT_NAME
-from repro.fl.checkpoint import capture_snapshot, load_checkpoint
+from repro.fl.checkpoint import CHECKPOINT_FORMAT, capture_snapshot, load_checkpoint
 from repro.fl.runtime import build_experiment
 
 ALL_ALGORITHMS = [
@@ -109,7 +110,7 @@ def test_interrupted_run_resumes_bitwise_identical(algorithm, tmp_path):
 
 
 def test_virtual_pool_run_resumes_bitwise_identical(tmp_path):
-    config = make_config("aergia", client_pool="virtual", pool_slots=3)
+    config = make_config("aergia", pool_slots=3)
     golden, golden_store = golden_run(config, tmp_path)
 
     store = RunStore(tmp_path / "resumed")
@@ -186,6 +187,30 @@ def test_corrupt_checkpoint_is_ignored(tmp_path):
     assert round_dicts(result) == round_dicts(golden)
 
 
+def test_checkpoint_of_an_older_format_restarts_from_scratch(tmp_path):
+    """A crashed run whose checkpoint predates the current snapshot layout
+    (format 3 still had the per-client ``"clients"`` section) is not
+    resumed from it: the run restarts and finishes with the same bytes."""
+    config = make_config("fedavg")
+    golden, golden_store = golden_run(config, tmp_path)
+    store_dir = tmp_path / "crashed"
+    run_and_crash(config, store_dir, crash_round=2)
+    key = run_key(config)
+    checkpoint_path = RunStore(store_dir).run_dir(key) / CHECKPOINT_NAME
+    snapshot = pickle.loads(checkpoint_path.read_bytes())
+    assert snapshot["format"] == CHECKPOINT_FORMAT
+    snapshot["format"] = 3
+    checkpoint_path.write_bytes(pickle.dumps(snapshot))
+
+    store = RunStore(store_dir)
+    resumed = run(config, store=store, resume=True)
+    result = resumed.result()
+    assert resumed.resumed_from_round is None  # fell back to scratch
+    assert round_dicts(result) == round_dicts(golden)
+    assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
+    assert store.get(config) is not None
+
+
 def test_capture_refuses_busy_client_and_unaccounted_events():
     config = make_config("fedavg")
     experiment = build_experiment(config)
@@ -197,7 +222,8 @@ def test_capture_refuses_busy_client_and_unaccounted_events():
     stray.cancel()
 
     # A client mid-offload-training refuses capture outright.
-    client = experiment.clients[0]
+    client = experiment.pool.hydrate(0)
+    assert capture_snapshot(experiment) is not None
     client._offload_training_active = True
     assert client.capture_execution_state() is None
     assert capture_snapshot(experiment) is None

@@ -70,6 +70,28 @@ class TestRunStoreRoundTrip:
             range(1, len(lines) + 1)
         )
 
+    def test_manifest_written_before_a_field_was_retired_still_loads(
+        self, tmp_path, smoke_eval_config
+    ):
+        """A restarted server rebuilds in-flight runs from their manifests:
+        one that still carries the retired, result-neutral ``client_pool``
+        key must load (to the same run), any other unknown key fail loudly."""
+        store = api.RunStore(tmp_path)
+        store.start_run(smoke_eval_config).abort()  # manifest stays "running"
+        manifest_path = store.run_dir(run_key(smoke_eval_config)) / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+
+        manifest["config"]["client_pool"] = "auto"
+        manifest_path.write_text(json.dumps(manifest))
+        (stored,) = store.runs()
+        assert run_key(stored.load_config()) == run_key(smoke_eval_config)
+
+        manifest["config"]["client_pol"] = "auto"
+        manifest_path.write_text(json.dumps(manifest))
+        (stored,) = store.runs()
+        with pytest.raises(TypeError, match="client_pol"):
+            stored.load_config()
+
     def test_second_run_is_detected_as_already_present(self, tmp_path, smoke_eval_config):
         first = api.run(smoke_eval_config, store=tmp_path)
         assert not first.loaded_from_store

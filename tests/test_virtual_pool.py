@@ -1,14 +1,15 @@
-"""Virtualized client pool: mechanics and eager-parity guarantees.
+"""The client pool: mechanics and slot-budget parity guarantees.
 
 Two layers of coverage:
 
 * unit tests of :class:`repro.simulation.virtual_pool.VirtualClientPool`
   (LRU recycling, pinning, dehydration safety, loader-state round-trips)
   driven through a built experiment handle;
-* end-to-end parity: a virtualized run with a tight slot budget must
-  reproduce the eager run's summary and round records **bit for bit**,
-  including under churn with partial participation (the regime where
-  clients are evicted and rehydrated between rounds).
+* end-to-end parity: a run with a tight slot budget must reproduce the
+  never-evicting run (``pool_slots=num_clients`` — what "eager" means now
+  that every cohort lives in the pool) **bit for bit**, including under
+  churn with partial participation (the regime where clients are evicted
+  and rehydrated between rounds).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.workloads import SCALES, evaluation_config
-from repro.fl.runtime import build_experiment, run_experiment, uses_virtual_pool
+from repro.fl.runtime import build_experiment, run_experiment
 
 
 def _partial_config(algorithm="fedavg", scenario="churn", **overrides):
@@ -40,37 +41,56 @@ def _partial_config(algorithm="fedavg", scenario="churn", **overrides):
 
 
 # ---------------------------------------------------------------------------
-# Mode selection
+# Arena sizing: which slot budget a config gets
 # ---------------------------------------------------------------------------
+def _profile_config(scale_name):
+    return evaluation_config("mnist", "fedavg", "noniid", SCALES[scale_name], seed=1)
+
+
 class TestModeSelection:
     def test_auto_keeps_small_cohorts_eager(self, smoke_config):
-        assert smoke_config.client_pool == "auto"
-        assert not uses_virtual_pool(smoke_config)
+        assert smoke_config.pool_slots is None
         handle = build_experiment(smoke_config)
-        assert handle.pool is None
-        assert len(handle.clients) == smoke_config.num_clients
+        assert handle.pool.slots == smoke_config.num_clients
+        assert handle.active_clients() == []  # hydration waits for selection
+        handle.run()
         assert len(handle.active_clients()) == smoke_config.num_clients
+
+    @pytest.mark.parametrize("scale", ["smoke", "bench", "full"])
+    def test_full_participation_profiles_hold_the_whole_cohort(self, scale):
+        config = _profile_config(scale)
+        assert build_experiment(config).pool.slots == config.num_clients
+
+    def test_bench_run_hydrates_each_client_once_and_never_evicts(self):
+        config = _profile_config("bench")
+        handle = build_experiment(config)
+        handle.run()
+        stats = handle.pool.describe()
+        assert stats["evictions"] == 0
+        assert stats["hydrations"] == stats["hydrated"] == config.num_clients
 
     def test_auto_virtualizes_large_cohorts(self, smoke_config):
         big = smoke_config.with_overrides(num_clients=100, clients_per_round=4, train_size=400)
-        assert uses_virtual_pool(big)
+        pool = build_experiment(big).pool
+        assert big.effective_clients_per_round <= pool.slots < big.num_clients
 
-    def test_explicit_modes_override_auto(self, smoke_config):
-        assert uses_virtual_pool(smoke_config.with_overrides(client_pool="virtual"))
-        big = smoke_config.with_overrides(num_clients=100, clients_per_round=4, train_size=400)
-        assert not uses_virtual_pool(big.with_overrides(client_pool="eager"))
+    def test_explicit_slots_override_the_derivation(self, smoke_config):
+        assert build_experiment(smoke_config.with_overrides(pool_slots=3)).pool.slots == 3
+        # A budget beyond the cohort is capped: there is nobody else to hold.
+        capped = build_experiment(smoke_config.with_overrides(pool_slots=1000))
+        assert capped.pool.slots == smoke_config.num_clients
 
     def test_invalid_pool_settings_rejected(self, smoke_config):
         with pytest.raises(ValueError):
-            smoke_config.with_overrides(client_pool="bogus")
-        with pytest.raises(ValueError):
             smoke_config.with_overrides(pool_slots=0)
+        with pytest.raises(TypeError):  # the retired mode switch is not a field
+            smoke_config.with_overrides(client_pool="eager")
 
     def test_city_and_metro_profiles_resolve_to_virtual_configs(self):
         for name in ("city", "metro"):
-            config = evaluation_config("mnist", "fedavg", "noniid", SCALES[name], seed=1)
-            assert uses_virtual_pool(config)
+            config = _profile_config(name)
             assert config.effective_clients_per_round < config.num_clients
+            assert build_experiment(config).pool.slots < config.num_clients
 
     def test_large_scales_are_wired_through_api_and_cli(self):
         import repro.api as api
@@ -78,7 +98,6 @@ class TestModeSelection:
 
         config = api.experiment("fedavg").dataset("mnist").scale("city").scenario("churn").build()
         assert config.num_clients == SCALES["city"].num_clients
-        assert uses_virtual_pool(config)
         # The CLI's --scale choices render from the registry, so the new
         # profiles are accepted without CLI changes.
         args = build_parser().parse_args(["run", "--scale", "metro"])
@@ -90,9 +109,7 @@ class TestModeSelection:
 # ---------------------------------------------------------------------------
 class TestPoolMechanics:
     def _pool(self, slots=3):
-        config = _partial_config(scenario="stable").with_overrides(
-            client_pool="virtual", pool_slots=slots
-        )
+        config = _partial_config(scenario="stable").with_overrides(pool_slots=slots)
         handle = build_experiment(config)
         return handle, handle.pool
 
@@ -100,7 +117,7 @@ class TestPoolMechanics:
         handle, pool = self._pool()
         assert len(pool.descriptors) == 6
         assert pool.hydrated_ids() == []
-        assert handle.clients == [] and handle.partitions == []
+        assert handle.active_clients() == []
         # Descriptor shard sizes agree with the lazy plan.
         for cid, descriptor in pool.descriptors.items():
             assert descriptor.num_samples == handle.partition_plan.size_of(cid)
@@ -235,14 +252,22 @@ class TestPoolMechanics:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end parity: virtual == eager, bit for bit
+# End-to-end parity: tight arena == never-evicting arena, bit for bit
 # ---------------------------------------------------------------------------
+def _run_never_evicting(config):
+    """The reference run: every client keeps its slot once hydrated."""
+    handle = build_experiment(config.with_overrides(pool_slots=config.num_clients))
+    result = handle.run()
+    assert handle.pool.evictions == 0
+    return result
+
+
 class TestEagerParity:
     @pytest.mark.parametrize("algorithm", ["fedavg", "tifl", "aergia", "fedbuff"])
     def test_virtual_run_matches_eager_bitwise(self, algorithm):
         base = _partial_config(algorithm=algorithm, scenario="churn")
-        eager = run_experiment(base.with_overrides(client_pool="eager"))
-        handle = build_experiment(base.with_overrides(client_pool="virtual", pool_slots=3))
+        eager = _run_never_evicting(base)
+        handle = build_experiment(base.with_overrides(pool_slots=3))
         virtual = handle.run()
         assert eager.summary() == virtual.summary()
         assert len(eager.rounds) == len(virtual.rounds)
@@ -253,10 +278,10 @@ class TestEagerParity:
     def test_parity_holds_across_eviction_and_rehydration(self):
         # Seed/round count chosen so selection rotates through the cohort:
         # the 3-slot arena must evict and rehydrate mid-run, and the
-        # resumed loaders keep the run bit-identical to eager.
+        # resumed loaders keep the run bit-identical to never evicting.
         base = _partial_config(scenario="churn").with_overrides(seed=3, rounds=4)
-        eager = run_experiment(base.with_overrides(client_pool="eager"))
-        handle = build_experiment(base.with_overrides(client_pool="virtual", pool_slots=3))
+        eager = _run_never_evicting(base)
+        handle = build_experiment(base.with_overrides(pool_slots=3))
         virtual = handle.run()
         assert eager.summary() == virtual.summary()
         assert handle.pool.evictions > 0, "config no longer exercises rehydration"
@@ -268,8 +293,8 @@ class TestEagerParity:
         base = _partial_config(algorithm="aergia", scenario="straggler-burst").with_overrides(
             seed=3, rounds=4
         )
-        eager = run_experiment(base.with_overrides(client_pool="eager"))
-        virtual = run_experiment(base.with_overrides(client_pool="virtual", pool_slots=3))
+        eager = _run_never_evicting(base)
+        virtual = run_experiment(base.with_overrides(pool_slots=3))
         assert eager.summary() == virtual.summary()
 
     def test_deadline_stragglers_block_eviction_until_drained(self):
@@ -278,8 +303,8 @@ class TestEagerParity:
         base = _partial_config(algorithm="deadline", scenario="stable").with_overrides(
             deadline_seconds=0.4
         )
-        eager = run_experiment(base.with_overrides(client_pool="eager"))
-        virtual = run_experiment(base.with_overrides(client_pool="virtual", pool_slots=3))
+        eager = _run_never_evicting(base)
+        virtual = run_experiment(base.with_overrides(pool_slots=3))
         assert eager.summary() == virtual.summary()
 
     def test_empty_shard_clients_are_never_selected(self):
@@ -301,18 +326,15 @@ class TestEagerParity:
         )
         handle = build_experiment(config)
         pool = handle.pool
-        assert pool is not None
         empty = [cid for cid in range(200) if not pool.has_data(cid)]
         assert empty, "config no longer produces empty shards"
         result = handle.run()
         assert result.num_rounds == 2
         for record in result.rounds:
             assert not set(record.selected_clients) & set(empty)
-        # The eager path must skip them identically (the two modes share a
-        # cache/store key, so they must behave the same — historically the
-        # eager run crashed on the empty loader).
-        eager = run_experiment(config.with_overrides(client_pool="eager"))
-        assert eager.summary() == result.summary()
+        # A never-evicting arena skips them identically (every slot budget
+        # shares one store key, so they must behave the same).
+        assert _run_never_evicting(config).summary() == result.summary()
 
     def test_pool_stays_bounded_across_many_rounds(self):
         config = evaluation_config(
