@@ -14,9 +14,16 @@ dimension:
   ``N`` small ones.
 
 What makes the kernels fast is their layout — channel-major activations,
-pad and pool staging fused into the consumer's scratch, no input-layer dX
-— not the lockstep: a step costs the same per lane at ``lanes=1`` as at
+pad and pool staging fused into the consumer's pad buffer, no input-layer
+dX — not the lockstep: a step costs the same per lane at ``lanes=1`` as at
 ``lanes=8`` (see ``BATCHED_AUTO_MIN_CLIENTS``).
+
+No kernel set owns scratch.  Every buffer a pass writes and reads back —
+im2col blocks, activations, grad-cols, pooling masks — is carved from the
+calling thread's :class:`Workspace`, so a process holds the scratch of its
+*largest* pass, not of every model and cohort size it ever ran; the rule
+that makes that safe (nothing taken from the workspace is read after the
+pass that took it) is stated there.
 
 Parity contract
 ---------------
@@ -51,6 +58,8 @@ requests) silently stays per-client, which is always correct.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,22 +71,96 @@ from repro.nn.optim import ProximalSGD, SGD
 
 #: ``batched_execution="auto"`` batches rounds with at least this many
 #: selected clients.  A cohort amortises Python and numpy dispatch, not
-#: arithmetic — the per-client path runs the same kernels — and measured
-#: that is worth little: on the BENCH_engine host (mnist-cnn, float32, one
-#: BLAS thread) a B=16 step costs 4.9 ms/lane at ``lanes=1``, 5.5 at
-#: ``lanes=8`` and 5.6 at ``lanes=32``, against 8.2 ms through the layer
-#: loop; at B=32 it is 11.6 ms/lane at ``lanes=1`` against 10.5 at
+#: arithmetic — the per-client path runs the same kernels, on the same
+#: workspace bytes — and measured that is worth nothing: on the
+#: BENCH_engine host (mnist-cnn, float32, one BLAS thread) a B=16 step
+#: costs 5.2 ms/lane at ``lanes=1`` (32 clients stepped in turn), 5.7 at
+#: ``lanes=8`` and 5.5 at ``lanes=32``, against 9.6 ms through the layer
+#: loop; at B=32 it is 9.1 ms/lane at ``lanes=1`` against 10.3 at
 #: ``lanes=32`` (``round_step`` in BENCH_engine.json).  The threshold marks
 #: no speed crossover; it keeps small rounds clear of cohort bookkeeping
 #: (plan, activate, materialize, replay) that cannot pay for itself there.
 BATCHED_AUTO_MIN_CLIENTS = 16
 
 
-def _scratch(current: Optional[np.ndarray], shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Return ``current`` if it matches ``shape``/``dtype``, else a new buffer."""
-    if current is not None and current.shape == shape and current.dtype == dtype:
-        return current
-    return np.empty(shape, dtype=dtype)
+#: Scratch views start on a cache line.
+_ALIGN = 64
+
+
+def _aligned_block(nbytes: int) -> Tuple[np.ndarray, int]:
+    """A fresh byte block and the offset of its first aligned byte."""
+    block = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    return block, -block.ctypes.data % _ALIGN
+
+
+class _Arena:
+    """A bump allocator over one block of raw bytes.
+
+    :meth:`take` carves aligned views off the block in call order;
+    :meth:`reset` — once per kernel pass — hands the whole block out again.
+    The block grows only *between* passes: a pass that outgrows it gets a
+    private overflow block per remaining request, and the next ``reset``
+    replaces the block with one of that pass's size.  So the block is as
+    large as the largest pass so far asked for, and no setting sizes it.
+    """
+
+    __slots__ = ("_block", "_origin", "_capacity", "_used")
+
+    def __init__(self) -> None:
+        self._block: Optional[np.ndarray] = None
+        self._origin = 0
+        self._capacity = 0
+        self._used = 0
+
+    def reset(self) -> None:
+        if self._used > self._capacity:
+            self._block = None  # released first: old and new never coexist
+            self._block, self._origin = _aligned_block(self._used)
+            self._capacity = self._used
+        self._used = 0
+
+    def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised ``shape``/``dtype`` array, dead after this pass."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self._used
+        self._used = start + nbytes + -nbytes % _ALIGN
+        if self._used <= self._capacity:
+            return np.ndarray(shape, dtype, self._block, self._origin + start)
+        return np.ndarray(shape, dtype, *_aligned_block(nbytes))
+
+
+class Workspace(threading.local):
+    """The scratch of every kernel pass on one thread.
+
+    Kernel sets own *state* (weight/grad arenas, optimiser state, the conv
+    pad buffers whose zero border is written once, a cohort's input
+    arenas); everything a pass writes and reads back within the pass —
+    im2col blocks, activations, grad-cols, pooling masks — is carved from
+    here.  Per thread, because ``repro serve`` trains hosted runs on worker
+    threads of one process (shard and sweep workers are processes).
+
+    Two arenas: :meth:`BatchedModel.train_step` resets and fills ``train``
+    (its backward included), :meth:`BatchedModel.infer` resets and fills
+    ``infer``.  So an inference pass between a forward and its backward
+    cannot touch the cached activations, and
+
+    **nothing taken from the workspace may be read after the pass that took
+    it** — the next pass *of any model on this thread* overwrites it.
+    ``SplitCNN.forward`` copies the logits out, ``train_step`` returns a
+    fresh loss vector, and a layer's forward cache is consumed (and
+    dropped: a kept view would pin a block the arena has since replaced) by
+    the same step's backward.
+    """
+
+    def __init__(self) -> None:
+        self.train = _Arena()
+        self.infer = _Arena()
+        #: Where forward kernels carve from; set by ``BatchedModel._forward``.
+        self.current = self.train
+
+
+_WORKSPACE = Workspace()
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +198,12 @@ def _probe_operand(rng: np.random.Generator, shape: Tuple[int, int], dtype) -> n
     return out
 
 
-_GEMM_PROBE_CACHE: Dict[tuple, Tuple[bool, str, bool]] = {}
+_GEMM_PROBE_CACHE: Dict[tuple, Tuple[bool, Optional[str], Optional[bool]]] = {}
 
 
-def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype, single: bool = False) -> Tuple[bool, str, bool]:
+def _probe_fast_gemms(
+    rows: int, ckk: int, oc: int, dtype, single: bool = False, backward: bool = True
+) -> Tuple[bool, Optional[str], Optional[bool]]:
     """Check the channel-major GEMM orientations bitwise at one shape.
 
     BLAS picks its blocking from shapes and operand layouts, never from
@@ -135,6 +220,13 @@ def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype, single: bool = False)
     the reduction-heavy direct form on OpenBLAS) and ``"gT"`` the direct
     ``gradT @ colsT.T``; ``"slow"`` falls back to the oracle layout.
 
+    ``backward=False`` is an inference pass asking: only the forward
+    orientation is probed (``gw_mode`` and ``dc_ok`` come back ``None``
+    unless a training pass at this shape already filled them in), so a
+    shape that never trains — a 256-sample evaluation batch, the largest
+    GEMM of a process — never builds the gradient operand or runs the five
+    backward GEMMs.  Either way the operands are the same draws.
+
     ``single`` marks a batch of one sample.  There the oracle's
     ``(rows, oc)`` output gradient is not a row-major copy but a transposed
     view of the ``(oc, rows)`` feature map (numpy reshapes a lone sample
@@ -142,28 +234,30 @@ def _probe_fast_gemms(rows: int, ckk: int, oc: int, dtype, single: bool = False)
     the probe compares against those.
     """
     key = (rows, ckk, oc, np.dtype(dtype).name) + (("single",) if single else ())
-    cached = _GEMM_PROBE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    fwd_ok, gw_mode, dc_ok = _GEMM_PROBE_CACHE.get(key, (None, None, None))
+    if fwd_ok is not None and (gw_mode is not None or not backward):
+        return fwd_ok, gw_mode, dc_ok
     rng = np.random.default_rng(0xC0FFEE)
     colsT = _probe_operand(rng, (ckk, rows), dtype)
     w_mat = _probe_operand(rng, (oc, ckk), dtype)
-    gradT = _probe_operand(rng, (oc, rows), dtype)
     cols = np.ascontiguousarray(colsT.T)  # oracle layout (rows, ckk)
-    # Oracle layout (rows, oc): a view of the feature map for a lone sample.
-    grad = gradT.T if single else np.ascontiguousarray(gradT.T)
-    fwd_ok = np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
-    gw_oracle = grad.T @ cols
-    if np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle):
-        gw_mode = "csT"
-    elif np.array_equal(np.matmul(gradT, colsT.T), gw_oracle):
-        gw_mode = "gT"
-    else:
-        gw_mode = "slow"
-    # The two input-gradient products are each as large as an im2col
-    # operand: drop those first, so the probe never holds more than two.
-    del colsT, cols
-    dc_ok = np.array_equal(np.matmul(w_mat.T, gradT), (grad @ w_mat).T)
+    if fwd_ok is None:
+        fwd_ok = np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
+    if backward:
+        gradT = _probe_operand(rng, (oc, rows), dtype)
+        # Oracle layout (rows, oc): a view of the feature map for a lone sample.
+        grad = gradT.T if single else np.ascontiguousarray(gradT.T)
+        gw_oracle = grad.T @ cols
+        if np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle):
+            gw_mode = "csT"
+        elif np.array_equal(np.matmul(gradT, colsT.T), gw_oracle):
+            gw_mode = "gT"
+        else:
+            gw_mode = "slow"
+        # The two input-gradient products are each as large as an im2col
+        # operand: drop those first, so the probe never holds more than two.
+        del colsT, cols
+        dc_ok = np.array_equal(np.matmul(w_mat.T, gradT), (grad @ w_mat).T)
     result = (fwd_ok, gw_mode, dc_ok)
     _GEMM_PROBE_CACHE[key] = result
     return result
@@ -227,27 +321,14 @@ class _BatchedConv2D(_BatchedLayer):
         self.gW = grads["W"]
         self.gb = grads["b"]
         self.lanes = int(self.W.shape[0])
-        self._colsT: Optional[np.ndarray] = None
         self._pad: Optional[np.ndarray] = None
         self._interior: Optional[np.ndarray] = None
-        self._out: Optional[np.ndarray] = None
-        self._out_sm: Optional[np.ndarray] = None
-        self._cols_sm: Optional[np.ndarray] = None
-        self._gbuf: Optional[np.ndarray] = None
-        self._gw: Optional[np.ndarray] = None
-        self._cols_sm_lane: Optional[np.ndarray] = None
-        self._gcols_lane: Optional[np.ndarray] = None
-        self._gcols_sm_lane: Optional[np.ndarray] = None
-        self._gwT_lane: Optional[np.ndarray] = None
-        self._gb_row: Optional[np.ndarray] = None
-        self._acc: Optional[np.ndarray] = None
-        self._gx: Optional[np.ndarray] = None
-        self._cache_colsT: Optional[np.ndarray] = None
-        self._cache_cols_sm: Optional[np.ndarray] = None
-        self._cache_x_shape: Optional[Tuple[int, ...]] = None
+        # (colsT, oracle-layout cols or None, input shape) of a training
+        # forward; backward takes it.
+        self._cache: Optional[tuple] = None
 
     def stage_input(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-        """Interior view of the pad scratch for a ``shape``-shaped input.
+        """Interior view of the pad buffer for a ``shape``-shaped input.
 
         The producing layer writes its output straight into this view, so
         ``_padded`` can skip the separate interior copy (the values are
@@ -264,74 +345,22 @@ class _BatchedConv2D(_BatchedLayer):
             or self._pad.shape != padded_shape
             or self._pad.dtype != dtype
         ):
+            # State, not scratch: zeroed once; only the interior is
+            # rewritten per wave, the border stays zero (same trick as the
+            # oracle's pad buffer).
             self._pad = np.zeros(padded_shape, dtype=dtype)
-            self._interior = None
-        if self._interior is None:
             self._interior = self._pad[:, :, :, p:-p, p:-p]
         return self._interior
 
     def _padded(self, x):
-        p = self.padding
-        if p == 0:
+        if self.padding == 0:
             return x
-        if x is self._interior:
-            # The producer staged its output directly into the interior;
-            # the border is already zero, nothing to copy.
-            return self._pad
-        L, c, n, h, w = x.shape
-        shape = (L, c, n, h + 2 * p, w + 2 * p)
-        if self._pad is None or self._pad.shape != shape or self._pad.dtype != x.dtype:
-            # Zeroed once; only the interior is rewritten per wave, the
-            # border stays zero (same trick as the oracle's pad buffer).
-            self._pad = np.zeros(shape, dtype=x.dtype)
-            self._interior = None
-        self._pad[:, :, :, p:-p, p:-p] = x
+        interior = self.stage_input(x.shape, x.dtype)
+        # A producer that staged its output directly into the interior left
+        # nothing to copy; the border is already zero either way.
+        if x is not interior:
+            interior[...] = x
         return self._pad
-
-    def _im2colT(self, x):
-        """Transposed im2col: ``(L, c*k*k, n*oh*ow)`` with contiguous rows."""
-        L, c, n, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        rows = n * out_h * out_w
-        colsT = self._colsT = _scratch(self._colsT, (L, c * k * k, rows), x.dtype)
-        padded = self._padded(x)
-        colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
-        # One overlapping window view + one copy: the nditer walks the
-        # destination in C order, so each (lane, channel) image block is
-        # read cache-hot across all k*k taps.
-        sL, sc, sn, sH, sW = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(L, c, k, k, n, out_h, out_w),
-            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
-        )
-        np.copyto(colsT7, windows)
-        return colsT
-
-    def _cols_oracle(self, colsT):
-        """Sample-major ``(L, rows, ckk)`` cols in the oracle's layout.
-
-        Materialized only when a probe rejects a fast orientation; cached
-        for the wave so forward and backward share one transpose.
-        """
-        if self._cache_cols_sm is not None:
-            return self._cache_cols_sm
-        L, ckk, rows = colsT.shape
-        cols = self._cols_sm = _scratch(self._cols_sm, (L, rows, ckk), colsT.dtype)
-        np.copyto(cols, colsT.transpose(0, 2, 1))
-        self._cache_cols_sm = cols
-        return cols
-
-    def _lane_cols_sm(self, colsT, lane):
-        """One lane's cols in the oracle's sample-major ``(rows, ckk)`` layout."""
-        if self._cache_cols_sm is not None:
-            return self._cache_cols_sm[lane]
-        _, ckk, rows = colsT.shape
-        buf = self._cols_sm_lane = _scratch(self._cols_sm_lane, (rows, ckk), colsT.dtype)
-        np.copyto(buf, colsT[lane].T)
-        return buf
 
     def forward(self, x, training: bool = True):
         L, c, n, h, w = x.shape
@@ -341,79 +370,91 @@ class _BatchedConv2D(_BatchedLayer):
         rows = n * out_h * out_w
         ckk = c * k * k
         oc = self.out_channels
-        fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype, n == 1)
+        take = _WORKSPACE.current.take
+        fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype, n == 1, training)
         w_mat = self.W.reshape(L, oc, ckk)
-        self._out = _scratch(self._out, (L, oc, rows), x.dtype)
-        out = self._out
-        self._cache_cols_sm = None
+        out = take((L, oc, rows), x.dtype)
+        # Transposed im2col, (L, c*k*k, n*oh*ow) with contiguous rows: one
+        # overlapping window view + one copy per lane.  The nditer walks
+        # the destination in C order, so each (lane, channel) image block
+        # is read cache-hot across all k*k taps.
+        colsT = take((L, ckk, rows), x.dtype)
+        padded = self._padded(x)
+        colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
+        sL, sc, sn, sH, sW = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(L, c, k, k, n, out_h, out_w),
+            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
+        )
+        cols_sm = None
         if fast_fwd:
             # Lane-interleaved: copy one lane's windows, then GEMM that lane
             # while its im2col block is still cache-hot.
-            colsT = self._colsT = _scratch(self._colsT, (L, ckk, rows), x.dtype)
-            padded = self._padded(x)
-            colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
-            sL, sc, sn, sH, sW = padded.strides
-            windows = np.lib.stride_tricks.as_strided(
-                padded,
-                shape=(L, c, k, k, n, out_h, out_w),
-                strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
-            )
             for lane in range(L):
                 np.copyto(colsT7[lane], windows[lane])
                 np.matmul(w_mat[lane], colsT[lane], out=out[lane])
                 out[lane] += self.b[lane, :, None]
         else:
-            colsT = self._im2colT(x)
-            cols = self._cols_oracle(colsT)
-            self._out_sm = _scratch(self._out_sm, (L, rows, oc), x.dtype)
-            out_sm = np.matmul(cols, w_mat.transpose(0, 2, 1), out=self._out_sm)
+            # The probe rejected the fast orientation: sample-major
+            # (L, rows, ckk) cols in the oracle's layout, which backward
+            # shares when it needs them too.
+            np.copyto(colsT7, windows)
+            cols_sm = take((L, rows, ckk), x.dtype)
+            np.copyto(cols_sm, colsT.transpose(0, 2, 1))
+            out_sm = np.matmul(
+                cols_sm, w_mat.transpose(0, 2, 1), out=take((L, rows, oc), x.dtype)
+            )
             np.copyto(out, out_sm.transpose(0, 2, 1))
             out += self.b[:, :, None]
-        self._cache_colsT = colsT
-        self._cache_x_shape = x.shape
+        if training:
+            self._cache = (colsT, cols_sm, x.shape)
         return out.reshape(L, oc, n, out_h, out_w)
 
     def backward(self, grad_out, need_input_grad: bool = True):
-        if self._cache_colsT is None or self._cache_x_shape is None:
+        if self._cache is None:
             raise RuntimeError("_BatchedConv2D.backward called before forward")
+        (colsT, cols_sm, x_shape), self._cache = self._cache, None
         L, oc, n, out_h, out_w = grad_out.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         rows = n * out_h * out_w
         grad3 = grad_out.reshape(L, oc, rows)
-        colsT = self._cache_colsT
         ckk = colsT.shape[1]
+        take = _WORKSPACE.train.take
         _, gw_mode, fast_dc = _probe_fast_gemms(rows, ckk, oc, grad3.dtype, n == 1)
 
-        grad_w = self._gw = _scratch(self._gw, (L, oc, ckk), grad3.dtype)
+        grad_w = take((L, oc, ckk), grad3.dtype)
         w_mat = self.W.reshape(L, oc, ckk)
         result_dtype = np.result_type(grad3.dtype, w_mat.dtype)
-        _, c, _, h, w = self._cache_x_shape
+        _, c, _, h, w = x_shape
 
         # Lane-at-a-time: each lane's staging, grad-cols and col2im
-        # accumulator live in small reused buffers that are consumed
-        # before the next lane evicts them, instead of materializing the
-        # full (L, ...) blocks.  The oracle reduces a row-major
-        # (rows, oc) buffer along its first axis for gb; the per-lane
-        # staging keeps that layout (and a per-lane 2-D reduce is
+        # accumulator live in small buffers, taken once and reused by every
+        # lane, that are consumed before the next lane evicts them, instead
+        # of materializing the full (L, ...) blocks.  The oracle reduces a
+        # row-major (rows, oc) buffer along its first axis for gb; the
+        # per-lane staging keeps that layout (and a per-lane 2-D reduce is
         # bitwise the stacked 3-D one), so the reduction order matches.
         # For a lone sample the oracle's buffer is instead a transposed
         # view of the feature map (see _probe_fast_gemms) — which is
         # what grad3[lane].T is, so no staging copy is made.
         single = n == 1
-        gbuf_l = None
-        if not single:
-            gbuf_l = self._gbuf = _scratch(self._gbuf, (rows, oc), grad3.dtype)
+        gbuf_l = None if single else take((rows, oc), grad3.dtype)
         gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
-        gb_row = self._gb_row = _scratch(self._gb_row, (oc,), grad3.dtype)
-        gc = gc7 = acc_l = gx = None
+        gb_row = take((oc,), grad3.dtype)
+        gc = gc7 = gsm = acc_l = gx = None
         if need_input_grad:
-            gc = self._gcols_lane = _scratch(self._gcols_lane, (ckk, rows), result_dtype)
+            gc = take((ckk, rows), result_dtype)
             gc7 = gc.reshape(c, k, k, n, out_h, out_w)
-            acc_l = self._acc = _scratch(self._acc, (c, n, h + 2 * p, w + 2 * p), result_dtype)
-            gx = self._gx = _scratch(self._gx, (L, c, n, h, w), result_dtype)
-        gwT = None
+            if not fast_dc:
+                gsm = take((rows, ckk), result_dtype)
+            acc_l = take((c, n, h + 2 * p, w + 2 * p), result_dtype)
+            gx = take((L, c, n, h, w), result_dtype)
+        gwT = cols_lane = None
         if gw_mode == "csT":
-            gwT = self._gwT_lane = _scratch(self._gwT_lane, (ckk, oc), grad3.dtype)
+            gwT = take((ckk, oc), grad3.dtype)
+        elif gw_mode == "slow" and cols_sm is None:
+            cols_lane = take((rows, ckk), colsT.dtype)
         for lane in range(L):
             if single:
                 gbuf_l = grad3[lane].T
@@ -425,9 +466,12 @@ class _BatchedConv2D(_BatchedLayer):
             elif gw_mode == "gT":
                 np.matmul(grad3[lane], colsT[lane].T, out=grad_w[lane])
             else:
-                np.matmul(
-                    gbuf_l.T, self._lane_cols_sm(colsT, lane), out=grad_w[lane]
-                )
+                # One lane's cols in the oracle's (rows, ckk) layout.
+                if cols_sm is not None:
+                    cols_lane = cols_sm[lane]
+                else:
+                    np.copyto(cols_lane, colsT[lane].T)
+                np.matmul(gbuf_l.T, cols_lane, out=grad_w[lane])
             if gb_fast:
                 np.einsum("ro->o", gbuf_l, out=gb_row)
                 self.gb[lane] += gb_row
@@ -438,7 +482,6 @@ class _BatchedConv2D(_BatchedLayer):
             if fast_dc:
                 np.matmul(w_mat[lane].T, grad3[lane], out=gc)
             else:
-                gsm = self._gcols_sm_lane = _scratch(self._gcols_sm_lane, (rows, ckk), result_dtype)
                 np.matmul(gbuf_l, w_mat[lane], out=gsm)
                 np.copyto(gc, gsm.T)
             acc_l.fill(0)
@@ -470,26 +513,14 @@ class _BatchedMaxPool2D(_BatchedLayer):
         self.pool_size = template.pool_size
         if self.pool_size * self.pool_size > 127:
             raise ValueError("MaxPool2D pool_size too large for int8 window slots")
-        # When the next layer is a padded conv, its pad-scratch interior is
+        # When the next layer is a padded conv, its pad-buffer interior is
         # used as this pool's output buffer, fusing out the conv's pad copy.
         self.sink: Optional[_BatchedConv2D] = None
-        self._xc: Optional[np.ndarray] = None
-        self._out: Optional[np.ndarray] = None
-        self._idx: Optional[np.ndarray] = None
-        self._eq: Optional[np.ndarray] = None
-        self._m0: Optional[np.ndarray] = None
-        self._m1: Optional[np.ndarray] = None
-        self._b0: Optional[np.ndarray] = None
-        self._b1: Optional[np.ndarray] = None
-        self._brow: Optional[np.ndarray] = None
-        self._t8: Optional[np.ndarray] = None
-        self._flat: Optional[np.ndarray] = None
-        self._grad: Optional[np.ndarray] = None
         self._slot_table: Optional[np.ndarray] = None
         self._base_shape: Optional[Tuple[int, ...]] = None
         self._base_offsets: Optional[np.ndarray] = None
-        self._cache_idx: Optional[np.ndarray] = None
-        self._cache_shape: Optional[Tuple[int, ...]] = None
+        # (arg-max slots, input shape) of a training forward; backward takes it.
+        self._cache: Optional[tuple] = None
 
     def _window_base_offsets(self, images: int, h: int, w: int) -> np.ndarray:
         """Flat offset of each window's top-left element, window-major.
@@ -531,8 +562,9 @@ class _BatchedMaxPool2D(_BatchedLayer):
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"MaxPool2D input spatial dims {h}x{w} not divisible by {p}")
+        take = _WORKSPACE.current.take
         if not x.flags["C_CONTIGUOUS"]:
-            xc = self._xc = _scratch(self._xc, x.shape, x.dtype)
+            xc = take(x.shape, x.dtype)
             np.copyto(xc, x)
             x = xc
         reshaped = x.reshape(L, c, n, h // p, p, w // p, p)
@@ -540,13 +572,13 @@ class _BatchedMaxPool2D(_BatchedLayer):
         if self.sink is not None:
             out = self.sink.stage_input((L, c, n, h // p, w // p), x.dtype)
         if out is None:
-            out = self._out = _scratch(self._out, (L, c, n, h // p, w // p), x.dtype)
+            out = take((L, c, n, h // p, w // p), x.dtype)
         columns = [reshaped[:, :, :, :, i, :, j] for i in range(p) for j in range(p)]
         if not training:
             # Maxima only: the arg-max bookkeeping below serves backward.
             return self._fold_max(columns, out)
-        idx = self._idx = _scratch(self._idx, out.shape, np.int8)
-        eq = self._eq = _scratch(self._eq, out.shape, bool)
+        idx = take(out.shape, np.int8)
+        eq = take(out.shape, bool)
         if p == 2:
             # 2x2 tournament: six cheap passes instead of the generic
             # seven double-strided ones.  Per window [c0 c1; c2 c3]
@@ -559,12 +591,12 @@ class _BatchedMaxPool2D(_BatchedLayer):
             # the NaN into out, every equality is False, and the oracle
             # sweep leaves slot p*p-1 there — restored by the fixup.
             c0, c1, c2, c3 = columns
-            m0 = self._m0 = _scratch(self._m0, out.shape, x.dtype)
-            m1 = self._m1 = _scratch(self._m1, out.shape, x.dtype)
-            b0 = self._b0 = _scratch(self._b0, out.shape, bool)
-            b1 = self._b1 = _scratch(self._b1, out.shape, bool)
-            brow = self._brow = _scratch(self._brow, out.shape, bool)
-            t8 = self._t8 = _scratch(self._t8, out.shape, np.int8)
+            m0 = take(out.shape, x.dtype)
+            m1 = take(out.shape, x.dtype)
+            b0 = take(out.shape, bool)
+            b1 = take(out.shape, bool)
+            brow = take(out.shape, bool)
+            t8 = take(out.shape, np.int8)
             np.maximum(c0, c1, out=m0)
             np.equal(c0, m0, out=b0)
             np.maximum(c2, c3, out=m1)
@@ -584,20 +616,19 @@ class _BatchedMaxPool2D(_BatchedLayer):
             for t in range(len(columns) - 2, -1, -1):
                 np.equal(columns[t], out, out=eq)
                 np.copyto(idx, np.int8(t), where=eq)
-        self._cache_idx = idx
-        self._cache_shape = x.shape
+        self._cache = (idx, x.shape)
         return out
 
     def backward(self, grad_out, need_input_grad: bool = True):
-        if self._cache_idx is None or self._cache_shape is None:
+        if self._cache is None:
             raise RuntimeError("_BatchedMaxPool2D.backward called before forward")
-        L, c, n, h, w = self._cache_shape
-        idx = self._cache_idx
+        (idx, (L, c, n, h, w)), self._cache = self._cache, None
         base = self._window_base_offsets(c * n, h, w)
-        flat = self._flat = _scratch(self._flat, (L, idx[0].size), base.dtype)
+        take = _WORKSPACE.train.take
+        flat = take((L, idx[0].size), base.dtype)
         np.take(self._slot_table, idx.reshape(L, -1), out=flat)
         np.add(flat, base[None, :], out=flat)
-        grad = self._grad = _scratch(self._grad, (L, c * n * h * w), grad_out.dtype)
+        grad = take((L, c * n * h * w), grad_out.dtype)
         grad.fill(0)
         np.put_along_axis(grad, flat, grad_out.reshape(L, -1), axis=1)
         return grad.reshape(L, c, n, h, w)
@@ -607,7 +638,7 @@ class _BatchedReLU(_BatchedLayer):
     """Elementwise ReLU; layout- and order-free, so bitwise-safe in place.
 
     ``inplace=True`` rewrites the incoming activation / gradient scratch
-    buffers instead of allocating its own.  Only the top-level chains opt
+    buffers instead of taking its own.  Only the top-level chains opt
     in: there every input is the previous layer's scratch, which is never
     re-read after the handoff.  Inside :class:`_BatchedResidualBlock` the
     default out-of-place form is kept (the skip path aliases buffers).
@@ -615,27 +646,21 @@ class _BatchedReLU(_BatchedLayer):
 
     def __init__(self, inplace: bool = False) -> None:
         self.inplace = inplace
-        self._out: Optional[np.ndarray] = None
+        # The ``x > 0`` mask of a training forward; backward takes it.
         self._mask: Optional[np.ndarray] = None
-        self._gx: Optional[np.ndarray] = None
 
     def forward(self, x, training: bool = True):
+        take = _WORKSPACE.current.take
         if training:
-            if self._mask is None or self._mask.shape != x.shape:
-                self._mask = np.empty(x.shape, dtype=bool)
-            np.greater(x, 0.0, out=self._mask)
-        if self.inplace:
-            return np.maximum(x, 0.0, out=x)
-        self._out = _scratch(self._out, x.shape, x.dtype)
-        return np.maximum(x, 0.0, out=self._out)
+            self._mask = np.greater(x, 0.0, out=take(x.shape, bool))
+        return np.maximum(x, 0.0, out=x if self.inplace else take(x.shape, x.dtype))
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._mask is None:
             raise RuntimeError("_BatchedReLU.backward called before forward")
-        if self.inplace:
-            return np.multiply(grad_out, self._mask, out=grad_out)
-        self._gx = _scratch(self._gx, grad_out.shape, grad_out.dtype)
-        return np.multiply(grad_out, self._mask, out=self._gx)
+        mask, self._mask = self._mask, None
+        gx = grad_out if self.inplace else _WORKSPACE.train.take(grad_out.shape, grad_out.dtype)
+        return np.multiply(grad_out, mask, out=gx)
 
 
 class _BatchedFlatten(_BatchedLayer):
@@ -647,15 +672,13 @@ class _BatchedFlatten(_BatchedLayer):
     """
 
     def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-        self._gx: Optional[np.ndarray] = None
         self._cache_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x, training: bool = True):
         self._cache_shape = x.shape
         if x.ndim == 5:
             L, c, n, h, w = x.shape
-            out = self._out = _scratch(self._out, (L, n, c, h, w), x.dtype)
+            out = _WORKSPACE.current.take((L, n, c, h, w), x.dtype)
             np.copyto(out, x.transpose(0, 2, 1, 3, 4))
             return out.reshape(L, n, c * h * w)
         return x.reshape(x.shape[0], x.shape[1], -1)
@@ -666,7 +689,7 @@ class _BatchedFlatten(_BatchedLayer):
         shape = self._cache_shape
         if len(shape) == 5:
             L, c, n, h, w = shape
-            gx = self._gx = _scratch(self._gx, shape, grad_out.dtype)
+            gx = _WORKSPACE.train.take(shape, grad_out.dtype)
             np.copyto(gx, grad_out.reshape(L, n, c, h, w).transpose(0, 2, 1, 3, 4))
             return gx
         return grad_out.reshape(shape)
@@ -680,31 +703,32 @@ class _BatchedDense(_BatchedLayer):
         self.b = params["b"]  # (L, out)
         self.gW = grads["W"]
         self.gb = grads["b"]
-        self._out: Optional[np.ndarray] = None
-        self._gw: Optional[np.ndarray] = None
-        self._gx: Optional[np.ndarray] = None
+        # The input of a training forward; backward takes it.
         self._cache_x = None
 
     def forward(self, x, training: bool = True):
-        self._cache_x = x
+        if training:
+            self._cache_x = x
         L, n = x.shape[0], x.shape[1]
-        self._out = _scratch(self._out, (L, n, self.out_features), x.dtype)
-        out = np.matmul(x, self.W, out=self._out)
+        out = _WORKSPACE.current.take((L, n, self.out_features), x.dtype)
+        np.matmul(x, self.W, out=out)
         out += self.b[:, None, :]
         return out
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_x is None:
             raise RuntimeError("_BatchedDense.backward called before forward")
-        x = self._cache_x
-        self._gw = _scratch(self._gw, self.gW.shape, self.gW.dtype)
-        self.gW += np.matmul(x.transpose(0, 2, 1), grad_out, out=self._gw)
+        x, self._cache_x = self._cache_x, None
+        take = _WORKSPACE.train.take
+        self.gW += np.matmul(
+            x.transpose(0, 2, 1), grad_out, out=take(self.gW.shape, self.gW.dtype)
+        )
         self.gb += grad_out.sum(axis=1)
         if not need_input_grad:
             return None
         L, n = grad_out.shape[0], grad_out.shape[1]
-        self._gx = _scratch(self._gx, (L, n, self.in_features), grad_out.dtype)
-        return np.matmul(grad_out, self.W.transpose(0, 2, 1), out=self._gx)
+        gx = take((L, n, self.in_features), grad_out.dtype)
+        return np.matmul(grad_out, self.W.transpose(0, 2, 1), out=gx)
 
 
 class _BatchedResidualBlock(_BatchedLayer):
@@ -726,16 +750,15 @@ class _BatchedResidualBlock(_BatchedLayer):
         if template.proj is not None:
             pp, gp = sub("proj")
             self.proj = _BatchedConv2D(template.proj, pp, gp)
-        self._sum: Optional[np.ndarray] = None
 
     def forward(self, x, training: bool = True):
         h = self.conv1.forward(x, training)
         h = self.relu1.forward(h, training)
         h = self.conv2.forward(h, training)
         shortcut = x if self.proj is None else self.proj.forward(x, training)
-        self._sum = _scratch(self._sum, h.shape, np.result_type(h.dtype, shortcut.dtype))
-        np.add(h, shortcut, out=self._sum)
-        return self.relu_out.forward(self._sum, training)
+        total = _WORKSPACE.current.take(h.shape, np.result_type(h.dtype, shortcut.dtype))
+        np.add(h, shortcut, out=total)
+        return self.relu_out.forward(total, training)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         grad_sum = self.relu_out.backward(grad_out)
@@ -962,7 +985,6 @@ class BatchedModel:
         for prev, nxt in zip(self.feature_layers, self.feature_layers[1:]):
             if isinstance(prev, _BatchedMaxPool2D) and isinstance(nxt, _BatchedConv2D):
                 prev.sink = nxt
-        self._x_cm: Optional[np.ndarray] = None
 
     # ----------------------------------------------------------- construction
     def _lane_view(self, arena, slot):
@@ -1065,6 +1087,7 @@ class BatchedModel:
             )
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
+        _WORKSPACE.train.reset()
         self.zero_grad()
         logits = self._forward(x, training=True)
         losses, grad = self.loss.forward_backward(logits, y)
@@ -1084,29 +1107,35 @@ class BatchedModel:
     def infer(self, x):
         """Forward-only pass; ``x`` is ``(lanes, n, ...)``, returns the logits.
 
-        The result is scratch of this model, overwritten by its next pass.
+        The result is workspace scratch: valid until the next inference
+        pass *on this thread*, of this or any other model (training steps
+        in between leave it alone).  Copy what must outlive that.
         """
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
+        _WORKSPACE.infer.reset()
         return self._forward(x, training=False)
 
     def _forward(self, x, training: bool):
+        _WORKSPACE.current = _WORKSPACE.train if training else _WORKSPACE.infer
+        # Frozen features run no backward, so nothing is kept for one.
+        keep = training and not self.features_frozen
         h = x
         if h.ndim == 5:
             # Feature kernels run channel-major (L, C, N, H, W): one cheap
             # transposed copy here keeps every downstream pass streaming.
             # When the first layer is a padded conv the copy lands straight
-            # in its pad-scratch interior, fusing out the pad pass.
+            # in its pad-buffer interior, fusing out the pad pass.
             L, n, c, ih, iw = h.shape
             cm = None
             if self.feature_layers and isinstance(self.feature_layers[0], _BatchedConv2D):
                 cm = self.feature_layers[0].stage_input((L, c, n, ih, iw), h.dtype)
             if cm is None:
-                cm = self._x_cm = _scratch(self._x_cm, (L, c, n, ih, iw), h.dtype)
+                cm = _WORKSPACE.current.take((L, c, n, ih, iw), h.dtype)
             np.copyto(cm, h.transpose(0, 2, 1, 3, 4))
             h = cm
         for layer in self.feature_layers:
-            h = layer.forward(h, training)
+            h = layer.forward(h, keep)
         for layer in self.classifier_layers:
             h = layer.forward(h, training)
         return h
@@ -1118,8 +1147,10 @@ def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
     Both are ``lanes=1`` :class:`BatchedModel` instances whose arenas are
     ``(1, size)`` reshapes of the model's flat section vectors — no copy,
     so whatever writes those vectors (optimiser steps, weight loads, lane
-    materialization) is what the kernels read next.  Returns ``()`` when a
-    layer has no kernel; the model then runs its layer loop.
+    materialization) is what the kernels read next.  Neither owns scratch
+    (that is the thread's :class:`Workspace`); they are two so that each
+    keeps conv pad buffers fitted to its own batch shape.  Returns ``()``
+    when a layer has no kernel; the model then runs its layer loop.
     """
     if not kernels_cover(model):
         return ()
@@ -1133,6 +1164,26 @@ def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
 # ---------------------------------------------------------------------------
 # Cohorts, lanes and the executor
 # ---------------------------------------------------------------------------
+def build_cohort(key: tuple, lanes: int, template: SplitCNN):
+    """``(model, optimiser, x, y)`` for one cohort of an eligibility ``key``.
+
+    Built when the cohort starts and dropped when it is released: a
+    :class:`BatchedModel` owns state only (the scratch is the thread's
+    :class:`Workspace`), so there is nothing worth keeping per cohort size.
+    """
+    model = BatchedModel(template, lanes)
+    _, _, batch_n, input_shape, y_dtype, opt_key = key
+    if opt_key[0] == "prox":
+        optimizer: BatchedSGD = BatchedProximalSGD(
+            lr=opt_key[1], mu=opt_key[2], momentum=opt_key[3], weight_decay=opt_key[4]
+        )
+    else:
+        optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
+    x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
+    y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
+    return model, optimizer, x_arena, y_arena
+
+
 class _LaneState:
     """Bookkeeping for one client's lane inside a cohort."""
 
@@ -1308,13 +1359,10 @@ class _Cohort:
             state.index = index
         lanes = len(self._active)
         self.max_steps = max(state.total_batches for state in self._active)
-        self.model, self.optimizer, self._x, self._y = self.executor._cohort_kernels(
+        self.model, self.optimizer, self._x, self._y = build_cohort(
             self.key, lanes, self._active[0].client.model
         )
-        self.model.unfreeze_features()
-        self.model.unfreeze_classifier()
         self.model.load_all_lanes(self.globals)
-        self.optimizer.reset_state()
         if isinstance(self.optimizer, BatchedProximalSGD):
             self.optimizer.set_anchor(dict(self.globals))
         for state in self._active:
@@ -1378,7 +1426,6 @@ class BatchedClientExecutor:
         self._plan: Dict[int, _Cohort] = {}
         self._plan_round: Optional[int] = None
         self._live: List[_Cohort] = []
-        self._kernel_cache: Dict[tuple, tuple] = {}
         self.stats: Dict[str, int] = {
             "rounds_planned": 0,
             "cohorts_planned": 0,
@@ -1496,30 +1543,6 @@ class BatchedClientExecutor:
         """Release executor-held resources (worker pools in subclasses)."""
 
     # ------------------------------------------------------------- internals
-    def _cohort_kernels(self, key: tuple, lanes: int, template: SplitCNN):
-        """(Re)use the batched model/optimiser/arena set for a cohort shape."""
-        cache_key = (key, lanes)
-        cached = self._kernel_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        model = BatchedModel(template, lanes)
-        opt_key = key[5]
-        if opt_key[0] == "prox":
-            optimizer: BatchedSGD = BatchedProximalSGD(
-                lr=opt_key[1],
-                mu=opt_key[2],
-                momentum=opt_key[3],
-                weight_decay=opt_key[4],
-            )
-        else:
-            optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
-        batch_n, input_shape, y_dtype = key[2], key[3], key[4]
-        x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
-        y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
-        kernels = (model, optimizer, x_arena, y_arena)
-        self._kernel_cache[cache_key] = kernels
-        return kernels
-
     def _maybe_release(self, cohort: _Cohort) -> None:
         if cohort.closing and cohort.fully_detached() and cohort in self._live:
             self._live.remove(cohort)

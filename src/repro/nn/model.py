@@ -309,8 +309,8 @@ class SplitCNN:
 
     # Pickling and ``copy.deepcopy`` carry structure and parameter values
     # only: the flat buffers are rebuilt around the restored layers, and
-    # kernel sets, their scratch and the view caches are dropped (layers
-    # drop their own scratch, see ``Layer.__getstate__``).
+    # kernel sets and the view caches are dropped (layers drop their own
+    # scratch, see ``Layer.__getstate__``).
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         for key in ("_sections", "_trainable_cache", "_kernels", "_batch_traces"):
@@ -328,9 +328,11 @@ class SplitCNN:
         pairs whose arenas are reshapes of this model's flat section
         vectors, so the optimiser, the flat/dict weight API and the cohort
         engine's materialize path keep operating on the same memory.  The
-        two sets share parameters but not scratch: an evaluation between a
-        forward and its backward cannot clobber cached activations, and
-        alternating train/eval batch shapes do not reallocate.
+        sets own no scratch — that is the calling thread's
+        :class:`~repro.nn.batched.Workspace`, shared by every model — and
+        training and inference carve from separate arenas of it, so an
+        evaluation between a forward and its backward cannot clobber
+        cached activations.
         """
         if self._kernels is None:
             # Imported here: repro.nn.batched imports this module.
@@ -490,7 +492,8 @@ class SplitCNN:
         kernels = self._kernel_sets()
         if not kernels:
             return self.forward_layerwise(x, training)
-        # The logits live in kernel scratch; the caller gets its own.
+        # The logits are workspace scratch, dead at this thread's next
+        # inference pass; the caller gets its own.
         return kernels[1].infer(self._cast_input(x)[None])[0].copy()
 
     def forward_layerwise(self, x: np.ndarray, training: bool = False) -> np.ndarray:

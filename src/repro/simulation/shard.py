@@ -53,10 +53,9 @@ from repro.fl.aggregation import fedavg_aggregate_flat
 from repro.nn.batched import (
     BatchedClientExecutor,
     BatchedLane,
-    BatchedModel,
     BatchedProximalSGD,
-    BatchedSGD,
     _Cohort,
+    build_cohort,
 )
 from repro.nn.optim import ProximalSGD, SGD
 
@@ -130,46 +129,17 @@ def _maxrss_kb() -> int:
         return 0
 
 
-class _WorkerCaches:
-    """Template models and batched kernel sets, reused across jobs."""
+def _template(templates: dict, architecture: str, dtype_name: str, seed: int):
+    """The worker's model of one architecture/dtype, built once per worker."""
+    from repro.nn.architectures import build_model
+    from repro.nn.dtype import using_dtype
 
-    def __init__(self) -> None:
-        self.templates: Dict[Tuple[str, str], object] = {}
-        self.kernels: Dict[tuple, tuple] = {}
-
-    def template(self, architecture: str, dtype_name: str, seed: int):
-        from repro.nn.architectures import build_model
-        from repro.nn.dtype import using_dtype
-
-        cached = self.templates.get((architecture, dtype_name))
-        if cached is None:
-            with using_dtype(dtype_name):
-                cached = build_model(architecture, rng=np.random.default_rng(seed))
-            self.templates[(architecture, dtype_name)] = cached
-        return cached
-
-    def cohort_kernels(self, key: tuple, lanes: int, template):
-        cache_key = (key, lanes)
-        cached = self.kernels.get(cache_key)
-        if cached is not None:
-            return cached
-        model = BatchedModel(template, lanes)
-        opt_key = key[5]
-        if opt_key[0] == "prox":
-            optimizer: BatchedSGD = BatchedProximalSGD(
-                lr=opt_key[1],
-                mu=opt_key[2],
-                momentum=opt_key[3],
-                weight_decay=opt_key[4],
-            )
-        else:
-            optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
-        batch_n, input_shape, y_dtype = key[2], key[3], key[4]
-        x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
-        y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
-        kernels = (model, optimizer, x_arena, y_arena)
-        self.kernels[cache_key] = kernels
-        return kernels
+    cached = templates.get((architecture, dtype_name))
+    if cached is None:
+        with using_dtype(dtype_name):
+            cached = build_model(architecture, rng=np.random.default_rng(seed))
+        templates[(architecture, dtype_name)] = cached
+    return cached
 
 
 def _make_solo_optimizer(opt_key: tuple):
@@ -220,22 +190,19 @@ def _train_solo(template, key: tuple, globals_by_section: dict, lane: dict) -> d
 
 
 def _train_cohort(
-    template, key: tuple, globals_by_section: dict, lanes: Sequence[dict], caches, stats
+    template, key: tuple, globals_by_section: dict, lanes: Sequence[dict], stats
 ) -> dict:
     """Shard-local lockstep: the parent cohort's wave loop, verbatim.
 
     Every lane draws each wave up to the group's horizon (exactly like
     ``_Cohort.advance``); a lane is snapshotted the wave it reaches its
     *own* total, which is the state the parent's fast-materialize path
-    would read at that step count.
+    would read at that step count.  The kernel set lives for this job only.
     """
     from repro.nn.model import SplitCNN
 
-    model, optimizer, x, y = caches.cohort_kernels(key, len(lanes), template)
-    model.unfreeze_features()
-    model.unfreeze_classifier()
+    model, optimizer, x, y = build_cohort(key, len(lanes), template)
     model.load_all_lanes(globals_by_section)
-    optimizer.reset_state()
     if isinstance(optimizer, BatchedProximalSGD):
         optimizer.set_anchor(dict(globals_by_section))
     loaders = [_shadow_loader(lane) for lane in lanes]
@@ -265,17 +232,17 @@ def _train_cohort(
     return results
 
 
-def _execute_job(job: dict, caches: _WorkerCaches, stats: dict) -> dict:
+def _execute_job(job: dict, templates: dict, stats: dict) -> dict:
     key = job["key"]
     stats["jobs"] += 1
     stats["lanes"] += len(job["lanes"])
-    template = caches.template(job["architecture"], key[1], job["seed"])
+    template = _template(templates, job["architecture"], key[1], job["seed"])
     lanes = job["lanes"]
     if len(lanes) == 1:
         stats["solo_lanes"] += 1
         lane = lanes[0]
         return {lane["client_id"]: _train_solo(template, key, job["globals"], lane)}
-    return _train_cohort(template, key, job["globals"], lanes, caches, stats)
+    return _train_cohort(template, key, job["globals"], lanes, stats)
 
 
 def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: str) -> None:
@@ -294,7 +261,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
     load_plugins()
 
     stats = {"jobs": 0, "lanes": 0, "solo_lanes": 0, "waves": 0, "cancels_received": 0}
-    caches = _WorkerCaches()
+    templates: dict = {}
     while True:
         try:
             if not conn.poll(1.0):
@@ -330,7 +297,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
         if kind == "job":
             job_id, payload = message[1], message[2]
             try:
-                result = _execute_job(payload, caches, stats)
+                result = _execute_job(payload, templates, stats)
             except BaseException as exc:  # surface worker bugs to the parent
                 conn.send(("error", job_id, repr(exc)))
                 continue

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.datasets import (
+    _NOISE_BLOCK,
     DATASETS,
     Dataset,
     _smooth_prototype,
@@ -158,7 +159,11 @@ _REGISTERED = {
 
 class TestDatasetSynthesisMatchesPerSampleRoll:
     @pytest.mark.parametrize("seed", [1, 23])
-    @pytest.mark.parametrize("sizes", [(97, 1), (400, 60)])
+    # The last pair sits on the noise-block edges: two full blocks and one
+    # sample, and exactly one block.
+    @pytest.mark.parametrize(
+        "sizes", [(97, 1), (400, 60), (2 * _NOISE_BLOCK + 1, _NOISE_BLOCK)]
+    )
     @pytest.mark.parametrize("name", sorted(_REGISTERED))
     def test_registered_datasets(self, name, sizes, seed):
         shape, num_classes, noise = _REGISTERED[name]
