@@ -90,9 +90,11 @@ class RunHandle:
         #: Round the run was resumed from (``None``: ran from the start).
         self.resumed_from_round: Optional[int] = None
         self._checkpoint: Optional[dict] = None
-        #: The built :class:`repro.fl.runtime.ExperimentHandle`, set once
-        #: execution starts (``None`` for store replays).  ``repro serve``
-        #: reaches the live :class:`ScenarioDynamics` through this.
+        #: The built :class:`repro.fl.runtime.ExperimentHandle`: set while
+        #: the stream runs, ``None`` once it ended — complete, stopped,
+        #: failed or abandoned, the experiment is closed and let go (and
+        #: ``None`` throughout for store replays).  ``repro serve`` reaches
+        #: the live :class:`ScenarioDynamics` through this.
         self.experiment = None
         #: Whether the run was stopped early by :meth:`request_stop`.
         self.stopped = False
@@ -203,27 +205,24 @@ class RunHandle:
         start = time.perf_counter()
         experiment = build_experiment(self.config)
         self.experiment = experiment
-        snapshot = self._checkpoint
-        if snapshot is not None:
-            # Overwrite the freshly built experiment's state with the
-            # checkpoint; the round listener is registered afterwards, so
-            # only rounds computed from here on stream (and the writer is
-            # seeded with the checkpointed records below).
-            restore_snapshot(experiment, snapshot)
-            self.resumed_from_round = snapshot["round"]
-        pending: deque = deque()
-        experiment.federator.result.add_round_listener(pending.append)
-        writer = (
-            self.store.start_run(
-                self.config,
-                label=self.label,
-                initial_records=snapshot["records"] if snapshot is not None else None,
-            )
-            if self.store is not None
-            else None
-        )
-        checkpointer = None
+        writer = checkpointer = None
         try:
+            snapshot, self._checkpoint = self._checkpoint, None
+            if snapshot is not None:
+                # Overwrite the freshly built experiment's state with the
+                # checkpoint; the round listener is registered afterwards, so
+                # only rounds computed from here on stream (and the writer is
+                # seeded with the checkpointed records below).
+                restore_snapshot(experiment, snapshot)
+                self.resumed_from_round = snapshot["round"]
+            pending: deque = deque()
+            experiment.federator.result.add_round_listener(pending.append)
+            if self.store is not None:
+                writer = self.store.start_run(
+                    self.config,
+                    label=self.label,
+                    initial_records=snapshot["records"] if snapshot is not None else None,
+                )
             if writer is not None and self.config.checkpoint_interval is not None:
                 checkpointer = RunCheckpointer(
                     experiment,
@@ -275,9 +274,9 @@ class RunHandle:
                 writer.finalize(result, wall_seconds=self._wall_seconds)
                 writer = None
         finally:
-            executor = getattr(experiment.cluster, "batched_executor", None)
-            if executor is not None:
-                executor.close()
+            # However the stream ended, the run gives back what it built.
+            experiment.close()
+            self.experiment = None
             if writer is not None:  # stream abandoned mid-run
                 writer.abort()
 

@@ -18,10 +18,12 @@ This substitution is documented in DESIGN.md §1.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.registry import DATASETS as _DATASET_REGISTRY
 from repro.registry import RegistryView, register_dataset
@@ -36,7 +38,8 @@ class Dataset:
     name:
         Dataset identifier (``"mnist"``, ``"fmnist"``, ``"cifar10"``, ...).
     x_train, y_train, x_test, y_test:
-        Images in ``(N, C, H, W)`` float64 layout and integer labels.
+        Images in ``(N, C, H, W)`` layout (float64 unless the dataset was
+        built for another compute dtype) and integer labels.
     num_classes:
         Number of distinct labels.
     """
@@ -99,8 +102,8 @@ def _smooth_prototype(
     return blurred
 
 
-#: Samples per noise draw in :func:`_generate_split` (any value gives the
-#: same bytes; this one keeps the buffer around a megabyte).
+#: Samples per block in :func:`_generate_split` (any value gives the same
+#: bytes; this one keeps the float64 working set around a megabyte).
 _NOISE_BLOCK = 256
 
 
@@ -110,6 +113,7 @@ def _generate_split(
     noise: float,
     max_shift: int,
     rng: np.random.Generator,
+    dtype=np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Generate ``n_samples`` images by perturbing class prototypes.
 
@@ -117,41 +121,41 @@ def _generate_split(
     can have several visual modes (e.g. different writing styles of the same
     digit), which keeps the classification problem from being trivially
     separable and lets accuracy evolve over multiple federated rounds.
+
+    Every sample is computed in float64 and stored as ``dtype``, a block of
+    samples at a time: the result is byte for byte the float64 split cast
+    with ``astype(dtype)``, without a split-sized float64 array.
     """
     num_classes, modes, c, h, w = prototypes.shape
     labels = rng.integers(0, num_classes, size=n_samples)
     mode_choice = rng.integers(0, modes, size=n_samples)
-    images = np.empty((n_samples, c, h, w), dtype=np.float64)
     shifts_y = rng.integers(-max_shift, max_shift + 1, size=n_samples)
     shifts_x = rng.integers(-max_shift, max_shift + 1, size=n_samples)
-    # One gather and one roll per distinct shift (at most 49), not per
-    # sample.  The samples of a shift are rolled, not the prototype bank:
-    # the work is then the size of the split whatever the number of classes.
-    span = 2 * max_shift + 1
-    shift_codes = (shifts_y + max_shift) * span + (shifts_x + max_shift)
-    for code in np.unique(shift_codes):
-        group = np.flatnonzero(shift_codes == code)
-        shift_y, shift_x = divmod(int(code), span)
-        images[group] = np.roll(
-            prototypes[labels[group], mode_choice[group]],
-            (shift_y - max_shift, shift_x - max_shift),
-            axis=(2, 3),
-        )
-    # The pixel noise goes through one reused buffer, a block of samples at
-    # a time: the generator stream — and so every byte — is that of one
+    # A cyclic shift is a window of the prototype extended periodically by
+    # ``max_shift`` pixels: ``np.roll(p, (sy, sx))[y, x]`` is
+    # ``padded[y + max_shift - sy, x + max_shift - sx]``.  One gather per
+    # block then picks class, mode and shift together, and what is kept
+    # beside the prototypes is their padding, not a bank of rolled copies.
+    pad = ((0, 0),) * 3 + ((max_shift, max_shift),) * 2
+    windows = sliding_window_view(np.pad(prototypes, pad, mode="wrap"), (h, w), axis=(3, 4))
+    origin_y, origin_x = max_shift - shifts_y, max_shift - shifts_x
+    images = np.empty((n_samples, c, h, w), dtype=dtype)
+    # The generator stream — and so every byte — is that of one
     # ``rng.normal(0.0, noise, size=images.shape)`` (``0.0 + noise * z`` is
-    # ``noise * z``), without a second split-sized float64 array.
-    block = np.empty((min(n_samples, _NOISE_BLOCK), c, h, w), dtype=np.float64)
+    # ``noise * z``), drawn through the one float64 buffer a block is
+    # finished in.
+    buffer = np.empty((min(n_samples, _NOISE_BLOCK), c, h, w), dtype=np.float64)
     for start in range(0, n_samples, _NOISE_BLOCK):
-        part = images[start : start + _NOISE_BLOCK]
-        draw = block[: part.shape[0]]
-        rng.standard_normal(out=draw)
-        draw *= noise
-        part += draw
+        block = slice(start, min(start + _NOISE_BLOCK, n_samples))
+        part = buffer[: block.stop - start]
+        rng.standard_normal(out=part)
+        part *= noise
+        part += windows[labels[block], mode_choice[block], :, origin_y[block], origin_x[block]]
         np.clip(part, 0.0, 1.0, out=part)
         # Standardise to zero mean / unit-ish scale, like torchvision transforms.
         part -= 0.5
         part /= 0.5
+        images[block] = part
     return images, labels.astype(np.int64)
 
 
@@ -165,6 +169,7 @@ def make_dataset(
     max_shift: int = 3,
     modes_per_class: int = 2,
     seed: int = 0,
+    dtype=np.float64,
 ) -> Dataset:
     """Build a synthetic dataset with the requested geometry.
 
@@ -187,6 +192,9 @@ def make_dataset(
         make the classification problem harder.
     seed:
         Seed controlling prototypes and samples.
+    dtype:
+        Dtype the images are stored in (the arithmetic is float64 whatever
+        it is: a float32 dataset is the float64 one, cast).
     """
     if train_size <= 0 or test_size <= 0:
         raise ValueError("train_size and test_size must be positive")
@@ -201,8 +209,8 @@ def make_dataset(
             for _ in range(num_classes)
         ]
     )
-    x_train, y_train = _generate_split(train_size, prototypes, noise, max_shift, rng)
-    x_test, y_test = _generate_split(test_size, prototypes, noise, max_shift, rng)
+    x_train, y_train = _generate_split(train_size, prototypes, noise, max_shift, rng, dtype)
+    x_test, y_test = _generate_split(test_size, prototypes, noise, max_shift, rng, dtype)
     return Dataset(
         name=name,
         x_train=x_train,
@@ -214,27 +222,43 @@ def make_dataset(
 
 
 @register_dataset("mnist")
-def synthetic_mnist(train_size: int = 4000, test_size: int = 1000, seed: int = 1) -> Dataset:
+def synthetic_mnist(
+    train_size: int = 4000, test_size: int = 1000, seed: int = 1, dtype=np.float64
+) -> Dataset:
     """Synthetic stand-in for MNIST (28x28 grayscale, 10 classes)."""
-    return make_dataset("mnist", (1, 28, 28), 10, train_size, test_size, noise=0.35, seed=seed)
+    return make_dataset(
+        "mnist", (1, 28, 28), 10, train_size, test_size, noise=0.35, seed=seed, dtype=dtype
+    )
 
 
 @register_dataset("fmnist")
-def synthetic_fmnist(train_size: int = 4000, test_size: int = 1000, seed: int = 2) -> Dataset:
+def synthetic_fmnist(
+    train_size: int = 4000, test_size: int = 1000, seed: int = 2, dtype=np.float64
+) -> Dataset:
     """Synthetic stand-in for Fashion-MNIST (28x28 grayscale, 10 classes)."""
-    return make_dataset("fmnist", (1, 28, 28), 10, train_size, test_size, noise=0.45, seed=seed)
+    return make_dataset(
+        "fmnist", (1, 28, 28), 10, train_size, test_size, noise=0.45, seed=seed, dtype=dtype
+    )
 
 
 @register_dataset("cifar10")
-def synthetic_cifar10(train_size: int = 4000, test_size: int = 1000, seed: int = 3) -> Dataset:
+def synthetic_cifar10(
+    train_size: int = 4000, test_size: int = 1000, seed: int = 3, dtype=np.float64
+) -> Dataset:
     """Synthetic stand-in for Cifar-10 (32x32 RGB, 10 classes)."""
-    return make_dataset("cifar10", (3, 32, 32), 10, train_size, test_size, noise=0.5, seed=seed)
+    return make_dataset(
+        "cifar10", (3, 32, 32), 10, train_size, test_size, noise=0.5, seed=seed, dtype=dtype
+    )
 
 
 @register_dataset("cifar100")
-def synthetic_cifar100(train_size: int = 4000, test_size: int = 1000, seed: int = 4) -> Dataset:
+def synthetic_cifar100(
+    train_size: int = 4000, test_size: int = 1000, seed: int = 4, dtype=np.float64
+) -> Dataset:
     """Synthetic stand-in for Cifar-100 (32x32 RGB, 100 classes)."""
-    return make_dataset("cifar100", (3, 32, 32), 100, train_size, test_size, noise=0.5, seed=seed)
+    return make_dataset(
+        "cifar100", (3, 32, 32), 100, train_size, test_size, noise=0.5, seed=seed, dtype=dtype
+    )
 
 
 #: Dict-like facade over the dataset registry, kept for the historical
@@ -243,8 +267,19 @@ def synthetic_cifar100(train_size: int = 4000, test_size: int = 1000, seed: int 
 DATASETS: Mapping[str, Callable[..., Dataset]] = RegistryView(_DATASET_REGISTRY)
 
 
-def load_dataset(name: str, train_size: Optional[int] = None, test_size: Optional[int] = None, seed: Optional[int] = None) -> Dataset:
-    """Load a named synthetic dataset with optional size/seed overrides."""
+def load_dataset(
+    name: str,
+    train_size: Optional[int] = None,
+    test_size: Optional[int] = None,
+    seed: Optional[int] = None,
+    dtype=None,
+) -> Dataset:
+    """Load a named synthetic dataset with optional size/seed/dtype overrides.
+
+    ``dtype`` reaches the factories that take one (every built-in does, and
+    synthesises straight into it); a registered factory without a ``dtype``
+    parameter returns whatever it builds and the caller casts.
+    """
     try:
         factory = DATASETS[name]
     except KeyError:
@@ -256,4 +291,6 @@ def load_dataset(name: str, train_size: Optional[int] = None, test_size: Optiona
         kwargs["test_size"] = test_size
     if seed is not None:
         kwargs["seed"] = seed
+    if dtype is not None and "dtype" in inspect.signature(factory).parameters:
+        kwargs["dtype"] = dtype
     return factory(**kwargs)

@@ -195,6 +195,14 @@ class BaseFederator:
         """Schedule the first round; call before running the simulation."""
         self.env.schedule(self.setup_time, self._start_round)
 
+    def close(self) -> None:
+        """Drop the global model, the test split, round state and hooks.
+
+        ``result`` stays: it is what a finished run hands to its caller.
+        """
+        self.global_model = self.global_weights = self.x_test = self.y_test = None
+        self._round_state = self.checkpoint_hook = self.pool = None
+
     @property
     def finished(self) -> bool:
         return self._rounds_completed >= self.config.rounds

@@ -63,7 +63,12 @@ class ExperimentHandle:
         return self.pool.hydrated_clients()
 
     def run(self) -> ExperimentResult:
-        """Start the federator and run the simulation to completion."""
+        """Start the federator and run the simulation to completion.
+
+        Releases the executor's workers but does not :meth:`close`: the
+        pool, the executor's counters and the federator's result stay
+        readable on the handle afterwards.
+        """
         try:
             self.federator.start()
             self.cluster.run()
@@ -72,6 +77,27 @@ class ExperimentHandle:
             executor = getattr(self.cluster, "batched_executor", None)
             if executor is not None:
                 executor.close()
+
+    def close(self) -> None:
+        """End the experiment: break its ownership cycles at their hubs.
+
+        Cluster, clients, federator, pool and scenario driver point at each
+        other; emptying the four hubs leaves the dataset, the models and the
+        loaders to plain reference counting, so they are freed when the last
+        outside reference goes — no collector pass, nothing carried into the
+        next run of the process.  Idempotent; a closed experiment cannot run.
+        """
+        self.cluster.close()
+        self.pool.close()
+        self.federator.close()
+        if self.dynamics is not None:
+            self.dynamics.close()
+
+    def __enter__(self) -> "ExperimentHandle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _build_profiles(resources: ResourceConfig, num_clients: int, rng: np.random.Generator) -> List[ResourceProfile]:
@@ -216,13 +242,18 @@ def uses_sharded_execution(config: ExperimentConfig) -> bool:
 def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHandle:
     rng = np.random.default_rng(config.seed)
 
-    dataset = load_dataset(
-        config.dataset,
-        train_size=config.train_size,
-        test_size=config.test_size,
-        seed=config.seed,
+    # The built-in datasets synthesise straight into the compute dtype; the
+    # cast is for a registered factory that has no ``dtype`` parameter.
+    dataset = _cast_dataset(
+        load_dataset(
+            config.dataset,
+            train_size=config.train_size,
+            test_size=config.test_size,
+            seed=config.seed,
+            dtype=dtype,
+        ),
+        dtype,
     )
-    dataset = _cast_dataset(dataset, dtype)
     plan = plan_partition(
         dataset,
         config.num_clients,
@@ -353,4 +384,5 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Build and run an experiment, returning its result."""
-    return build_experiment(config).run()
+    with build_experiment(config) as handle:
+        return handle.run()

@@ -76,6 +76,9 @@ class DirectTransport:
     def unregister(self, node_id: Any) -> None:
         self._network.unregister(node_id)
 
+    def close(self) -> None:
+        """Nothing to drop: the handlers live in the network."""
+
     def send(
         self,
         sender: Any,
@@ -167,6 +170,13 @@ class ReliableTransport:
     def unregister(self, node_id: Any) -> None:
         self._handlers.pop(node_id, None)
         self._network.unregister(node_id)
+
+    def close(self) -> None:
+        """Forget handlers, listeners and un-ACKed sends; counters stay."""
+        self._handlers.clear()
+        self._expiry_listeners.clear()
+        self._pending.clear()
+        self._timers.clear()
 
     def add_expiry_listener(self, callback: Callable[[dict], None]) -> None:
         """Call ``callback(entry)`` when a send exhausts its attempts.

@@ -1540,7 +1540,10 @@ class BatchedClientExecutor:
                 self._maybe_release(cohort)
 
     def close(self) -> None:
-        """Release executor-held resources (worker pools in subclasses)."""
+        """Release executor-held resources: the cohorts, whose lanes hold
+        clients (and worker pools in subclasses).  ``stats`` stays."""
+        self._plan = {}
+        self._live = []
 
     # ------------------------------------------------------------- internals
     def _maybe_release(self, cohort: _Cohort) -> None:

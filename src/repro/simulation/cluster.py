@@ -302,6 +302,22 @@ class SimulatedCluster:
         self.env.run(until=until, max_events=max_events)
         return self.env.now
 
+    def close(self) -> None:
+        """Drop what points back at the experiment; idempotent.
+
+        Actors, membership listeners, queued events, network handlers and
+        transport registrations all hold clients, the pool or the federator,
+        which hold the cluster: emptied here, the cluster is a leaf.  The
+        nodes, profiles and counters stay readable.
+        """
+        if self.batched_executor is not None:
+            self.batched_executor.close()
+        self._actors.clear()
+        self._membership_listeners.clear()
+        self.env.close()
+        self.network.close()
+        self.transport.close()
+
     def describe(self) -> Dict[str, Any]:
         """Summary of the cluster configuration, useful in experiment logs."""
         speeds = [self.profile(cid).speed_fraction for cid in self.client_ids]

@@ -341,6 +341,11 @@ class ScenarioDynamics:
             event.cancel()
         self._pending.clear()
 
+    def close(self) -> None:
+        """Cancel what is scheduled and drop the stop predicate; idempotent."""
+        self.cancel_pending()
+        self._stop_when = None
+
     def restore_state(self, state: dict) -> None:
         """Restore counters and the rng stream from :meth:`capture_state`.
 

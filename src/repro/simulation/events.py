@@ -152,3 +152,7 @@ class SimulationEnvironment:
     def pending_events(self) -> int:
         """Number of events still waiting to fire."""
         return len(self._queue)
+
+    def close(self) -> None:
+        """Drop every queued event (and the actors its callback holds)."""
+        self._queue = EventQueue()

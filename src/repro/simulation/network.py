@@ -324,6 +324,12 @@ class Network:
         """Whether a node currently has a registered handler."""
         return node_id in self._handlers
 
+    def close(self) -> None:
+        """Forget every handler and in-flight message; counters stay."""
+        self._handlers.clear()
+        self._in_flight.clear()
+        self._by_endpoint.clear()
+
     # ----------------------------------------------------------------- liveness
     def is_online(self, node_id: Any) -> bool:
         """Whether a node is currently connected (nodes default to online)."""

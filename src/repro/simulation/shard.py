@@ -781,6 +781,7 @@ class ShardedClientExecutor(BatchedClientExecutor):
         return self._job_counter
 
     def close(self) -> None:
+        super().close()
         pool, self._pool = self._pool, None
         if pool is not None:
             _release_pool(pool)

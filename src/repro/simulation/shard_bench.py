@@ -58,9 +58,8 @@ def _maxrss_mb() -> float:
 
 def _run_instrumented(config) -> Dict[str, object]:
     """Run one config, returning wall-clock, records, and shard RSS."""
-    handle = build_experiment(config)
-    start = time.perf_counter()
-    try:
+    with build_experiment(config) as handle:
+        start = time.perf_counter()
         handle.federator.start()
         handle.cluster.run()
         wall_s = time.perf_counter() - start
@@ -68,11 +67,7 @@ def _run_instrumented(config) -> Dict[str, object]:
         shard_state = (
             executor.shard_snapshot() if hasattr(executor, "shard_snapshot") else None
         )
-    finally:
-        executor = getattr(handle.cluster, "batched_executor", None)
-        if executor is not None:
-            executor.close()
-    result = handle.federator.result
+        result = handle.federator.result
     workers = (shard_state or {}).get("workers") or []
     return {
         "wall_s": wall_s,

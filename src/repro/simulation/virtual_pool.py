@@ -198,6 +198,16 @@ class VirtualClientPool:
             "slots_built": self.slots_built,
         }
 
+    def close(self) -> None:
+        """Drop the cohort, the arena, the dataset and the plan; idempotent.
+
+        The diagnostics counters stay, so :meth:`describe` still answers.
+        """
+        self.descriptors.clear()
+        self._active.clear()
+        self._free.clear()
+        self.dataset = self.plan = self.model_factory = None
+
     # -------------------------------------------------------------- hydration
     def ensure_active(self, client_ids: Iterable[int]) -> None:
         """Hydrate (and pin) the clients a federator is about to engage.

@@ -92,6 +92,30 @@ def round_dicts(result) -> List[dict]:
     return [dataclasses.asdict(record) for record in result.rounds]
 
 
+def golden_run(config, tmp_path):
+    """The uninterrupted run a resumed one is compared with, and its store."""
+    from repro.api import RunStore, run
+
+    store = RunStore(tmp_path / "golden")
+    return run(config, store=store).result(), store
+
+
+def assert_bitwise_resume(config, golden, golden_store, resumed_handle, store):
+    from repro.api import run_key
+
+    result = resumed_handle.result()
+    assert resumed_handle.resumed_from_round is not None, "run did not resume"
+    assert round_dicts(result) == round_dicts(golden)
+    assert json.dumps(result.summary(), sort_keys=True) == json.dumps(
+        golden.summary(), sort_keys=True
+    )
+    key = run_key(config)
+    assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
+    stored = store.get(config)
+    assert stored is not None, "resumed run should be complete in the store"
+    assert not stored.has_checkpoint, "finalize must remove the checkpoint"
+
+
 # ------------------------------------------------------- pool-worker side
 PROBE_ALGORITHM = "fedavg-probe"
 PROBE_DIR_ENV = "CRASH_HARNESS_PROBE_DIR"

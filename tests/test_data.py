@@ -178,6 +178,83 @@ class TestDatasetSynthesisMatchesPerSampleRoll:
         dataset = make_dataset("probe", (2, 9, 11), 4, 150, 1, **kwargs)
         _assert_same_arrays(dataset, _per_sample_dataset("probe", (2, 9, 11), 4, 150, 1, **kwargs))
 
+    # Each block-edge size once as the train split and once as the test
+    # split, which continues the train split's generator.
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (1, 2 * _NOISE_BLOCK + 1),
+            (_NOISE_BLOCK - 1, _NOISE_BLOCK),
+            (_NOISE_BLOCK, _NOISE_BLOCK - 1),
+            (2 * _NOISE_BLOCK + 1, 1),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", sorted(_REGISTERED))
+    def test_compute_dtype_is_the_float64_dataset_cast(self, name, dtype, sizes):
+        """Synthesised straight into ``dtype`` == synthesised, then cast."""
+        train_size, test_size = sizes
+        kwargs = dict(train_size=train_size, test_size=test_size, seed=9)
+        direct = load_dataset(name, dtype=np.dtype(dtype), **kwargs)
+        reference = load_dataset(name, **kwargs)
+        assert reference.x_train.dtype == reference.x_test.dtype == np.float64
+        for field in ("x_train", "x_test"):
+            got = getattr(direct, field)
+            assert got.dtype == np.dtype(dtype), field
+            assert got.tobytes() == getattr(reference, field).astype(dtype).tobytes(), field
+        for field in ("y_train", "y_test"):
+            got, expected = getattr(direct, field), getattr(reference, field)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+
+    def test_build_peak_is_the_dataset_not_three_of_it(self):
+        """No split-sized float64 staging array and no cast copy: building a
+        float32 ``city`` dataset peaks near the arrays it returns (loading
+        in float64 and casting peaked at three times that)."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            dataset = load_dataset("mnist", train_size=8000, test_size=64, seed=5, dtype=np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(
+            getattr(dataset, field).nbytes for field in ("x_train", "y_train", "x_test", "y_test")
+        )
+        assert peak < 1.3 * returned, (peak, returned)
+
+
+class TestDatasetFactoryWithoutDtype:
+    """A third-party factory that predates the ``dtype`` parameter."""
+
+    @pytest.fixture
+    def plain_factory(self):
+        from repro.registry import DATASETS as registry
+        from repro.registry import register_dataset
+
+        @register_dataset("unit-test-plain", architecture="mnist-cnn")
+        def plain(train_size=200, test_size=40, seed=0):
+            return make_dataset("unit-test-plain", (1, 28, 28), 10, train_size, test_size, seed=seed)
+
+        try:
+            yield plain
+        finally:
+            registry.unregister("unit-test-plain")
+
+    def test_load_dataset_does_not_pass_it_a_dtype(self, plain_factory):
+        dataset = load_dataset("unit-test-plain", train_size=20, test_size=5, dtype=np.float32)
+        assert dataset.x_train.dtype == np.float64  # the caller casts
+
+    def test_it_still_builds_a_float32_experiment(self, plain_factory, smoke_config):
+        from repro.fl.runtime import build_experiment
+
+        config = smoke_config.with_overrides(dataset="unit-test-plain", dtype="float32")
+        with build_experiment(config) as handle:
+            assert handle.pool.dataset.x_train.dtype == np.float32
+            assert handle.federator.x_test.dtype == np.float32
+            result = handle.run()
+        assert result.num_rounds == config.rounds
+
 
 class TestPartitioning:
     def test_iid_partitions_are_disjoint_and_cover(self, tiny_dataset):

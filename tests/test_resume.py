@@ -18,14 +18,19 @@ Two interruption modes are exercised:
 from __future__ import annotations
 
 import dataclasses
-import json
 import pickle
 import random
 
 import pytest
 
 import repro.api as api
-from crash_harness import read_rounds_bytes, round_dicts, run_and_crash
+from crash_harness import (
+    assert_bitwise_resume,
+    golden_run,
+    read_rounds_bytes,
+    round_dicts,
+    run_and_crash,
+)
 from repro.api import RunStore, run, run_key
 from repro.api.store import CHECKPOINT_NAME
 from repro.fl.checkpoint import CHECKPOINT_FORMAT, capture_snapshot, load_checkpoint
@@ -64,11 +69,6 @@ def make_config(algorithm, scenario="churn", **overrides):
     )
 
 
-def golden_run(config, tmp_path):
-    store = RunStore(tmp_path / "golden")
-    return run(config, store=store).result(), store
-
-
 def interrupt_after(config, store, consumed_rounds):
     """Start a store-backed run, consume a few rounds, abandon the stream."""
     handle = run(config, store=store)
@@ -77,20 +77,6 @@ def interrupt_after(config, store, consumed_rounds):
         next(iterator)
     iterator.close()  # writer aborts; manifest stays "running"
     return handle
-
-
-def assert_bitwise_resume(config, golden, golden_store, resumed_handle, store):
-    result = resumed_handle.result()
-    assert resumed_handle.resumed_from_round is not None, "run did not resume"
-    assert round_dicts(result) == round_dicts(golden)
-    assert json.dumps(result.summary(), sort_keys=True) == json.dumps(
-        golden.summary(), sort_keys=True
-    )
-    key = run_key(config)
-    assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
-    stored = store.get(config)
-    assert stored is not None, "resumed run should be complete in the store"
-    assert not stored.has_checkpoint, "finalize must remove the checkpoint"
 
 
 # ---------------------------------------------------------------------------
