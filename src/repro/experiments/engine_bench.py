@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.fl.aggregation import fedavg_aggregate_flat, fednova_aggregate_flat
 from repro.nn.architectures import build_model
-from repro.nn.batched import BatchedModel, BatchedSGD
+from repro.nn.batched import _GEMM_PROBE_CACHE, BatchedModel, BatchedSGD
 from repro.nn.dtype import using_dtype
 from repro.nn.optim import SGD
 from repro.nn.reference import (
@@ -296,6 +296,43 @@ def bench_round_step(
     return results
 
 
+def bench_step_breakdown(arch: str, repeats: int, warmup: int) -> Dict[str, object]:
+    """Per kernel layer forward/backward ms inside real consecutive steps.
+
+    Timed in situ, around the layers of the model's own ``lanes=1`` kernel
+    set while ``train_batch`` walks fresh batches under a live optimiser: a
+    kernel's cost depends on its data (on constant input the pooling arg-max
+    select ran 16x faster than on real activations — branch prediction).
+    """
+    size = 16  # the paper's batch size: the step a ``bench``-scale run spends its time in
+    with using_dtype("float32"):
+        model = build_model(arch, rng=np.random.default_rng(0))
+    x, y = _input_batch(arch, size * (1 + warmup + repeats), model.dtype)
+    optimizer = SGD(lr=0.05, momentum=0.9)
+    model.train_batch(x[:size], y[:size], optimizer)  # builds the kernel set, runs its probes
+    kernels = model._kernel_sets()[0]
+    samples: Dict[str, List[float]] = {}
+
+    def timed(key: str, fn: Callable) -> Callable:
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            samples.setdefault(key, []).append((time.perf_counter() - start) * 1000.0)
+            return out
+
+        return wrapper
+
+    for position, layer in enumerate(kernels.feature_layers + kernels.classifier_layers):
+        name = f"{position}:{type(layer).__name__[len('_Batched'):]}"
+        layer.forward = timed(f"{name} forward", layer.forward)
+        layer.backward = timed(f"{name} backward", layer.backward)
+    step = timed("step", model.train_batch)
+    for start in range(size, len(x), size):
+        step(x[start : start + size], y[start : start + size], optimizer)
+    table = {key: float(median(column[warmup:])) for key, column in samples.items()}
+    return {"batch_size": size, "step_ms": table.pop("step"), "layers_ms": table}
+
+
 def run_engine_bench(
     architectures: Sequence[str] = DEFAULT_ARCHITECTURES,
     batch_size: int = 32,
@@ -321,6 +358,7 @@ def run_engine_bench(
         "eval_step": {},
         "aggregation": {},
         "round_step": {},
+        "step_breakdown": {},
     }
     for arch in architectures:
         results["train_step"][arch] = bench_train_step(arch, batch_size, repeats, warmup)
@@ -335,6 +373,14 @@ def run_engine_bench(
     results["round_step"][architectures[0]] = bench_round_step(
         architectures[0], round_clients, batch_size, repeats, warmup
     )
+    results["step_breakdown"][architectures[0]] = bench_step_breakdown(
+        architectures[0], max(repeats * 5, 50), warmup * 5
+    )
+    # Which conv GEMMs this BLAS lets through bitwise, for every shape that
+    # ran above: ``geometry ckk oc dtype`` -> (forward, weight-grad, input-grad).
+    results["meta"]["gemm_probes"] = {  # type: ignore[index]
+        " ".join(map(str, key)): list(verdict) for key, verdict in _GEMM_PROBE_CACHE.items()
+    }
     if output_path:
         with open(output_path, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
@@ -384,4 +430,8 @@ def render_engine_bench(results: Dict[str, object]) -> str:
                     f"{row[f'{dtype_name}_batched_ms']:>10.2f} "
                     f"{row[f'{dtype_name}_speedup']:>8.2f}x"
                 )
+    for arch, table in (results.get("step_breakdown") or {}).items():
+        lines.append(f"  step breakdown ({arch} float32 B={table['batch_size']}, in situ)")
+        lines.append(f"    {'whole step':<26} {table['step_ms']:>8.3f}")
+        lines.extend(f"    {key:<26} {ms:>8.3f}" for key, ms in table["layers_ms"].items())
     return "\n".join(lines)

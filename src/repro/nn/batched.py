@@ -14,9 +14,10 @@ dimension:
   ``N`` small ones.
 
 What makes the kernels fast is their layout — channel-major activations,
-pad and pool staging fused into the consumer's pad buffer, no input-layer
-dX — not the lockstep: a step costs the same per lane at ``lanes=1`` as at
-``lanes=8`` (see ``BATCHED_AUTO_MIN_CLIENTS``).
+pad and pool staging fused into the consumer's pad buffer, col2im as flat
+shifted adds over a width-padded grid, no input-layer dX — not the
+lockstep: a step costs no more per lane at ``lanes=1`` than at ``lanes=8``
+(see ``BATCHED_AUTO_MIN_CLIENTS``).
 
 No kernel set owns scratch.  Every buffer a pass writes and reads back —
 im2col blocks, activations, grad-cols, pooling masks — is carved from the
@@ -74,9 +75,9 @@ from repro.nn.optim import ProximalSGD, SGD
 #: arithmetic — the per-client path runs the same kernels, on the same
 #: workspace bytes — and measured that is worth nothing: on the
 #: BENCH_engine host (mnist-cnn, float32, one BLAS thread) a B=16 step
-#: costs 5.2 ms/lane at ``lanes=1`` (32 clients stepped in turn), 5.7 at
-#: ``lanes=8`` and 5.5 at ``lanes=32``, against 9.6 ms through the layer
-#: loop; at B=32 it is 9.1 ms/lane at ``lanes=1`` against 10.3 at
+#: costs 3.4 ms/lane at ``lanes=1`` (32 clients stepped in turn), 3.6 at
+#: ``lanes=8`` and 3.9 at ``lanes=32``, against 8.3 ms through the layer
+#: loop; at B=32 it is 6.2 ms/lane at ``lanes=1`` against 7.5 at
 #: ``lanes=32`` (``round_step`` in BENCH_engine.json).  The threshold marks
 #: no speed crossover; it keeps small rounds clear of cohort bookkeeping
 #: (plan, activate, materialize, replay) that cannot pay for itself there.
@@ -198,67 +199,95 @@ def _probe_operand(rng: np.random.Generator, shape: Tuple[int, int], dtype) -> n
     return out
 
 
+#: A probe's verdict rests on at least this many compared outputs.  Two
+#: reduction orders agree on most single elements (nine in ten of a 20-term
+#: float64 dot), so a product with a handful of outputs — a thin conv, a
+#: one-wide operand that turns the GEMM into a GEMV — passed on a lucky
+#: draw; it is probed on as many draws as it takes instead.  The convs of
+#: the registered networks need at most six.
+_PROBE_MIN_OUTPUTS = 1024
+
 _GEMM_PROBE_CACHE: Dict[tuple, Tuple[bool, Optional[str], Optional[bool]]] = {}
 
 
 def _probe_fast_gemms(
-    rows: int, ckk: int, oc: int, dtype, single: bool = False, backward: bool = True
+    geometry: Tuple[int, int, int, int], ckk: int, oc: int, dtype, backward: bool = True
 ) -> Tuple[bool, Optional[str], Optional[bool]]:
-    """Check the channel-major GEMM orientations bitwise at one shape.
+    """Check the channel-major GEMMs of one conv geometry bitwise.
 
+    ``geometry`` is ``(n, out_h, out_w, wp)``: batch size, output map and
+    the padded input's width (the row pitch of the input-gradient grid).
     BLAS picks its blocking from shapes and operand layouts, never from
-    values, so a random probe at the exact ``(rows, ckk, oc, dtype)``
-    decides equality for every input at that shape.  Compares the per-lane
-    channel-major 2-D GEMMs (exactly as issued by :class:`_BatchedConv2D`'s
-    fast path, transposed-view operands included) against the per-client
-    oracle's 2-D GEMMs; a failing orientation routes that GEMM through the
-    oracle's exact operand layout instead.
+    values, so random probes at the exact shapes decide equality for every
+    input.  Compares the per-lane 2-D GEMMs exactly as
+    :class:`_BatchedConv2D` issues them (transposed-view operands and the
+    width-padded grid included) against the per-client oracle's 2-D GEMMs;
+    a failing GEMM is routed through the oracle's exact operand layout
+    instead.
 
-    Returns ``(fwd_ok, gw_mode, dc_ok)``.  ``gw_mode`` picks between two
+    Returns ``(fwd_ok, gw_mode, dx_ok)``.  ``gw_mode`` picks between two
     fast weight-gradient orientations: ``"csT"`` computes the transposed
     gradient ``colsT @ gradT.T`` (a wide-N GEMM, typically ~2x the speed of
     the reduction-heavy direct form on OpenBLAS) and ``"gT"`` the direct
     ``gradT @ colsT.T``; ``"slow"`` falls back to the oracle layout.
+    ``dx_ok`` is the input-gradient GEMM ``w_mat.T @ grid`` over the
+    ``(oc, out_h * wp * n)`` grid: its real columns must carry the
+    oracle's ``grad @ w_mat`` bit for bit, wherever the junk columns put
+    them in BLAS's blocking.
 
     ``backward=False`` is an inference pass asking: only the forward
-    orientation is probed (``gw_mode`` and ``dc_ok`` come back ``None``
-    unless a training pass at this shape already filled them in), so a
+    orientation is probed (``gw_mode`` and ``dx_ok`` come back ``None``
+    unless a training pass at this geometry already filled them in), so a
     shape that never trains — a 256-sample evaluation batch, the largest
-    GEMM of a process — never builds the gradient operand or runs the five
+    GEMM of a process — never builds the gradient operands or runs the five
     backward GEMMs.  Either way the operands are the same draws.
 
-    ``single`` marks a batch of one sample.  There the oracle's
-    ``(rows, oc)`` output gradient is not a row-major copy but a transposed
-    view of the ``(oc, rows)`` feature map (numpy reshapes a lone sample
-    without copying), so its backward GEMMs see different operand layouts;
-    the probe compares against those.
+    For a batch of one sample the oracle's ``(rows, oc)`` output gradient is
+    not a row-major copy but a transposed view of the ``(oc, rows)`` feature
+    map (numpy reshapes a lone sample without copying), so its backward
+    GEMMs see different operand layouts; the probe compares against those.
     """
-    key = (rows, ckk, oc, np.dtype(dtype).name) + (("single",) if single else ())
-    fwd_ok, gw_mode, dc_ok = _GEMM_PROBE_CACHE.get(key, (None, None, None))
+    n, out_h, out_w, wp = geometry
+    rows = n * out_h * out_w
+    key = geometry + (ckk, oc, np.dtype(dtype).name)
+    fwd_ok, gw_mode, dx_ok = _GEMM_PROBE_CACHE.get(key, (None, None, None))
     if fwd_ok is not None and (gw_mode is not None or not backward):
-        return fwd_ok, gw_mode, dc_ok
+        return fwd_ok, gw_mode, dx_ok
+    forward = fwd_ok is None
+    fewest = min(oc * rows, ckk * oc, ckk * rows) if backward else oc * rows
+    draws = -(-_PROBE_MIN_OUTPUTS // fewest)
+    fwd_fast = csT = gT = dx_fast = True
     rng = np.random.default_rng(0xC0FFEE)
-    colsT = _probe_operand(rng, (ckk, rows), dtype)
-    w_mat = _probe_operand(rng, (oc, ckk), dtype)
-    cols = np.ascontiguousarray(colsT.T)  # oracle layout (rows, ckk)
-    if fwd_ok is None:
-        fwd_ok = np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
-    if backward:
+    for _ in range(draws):
+        colsT = _probe_operand(rng, (ckk, rows), dtype)
+        w_mat = _probe_operand(rng, (oc, ckk), dtype)
+        cols = np.ascontiguousarray(colsT.T)  # oracle layout (rows, ckk)
+        if forward:
+            fwd_fast = fwd_fast and np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
+        if not backward:
+            continue
         gradT = _probe_operand(rng, (oc, rows), dtype)
         # Oracle layout (rows, oc): a view of the feature map for a lone sample.
-        grad = gradT.T if single else np.ascontiguousarray(gradT.T)
+        grad = gradT.T if n == 1 else np.ascontiguousarray(gradT.T)
         gw_oracle = grad.T @ cols
-        if np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle):
-            gw_mode = "csT"
-        elif np.array_equal(np.matmul(gradT, colsT.T), gw_oracle):
-            gw_mode = "gT"
-        else:
-            gw_mode = "slow"
+        csT = csT and np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle)
+        # The direct form only counts once "csT" has failed, which a lone
+        # draw knows before running it (it is the slowest GEMM here).
+        if gT and not (csT and draws == 1):
+            gT = np.array_equal(np.matmul(gradT, colsT.T), gw_oracle)
         # The two input-gradient products are each as large as an im2col
         # operand: drop those first, so the probe never holds more than two.
         del colsT, cols
-        dc_ok = np.array_equal(np.matmul(w_mat.T, gradT), (grad @ w_mat).T)
-    result = (fwd_ok, gw_mode, dc_ok)
+        grid = np.zeros((oc, out_h, wp, n), dtype=dtype)
+        grid[:, :, :out_w] = gradT.reshape(oc, n, out_h, out_w).transpose(0, 2, 3, 1)
+        gc = np.matmul(w_mat.T, grid.reshape(oc, -1)).reshape(ckk, out_h, wp, n)
+        dx_oracle = (grad @ w_mat).T.reshape(ckk, n, out_h, out_w)
+        dx_fast = dx_fast and np.array_equal(gc[:, :, :out_w], dx_oracle.transpose(0, 2, 3, 1))
+    if forward:
+        fwd_ok = fwd_fast
+    if backward:
+        gw_mode, dx_ok = "csT" if csT else "gT" if gT else "slow", dx_fast
+    result = (fwd_ok, gw_mode, dx_ok)
     _GEMM_PROBE_CACHE[key] = result
     return result
 
@@ -273,15 +302,20 @@ def _probe_gb_reduce(rows: int, oc: int, dtype) -> bool:
     its first axis in the oracle's pairwise order.  ``np.einsum`` walks the
     same order several times faster than ``ndarray.sum`` for the thin
     trailing axes conv layers produce, but that equality is an
-    implementation detail — so it is probed per shape, like the GEMMs.
+    implementation detail — so it is probed per shape, like the GEMMs, and
+    like them on more than a handful of outputs: for a lone channel ``sum``
+    goes pairwise down the column, ``einsum`` does not, and one sum in four
+    still comes out the same — 32 sums leave no room for that.
     """
     key = (rows, oc, np.dtype(dtype).name)
     cached = _GB_PROBE_CACHE.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(0xB1A5)
-    buf = np.ascontiguousarray(rng.standard_normal((rows, oc)).astype(dtype))
-    result = bool(np.array_equal(np.einsum("ro->o", buf), buf.sum(axis=0)))
+    result = True
+    for _ in range(-(-32 // oc)):
+        buf = np.ascontiguousarray(rng.standard_normal((rows, oc)).astype(dtype))
+        result = result and bool(np.array_equal(np.einsum("ro->o", buf), buf.sum(axis=0)))
     _GB_PROBE_CACHE[key] = result
     return result
 
@@ -292,16 +326,37 @@ class _BatchedConv2D(_BatchedLayer):
     The per-client oracle keeps activations sample-major and pays a strided
     gather or transpose in im2col, after the forward GEMM, and in every
     col2im pass.  The batched mirror leads with the channel axis instead, so
-    the im2col copy writes contiguous ``(n*oh*ow)`` rows, the forward GEMM
-    emits channel-major output directly (no transpose pass), and col2im
-    reads contiguous slabs.  Layout is free to differ from the oracle;
-    values are not: operand values, GEMM dot order (``(c, k, k)`` along K)
-    and the per-element ascending ``(i, j)`` col2im addition order all
-    match the scalar path bitwise.  The transposed GEMM orientations are
-    only shape-wise equal to the oracle's, so each is verified by
-    :func:`_probe_fast_gemms` at the exact working shape; a failing probe
-    routes that GEMM through the oracle's operand layout (at the cost of a
-    transposed copy), keeping every shape bitwise regardless.
+    the im2col copy writes contiguous ``(n*oh*ow)`` rows and the forward
+    GEMM emits channel-major output directly (no transpose pass).  Layout
+    is free to differ from the oracle; values are not: operand values, GEMM
+    dot order (``(c, k, k)`` along K) and the per-element ascending
+    ``(i, j)`` col2im addition order all match the scalar path bitwise.
+    The transposed GEMM orientations are only shape-wise equal to the
+    oracle's, so each is verified by :func:`_probe_fast_gemms` at the exact
+    working shape; a failing probe routes that GEMM through the oracle's
+    operand layout (at the cost of a transposed copy), keeping every shape
+    bitwise regardless.
+
+    The input gradient runs on a *width-padded, batch-innermost grid*.  A
+    lane's output gradient is staged as ``(oc, out_h, wp, n)`` — ``wp = w +
+    2p`` is the padded input's width, the ``wp - out_w`` junk columns of
+    each row are zero — and the grad-cols GEMM ``w_mat.T @ grid`` runs at
+    that shape: every grid column is an independent dot product over
+    ``oc``, so permuting and padding the column set leaves each real
+    element's reduction alone (the probe confirms it per shape).  With the
+    grid's rows on the accumulator's pitch, output pixel ``g = oh*wp + ow``
+    of tap ``(i, j)`` lands on flat accumulator pixel ``s*g + i*wp + j``,
+    so col2im is one shifted add per tap over the ``(c, H*wp, n)``
+    accumulator — at stride 1 a single contiguous run per channel where
+    the sample-innermost form walked ``out_w``-element rows.  Each
+    accumulator element still receives its taps in ascending ``(i, j)``
+    order onto +0.0; the junk addends interleaved with them are exact
+    zeros, which change nothing (an accumulator that starts at +0.0 never
+    holds -0.0, and ``x + 0 == x`` bitwise for every other ``x``, NaN and
+    Inf included).  ``0 * w`` is only zero for a finite ``w``: a pass whose
+    weights hold an Inf or NaN fills the grad-cols from the oracle-layout
+    GEMM instead — the same route a rejected probe takes — and zeroes the
+    junk columns itself.
 
     GEMMs and col2im run lane-at-a-time over 2-D operands rather than one
     stacked 3-D call: each lane's im2col block and grad-cols buffer is
@@ -321,8 +376,10 @@ class _BatchedConv2D(_BatchedLayer):
         self.gW = grads["W"]
         self.gb = grads["b"]
         self.lanes = int(self.W.shape[0])
+        # The pad buffer with its interior and im2col window views.
         self._pad: Optional[np.ndarray] = None
         self._interior: Optional[np.ndarray] = None
+        self._pad_windows: Optional[np.ndarray] = None
         # (colsT, oracle-layout cols or None, input shape) of a training
         # forward; backward takes it.
         self._cache: Optional[tuple] = None
@@ -331,7 +388,7 @@ class _BatchedConv2D(_BatchedLayer):
         """Interior view of the pad buffer for a ``shape``-shaped input.
 
         The producing layer writes its output straight into this view, so
-        ``_padded`` can skip the separate interior copy (the values are
+        ``_windows`` can skip the separate interior copy (the values are
         identical either way — only the copy is fused out).  Returns
         ``None`` when this conv has no pad buffer to stage into.
         """
@@ -347,46 +404,55 @@ class _BatchedConv2D(_BatchedLayer):
         ):
             # State, not scratch: zeroed once; only the interior is
             # rewritten per wave, the border stays zero (same trick as the
-            # oracle's pad buffer).
+            # oracle's pad buffer).  Its views are built once with it.
             self._pad = np.zeros(padded_shape, dtype=dtype)
             self._interior = self._pad[:, :, :, p:-p, p:-p]
+            self._pad_windows = self._window_view(self._pad)
         return self._interior
 
-    def _padded(self, x):
+    def _window_view(self, padded):
+        """Overlapping ``(L, c, k, k, n, out_h, out_w)`` im2col windows."""
+        k, s = self.kernel_size, self.stride
+        L, c, n, hp, wp = padded.shape
+        sL, sc, sn, sH, sW = padded.strides
+        return np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(L, c, k, k, n, (hp - k) // s + 1, (wp - k) // s + 1),
+            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
+        )
+
+    def _windows(self, x):
+        """The im2col window view over ``x``, zero-padded."""
         if self.padding == 0:
-            return x
+            # ``x`` is workspace scratch: nothing built on it is kept.
+            return self._window_view(x)
         interior = self.stage_input(x.shape, x.dtype)
         # A producer that staged its output directly into the interior left
         # nothing to copy; the border is already zero either way.
         if x is not interior:
             interior[...] = x
-        return self._pad
+        return self._pad_windows
 
     def forward(self, x, training: bool = True):
         L, c, n, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
+        k, p = self.kernel_size, self.padding
+        windows = self._windows(x)
+        out_h, out_w = windows.shape[5:]
         rows = n * out_h * out_w
         ckk = c * k * k
         oc = self.out_channels
         take = _WORKSPACE.current.take
-        fast_fwd, _, _ = _probe_fast_gemms(rows, ckk, oc, x.dtype, n == 1, training)
+        fast_fwd, _, _ = _probe_fast_gemms(
+            (n, out_h, out_w, w + 2 * p), ckk, oc, x.dtype, training
+        )
         w_mat = self.W.reshape(L, oc, ckk)
         out = take((L, oc, rows), x.dtype)
         # Transposed im2col, (L, c*k*k, n*oh*ow) with contiguous rows: one
-        # overlapping window view + one copy per lane.  The nditer walks
-        # the destination in C order, so each (lane, channel) image block
-        # is read cache-hot across all k*k taps.
+        # copy of the window view per lane.  The nditer walks the
+        # destination in C order, so each (lane, channel) image block is
+        # read cache-hot across all k*k taps.
         colsT = take((L, ckk, rows), x.dtype)
-        padded = self._padded(x)
-        colsT7 = colsT.reshape(L, c, k, k, n, out_h, out_w)
-        sL, sc, sn, sH, sW = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(L, c, k, k, n, out_h, out_w),
-            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
-        )
+        colsT7 = colsT.reshape(windows.shape)
         cols_sm = None
         if fast_fwd:
             # Lane-interleaved: copy one lane's windows, then GEMM that lane
@@ -420,13 +486,14 @@ class _BatchedConv2D(_BatchedLayer):
         rows = n * out_h * out_w
         grad3 = grad_out.reshape(L, oc, rows)
         ckk = colsT.shape[1]
+        _, c, _, h, w = x_shape
+        hp, wp = h + 2 * p, w + 2 * p
         take = _WORKSPACE.train.take
-        _, gw_mode, fast_dc = _probe_fast_gemms(rows, ckk, oc, grad3.dtype, n == 1)
+        _, gw_mode, fast_dx = _probe_fast_gemms((n, out_h, out_w, wp), ckk, oc, grad3.dtype)
 
         grad_w = take((L, oc, ckk), grad3.dtype)
         w_mat = self.W.reshape(L, oc, ckk)
         result_dtype = np.result_type(grad3.dtype, w_mat.dtype)
-        _, c, _, h, w = x_shape
 
         # Lane-at-a-time: each lane's staging, grad-cols and col2im
         # accumulator live in small buffers, taken once and reused by every
@@ -442,13 +509,26 @@ class _BatchedConv2D(_BatchedLayer):
         gbuf_l = None if single else take((rows, oc), grad3.dtype)
         gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
         gb_row = take((oc,), grad3.dtype)
-        gc = gc7 = gsm = acc_l = gx = None
         if need_input_grad:
-            gc = take((ckk, rows), result_dtype)
-            gc7 = gc.reshape(c, k, k, n, out_h, out_w)
-            if not fast_dc:
+            # Junk addends must be exact zeros, and 0 * w is not for an Inf
+            # or NaN weight: such a pass takes the oracle-layout GEMM too.
+            fast_dx = fast_dx and bool(np.isfinite(w_mat).all())
+            gc = take((ckk, out_h * wp * n), result_dtype)
+            if fast_dx:
+                grid = take((oc, out_h * wp * n), grad3.dtype)
+                staged = grid.reshape(oc, out_h, wp, n)
+            else:
                 gsm = take((rows, ckk), result_dtype)
-            acc_l = take((c, n, h + 2 * p, w + 2 * p), result_dtype)
+                gsm_grid = gsm.T.reshape(ckk, n, out_h, out_w).transpose(0, 2, 3, 1)
+                staged = gc.reshape(ckk, out_h, wp, n)
+            # Either buffer is filled a lane at a time through its real
+            # columns only: the junk columns are zeroed here, once.
+            staged[:, :, out_w:] = 0
+            real = staged[:, :, :out_w]
+            span = (out_h - 1) * wp + out_w
+            taps = gc.reshape(c, k, k, out_h * wp, n)[:, :, :, :span]
+            acc = take((c, hp * wp, n), result_dtype)
+            interior = acc.reshape(c, hp, wp, n)[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
             gx = take((L, c, n, h, w), result_dtype)
         gwT = cols_lane = None
         if gw_mode == "csT":
@@ -479,21 +559,18 @@ class _BatchedConv2D(_BatchedLayer):
                 self.gb[lane] += gbuf_l.sum(axis=0)
             if not need_input_grad:
                 continue
-            if fast_dc:
-                np.matmul(w_mat[lane].T, grad3[lane], out=gc)
+            if fast_dx:
+                np.copyto(real, grad_out[lane].transpose(0, 2, 3, 1))
+                np.matmul(w_mat[lane].T, grid, out=gc)
             else:
                 np.matmul(gbuf_l, w_mat[lane], out=gsm)
-                np.copyto(gc, gsm.T)
-            acc_l.fill(0)
+                np.copyto(real, gsm_grid)
+            acc.fill(0)
             for i in range(k):
-                i_max = i + s * out_h
                 for j in range(k):
-                    j_max = j + s * out_w
-                    acc_l[:, :, i:i_max:s, j:j_max:s] += gc7[:, i, j]
-            if p > 0:
-                np.copyto(gx[lane], acc_l[:, :, p:-p, p:-p])
-            else:
-                np.copyto(gx[lane], acc_l)
+                    shift = i * wp + j
+                    acc[:, shift : shift + s * span : s] += taps[:, i, j]
+            np.copyto(gx[lane], interior)
         self.gW += grad_w.reshape(self.gW.shape)
         return gx if need_input_grad else None
 
@@ -505,8 +582,12 @@ class _BatchedMaxPool2D(_BatchedLayer):
     window axis first.  ``np.maximum`` keeps its first operand on ties, so
     any bracketing of the window fold selects the leftmost maximal element
     (and the leftmost NaN) — bitwise identical to the oracle's sequential
-    column sweep.  Only the argmax tie-break is order-pinned, and the
-    reverse equality sweep below replicates it exactly.
+    column sweep.  Only the argmax tie-break is order-pinned: the 2x2
+    tournament derives it from its own equality masks with int8 arithmetic
+    (a select written as a masked copy costs a mispredicted branch per
+    window on real activations), the generic path replicates the oracle's
+    reverse equality sweep.  Backward turns the arg-max slots into flat
+    offsets arithmetically and scatters with one fancy assignment per lane.
     """
 
     def __init__(self, template: MaxPool2D) -> None:
@@ -516,7 +597,6 @@ class _BatchedMaxPool2D(_BatchedLayer):
         # When the next layer is a padded conv, its pad-buffer interior is
         # used as this pool's output buffer, fusing out the conv's pad copy.
         self.sink: Optional[_BatchedConv2D] = None
-        self._slot_table: Optional[np.ndarray] = None
         self._base_shape: Optional[Tuple[int, ...]] = None
         self._base_offsets: Optional[np.ndarray] = None
         # (arg-max slots, input shape) of a training forward; backward takes it.
@@ -526,25 +606,19 @@ class _BatchedMaxPool2D(_BatchedLayer):
         """Flat offset of each window's top-left element, window-major.
 
         ``images`` is the per-lane image count (``c * n`` for channel-major
-        input) over a C-order ``(images, h, w)`` block.
+        input) over a C-order ``(images, h, w)`` block.  ``intp``, the type
+        fancy indexing works in: narrower indices are converted on every
+        scatter, which costs more than the traffic they save.
         """
         if self._base_shape == (images, h, w) and self._base_offsets is not None:
             return self._base_offsets
         p = self.pool_size
-        # int32 indices halve the scatter traffic; a lane never exceeds
-        # 2**31 elements in practice, but fall back to intp if it would.
-        idx_dtype = np.int32 if images * h * w < 2**31 else np.intp
-        rows = np.arange(0, h, p, dtype=idx_dtype) * idx_dtype(w)
-        cols = np.arange(0, w, p, dtype=idx_dtype)
+        rows = np.arange(0, h, p, dtype=np.intp) * w
+        cols = np.arange(0, w, p, dtype=np.intp)
         plane = (rows[:, None] + cols[None, :]).ravel()
-        image_base = np.arange(images, dtype=idx_dtype) * idx_dtype(h * w)
+        image_base = np.arange(images, dtype=np.intp) * (h * w)
         self._base_offsets = (image_base[:, None] + plane[None, :]).ravel()
         self._base_shape = (images, h, w)
-        # In-window slot t = (i, j) sits i rows and j columns past the
-        # window's top-left corner.
-        self._slot_table = np.array(
-            [i * w + j for i in range(p) for j in range(p)], dtype=idx_dtype
-        )
         return self._base_offsets
 
     def _fold_max(self, columns, out):
@@ -580,33 +654,35 @@ class _BatchedMaxPool2D(_BatchedLayer):
         idx = take(out.shape, np.int8)
         eq = take(out.shape, bool)
         if p == 2:
-            # 2x2 tournament: six cheap passes instead of the generic
-            # seven double-strided ones.  Per window [c0 c1; c2 c3]
+            # 2x2 tournament: cheap contiguous passes instead of the
+            # generic seven double-strided ones.  Per window [c0 c1; c2 c3]
             # (row-major slots 0..3): M_r = max of row r, winner-in-row
             # b_r = (left == M_r), out = max(M0, M1), row pick =
             # (M0 == out).  ``maximum`` keeps its first operand on ties,
             # so the equalities resolve non-NaN ties to the leftmost /
             # topmost slot — out is bitwise the sequential fold and idx
             # the first-max slot.  NaN windows: ``maximum`` propagates
-            # the NaN into out, every equality is False, and the oracle
-            # sweep leaves slot p*p-1 there — restored by the fixup.
+            # the NaN into out, every equality on it is False, and the
+            # oracle sweep leaves slot p*p-1 there — restored by the fixup.
             c0, c1, c2, c3 = columns
             m0 = take(out.shape, x.dtype)
             m1 = take(out.shape, x.dtype)
-            b0 = take(out.shape, bool)
-            b1 = take(out.shape, bool)
-            brow = take(out.shape, bool)
-            t8 = take(out.shape, np.int8)
+            b0 = take(out.shape, np.int8)
+            b1 = take(out.shape, np.int8)
+            brow = take(out.shape, np.int8)
             np.maximum(c0, c1, out=m0)
-            np.equal(c0, m0, out=b0)
+            np.equal(c0, m0, out=b0.view(bool))
             np.maximum(c2, c3, out=m1)
-            np.equal(c2, m1, out=b1)
+            np.equal(c2, m1, out=b1.view(bool))
             np.maximum(m0, m1, out=out)
-            np.equal(m0, out, out=brow)
-            # slot = 1 - b0 in the top row, 3 - b1 in the bottom row
-            np.subtract(np.int8(3), b1.view(np.int8), out=idx)
-            np.subtract(np.int8(1), b0.view(np.int8), out=t8)
-            np.copyto(idx, t8, where=brow)
+            np.equal(m0, out, out=brow.view(bool))
+            # slot = 1 - b0 in the top row, 3 - b1 in the bottom row: as
+            # arithmetic on the 0/1 masks, 3 - b1 + brow * (b1 - b0 - 2).
+            np.subtract(np.int8(3), b1, out=idx)
+            np.subtract(b1, b0, out=b1)
+            np.subtract(b1, np.int8(2), out=b1)
+            np.multiply(b1, brow, out=b1)
+            np.add(idx, b1, out=idx)
             np.isnan(out, out=eq)
             if eq.any():
                 np.copyto(idx, np.int8(3), where=eq)
@@ -623,14 +699,25 @@ class _BatchedMaxPool2D(_BatchedLayer):
         if self._cache is None:
             raise RuntimeError("_BatchedMaxPool2D.backward called before forward")
         (idx, (L, c, n, h, w)), self._cache = self._cache, None
-        base = self._window_base_offsets(c * n, h, w)
+        p = self.pool_size
         take = _WORKSPACE.train.take
-        flat = take((L, idx[0].size), base.dtype)
-        np.take(self._slot_table, idx.reshape(L, -1), out=flat)
-        np.add(flat, base[None, :], out=flat)
+        idx = idx.reshape(L, -1)
+        # Slot t = (i, j) sits i rows and j columns past its window's
+        # top-left corner: i*w + j = t + (t // p) * (w - p), below p*w, so
+        # computed in the narrowest type that holds that — int8, the slots'
+        # own, for every map up to 64 wide at p = 2.
+        narrow = np.min_scalar_type(-p * w)
+        offset = take(idx.shape, narrow)
+        np.floor_divide(idx, np.int8(p), out=offset)
+        np.multiply(offset, narrow.type(w - p), out=offset)
+        np.add(offset, idx, out=offset)
+        flat = take(idx.shape, np.intp)
+        np.add(offset, self._window_base_offsets(c * n, h, w), out=flat)
         grad = take((L, c * n * h * w), grad_out.dtype)
         grad.fill(0)
-        np.put_along_axis(grad, flat, grad_out.reshape(L, -1), axis=1)
+        windows = grad_out.reshape(L, -1)
+        for lane in range(L):
+            grad[lane][flat[lane]] = windows[lane]
         return grad.reshape(L, c, n, h, w)
 
 

@@ -158,7 +158,9 @@ def test_batched_parity_holds_on_fast_gemm_paths(batch_n):
 
 def test_batched_parity_survives_forced_slow_probes(monkeypatch):
     """The probe-rejected kernel layouts are the bitwise reference; force
-    them everywhere and the cohort must still match the oracle."""
+    them everywhere and the cohort must still match the oracle.  The third
+    verdict gates the input-gradient GEMM on the width-padded grid: false,
+    the grid is filled from the oracle-layout GEMM instead."""
     monkeypatch.setattr(batched_mod, "_probe_fast_gemms", lambda *a: (False, "slow", False))
     monkeypatch.setattr(batched_mod, "_probe_gb_reduce", lambda *a: False)
     _run_parity_case("mnist-cnn", "float32", "none", "sgd", lanes=2, n=16)
@@ -166,26 +168,28 @@ def test_batched_parity_survives_forced_slow_probes(monkeypatch):
 
 
 def test_gemm_probe_modes_are_cached_and_well_formed():
-    key_shape = (97, 25, 8)
+    # (n, out_h, out_w, wp): the input-gradient GEMM is probed on its grid.
+    geometry, ckk, oc = (7, 3, 5, 9), 25, 8
     for dtype in (np.float32, np.float64):
-        fwd_ok, gw_mode, dc_ok = batched_mod._probe_fast_gemms(*key_shape, dtype)
-        assert isinstance(fwd_ok, bool) and isinstance(dc_ok, bool)
-        assert gw_mode in {"csT", "gT", "slow"}
-        cache_key = key_shape + (np.dtype(dtype).name,)
-        assert cache_key in batched_mod._GEMM_PROBE_CACHE
-        assert batched_mod._probe_fast_gemms(*key_shape, dtype) == (fwd_ok, gw_mode, dc_ok)
-        assert isinstance(batched_mod._probe_gb_reduce(97, 8, dtype), bool)
+        cache_key = geometry + (ckk, oc, np.dtype(dtype).name)
+        batched_mod._GEMM_PROBE_CACHE.pop(cache_key, None)
+        # An inference pass asks about the forward orientation only ...
+        fwd_ok, gw_mode, dx_ok = batched_mod._probe_fast_gemms(geometry, ckk, oc, dtype, False)
+        assert isinstance(fwd_ok, bool) and gw_mode is None and dx_ok is None
+        # ... and a training pass at the same geometry fills in the rest.
+        verdict = batched_mod._probe_fast_gemms(geometry, ckk, oc, dtype)
+        assert verdict[0] is fwd_ok and isinstance(verdict[2], bool)
+        assert verdict[1] in {"csT", "gT", "slow"}
+        assert batched_mod._GEMM_PROBE_CACHE[cache_key] == verdict
+        assert batched_mod._probe_fast_gemms(geometry, ckk, oc, dtype) == verdict
+        assert batched_mod._probe_fast_gemms(geometry, ckk, oc, dtype, False) == verdict
+        assert isinstance(batched_mod._probe_gb_reduce(105, oc, dtype), bool)
 
 
-@pytest.mark.parametrize("pool_size", [2, 3])
-def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
-    """Tie-breaks and NaN windows are the order-pinned part of pooling: the
-    2x2 tournament and the generic equality sweep must both reproduce the
-    oracle's first-max (row-major) argmax bitwise."""
-    lanes, channels, n = 3, 4, 5
-    h = w = 6 * pool_size
+def _pool_torture_inputs(pool_size):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((lanes, channels, n, h, w)).astype(np.float32)
+    side = 6 * pool_size
+    x = rng.standard_normal((3, 4, 5, side, side)).astype(np.float32)
     # Saturate with exact ties, signed zeros and NaN windows.
     flat = x.reshape(-1)
     flat[::5] = 1.5
@@ -193,23 +197,51 @@ def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
     flat[2::11] = -0.0
     flat[3::11] = 0.0
     flat[4::23] = np.nan
+    yield x
+    # What a pool really sees — a ReLU'd map, most windows tied at zero in no
+    # regular pattern — at the other dtype and mnist-cnn's first-pool size.
+    side = 28 - 28 % pool_size
+    x = rng.standard_normal((2, 3, 4, side, side))
+    x[rng.random(x.shape) < 0.6] = 0.0
+    x[rng.random(x.shape) < 0.05] = -0.0
+    x[rng.random(x.shape) < 0.01] = np.nan
+    yield x
 
-    layer = batched_mod._BatchedMaxPool2D(MaxPool2D(pool_size))
-    out = layer.forward(x)
-    grad_out = rng.standard_normal(out.shape).astype(np.float32)
-    grad_in = layer.backward(grad_out)
 
-    oracle = MaxPool2D(pool_size)
-    for lane in range(lanes):
-        # Oracle layout is sample-major (N, C, H, W); lanes are channel-major.
-        ref_out = oracle.forward(x[lane].transpose(1, 0, 2, 3))
-        ref_grad = oracle.backward(grad_out[lane].transpose(1, 0, 2, 3))
-        assert np.array_equal(
-            out[lane].view(np.int32), ref_out.transpose(1, 0, 2, 3).view(np.int32)
-        ), f"pool {pool_size}x{pool_size} lane {lane}: forward bits diverged"
-        assert np.array_equal(grad_in[lane], ref_grad.transpose(1, 0, 2, 3)), (
-            f"pool {pool_size}x{pool_size} lane {lane}: scatter diverged"
-        )
+@pytest.mark.parametrize("pool_size", [2, 3])
+def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
+    """Tie-breaks and NaN windows are the order-pinned part of pooling: the
+    2x2 tournament and the generic equality sweep must both reproduce the
+    oracle's first-max (row-major) argmax bitwise — the maxima, the arg-max
+    slots and the backward scatter through them."""
+    for x in _pool_torture_inputs(pool_size):
+        label = f"pool {pool_size}x{pool_size} {x.dtype} {x.shape[-1]}x{x.shape[-1]}"
+        bits = f"u{x.dtype.itemsize}"
+        w = x.shape[-1]
+        rng = np.random.default_rng(8)
+        layer = batched_mod._BatchedMaxPool2D(MaxPool2D(pool_size))
+        out = layer.forward(x)
+        slots = layer._cache[0].copy()
+        grad_out = rng.standard_normal(out.shape).astype(x.dtype)
+        grad_in = layer.backward(grad_out)
+
+        oracle = MaxPool2D(pool_size)
+        for lane in range(x.shape[0]):
+            # Oracle layout is sample-major (N, C, H, W); lanes are channel-major.
+            ref_out = oracle.forward(x[lane].transpose(1, 0, 2, 3))
+            # The oracle caches flat input offsets: back to in-window slots.
+            ref_flat = oracle._cache_flat_idx.reshape(ref_out.shape)
+            ref_slots = (ref_flat // w % pool_size) * pool_size + ref_flat % pool_size
+            ref_grad = oracle.backward(grad_out[lane].transpose(1, 0, 2, 3))
+            assert np.array_equal(
+                out[lane].view(bits), ref_out.transpose(1, 0, 2, 3).view(bits)
+            ), f"{label} lane {lane}: forward bits diverged"
+            assert np.array_equal(
+                slots[lane], ref_slots.transpose(1, 0, 2, 3)
+            ), f"{label} lane {lane}: arg-max slots diverged"
+            assert np.array_equal(
+                grad_in[lane].view(bits), ref_grad.transpose(1, 0, 2, 3).view(bits)
+            ), f"{label} lane {lane}: scatter diverged"
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))

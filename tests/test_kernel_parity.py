@@ -9,6 +9,9 @@ the oracle.  Pinned here, bitwise:
   frozen-section mask x batch size x optimiser family: loss, every flat
   section, every gradient and the ``PhaseTrace``, step after step;
   inference logits at B=256 and over a ragged tail;
+* generated conv geometries — the registered networks only ever run stride 1
+  with "same" padding; the kernel's claims hold for every stride, padding,
+  kernel and batch size, and for weights that are not finite;
 * aliasing — whatever writes the flat vectors (the weight-loading API, an
   offload package, a cohort lane materializing) is what the kernels read
   next;
@@ -25,7 +28,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.nn.batched as batched_mod
 from repro.core.freezing import FrozenModelPackage
 from repro.data.loader import BatchLoader
 from repro.nn.architectures import ARCHITECTURES, build_model
@@ -196,6 +202,124 @@ def test_inference_does_not_rewrite_the_callers_batch():
     _assert_same_step(model, oracle, x, y, SGD(lr=0.1), SGD(lr=0.1), "flat input")
     assert model._kernels, "a Flatten/ReLU/Dense model is kernel-covered"
     assert np.array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
+# The conv kernel alone, over geometries no registered network has
+# ---------------------------------------------------------------------------
+def _bits(array):
+    """Bit patterns: NaN payloads and the sign of a zero count."""
+    return np.ascontiguousarray(array).view(f"u{array.dtype.itemsize}")
+
+
+def _lane_stacked_conv(c, oc, k, stride, padding, lanes, dtype_name, seed=0):
+    """One conv kernel over ``lanes`` differently initialised oracles."""
+    with using_dtype(dtype_name):
+        oracles = [
+            Conv2D(c, oc, k, stride=stride, padding=padding, rng=np.random.default_rng(seed + lane))
+            for lane in range(lanes)
+        ]
+    for lane, oracle in enumerate(oracles):
+        oracle.params["b"][...] = np.linspace(-1.0, 1.0, oc) + lane
+    params = {name: np.stack([oracle.params[name] for oracle in oracles]) for name in ("W", "b")}
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    return batched_mod._BatchedConv2D(oracles[0], params, grads), oracles, grads
+
+
+def _assert_conv_parity(kernel, oracles, grads, x, grad_out, label):
+    """Forward + backward, bit for bit.  ``x`` is ``(lanes, n, c, h, w)``,
+    ``grad_out`` the kernel's channel-major ``(lanes, oc, n, out_h, out_w)``."""
+    batched_mod._WORKSPACE.train.reset()
+    out = kernel.forward(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)))
+    assert out.shape == grad_out.shape, label
+    grad_x = kernel.backward(grad_out)
+    for lane, oracle in enumerate(oracles):
+        oracle.zero_grad()
+        ref_out = oracle.forward(x[lane])
+        ref_grad_x = oracle.backward(np.ascontiguousarray(grad_out[lane].transpose(1, 0, 2, 3)))
+        for name, got, ref in (
+            ("out", out[lane].transpose(1, 0, 2, 3), ref_out),
+            ("dX", grad_x[lane].transpose(1, 0, 2, 3), ref_grad_x),
+            ("gW", grads["W"][lane], oracle.grads["W"]),
+            ("gb", grads["b"][lane], oracle.grads["b"]),
+        ):
+            assert np.array_equal(_bits(got), _bits(ref)), f"{label}: lane {lane} {name}"
+
+
+@st.composite
+def _conv_geometries(draw):
+    """Small convs: every kernel/stride/padding combination, ragged maps."""
+    k = draw(st.sampled_from((1, 3, 5)))
+    stride = draw(st.sampled_from((1, 2)))
+    padding = draw(st.integers(0, k // 2))
+    smallest = max(1, k - 2 * padding)
+    h, w = draw(
+        st.lists(st.integers(smallest, smallest + 6), min_size=2, max_size=2, unique=True)
+    )
+    return SimpleNamespace(
+        k=k,
+        stride=stride,
+        padding=padding,
+        h=h,
+        w=w,
+        # One-wide operands included: GEMVs, and products of so few outputs
+        # that a one-draw probe passed them by luck (``_PROBE_MIN_OUTPUTS``).
+        c=draw(st.sampled_from((1, 2, 3))),
+        oc=draw(st.sampled_from((1, 2, 4))),
+        n=draw(st.sampled_from((1, 2, 7, 16))),
+        lanes=draw(st.sampled_from((1, 3))),
+        dtype_name=draw(st.sampled_from(DTYPES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_conv_geometries())
+def test_conv_kernel_matches_the_oracle_over_generated_geometries(g):
+    """Strides, paddings, kernels, ragged maps and batch sizes the registered
+    architectures never reach: the width-padded grid and its flat shifted
+    adds are one formulation for all of them.  Tiny shapes: 150 examples
+    take about half a second."""
+    kernel, oracles, grads = _lane_stacked_conv(
+        g.c, g.oc, g.k, g.stride, g.padding, g.lanes, g.dtype_name, g.seed
+    )
+    rng = np.random.default_rng(g.seed)
+    dtype = kernel.W.dtype
+    x = rng.standard_normal((g.lanes, g.n, g.c, g.h, g.w)).astype(dtype)
+    out_h, out_w = oracles[0].output_shape((g.c, g.h, g.w))[1:]
+    grad_out = rng.standard_normal((g.lanes, g.oc, g.n, out_h, out_w)).astype(dtype)
+    # Exact zeros, as a ReLU or a pooling scatter upstream leaves them.
+    grad_out[rng.random(grad_out.shape) < 0.3] = 0.0
+    _assert_conv_parity(kernel, oracles, grads, x, grad_out, repr(g))
+
+
+@pytest.mark.parametrize("dtype_name", DTYPES)
+@pytest.mark.parametrize("weights", ["finite", "non-finite"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_weights_and_gradients_stay_bitwise(weights, dtype_name):
+    """``0 * w`` is NaN for an Inf or NaN weight: the grid's junk columns must
+    not carry that into border pixels the oracle leaves alone.  mnist-cnn's
+    second conv at B=16, a shape whose probes all pass on OpenBLAS — so
+    finite weights send the NaN, Inf and -0.0 gradients through the grid
+    GEMM, and one bad lane reroutes the whole pass."""
+    lanes, n, c, oc, k, side = 3, 16, 8, 16, 5, 14
+    kernel, oracles, grads = _lane_stacked_conv(c, oc, k, 1, 2, lanes, dtype_name)
+    if weights == "non-finite":
+        kernel.W[1, 3, 2, 1, 4] = np.inf
+        kernel.W[2, 5, 0, 0, 0] = np.nan
+        kernel.W[2, 7, 1, 2, 3] = -np.inf
+        for lane, oracle in enumerate(oracles):
+            oracle.params["W"][...] = kernel.W[lane]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((lanes, n, c, side, side)).astype(kernel.W.dtype)
+    grad_out = rng.standard_normal((lanes, oc, n, side, side)).astype(kernel.W.dtype)
+    grad_out.reshape(-1)[23::7] = -0.0
+    grad_out.reshape(-1)[29::13] = 0.0
+    grad_out[:, 2, 3, 4, 5] = np.nan
+    grad_out[:, 5, 0, 0, 0] = np.inf
+    grad_out[:, 5, 9, 13, 13] = -np.inf
+    grad_out[:, 9, 15, 7, 0] = np.inf
+    _assert_conv_parity(kernel, oracles, grads, x, grad_out, f"{weights}/{dtype_name}")
 
 
 # ---------------------------------------------------------------------------
