@@ -379,7 +379,8 @@ def run_engine_bench(
     # Which conv GEMMs this BLAS lets through bitwise, for every shape that
     # ran above: ``geometry ckk oc dtype`` -> (forward, weight-grad, input-grad).
     results["meta"]["gemm_probes"] = {  # type: ignore[index]
-        " ".join(map(str, key)): list(verdict) for key, verdict in _GEMM_PROBE_CACHE.items()
+        " ".join(map(str, (*key[:-1], np.dtype(key[-1]).name))): list(verdict)
+        for key, verdict in _GEMM_PROBE_CACHE.items()
     }
     if output_path:
         with open(output_path, "w") as handle:

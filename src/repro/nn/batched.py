@@ -95,30 +95,34 @@ def _aligned_block(nbytes: int) -> Tuple[np.ndarray, int]:
 
 
 class _Arena:
-    """A bump allocator over one block of raw bytes.
+    """A bump allocator over one block of raw bytes, used as a stack.
 
-    :meth:`take` carves aligned views off the block in call order;
+    :meth:`take` carves aligned views off the block in call order,
+    :meth:`release` hands back everything taken since a :meth:`mark`, and
     :meth:`reset` — once per kernel pass — hands the whole block out again.
     The block grows only *between* passes: a pass that outgrows it gets a
-    private overflow block per remaining request, and the next ``reset``
-    replaces the block with one of that pass's size.  So the block is as
-    large as the largest pass so far asked for, and no setting sizes it.
+    private overflow block per request that does not fit, and the next
+    ``reset`` replaces the block with one of that pass's high-water mark.
+    So the block is as large as the largest pass so far asked for at any
+    one moment, and no setting sizes it.
     """
 
-    __slots__ = ("_block", "_origin", "_capacity", "_used")
+    __slots__ = ("_block", "_origin", "_capacity", "_used", "_peak")
 
     def __init__(self) -> None:
         self._block: Optional[np.ndarray] = None
         self._origin = 0
         self._capacity = 0
         self._used = 0
+        self._peak = 0
 
     def reset(self) -> None:
-        if self._used > self._capacity:
+        demand = max(self._peak, self._used)
+        if demand > self._capacity:
             self._block = None  # released first: old and new never coexist
-            self._block, self._origin = _aligned_block(self._used)
-            self._capacity = self._used
-        self._used = 0
+            self._block, self._origin = _aligned_block(demand)
+            self._capacity = demand
+        self._used = self._peak = 0
 
     def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """An uninitialised ``shape``/``dtype`` array, dead after this pass."""
@@ -130,6 +134,17 @@ class _Arena:
             return np.ndarray(shape, dtype, self._block, self._origin + start)
         return np.ndarray(shape, dtype, *_aligned_block(nbytes))
 
+    def mark(self) -> int:
+        return self._used
+
+    def release(self, mark: int, counted: bool = True) -> None:
+        """Every view taken since ``mark`` is dead: the next take aliases it.
+        Uncounted, it leaves the high-water mark alone (a probe's operands
+        do not size the block of the pass they decide)."""
+        if counted:
+            self._peak = max(self._peak, self._used)
+        self._used = mark
+
 
 class Workspace(threading.local):
     """The scratch of every kernel pass on one thread.
@@ -137,28 +152,30 @@ class Workspace(threading.local):
     Kernel sets own *state* (weight/grad arenas, optimiser state, the conv
     pad buffers whose zero border is written once, a cohort's input
     arenas); everything a pass writes and reads back within the pass —
-    im2col blocks, activations, grad-cols, pooling masks — is carved from
-    here.  Per thread, because ``repro serve`` trains hosted runs on worker
-    threads of one process (shard and sweep workers are processes).
+    im2col blocks, activations, grad-cols, pooling masks, the operands of a
+    GEMM probe — is carved from here.  Per thread, because ``repro serve``
+    trains hosted runs on worker threads of one process (shard and sweep
+    workers are processes).
 
-    Two arenas: :meth:`BatchedModel.train_step` resets and fills ``train``
-    (its backward included), :meth:`BatchedModel.infer` resets and fills
-    ``infer``.  So an inference pass between a forward and its backward
-    cannot touch the cached activations, and
+    One arena: :meth:`BatchedModel.train_step` (backward included) and
+    :meth:`BatchedModel.infer` each reset it and run to completion, so two
+    passes never overlap on a thread, and
 
     **nothing taken from the workspace may be read after the pass that took
-    it** — the next pass *of any model on this thread* overwrites it.
-    ``SplitCNN.forward`` copies the logits out, ``train_step`` returns a
-    fresh loss vector, and a layer's forward cache is consumed (and
-    dropped: a kept view would pin a block the arena has since replaced) by
-    the same step's backward.
+    it** — the next pass *of any kind, of any model on this thread*
+    overwrites it.  ``SplitCNN.forward`` copies the logits out,
+    ``train_step`` returns a fresh loss vector, and a layer's forward cache
+    is consumed (and dropped: a kept view would pin a block the arena has
+    since replaced) by the same step's backward.
+
+    A forward that keeps nothing for a backward (inference, frozen
+    features) releases each conv's im2col block once its GEMM has run, so
+    it holds its widest layer, not all of them; a training forward releases
+    nothing, because its backward reads those blocks.
     """
 
     def __init__(self) -> None:
-        self.train = _Arena()
-        self.infer = _Arena()
-        #: Where forward kernels carve from; set by ``BatchedModel._forward``.
-        self.current = self.train
+        self.arena = _Arena()
 
 
 _WORKSPACE = Workspace()
@@ -182,20 +199,10 @@ class _BatchedLayer:
         raise NotImplementedError
 
 
-def _probe_operand(rng: np.random.Generator, shape: Tuple[int, int], dtype) -> np.ndarray:
-    """``rng.standard_normal(shape).astype(dtype)``, drawn one row at a time.
-
-    The values are the same (the generator fills row-major); the float64
-    staging buffer is one row instead of the whole operand.  The im2col
-    operand of a 256-sample evaluation batch is the largest array a process
-    holds, and the probe's transient copies of it set the process's peak
-    RSS (``serve_checkin``: 213 MB through the layer loop, 293-319 MB with
-    whole-operand staging and every operand live to the end, 236-242 MB as
-    written here).
-    """
-    out = np.empty(shape, dtype=dtype)
-    for row in out:
-        row[...] = rng.standard_normal(shape[1])
+def _probe_operand(rng: np.random.Generator, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """``rng.standard_normal(shape).astype(dtype)``, staging included, in workspace bytes."""
+    out = _WORKSPACE.arena.take(shape, dtype)
+    out[...] = rng.standard_normal(out=_WORKSPACE.arena.take(shape, np.float64))
     return out
 
 
@@ -242,6 +249,11 @@ def _probe_fast_gemms(
     GEMM of a process — never builds the gradient operands or runs the five
     backward GEMMs.  Either way the operands are the same draws.
 
+    Operands and products are workspace scratch, released uncounted, and the
+    im2col operand is one buffer written in the oracle's layout, then the
+    kernels': a rank-one product (docs/architecture.md, "A probe costs no
+    more than the pass it decides").
+
     For a batch of one sample the oracle's ``(rows, oc)`` output gradient is
     not a row-major copy but a transposed view of the ``(oc, rows)`` feature
     map (numpy reshapes a lone sample without copying), so its backward
@@ -249,45 +261,59 @@ def _probe_fast_gemms(
     """
     n, out_h, out_w, wp = geometry
     rows = n * out_h * out_w
-    key = geometry + (ckk, oc, np.dtype(dtype).name)
-    fwd_ok, gw_mode, dx_ok = _GEMM_PROBE_CACHE.get(key, (None, None, None))
-    if fwd_ok is not None and (gw_mode is not None or not backward):
-        return fwd_ok, gw_mode, dx_ok
-    forward = fwd_ok is None
+    key = geometry + (ckk, oc, np.dtype(dtype).char)
+    cached = _GEMM_PROBE_CACHE.get(key)
+    if cached is not None and (cached[1] is not None or not backward):
+        return cached
     fewest = min(oc * rows, ckk * oc, ckk * rows) if backward else oc * rows
     draws = -(-_PROBE_MIN_OUTPUTS // fewest)
-    fwd_fast = csT = gT = dx_fast = True
+    fwd = csT = gT = dx = True
     rng = np.random.default_rng(0xC0FFEE)
+    arena = _WORKSPACE.arena
+    take = arena.take
+    start = arena.mark()
     for _ in range(draws):
-        colsT = _probe_operand(rng, (ckk, rows), dtype)
+        u = _probe_operand(rng, (ckk,), dtype)
+        v = _probe_operand(rng, (rows,), dtype)
         w_mat = _probe_operand(rng, (oc, ckk), dtype)
-        cols = np.ascontiguousarray(colsT.T)  # oracle layout (rows, ckk)
-        if forward:
-            fwd_fast = fwd_fast and np.array_equal(np.matmul(w_mat, colsT), (cols @ w_mat.T).T)
-        if not backward:
-            continue
-        gradT = _probe_operand(rng, (oc, rows), dtype)
-        # Oracle layout (rows, oc): a view of the feature map for a lone sample.
-        grad = gradT.T if n == 1 else np.ascontiguousarray(gradT.T)
-        gw_oracle = grad.T @ cols
-        csT = csT and np.array_equal(np.matmul(colsT, gradT.T).T, gw_oracle)
-        # The direct form only counts once "csT" has failed, which a lone
-        # draw knows before running it (it is the slowest GEMM here).
-        if gT and not (csT and draws == 1):
-            gT = np.array_equal(np.matmul(gradT, colsT.T), gw_oracle)
-        # The two input-gradient products are each as large as an im2col
-        # operand: drop those first, so the probe never holds more than two.
-        del colsT, cols
-        grid = np.zeros((oc, out_h, wp, n), dtype=dtype)
-        grid[:, :, :out_w] = gradT.reshape(oc, n, out_h, out_w).transpose(0, 2, 3, 1)
-        gc = np.matmul(w_mat.T, grid.reshape(oc, -1)).reshape(ckk, out_h, wp, n)
-        dx_oracle = (grad @ w_mat).T.reshape(ckk, n, out_h, out_w)
-        dx_fast = dx_fast and np.array_equal(gc[:, :, :out_w], dx_oracle.transpose(0, 2, 3, 1))
-    if forward:
-        fwd_ok = fwd_fast
-    if backward:
-        gw_mode, dx_ok = "csT" if csT else "gT" if gT else "slow", dx_fast
-    result = (fwd_ok, gw_mode, dx_ok)
+        if backward:
+            gradT = _probe_operand(rng, (oc, rows), dtype)
+            # Oracle layout (rows, oc): a view of the feature map for a lone sample.
+            grad = gradT.T
+            if n > 1:
+                grad = take((rows, oc), dtype)
+                grad[...] = gradT.T
+        tail = arena.mark()
+        im2col = take((ckk * rows,), dtype)
+        cols = np.multiply.outer(v, u, out=im2col.reshape(rows, ckk))
+        fwd_oracle = np.matmul(cols, w_mat.T, out=take((rows, oc), dtype))
+        if backward:
+            gw_oracle = np.matmul(grad.T, cols, out=take((oc, ckk), dtype))
+        colsT = np.multiply.outer(u, v, out=im2col.reshape(ckk, rows))
+        fwd_fast = np.matmul(w_mat, colsT, out=take((oc, rows), dtype))
+        fwd = fwd and np.array_equal(fwd_fast, fwd_oracle.T)
+        if backward:
+            gw = np.matmul(colsT, gradT.T, out=take((ckk, oc), dtype))
+            csT = csT and np.array_equal(gw.T, gw_oracle)
+            # The direct form only counts once "csT" has failed, which a lone
+            # draw knows before running it (it is the slowest GEMM here).
+            if gT and not (csT and draws == 1):
+                gw = np.matmul(gradT, colsT.T, out=take((oc, ckk), dtype))
+                gT = np.array_equal(gw, gw_oracle)
+            # The two input-gradient products are each as large as the
+            # im2col operand, and take its place (and its products').
+            arena.release(tail, counted=False)
+            grid = take((oc, out_h, wp, n), dtype)
+            grid[:, :, out_w:] = 0
+            grid[:, :, :out_w] = gradT.reshape(oc, n, out_h, out_w).transpose(0, 2, 3, 1)
+            gc = np.matmul(w_mat.T, grid.reshape(oc, -1), out=take((ckk, out_h * wp * n), dtype))
+            dx_oracle = np.matmul(grad, w_mat, out=take((rows, ckk), dtype))
+            dx = dx and np.array_equal(
+                gc.reshape(ckk, out_h, wp, n)[:, :, :out_w],
+                dx_oracle.reshape(n, out_h, out_w, ckk).transpose(3, 1, 2, 0),
+            )
+        arena.release(start, counted=False)
+    result = (fwd, "csT" if csT else "gT" if gT else "slow", dx) if backward else (fwd, None, None)
     _GEMM_PROBE_CACHE[key] = result
     return result
 
@@ -307,15 +333,18 @@ def _probe_gb_reduce(rows: int, oc: int, dtype) -> bool:
     goes pairwise down the column, ``einsum`` does not, and one sum in four
     still comes out the same — 32 sums leave no room for that.
     """
-    key = (rows, oc, np.dtype(dtype).name)
+    key = (rows, oc, np.dtype(dtype).char)
     cached = _GB_PROBE_CACHE.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(0xB1A5)
+    arena = _WORKSPACE.arena
+    mark = arena.mark()
     result = True
     for _ in range(-(-32 // oc)):
-        buf = np.ascontiguousarray(rng.standard_normal((rows, oc)).astype(dtype))
+        buf = _probe_operand(rng, (rows, oc), dtype)
         result = result and bool(np.array_equal(np.einsum("ro->o", buf), buf.sum(axis=0)))
+        arena.release(mark, counted=False)
     _GB_PROBE_CACHE[key] = result
     return result
 
@@ -380,8 +409,8 @@ class _BatchedConv2D(_BatchedLayer):
         self._pad: Optional[np.ndarray] = None
         self._interior: Optional[np.ndarray] = None
         self._pad_windows: Optional[np.ndarray] = None
-        # (colsT, oracle-layout cols or None, input shape) of a training
-        # forward; backward takes it.
+        # (colsT, oracle-layout cols or None, input shape, weight-grad mode,
+        # input-grad verdict) of a training forward; backward takes it.
         self._cache: Optional[tuple] = None
 
     def stage_input(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
@@ -441,12 +470,14 @@ class _BatchedConv2D(_BatchedLayer):
         rows = n * out_h * out_w
         ckk = c * k * k
         oc = self.out_channels
-        take = _WORKSPACE.current.take
-        fast_fwd, _, _ = _probe_fast_gemms(
+        arena = _WORKSPACE.arena
+        take = arena.take
+        fast_fwd, gw_mode, fast_dx = _probe_fast_gemms(
             (n, out_h, out_w, w + 2 * p), ckk, oc, x.dtype, training
         )
         w_mat = self.W.reshape(L, oc, ckk)
         out = take((L, oc, rows), x.dtype)
+        mark = arena.mark()  # what follows is dead once the GEMM has run
         # Transposed im2col, (L, c*k*k, n*oh*ow) with contiguous rows: one
         # copy of the window view per lane.  The nditer walks the
         # destination in C order, so each (lane, channel) image block is
@@ -474,13 +505,16 @@ class _BatchedConv2D(_BatchedLayer):
             np.copyto(out, out_sm.transpose(0, 2, 1))
             out += self.b[:, :, None]
         if training:
-            self._cache = (colsT, cols_sm, x.shape)
+            # ... unless a backward reads it; the verdicts ride along.
+            self._cache = (colsT, cols_sm, x.shape, gw_mode, fast_dx)
+        else:
+            arena.release(mark)
         return out.reshape(L, oc, n, out_h, out_w)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache is None:
             raise RuntimeError("_BatchedConv2D.backward called before forward")
-        (colsT, cols_sm, x_shape), self._cache = self._cache, None
+        (colsT, cols_sm, x_shape, gw_mode, fast_dx), self._cache = self._cache, None
         L, oc, n, out_h, out_w = grad_out.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         rows = n * out_h * out_w
@@ -488,8 +522,7 @@ class _BatchedConv2D(_BatchedLayer):
         ckk = colsT.shape[1]
         _, c, _, h, w = x_shape
         hp, wp = h + 2 * p, w + 2 * p
-        take = _WORKSPACE.train.take
-        _, gw_mode, fast_dx = _probe_fast_gemms((n, out_h, out_w, wp), ckk, oc, grad3.dtype)
+        take = _WORKSPACE.arena.take
 
         grad_w = take((L, oc, ckk), grad3.dtype)
         w_mat = self.W.reshape(L, oc, ckk)
@@ -636,7 +669,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"MaxPool2D input spatial dims {h}x{w} not divisible by {p}")
-        take = _WORKSPACE.current.take
+        take = _WORKSPACE.arena.take
         if not x.flags["C_CONTIGUOUS"]:
             xc = take(x.shape, x.dtype)
             np.copyto(xc, x)
@@ -700,7 +733,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
             raise RuntimeError("_BatchedMaxPool2D.backward called before forward")
         (idx, (L, c, n, h, w)), self._cache = self._cache, None
         p = self.pool_size
-        take = _WORKSPACE.train.take
+        take = _WORKSPACE.arena.take
         idx = idx.reshape(L, -1)
         # Slot t = (i, j) sits i rows and j columns past its window's
         # top-left corner: i*w + j = t + (t // p) * (w - p), below p*w, so
@@ -737,7 +770,7 @@ class _BatchedReLU(_BatchedLayer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x, training: bool = True):
-        take = _WORKSPACE.current.take
+        take = _WORKSPACE.arena.take
         if training:
             self._mask = np.greater(x, 0.0, out=take(x.shape, bool))
         return np.maximum(x, 0.0, out=x if self.inplace else take(x.shape, x.dtype))
@@ -746,7 +779,7 @@ class _BatchedReLU(_BatchedLayer):
         if self._mask is None:
             raise RuntimeError("_BatchedReLU.backward called before forward")
         mask, self._mask = self._mask, None
-        gx = grad_out if self.inplace else _WORKSPACE.train.take(grad_out.shape, grad_out.dtype)
+        gx = grad_out if self.inplace else _WORKSPACE.arena.take(grad_out.shape, grad_out.dtype)
         return np.multiply(grad_out, mask, out=gx)
 
 
@@ -765,7 +798,7 @@ class _BatchedFlatten(_BatchedLayer):
         self._cache_shape = x.shape
         if x.ndim == 5:
             L, c, n, h, w = x.shape
-            out = _WORKSPACE.current.take((L, n, c, h, w), x.dtype)
+            out = _WORKSPACE.arena.take((L, n, c, h, w), x.dtype)
             np.copyto(out, x.transpose(0, 2, 1, 3, 4))
             return out.reshape(L, n, c * h * w)
         return x.reshape(x.shape[0], x.shape[1], -1)
@@ -776,7 +809,7 @@ class _BatchedFlatten(_BatchedLayer):
         shape = self._cache_shape
         if len(shape) == 5:
             L, c, n, h, w = shape
-            gx = _WORKSPACE.train.take(shape, grad_out.dtype)
+            gx = _WORKSPACE.arena.take(shape, grad_out.dtype)
             np.copyto(gx, grad_out.reshape(L, n, c, h, w).transpose(0, 2, 1, 3, 4))
             return gx
         return grad_out.reshape(shape)
@@ -797,7 +830,7 @@ class _BatchedDense(_BatchedLayer):
         if training:
             self._cache_x = x
         L, n = x.shape[0], x.shape[1]
-        out = _WORKSPACE.current.take((L, n, self.out_features), x.dtype)
+        out = _WORKSPACE.arena.take((L, n, self.out_features), x.dtype)
         np.matmul(x, self.W, out=out)
         out += self.b[:, None, :]
         return out
@@ -806,7 +839,7 @@ class _BatchedDense(_BatchedLayer):
         if self._cache_x is None:
             raise RuntimeError("_BatchedDense.backward called before forward")
         x, self._cache_x = self._cache_x, None
-        take = _WORKSPACE.train.take
+        take = _WORKSPACE.arena.take
         self.gW += np.matmul(
             x.transpose(0, 2, 1), grad_out, out=take(self.gW.shape, self.gW.dtype)
         )
@@ -843,7 +876,7 @@ class _BatchedResidualBlock(_BatchedLayer):
         h = self.relu1.forward(h, training)
         h = self.conv2.forward(h, training)
         shortcut = x if self.proj is None else self.proj.forward(x, training)
-        total = _WORKSPACE.current.take(h.shape, np.result_type(h.dtype, shortcut.dtype))
+        total = _WORKSPACE.arena.take(h.shape, np.result_type(h.dtype, shortcut.dtype))
         np.add(h, shortcut, out=total)
         return self.relu_out.forward(total, training)
 
@@ -1174,7 +1207,7 @@ class BatchedModel:
             )
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
-        _WORKSPACE.train.reset()
+        _WORKSPACE.arena.reset()
         self.zero_grad()
         logits = self._forward(x, training=True)
         losses, grad = self.loss.forward_backward(logits, y)
@@ -1194,17 +1227,16 @@ class BatchedModel:
     def infer(self, x):
         """Forward-only pass; ``x`` is ``(lanes, n, ...)``, returns the logits.
 
-        The result is workspace scratch: valid until the next inference
-        pass *on this thread*, of this or any other model (training steps
-        in between leave it alone).  Copy what must outlive that.
+        The result is workspace scratch: valid until this thread's next
+        pass of any kind — a training step included — of this or any other
+        model.  Copy what must outlive that.
         """
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
-        _WORKSPACE.infer.reset()
+        _WORKSPACE.arena.reset()
         return self._forward(x, training=False)
 
     def _forward(self, x, training: bool):
-        _WORKSPACE.current = _WORKSPACE.train if training else _WORKSPACE.infer
         # Frozen features run no backward, so nothing is kept for one.
         keep = training and not self.features_frozen
         h = x
@@ -1218,7 +1250,7 @@ class BatchedModel:
             if self.feature_layers and isinstance(self.feature_layers[0], _BatchedConv2D):
                 cm = self.feature_layers[0].stage_input((L, c, n, ih, iw), h.dtype)
             if cm is None:
-                cm = _WORKSPACE.current.take((L, c, n, ih, iw), h.dtype)
+                cm = _WORKSPACE.arena.take((L, c, n, ih, iw), h.dtype)
             np.copyto(cm, h.transpose(0, 2, 1, 3, 4))
             h = cm
         for layer in self.feature_layers:

@@ -329,10 +329,9 @@ class SplitCNN:
         vectors, so the optimiser, the flat/dict weight API and the cohort
         engine's materialize path keep operating on the same memory.  The
         sets own no scratch — that is the calling thread's
-        :class:`~repro.nn.batched.Workspace`, shared by every model — and
-        training and inference carve from separate arenas of it, so an
-        evaluation between a forward and its backward cannot clobber
-        cached activations.
+        :class:`~repro.nn.batched.Workspace`, shared by every model and by
+        both kinds of pass: a training step runs its backward before it
+        returns, so no evaluation ever falls between the two.
         """
         if self._kernels is None:
             # Imported here: repro.nn.batched imports this module.
@@ -493,7 +492,7 @@ class SplitCNN:
         if not kernels:
             return self.forward_layerwise(x, training)
         # The logits are workspace scratch, dead at this thread's next
-        # inference pass; the caller gets its own.
+        # pass; the caller gets its own.
         return kernels[1].infer(self._cast_input(x)[None])[0].copy()
 
     def forward_layerwise(self, x: np.ndarray, training: bool = False) -> np.ndarray:

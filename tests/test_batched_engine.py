@@ -171,7 +171,7 @@ def test_gemm_probe_modes_are_cached_and_well_formed():
     # (n, out_h, out_w, wp): the input-gradient GEMM is probed on its grid.
     geometry, ckk, oc = (7, 3, 5, 9), 25, 8
     for dtype in (np.float32, np.float64):
-        cache_key = geometry + (ckk, oc, np.dtype(dtype).name)
+        cache_key = geometry + (ckk, oc, np.dtype(dtype).char)
         batched_mod._GEMM_PROBE_CACHE.pop(cache_key, None)
         # An inference pass asks about the forward orientation only ...
         fwd_ok, gw_mode, dx_ok = batched_mod._probe_fast_gemms(geometry, ckk, oc, dtype, False)

@@ -229,7 +229,7 @@ def _lane_stacked_conv(c, oc, k, stride, padding, lanes, dtype_name, seed=0):
 def _assert_conv_parity(kernel, oracles, grads, x, grad_out, label):
     """Forward + backward, bit for bit.  ``x`` is ``(lanes, n, c, h, w)``,
     ``grad_out`` the kernel's channel-major ``(lanes, oc, n, out_h, out_w)``."""
-    batched_mod._WORKSPACE.train.reset()
+    batched_mod._WORKSPACE.arena.reset()
     out = kernel.forward(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)))
     assert out.shape == grad_out.shape, label
     grad_x = kernel.backward(grad_out)
