@@ -27,6 +27,7 @@ as a store-backed :func:`run` — inline, or in a process pool.
 
 from __future__ import annotations
 
+import logging
 import queue
 import time
 from collections import deque
@@ -169,13 +170,11 @@ class RunHandle:
         self._stop_mode = mode
 
     def _drain_injections(self) -> None:
-        import logging
-
-        while True:
-            try:
-                action = self._injections.get_nowait()
-            except queue.Empty:
-                return
+        # Once per simulated event, almost always with nothing queued: the
+        # emptiness test costs no raised exception.  This thread is the only
+        # consumer, so a queue seen non-empty still is when it is read.
+        while not self._injections.empty():
+            action = self._injections.get_nowait()
             try:
                 action()
             except Exception:

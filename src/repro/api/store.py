@@ -54,14 +54,12 @@ STORE_FORMAT = 1
 #: knob existed keep their keys):
 #: ``pool_slots`` — a tight arena == one that never evicts
 #: (tests/test_virtual_pool.py); ``checkpoint_interval`` — checkpointed ==
-#: straight-through (tests/test_resume.py); ``batched_execution`` — batched
-#: == per-client (tests/test_batched_engine.py); ``shards`` — sharded ==
+#: straight-through (tests/test_resume.py); ``shards`` — sharded ==
 #: single-process (tests/test_shard.py), except under
 #: ``shard_aggregate="partial"``, where :func:`canonical_config` re-adds it.
 EXECUTION_FIELDS = (
     "pool_slots",
     "checkpoint_interval",
-    "batched_execution",
     "shards",
 )
 

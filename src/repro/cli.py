@@ -258,20 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         "K completed rounds (requires --results-dir / $REPRO_RESULTS_DIR)",
     )
     run_p.add_argument(
-        "--batched",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="batched multi-client compute: run lockstep-compatible clients of a "
-        "round as one (clients, params) kernel set; results are bitwise identical "
-        "either way (default: the config's batched_execution, i.e. auto)",
-    )
-    run_p.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="shard the batched compute plane across N worker processes "
-        "(hierarchical edge/root aggregation); results are bitwise identical "
+        help="train each round's clients on N worker processes, each client on "
+        "the worker that owns it (hierarchical edge/root aggregation); results "
+        "are bitwise identical "
         "to the single-process run (default: the config's shards, i.e. 1)",
     )
     run_p.add_argument(
@@ -626,14 +619,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.rounds(args.rounds)
     if args.checkpoint_interval is not None:
         spec = spec.override(checkpoint_interval=args.checkpoint_interval)
-    if args.batched is not None:
-        spec = spec.override(batched_execution=args.batched)
     if args.shards is not None:
         spec = spec.override(shards=args.shards)
-        if args.batched is None:
-            # Sharding rides on the batched engine; small scales would
-            # otherwise fall under the auto threshold and shard nothing.
-            spec = spec.override(batched_execution="on")
     if (args.resume or args.checkpoint_interval is not None) and not (
         args.results_dir or os.environ.get("REPRO_RESULTS_DIR")
     ):

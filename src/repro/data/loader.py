@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -59,6 +59,17 @@ class BatchLoader:
         idx = self._order[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
         return self.x[idx], self.y[idx]
+
+    def upcoming_batch_sizes(self, count: int) -> List[int]:
+        """Sample counts of the next ``count`` batches; nothing is drawn."""
+        n = self.x.shape[0]
+        sizes, cursor = [], self._cursor
+        for _ in range(count):
+            if cursor >= n:
+                cursor = 0
+            sizes.append(min(self.batch_size, n - cursor))
+            cursor += self.batch_size
+        return sizes
 
     def state(self) -> dict:
         """The loader's position in its shuffle stream, as plain data.

@@ -102,10 +102,8 @@ def capture_snapshot(experiment) -> Optional[dict]:
     # The sharded compute plane schedules no events and holds no round
     # state at a capture boundary (workers idle between rounds); its
     # contribution is the merged per-shard bookkeeping.
-    executor = getattr(cluster, "batched_executor", None)
-    shard_state = (
-        executor.shard_snapshot() if hasattr(executor, "shard_snapshot") else None
-    )
+    executor = cluster.shard_executor
+    shard_state = executor.shard_snapshot() if executor is not None else None
 
     return {
         "format": CHECKPOINT_FORMAT,
@@ -145,9 +143,8 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
     federator.restore_checkpoint_state(snapshot["federator"])
     federator.result.rounds.extend(snapshot["records"])
 
-    executor = getattr(cluster, "batched_executor", None)
-    if hasattr(executor, "restore_shard_snapshot"):
-        executor.restore_shard_snapshot(snapshot.get("shard"))
+    if cluster.shard_executor is not None:
+        cluster.shard_executor.restore_shard_snapshot(snapshot.get("shard"))
 
     if experiment.dynamics is not None and snapshot["dynamics"] is not None:
         experiment.dynamics.restore_state(snapshot["dynamics"])

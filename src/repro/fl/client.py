@@ -72,12 +72,12 @@ class FLClient:
         self.transport.register(client_id, self.handle_message)
         cluster.attach_actor(client_id, self)
 
-        #: Batched execution: the cluster-wide cohort executor (when the
-        #: config enables it) and this client's live lane handle.  While a
-        #: lane is held, batches are computed by the executor's lockstep
-        #: waves instead of ``model.train_batch``; timing, events and
-        #: losses are identical either way (see :mod:`repro.nn.batched`).
-        self._batched = getattr(cluster, "batched_executor", None)
+        #: Sharded execution: the handle of this round's training while it
+        #: runs on the shard worker that owns this client (``None`` in a
+        #: single-process run, and once the client has left it).  Batches
+        #: are then computed by the worker instead of ``model.train_batch``;
+        #: timing, events and losses are identical either way (see
+        #: :mod:`repro.simulation.shard`).
         self._lane = None
 
         # Round state (reset at every TRAIN_REQUEST).
@@ -249,9 +249,9 @@ class FLClient:
         client owns (model buffers, optimizer scratch, data slices) is
         reconstructed — or recycled from the pool's arena — on rehydration.
         """
-        # A held lane implies a pending batch event, which is_quiescent
+        # A remote training implies a pending batch event, which is_quiescent
         # rejects; this is a backstop against future lifecycle changes.
-        assert self._lane is None, "cannot dehydrate a client holding a batched lane"
+        assert self._lane is None, "cannot dehydrate a client whose training is remote"
         state = {name: getattr(self, name) for name in self.PERSISTENT_COUNTERS}
         state["loader"] = self.loader.state()
         return state
@@ -295,10 +295,10 @@ class FLClient:
             or self._pending_offload_event is not None
         ):
             return None
-        # A mid-flight straggler may still hold a batched lane: materialize
-        # it into the per-client buffers so the snapshot (weights, momentum,
-        # loader, pending loss) is exactly what an unbatched run would hold.
-        # The resumed run continues on the per-client path, which is bitwise
+        # A mid-flight straggler's training may still be remote: materialize
+        # it into the client's own buffers so the snapshot (weights, momentum,
+        # loader, pending loss) is exactly what a single-process run would
+        # hold.  The resumed run continues in the parent, which is bitwise
         # identical.
         self._leave_lane()
         state = self.dehydrate()
@@ -376,9 +376,7 @@ class FLClient:
         """Re-schedule a captured pending batch completion at its absolute
         fire time (called by the checkpoint orchestrator in event order)."""
         self._pending_batch_loss = loss
-        self._pending_batch_event = self.env.schedule_at(
-            time, lambda: self._on_own_batch_done(loss)
-        )
+        self._pending_batch_event = self.env.schedule_at(time, self._on_own_batch_done)
 
     # ------------------------------------------------------------ round start
     def _start_round(self, message: Message) -> None:
@@ -386,10 +384,10 @@ class FLClient:
         # A new round supersedes whatever this client was doing: if it was
         # still training for an expired round (e.g. it was dropped by a
         # deadline or timeout), the stale batch completion must not fire
-        # into the new round's accounting.  A stale batched lane only needs
-        # its loader draws replayed (the weights are overwritten below);
-        # this must happen before the pending event is cancelled because
-        # the draw count includes the in-flight batch.
+        # into the new round's accounting.  A stale remote training only
+        # needs its loader draws replayed (the weights are overwritten
+        # below); this must happen before the pending event is cancelled
+        # because the draw count includes the in-flight batch.
         self._abandon_lane()
         self._cancel_pending_work()
         self._round = message.round_number
@@ -429,11 +427,12 @@ class FLClient:
                 }
             )
 
-        if self._batched is not None:
-            # Claim the lane the executor planned for this round (None when
-            # ineligible, already claimed, or the cohort has started — the
-            # per-client path below handles every such case identically).
-            self._lane = self._batched.activate(self, self._round)
+        shards = self.cluster.shard_executor
+        if shards is not None:
+            # The whole round goes to the owning worker now, from exactly
+            # this state (None when a worker could not rebuild it: this
+            # process then trains it, identically).
+            self._lane = shards.submit(self, self._total_batches)
 
         self.rounds_participated += 1
         self._train_own_batch()
@@ -445,10 +444,13 @@ class FLClient:
 
     def _train_own_batch(self) -> None:
         if self._lane is not None:
-            self._schedule_batched_batch()
-            return
-        xb, yb = self.loader.next_batch()
-        loss, trace = self.model.train_batch(xb, yb, self.optimizer)
+            # Computed by the worker: only its (analytic, identical) cost is
+            # needed to schedule the completion, which fetches the loss.
+            loss = None
+            trace = self.model.batch_trace(self._lane.batch_shape(self._batches_done))
+        else:
+            xb, yb = self.loader.next_batch()
+            loss, trace = self.model.train_batch(xb, yb, self.optimizer)
         phase_durations = self.cost_model.phase_seconds(trace, self.resource, self.env.now)
         if self.model.features_frozen:
             duration = self.cost_model.frozen_batch_seconds(trace, self.resource, self.env.now)
@@ -460,11 +462,15 @@ class FLClient:
             }
             duration += self._profiler.record_batch(measured)
         self._pending_batch_loss = loss
-        self._pending_batch_event = self.env.schedule(
-            duration, lambda: self._on_own_batch_done(loss)
-        )
+        self._pending_batch_event = self.env.schedule(duration, self._on_own_batch_done)
 
-    def _on_own_batch_done(self, loss: float) -> None:
+    def _on_own_batch_done(self) -> None:
+        # Parked when the batch was computed here — or when the client left
+        # its remote training with this completion in flight; fetched from
+        # the worker's result otherwise.
+        loss = self._pending_batch_loss
+        if self._lane is not None:
+            loss = self._lane.loss(self._batches_done)
         self._pending_batch_event = None
         self._pending_batch_loss = None
         self._batches_done += 1
@@ -486,45 +492,12 @@ class FLClient:
         else:
             self._finish_own_training()
 
-    # ------------------------------------------------------ batched execution
-    def _schedule_batched_batch(self) -> None:
-        """Schedule a batch completion without computing the batch yet.
-
-        The duration comes from the lane's analytic phase trace, which is
-        bitwise identical to the trace ``model.train_batch`` would record,
-        so virtual timing (and the profiler's measurements) are unchanged.
-        The numeric work happens lazily in the cohort's lockstep wave when
-        the completion fires (or earlier, driven by a cohort peer).
-        """
-        trace = self._lane.trace()
-        phase_durations = self.cost_model.phase_seconds(trace, self.resource, self.env.now)
-        # A lane is only held while the features are unfrozen (freezing
-        # materializes the lane first), so this is always the full duration.
-        duration = self.cost_model.batch_seconds(trace, self.resource, self.env.now)
-        if self._profiler.active:
-            measured = {
-                phase: self.clock.measure(seconds) for phase, seconds in phase_durations.items()
-            }
-            duration += self._profiler.record_batch(measured)
-        self._pending_batch_loss = None
-        self._pending_batch_event = self.env.schedule(duration, self._on_batched_batch_done)
-
-    def _on_batched_batch_done(self) -> None:
-        """Completion handler for a batch scheduled on a batched lane."""
-        if self._lane is not None:
-            loss = self._lane.consume_loss()
-        else:
-            # The lane was materialized while this completion was in flight
-            # (e.g. checkpoint capture): the already-computed loss was
-            # parked exactly as the per-client path does.
-            loss = self._pending_batch_loss
-        self._on_own_batch_done(loss)
-
+    # ------------------------------------------------------- remote training
     def _leave_lane(self) -> None:
-        """Materialize the lane's state back into the per-client buffers.
+        """Bring the remote training's state into this client's own buffers.
 
         After this the client's model weights, optimizer state and loader
-        position are bitwise what an unbatched run would hold after the
+        position are bitwise what a single-process run would hold after the
         same number of drawn batches (including a still-in-flight one).
         """
         lane = self._lane
@@ -538,7 +511,7 @@ class FLClient:
             self._pending_batch_loss = last_loss
 
     def _abandon_lane(self) -> None:
-        """Leave the lane syncing only the loader (weights are obsolete)."""
+        """Leave the remote training syncing only the loader (weights are obsolete)."""
         lane = self._lane
         if lane is None:
             return
@@ -599,8 +572,8 @@ class FLClient:
         remaining = self._total_batches - self._batches_done
         if remaining <= 0 or remaining > self._offload_budget:
             return
-        # Freezing diverges this client from its lockstep cohort, so pull
-        # the lane's state back into the per-client model first.
+        # The worker trains every batch unfrozen: from here on this client's
+        # round is not the one it was sent, so it continues in this process.
         self._leave_lane()
         # Freeze the feature layers and ship the model to the strong client
         # as one flat vector snapshot (no per-key dictionaries are built).

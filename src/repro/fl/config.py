@@ -351,28 +351,18 @@ class ExperimentConfig:
     #: tests), so the field is an execution knob excluded from ``run_key``.
     pool_slots: Optional[int] = None
 
-    #: Batched multi-client compute: "on" installs a BatchedClientExecutor
-    #: that runs each synchronous round's lockstep-compatible clients as one
-    #: ``(clients, params)`` kernel set, "off" steps every client on its
-    #: own (``SplitCNN.train_batch``: the same kernels at ``lanes=1``),
-    #: "auto" enables batching for rounds of BATCHED_AUTO_MIN_CLIENTS+
-    #: participants.  Numerics are bitwise identical either way (pinned by
-    #: tests), so — like ``pool_slots`` — the field is an execution knob
-    #: excluded from ``run_key``.
-    batched_execution: str = "auto"
-
     # Sharded multi-process simulation
-    #: Number of worker processes the batched compute plane shards the
-    #: cohort across.  ``1`` (the default) keeps everything in-process;
-    #: ``N >= 2`` partitions the client population into N contiguous
-    #: ownership ranges and dispatches each cohort's lanes to the owning
-    #: shard workers.  Sharded execution is bitwise identical to the
-    #: single-process path (pinned by tests), so — like ``pool_slots``
-    #: and ``batched_execution`` — the field is an execution knob excluded
-    #: from ``run_key`` (except under
+    #: Number of worker processes the clients' training is sharded across.
+    #: ``1`` (the default) keeps everything in-process: every client steps
+    #: itself at its own simulated events.  ``N >= 2`` partitions the
+    #: client population into N contiguous ownership ranges and sends each
+    #: selected client's round of training to the worker owning it.
+    #: Sharded execution is bitwise identical to the single-process path
+    #: (pinned by tests), so — like ``pool_slots`` — the field is an
+    #: execution knob excluded from ``run_key`` (except under
     #: ``shard_aggregate="partial"``, which makes the shard topology
-    #: results-relevant; see below).  Sharding requires batched execution
-    #: and a synchronous federator; otherwise it is inert.
+    #: results-relevant; see below).  Sharding requires a synchronous
+    #: federator; otherwise it is inert.
     shards: int = 1
 
     #: How the hierarchical aggregation tree reduces shard traffic:
@@ -430,11 +420,6 @@ class ExperimentConfig:
             raise ValueError("async_concurrency must be at least 1 when set")
         if self.pool_slots is not None and self.pool_slots < 1:
             raise ValueError("pool_slots must be at least 1 when set")
-        if self.batched_execution not in {"auto", "on", "off"}:
-            raise ValueError(
-                f"unknown batched_execution mode {self.batched_execution!r}; "
-                "valid: auto, on, off"
-            )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.shard_aggregate not in {"exact", "partial"}:
@@ -489,10 +474,12 @@ class ExperimentConfig:
 # Round-tripping configs through JSON (RunStore manifests, the serve protocol)
 # ---------------------------------------------------------------------------
 #: Config keys of earlier releases that :func:`config_from_dict` drops.
-#: Only provably result-neutral execution fields belong here: the one
-#: entry chose between eager and pooled client materialization, pinned
-#: bitwise-equal before the eager path was deleted.
-RETIRED_CONFIG_KEYS = ("client_pool",)
+#: Only provably result-neutral execution fields belong here, each pinned
+#: bitwise-equal before the path it selected was deleted: ``client_pool``
+#: chose between eager and pooled client materialization,
+#: ``batched_execution`` between stepping a round's clients one by one and
+#: as one lockstep cohort.
+RETIRED_CONFIG_KEYS = ("client_pool", "batched_execution")
 
 
 def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:

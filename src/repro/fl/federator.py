@@ -348,10 +348,8 @@ class BaseFederator:
         rows = self.flat_contributions(state, contributions)
         if rows is not None:
             sizes = [n for _, n, _ in contributions]
-            hierarchy = getattr(
-                getattr(self.cluster, "batched_executor", None), "hierarchy", None
-            )
-            if hierarchy is not None:
+            if self.cluster.shard_executor is not None:
+                hierarchy = self.cluster.shard_executor.hierarchy
                 ordered = [
                     client_id
                     for client_id in sorted(state.results)
@@ -382,20 +380,10 @@ class BaseFederator:
             selected_clients=list(selected),
         )
         self._round_state = state
-        totals = {cid: self.total_batches_for(cid, round_number) for cid in selected}
-        executor = getattr(self.cluster, "batched_executor", None)
-        if executor is not None:
-            # Group this round's participants into lockstep cohorts; clients
-            # claim their lanes when the TRAIN_REQUEST below reaches them.
-            executor.plan_round(
-                round_number,
-                [(cid, self.cluster.actor(cid), totals[cid]) for cid in selected],
-                self.global_model,
-            )
         for client_id in selected:
             payload = {
                 "weights": self.global_weights,
-                "total_batches": totals[client_id],
+                "total_batches": self.total_batches_for(client_id, round_number),
                 "profile_batches": self.config.profile_batches,
                 "report_profile": self.wants_profile_reports(),
             }
@@ -621,9 +609,6 @@ class BaseFederator:
         self.result.setup_time = self.setup_time
         self._rounds_completed += 1
         self._round_state = None
-        executor = getattr(self.cluster, "batched_executor", None)
-        if executor is not None:
-            executor.finish_round(state.round_number)
         if self.checkpoint_hook is not None:
             # Between rounds: no round state, no round timers, no training
             # requests in flight yet — the quietest point of the loop.

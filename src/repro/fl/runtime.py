@@ -65,8 +65,8 @@ class ExperimentHandle:
     def run(self) -> ExperimentResult:
         """Start the federator and run the simulation to completion.
 
-        Releases the executor's workers but does not :meth:`close`: the
-        pool, the executor's counters and the federator's result stay
+        Releases the shard workers but does not :meth:`close`: the pool,
+        the shard executor's counters and the federator's result stay
         readable on the handle afterwards.
         """
         try:
@@ -74,9 +74,8 @@ class ExperimentHandle:
             self.cluster.run()
             return self.federator.result
         finally:
-            executor = getattr(self.cluster, "batched_executor", None)
-            if executor is not None:
-                executor.close()
+            if self.cluster.shard_executor is not None:
+                self.cluster.shard_executor.close()
 
     def close(self) -> None:
         """End the experiment: break its ownership cycles at their hubs.
@@ -206,34 +205,16 @@ def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
         return _build_experiment(config, dtype)
 
 
-def uses_batched_execution(config: ExperimentConfig) -> bool:
-    """Whether this configuration installs the lockstep cohort executor.
-
-    ``"auto"`` (the default) batches rounds with
-    :data:`~repro.nn.batched.BATCHED_AUTO_MIN_CLIENTS` or more
-    participants; smaller rounds step each client on its own through
-    ``SplitCNN.train_batch`` — the same kernels at ``lanes=1``, bitwise
-    the same numerics.
-    """
-    if config.batched_execution == "off":
-        return False
-    if config.batched_execution == "on":
-        return True
-    from repro.nn.batched import BATCHED_AUTO_MIN_CLIENTS
-
-    return config.effective_clients_per_round >= BATCHED_AUTO_MIN_CLIENTS
-
-
 def uses_sharded_execution(config: ExperimentConfig) -> bool:
-    """Whether this configuration shards the compute plane across workers.
+    """Whether this configuration trains its clients on shard workers.
 
-    Sharding rides on the batched engine (its cohorts are what gets
-    dispatched) and on the synchronous round structure (async federators
-    never plan cohorts, so worker processes would only idle).  Results
+    That takes ``shards >= 2`` and the synchronous round structure (an
+    asynchronous federator checkpoints clients in mid-training, which a
+    remote training would have to be pulled back for every time).  Results
     are bitwise identical either way; this gate only decides whether
     worker processes are worth spawning.
     """
-    if config.shards < 2 or not uses_batched_execution(config):
+    if config.shards < 2:
         return False
     federator_cls = federator_class(config.algorithm)
     return bool(getattr(federator_cls, "checkpoint_bootstraps_round", True))
@@ -294,24 +275,18 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         )
 
     if uses_sharded_execution(config):
-        # Sharded compute plane: cohorts dispatch to worker processes, and
-        # the hierarchical aggregation tree hangs off the executor.
+        # Sharded compute plane: clients send their rounds to worker
+        # processes, and the hierarchical aggregation tree hangs off the
+        # executor.
         from repro.simulation.shard import ShardedClientExecutor
 
-        cluster.batched_executor = ShardedClientExecutor(
+        cluster.shard_executor = ShardedClientExecutor(
             num_shards=config.shards,
             num_clients=config.num_clients,
             architecture=config.architecture,
             seed=config.seed,
             aggregate_mode=config.shard_aggregate,
         )
-    elif uses_batched_execution(config):
-        # Installed before any client registers so every FLClient discovers
-        # it at construction time; async federators never plan rounds
-        # through it, so it is inert (but harmless) for them.
-        from repro.nn.batched import BatchedClientExecutor
-
-        cluster.batched_executor = BatchedClientExecutor()
 
     global_model = build_model(config.architecture, rng=np.random.default_rng(config.seed))
 

@@ -1,30 +1,40 @@
-"""The channel-major compute kernels, and the lockstep cohorts built on them.
+"""The channel-major compute kernels.
 
 One kernel set computes every training step and every inference pass of a
 kernel-covered :class:`~repro.nn.model.SplitCNN`.  :class:`BatchedModel`
 holds ``lanes`` copies of a model in one ``(lanes, params)`` arena per
 section and runs forward / backward / loss with a leading *lane*
-dimension:
-
-* ``lanes=1`` over arenas that alias a model's own flat section vectors
-  (:func:`solo_kernels`) *is* the per-client path —
-  ``SplitCNN.train_batch``, ``forward`` and ``evaluate`` run on it;
-* ``lanes=N`` over the coincident clients of a synchronous round is a
-  lockstep cohort: one round step costs a few large kernels instead of
-  ``N`` small ones.
+dimension.  The system only ever runs ``lanes=1`` over arenas that alias a
+model's own flat section vectors (:func:`solo_kernels`) — that is
+``SplitCNN.train_batch``, ``forward`` and ``evaluate`` — because nothing
+larger than one client's training step runs on a thread: a round's clients
+step one by one, each at its own simulated events (or, with ``shards``, on
+the worker process that owns them, see :mod:`repro.simulation.shard`).
+The lane axis stays because it is free and pinned: a step costs no more
+per lane at ``lanes=1`` than at ``lanes=8`` (3.4 against 3.6 ms for a B=16
+mnist-cnn step, ``round_step`` in BENCH_engine.json), and ``lanes=N`` ==
+``N`` solo models bit for bit is what the kernel parity tests and the
+engine benchmark compare.
 
 What makes the kernels fast is their layout — channel-major activations,
 pad and pool staging fused into the consumer's pad buffer, col2im as flat
-shifted adds over a width-padded grid, no input-layer dX — not the
-lockstep: a step costs no more per lane at ``lanes=1`` than at ``lanes=8``
-(see ``BATCHED_AUTO_MIN_CLIENTS``).
+shifted adds over a width-padded grid, no input-layer dX — not stacking
+clients.
 
 No kernel set owns scratch.  Every buffer a pass writes and reads back —
 im2col blocks, activations, grad-cols, pooling masks — is carved from the
-calling thread's :class:`Workspace`, so a process holds the scratch of its
-*largest* pass, not of every model and cohort size it ever ran; the rule
-that makes that safe (nothing taken from the workspace is read after the
-pass that took it) is stated there.
+calling thread's :class:`Workspace`, so a thread holds the scratch of its
+*largest* pass, not of every model it ever ran; the rule that makes that
+safe (nothing taken from the workspace is read after the pass that took
+it) is stated there.  In the steady state the largest pass is a training
+step: a forward-only conv over more samples than one block
+(``_FORWARD_BLOCK``) runs block by block, so a 256-sample evaluation holds
+one block's im2col, not 256 samples' worth.  The exception is the first
+pass of a process at each evaluation shape: :func:`_probe_blocked_forward`
+compares the blocked product with the oracle's one GEMM, whose operand is
+the whole batch unfolded (38 MiB for mnist-cnn's second conv at 256
+samples, overflow the arena never keeps) — that transient, not a training
+step, is the peak of a process that evaluates.
 
 Parity contract
 ---------------
@@ -32,56 +42,31 @@ Every kernel reproduces the exact floating-point operation order of the
 layer it stands for in :mod:`repro.nn.layers` (and :mod:`repro.nn.loss`,
 :mod:`repro.nn.optim`), relying only on transformations that are
 bitwise-exact per lane (stacked GEMMs over independent slices,
-elementwise ops, per-row reductions).  The layer-by-layer loop
-(``SplitCNN.train_batch_layerwise`` / ``forward_layerwise``) stays on as
-the *parity oracle* — and as the generic path for a model with a layer
-type this module has no kernel for: kernels, at any lane count, must
-reproduce it bit for bit, which the test suite pins.
+elementwise ops, per-row reductions).  Where a GEMM is issued in another
+orientation or in column blocks, equality with the oracle's product is
+probed at the exact shape and a rejected shape takes the oracle's own
+layout.  The layer-by-layer loop (``SplitCNN.train_batch_layerwise`` /
+``forward_layerwise``) stays on as the *parity oracle* — and as the
+generic path for a model with a layer type this module has no kernel for:
+kernels, at any lane count, must reproduce it bit for bit, which the test
+suite pins.
 
 Timing is untouched: batch durations come from analytic
 :class:`~repro.nn.model.PhaseTrace` FLOP counts (identical to what the
 layer loop records), so the discrete-event loop — stragglers, deadlines,
 churn, transport faults — behaves exactly as before.
-
-Cohorts and fallback
---------------------
-:class:`BatchedClientExecutor` groups a round's selected clients into
-*lockstep cohorts*: same architecture, dtype, optimiser family and
-hyper-parameters, input shape, and uniform batch-size sequence.  Clients
-whose execution diverges from the cohort — mid-round freeze-and-offload,
-checkpoint capture, disconnects, give-up budgets — *materialize* their
-lane back into the per-client buffers (fast copy when the cohort is at
-their step, per-client replay otherwise) and continue on their own.
-Anything that cannot join a cohort (ragged epoch tails, unknown
-optimisers, layers without a kernel, late or duplicated training
-requests) silently stays per-client, which is always correct.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.loader import BatchLoader
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, ResidualBlock
-from repro.nn.model import PhaseTrace, SplitCNN, phase_flops
-from repro.nn.optim import ProximalSGD, SGD
-
-#: ``batched_execution="auto"`` batches rounds with at least this many
-#: selected clients.  A cohort amortises Python and numpy dispatch, not
-#: arithmetic — the per-client path runs the same kernels, on the same
-#: workspace bytes — and measured that is worth nothing: on the
-#: BENCH_engine host (mnist-cnn, float32, one BLAS thread) a B=16 step
-#: costs 3.4 ms/lane at ``lanes=1`` (32 clients stepped in turn), 3.6 at
-#: ``lanes=8`` and 3.9 at ``lanes=32``, against 8.3 ms through the layer
-#: loop; at B=32 it is 6.2 ms/lane at ``lanes=1`` against 7.5 at
-#: ``lanes=32`` (``round_step`` in BENCH_engine.json).  The threshold marks
-#: no speed crossover; it keeps small rounds clear of cohort bookkeeping
-#: (plan, activate, materialize, replay) that cannot pay for itself there.
-BATCHED_AUTO_MIN_CLIENTS = 16
+from repro.nn.model import SplitCNN
 
 
 #: Scratch views start on a cache line.
@@ -150,12 +135,11 @@ class Workspace(threading.local):
     """The scratch of every kernel pass on one thread.
 
     Kernel sets own *state* (weight/grad arenas, optimiser state, the conv
-    pad buffers whose zero border is written once, a cohort's input
-    arenas); everything a pass writes and reads back within the pass —
-    im2col blocks, activations, grad-cols, pooling masks, the operands of a
-    GEMM probe — is carved from here.  Per thread, because ``repro serve``
-    trains hosted runs on worker threads of one process (shard and sweep
-    workers are processes).
+    pad buffers whose zero border is written once); everything a pass
+    writes and reads back within the pass — im2col blocks, activations,
+    grad-cols, pooling masks, the operands of a GEMM probe — is carved from
+    here.  Per thread, because ``repro serve`` trains hosted runs on worker
+    threads of one process (shard and sweep workers are processes).
 
     One arena: :meth:`BatchedModel.train_step` (backward included) and
     :meth:`BatchedModel.infer` each reset it and run to completion, so two
@@ -170,8 +154,12 @@ class Workspace(threading.local):
 
     A forward that keeps nothing for a backward (inference, frozen
     features) releases each conv's im2col block once its GEMM has run, so
-    it holds its widest layer, not all of them; a training forward releases
-    nothing, because its backward reads those blocks.
+    it holds its widest layer, not all of them — and of that layer one
+    block of ``_FORWARD_BLOCK`` samples unfolded, not the batch; a training
+    forward releases nothing, because its backward reads those blocks.  So
+    the arena of a thread settles at one client's training step; only the
+    blocked-forward probe, once per shape and process, carves more (the
+    oracle's whole-batch operand, as overflow that is freed with the pass).
     """
 
     def __init__(self) -> None:
@@ -315,6 +303,64 @@ def _probe_fast_gemms(
         arena.release(start, counted=False)
     result = (fwd, "csT" if csT else "gT" if gT else "slow", dx) if backward else (fwd, None, None)
     _GEMM_PROBE_CACHE[key] = result
+    return result
+
+
+#: Samples per block of a forward-only conv pass (any accepted value gives
+#: the same bytes; this one is a training batch, so a 256-sample evaluation
+#: holds no more im2col than a training step does).
+_FORWARD_BLOCK = 16
+
+_BLOCKED_PROBE_CACHE: Dict[tuple, bool] = {}
+
+
+def _probe_blocked_forward(n: int, pixels: int, ckk: int, oc: int, dtype) -> bool:
+    """Check the forward GEMM of one conv shape, issued in sample blocks, bitwise.
+
+    A forward-only :class:`_BatchedConv2D` pass over ``n > _FORWARD_BLOCK``
+    samples runs ``w_mat @ cols`` one ``_FORWARD_BLOCK``-sample column
+    block at a time, each into its column slice of the output.  Every
+    output column is its own dot product, but which BLAS micro-kernel
+    computes it depends on where the column sits in the call: a one-sample
+    tail block of ``mnist-cnn`` at float32 takes another edge kernel and
+    rounds differently.  So the blocked product is a per-shape verdict like
+    the orientations of :func:`_probe_fast_gemms`: it is issued exactly as
+    the kernel will (contiguous block operand, strided output slice, ragged
+    tail included) and compared with the oracle's one GEMM over all ``n``
+    samples, on the same rank-one operand.
+
+    The oracle's operand is the one buffer here as large as the unblocked
+    pass's; like every probe's it is workspace scratch released uncounted,
+    and the kernel's own buffers take its place once the oracle GEMM has
+    run.
+    """
+    key = (n, pixels, ckk, oc, np.dtype(dtype).char)
+    cached = _BLOCKED_PROBE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    rows, span = n * pixels, _FORWARD_BLOCK * pixels
+    rng = np.random.default_rng(0xB10C)
+    arena = _WORKSPACE.arena
+    take = arena.take
+    start = arena.mark()
+    result = True
+    for _ in range(-(-_PROBE_MIN_OUTPUTS // (oc * rows))):
+        u = _probe_operand(rng, (ckk,), dtype)
+        v = _probe_operand(rng, (rows,), dtype)
+        w_mat = _probe_operand(rng, (oc, ckk), dtype)
+        oracle = take((rows, oc), dtype)
+        tail = arena.mark()
+        np.matmul(np.multiply.outer(v, u, out=take((rows, ckk), dtype)), w_mat.T, out=oracle)
+        arena.release(tail, counted=False)
+        out = take((oc, rows), dtype)
+        block = take((ckk * span,), dtype)
+        for s0 in range(0, rows, span):
+            s1 = min(s0 + span, rows)
+            cols = np.multiply.outer(u, v[s0:s1], out=block[: ckk * (s1 - s0)].reshape(ckk, -1))
+            np.matmul(w_mat, cols, out=out[:, s0:s1])
+        result = result and bool(np.array_equal(out, oracle.T))
+        arena.release(start, counted=False)
+    _BLOCKED_PROBE_CACHE[key] = result
     return result
 
 
@@ -467,15 +513,34 @@ class _BatchedConv2D(_BatchedLayer):
         k, p = self.kernel_size, self.padding
         windows = self._windows(x)
         out_h, out_w = windows.shape[5:]
-        rows = n * out_h * out_w
+        pixels = out_h * out_w
+        rows = n * pixels
         ckk = c * k * k
         oc = self.out_channels
         arena = _WORKSPACE.arena
         take = arena.take
+        w_mat = self.W.reshape(L, oc, ckk)
+        blocked = not training and n > _FORWARD_BLOCK
+        if blocked and _probe_blocked_forward(n, pixels, ckk, oc, x.dtype):
+            # Nothing is kept for a backward, so no more than one block of
+            # samples is ever unfolded: copy a block's windows, GEMM it into
+            # its column slice of the output while it is still cache-hot.
+            out = take((L, oc, rows), x.dtype)
+            mark = arena.mark()
+            block = take((ckk * _FORWARD_BLOCK * pixels,), x.dtype)
+            for lane in range(L):
+                for s0 in range(0, n, _FORWARD_BLOCK):
+                    s1 = min(s0 + _FORWARD_BLOCK, n)
+                    cols = block[: ckk * (s1 - s0) * pixels].reshape(ckk, -1)
+                    cols7 = cols.reshape(c, k, k, s1 - s0, out_h, out_w)
+                    np.copyto(cols7, windows[lane, :, :, :, s0:s1])
+                    np.matmul(w_mat[lane], cols, out=out[lane, :, s0 * pixels : s1 * pixels])
+                out[lane] += self.b[lane, :, None]
+            arena.release(mark)
+            return out.reshape(L, oc, n, out_h, out_w)
         fast_fwd, gw_mode, fast_dx = _probe_fast_gemms(
             (n, out_h, out_w, w + 2 * p), ckk, oc, x.dtype, training
         )
-        w_mat = self.W.reshape(L, oc, ckk)
         out = take((L, oc, rows), x.dtype)
         mark = arena.mark()  # what follows is dead once the GEMM has run
         # Transposed im2col, (L, c*k*k, n*oh*ow) with contiguous rows: one
@@ -930,8 +995,7 @@ class BatchedSGD:
     Every operation is the elementwise mirror of
     :meth:`repro.nn.optim.SGD._apply_update`, so lane ``i`` of the arena
     evolves bitwise identically to a solo client stepping its section
-    vector.  :meth:`lane_state` exports one lane in the exact format
-    :meth:`repro.nn.optim.SGD.restore_state` consumes.
+    vector.
     """
 
     def __init__(
@@ -983,15 +1047,6 @@ class BatchedSGD:
         self._velocity.clear()
         self._scratch.clear()
 
-    def lane_state(self, lane: int) -> dict:
-        """One lane's state, shaped for ``Optimizer.restore_state``."""
-        return {
-            "velocity": {
-                key: np.array(value[lane], copy=True)
-                for key, value in self._velocity.items()
-            }
-        }
-
 
 class BatchedProximalSGD(BatchedSGD):
     """FedProx proximal SGD over lane arenas (anchor broadcast per section)."""
@@ -1030,18 +1085,6 @@ class BatchedProximalSGD(BatchedSGD):
         super().reset_state()
         self._anchor = None
         self._prox_scratch.clear()
-
-    def lane_state(self, lane: int) -> dict:
-        state = super().lane_state(lane)
-        state["anchor"] = (
-            {
-                key: np.array(value, copy=True)
-                for key, value in self._anchor.items()
-            }
-            if self._anchor is not None
-            else None
-        )
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -1151,11 +1194,6 @@ class BatchedModel:
         raise TypeError(f"no batched kernel for layer {kind.__name__}")
 
     # ------------------------------------------------------------- weights IO
-    def load_all_lanes(self, section_vectors: Dict[str, np.ndarray]) -> None:
-        """Broadcast one flat vector per section into every lane."""
-        for section, vector in section_vectors.items():
-            self._weights[section][...] = vector[None, :]
-
     def load_lane(self, section: str, lane: int, vector: np.ndarray) -> None:
         self._weights[section][lane, :] = vector
 
@@ -1191,11 +1229,10 @@ class BatchedModel:
         return sections
 
     def train_step(self, x, y, optimizer: Optional[BatchedSGD] = None) -> np.ndarray:
-        """One lockstep training step; ``x`` is ``(lanes, n, ...)``.
+        """One training step of every lane; ``x`` is ``(lanes, n, ...)``.
 
         Returns the per-lane float64 loss vector.  Inputs must already be
-        in the model dtype (cohort eligibility guarantees it), matching the
-        no-op ``_cast_input`` of the per-client hot path.
+        in the model dtype (``SplitCNN.train_batch`` casts before it calls).
         """
         if x.shape[0] != self.lanes or y.shape[0] != self.lanes:
             raise ValueError(
@@ -1278,397 +1315,3 @@ def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
         {s: model.flat_grads(s).reshape(1, -1) for s in model.SECTIONS},
     )
     return BatchedModel(model, 1, arenas), BatchedModel(model, 1, arenas)
-
-
-# ---------------------------------------------------------------------------
-# Cohorts, lanes and the executor
-# ---------------------------------------------------------------------------
-def build_cohort(key: tuple, lanes: int, template: SplitCNN):
-    """``(model, optimiser, x, y)`` for one cohort of an eligibility ``key``.
-
-    Built when the cohort starts and dropped when it is released: a
-    :class:`BatchedModel` owns state only (the scratch is the thread's
-    :class:`Workspace`), so there is nothing worth keeping per cohort size.
-    """
-    model = BatchedModel(template, lanes)
-    _, _, batch_n, input_shape, y_dtype, opt_key = key
-    if opt_key[0] == "prox":
-        optimizer: BatchedSGD = BatchedProximalSGD(
-            lr=opt_key[1], mu=opt_key[2], momentum=opt_key[3], weight_decay=opt_key[4]
-        )
-    else:
-        optimizer = BatchedSGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
-    x_arena = np.empty((lanes, batch_n) + tuple(input_shape), dtype=template.dtype)
-    y_arena = np.empty((lanes, batch_n), dtype=np.dtype(y_dtype))
-    return model, optimizer, x_arena, y_arena
-
-
-class _LaneState:
-    """Bookkeeping for one client's lane inside a cohort."""
-
-    __slots__ = (
-        "client_id",
-        "total_batches",
-        "activated",
-        "detached",
-        "index",
-        "client",
-        "shadow",
-        "start_loader_state",
-        "losses",
-        "consumed",
-    )
-
-    def __init__(self, client_id: int, total_batches: int) -> None:
-        self.client_id = client_id
-        self.total_batches = int(total_batches)
-        self.activated = False
-        self.detached = False
-        self.index = -1
-        self.client = None
-        self.shadow: Optional[BatchLoader] = None
-        self.start_loader_state: Optional[dict] = None
-        self.losses: List[float] = []
-        self.consumed = 0
-
-
-class BatchedLane:
-    """A client's handle onto its cohort lane.
-
-    The owning :class:`repro.fl.client.FLClient` drives it instead of
-    calling ``model.train_batch``: :meth:`trace` supplies the (analytic,
-    oracle-identical) batch cost, :meth:`consume_loss` returns the next
-    batch's loss (advancing the cohort on demand), and
-    :meth:`materialize` / :meth:`abandon` leave the lane when the client's
-    execution diverges from the lockstep.
-    """
-
-    def __init__(self, cohort: "_Cohort", state: _LaneState) -> None:
-        self._cohort = cohort
-        self._state = state
-
-    def trace(self) -> PhaseTrace:
-        return self._cohort.trace
-
-    def consume_loss(self) -> float:
-        state = self._state
-        state.consumed += 1
-        while self._cohort.steps_done < state.consumed:
-            self._cohort.advance()
-        return state.losses[state.consumed - 1]
-
-    def materialize(self, client, drawn: int) -> Optional[float]:
-        """Copy the lane's state after ``drawn`` batches back into ``client``.
-
-        Fast path when the cohort sits at (or can advance to) exactly
-        ``drawn`` waves; otherwise — the cohort already ran ahead for a
-        faster lane — the client's batches are replayed through the
-        per-client oracle from the round-start globals, which is what the
-        lockstep mirrored in the first place.
-        """
-        cohort = self._cohort
-        state = self._state
-        executor = cohort.executor
-        try:
-            while cohort.steps_done < drawn:
-                cohort.advance()
-            if cohort.started and cohort.steps_done == drawn:
-                for section in client.model.SECTIONS:
-                    client.model.set_flat_weights(
-                        cohort.model.lane_flat(section, state.index), section=section
-                    )
-                client.optimizer.restore_state(cohort.optimizer.lane_state(state.index))
-                client.loader.set_state(state.shadow.state())
-                executor.stats["fast_materializations"] += 1
-                return state.losses[drawn - 1] if drawn > 0 else None
-            executor.stats["replays"] += 1
-            return self._replay(client, drawn)
-        finally:
-            cohort.detach(state)
-
-    def _replay(self, client, drawn: int) -> Optional[float]:
-        client.loader.set_state(self._state.start_loader_state)
-        model = client.model
-        for section in model.SECTIONS:
-            model.set_flat_weights(self._cohort.globals[section], section=section)
-        optimizer = client.optimizer
-        optimizer.reset_state()
-        if isinstance(optimizer, ProximalSGD):
-            optimizer.set_anchor(
-                {section: model.flat_parameters(section) for section in model.SECTIONS}
-            )
-        last: Optional[float] = None
-        for _ in range(drawn):
-            xb, yb = client.loader.next_batch()
-            last, _ = model.train_batch(xb, yb, optimizer)
-        return last
-
-    def abandon(self, client, drawn: int) -> None:
-        """Leave without materializing weights: only sync the loader.
-
-        Used on disconnect / round supersede, where the per-client run
-        would have advanced the loader by ``drawn`` draws but the weights
-        are about to be overwritten anyway.
-        """
-        cohort = self._cohort
-        state = self._state
-        client.loader.set_state(state.start_loader_state)
-        for _ in range(drawn):
-            client.loader.next_batch()
-        cohort.executor.stats["abandons"] += 1
-        cohort.detach(state)
-
-
-class _Cohort:
-    """One lockstep group: shared arenas, shadow loaders, wave counter."""
-
-    #: Lane handle class; the sharded executor swaps in its remote lane.
-    lane_cls = BatchedLane
-
-    def __init__(
-        self,
-        executor: "BatchedClientExecutor",
-        key: tuple,
-        round_number: int,
-        members: Sequence[Tuple[int, object, int]],
-        globals_by_section: Dict[str, np.ndarray],
-    ) -> None:
-        self.executor = executor
-        self.key = key
-        self.round_number = round_number
-        self.globals = globals_by_section
-        # (model name, dtype str, batch_n, input_shape, y dtype str, optimizer key)
-        self.batch_n = int(key[2])
-        self.input_shape = tuple(key[3])
-        self.members: Dict[int, _LaneState] = {
-            client_id: _LaneState(client_id, total) for client_id, _, total in members
-        }
-        self.started = False
-        self.closing = False
-        self.steps_done = 0
-        self.max_steps = 0
-        self.trace: Optional[PhaseTrace] = None
-        self.model: Optional[BatchedModel] = None
-        self.optimizer: Optional[BatchedSGD] = None
-        self._active: List[_LaneState] = []
-        self._x: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------ activation
-    def activate(self, client) -> Optional[BatchedLane]:
-        state = self.members.get(client.client_id)
-        if state is None or state.activated or self.started or self.closing:
-            return None
-        state.activated = True
-        state.client = client
-        state.start_loader_state = client.loader.state()
-        if self.trace is None:
-            self.trace = phase_flops(client.model, self.batch_n, self.input_shape)
-        return self.lane_cls(self, state)
-
-    def _start(self) -> None:
-        self.started = True
-        # Lanes that were claimed but already left (offload freeze, churn
-        # disconnect, round supersede before the first wave) materialized or
-        # abandoned through the per-client path; only live lanes get slots.
-        self._active = [
-            state for state in self.members.values() if state.activated and not state.detached
-        ]
-        for index, state in enumerate(self._active):
-            state.index = index
-        lanes = len(self._active)
-        self.max_steps = max(state.total_batches for state in self._active)
-        self.model, self.optimizer, self._x, self._y = build_cohort(
-            self.key, lanes, self._active[0].client.model
-        )
-        self.model.load_all_lanes(self.globals)
-        if isinstance(self.optimizer, BatchedProximalSGD):
-            self.optimizer.set_anchor(dict(self.globals))
-        for state in self._active:
-            loader = state.client.loader
-            shadow = BatchLoader(
-                loader.x, loader.y, batch_size=loader.batch_size, shuffle=loader.shuffle
-            )
-            shadow.set_state(state.start_loader_state)
-            state.shadow = shadow
-        self.executor.stats["cohorts_started"] += 1
-        self.executor.stats["lanes"] += lanes
-
-    # ----------------------------------------------------------------- waves
-    def advance(self) -> None:
-        """Run one lockstep wave: every lane trains its next batch."""
-        if not self.started:
-            self._start()
-        if self.steps_done >= self.max_steps:
-            raise RuntimeError(
-                f"cohort for round {self.round_number} advanced past its "
-                f"{self.max_steps}-step horizon"
-            )
-        for state in self._active:
-            xb, yb = state.shadow.next_batch()
-            self._x[state.index] = xb
-            self._y[state.index] = yb
-        losses = self.model.train_step(self._x, self._y, self.optimizer)
-        for state in self._active:
-            state.losses.append(float(losses[state.index]))
-        self.steps_done += 1
-        self.executor.stats["waves"] += 1
-
-    # ------------------------------------------------------------- lifecycle
-    def detach(self, state: _LaneState) -> None:
-        state.detached = True
-        state.client = None
-        self.executor._maybe_release(self)
-
-    def fully_detached(self) -> bool:
-        return all(
-            state.detached for state in self.members.values() if state.activated
-        )
-
-
-class BatchedClientExecutor:
-    """Plans and hosts the lockstep cohorts of each synchronous round.
-
-    The federator calls :meth:`plan_round` with the selected clients when
-    it fans out training requests; each client then calls :meth:`activate`
-    when its request arrives.  Clients whose request never arrives, arrives
-    late (after the first wave), or arrives twice simply fall back to the
-    per-client oracle path.  :meth:`finish_round` closes the round's
-    cohorts; lanes of dropped stragglers stay live until they materialize
-    or abandon.
-    """
-
-    #: Cohort class; the sharded executor swaps in its remote cohort.
-    cohort_cls = _Cohort
-
-    def __init__(self) -> None:
-        self._plan: Dict[int, _Cohort] = {}
-        self._plan_round: Optional[int] = None
-        self._live: List[_Cohort] = []
-        self.stats: Dict[str, int] = {
-            "rounds_planned": 0,
-            "cohorts_planned": 0,
-            "cohorts_started": 0,
-            "lanes": 0,
-            "waves": 0,
-            "fallbacks": 0,
-            "fast_materializations": 0,
-            "replays": 0,
-            "abandons": 0,
-        }
-
-    # ------------------------------------------------------------- planning
-    def _eligibility_key(self, actor) -> Optional[tuple]:
-        """Cohort grouping key for a client, or ``None`` for per-client.
-
-        Lockstep requires an identical kernel schedule across the whole
-        round: same architecture/dtype/input shape, same optimiser family
-        and hyper-parameters, and a *uniform* batch-size sequence (true iff
-        the dataset fits in one batch or divides evenly — ragged epoch
-        tails would change the GEMM shapes and break bitwise parity).
-        """
-        model = getattr(actor, "model", None)
-        loader = getattr(actor, "loader", None)
-        optimizer = getattr(actor, "optimizer", None)
-        if type(model) is not SplitCNN or loader is None or not kernels_cover(model):
-            return None
-        if type(optimizer) is ProximalSGD:
-            opt_key = (
-                "prox",
-                optimizer.lr,
-                optimizer.mu,
-                optimizer.momentum,
-                optimizer.weight_decay,
-            )
-        elif type(optimizer) is SGD:
-            opt_key = ("sgd", optimizer.lr, optimizer.momentum, optimizer.weight_decay)
-        else:
-            return None
-        n = loader.num_samples
-        batch_size = loader.batch_size
-        if n == 0 or (n > batch_size and n % batch_size):
-            return None
-        if loader.x.dtype != model.dtype:
-            return None
-        return (
-            model.name,
-            str(model.dtype),
-            min(batch_size, n),
-            tuple(loader.x.shape[1:]),
-            str(loader.y.dtype),
-            opt_key,
-        )
-
-    def plan_round(
-        self,
-        round_number: int,
-        members: Sequence[Tuple[int, object, int]],
-        global_model: SplitCNN,
-    ) -> None:
-        """Group ``(client_id, actor, total_batches)`` members into cohorts."""
-        self._plan = {}
-        self._plan_round = round_number
-        self.stats["rounds_planned"] += 1
-        groups: Dict[tuple, List[Tuple[int, object, int]]] = {}
-        for client_id, actor, total in members:
-            key = self._eligibility_key(actor)
-            if key is None or total < 1:
-                self.stats["fallbacks"] += 1
-                continue
-            groups.setdefault(key, []).append((client_id, actor, total))
-        globals_cache: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
-        for key, group in groups.items():
-            if len(group) < 2:
-                # A cohort of one has nothing to amortise.
-                self.stats["fallbacks"] += len(group)
-                continue
-            cache_key = (key[0], key[1])
-            section_globals = globals_cache.get(cache_key)
-            if section_globals is None:
-                section_globals = {
-                    section: global_model.get_flat_weights(section)
-                    for section in global_model.SECTIONS
-                }
-                globals_cache[cache_key] = section_globals
-            cohort = self.cohort_cls(self, key, round_number, group, section_globals)
-            for client_id, _, _ in group:
-                self._plan[client_id] = cohort
-            self._live.append(cohort)
-            self.stats["cohorts_planned"] += 1
-
-    def activate(self, client, round_number: int) -> Optional[BatchedLane]:
-        """A client's TRAIN_REQUEST arrived: claim its planned lane (or None)."""
-        if self._plan_round != round_number:
-            return None
-        cohort = self._plan.get(client.client_id)
-        if cohort is None:
-            return None
-        lane = cohort.activate(client)
-        if lane is None:
-            self.stats["fallbacks"] += 1
-        return lane
-
-    def finish_round(self, round_number: int) -> None:
-        """The round finalized: close its cohorts (stragglers keep pulling)."""
-        if self._plan_round == round_number:
-            self._plan = {}
-            self._plan_round = None
-        for cohort in list(self._live):
-            if cohort.round_number == round_number:
-                cohort.closing = True
-                self._maybe_release(cohort)
-
-    def close(self) -> None:
-        """Release executor-held resources: the cohorts, whose lanes hold
-        clients (and worker pools in subclasses).  ``stats`` stays."""
-        self._plan = {}
-        self._live = []
-
-    # ------------------------------------------------------------- internals
-    def _maybe_release(self, cohort: _Cohort) -> None:
-        if cohort.closing and cohort.fully_detached() and cohort in self._live:
-            self._live.remove(cohort)
-            cohort.model = None
-            cohort.optimizer = None
-            cohort._x = None
-            cohort._y = None

@@ -157,8 +157,8 @@ def phase_flops(model: "SplitCNN", batch_size: int, input_shape: Sequence[int]) 
     Bitwise identical to the trace the layer loop records (FLOP counts
     are shape-derived integers, never data-dependent).  It is the trace of
     every kernel-path step — the input-layer dX the kernels skip stays
-    charged at its canonical cost — and what a cohort lane reports
-    *before* the cohort's first wave has computed anything.
+    charged at its canonical cost — and what a client whose training runs
+    on a shard worker is charged *before* the worker has computed anything.
     """
     trace = PhaseTrace()
     shape = tuple(int(dim) for dim in input_shape)
@@ -326,8 +326,8 @@ class SplitCNN:
 
         Built on first use: ``lanes=1`` :class:`~repro.nn.batched.BatchedModel`
         pairs whose arenas are reshapes of this model's flat section
-        vectors, so the optimiser, the flat/dict weight API and the cohort
-        engine's materialize path keep operating on the same memory.  The
+        vectors, so the optimiser and the flat/dict weight API keep
+        operating on the same memory.  The
         sets own no scratch — that is the calling thread's
         :class:`~repro.nn.batched.Workspace`, shared by every model and by
         both kinds of pass: a training step runs its backward before it
@@ -616,10 +616,11 @@ class SplitCNN:
         losses = step.train_step(self._cast_input(x)[None], y[None])
         if optimizer is not None:
             optimizer.step_flat(self._trainable_sections())
-        return float(losses[0]), self._batch_trace(x.shape)
+        return float(losses[0]), self.batch_trace(x.shape)
 
-    def _batch_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
-        """The trace :meth:`train_batch_layerwise` would record for this batch."""
+    def batch_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
+        """The trace :meth:`train_batch_layerwise` would record for a batch of
+        this shape — what a step costs, known without running it."""
         unfrozen = self._batch_traces.get(batch_shape)
         if unfrozen is None:
             unfrozen = phase_flops(self, batch_shape[0], batch_shape[1:])

@@ -76,10 +76,11 @@ class SimulatedCluster:
         #: Client actors (``repro.fl.client.FLClient``) by node id; attached
         #: so that churn events can abort a disconnected client's local work.
         self._actors: Dict[Any, Any] = {}
-        #: Optional ``repro.nn.batched.BatchedClientExecutor`` installed by
-        #: the runtime when ``batched_execution`` resolves to on; clients and
-        #: the federator discover it here (``None`` keeps the per-client path).
-        self.batched_executor: Optional[Any] = None
+        #: The ``repro.simulation.shard.ShardedClientExecutor`` the runtime
+        #: installs for ``shards >= 2``; clients send their rounds through it
+        #: and the federator aggregates through its tree.  ``None``: every
+        #: client trains in this process.
+        self.shard_executor: Optional[Any] = None
         #: Callbacks fired on every membership change: ``cb(client_id, online)``.
         self._membership_listeners: List[Callable[[Any, bool], None]] = []
 
@@ -310,8 +311,8 @@ class SimulatedCluster:
         which hold the cluster: emptied here, the cluster is a leaf.  The
         nodes, profiles and counters stay readable.
         """
-        if self.batched_executor is not None:
-            self.batched_executor.close()
+        if self.shard_executor is not None:
+            self.shard_executor.close()
         self._actors.clear()
         self._membership_listeners.clear()
         self.env.close()

@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, sequence)`` so that ties are broken by
+    Events fire in ``(time, sequence)`` order, so ties are broken by
     insertion order.  A cancelled event stays in the heap but is skipped
     when popped.
     """
 
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "sequence", "callback", "cancelled")
+
+    def __init__(self, time: float, sequence: int, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its time comes."""
@@ -34,33 +35,38 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, sequence, event)`` tuples: sequences are
+    unique, so every comparison is decided by the first two fields, in C,
+    and never reaches the event.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, callback: Callable[[], None]) -> Event:
-        event = Event(time=time, sequence=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        event = Event(time, next(self._counter), callback)
+        heapq.heappush(self._heap, (time, event.sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
         return len(self) > 0

@@ -1,26 +1,37 @@
 """Sharded multi-process simulation: the compute plane behind ``--shards``.
 
-One Python event loop pumping every simulated event is the scale ceiling
-PR 8 left behind: the batched engine made a round's training a few big
-numpy calls, but they still run on the parent's core.  This module
-shards that compute plane across worker processes while keeping *all*
-simulation state — the event queue, clients, network, dynamics — in the
-parent, which is what makes the result bitwise identical to the
-single-process run:
+One Python process pumping every simulated event *and* computing every
+training step is the scale ceiling of a large cohort.  This module moves
+the training steps to worker processes while keeping *all* simulation
+state — the event queue, clients, network, dynamics — in the parent,
+which is what makes the result bitwise identical to the single-process
+run:
 
 * :class:`ShardPlan` partitions the client population into ``N``
   contiguous ownership ranges (deterministic in ``(num_clients, N)``),
   so sorted client-id order *is* shard-block concatenation order.
-* :class:`ShardedClientExecutor` subclasses the batched executor; only
-  the cohort changes.  When a cohort's first wave is needed, its live
-  lanes are split by owning shard and dispatched as one job per shard;
-  each worker runs the same lockstep wave loop
-  (:class:`repro.nn.batched.BatchedModel` for two or more lanes, the
-  per-client oracle for a singleton) and snapshots every lane at its own
-  batch horizon.  Because PR 8 pinned batched == solo for *any* lane
-  width, a shard-local sub-cohort produces bitwise the same per-lane
-  weights, losses and optimizer state as the parent's full-width cohort
-  would — the partition is invisible in the results.
+* A round is a bag of independent per-client trainings.  When a client's
+  TRAIN_REQUEST arrives, :meth:`ShardedClientExecutor.submit` sends its
+  whole local training — round-start weights, data slice, loader
+  position, batch count — to the worker that owns it as one job and
+  hands the client a :class:`RemoteTraining`; so a round's jobs are all
+  on the pipes before the parent's first batch-completion event asks for
+  a loss.  The worker runs the client's own per-client path
+  (``SplitCNN.train_batch``, the same kernels, the same bytes), so there
+  is nothing to prove beyond process-independence of numpy.
+* The parent keeps simulating: batch completions are scheduled from the
+  analytic batch cost, and the job is *collected* at the first event that
+  needs a number from it (a loss, the final weights) — reading every
+  worker's pipe while it waits, so no worker stalls on a full one.  A
+  client that leaves the common schedule before its last batch — an
+  offload freeze, batches given up for an incoming offload, a checkpoint
+  capture — *replays* its batches in the parent from the round-start
+  weights; one whose round is void (disconnect, a superseding
+  TRAIN_REQUEST) only advances its loader and *cancels* the job: the
+  parent forgets it (a late reply is discarded by its job id) and tells
+  the owning worker, which counts the notice and trains on — a cancel
+  overtook its job on 0-2 of 128 jobs a ``city_churn`` run, too few to
+  pay for a queue scan.
 * Workers are stateless compute servers over ``multiprocessing`` pipes
   (spawn context, same re-import discipline as
   ``experiments/parallel``): a SIGKILLed worker is respawned and its
@@ -35,28 +46,28 @@ single-process run:
 
 Per-shard RNG streams are split from the experiment seed with
 ``np.random.SeedSequence.spawn``; they seed each worker's template-model
-initializer (overwritten by the round globals before any training, like
-every client model's initializer).
+initializer (overwritten by the round-start weights before any training,
+like every client model's initializer).
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing
 import os
+import threading
+from collections import deque
+from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.loader import BatchLoader
 from repro.fl.aggregation import fedavg_aggregate_flat
-from repro.nn.batched import (
-    BatchedClientExecutor,
-    BatchedLane,
-    BatchedProximalSGD,
-    _Cohort,
-    build_cohort,
-)
+from repro.nn.batched import kernels_cover
+from repro.nn.model import SplitCNN
 from repro.nn.optim import ProximalSGD, SGD
 
 #: Directory whose presence on ``sys.path`` makes ``import repro`` work in
@@ -142,44 +153,40 @@ def _template(templates: dict, architecture: str, dtype_name: str, seed: int):
     return cached
 
 
-def _make_solo_optimizer(opt_key: tuple):
-    if opt_key[0] == "prox":
-        return ProximalSGD(
-            lr=opt_key[1], mu=opt_key[2], momentum=opt_key[3], weight_decay=opt_key[4]
-        )
-    return SGD(lr=opt_key[1], momentum=opt_key[2], weight_decay=opt_key[3])
+def _optimizer_key(optimizer) -> Optional[tuple]:
+    """What rebuilds ``optimizer`` in a worker, or ``None`` for a family
+    (a subclass may override the update) only the parent can step."""
+    if type(optimizer) is ProximalSGD:
+        return ("prox", optimizer.lr, optimizer.mu, optimizer.momentum, optimizer.weight_decay)
+    if type(optimizer) is SGD:
+        return ("sgd", optimizer.lr, optimizer.momentum, optimizer.weight_decay)
+    return None
 
 
-def _shadow_loader(lane: dict):
-    from repro.data.loader import BatchLoader
-
-    loader = BatchLoader(
-        lane["x"], lane["y"], batch_size=lane["batch_size"], shuffle=lane["shuffle"]
-    )
-    loader.set_state(lane["loader_state"])
-    return loader
+def _make_optimizer(key: tuple):
+    if key[0] == "prox":
+        return ProximalSGD(lr=key[1], mu=key[2], momentum=key[3], weight_decay=key[4])
+    return SGD(lr=key[1], momentum=key[2], weight_decay=key[3])
 
 
-def _train_solo(template, key: tuple, globals_by_section: dict, lane: dict) -> dict:
-    """Singleton shard group: the per-client oracle path, verbatim."""
-    loader = _shadow_loader(lane)
-    model = template
+def _train_solo(model, job: dict) -> dict:
+    """One client's local training: the per-client path, verbatim."""
+    loader = BatchLoader(job["x"], job["y"], batch_size=job["batch_size"], shuffle=job["shuffle"])
+    loader.set_state(job["loader_state"])
     model.unfreeze_features()
     model.unfreeze_classifier()
     for section in model.SECTIONS:
-        model.set_flat_weights(globals_by_section[section], section=section)
-    optimizer = _make_solo_optimizer(key[5])
-    optimizer.reset_state()
+        model.set_flat_weights(job["globals"][section], section=section)
+    optimizer = _make_optimizer(job["optimizer"])
     if isinstance(optimizer, ProximalSGD):
-        optimizer.set_anchor(
-            {section: model.flat_parameters(section) for section in model.SECTIONS}
-        )
+        optimizer.set_anchor(job["globals"])
     losses: List[float] = []
-    for _ in range(lane["total"]):
+    for _ in range(job["total"]):
         xb, yb = loader.next_batch()
         loss, _ = model.train_batch(xb, yb, optimizer)
         losses.append(float(loss))
     opt_state = optimizer.capture_state()
+    # Bulky, and the parent has it: the round-start weights, verbatim.
     opt_state.pop("anchor", None)
     return {
         "losses": losses,
@@ -189,68 +196,17 @@ def _train_solo(template, key: tuple, globals_by_section: dict, lane: dict) -> d
     }
 
 
-def _train_cohort(
-    template, key: tuple, globals_by_section: dict, lanes: Sequence[dict], stats
-) -> dict:
-    """Shard-local lockstep: the parent cohort's wave loop, verbatim.
-
-    Every lane draws each wave up to the group's horizon (exactly like
-    ``_Cohort.advance``); a lane is snapshotted the wave it reaches its
-    *own* total, which is the state the parent's fast-materialize path
-    would read at that step count.  The kernel set lives for this job only.
-    """
-    from repro.nn.model import SplitCNN
-
-    model, optimizer, x, y = build_cohort(key, len(lanes), template)
-    model.load_all_lanes(globals_by_section)
-    if isinstance(optimizer, BatchedProximalSGD):
-        optimizer.set_anchor(dict(globals_by_section))
-    loaders = [_shadow_loader(lane) for lane in lanes]
-    results: Dict[int, dict] = {}
-    losses_by_lane: List[List[float]] = [[] for _ in lanes]
-    max_steps = max(lane["total"] for lane in lanes)
-    for step in range(1, max_steps + 1):
-        for index, loader in enumerate(loaders):
-            xb, yb = loader.next_batch()
-            x[index] = xb
-            y[index] = yb
-        wave = model.train_step(x, y, optimizer)
-        stats["waves"] += 1
-        for index, lane in enumerate(lanes):
-            losses_by_lane[index].append(float(wave[index]))
-            if lane["total"] == step:
-                opt_state = optimizer.lane_state(index)
-                opt_state.pop("anchor", None)
-                results[lane["client_id"]] = {
-                    "losses": list(losses_by_lane[index]),
-                    "weights": {
-                        s: model.lane_flat(s, index) for s in SplitCNN.SECTIONS
-                    },
-                    "optimizer": opt_state,
-                    "loader_state": loaders[index].state(),
-                }
-    return results
-
-
-def _execute_job(job: dict, templates: dict, stats: dict) -> dict:
-    key = job["key"]
-    stats["jobs"] += 1
-    stats["lanes"] += len(job["lanes"])
-    template = _template(templates, job["architecture"], key[1], job["seed"])
-    lanes = job["lanes"]
-    if len(lanes) == 1:
-        stats["solo_lanes"] += 1
-        lane = lanes[0]
-        return {lane["client_id"]: _train_solo(template, key, job["globals"], lane)}
-    return _train_cohort(template, key, job["globals"], lanes, stats)
-
-
 def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: str) -> None:
     """Entry point of one shard worker (spawn context).
 
-    Request/reply over ``conn``; an orphan watchdog exits when the parent
-    pid changes (the parent was SIGKILLed — the crash harness relies on
-    workers not outliving it).
+    Jobs run in arrival order on this thread, one reply each.  A second
+    thread reads the pipe as fast as the parent writes it: a round's
+    submissions never wait in the parent behind the job that is running
+    (the parent would stall on a full pipe with the other shards' jobs
+    still unsent); it also answers snapshots and counts cancels while a
+    job runs.  An orphan watchdog exits when the parent pid changes (the
+    parent was SIGKILLed — the crash harness relies on workers not
+    outliving it).
     """
     import sys
 
@@ -260,48 +216,59 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
 
     load_plugins()
 
-    stats = {"jobs": 0, "lanes": 0, "solo_lanes": 0, "waves": 0, "cancels_received": 0}
+    stats = {"jobs": 0, "cancels_received": 0}
+    queued: deque = deque()  # job messages, then ("stop",) when the pipe ends
+    changed = threading.Condition()  # guards ``queued`` and ``stats``
+    sending = threading.Lock()  # one writer on the pipe at a time
+
+    def receive() -> None:
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                message = ("stop",)
+            kind = message[0]
+            if kind == "snapshot":
+                with changed:
+                    counters = dict(stats)
+                info = {
+                    "shard": shard_index,
+                    "pid": os.getpid(),
+                    "stats": counters,
+                    "maxrss_kb": _maxrss_kb(),
+                }
+                with sending:
+                    conn.send(("snapshot", info))
+                continue
+            with changed:
+                if kind == "cancel":
+                    # A notice only: the parent already discards the reply.
+                    stats["cancels_received"] += 1
+                else:
+                    queued.append(message)
+                    changed.notify()
+            if kind == "stop":
+                return
+
+    threading.Thread(target=receive, name="shard-pipe-reader", daemon=True).start()
     templates: dict = {}
     while True:
-        try:
-            if not conn.poll(1.0):
-                if os.getppid() != parent_pid:
+        with changed:
+            while not queued:
+                if not changed.wait(1.0) and os.getppid() != parent_pid:
                     return
-                continue
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        kind = message[0]
-        if kind == "stop":
-            return
-        if kind == "cancel":
-            # Fire-and-forget: the parent cancelled round traffic for one
-            # of this shard's clients (churn/disconnect).  Results are
-            # collected eagerly, so there is nothing to interrupt — the
-            # counter is the observable.
-            stats["cancels_received"] += 1
-            continue
-        if kind == "snapshot":
-            conn.send(
-                (
-                    "snapshot",
-                    {
-                        "shard": shard_index,
-                        "pid": os.getpid(),
-                        "stats": dict(stats),
-                        "maxrss_kb": _maxrss_kb(),
-                    },
-                )
-            )
-            continue
-        if kind == "job":
-            job_id, payload = message[1], message[2]
-            try:
-                result = _execute_job(payload, templates, stats)
-            except BaseException as exc:  # surface worker bugs to the parent
-                conn.send(("error", job_id, repr(exc)))
-                continue
-            conn.send(("result", job_id, result))
+            message = queued.popleft()
+            if message[0] == "stop":
+                return
+            stats["jobs"] += 1
+        _, job_id, job = message
+        try:
+            model = _template(templates, job["architecture"], job["dtype"], job["seed"])
+            reply = ("result", job_id, _train_solo(model, job))
+        except BaseException as exc:  # surface worker bugs to the parent
+            reply = ("error", job_id, repr(exc))
+        with sending:
+            conn.send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +302,7 @@ class ShardPool:
         self._workers: List[Optional[_Worker]] = [None] * self.num_shards
         self._outstanding: Dict[Tuple[int, int], dict] = {}
         self._buffered: Dict[Tuple[int, int], dict] = {}
+        self._job_ids = itertools.count(1)
 
     # ---------------------------------------------------------------- spawn
     def _spawn(self, shard: int) -> _Worker:
@@ -389,11 +357,16 @@ class ShardPool:
             self.stats_sink["worker_restarts"] = (
                 self.stats_sink.get("worker_restarts", 0) + 1
             )
-        for (job_shard, job_id), payload in sorted(self._outstanding.items()):
-            if job_shard == shard:
-                self._workers[shard].conn.send(("job", job_id, payload))
+        for key, payload in sorted(self._outstanding.items()):
+            if key[0] == shard and key not in self._buffered:
+                self._workers[shard].conn.send(("job", key[1], payload))
 
     # ------------------------------------------------------------------ rpc
+    def new_job_id(self) -> int:
+        """An id no job of this pool has had: a reply that outlives its job
+        (cancelled, or from before a respawn) can never answer another."""
+        return next(self._job_ids)
+
     def submit(self, shard: int, job_id: int, payload: dict) -> None:
         self._outstanding[(shard, job_id)] = payload
         worker = self._ensure_worker(shard)
@@ -402,33 +375,60 @@ class ShardPool:
         except (BrokenPipeError, OSError):
             self._respawn_and_redispatch(shard)
 
-    def collect(self, shard: int, job_id: int) -> dict:
-        key = (shard, job_id)
-        while True:
-            if key in self._buffered:
-                self._outstanding.pop(key, None)
-                return self._buffered.pop(key)
-            worker = self._ensure_worker(shard)
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                self._respawn_and_redispatch(shard)
-                continue
-            if message[0] == "result":
-                self._buffered[(shard, message[1])] = message[2]
-            elif message[0] == "error":
-                self._outstanding.pop((shard, message[1]), None)
-                raise ShardWorkerError(
-                    f"shard {shard} worker failed job {message[1]}: {message[2]}"
-                )
+    def _keep(self, shard: int, message: tuple) -> None:
+        """Buffer a result somebody still waits for; drop any other."""
+        key = (shard, message[1])
+        if key in self._outstanding:
+            self._buffered[key] = message[2]
 
-    def cancel(self, shard: int, client_id: int) -> None:
-        """Fire-and-forget cancel notification for one client's traffic."""
+    def collect(self, shard: int, job_id: int) -> dict:
+        """The result of one job, waiting for it if need be.
+
+        While it waits it reads *every* worker's pipe, not only the job's:
+        a worker whose finished results nobody reads blocks on its next
+        send (measured: a third of one worker's time, while the parent sat
+        on the other's pipe).
+        """
+        key = (shard, job_id)
+        self._ensure_worker(shard)
+        while key not in self._buffered:
+            pipes = {
+                worker.conn: index
+                for index, worker in enumerate(self._workers)
+                if worker is not None
+            }
+            for conn in connection.wait(list(pipes)):
+                self._receive(pipes[conn])
+        self._outstanding.pop(key, None)
+        return self._buffered.pop(key)
+
+    def _receive(self, shard: int) -> None:
+        """Take one message off a worker's pipe (readable, or at its end)."""
+        try:
+            message = self._workers[shard].conn.recv()
+        except (EOFError, OSError):
+            self._respawn_and_redispatch(shard)
+            return
+        if message[0] == "result":
+            self._keep(shard, message)
+        elif message[0] == "error" and (shard, message[1]) in self._outstanding:
+            del self._outstanding[(shard, message[1])]
+            raise ShardWorkerError(
+                f"shard {shard} worker failed job {message[1]}: {message[2]}"
+            )
+
+    def cancel(self, shard: int, job_id: int) -> None:
+        """Forget a job nobody will collect (its reply, if one comes, is
+        discarded by :meth:`_keep`) and notify the worker that owns it."""
+        key = (shard, job_id)
+        self._buffered.pop(key, None)
+        if self._outstanding.pop(key, None) is None:
+            return
         worker = self._workers[shard]
         if worker is None:
             return
         try:
-            worker.conn.send(("cancel", int(client_id)))
+            worker.conn.send(("cancel", job_id))
         except (BrokenPipeError, OSError):
             pass
 
@@ -448,7 +448,7 @@ class ShardPool:
                         infos.append(message[1])
                         break
                     if message[0] == "result":
-                        self._buffered[(shard, message[1])] = message[2]
+                        self._keep(shard, message)
             except (BrokenPipeError, EOFError, OSError):
                 infos.append(None)
         return infos
@@ -589,149 +589,95 @@ class HierarchicalAggregator:
 
 
 # ---------------------------------------------------------------------------
-# Sharded executor: remote cohorts and lanes
+# Sharded executor: per-client remote trainings
 # ---------------------------------------------------------------------------
-class _ShardLane(BatchedLane):
-    """Lane handle whose training ran on the owning shard worker."""
+class RemoteTraining:
+    """One client's local training of one round, run by the worker that owns it.
 
-    def consume_loss(self) -> float:
-        state = self._state
-        state.consumed += 1
-        self._cohort.ensure_results()
-        return state.losses[state.consumed - 1]
-
-    def materialize(self, client, drawn: int):
-        cohort = self._cohort
-        state = self._state
-        executor = cohort.executor
-        try:
-            if drawn > 0:
-                cohort.ensure_results()
-                result = cohort.result_for(state.client_id)
-                if result is not None and drawn == state.total_batches:
-                    model = client.model
-                    for section in model.SECTIONS:
-                        model.set_flat_weights(
-                            result["weights"][section], section=section
-                        )
-                    opt_state = dict(result["optimizer"])
-                    if isinstance(client.optimizer, ProximalSGD):
-                        # The worker strips the (bulky) anchor; it equals
-                        # the round-start globals verbatim.
-                        opt_state["anchor"] = {
-                            section: np.array(vector, copy=True)
-                            for section, vector in cohort.globals.items()
-                        }
-                    client.optimizer.restore_state(opt_state)
-                    client.loader.set_state(result["loader_state"])
-                    executor.stats["fast_materializations"] += 1
-                    return result["losses"][drawn - 1]
-            # Divergence (offload freeze, partial progress) or a zero-draw
-            # exit: replay through the per-client oracle, exactly like the
-            # in-process cohort does when it ran ahead.
-            executor.stats["replays"] += 1
-            return self._replay(client, drawn)
-        finally:
-            cohort.detach(state)
-
-    def abandon(self, client, drawn: int) -> None:
-        cohort = self._cohort
-        state = self._state
-        executor = cohort.executor
-        if cohort.started:
-            executor.stats["remote_cancels"] += 1
-            executor.pool.cancel(
-                executor.plan.shard_of(state.client_id), state.client_id
-            )
-        super().abandon(client, drawn)
-
-
-class _ShardCohort(_Cohort):
-    """A cohort whose wave loop runs on the shard workers.
-
-    The parent never trains: on first demand the live lanes are
-    partitioned by owning shard, one job per shard is dispatched, and the
-    blocking collect fills every lane's full loss history (workers finish
-    the cohort's horizon eagerly — the lockstep has no data dependence on
-    the parent between waves).
+    The owning :class:`repro.fl.client.FLClient` holds it from its
+    TRAIN_REQUEST until its training is over, and simulates on: batch
+    costs are analytic, the job's result is fetched at the first event
+    that needs a number from it.  Leaving it puts the client's model,
+    optimizer and loader where the per-client path would have them after
+    ``drawn`` batches — :meth:`materialize` — or, when the weights are
+    about to be overwritten anyway, only the loader — :meth:`abandon`.
     """
 
-    lane_cls = _ShardLane
+    def __init__(
+        self, executor: "ShardedClientExecutor", shard: int, job_id: int, job: dict, sizes: List[int]
+    ) -> None:
+        self._executor = executor
+        self._shard = shard
+        self._job_id = job_id
+        self._job = job
+        self._sizes = sizes
+        self._result: Optional[dict] = None
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._jobs: List[Tuple[int, int]] = []
-        self._results: Optional[Dict[int, dict]] = None
+    def batch_shape(self, index: int) -> Tuple[int, ...]:
+        """The shape of the client's batch ``index`` of this round."""
+        return (self._sizes[index],) + self._job["x"].shape[1:]
 
-    def ensure_results(self) -> None:
-        if not self.started:
-            self._dispatch()
-        if self._results is None:
-            self._collect()
+    def _collect(self) -> dict:
+        if self._result is None:
+            self._result = self._executor.pool.collect(self._shard, self._job_id)
+        return self._result
 
-    def result_for(self, client_id: int) -> Optional[dict]:
-        return (self._results or {}).get(client_id)
+    def _cancel(self) -> None:
+        """Nobody will read the job's result: forget it, and tell the worker."""
+        if self._result is None:
+            self._executor.stats["remote_cancels"] += 1
+            self._executor.pool.cancel(self._shard, self._job_id)
 
-    def _dispatch(self) -> None:
-        self.started = True
-        executor = self.executor
-        self._active = [
-            state for state in self.members.values() if state.activated and not state.detached
-        ]
-        for index, state in enumerate(self._active):
-            state.index = index
-        self.max_steps = max(state.total_batches for state in self._active)
-        by_shard: Dict[int, List] = {}
-        for state in self._active:
-            by_shard.setdefault(executor.plan.shard_of(state.client_id), []).append(state)
-        for shard in sorted(by_shard):
-            lanes = []
-            for state in by_shard[shard]:
-                loader = state.client.loader
-                lanes.append(
-                    {
-                        "client_id": state.client_id,
-                        "total": state.total_batches,
-                        "x": loader.x,
-                        "y": loader.y,
-                        "batch_size": loader.batch_size,
-                        "shuffle": loader.shuffle,
-                        "loader_state": state.start_loader_state,
-                    }
-                )
-            job = {
-                "key": self.key,
-                "architecture": executor.architecture,
-                "seed": executor.shard_seed(shard),
-                "globals": self.globals,
-                "lanes": lanes,
-            }
-            job_id = executor._next_job_id()
-            executor.pool.submit(shard, job_id, job)
-            self._jobs.append((shard, job_id))
-        executor.stats["cohorts_started"] += 1
-        executor.stats["lanes"] += len(self._active)
-        executor.stats["shard_jobs"] += len(self._jobs)
+    def loss(self, index: int) -> float:
+        """The loss of the client's batch ``index`` of this round."""
+        return self._collect()["losses"][index]
 
-    def _collect(self) -> None:
-        executor = self.executor
-        results: Dict[int, dict] = {}
-        for shard, job_id in self._jobs:
-            results.update(executor.pool.collect(shard, job_id))
-        self._results = results
-        for state in self._active:
-            state.losses = list(results[state.client_id]["losses"])
-        executor.stats["waves"] += self.max_steps
-        self.steps_done = self.max_steps
+    def materialize(self, client, drawn: int) -> Optional[float]:
+        """Leave with the state after ``drawn`` batches; returns the last loss.
 
-    def advance(self) -> None:  # safety net for base-path callers
-        self.ensure_results()
+        The worker trained the whole round: its result is that state only
+        when the client drew every batch.  One that left the common
+        schedule earlier (offload freeze, batches given up, a checkpoint
+        mid-round) replays its ``drawn`` batches here, from the round-start
+        weights, through the per-client path the worker mirrored.
+        """
+        job, stats = self._job, self._executor.stats
+        model, optimizer = client.model, client.optimizer
+        if drawn == job["total"]:
+            result = self._collect()
+            for section in model.SECTIONS:
+                model.set_flat_weights(result["weights"][section], section=section)
+            state = dict(result["optimizer"])
+            if isinstance(optimizer, ProximalSGD):
+                state["anchor"] = job["globals"]
+            optimizer.restore_state(state)
+            client.loader.set_state(result["loader_state"])
+            stats["fast_materializations"] += 1
+            return result["losses"][-1]
+        self._cancel()
+        stats["replays"] += 1
+        for section in model.SECTIONS:
+            model.set_flat_weights(job["globals"][section], section=section)
+        optimizer.reset_state()
+        if isinstance(optimizer, ProximalSGD):
+            optimizer.set_anchor(job["globals"])
+        last: Optional[float] = None
+        for _ in range(drawn):
+            xb, yb = client.loader.next_batch()
+            last, _ = model.train_batch(xb, yb, optimizer)
+        return last
+
+    def abandon(self, client, drawn: int) -> None:
+        """Leave a void round: the per-client run would have drawn ``drawn``
+        batches, and nothing else of it survives the next TRAIN_REQUEST."""
+        for _ in range(drawn):
+            client.loader.next_batch()
+        self._executor.stats["abandons"] += 1
+        self._cancel()
 
 
-class ShardedClientExecutor(BatchedClientExecutor):
-    """Batched executor whose cohorts train on shard worker processes."""
-
-    cohort_cls = _ShardCohort
+class ShardedClientExecutor:
+    """Sends each client's round of training to the worker owning the client."""
 
     def __init__(
         self,
@@ -741,7 +687,6 @@ class ShardedClientExecutor(BatchedClientExecutor):
         seed: int,
         aggregate_mode: str = "exact",
     ) -> None:
-        super().__init__()
         self.plan = ShardPlan(num_clients, num_shards)
         self.architecture = architecture
         self.seed = int(seed)
@@ -751,16 +696,17 @@ class ShardedClientExecutor(BatchedClientExecutor):
             for stream in np.random.SeedSequence(self.seed).spawn(self.plan.num_shards)
         ]
         self._pool: Optional[ShardPool] = None
-        self._job_counter = 0
-        self.stats.update(
-            {
-                "shard_jobs": 0,
-                "remote_cancels": 0,
-                "worker_restarts": 0,
-                "edge_reduces": 0,
-                "root_merges": 0,
-            }
-        )
+        self.stats: Dict[str, int] = {
+            "shard_jobs": 0,
+            "fallbacks": 0,
+            "fast_materializations": 0,
+            "replays": 0,
+            "abandons": 0,
+            "remote_cancels": 0,
+            "worker_restarts": 0,
+            "edge_reduces": 0,
+            "root_merges": 0,
+        }
         self.hierarchy = HierarchicalAggregator(
             self.plan, mode=aggregate_mode, stats=self.stats
         )
@@ -776,21 +722,50 @@ class ShardedClientExecutor(BatchedClientExecutor):
     def shard_seed(self, shard: int) -> int:
         return self._shard_seeds[shard]
 
-    def _next_job_id(self) -> int:
-        self._job_counter += 1
-        return self._job_counter
+    def submit(self, client, total_batches: int) -> Optional[RemoteTraining]:
+        """Start ``client``'s round on its worker, from the state it is in now
+        (weights loaded, optimizer reset, loader where the last round left it).
+
+        ``None`` — the client trains in the parent, which is always correct —
+        for what a worker cannot rebuild from the job: a model that is not
+        the configured architecture's plain :class:`SplitCNN` of stock
+        layers (a subclassed layer's math and step cost are its layer
+        loop's, which only the parent runs), an optimizer other than the
+        two stock families, nothing to train.
+        """
+        model, loader = client.model, client.loader
+        optimizer = _optimizer_key(client.optimizer)
+        trainable = total_batches >= 1 and loader.num_samples > 0
+        plain = type(model) is SplitCNN and kernels_cover(model)
+        if not plain or optimizer is None or not trainable:
+            self.stats["fallbacks"] += 1
+            return None
+        shard = self.plan.shard_of(client.client_id)
+        job = {
+            "architecture": self.architecture,
+            "dtype": str(model.dtype),
+            "seed": self.shard_seed(shard),
+            "globals": {s: model.get_flat_weights(s) for s in model.SECTIONS},
+            "optimizer": optimizer,
+            "total": int(total_batches),
+            "x": loader.x,
+            "y": loader.y,
+            "batch_size": loader.batch_size,
+            "shuffle": loader.shuffle,
+            "loader_state": loader.state(),
+        }
+        job_id = self.pool.new_job_id()
+        self.pool.submit(shard, job_id, job)
+        self.stats["shard_jobs"] += 1
+        return RemoteTraining(
+            self, shard, job_id, job, loader.upcoming_batch_sizes(total_batches)
+        )
 
     def close(self) -> None:
-        super().close()
+        """Give the workers back (outstanding jobs go with them); ``stats`` stays."""
         pool, self._pool = self._pool, None
         if pool is not None:
             _release_pool(pool)
-
-    def _maybe_release(self, cohort) -> None:
-        live = cohort in self._live
-        super()._maybe_release(cohort)
-        if live and cohort not in self._live and isinstance(cohort, _ShardCohort):
-            cohort._results = None
 
     # ----------------------------------------------------------- checkpoint
     def shard_snapshot(self) -> dict:

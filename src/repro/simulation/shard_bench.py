@@ -1,7 +1,7 @@
 """BENCH_shard: sharded compute-plane scaling ladder + memory ceiling.
 
 Measures the multi-process shard executor (:mod:`repro.simulation.shard`)
-against the in-process batched engine on the same workload:
+against the single-process run of the same workload:
 
 * **throughput ladder** — wall-clock round throughput at 1/2/4 shards on a
   compute-heavy metro-scale workload (``local_updates`` raised so worker
@@ -9,8 +9,8 @@ against the in-process batched engine on the same workload:
   inline: every rung must produce byte-identical round records,
 * **memory ceiling** — a continent-scale run (100k virtual clients) that
   must complete with every worker's peak RSS bounded well below the
-  parent's (workers hold cohort slices and kernels, never the dataset or
-  the client pool).
+  parent's (workers hold one client's data slice and one model, never the
+  dataset or the client pool).
 
 The ≥2x round-throughput target at 4 shards is a *parallelism* claim, so
 it is only evaluated when the host actually has ≥4 usable cores; on
@@ -39,7 +39,7 @@ MIN_CORES_FOR_TARGET = 4
 SPEEDUP_TARGET = 2.0
 #: Every worker's peak RSS must stay below this fraction of the parent's
 #: on the continent run (the parent holds the dataset + 100k-client pool;
-#: workers only ever see per-cohort slices).
+#: workers only ever see per-client slices).
 WORKER_RSS_FRACTION = 0.5
 
 
@@ -63,10 +63,8 @@ def _run_instrumented(config) -> Dict[str, object]:
         handle.federator.start()
         handle.cluster.run()
         wall_s = time.perf_counter() - start
-        executor = getattr(handle.cluster, "batched_executor", None)
-        shard_state = (
-            executor.shard_snapshot() if hasattr(executor, "shard_snapshot") else None
-        )
+        executor = handle.cluster.shard_executor
+        shard_state = executor.shard_snapshot() if executor is not None else None
         result = handle.federator.result
     workers = (shard_state or {}).get("workers") or []
     return {
@@ -87,7 +85,6 @@ def _ladder_config(shards: int, quick: bool):
         seed=7,
         scenario="stable",
         dtype="float32",
-        batched_execution="on",
         shards=shards,
         # Compute-heavy round: more local steps per client so worker-side
         # training dominates dispatch/collect overhead.
@@ -136,7 +133,6 @@ def run_shard_bench(quick: bool = False, output: Optional[str] = "BENCH_shard.js
             seed=7,
             scenario="stable",
             dtype="float32",
-            batched_execution="on",
             shards=4,
         )
         run = _run_instrumented(config)

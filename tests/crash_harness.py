@@ -29,7 +29,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -55,15 +55,26 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 # -------------------------------------------------------------- parent side
-def run_and_crash(config: ExperimentConfig, store_dir: Path, crash_round: int) -> None:
+def run_and_crash(
+    config: ExperimentConfig,
+    store_dir: Path,
+    crash_round: int,
+    kill_worker_marker: Optional[Path] = None,
+) -> None:
     """Run ``config`` against ``store_dir`` in a subprocess killed with
-    SIGKILL when round ``crash_round`` finalizes; asserts the kill landed."""
+    SIGKILL when round ``crash_round`` finalizes; asserts the kill landed.
+
+    With ``kill_worker_marker`` the child also SIGKILLs one of its shard
+    workers on the way — see :func:`kill_a_shard_worker_holding_jobs`.
+    """
     store_dir = Path(store_dir).resolve()  # the child runs from REPO_ROOT
     store_dir.mkdir(parents=True, exist_ok=True)
     config_path = store_dir / "crash-config.json"
     config_path.write_text(json.dumps(config_to_dict(config)))
     env = dict(os.environ)
     env["REPRO_SCALE"] = "smoke"
+    if kill_worker_marker is not None:
+        env[KILL_WORKER_ENV] = str(kill_worker_marker)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_ROOT), str(REPO_ROOT), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
@@ -153,12 +164,38 @@ if os.environ.get(PROBE_DIR_ENV):
 
 
 # --------------------------------------------------------------- child side
+KILL_WORKER_ENV = "CRASH_HARNESS_KILL_WORKER_MARKER"
+
+
+def kill_a_shard_worker_holding_jobs(marker: Path) -> None:
+    """SIGKILL the first shard worker that is asked for a result while at
+    least two of its per-client jobs are uncollected, once per process;
+    ``marker`` then holds how many it held.  The pool must respawn it and
+    re-dispatch every one of them."""
+    from repro.simulation.shard import ShardPool
+
+    collect = ShardPool.collect
+
+    def killing_collect(pool, shard, job_id):
+        held = [key for key in pool._outstanding if key[0] == shard and key not in pool._buffered]
+        if len(held) >= 2 and not marker.exists():
+            worker = pool._workers[shard]
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=30)
+            marker.write_text(str(len(held)))
+        return collect(pool, shard, job_id)
+
+    ShardPool.collect = killing_collect
+
+
 def _child_main(argv: List[str]) -> int:
     from repro.api import RunStore
     from repro.api.handles import run
 
     config_path, store_dir, crash_round = argv[0], argv[1], int(argv[2])
     config = config_from_dict(json.loads(Path(config_path).read_text()))
+    if os.environ.get(KILL_WORKER_ENV):
+        kill_a_shard_worker_holding_jobs(Path(os.environ[KILL_WORKER_ENV]))
 
     def crash_on_round(record) -> None:
         if record.round_number >= crash_round:

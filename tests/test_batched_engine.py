@@ -1,22 +1,18 @@
-"""Batched multi-client compute engine: bitwise parity and integration.
+"""The compute kernels at ``lanes > 1``, and per-client execution end to end.
 
-The contract under test (docs/architecture.md, "Batched client
-execution"): running a round's lockstep-compatible clients as one
-``(clients, params)`` kernel set produces **bitwise identical** weights,
-losses and summaries to the per-client oracle path — across every
-architecture, dtype, frozen-section mask and optimizer family — so
-``batched_execution`` is a pure execution knob, excluded from
-``run_key`` exactly like ``pool_slots``.
+This file pinned the lockstep cohort engine until it was deleted (ISSUE
+22): a round's clients now step one by one, each at its own simulated
+events, and with ``shards >= 2`` each on the worker process that owns it.
+Every test id is kept and now pins what remains:
 
-Three layers of pinning:
-
-* kernel level: a full parity matrix over the architecture registry plus
-  forced slow-probe fallbacks and max-pool tie/NaN torture inputs;
-* round level: batched-on runs reproduce the per-client rounds (and the
-  golden smoke summaries) byte-for-byte, through offload divergence,
-  churn, the virtualized client pool and SIGKILL crash/resume;
-* planner level: ragged shards, singleton groups and late activations
-  fall back to the per-client path instead of batching unsafely.
+* kernel level: ``lanes=N`` == ``N`` solo models, bit for bit — a full
+  parity matrix over the architecture registry plus forced slow-probe
+  fallbacks and max-pool tie/NaN torture inputs (unchanged);
+* round level: ``shards`` unset == ``shards=2`` byte for byte — golden
+  smoke summaries, offload divergence, churn, the virtualized client pool
+  and SIGKILL crash/resume across the two ways of executing a round;
+* what goes to a worker and what stays in the parent, and the retired
+  ``batched_execution`` knob.
 """
 
 from __future__ import annotations
@@ -34,20 +30,15 @@ from crash_harness import read_rounds_bytes, run_and_crash
 from repro.api import RunStore, run, run_key
 from repro.data.loader import BatchLoader
 from repro.experiments.workloads import SCALES, evaluation_config
-from repro.fl.config import ResourceConfig
-from repro.fl.runtime import build_experiment, uses_batched_execution
+from repro.fl.config import ExperimentConfig, ResourceConfig, config_from_dict, config_to_dict
+from repro.fl.runtime import build_experiment, uses_sharded_execution
 from repro.nn.architectures import ARCHITECTURES, build_model
-from repro.nn.batched import (
-    BatchedClientExecutor,
-    BatchedModel,
-    BatchedProximalSGD,
-    BatchedSGD,
-    phase_flops,
-)
+from repro.nn.batched import BatchedModel, BatchedProximalSGD, BatchedSGD
 from repro.nn.dtype import using_dtype
 from repro.nn.layers import MaxPool2D
-from repro.nn.model import SplitCNN
+from repro.nn.model import SplitCNN, phase_flops
 from repro.nn.optim import SGD, ProximalSGD
+from repro.simulation.shard import ShardedClientExecutor
 
 
 def _round_dicts(result):
@@ -58,7 +49,7 @@ def _round_dicts(result):
 # Kernel-level parity: batched == per-client, bitwise
 # ---------------------------------------------------------------------------
 def _run_parity_case(arch, dtype_name, frozen, opt_name, lanes=2, n=3, steps=2):
-    """Train ``lanes`` clients per-client and as one cohort; compare bitwise."""
+    """Train ``lanes`` clients one by one and as one ``lanes``-wide kernel set; compare bitwise."""
     spec = ARCHITECTURES[arch]
     rng = np.random.default_rng(42)
     with using_dtype(dtype_name):
@@ -104,7 +95,7 @@ def _run_parity_case(arch, dtype_name, frozen, opt_name, lanes=2, n=3, steps=2):
         solo_weights.append({s: model.get_flat_weights(s) for s in SplitCNN.SECTIONS})
         solo_losses.append(losses)
 
-    # One lockstep cohort.
+    # The same clients as the lanes of one kernel set.
     cohort = BatchedModel(template, lanes)
     for lane in range(lanes):
         for section in SplitCNN.SECTIONS:
@@ -246,8 +237,9 @@ def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
 
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_analytic_phase_flops_match_executed_trace(arch):
-    """Lanes never run the profiled per-layer path, so their batch cost
-    comes from :func:`phase_flops`; it must equal the real trace."""
+    """A kernel step never runs the profiled per-layer path, and a batch
+    computed on a shard worker is charged before it ran: both costs come
+    from :func:`phase_flops`; it must equal the real trace."""
     spec = ARCHITECTURES[arch]
     with using_dtype("float32"):
         model = build_model(arch, rng=np.random.default_rng(0))
@@ -261,7 +253,7 @@ def test_analytic_phase_flops_match_executed_trace(arch):
 
 
 # ---------------------------------------------------------------------------
-# Round-level integration: the knob changes nothing observable
+# Round-level integration: where a client trains changes nothing observable
 # ---------------------------------------------------------------------------
 def _smoke_config(algorithm, partition, scenario, seed=42, **overrides):
     return evaluation_config(
@@ -279,98 +271,99 @@ def _smoke_config(algorithm, partition, scenario, seed=42, **overrides):
 def _run_with_stats(config):
     handle = build_experiment(config)
     result = handle.run()
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     return result, (dict(executor.stats) if executor is not None else None), handle
 
 
-def _assert_bitwise_equal_runs(config_on, config_off):
-    result_on, stats, _ = _run_with_stats(config_on)
-    result_off, stats_off, _ = _run_with_stats(config_off)
-    assert stats_off is None, "batched_execution='off' must not install an executor"
-    assert _round_dicts(result_on) == _round_dicts(result_off)
-    assert json.dumps(result_on.summary(), sort_keys=True) == json.dumps(
-        result_off.summary(), sort_keys=True
+def _assert_bitwise_equal_runs(config_sharded, config_flat):
+    result_sharded, stats, _ = _run_with_stats(config_sharded)
+    result_flat, stats_flat, _ = _run_with_stats(config_flat)
+    assert stats_flat is None, "a single-process run must not install an executor"
+    assert _round_dicts(result_sharded) == _round_dicts(result_flat)
+    assert json.dumps(result_sharded.summary(), sort_keys=True) == json.dumps(
+        result_flat.summary(), sort_keys=True
     )
-    return result_on, stats
+    return result_sharded, stats
 
 
+# Now pins: the goldens reproduce when every client trains on a shard
+# worker — ragged epoch tails included, which the cohort planner kept in
+# the parent.
 @pytest.mark.parametrize("algorithm", ["fedavg", "aergia"])
 def test_golden_smoke_reproduces_with_batching_forced_on(algorithm):
     from test_golden_baselines import GOLDEN_SMOKE_SUMMARIES, _assert_matches
 
-    config = _smoke_config(algorithm, "noniid", "stable", batched_execution="on")
+    config = _smoke_config(algorithm, "noniid", "stable", shards=2)
     result, stats, _ = _run_with_stats(config)
     _assert_matches(result.summary(), GOLDEN_SMOKE_SUMMARIES[algorithm], algorithm)
-    # The noniid smoke shards are ragged (100 samples, batch 16), so every
-    # client must fall back per-client rather than batch unequal shapes.
-    assert stats["fallbacks"] > 0 and stats["waves"] == 0
+    # The noniid smoke shards are ragged (100 samples, batch 16): a client's
+    # batches differ in size, and the worker steps them as the parent would.
+    assert stats["shard_jobs"] > 0 and stats["fallbacks"] == 0
 
 
+# Now pins: shards unset == shards=2, and a client that draws every batch
+# adopts its worker's result (nothing is replayed).
 def test_batched_rounds_are_bitwise_identical_with_live_cohorts():
-    kwargs = dict(train_size=384)  # 96 per client: divisible by the batch size
+    kwargs = dict(train_size=384)
     result, stats = _assert_bitwise_equal_runs(
-        _smoke_config("fedavg", "iid", "stable", batched_execution="on", **kwargs),
-        _smoke_config("fedavg", "iid", "stable", batched_execution="off", **kwargs),
+        _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs),
+        _smoke_config("fedavg", "iid", "stable", **kwargs),
     )
-    assert stats["waves"] > 0 and stats["cohorts_started"] > 0
-    assert stats["fallbacks"] == 0
-    assert stats["fast_materializations"] == stats["lanes"]
+    assert stats["shard_jobs"] > 0 and stats["fallbacks"] == 0
+    assert stats["fast_materializations"] == stats["shard_jobs"]
+    assert stats["replays"] == 0
 
 
+# Now pins: a client that freezes for an offload before its last batch
+# replays its batches in the parent, with exactly the single-process state.
 def test_offloading_clients_leave_their_lane_bitwise():
-    """Aergia offloads freeze the weak client's features mid-round — the
-    lane must materialize (replaying if the cohort ran ahead) with exactly
-    the per-client state."""
     kwargs = dict(
         seed=13,
         train_size=320,
         resources=ResourceConfig(scheme="explicit", explicit_speeds=(0.1, 0.8, 0.9, 1.0)),
     )
     result, stats = _assert_bitwise_equal_runs(
-        _smoke_config("aergia", "iid", "stable", batched_execution="on", **kwargs),
-        _smoke_config("aergia", "iid", "stable", batched_execution="off", **kwargs),
+        _smoke_config("aergia", "iid", "stable", shards=2, **kwargs),
+        _smoke_config("aergia", "iid", "stable", **kwargs),
     )
     assert result.summary()["total_offloads"] > 0
-    assert stats["waves"] > 0
-    assert stats["replays"] > 0, "the straggler's divergence must replay through the oracle"
+    assert stats["replays"] > 0, "the straggler's divergence must replay in the parent"
 
 
+# Now pins: disconnects mid-training (abandoned remote trainings) leave the
+# loaders where the single-process run has them.
 def test_churn_scenario_is_bitwise_identical_with_batching():
     kwargs = dict(seed=13, train_size=384)
     _, stats = _assert_bitwise_equal_runs(
-        _smoke_config("fedavg", "iid", "churn", batched_execution="on", **kwargs),
-        _smoke_config("fedavg", "iid", "churn", batched_execution="off", **kwargs),
+        _smoke_config("fedavg", "iid", "churn", shards=2, **kwargs),
+        _smoke_config("fedavg", "iid", "churn", **kwargs),
     )
-    assert stats["waves"] > 0
+    assert stats["shard_jobs"] > 0
 
 
+# Now pins: dehydration/rehydration interleaves with remote trainings — a
+# sharded churn run on a tight arena matches the single-process run on a
+# never-evicting one.
 def test_virtual_pool_runs_bitwise_identical_with_batching():
-    """Dehydration/rehydration interleaves with lane lifecycles: a batched
-    churn run on a tight arena must still match the per-client run on a
-    never-evicting one bitwise."""
     # Partial participation: a full-participation round pins the whole
     # cohort, so nobody would ever be evicted.
     kwargs = dict(seed=13, train_size=384, num_clients=6, clients_per_round=3, rounds=4)
-    config_on = _smoke_config(
-        "fedavg", "iid", "churn", batched_execution="on", pool_slots=3, **kwargs
-    )
-    result_on, stats, handle = _run_with_stats(config_on)
+    config_sharded = _smoke_config("fedavg", "iid", "churn", shards=2, pool_slots=3, **kwargs)
+    result_sharded, stats, handle = _run_with_stats(config_sharded)
     assert handle.pool.evictions > 0, "config no longer exercises rehydration"
-    config_off = _smoke_config(
-        "fedavg", "iid", "churn", batched_execution="off",
-        pool_slots=config_on.num_clients, **kwargs,
-    )  # fmt: skip
-    result_off, _, handle_off = _run_with_stats(config_off)
-    assert handle_off.pool.evictions == 0
-    assert _round_dicts(result_on) == _round_dicts(result_off)
-    assert stats["waves"] > 0
+    config_flat = _smoke_config(
+        "fedavg", "iid", "churn", pool_slots=config_sharded.num_clients, **kwargs
+    )
+    result_flat, _, handle_flat = _run_with_stats(config_flat)
+    assert handle_flat.pool.evictions == 0
+    assert _round_dicts(result_sharded) == _round_dicts(result_flat)
+    assert stats["shard_jobs"] > 0
 
 
 def test_virtual_pool_hydrates_models_at_config_dtype():
     """Slot models are built lazily at hydration time; the factory must pin
     the experiment's dtype even when the ambient default differs, or
-    every client fails cohort eligibility (and clients would silently
-    train at a precision other than the config's)."""
+    clients would silently train at a precision other than the config's."""
     config = _smoke_config("fedavg", "iid", "stable", train_size=384)
     handle = build_experiment(config)
     with using_dtype("float64"):
@@ -379,117 +372,164 @@ def test_virtual_pool_hydrates_models_at_config_dtype():
     assert actor.loader.x.dtype == np.dtype("float32")
 
 
+# Now pins per-client resume across the two ways of executing a round: a
+# single-process run crashed mid-way and resumed with its clients on shard
+# workers converges to the bytes of an uninterrupted single-process run.
 def test_sigkill_crash_resumes_bitwise_identical_across_engines(tmp_path):
-    """A batched run crash-resumed must converge to the same bytes as an
-    uninterrupted *per-client* run: checkpoints carry no engine state."""
     base = dict(checkpoint_interval=1, rounds=4, train_size=384)
-    config_off = (
+    config_flat = (
         api.experiment("fedavg")
         .dataset("mnist")
         .partition("iid")
         .scale("smoke")
         .scenario("stable")
         .seed(7)
-        .override(batched_execution="off", **base)
+        .override(**base)
         .build()
     )
-    config_on = config_off.with_overrides(batched_execution="on")
+    config_sharded = config_flat.with_overrides(shards=2)
     golden_store = RunStore(tmp_path / "golden")
-    golden = run(config_off, store=golden_store).result()
+    golden = run(config_flat, store=golden_store).result()
 
     store_dir = tmp_path / "crashed"
-    run_and_crash(config_on, store_dir, crash_round=2)
+    run_and_crash(config_flat, store_dir, crash_round=2)
     store = RunStore(store_dir)
-    resumed = run(config_on, store=store, resume=True)
+    resumed = run(config_sharded, store=store, resume=True)
     result = resumed.result()
     assert resumed.resumed_from_round is not None, "run did not resume"
     assert _round_dicts(result) == _round_dicts(golden)
-    key = run_key(config_on)
-    assert key == run_key(config_off)
+    key = run_key(config_sharded)
+    assert key == run_key(config_flat)
     assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
 
 
 # ---------------------------------------------------------------------------
-# Planner-level: eligibility, fallbacks, config plumbing
+# What goes to a worker, what stays in the parent, and the retired knob
 # ---------------------------------------------------------------------------
-def _fake_actor(n_samples, batch_size=16, optimizer=None, arch="mnist-cnn"):
+class _RecordingPool:
+    """Stands in for the worker pool: records the traffic, spawns nothing."""
+
+    def __init__(self):
+        self.submitted, self.cancelled = [], []
+
+    def new_job_id(self):
+        return len(self.submitted) + 1
+
+    def submit(self, shard, job_id, payload):
+        self.submitted.append((shard, job_id, payload))
+
+    def cancel(self, shard, job_id):
+        self.cancelled.append((shard, job_id))
+
+
+def _executor_without_workers(num_clients=4):
+    executor = ShardedClientExecutor(
+        num_shards=2, num_clients=num_clients, architecture="mnist-cnn", seed=0
+    )
+    executor._pool = _RecordingPool()
+    return executor
+
+
+def _fake_client(client_id, n_samples, batch_size=16, optimizer=None):
     with using_dtype("float32"):
-        model = build_model(arch, rng=np.random.default_rng(0))
+        model = build_model("mnist-cnn", rng=np.random.default_rng(0))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((n_samples, 1, 28, 28)).astype(model.dtype)
     y = rng.integers(0, 10, size=n_samples)
     loader = BatchLoader(x, y, batch_size=batch_size, shuffle=False)
     return SimpleNamespace(
-        model=model, loader=loader, optimizer=optimizer or SGD(lr=0.05, momentum=0.9)
+        client_id=client_id,
+        model=model,
+        loader=loader,
+        optimizer=optimizer or SGD(lr=0.05, momentum=0.9),
     )
 
 
+# Now pins what ``submit`` sends to a worker: everything the parent could
+# train itself, ragged epoch tails included, with the optimizer's
+# hyper-parameters in the job — and what it keeps (``None``: the client
+# trains in the parent).
 def test_planner_rejects_ragged_and_mismatched_clients():
-    executor = BatchedClientExecutor()
-    eligible = executor._eligibility_key(_fake_actor(96))
-    assert eligible is not None
-    # Ragged epoch tails would change the GEMM shapes mid-epoch.
-    assert executor._eligibility_key(_fake_actor(100)) is None
-    # Unknown optimizer families cannot be mirrored lane-wise.
+    executor = _executor_without_workers()
+    pool = executor.pool
+    assert executor.submit(_fake_client(0, 96), 2) is not None
+    # A ragged epoch (100 samples, batch 16) is a sequence of batch shapes
+    # like any other: the handle knows each batch's shape before it ran.
+    ragged = executor.submit(_fake_client(1, 100), 8)
+    assert [ragged.batch_shape(i)[0] for i in range(8)] == [16] * 6 + [4, 16]
+    # Unknown optimizer families cannot be rebuilt in a worker.
     class OddOptimizer(SGD):
         pass
 
-    assert executor._eligibility_key(_fake_actor(96, optimizer=OddOptimizer(lr=0.05))) is None
-    # Differing hyper-parameters land in different cohorts.
-    other = executor._eligibility_key(_fake_actor(96, optimizer=SGD(lr=0.01)))
-    assert other is not None and other != eligible
-    # A dataset that fits in one batch is lockstep-safe (single GEMM shape).
-    assert executor._eligibility_key(_fake_actor(10)) is not None
+    assert executor.submit(_fake_client(2, 96, optimizer=OddOptimizer(lr=0.05)), 2) is None
+    # Hyper-parameters travel with the job.
+    executor.submit(_fake_client(3, 96, optimizer=ProximalSGD(lr=0.01, mu=0.5)), 2)
+    assert [job["optimizer"][:2] for _, _, job in pool.submitted] == [
+        ("sgd", 0.05), ("sgd", 0.05), ("prox", 0.01),
+    ]  # fmt: skip
+    # Clients 0-1 live on shard 0, clients 2-3 on shard 1.
+    assert [shard for shard, _, _ in pool.submitted] == [0, 0, 1]
+    assert executor.stats["shard_jobs"] == 3 and executor.stats["fallbacks"] == 1
 
 
+# Now pins: a round of one client goes to its worker like any other (the
+# planner kept "cohorts of one" in the parent); only a client with nothing
+# to train stays; and a training that is superseded cancels its own job,
+# nobody else's.
 def test_planner_falls_back_for_singletons_and_late_activations():
-    executor = BatchedClientExecutor()
-    with using_dtype("float32"):
-        global_model = build_model("mnist-cnn", rng=np.random.default_rng(0))
-    a, b, c = _fake_actor(96), _fake_actor(96), _fake_actor(48, batch_size=8)
-    for index, actor in enumerate((a, b, c)):
-        actor.client_id = index
-    executor.plan_round(1, [(0, a, 2), (1, b, 2), (2, c, 2)], global_model)
-    # a and b batch together; c's batch shape puts it in a cohort of one,
-    # which has nothing to amortise.
-    assert executor.stats["cohorts_planned"] == 1
-    assert executor.stats["fallbacks"] == 1
-    assert executor.activate(c, 1) is None
-    # Wrong round / unknown client / double activation all decline.
-    assert executor.activate(a, 2) is None
-    lane = executor.activate(a, 1)
-    assert lane is not None
-    assert executor.activate(a, 1) is None
-    # Once the first wave ran, the cohort's shapes are fixed: b is too late.
-    lane.consume_loss()
-    assert executor.activate(b, 1) is None
+    executor = _executor_without_workers()
+    pool = executor.pool
+    a, b = _fake_client(0, 96), _fake_client(1, 48, batch_size=8)
+    first, other = executor.submit(a, 2), executor.submit(b, 2)
+    assert first is not None and other is not None
+    assert executor.submit(_fake_client(2, 96), 0) is None
+    assert executor.submit(_fake_client(3, 0), 2) is None
+    assert executor.stats["fallbacks"] == 2
 
-    executor.finish_round(1)
-    lane.materialize(SimpleNamespace(model=a.model, optimizer=a.optimizer, loader=a.loader), 1)
-    assert executor.stats["waves"] >= 1
+    # A new TRAIN_REQUEST reaches client 0 with its first batch in flight:
+    # the loader advances by the one draw the parent would have made, and
+    # only that client's job is cancelled.
+    cursor = a.loader.state()["cursor"]
+    first.abandon(a, 1)
+    assert a.loader.state()["cursor"] == cursor + a.loader.batch_size
+    assert pool.cancelled == [(0, 1)]
+    assert executor.stats["abandons"] == 1 and executor.stats["remote_cancels"] == 1
+    assert executor.submit(a, 2) is not None
+    assert [job_id for _, job_id, _ in pool.submitted] == [1, 2, 3]
 
 
+# Now pins the retirement of the knob: stored manifests and wire
+# submissions that carry it still load, to the same run; the constructor
+# no longer knows it.
 def test_batched_execution_is_excluded_from_run_key_and_cache():
+    from repro.api.store import EXECUTION_FIELDS, canonical_config
+    from repro.serve.protocol import parse_spec_payload
+
     config = _smoke_config("fedavg", "iid", "stable")
-    for mode in ("on", "off"):
-        assert run_key(config) == run_key(config.with_overrides(batched_execution=mode))
-    from repro.api.store import canonical_config
+    assert "batched_execution" not in canonical_config(config)
+    assert "batched_execution" not in EXECUTION_FIELDS and len(EXECUTION_FIELDS) == 3
+    stored = dict(config_to_dict(config), batched_execution="on")
+    assert run_key(config_from_dict(stored)) == run_key(config)
+    submission = {"algorithm": "fedavg", "scale": "smoke", "overrides": {"rounds": 2}}
+    with_knob = dict(submission, overrides={"rounds": 2, "batched_execution": "on"})
+    assert run_key(parse_spec_payload(with_knob)[0]) == run_key(parse_spec_payload(submission)[0])
+    with pytest.raises(TypeError, match="batched_execution"):
+        config.with_overrides(batched_execution="on")
+    with pytest.raises(TypeError, match="batched_execution"):
+        ExperimentConfig(batched_execution="on")
 
-    assert "batched_execution" not in canonical_config(config.with_overrides(batched_execution="on"))
-    with pytest.raises(ValueError):
-        config.with_overrides(batched_execution="always")
 
-
+# Now pins: no executor in-process at any round size — a 16-client round
+# steps its clients one by one like a 4-client one; workers are spawned for
+# ``shards >= 2`` only.
 def test_auto_mode_batches_large_rounds_only():
     config = _smoke_config("fedavg", "iid", "stable")  # 4 clients/round
-    assert not uses_batched_execution(config)
-    assert uses_batched_execution(config.with_overrides(batched_execution="on"))
-    assert not uses_batched_execution(config.with_overrides(batched_execution="off"))
-    big = config.with_overrides(
-        num_clients=batched_mod.BATCHED_AUTO_MIN_CLIENTS,
-        clients_per_round=batched_mod.BATCHED_AUTO_MIN_CLIENTS,
-    )
-    assert uses_batched_execution(big)
+    big = config.with_overrides(num_clients=16, clients_per_round=16)
+    for flat in (config, big):
+        assert not uses_sharded_execution(flat)
+        with build_experiment(flat) as handle:
+            assert handle.cluster.shard_executor is None
+    assert uses_sharded_execution(big.with_overrides(shards=2))
 
 
 def test_trainable_params_cache_aliases_and_invalidates():

@@ -12,9 +12,13 @@ the oracle.  Pinned here, bitwise:
 * generated conv geometries — the registered networks only ever run stride 1
   with "same" padding; the kernel's claims hold for every stride, padding,
   kernel and batch size, and for weights that are not finite;
+* forward-only passes — convs over more samples than one block run block
+  by block where the per-shape probe accepts that and whole where it does
+  not: generated geometries with ragged tails, every registered network at
+  the evaluation chunk sizes, and a shape the probe rejects forced through;
 * aliasing — whatever writes the flat vectors (the weight-loading API, an
-  offload package, a cohort lane materializing) is what the kernels read
-  next;
+  offload package, a shard worker's result being adopted) is what the
+  kernels read next;
 * selection — by exact layer type, nothing else;
 * the copy contract — clone / pickle / deepcopy of a model that has trained
   and evaluated carries parameters and structure, no scratch, no kernels.
@@ -23,6 +27,7 @@ the oracle.  Pinned here, bitwise:
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 from types import SimpleNamespace
 
@@ -35,13 +40,14 @@ import repro.nn.batched as batched_mod
 from repro.core.freezing import FrozenModelPackage
 from repro.data.loader import BatchLoader
 from repro.nn.architectures import ARCHITECTURES, build_model
-from repro.nn.batched import BatchedClientExecutor, BatchedModel
+from repro.nn.batched import BatchedModel
 from repro.nn.dtype import compute_dtype, using_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.loss import softmax
 from repro.nn.model import SplitCNN
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.reference import reference_mnist_cnn
+from repro.simulation.shard import RemoteTraining, ShardedClientExecutor, _train_solo
 
 DTYPES = ("float32", "float64")
 #: The 28x28 networks run at both dtypes in every session.  The CIFAR
@@ -293,6 +299,83 @@ def test_conv_kernel_matches_the_oracle_over_generated_geometries(g):
     _assert_conv_parity(kernel, oracles, grads, x, grad_out, repr(g))
 
 
+# ---------------------------------------------------------------------------
+# Forward-only passes run their convs in blocks of samples
+# ---------------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(
+    g=_conv_geometries(),
+    n=st.sampled_from((1, 16, 17, 33, 40, 64)),
+    blocked=st.sampled_from((None, False)),
+)
+def test_forward_only_conv_matches_the_oracle_in_blocks_and_whole(g, n, blocked):
+    """A forward-only conv over more than ``_FORWARD_BLOCK`` samples runs
+    block by block where the probe accepts that (``blocked=None``: the probe
+    decides — ragged one-sample tails, 17 and 33, are what it rejects on
+    some shapes) and whole where it does not (``blocked=False``: every
+    verdict forced).  Either way: the layer's own output, bit for bit."""
+    kernel, oracles, _ = _lane_stacked_conv(
+        g.c, g.oc, g.k, g.stride, g.padding, g.lanes, g.dtype_name, g.seed
+    )
+    x = np.random.default_rng(g.seed).standard_normal((g.lanes, n, g.c, g.h, g.w))
+    x = x.astype(kernel.W.dtype)
+    with pytest.MonkeyPatch.context() as patch:
+        if blocked is not None:
+            patch.setattr(batched_mod, "_probe_blocked_forward", lambda *a: blocked)
+        batched_mod._WORKSPACE.arena.reset()
+        out = kernel.forward(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)), training=False)
+    assert kernel._cache is None, "a forward-only pass keeps nothing for a backward"
+    for lane, oracle in enumerate(oracles):
+        ref = oracle.forward(x[lane], training=False)
+        assert np.array_equal(_bits(out[lane].transpose(1, 0, 2, 3)), _bits(ref)), (g, n, lane)
+
+
+@pytest.mark.parametrize(
+    "arch, dtype_name, blocked",
+    [(*cell.values, "probed") for cell in GRID]
+    # The unblocked pass is the one every network ran before there was a
+    # blocked one (and still runs at B <= 16): the cheap networks suffice.
+    + [(arch, dtype_name, "never") for arch in CHEAP for dtype_name in DTYPES],
+)
+def test_evaluation_sized_passes_are_bitwise_the_layer_loop(arch, dtype_name, blocked):
+    """The chunk sizes ``evaluate`` meets (256, and the 64 / 144 / 240-sample
+    remainders of the registered scales' test sets), logits and loss, with
+    the blocked pass where the probe accepts it and with it forced off."""
+    kernel, oracle = _twins(arch, dtype_name)
+    x, y = _batch(arch, kernel, 256, seed=8)
+    with pytest.MonkeyPatch.context() as patch:
+        if blocked == "never":
+            patch.setattr(batched_mod, "_probe_blocked_forward", lambda *a: False)
+        for n in (64, 144, 240, 256):
+            logits = oracle.forward_layerwise(x[:n])
+            assert np.array_equal(kernel.forward(x[:n]), logits), n
+            total_loss = oracle.loss_fn.forward(logits, y[:n]) * n
+            correct = int((logits.argmax(axis=1) == y[:n]).sum())
+            assert kernel.evaluate(x[:n], y[:n]) == (total_loss / n, correct / n), n
+    assert kernel._kernels and not oracle._kernels, "each twin must stay on its path"
+
+
+def test_a_blocked_pass_the_probe_rejects_would_not_be_bitwise(monkeypatch):
+    """The probe is what protects the blocked pass: forced to accept a shape
+    it rejects, the pass differs from the oracle.  Which shapes a BLAS
+    rejects is the host's business (here: mnist-cnn's second conv with a
+    one-sample tail block, which takes another edge kernel)."""
+    for dtype_name, n in itertools.product(DTYPES, (17, 33)):
+        kernel, oracle = _twins("mnist-cnn", dtype_name)
+        x, _ = _batch("mnist-cnn", kernel, n, seed=11)
+        logits = oracle.forward_layerwise(x)
+        assert np.array_equal(kernel.forward(x), logits)
+        char = kernel.dtype.char
+        verdicts = [batched_mod._BLOCKED_PROBE_CACHE[(n, 784, 25, 8, char)],
+                    batched_mod._BLOCKED_PROBE_CACHE[(n, 196, 200, 16, char)]]  # fmt: skip
+        if not all(verdicts):
+            break
+    else:
+        pytest.skip("this BLAS blocks every tried shape bit for bit")
+    monkeypatch.setattr(batched_mod, "_probe_blocked_forward", lambda *a: True)
+    assert not np.array_equal(kernel.forward(x), logits)
+
+
 @pytest.mark.parametrize("dtype_name", DTYPES)
 @pytest.mark.parametrize("weights", ["finite", "non-finite"])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -391,28 +474,48 @@ def _lane_actor(client_id, n_samples=32):
     )
 
 
-def test_a_materialized_lane_is_what_the_next_train_batch_sees():
-    """Cohort lane -> per-client buffers -> kernels, all one memory."""
-    global_model = _donor_weights(seed=77)
-    actors = [_lane_actor(0), _lane_actor(1)]
-    x, y = actors[0].loader.x, actors[0].loader.y
-    # The client's kernel sets exist (and have run) before the lane lands.
-    actors[0].model.train_batch(x[:16], y[:16], None)
+class _InProcessWorker:
+    """A shard pool of no processes: ``collect`` runs the worker's own code here."""
 
-    executor = BatchedClientExecutor()
-    executor.plan_round(1, [(a.client_id, a, 2) for a in actors], global_model)
-    lanes = [executor.activate(a, 1) for a in actors]
-    assert all(lane is not None for lane in lanes)
-    lane_loss = lanes[0].consume_loss()
-    assert lanes[0].materialize(actors[0], drawn=1) == lane_loss
+    def __init__(self):
+        self.jobs = {}
+
+    def new_job_id(self):
+        return len(self.jobs) + 1
+
+    def submit(self, shard, job_id, payload):
+        self.jobs[job_id] = payload
+
+    def collect(self, shard, job_id):
+        with using_dtype("float32"):
+            template = build_model("mnist-cnn", rng=np.random.default_rng(99))
+        return _train_solo(template, self.jobs[job_id])
+
+
+# Now pins: shard worker's result -> the client's own buffers -> kernels,
+# all one memory (the lane used to be a cohort's).
+def test_a_materialized_lane_is_what_the_next_train_batch_sees():
+    global_model = _donor_weights(seed=77)
+    actor = _lane_actor(0)
+    x, y = actor.loader.x, actor.loader.y
+    # The client's kernel sets exist (and have run) before the result lands.
+    actor.model.train_batch(x[:16], y[:16], None)
+    actor.model.set_weights(global_model.get_weights())  # the TRAIN_REQUEST
+
+    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn", seed=0)
+    executor._pool = _InProcessWorker()
+    remote = executor.submit(actor, 1)
+    assert remote.batch_shape(0) == (16, 1, 28, 28)
+    remote_loss = remote.loss(0)
+    assert remote.materialize(actor, drawn=1) == remote_loss
     assert executor.stats["fast_materializations"] == 1
 
     oracle = _donor_weights(seed=77)
     oracle_opt = SGD(lr=0.01, momentum=0.9)
     ref_loss, _ = oracle.train_batch_layerwise(x[:16], y[:16], oracle_opt)
-    assert lane_loss == ref_loss
+    assert remote_loss == ref_loss
     _assert_same_step(
-        actors[0].model, oracle, x[16:], y[16:], actors[0].optimizer, oracle_opt, "after lane"
+        actor.model, oracle, x[16:], y[16:], actor.optimizer, oracle_opt, "after adopting"
     )
 
 
@@ -444,13 +547,22 @@ def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
     assert plain._kernels and scaled._kernels == ()
     assert np.array_equal(scaled.forward(x), scaled.forward_layerwise(x))
     assert not np.array_equal(scaled.forward(x), plain.forward(x))
-    # ... and never joins a lockstep cohort either.
-    loader = BatchLoader(x, y, batch_size=4, shuffle=False)
-    key = BatchedClientExecutor()._eligibility_key
-    assert key(SimpleNamespace(model=plain, loader=loader, optimizer=SGD(lr=0.1))) is not None
-    assert key(SimpleNamespace(model=scaled, loader=loader, optimizer=SGD(lr=0.1))) is None
+    # ... and no kernel set can be built over it at any width.
     with pytest.raises(TypeError, match="_ScaledConv"):
         BatchedModel(scaled, 2)
+    # ... and its training never goes to a shard worker (which would build
+    # the stock architecture and charge the stock layers' analytic cost):
+    # it stays in the parent, on the layer loop, like with `shards` unset.
+    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn", seed=0)
+    executor._pool = _InProcessWorker()
+
+    def client_with(model):
+        loader = BatchLoader(x, y, batch_size=4, shuffle=False)
+        return SimpleNamespace(client_id=0, model=model, loader=loader, optimizer=SGD(lr=0.1))
+
+    assert executor.submit(client_with(scaled), 1) is None
+    assert isinstance(executor.submit(client_with(plain), 1), RemoteTraining)
+    assert executor.stats["fallbacks"] == 1 and executor.stats["shard_jobs"] == 1
 
 
 def test_the_seed_reference_engine_takes_the_layer_loop():

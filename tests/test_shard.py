@@ -7,13 +7,14 @@ root federator merge — produces **bitwise identical** round records,
 weights and summaries to the single-process run, for every registered
 federator under stable and churn scenarios.  ``shards`` is therefore a
 pure execution knob, excluded from ``run_key`` exactly
-like ``batched_execution`` (only the opt-in ``shard_aggregate="partial"``
+like ``pool_slots`` (only the opt-in ``shard_aggregate="partial"``
 mode, which reorders the floating-point reduction, is hash-relevant).
 
 Also pinned here: deterministic contiguous shard ownership
-(:class:`ShardPlan`), remote-shard cancellation on churn, worker-death
-respawn with identical results, SIGKILL crash/resume byte-identity on
-the sharded path, and bounded executor lifecycle (pool release).
+(:class:`ShardPlan`), a round's per-client jobs all submitted before the
+first is collected, per-job cancellation on churn, worker-death respawn
+with identical results, SIGKILL crash/resume byte-identity on the sharded
+path, and bounded executor lifecycle (pool release).
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from crash_harness import read_rounds_bytes, run_and_crash
+from crash_harness import (
+    assert_bitwise_resume,
+    golden_run,
+    read_rounds_bytes,
+    run_and_crash,
+)
 from repro.api import RunStore, run, run_key
 from repro.api.store import canonical_config
 from repro.experiments.workloads import SCALES, evaluation_config
@@ -63,14 +69,14 @@ def _smoke_config(algorithm, partition, scenario, seed=42, **overrides):
 def _run_with_stats(config):
     handle = build_experiment(config)
     result = handle.run()
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     return result, (dict(executor.stats) if executor is not None else None), handle
 
 
 def _assert_bitwise_equal_runs(config_sharded, config_off):
     result_sharded, stats, handle = _run_with_stats(config_sharded)
     result_off, stats_off, _ = _run_with_stats(config_off)
-    assert stats_off is None, "batched_execution='off' must not install an executor"
+    assert stats_off is None, "a single-process run must not install an executor"
     assert _round_dicts(result_sharded) == _round_dicts(result_off)
     assert json.dumps(result_sharded.summary(), sort_keys=True) == json.dumps(
         result_off.summary(), sort_keys=True
@@ -120,32 +126,34 @@ class TestShardPlan:
 def test_sharded_run_is_bitwise_identical_to_single_process(algorithm, scenario):
     kwargs = dict(train_size=384)
     _assert_bitwise_equal_runs(
-        _smoke_config(
-            algorithm, "iid", scenario, batched_execution="on", shards=2, **kwargs
-        ),
-        _smoke_config(algorithm, "iid", scenario, batched_execution="off", **kwargs),
+        _smoke_config(algorithm, "iid", scenario, shards=2, **kwargs),
+        _smoke_config(algorithm, "iid", scenario, **kwargs),
     )
 
 
+# Now pins: each client's round is one job on the worker that owns it, and
+# a client that draws every batch adopts the worker's result.
 def test_sharded_cohorts_really_run_on_workers():
     kwargs = dict(train_size=384)
     _, stats, handle = _assert_bitwise_equal_runs(
-        _smoke_config("fedavg", "iid", "stable", batched_execution="on", shards=2, **kwargs),
-        _smoke_config("fedavg", "iid", "stable", batched_execution="off", **kwargs),
+        _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs),
+        _smoke_config("fedavg", "iid", "stable", **kwargs),
     )
-    assert isinstance(handle.cluster.batched_executor, ShardedClientExecutor)
-    assert stats["shard_jobs"] > 0
-    assert stats["fast_materializations"] > 0
+    assert isinstance(handle.cluster.shard_executor, ShardedClientExecutor)
+    config = handle.config
+    assert stats["shard_jobs"] == config.rounds * config.effective_clients_per_round
+    assert stats["fast_materializations"] == stats["shard_jobs"]
     assert stats["edge_reduces"] > 0
     assert stats["root_merges"] > 0
 
 
 def test_ragged_shard_counts_stay_bitwise():
-    # 4 clients over 3 shards: ownership [2, 1, 1] — uneven sub-cohorts.
+    # 4 clients over 3 shards: ownership [2, 1, 1] — one worker gets twice
+    # the jobs of the others.
     kwargs = dict(train_size=384)
     _, stats, _ = _assert_bitwise_equal_runs(
-        _smoke_config("fedprox", "iid", "stable", batched_execution="on", shards=3, **kwargs),
-        _smoke_config("fedprox", "iid", "stable", batched_execution="off", **kwargs),
+        _smoke_config("fedprox", "iid", "stable", shards=3, **kwargs),
+        _smoke_config("fedprox", "iid", "stable", **kwargs),
     )
     assert stats["shard_jobs"] > 0
 
@@ -153,26 +161,54 @@ def test_ragged_shard_counts_stay_bitwise():
 def test_more_shards_than_clients_per_round_is_fine():
     kwargs = dict(train_size=384)
     _assert_bitwise_equal_runs(
-        _smoke_config("fedavg", "iid", "stable", batched_execution="on", shards=4, **kwargs),
-        _smoke_config("fedavg", "iid", "stable", batched_execution="off", **kwargs),
+        _smoke_config("fedavg", "iid", "stable", shards=4, **kwargs),
+        _smoke_config("fedavg", "iid", "stable", **kwargs),
     )
+
+
+def test_a_rounds_jobs_are_all_submitted_before_the_first_is_collected():
+    """A client's job goes out when its TRAIN_REQUEST arrives, and nothing
+    is collected before a batch completion asks for a loss: the whole round
+    is on the pipes — both workers busy — before the parent waits for
+    anybody.  (The cohort dispatched a job per shard at its first wave and
+    collected it at once: one worker ran while the parent waited.)"""
+    config = _smoke_config("fedavg", "iid", "stable", shards=2, train_size=384)
+    handle = build_experiment(config)
+    executor = handle.cluster.shard_executor
+    try:
+        pool = executor.pool
+        outstanding_at_collect = []
+        pool_collect = pool.collect
+        pool.collect = lambda shard, job_id: (
+            outstanding_at_collect.append(len(pool._outstanding)),
+            pool_collect(shard, job_id),
+        )[1]
+        handle.federator.start()
+        handle.cluster.run()
+    finally:
+        executor.close()
+    # The first collect of every round finds the whole round outstanding.
+    per_round = config.effective_clients_per_round
+    assert len(outstanding_at_collect) == config.rounds * per_round
+    assert outstanding_at_collect[::per_round] == [per_round] * config.rounds
 
 
 # ---------------------------------------------------------------------------
 # Churn: events targeting clients owned by a remote shard
 # ---------------------------------------------------------------------------
 def test_churn_cancels_reach_the_owning_shard():
-    kwargs = dict(train_size=384, rounds=4)
-    config_sharded = _smoke_config(
-        "fedavg", "iid", "churn", batched_execution="on", shards=2, **kwargs
-    )
-    config_off = _smoke_config("fedavg", "iid", "churn", batched_execution="off", **kwargs)
+    # Seed 3: one of this churn trace's three mid-round disconnects lands
+    # before its client's first loss was read, i.e. with the job uncollected
+    # (which of them do is decided in sim-time, not by the workers' speed).
+    kwargs = dict(train_size=384, rounds=4, seed=3)
+    config_sharded = _smoke_config("fedavg", "iid", "churn", shards=2, **kwargs)
+    config_off = _smoke_config("fedavg", "iid", "churn", **kwargs)
 
     # Drive the sharded run manually so the worker pool can be inspected
     # before the executor releases it.  Workers are cached across runs, so
     # their counters are cumulative: compare against a pre-run baseline.
     handle = build_experiment(config_sharded)
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     try:
         before = sum(
             entry["stats"]["cancels_received"]
@@ -183,15 +219,19 @@ def test_churn_cancels_reach_the_owning_shard():
         handle.cluster.run()
         stats = dict(executor.stats)
         snapshot = executor.shard_snapshot()
+        leaked = not executor.pool.idle()
     finally:
         executor.close()
     result_off, _, _ = _run_with_stats(config_off)
     assert _round_dicts(handle.federator.result) == _round_dicts(result_off)
 
-    # Mid-round disconnects abandoned lanes whose work had already been
-    # dispatched to a worker: the owning shard must have been told.
+    # Mid-round disconnects abandoned trainings whose job was on a worker:
+    # every job ended exactly one way — adopted or abandoned — none leaked,
+    # and an abandon with the job still uncollected told the owning shard.
     assert stats["abandons"] > 0
-    assert stats["remote_cancels"] > 0
+    assert stats["shard_jobs"] == stats["fast_materializations"] + stats["abandons"]
+    assert 0 < stats["remote_cancels"] <= stats["abandons"]
+    assert not leaked, "a job was neither collected nor cancelled"
     received = sum(
         entry["stats"]["cancels_received"]
         for entry in snapshot["workers"] or []
@@ -200,19 +240,88 @@ def test_churn_cancels_reach_the_owning_shard():
     assert received - before == stats["remote_cancels"]
 
 
+def test_a_disconnect_cancels_only_that_clients_job():
+    """A client that goes offline with its job still uncollected cancels
+    that job and no other — the worker that owns it hears of exactly one
+    cancel, the other worker of none: the round's remaining jobs are
+    collected as if nothing had happened, and the run matches the
+    single-process one driven through the same disconnect."""
+    victim = 1
+
+    def cancels_received(pool):
+        return [entry["stats"]["cancels_received"] if entry else 0 for entry in pool.snapshot()]
+
+    def everyone_is_training(handle):
+        clients = handle.active_clients()
+        return bool(clients) and all(c._pending_batch_event is not None for c in clients)
+
+    def drive(config):
+        handle = build_experiment(config)
+        executor = handle.cluster.shard_executor
+        cancelled, survivors, heard = [], None, None
+        try:
+            if executor is not None:
+                pool = executor.pool
+                heard_before = cancels_received(pool)
+                pool_cancel = pool.cancel
+                pool.cancel = lambda shard, job_id: (
+                    cancelled.append((shard, job_id)),
+                    pool_cancel(shard, job_id),
+                )
+            handle.federator.start()
+            # Up to the arrival of every TRAIN_REQUEST: all jobs submitted,
+            # no batch completed, nothing collected.
+            while not everyone_is_training(handle):
+                assert handle.cluster.env.step()
+            if executor is not None:
+                before = dict(pool._outstanding)
+            handle.cluster.set_client_offline(victim)
+            if executor is not None:
+                survivors = (before, dict(pool._outstanding))
+            handle.cluster.set_client_online(victim)
+            handle.cluster.run()
+            if executor is not None:
+                # Cached workers count over their lifetime: the difference.
+                heard = [
+                    now - then for now, then in zip(cancels_received(pool), heard_before)
+                ]
+            stats = dict(executor.stats) if executor is not None else None
+        finally:
+            if executor is not None:
+                executor.close()
+        return handle.federator.result, stats, cancelled, survivors, heard
+
+    kwargs = dict(train_size=384)
+    sharded, stats, cancelled, (before, after), heard = drive(
+        _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs)
+    )
+    flat = drive(_smoke_config("fedavg", "iid", "stable", **kwargs))[0]
+    assert _round_dicts(sharded) == _round_dicts(flat)
+    owner = ShardPlan(4, 2).shard_of(victim)
+    assert len(before) == 4 and len(cancelled) == 1
+    assert cancelled[0][0] == owner
+    assert set(before) - set(after) == set(cancelled)
+    assert stats["remote_cancels"] == 1 and stats["abandons"] == 1
+    assert heard == [int(shard == owner) for shard in range(2)]
+    # The cancelled job's reply, whenever it came, answered nobody: every
+    # other job of the run was adopted.
+    assert stats["shard_jobs"] == 2 * 4
+    assert stats["fast_materializations"] == stats["shard_jobs"] - 1
+
+
 # ---------------------------------------------------------------------------
 # Worker failure: SIGKILLed worker respawns, results unchanged
 # ---------------------------------------------------------------------------
 def test_worker_sigkill_mid_run_respawns_and_stays_bitwise():
     kwargs = dict(train_size=384, rounds=3)
-    config_off = _smoke_config("fedavg", "iid", "stable", batched_execution="off", **kwargs)
+    config_off = _smoke_config("fedavg", "iid", "stable", **kwargs)
     config_on = _smoke_config(
-        "fedavg", "iid", "stable", batched_execution="on", shards=2, **kwargs
+        "fedavg", "iid", "stable", shards=2, **kwargs
     )
     golden, _, _ = _run_with_stats(config_off)
 
     handle = build_experiment(config_on)
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     killed = []
 
     def kill_worker(record):
@@ -247,10 +356,10 @@ def test_sharded_sigkill_crash_resumes_bitwise_identical(tmp_path):
         .scale("smoke")
         .scenario("stable")
         .seed(7)
-        .override(batched_execution="off", **base)
+        .override(**base)
         .build()
     )
-    config_sharded = config_off.with_overrides(batched_execution="on", shards=2)
+    config_sharded = config_off.with_overrides(shards=2)
     golden_store = RunStore(tmp_path / "golden")
     golden = run(config_off, store=golden_store).result()
 
@@ -266,12 +375,31 @@ def test_sharded_sigkill_crash_resumes_bitwise_identical(tmp_path):
     assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
 
 
+def test_worker_sigkill_with_outstanding_jobs_then_crash_resumes_bitwise(tmp_path):
+    """The worker of a shard dies holding several uncollected per-client
+    jobs (all re-dispatched to its replacement), the run goes on, is
+    SIGKILLed itself two rounds later and resumed: still the bytes of an
+    uninterrupted single-process run."""
+    base = dict(checkpoint_interval=1, rounds=4, train_size=384)
+    config_flat = _smoke_config("fedavg", "iid", "stable", seed=7, **base)
+    config_sharded = config_flat.with_overrides(shards=2)
+    golden, golden_store = golden_run(config_flat, tmp_path)
+
+    store_dir = tmp_path / "crashed"
+    marker = tmp_path / "worker-killed"
+    run_and_crash(config_sharded, store_dir, crash_round=2, kill_worker_marker=marker)
+    assert int(marker.read_text()) >= 2, "the worker died with fewer than two jobs outstanding"
+    store = RunStore(store_dir)
+    resumed = run(config_sharded, store=store, resume=True)
+    assert_bitwise_resume(config_sharded, golden, golden_store, resumed, store)
+
+
 def test_shard_snapshot_round_trips_through_checkpoint():
     config = _smoke_config(
-        "fedavg", "iid", "stable", batched_execution="on", shards=2, train_size=384
+        "fedavg", "iid", "stable", shards=2, train_size=384
     )
     _, stats, handle = _run_with_stats(config)
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     snapshot = executor.shard_snapshot()
     assert snapshot["num_shards"] == 2
     assert snapshot["aggregate_mode"] == "exact"
@@ -329,7 +457,7 @@ def test_partial_hierarchy_is_close_but_need_not_be_bitwise():
 
 def test_partial_mode_runs_close_to_exact():
     config_exact = _smoke_config(
-        "fedavg", "iid", "stable", batched_execution="on", shards=2, train_size=384
+        "fedavg", "iid", "stable", shards=2, train_size=384
     )
     config_partial = config_exact.with_overrides(shard_aggregate="partial")
     result_exact, _, _ = _run_with_stats(config_exact)
@@ -350,16 +478,15 @@ def test_partial_mode_runs_close_to_exact():
 # ---------------------------------------------------------------------------
 def test_shards_are_excluded_from_run_key():
     config = _smoke_config("fedavg", "iid", "stable")
-    sharded = config.with_overrides(batched_execution="on", shards=4)
+    sharded = config.with_overrides(shards=4)
     assert run_key(config) == run_key(sharded)
     canonical = canonical_config(sharded)
     assert "shards" not in canonical
     assert "shard_aggregate" not in canonical
-    assert "batched_execution" not in canonical
 
 
 def test_partial_aggregation_changes_the_run_key():
-    config = _smoke_config("fedavg", "iid", "stable", batched_execution="on", shards=2)
+    config = _smoke_config("fedavg", "iid", "stable", shards=2)
     partial = config.with_overrides(shard_aggregate="partial")
     assert run_key(config) != run_key(partial)
     canonical = canonical_config(partial)
@@ -380,27 +507,27 @@ def test_config_validation_rejects_bad_shard_knobs():
 # Gating: when the sharded executor is (not) installed
 # ---------------------------------------------------------------------------
 def test_sharded_execution_gating():
-    base = _smoke_config("fedavg", "iid", "stable", batched_execution="on")
+    base = _smoke_config("fedavg", "iid", "stable")
     assert not uses_sharded_execution(base)  # shards=1
+    assert build_experiment(base).cluster.shard_executor is None
+    # Nothing else gates it: a 4-client round shards like a 32-client one.
     assert uses_sharded_execution(base.with_overrides(shards=2))
-    off = _smoke_config("fedavg", "iid", "stable", batched_execution="off", shards=2)
-    assert not uses_sharded_execution(off)  # no batched engine, no shards
-    # Async federators never plan synchronous cohorts: sharding is inert.
+    # Async federators checkpoint clients in mid-training: sharding is inert.
     for algorithm in ("fedbuff", "fedasync"):
-        config = _smoke_config(algorithm, "iid", "stable", batched_execution="on", shards=2)
+        config = _smoke_config(algorithm, "iid", "stable", shards=2)
         assert not uses_sharded_execution(config)
         handle = build_experiment(config)
-        assert not isinstance(handle.cluster.batched_executor, ShardedClientExecutor)
+        assert not isinstance(handle.cluster.shard_executor, ShardedClientExecutor)
 
 
 def test_executor_pool_is_released_after_run():
     from repro.simulation import shard as shard_mod
 
     config = _smoke_config(
-        "fedavg", "iid", "stable", batched_execution="on", shards=2, train_size=384
+        "fedavg", "iid", "stable", shards=2, train_size=384
     )
     _, _, handle = _run_with_stats(config)
-    executor = handle.cluster.batched_executor
+    executor = handle.cluster.shard_executor
     # run() closed the executor; its pool slot is back in the cache (or
     # closed), and the executor no longer references it.
     assert executor._pool is None

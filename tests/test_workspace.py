@@ -16,9 +16,10 @@ pair.  Pinned here:
 * the lifetime of ``BatchedModel.infer``'s logits: until this thread's next
   pass of any kind;
 * memory — a thread holds the scratch of its largest pass, not one set per
-  model, per cohort size or per kind of pass; a forward-only pass holds its
-  widest layer, not all of them; a probe costs no more than the pass it
-  decides;
+  model or per kind of pass, and its largest pass is one client's training
+  step: a round's clients step one by one, a forward-only pass holds its
+  widest layer, not all of them, and no more than one block of samples
+  unfolded; a probe costs no more than the unblocked pass it decides;
 * the probes' verdicts — the rank-one im2col operand lets no orientation
   through that the iid operand it replaced rejects.
 """
@@ -315,21 +316,27 @@ def _churn_run(rounds):
     return handle
 
 
-def test_a_churn_run_holds_its_largest_pass_not_a_set_per_cohort_size(monkeypatch):
-    cohort_lanes = []
-    build_cohort = batched_mod.build_cohort
+def _train_step_demand(batch=16):
+    """What one training step of mnist-cnn asks of a fresh thread's arena."""
 
-    def recording(key, lanes, template):
-        cohort_lanes.append(lanes)
-        return build_cohort(key, lanes, template)
+    def step():
+        rng = np.random.default_rng(0)
+        x = (0.5 * rng.standard_normal((batch, 1, 28, 28))).astype(np.float32)
+        _mnist(0, "float32").train_batch(x, rng.integers(0, 10, size=batch), SGD(lr=0.01))
+        return _high_water()
 
-    monkeypatch.setattr(batched_mod, "build_cohort", recording)
+    return _on_a_fresh_thread(step)
 
+
+# Now pins: the scratch of a churn run is one client's pass.  (Until the
+# lockstep cohort was deleted a wave of the round's 20 clients sized the
+# arena — 26.1 MiB here, 6.3 without — and before PR 16 a kernel set per
+# cohort size, which is what the id remembers.)
+def test_a_churn_run_holds_its_largest_pass_not_a_set_per_cohort_size():
     def measure():
         tracemalloc.start()
         try:
             short = _churn_run(rounds=3)
-            assert len(set(cohort_lanes)) >= 3, "the run must see several cohort sizes"
             largest_pass = batched_mod._WORKSPACE.arena._capacity
             live_short = _live_kernel_bytes()
             long = _churn_run(rounds=5)
@@ -337,15 +344,16 @@ def test_a_churn_run_holds_its_largest_pass_not_a_set_per_cohort_size(monkeypatc
         finally:
             tracemalloc.stop()
 
-    # A fresh thread, so the arenas are sized by this run alone.
+    # A fresh thread, so the arena is sized by this run alone.
     largest_pass, live_short, live_long, _ = _on_a_fresh_thread(measure)
-    # The arena, plus state: pad buffers and pooling offsets of the
-    # clients' and the global model's kernel sets (measured 1.05x, and
-    # 1.07x more after the longer run).  One kernel set per cohort size
-    # stood at 5x the largest pass here, and at 12x after the longer run; an
-    # arena per kind of pass at 1.6x.
-    assert live_short <= 1.15 * largest_pass
-    assert live_long <= 1.15 * live_short
+    # Eight-sample steps and a blocked 64-sample evaluation: under one
+    # B=16 step (measured 6.3 MiB against 10.1).
+    assert largest_pass <= _train_step_demand()
+    # The rest is state — pad buffers and pooling offsets of the hydrated
+    # clients' kernel sets — which grows with the pool's slots, not with
+    # rounds: the longer run (kept alive beside the shorter) adds what the
+    # shorter holds (measured 7.5 MiB against 7.1).
+    assert live_long - live_short <= 1.25 * (live_short - largest_pass)
 
 
 def test_eight_models_stepped_in_turn_hold_one_models_scratch():
@@ -379,13 +387,19 @@ def _high_water():
 
 def test_the_first_evaluation_probes_included_costs_no_more_than_the_next(monkeypatch):
     """A fresh thread's first 256-sample evaluation runs every forward probe
-    of its shapes and carves everything as private overflow blocks."""
+    of its shapes and carves everything as private overflow blocks.
+
+    (The id predates the blocked pass: "the next" evaluation unfolds a block
+    of samples at a time and needs a quarter of the first, which still pays
+    — once per shape and process — for the oracle's full operand.  What the
+    first costs no more than is the unblocked pass it replaces.)"""
     model = _mnist(0, "float32")
     x = (0.5 * np.random.default_rng(0).standard_normal((256, 1, 28, 28))).astype(np.float32)
 
-    def rejected_footprint():
+    def footprint(blocked, fast):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(batched_mod, "_probe_fast_gemms", lambda *a: (False, "slow", False))
+            patch.setattr(batched_mod, "_probe_blocked_forward", lambda *a: blocked)
+            patch.setattr(batched_mod, "_probe_fast_gemms", lambda *a: (fast, "slow", False))
             model.forward(x)
         return _high_water()
 
@@ -402,20 +416,45 @@ def test_the_first_evaluation_probes_included_costs_no_more_than_the_next(monkey
         finally:
             tracemalloc.stop()
 
-    rejected = _on_a_fresh_thread(rejected_footprint)
-    monkeypatch.setattr(batched_mod, "_GEMM_PROBE_CACHE", {})  # the probes run
+    rejected = _on_a_fresh_thread(footprint, False, False)
+    unblocked = _on_a_fresh_thread(footprint, False, True)
+    monkeypatch.setattr(batched_mod, "_BLOCKED_PROBE_CACHE", {})  # the probes run
     (first, second), (live_first, live_second), capacity = _on_a_fresh_thread(two_evaluations)
-    assert len(batched_mod._GEMM_PROBE_CACHE) == 2
-    # The contract: a probe's overflow stays inside the rejected path's
-    # footprint.  Measured: inside the accepted path's (48.9 MiB against
-    # 51.1 for the second evaluation and 88.8 for the rejected path) — the
-    # im2col operand is one buffer, and the pass's own once the probe is done.
+    assert len(batched_mod._BLOCKED_PROBE_CACHE) == 2
+    # The contract: a probe's overflow stays inside the footprint of the
+    # path a rejection falls back to.  Measured: inside the unblocked
+    # accepted path's (41.6 MiB against 47.5, and 88.8 for the rejected
+    # path) — the oracle's operand is one buffer, and the kernel's own
+    # buffers take its place once the oracle GEMM has run.
     assert first <= rejected
-    assert first <= 1.05 * second
+    assert first <= 1.05 * unblocked
     # Nothing of the first pass or its probes stays: what is live afterwards
-    # is state; the second pass adds the arena, sized by the accepted path.
+    # is state; the second pass adds the arena, sized by the blocked pass —
+    # about a training step's (measured 11.6 MiB against 10.1).
     assert live_first + capacity <= live_second + 2**20
-    assert capacity < 0.6 * rejected
+    assert second <= 1.05 * capacity + live_first
+    assert capacity < 1.5 * _train_step_demand()
+
+
+def test_a_thread_that_trains_and_evaluates_holds_one_training_step_of_scratch():
+    """A B=16 step, then a 256-sample evaluation, on a fresh thread: the
+    evaluation's convs run in blocks of ``_FORWARD_BLOCK`` samples, so what
+    the thread keeps is about the step's own demand (measured 11.6 MiB
+    against 10.1; the unblocked evaluation made it 47.5)."""
+    rng = np.random.default_rng(0)
+    x = (0.5 * rng.standard_normal((256, 1, 28, 28))).astype(np.float32)
+    y = rng.integers(0, 10, size=256)
+
+    def train_then_evaluate():
+        model = _mnist(0, "float32")
+        model.train_batch(x[:16], y[:16], SGD(lr=0.01))
+        step = _high_water()
+        for _ in range(2):  # the second pass runs on the block the first sized
+            model.evaluate(x, y)
+        return step, batched_mod._WORKSPACE.arena._capacity
+
+    step, capacity = _on_a_fresh_thread(train_then_evaluate)
+    assert step <= capacity < 1.5 * step
 
 
 def test_a_forward_only_pass_holds_its_widest_layer_not_all_of_them():
