@@ -7,9 +7,9 @@ asserts the headline engine claims:
 
 * >= 1.5x on the per-batch train step (float32 fast path vs seed), and
 * >= 3x on 16-client FedAvg aggregation (flat vectors vs per-key loops),
-* >= 2x on a 32-client round step (lockstep batched cohort vs a loop over
-  the layer-by-layer oracle, mnist-cnn float32; the ``lanes=1`` column of
-  the same table is the per-client path, on the same kernels),
+* >= 2x on a 32-client round step (the clients stepped one by one on the
+  channel-major kernels vs one by one on the layer-by-layer oracle,
+  mnist-cnn float32),
 * identical PhaseTrace FLOP counts across engines and dtypes.
 
 Results are printed as a table and written to ``BENCH_engine.json``.  The
@@ -44,7 +44,7 @@ def test_engine_speedups(benchmark, print_figure):
     )
     round_step = results["round_step"]["mnist-cnn"]
     assert round_step["float32_speedup"] >= 2.0, (
-        f"32-client batched round step: expected >=2x vs the layer-by-layer oracle, "
+        f"32-client round step on the kernels: expected >=2x vs the layer-by-layer oracle, "
         f"got {round_step['float32_speedup']:.2f}x"
     )
 

@@ -3,8 +3,8 @@
 Three hot paths are measured, each against the behaviour-preserved seed
 implementation in :mod:`repro.nn.reference`:
 
-* **train step** — one ``SplitCNN.train_batch`` (channel-major kernels at
-  ``lanes=1``: forward, backward, fused optimiser update) per architecture;
+* **train step** — one ``SplitCNN.train_batch`` (channel-major kernels:
+  forward, backward, fused optimiser update) per architecture;
 * **eval step** — one inference forward pass over a held-out batch;
 * **aggregation** — a 16-client FedAvg/FedNova reduction, seed per-key
   dictionary loops versus the flat-vector kernels the federators now use.
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.fl.aggregation import fedavg_aggregate_flat, fednova_aggregate_flat
 from repro.nn.architectures import build_model
-from repro.nn.batched import _GEMM_PROBE_CACHE, BatchedModel, BatchedSGD
+from repro.nn.batched import _GEMM_PROBE_CACHE
 from repro.nn.dtype import using_dtype
 from repro.nn.optim import SGD
 from repro.nn.reference import (
@@ -233,20 +233,16 @@ def bench_aggregation(
 def bench_round_step(
     arch: str, num_clients: int, batch_size: int, repeats: int, warmup: int
 ) -> Dict[str, float]:
-    """One round's coincident client batches, three ways.
+    """One round's client batches, stepped one by one, two ways.
 
     * ``layerwise`` — a loop of ``train_batch_layerwise`` calls: the
       sample-major layer loop, the oracle every kernel is pinned against;
-    * ``lanes1`` — a loop of ``train_batch`` calls: the per-client path,
-      i.e. the channel-major kernels at ``lanes=1``;
-    * ``batched`` — one lockstep :class:`~repro.nn.batched.BatchedModel`
-      wave over all clients.
+    * ``kernels`` — a loop of ``train_batch`` calls: the channel-major
+      kernels, which is how the system steps a round's clients.
 
     Every client starts from distinct weights and trains on distinct data
-    (as in a real round after the first local step); all three sides do
-    identical arithmetic.  ``speedup`` is layerwise over batched,
-    ``lanes1_speedup`` layerwise over lanes1: how close the two are is how
-    much of the gain is the kernel layout rather than the lockstep.
+    (as in a real round after the first local step); both sides do
+    identical arithmetic.  ``speedup`` is layerwise over kernels.
     """
     from repro.nn.architectures import ARCHITECTURES
 
@@ -256,42 +252,27 @@ def bench_round_step(
         with using_dtype(dtype_name):
             oracles = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
             models = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
-            batched = BatchedModel(models[0], num_clients)
         dtype = models[0].dtype
         rng = np.random.default_rng(7)
         x = rng.normal(size=(num_clients, batch_size, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, size=(num_clients, batch_size))
         oracle_optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
         optimizers = [SGD(lr=0.05, momentum=0.9) for _ in range(num_clients)]
-        batched_optimizer = BatchedSGD(lr=0.05, momentum=0.9)
-        for lane, model in enumerate(models):
-            for section in model.SECTIONS:
-                batched.load_lane(section, lane, model.get_flat_weights(section))
 
         def layerwise_round() -> None:
             for model, optimizer, xi, yi in zip(oracles, oracle_optimizers, x, y):
                 model.train_batch_layerwise(xi, yi, optimizer)
 
-        def lanes1_round() -> None:
+        def kernels_round() -> None:
             for model, optimizer, xi, yi in zip(models, optimizers, x, y):
                 model.train_batch(xi, yi, optimizer)
 
-        (layerwise_ms, lanes1_ms, batched_ms), (_, lanes1_ratio, batched_ratio) = (
-            _time_interleaved_ms(
-                [
-                    layerwise_round,
-                    lanes1_round,
-                    lambda: batched.train_step(x, y, batched_optimizer),
-                ],
-                repeats,
-                warmup,
-            )
+        (layerwise_ms, kernels_ms), (_, ratio) = _time_interleaved_ms(
+            [layerwise_round, kernels_round], repeats, warmup
         )
         results[f"{dtype_name}_layerwise_ms"] = layerwise_ms
-        results[f"{dtype_name}_lanes1_ms"] = lanes1_ms
-        results[f"{dtype_name}_batched_ms"] = batched_ms
-        results[f"{dtype_name}_lanes1_speedup"] = lanes1_ratio
-        results[f"{dtype_name}_speedup"] = batched_ratio
+        results[f"{dtype_name}_kernels_ms"] = kernels_ms
+        results[f"{dtype_name}_speedup"] = ratio
     results["speedup"] = results["float32_speedup"]
     return results
 
@@ -299,7 +280,7 @@ def bench_round_step(
 def bench_step_breakdown(arch: str, repeats: int, warmup: int) -> Dict[str, object]:
     """Per kernel layer forward/backward ms inside real consecutive steps.
 
-    Timed in situ, around the layers of the model's own ``lanes=1`` kernel
+    Timed in situ, around the layers of the model's own training kernel
     set while ``train_batch`` walks fresh batches under a live optimiser: a
     kernel's cost depends on its data (on constant input the pooling arg-max
     select ran 16x faster than on real activations — branch prediction).
@@ -369,7 +350,7 @@ def run_engine_bench(
         architectures[0], num_clients, max(repeats * 5, 50), warmup * 5
     )
     # Round step: the paper-default architecture at the evaluation round
-    # size — layer-loop oracle, lanes=1 kernels, one lockstep cohort.
+    # size — the layer-loop oracle against the kernels.
     results["round_step"][architectures[0]] = bench_round_step(
         architectures[0], round_clients, batch_size, repeats, warmup
     )
@@ -420,15 +401,14 @@ def render_engine_bench(results: Dict[str, object]) -> str:
         clients = results["meta"].get("round_step_clients", ROUND_STEP_CLIENTS)  # type: ignore[union-attr]
         lines.append(
             f"  {'round step (' + str(clients) + ' clients)':<28} "
-            f"{'layerwise':>10} {'lanes=1':>10} {'batched':>10} {'speedup':>9}"
+            f"{'layerwise':>10} {'kernels':>10} {'speedup':>9}"
         )
         for arch, row in round_step.items():
             for dtype_name in ("float64", "float32"):
                 lines.append(
                     f"  {arch + ' ' + dtype_name:<28} "
                     f"{row[f'{dtype_name}_layerwise_ms']:>10.2f} "
-                    f"{row[f'{dtype_name}_lanes1_ms']:>10.2f} "
-                    f"{row[f'{dtype_name}_batched_ms']:>10.2f} "
+                    f"{row[f'{dtype_name}_kernels_ms']:>10.2f} "
                     f"{row[f'{dtype_name}_speedup']:>8.2f}x"
                 )
     for arch, table in (results.get("step_breakdown") or {}).items():

@@ -78,7 +78,7 @@ class FLClient:
         #: are then computed by the worker instead of ``model.train_batch``;
         #: timing, events and losses are identical either way (see
         #: :mod:`repro.simulation.shard`).
-        self._lane = None
+        self._remote = None
 
         # Round state (reset at every TRAIN_REQUEST).
         self._round: Optional[int] = None
@@ -171,7 +171,7 @@ class FLClient:
         training request anyway).
         """
         self.times_disconnected += 1
-        self._abandon_lane()
+        self._abandon_remote()
         self._cancel_pending_work()
         self._round = None
         self._own_training_done = False
@@ -251,7 +251,7 @@ class FLClient:
         """
         # A remote training implies a pending batch event, which is_quiescent
         # rejects; this is a backstop against future lifecycle changes.
-        assert self._lane is None, "cannot dehydrate a client whose training is remote"
+        assert self._remote is None, "cannot dehydrate a client whose training is remote"
         state = {name: getattr(self, name) for name in self.PERSISTENT_COUNTERS}
         state["loader"] = self.loader.state()
         return state
@@ -300,7 +300,7 @@ class FLClient:
         # loader, pending loss) is exactly what a single-process run would
         # hold.  The resumed run continues in the parent, which is bitwise
         # identical.
-        self._leave_lane()
+        self._adopt_remote()
         state = self.dehydrate()
         mid_round = self._round is not None
         state.update(
@@ -388,7 +388,7 @@ class FLClient:
         # needs its loader draws replayed (the weights are overwritten
         # below); this must happen before the pending event is cancelled
         # because the draw count includes the in-flight batch.
-        self._abandon_lane()
+        self._abandon_remote()
         self._cancel_pending_work()
         self._round = message.round_number
         self._total_batches = int(payload["total_batches"])
@@ -432,7 +432,7 @@ class FLClient:
             # The whole round goes to the owning worker now, from exactly
             # this state (None when a worker could not rebuild it: this
             # process then trains it, identically).
-            self._lane = shards.submit(self, self._total_batches)
+            self._remote = shards.submit(self, self._total_batches)
 
         self.rounds_participated += 1
         self._train_own_batch()
@@ -443,11 +443,11 @@ class FLClient:
         return max(self._total_batches - self._give_up_batches, self._batches_done)
 
     def _train_own_batch(self) -> None:
-        if self._lane is not None:
+        if self._remote is not None:
             # Computed by the worker: only its (analytic, identical) cost is
             # needed to schedule the completion, which fetches the loss.
             loss = None
-            trace = self.model.batch_trace(self._lane.batch_shape(self._batches_done))
+            trace = self.model.batch_trace(self._remote.batch_shape(self._batches_done))
         else:
             xb, yb = self.loader.next_batch()
             loss, trace = self.model.train_batch(xb, yb, self.optimizer)
@@ -469,8 +469,8 @@ class FLClient:
         # its remote training with this completion in flight; fetched from
         # the worker's result otherwise.
         loss = self._pending_batch_loss
-        if self._lane is not None:
-            loss = self._lane.loss(self._batches_done)
+        if self._remote is not None:
+            loss = self._remote.loss(self._batches_done)
         self._pending_batch_event = None
         self._pending_batch_loss = None
         self._batches_done += 1
@@ -493,31 +493,31 @@ class FLClient:
             self._finish_own_training()
 
     # ------------------------------------------------------- remote training
-    def _leave_lane(self) -> None:
+    def _adopt_remote(self) -> None:
         """Bring the remote training's state into this client's own buffers.
 
         After this the client's model weights, optimizer state and loader
         position are bitwise what a single-process run would hold after the
         same number of drawn batches (including a still-in-flight one).
         """
-        lane = self._lane
-        if lane is None:
+        remote = self._remote
+        if remote is None:
             return
-        self._lane = None
+        self._remote = None
         pending = self._pending_batch_event is not None
         drawn = self._batches_done + (1 if pending else 0)
-        last_loss = lane.materialize(self, drawn)
+        last_loss = remote.materialize(self, drawn)
         if pending:
             self._pending_batch_loss = last_loss
 
-    def _abandon_lane(self) -> None:
+    def _abandon_remote(self) -> None:
         """Leave the remote training syncing only the loader (weights are obsolete)."""
-        lane = self._lane
-        if lane is None:
+        remote = self._remote
+        if remote is None:
             return
-        self._lane = None
+        self._remote = None
         drawn = self._batches_done + (1 if self._pending_batch_event is not None else 0)
-        lane.abandon(self, drawn)
+        remote.abandon(self, drawn)
 
     def _send_profile_report(self) -> None:
         profile = self._profiler.profile()
@@ -574,7 +574,7 @@ class FLClient:
             return
         # The worker trains every batch unfrozen: from here on this client's
         # round is not the one it was sent, so it continues in this process.
-        self._leave_lane()
+        self._adopt_remote()
         # Freeze the feature layers and ship the model to the strong client
         # as one flat vector snapshot (no per-key dictionaries are built).
         package = FrozenModelPackage.from_model(
@@ -608,7 +608,7 @@ class FLClient:
     def _finish_own_training(self) -> None:
         if self._own_training_done:
             return
-        self._leave_lane()
+        self._adopt_remote()
         self._own_training_done = True
         result = TrainingResult(
             client_id=self.client_id,

@@ -1,25 +1,19 @@
 """The channel-major compute kernels.
 
 One kernel set computes every training step and every inference pass of a
-kernel-covered :class:`~repro.nn.model.SplitCNN`.  :class:`BatchedModel`
-holds ``lanes`` copies of a model in one ``(lanes, params)`` arena per
-section and runs forward / backward / loss with a leading *lane*
-dimension.  The system only ever runs ``lanes=1`` over arenas that alias a
-model's own flat section vectors (:func:`solo_kernels`) — that is
-``SplitCNN.train_batch``, ``forward`` and ``evaluate`` — because nothing
-larger than one client's training step runs on a thread: a round's clients
-step one by one, each at its own simulated events (or, with ``shards``, on
-the worker process that owns them, see :mod:`repro.simulation.shard`).
-The lane axis stays because it is free and pinned: a step costs no more
-per lane at ``lanes=1`` than at ``lanes=8`` (3.4 against 3.6 ms for a B=16
-mnist-cnn step, ``round_step`` in BENCH_engine.json), and ``lanes=N`` ==
-``N`` solo models bit for bit is what the kernel parity tests and the
-engine benchmark compare.
+kernel-covered :class:`~repro.nn.model.SplitCNN`: :class:`BatchedModel`
+runs forward / backward / loss of *one* model over that model's own
+parameter and gradient views, so whatever writes its flat section vectors
+(optimiser steps, weight loads, a shard worker's result being adopted) is
+what the next pass reads.  Nothing larger than one client's training step
+runs on a thread: a round's clients step one by one, each at its own
+simulated events (or, with ``shards``, on the worker process that owns
+them, see :mod:`repro.simulation.shard`).
 
-What makes the kernels fast is their layout — channel-major activations,
-pad and pool staging fused into the consumer's pad buffer, col2im as flat
-shifted adds over a width-padded grid, no input-layer dX — not stacking
-clients.
+What makes the kernels fast is their layout: channel-major ``(C, N, H, W)``
+activations (the classifier sees ``(N, features)``), pad and pool staging
+fused into the consumer's pad buffer, col2im as flat shifted adds over a
+width-padded grid, no input-layer dX.
 
 No kernel set owns scratch.  Every buffer a pass writes and reads back —
 im2col blocks, activations, grad-cols, pooling masks — is carved from the
@@ -39,17 +33,18 @@ step, is the peak of a process that evaluates.
 Parity contract
 ---------------
 Every kernel reproduces the exact floating-point operation order of the
-layer it stands for in :mod:`repro.nn.layers` (and :mod:`repro.nn.loss`,
-:mod:`repro.nn.optim`), relying only on transformations that are
-bitwise-exact per lane (stacked GEMMs over independent slices,
-elementwise ops, per-row reductions).  Where a GEMM is issued in another
-orientation or in column blocks, equality with the oracle's product is
-probed at the exact shape and a rejected shape takes the oracle's own
-layout.  The layer-by-layer loop (``SplitCNN.train_batch_layerwise`` /
-``forward_layerwise``) stays on as the *parity oracle* — and as the
-generic path for a model with a layer type this module has no kernel for:
-kernels, at any lane count, must reproduce it bit for bit, which the test
-suite pins.
+layer it stands for in :mod:`repro.nn.layers`, relying only on
+transformations that are bitwise-exact (GEMMs over the same operands,
+elementwise ops, per-row reductions); the loss is
+:class:`repro.nn.loss.CrossEntropyLoss` itself and the optimisers are
+:mod:`repro.nn.optim`'s, stepped by the model.  Where a GEMM is issued in
+another orientation or in column blocks, equality with the oracle's
+product is probed at the exact shape and a rejected shape takes the
+oracle's own layout.  The layer-by-layer loop
+(``SplitCNN.train_batch_layerwise`` / ``forward_layerwise``) stays on as
+the *parity oracle* — and as the generic path for a model with a layer
+type this module has no kernel for: the kernels must reproduce it bit for
+bit, which the test suite pins.
 
 Timing is untouched: batch durations come from analytic
 :class:`~repro.nn.model.PhaseTrace` FLOP counts (identical to what the
@@ -66,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, ResidualBlock
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn.model import SplitCNN
 
 
@@ -134,8 +130,8 @@ class _Arena:
 class Workspace(threading.local):
     """The scratch of every kernel pass on one thread.
 
-    Kernel sets own *state* (weight/grad arenas, optimiser state, the conv
-    pad buffers whose zero border is written once); everything a pass
+    Kernel sets own *state* (views of a model's weights and gradients, the
+    conv pad buffers whose zero border is written once); everything a pass
     writes and reads back within the pass — im2col blocks, activations,
     grad-cols, pooling masks, the operands of a GEMM probe — is carved from
     here.  Per thread, because ``repro serve`` trains hosted runs on worker
@@ -148,7 +144,7 @@ class Workspace(threading.local):
     **nothing taken from the workspace may be read after the pass that took
     it** — the next pass *of any kind, of any model on this thread*
     overwrites it.  ``SplitCNN.forward`` copies the logits out,
-    ``train_step`` returns a fresh loss vector, and a layer's forward cache
+    ``train_step`` returns the loss as a float, and a layer's forward cache
     is consumed (and dropped: a kept view would pin a block the arena has
     since replaced) by the same step's backward.
 
@@ -170,13 +166,14 @@ _WORKSPACE = Workspace()
 
 
 # ---------------------------------------------------------------------------
-# Batched layer kernels (exact op-order mirrors of repro.nn.layers)
+# Layer kernels (exact op-order mirrors of repro.nn.layers)
 # ---------------------------------------------------------------------------
 class _BatchedLayer:
-    """Base for lane-stacked layer mirrors.
+    """Base for the kernel mirrors of :mod:`repro.nn.layers`.
 
-    ``params``/``grads`` are views into the owning model's
-    ``(lanes, params)`` section arenas, shaped ``(lanes,) + param_shape``.
+    A mirror of a layer with parameters reads and writes that layer's own
+    ``params`` / ``grads`` arrays: views into the model's flat section
+    vectors.
     """
 
     def forward(self, x, training: bool = True):
@@ -214,9 +211,9 @@ def _probe_fast_gemms(
     the padded input's width (the row pitch of the input-gradient grid).
     BLAS picks its blocking from shapes and operand layouts, never from
     values, so random probes at the exact shapes decide equality for every
-    input.  Compares the per-lane 2-D GEMMs exactly as
-    :class:`_BatchedConv2D` issues them (transposed-view operands and the
-    width-padded grid included) against the per-client oracle's 2-D GEMMs;
+    input.  Compares the 2-D GEMMs exactly as :class:`_BatchedConv2D`
+    issues them (transposed-view operands and the width-padded grid
+    included) against the oracle's 2-D GEMMs;
     a failing GEMM is routed through the oracle's exact operand layout
     instead.
 
@@ -396,14 +393,14 @@ def _probe_gb_reduce(rows: int, oc: int, dtype) -> bool:
 
 
 class _BatchedConv2D(_BatchedLayer):
-    """Lane-stacked Conv2D over channel-major ``(L, C, N, H, W)`` activations.
+    """Conv2D over channel-major ``(C, N, H, W)`` activations.
 
-    The per-client oracle keeps activations sample-major and pays a strided
+    The layer-loop oracle keeps activations sample-major and pays a strided
     gather or transpose in im2col, after the forward GEMM, and in every
-    col2im pass.  The batched mirror leads with the channel axis instead, so
-    the im2col copy writes contiguous ``(n*oh*ow)`` rows and the forward
-    GEMM emits channel-major output directly (no transpose pass).  Layout
-    is free to differ from the oracle; values are not: operand values, GEMM
+    col2im pass.  The kernel leads with the channel axis instead, so the
+    im2col copy writes contiguous ``(n*oh*ow)`` rows and the forward GEMM
+    emits channel-major output directly (no transpose pass).  Layout is
+    free to differ from the oracle; values are not: operand values, GEMM
     dot order (``(c, k, k)`` along K) and the per-element ascending
     ``(i, j)`` col2im addition order all match the scalar path bitwise.
     The transposed GEMM orientations are only shape-wise equal to the
@@ -412,16 +409,16 @@ class _BatchedConv2D(_BatchedLayer):
     operand layout (at the cost of a transposed copy), keeping every shape
     bitwise regardless.
 
-    The input gradient runs on a *width-padded, batch-innermost grid*.  A
-    lane's output gradient is staged as ``(oc, out_h, wp, n)`` — ``wp = w +
-    2p`` is the padded input's width, the ``wp - out_w`` junk columns of
-    each row are zero — and the grad-cols GEMM ``w_mat.T @ grid`` runs at
-    that shape: every grid column is an independent dot product over
-    ``oc``, so permuting and padding the column set leaves each real
-    element's reduction alone (the probe confirms it per shape).  With the
-    grid's rows on the accumulator's pitch, output pixel ``g = oh*wp + ow``
-    of tap ``(i, j)`` lands on flat accumulator pixel ``s*g + i*wp + j``,
-    so col2im is one shifted add per tap over the ``(c, H*wp, n)``
+    The input gradient runs on a *width-padded, batch-innermost grid*.  The
+    output gradient is staged as ``(oc, out_h, wp, n)`` — ``wp = w + 2p`` is
+    the padded input's width, the ``wp - out_w`` junk columns of each row
+    are zero — and the grad-cols GEMM ``w_mat.T @ grid`` runs at that
+    shape: every grid column is an independent dot product over ``oc``, so
+    permuting and padding the column set leaves each real element's
+    reduction alone (the probe confirms it per shape).  With the grid's
+    rows on the accumulator's pitch, output pixel ``g = oh*wp + ow`` of tap
+    ``(i, j)`` lands on flat accumulator pixel ``s*g + i*wp + j``, so
+    col2im is one shifted add per tap over the ``(c, H*wp, n)``
     accumulator — at stride 1 a single contiguous run per channel where
     the sample-innermost form walked ``out_w``-element rows.  Each
     accumulator element still receives its taps in ascending ``(i, j)``
@@ -432,25 +429,17 @@ class _BatchedConv2D(_BatchedLayer):
     weights hold an Inf or NaN fills the grad-cols from the oracle-layout
     GEMM instead — the same route a rejected probe takes — and zeroes the
     junk columns itself.
-
-    GEMMs and col2im run lane-at-a-time over 2-D operands rather than one
-    stacked 3-D call: each lane's im2col block and grad-cols buffer is
-    consumed while still cache-hot, and the 2-D calls go straight to BLAS
-    without the gufunc batch loop.  Per-lane results are bitwise the same
-    as the stacked form (the batch loop issues the identical 2-D GEMMs).
     """
 
-    def __init__(self, template: Conv2D, params, grads) -> None:
-        self.in_channels = template.in_channels
+    def __init__(self, template: Conv2D) -> None:
         self.out_channels = template.out_channels
         self.kernel_size = template.kernel_size
         self.stride = template.stride
         self.padding = template.padding
-        self.W = params["W"]  # (L, oc, ic, k, k)
-        self.b = params["b"]  # (L, oc)
-        self.gW = grads["W"]
-        self.gb = grads["b"]
-        self.lanes = int(self.W.shape[0])
+        self.W = template.params["W"]  # (oc, ic, k, k)
+        self.b = template.params["b"]  # (oc,)
+        self.gW = template.grads["W"]
+        self.gb = template.grads["b"]
         # The pad buffer with its interior and im2col window views.
         self._pad: Optional[np.ndarray] = None
         self._interior: Optional[np.ndarray] = None
@@ -470,30 +459,30 @@ class _BatchedConv2D(_BatchedLayer):
         p = self.padding
         if p == 0:
             return None
-        L, c, n, h, w = shape
-        padded_shape = (L, c, n, h + 2 * p, w + 2 * p)
+        c, n, h, w = shape
+        padded_shape = (c, n, h + 2 * p, w + 2 * p)
         if (
             self._pad is None
             or self._pad.shape != padded_shape
             or self._pad.dtype != dtype
         ):
             # State, not scratch: zeroed once; only the interior is
-            # rewritten per wave, the border stays zero (same trick as the
+            # rewritten per pass, the border stays zero (same trick as the
             # oracle's pad buffer).  Its views are built once with it.
             self._pad = np.zeros(padded_shape, dtype=dtype)
-            self._interior = self._pad[:, :, :, p:-p, p:-p]
+            self._interior = self._pad[:, :, p:-p, p:-p]
             self._pad_windows = self._window_view(self._pad)
         return self._interior
 
     def _window_view(self, padded):
-        """Overlapping ``(L, c, k, k, n, out_h, out_w)`` im2col windows."""
+        """Overlapping ``(c, k, k, n, out_h, out_w)`` im2col windows."""
         k, s = self.kernel_size, self.stride
-        L, c, n, hp, wp = padded.shape
-        sL, sc, sn, sH, sW = padded.strides
+        c, n, hp, wp = padded.shape
+        sc, sn, sH, sW = padded.strides
         return np.lib.stride_tricks.as_strided(
             padded,
-            shape=(L, c, k, k, n, (hp - k) // s + 1, (wp - k) // s + 1),
-            strides=(sL, sc, sH, sW, sn, s * sH, s * sW),
+            shape=(c, k, k, n, (hp - k) // s + 1, (wp - k) // s + 1),
+            strides=(sc, sH, sW, sn, s * sH, s * sW),
         )
 
     def _windows(self, x):
@@ -509,172 +498,141 @@ class _BatchedConv2D(_BatchedLayer):
         return self._pad_windows
 
     def forward(self, x, training: bool = True):
-        L, c, n, h, w = x.shape
+        c, n, h, w = x.shape
         k, p = self.kernel_size, self.padding
         windows = self._windows(x)
-        out_h, out_w = windows.shape[5:]
+        out_h, out_w = windows.shape[4:]
         pixels = out_h * out_w
         rows = n * pixels
         ckk = c * k * k
         oc = self.out_channels
         arena = _WORKSPACE.arena
         take = arena.take
-        w_mat = self.W.reshape(L, oc, ckk)
+        w_mat = self.W.reshape(oc, ckk)
         blocked = not training and n > _FORWARD_BLOCK
         if blocked and _probe_blocked_forward(n, pixels, ckk, oc, x.dtype):
             # Nothing is kept for a backward, so no more than one block of
             # samples is ever unfolded: copy a block's windows, GEMM it into
             # its column slice of the output while it is still cache-hot.
-            out = take((L, oc, rows), x.dtype)
+            out = take((oc, rows), x.dtype)
             mark = arena.mark()
             block = take((ckk * _FORWARD_BLOCK * pixels,), x.dtype)
-            for lane in range(L):
-                for s0 in range(0, n, _FORWARD_BLOCK):
-                    s1 = min(s0 + _FORWARD_BLOCK, n)
-                    cols = block[: ckk * (s1 - s0) * pixels].reshape(ckk, -1)
-                    cols7 = cols.reshape(c, k, k, s1 - s0, out_h, out_w)
-                    np.copyto(cols7, windows[lane, :, :, :, s0:s1])
-                    np.matmul(w_mat[lane], cols, out=out[lane, :, s0 * pixels : s1 * pixels])
-                out[lane] += self.b[lane, :, None]
+            for s0 in range(0, n, _FORWARD_BLOCK):
+                s1 = min(s0 + _FORWARD_BLOCK, n)
+                cols = block[: ckk * (s1 - s0) * pixels].reshape(ckk, -1)
+                np.copyto(cols.reshape(c, k, k, s1 - s0, out_h, out_w), windows[:, :, :, s0:s1])
+                np.matmul(w_mat, cols, out=out[:, s0 * pixels : s1 * pixels])
+            out += self.b[:, None]
             arena.release(mark)
-            return out.reshape(L, oc, n, out_h, out_w)
+            return out.reshape(oc, n, out_h, out_w)
         fast_fwd, gw_mode, fast_dx = _probe_fast_gemms(
             (n, out_h, out_w, w + 2 * p), ckk, oc, x.dtype, training
         )
-        out = take((L, oc, rows), x.dtype)
+        out = take((oc, rows), x.dtype)
         mark = arena.mark()  # what follows is dead once the GEMM has run
-        # Transposed im2col, (L, c*k*k, n*oh*ow) with contiguous rows: one
-        # copy of the window view per lane.  The nditer walks the
-        # destination in C order, so each (lane, channel) image block is
-        # read cache-hot across all k*k taps.
-        colsT = take((L, ckk, rows), x.dtype)
-        colsT7 = colsT.reshape(windows.shape)
+        # Transposed im2col, (c*k*k, n*oh*ow) with contiguous rows: one copy
+        # of the window view.  The nditer walks the destination in C order,
+        # so each channel's image block is read cache-hot across all k*k taps.
+        colsT = take((ckk, rows), x.dtype)
+        np.copyto(colsT.reshape(windows.shape), windows)
         cols_sm = None
         if fast_fwd:
-            # Lane-interleaved: copy one lane's windows, then GEMM that lane
-            # while its im2col block is still cache-hot.
-            for lane in range(L):
-                np.copyto(colsT7[lane], windows[lane])
-                np.matmul(w_mat[lane], colsT[lane], out=out[lane])
-                out[lane] += self.b[lane, :, None]
+            np.matmul(w_mat, colsT, out=out)
         else:
             # The probe rejected the fast orientation: sample-major
-            # (L, rows, ckk) cols in the oracle's layout, which backward
+            # (rows, ckk) cols in the oracle's layout, which backward
             # shares when it needs them too.
-            np.copyto(colsT7, windows)
-            cols_sm = take((L, rows, ckk), x.dtype)
-            np.copyto(cols_sm, colsT.transpose(0, 2, 1))
-            out_sm = np.matmul(
-                cols_sm, w_mat.transpose(0, 2, 1), out=take((L, rows, oc), x.dtype)
-            )
-            np.copyto(out, out_sm.transpose(0, 2, 1))
-            out += self.b[:, :, None]
+            cols_sm = take((rows, ckk), x.dtype)
+            np.copyto(cols_sm, colsT.T)
+            out_sm = np.matmul(cols_sm, w_mat.T, out=take((rows, oc), x.dtype))
+            np.copyto(out, out_sm.T)
+        out += self.b[:, None]
         if training:
             # ... unless a backward reads it; the verdicts ride along.
             self._cache = (colsT, cols_sm, x.shape, gw_mode, fast_dx)
         else:
             arena.release(mark)
-        return out.reshape(L, oc, n, out_h, out_w)
+        return out.reshape(oc, n, out_h, out_w)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache is None:
             raise RuntimeError("_BatchedConv2D.backward called before forward")
         (colsT, cols_sm, x_shape, gw_mode, fast_dx), self._cache = self._cache, None
-        L, oc, n, out_h, out_w = grad_out.shape
+        oc, n, out_h, out_w = grad_out.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         rows = n * out_h * out_w
-        grad3 = grad_out.reshape(L, oc, rows)
-        ckk = colsT.shape[1]
-        _, c, _, h, w = x_shape
+        grad2 = grad_out.reshape(oc, rows)
+        ckk = colsT.shape[0]
+        c, _, h, w = x_shape
         hp, wp = h + 2 * p, w + 2 * p
         take = _WORKSPACE.arena.take
 
-        grad_w = take((L, oc, ckk), grad3.dtype)
-        w_mat = self.W.reshape(L, oc, ckk)
-        result_dtype = np.result_type(grad3.dtype, w_mat.dtype)
+        grad_w = take((oc, ckk), grad2.dtype)
+        w_mat = self.W.reshape(oc, ckk)
+        result_dtype = np.result_type(grad2.dtype, w_mat.dtype)
 
-        # Lane-at-a-time: each lane's staging, grad-cols and col2im
-        # accumulator live in small buffers, taken once and reused by every
-        # lane, that are consumed before the next lane evicts them, instead
-        # of materializing the full (L, ...) blocks.  The oracle reduces a
-        # row-major (rows, oc) buffer along its first axis for gb; the
-        # per-lane staging keeps that layout (and a per-lane 2-D reduce is
-        # bitwise the stacked 3-D one), so the reduction order matches.
-        # For a lone sample the oracle's buffer is instead a transposed
-        # view of the feature map (see _probe_fast_gemms) — which is
-        # what grad3[lane].T is, so no staging copy is made.
-        single = n == 1
-        gbuf_l = None if single else take((rows, oc), grad3.dtype)
-        gb_fast = not single and _probe_gb_reduce(rows, oc, grad3.dtype)
-        gb_row = take((oc,), grad3.dtype)
-        if need_input_grad:
-            # Junk addends must be exact zeros, and 0 * w is not for an Inf
-            # or NaN weight: such a pass takes the oracle-layout GEMM too.
-            fast_dx = fast_dx and bool(np.isfinite(w_mat).all())
-            gc = take((ckk, out_h * wp * n), result_dtype)
-            if fast_dx:
-                grid = take((oc, out_h * wp * n), grad3.dtype)
-                staged = grid.reshape(oc, out_h, wp, n)
-            else:
-                gsm = take((rows, ckk), result_dtype)
-                gsm_grid = gsm.T.reshape(ckk, n, out_h, out_w).transpose(0, 2, 3, 1)
-                staged = gc.reshape(ckk, out_h, wp, n)
-            # Either buffer is filled a lane at a time through its real
-            # columns only: the junk columns are zeroed here, once.
-            staged[:, :, out_w:] = 0
-            real = staged[:, :, :out_w]
-            span = (out_h - 1) * wp + out_w
-            taps = gc.reshape(c, k, k, out_h * wp, n)[:, :, :, :span]
-            acc = take((c, hp * wp, n), result_dtype)
-            interior = acc.reshape(c, hp, wp, n)[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
-            gx = take((L, c, n, h, w), result_dtype)
-        gwT = cols_lane = None
+        # The oracle reduces a row-major (rows, oc) buffer along its first
+        # axis for gb; the staging copy keeps that layout, so the reduction
+        # order matches.  For a lone sample the oracle's buffer is instead
+        # a transposed view of the feature map (see _probe_fast_gemms) —
+        # which is what grad2.T is, so no staging copy is made.
+        if n == 1:
+            gbuf = grad2.T
+        else:
+            gbuf = take((rows, oc), grad2.dtype)
+            np.copyto(gbuf, grad2.T)
         if gw_mode == "csT":
-            gwT = take((ckk, oc), grad3.dtype)
-        elif gw_mode == "slow" and cols_sm is None:
-            cols_lane = take((rows, ckk), colsT.dtype)
-        for lane in range(L):
-            if single:
-                gbuf_l = grad3[lane].T
-            else:
-                np.copyto(gbuf_l, grad3[lane].T)
-            if gw_mode == "csT":
-                np.matmul(colsT[lane], grad3[lane].T, out=gwT)
-                np.copyto(grad_w[lane], gwT.T)
-            elif gw_mode == "gT":
-                np.matmul(grad3[lane], colsT[lane].T, out=grad_w[lane])
-            else:
-                # One lane's cols in the oracle's (rows, ckk) layout.
-                if cols_sm is not None:
-                    cols_lane = cols_sm[lane]
-                else:
-                    np.copyto(cols_lane, colsT[lane].T)
-                np.matmul(gbuf_l.T, cols_lane, out=grad_w[lane])
-            if gb_fast:
-                np.einsum("ro->o", gbuf_l, out=gb_row)
-                self.gb[lane] += gb_row
-            else:
-                self.gb[lane] += gbuf_l.sum(axis=0)
-            if not need_input_grad:
-                continue
-            if fast_dx:
-                np.copyto(real, grad_out[lane].transpose(0, 2, 3, 1))
-                np.matmul(w_mat[lane].T, grid, out=gc)
-            else:
-                np.matmul(gbuf_l, w_mat[lane], out=gsm)
-                np.copyto(real, gsm_grid)
-            acc.fill(0)
-            for i in range(k):
-                for j in range(k):
-                    shift = i * wp + j
-                    acc[:, shift : shift + s * span : s] += taps[:, i, j]
-            np.copyto(gx[lane], interior)
+            gwT = np.matmul(colsT, grad2.T, out=take((ckk, oc), grad2.dtype))
+            np.copyto(grad_w, gwT.T)
+        elif gw_mode == "gT":
+            np.matmul(grad2, colsT.T, out=grad_w)
+        else:
+            # The cols in the oracle's (rows, ckk) layout.
+            if cols_sm is None:
+                cols_sm = take((rows, ckk), colsT.dtype)
+                np.copyto(cols_sm, colsT.T)
+            np.matmul(gbuf.T, cols_sm, out=grad_w)
         self.gW += grad_w.reshape(self.gW.shape)
-        return gx if need_input_grad else None
+        if n > 1 and _probe_gb_reduce(rows, oc, grad2.dtype):
+            self.gb += np.einsum("ro->o", gbuf, out=take((oc,), grad2.dtype))
+        else:
+            self.gb += gbuf.sum(axis=0)
+        if not need_input_grad:
+            return None
+
+        gc = take((ckk, out_h * wp * n), result_dtype)
+        # Junk addends must be exact zeros, and 0 * w is not for an Inf or
+        # NaN weight: such a pass takes the oracle-layout GEMM too.  Either
+        # way the grid is filled through its real columns only.
+        if fast_dx and np.isfinite(w_mat).all():
+            grid = take((oc, out_h * wp * n), grad2.dtype)
+            staged = grid.reshape(oc, out_h, wp, n)
+            staged[:, :, out_w:] = 0
+            np.copyto(staged[:, :, :out_w], grad_out.transpose(0, 2, 3, 1))
+            np.matmul(w_mat.T, grid, out=gc)
+        else:
+            gsm = np.matmul(gbuf, w_mat, out=take((rows, ckk), result_dtype))
+            staged = gc.reshape(ckk, out_h, wp, n)
+            staged[:, :, out_w:] = 0
+            np.copyto(
+                staged[:, :, :out_w],
+                gsm.T.reshape(ckk, n, out_h, out_w).transpose(0, 2, 3, 1),
+            )
+        span = (out_h - 1) * wp + out_w
+        taps = gc.reshape(c, k, k, out_h * wp, n)[:, :, :, :span]
+        acc = take((c, hp * wp, n), result_dtype)
+        acc.fill(0)
+        for i in range(k):
+            for j in range(k):
+                shift = i * wp + j
+                acc[:, shift : shift + s * span : s] += taps[:, i, j]
+        gx = take((c, n, h, w), result_dtype)
+        np.copyto(gx, acc.reshape(c, hp, wp, n)[:, p : p + h, p : p + w].transpose(0, 3, 1, 2))
+        return gx
 
 
 class _BatchedMaxPool2D(_BatchedLayer):
-    """Lane-stacked MaxPool2D over channel-major ``(L, C, N, H, W)`` input.
+    """MaxPool2D over channel-major ``(C, N, H, W)`` input.
 
     Window maxima are computed by reducing the innermost (contiguous)
     window axis first.  ``np.maximum`` keeps its first operand on ties, so
@@ -685,7 +643,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
     (a select written as a masked copy costs a mispredicted branch per
     window on real activations), the generic path replicates the oracle's
     reverse equality sweep.  Backward turns the arg-max slots into flat
-    offsets arithmetically and scatters with one fancy assignment per lane.
+    offsets arithmetically and scatters with one fancy assignment.
     """
 
     def __init__(self, template: MaxPool2D) -> None:
@@ -703,10 +661,10 @@ class _BatchedMaxPool2D(_BatchedLayer):
     def _window_base_offsets(self, images: int, h: int, w: int) -> np.ndarray:
         """Flat offset of each window's top-left element, window-major.
 
-        ``images`` is the per-lane image count (``c * n`` for channel-major
-        input) over a C-order ``(images, h, w)`` block.  ``intp``, the type
-        fancy indexing works in: narrower indices are converted on every
-        scatter, which costs more than the traffic they save.
+        ``images`` is the image count (``c * n`` for channel-major input)
+        over a C-order ``(images, h, w)`` block.  ``intp``, the type fancy
+        indexing works in: narrower indices are converted on every scatter,
+        which costs more than the traffic they save.
         """
         if self._base_shape == (images, h, w) and self._base_offsets is not None:
             return self._base_offsets
@@ -730,7 +688,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
         return out
 
     def forward(self, x, training: bool = True):
-        L, c, n, h, w = x.shape
+        c, n, h, w = x.shape
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"MaxPool2D input spatial dims {h}x{w} not divisible by {p}")
@@ -739,13 +697,13 @@ class _BatchedMaxPool2D(_BatchedLayer):
             xc = take(x.shape, x.dtype)
             np.copyto(xc, x)
             x = xc
-        reshaped = x.reshape(L, c, n, h // p, p, w // p, p)
+        reshaped = x.reshape(c, n, h // p, p, w // p, p)
         out = None
         if self.sink is not None:
-            out = self.sink.stage_input((L, c, n, h // p, w // p), x.dtype)
+            out = self.sink.stage_input((c, n, h // p, w // p), x.dtype)
         if out is None:
-            out = take((L, c, n, h // p, w // p), x.dtype)
-        columns = [reshaped[:, :, :, :, i, :, j] for i in range(p) for j in range(p)]
+            out = take((c, n, h // p, w // p), x.dtype)
+        columns = [reshaped[:, :, :, i, :, j] for i in range(p) for j in range(p)]
         if not training:
             # Maxima only: the arg-max bookkeeping below serves backward.
             return self._fold_max(columns, out)
@@ -796,10 +754,10 @@ class _BatchedMaxPool2D(_BatchedLayer):
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache is None:
             raise RuntimeError("_BatchedMaxPool2D.backward called before forward")
-        (idx, (L, c, n, h, w)), self._cache = self._cache, None
+        (idx, (c, n, h, w)), self._cache = self._cache, None
         p = self.pool_size
         take = _WORKSPACE.arena.take
-        idx = idx.reshape(L, -1)
+        idx = idx.reshape(-1)
         # Slot t = (i, j) sits i rows and j columns past its window's
         # top-left corner: i*w + j = t + (t // p) * (w - p), below p*w, so
         # computed in the narrowest type that holds that — int8, the slots'
@@ -811,12 +769,10 @@ class _BatchedMaxPool2D(_BatchedLayer):
         np.add(offset, idx, out=offset)
         flat = take(idx.shape, np.intp)
         np.add(offset, self._window_base_offsets(c * n, h, w), out=flat)
-        grad = take((L, c * n * h * w), grad_out.dtype)
+        grad = take((c * n * h * w,), grad_out.dtype)
         grad.fill(0)
-        windows = grad_out.reshape(L, -1)
-        for lane in range(L):
-            grad[lane][flat[lane]] = windows[lane]
-        return grad.reshape(L, c, n, h, w)
+        grad[flat] = grad_out.reshape(-1)
+        return grad.reshape(c, n, h, w)
 
 
 class _BatchedReLU(_BatchedLayer):
@@ -851,8 +807,8 @@ class _BatchedReLU(_BatchedLayer):
 class _BatchedFlatten(_BatchedLayer):
     """Flatten; converts channel-major feature maps back to sample-major.
 
-    The classifier operates on ``(L, n, features)`` with the oracle's
-    ``(c, h, w)`` per-sample feature order, so 5-D channel-major input
+    The classifier operates on ``(n, features)`` with the oracle's
+    ``(c, h, w)`` per-sample feature order, so 4-D channel-major input
     pays one small transposed copy here (and one on the way back).
     """
 
@@ -861,43 +817,42 @@ class _BatchedFlatten(_BatchedLayer):
 
     def forward(self, x, training: bool = True):
         self._cache_shape = x.shape
-        if x.ndim == 5:
-            L, c, n, h, w = x.shape
-            out = _WORKSPACE.arena.take((L, n, c, h, w), x.dtype)
-            np.copyto(out, x.transpose(0, 2, 1, 3, 4))
-            return out.reshape(L, n, c * h * w)
-        return x.reshape(x.shape[0], x.shape[1], -1)
+        if x.ndim == 4:
+            c, n, h, w = x.shape
+            out = _WORKSPACE.arena.take((n, c, h, w), x.dtype)
+            np.copyto(out, x.transpose(1, 0, 2, 3))
+            return out.reshape(n, c * h * w)
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_shape is None:
             raise RuntimeError("_BatchedFlatten.backward called before forward")
         shape = self._cache_shape
-        if len(shape) == 5:
-            L, c, n, h, w = shape
+        if len(shape) == 4:
+            c, n, h, w = shape
             gx = _WORKSPACE.arena.take(shape, grad_out.dtype)
-            np.copyto(gx, grad_out.reshape(L, n, c, h, w).transpose(0, 2, 1, 3, 4))
+            np.copyto(gx, grad_out.reshape(n, c, h, w).transpose(1, 0, 2, 3))
             return gx
         return grad_out.reshape(shape)
 
 
 class _BatchedDense(_BatchedLayer):
-    def __init__(self, template: Dense, params, grads) -> None:
+    def __init__(self, template: Dense) -> None:
         self.in_features = template.in_features
         self.out_features = template.out_features
-        self.W = params["W"]  # (L, in, out)
-        self.b = params["b"]  # (L, out)
-        self.gW = grads["W"]
-        self.gb = grads["b"]
+        self.W = template.params["W"]  # (in, out)
+        self.b = template.params["b"]  # (out,)
+        self.gW = template.grads["W"]
+        self.gb = template.grads["b"]
         # The input of a training forward; backward takes it.
         self._cache_x = None
 
     def forward(self, x, training: bool = True):
         if training:
             self._cache_x = x
-        L, n = x.shape[0], x.shape[1]
-        out = _WORKSPACE.arena.take((L, n, self.out_features), x.dtype)
+        out = _WORKSPACE.arena.take((x.shape[0], self.out_features), x.dtype)
         np.matmul(x, self.W, out=out)
-        out += self.b[:, None, :]
+        out += self.b
         return out
 
     def backward(self, grad_out, need_input_grad: bool = True):
@@ -905,36 +860,21 @@ class _BatchedDense(_BatchedLayer):
             raise RuntimeError("_BatchedDense.backward called before forward")
         x, self._cache_x = self._cache_x, None
         take = _WORKSPACE.arena.take
-        self.gW += np.matmul(
-            x.transpose(0, 2, 1), grad_out, out=take(self.gW.shape, self.gW.dtype)
-        )
-        self.gb += grad_out.sum(axis=1)
+        self.gW += np.matmul(x.T, grad_out, out=take(self.gW.shape, self.gW.dtype))
+        self.gb += grad_out.sum(axis=0)
         if not need_input_grad:
             return None
-        L, n = grad_out.shape[0], grad_out.shape[1]
-        gx = take((L, n, self.in_features), grad_out.dtype)
-        return np.matmul(grad_out, self.W.transpose(0, 2, 1), out=gx)
+        gx = take((grad_out.shape[0], self.in_features), grad_out.dtype)
+        return np.matmul(grad_out, self.W.T, out=gx)
 
 
 class _BatchedResidualBlock(_BatchedLayer):
-    def __init__(self, template: ResidualBlock, params, grads) -> None:
-
-        def sub(prefix: str):
-            return (
-                {"W": params[f"{prefix}.W"], "b": params[f"{prefix}.b"]},
-                {"W": grads[f"{prefix}.W"], "b": grads[f"{prefix}.b"]},
-            )
-
-        p1, g1 = sub("conv1")
-        self.conv1 = _BatchedConv2D(template.conv1, p1, g1)
+    def __init__(self, template: ResidualBlock) -> None:
+        self.conv1 = _BatchedConv2D(template.conv1)
         self.relu1 = _BatchedReLU()
-        p2, g2 = sub("conv2")
-        self.conv2 = _BatchedConv2D(template.conv2, p2, g2)
+        self.conv2 = _BatchedConv2D(template.conv2)
         self.relu_out = _BatchedReLU()
-        self.proj: Optional[_BatchedConv2D] = None
-        if template.proj is not None:
-            pp, gp = sub("proj")
-            self.proj = _BatchedConv2D(template.proj, pp, gp)
+        self.proj = None if template.proj is None else _BatchedConv2D(template.proj)
 
     def forward(self, x, training: bool = True):
         h = self.conv1.forward(x, training)
@@ -962,133 +902,8 @@ class _BatchedResidualBlock(_BatchedLayer):
         return grad_x
 
 
-class _BatchedCrossEntropyLoss:
-    """Lane-stacked softmax cross-entropy (row ops mirror repro.nn.loss)."""
-
-    def __init__(self) -> None:
-        self._lane_ix: Optional[np.ndarray] = None
-        self._row_ix: Optional[np.ndarray] = None
-
-    def forward_backward(self, logits, labels):
-        lanes, n = logits.shape[0], logits.shape[1]
-        if self._lane_ix is None or self._lane_ix.shape[0] != lanes:
-            self._lane_ix = np.arange(lanes)[:, None]
-        if self._row_ix is None or self._row_ix.shape[1] != n:
-            self._row_ix = np.arange(n)[None, :]
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=2, keepdims=True)
-        picked = probs[self._lane_ix, self._row_ix, labels]
-        losses = -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=1, dtype=np.float64)
-        grad = probs.copy()
-        grad[self._lane_ix, self._row_ix, labels] -= 1.0
-        grad /= n
-        return losses, grad
-
-
 # ---------------------------------------------------------------------------
-# Batched optimisers (exact op-order mirrors of repro.nn.optim)
-# ---------------------------------------------------------------------------
-class BatchedSGD:
-    """SGD over ``(lanes, params)`` arenas, one fused update per section.
-
-    Every operation is the elementwise mirror of
-    :meth:`repro.nn.optim.SGD._apply_update`, so lane ``i`` of the arena
-    evolves bitwise identically to a solo client stepping its section
-    vector.
-    """
-
-    def __init__(
-        self,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[str, np.ndarray] = {}
-        self._scratch: Dict[str, np.ndarray] = {}
-
-    def _scratch_for(self, key: str, template) -> np.ndarray:
-        scratch = self._scratch.get(key)
-        if scratch is None or scratch.shape != template.shape or scratch.dtype != template.dtype:
-            scratch = np.empty_like(template)
-            self._scratch[key] = scratch
-        return scratch
-
-    def _apply_update(self, key: str, param, grad) -> None:
-        scratch = self._scratch_for(key, param)
-        if self.weight_decay:
-            np.multiply(param, self.weight_decay, out=scratch)
-            scratch += grad
-            grad = scratch
-        if self.momentum:
-            velocity = self._velocity.get(key)
-            if velocity is None or velocity.shape != param.shape:
-                velocity = np.zeros_like(param)
-                self._velocity[key] = velocity
-            velocity *= self.momentum
-            velocity += grad
-            update = velocity
-        else:
-            update = grad
-        if update is scratch:
-            scratch *= self.lr
-        else:
-            np.multiply(update, self.lr, out=scratch)
-        param -= scratch
-
-    def step(self, sections: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> None:
-        for key, (param, grad) in sections.items():
-            self._apply_update(key, param, grad)
-
-    def reset_state(self) -> None:
-        self._velocity.clear()
-        self._scratch.clear()
-
-
-class BatchedProximalSGD(BatchedSGD):
-    """FedProx proximal SGD over lane arenas (anchor broadcast per section)."""
-
-    def __init__(
-        self,
-        lr: float,
-        mu: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(lr=lr, momentum=momentum, weight_decay=weight_decay)
-        self.mu = mu
-        self._anchor: Optional[Dict[str, np.ndarray]] = None
-        self._prox_scratch: Dict[str, np.ndarray] = {}
-
-    def set_anchor(self, weights: Dict[str, np.ndarray]) -> None:
-        self._anchor = {key: np.array(value, copy=True) for key, value in weights.items()}
-
-    def _apply_update(self, key: str, param, grad) -> None:
-        anchor = self._anchor.get(key) if self._anchor is not None else None
-        if self.mu and anchor is not None:
-            scratch = self._prox_scratch.get(key)
-            if scratch is None or scratch.shape != param.shape or scratch.dtype != param.dtype:
-                scratch = np.empty_like(param)
-                self._prox_scratch[key] = scratch
-            # (L, P) minus broadcast (P,): per-lane identical to the solo
-            # np.subtract(param, anchor).
-            np.subtract(param, anchor, out=scratch)
-            scratch *= self.mu
-            scratch += grad
-            grad = scratch
-        super()._apply_update(key, param, grad)
-
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._anchor = None
-        self._prox_scratch.clear()
-
-
-# ---------------------------------------------------------------------------
-# Batched model
+# The kernel set of one model
 # ---------------------------------------------------------------------------
 #: Layer types with a channel-major kernel.  Matched on the exact type: a
 #: subclass may override ``forward``/``backward``, and only the layer loop
@@ -1105,149 +920,73 @@ def kernels_cover(model: SplitCNN) -> bool:
 
 
 class BatchedModel:
-    """``lanes`` independent copies of a :class:`SplitCNN` in section arenas.
+    """The kernels of one :class:`SplitCNN`, over the model's own memory.
 
-    Parameters live in one ``(lanes, section_size)`` array per section;
-    every layer parameter is a ``(lanes,) + shape`` view into it, mirroring
-    the flat-vector storage of the per-client model.  ``train_step`` is the
-    lane-stacked form of ``SplitCNN.train_batch`` — and, at ``lanes=1``
-    over ``arenas`` that alias a model's own flat vectors, its
-    implementation (:func:`solo_kernels`).
-
-    ``arenas`` is an optional ``(weights, grads)`` pair of per-section
-    ``(lanes, section_size)`` arrays to adopt instead of allocating.
+    Every kernel with parameters reads the views its layer holds into the
+    model's flat section vectors and accumulates into the matching gradient
+    views, so the optimiser and the flat/dict weight API keep operating on
+    the same memory.  :meth:`train_step` is ``SplitCNN.train_batch`` up to
+    the optimiser step; :meth:`infer` is ``SplitCNN.forward``.
     """
 
-    def __init__(
-        self,
-        template: SplitCNN,
-        lanes: int,
-        arenas: Optional[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]] = None,
-    ) -> None:
-        if lanes < 1:
-            raise ValueError(f"lanes must be positive, got {lanes}")
-        self.lanes = lanes
-        self.name = template.name
-        self.dtype = template.dtype
+    def __init__(self, model: SplitCNN) -> None:
+        self.dtype = model.dtype
+        #: Set by ``SplitCNN.train_batch`` before each step.
         self.features_frozen = False
-        self.classifier_frozen = False
-        self.loss = _BatchedCrossEntropyLoss()
-        self.section_sizes: Dict[str, int] = {
-            section: int(template.flat_parameters(section).size)
-            for section in SplitCNN.SECTIONS
-        }
-        if arenas is None:
-            shapes = {s: (lanes, size) for s, size in self.section_sizes.items()}
-            arenas = (
-                {s: np.empty(shape, dtype=self.dtype) for s, shape in shapes.items()},
-                {s: np.zeros(shape, dtype=self.dtype) for s, shape in shapes.items()},
-            )
-        self._weights, self._grads = arenas
-        self.feature_layers = self._build_layers(template, SplitCNN.FEATURE_PREFIX)
-        self.classifier_layers = self._build_layers(template, SplitCNN.CLASSIFIER_PREFIX)
+        self.loss = CrossEntropyLoss()
+        self._grads = [model.flat_grads(section) for section in SplitCNN.SECTIONS]
+        self.feature_layers = self._build_layers(model.feature_layers)
+        self.classifier_layers = self._build_layers(model.classifier_layers)
         for prev, nxt in zip(self.feature_layers, self.feature_layers[1:]):
             if isinstance(prev, _BatchedMaxPool2D) and isinstance(nxt, _BatchedConv2D):
                 prev.sink = nxt
 
-    # ----------------------------------------------------------- construction
-    def _lane_view(self, arena, slot):
-        view = arena[:, slot.offset : slot.offset + slot.size].reshape((self.lanes,) + slot.shape)
-        assert np.shares_memory(view, arena)
-        return view
-
-    def _build_layers(self, template: SplitCNN, section: str) -> List[_BatchedLayer]:
-        source = (
-            template.feature_layers
-            if section == SplitCNN.FEATURE_PREFIX
-            else template.classifier_layers
-        )
-        slots = iter(template.flat_slots(section))
+    def _build_layers(self, source) -> List[_BatchedLayer]:
         layers: List[_BatchedLayer] = []
         for position, layer in enumerate(source):
-            pviews: Dict[str, np.ndarray] = {}
-            gviews: Dict[str, np.ndarray] = {}
-            for param_name in layer.params:
-                slot = next(slots)
-                pviews[param_name] = self._lane_view(self._weights[section], slot)
-                gviews[param_name] = self._lane_view(self._grads[section], slot)
-            # A ReLU fed by another kernel's scratch buffer may rewrite it in
-            # place; a leading one, or one behind a Flatten (which hands a
-            # flat input through as a view), would rewrite the caller's batch.
-            owns_input = position > 0 and type(source[position - 1]) is not Flatten
-            layers.append(self._batch_layer(layer, pviews, gviews, owns_input))
+            kind = type(layer)
+            if kind is Conv2D:
+                kernel: _BatchedLayer = _BatchedConv2D(layer)
+            elif kind is MaxPool2D:
+                kernel = _BatchedMaxPool2D(layer)
+            elif kind is ReLU:
+                # A ReLU fed by another kernel's scratch buffer may rewrite
+                # it in place; a leading one, or one behind a Flatten (which
+                # hands a flat input through as a view), would rewrite the
+                # caller's batch.
+                owns_input = position > 0 and type(source[position - 1]) is not Flatten
+                kernel = _BatchedReLU(inplace=owns_input)
+            elif kind is Flatten:
+                kernel = _BatchedFlatten()
+            elif kind is Dense:
+                kernel = _BatchedDense(layer)
+            elif kind is ResidualBlock:
+                kernel = _BatchedResidualBlock(layer)
+            else:
+                raise TypeError(f"no batched kernel for layer {kind.__name__}")
+            layers.append(kernel)
         return layers
 
-    def _batch_layer(self, layer, pviews, gviews, owns_input: bool = False) -> _BatchedLayer:
-        kind = type(layer)
-        if kind is Conv2D:
-            return _BatchedConv2D(layer, pviews, gviews)
-        if kind is MaxPool2D:
-            return _BatchedMaxPool2D(layer)
-        if kind is ReLU:
-            return _BatchedReLU(inplace=owns_input)
-        if kind is Flatten:
-            return _BatchedFlatten()
-        if kind is Dense:
-            return _BatchedDense(layer, pviews, gviews)
-        if kind is ResidualBlock:
-            return _BatchedResidualBlock(layer, pviews, gviews)
-        raise TypeError(f"no batched kernel for layer {kind.__name__}")
-
-    # ------------------------------------------------------------- weights IO
-    def load_lane(self, section: str, lane: int, vector: np.ndarray) -> None:
-        self._weights[section][lane, :] = vector
-
-    def lane_flat(self, section: str, lane: int) -> np.ndarray:
-        """Copy of one lane's flat section vector (host array)."""
-        return np.array(self._weights[section][lane], copy=True)
-
-    # --------------------------------------------------------------- training
     def zero_grad(self) -> None:
-        for grads in self._grads.values():
+        for grads in self._grads:
             grads.fill(0)
 
-    def freeze_features(self) -> None:
-        self.features_frozen = True
+    def train_step(self, x, y) -> float:
+        """Forward, loss and backward of one batch; returns the loss.
 
-    def unfreeze_features(self) -> None:
-        self.features_frozen = False
-
-    def freeze_classifier(self) -> None:
-        self.classifier_frozen = True
-
-    def unfreeze_classifier(self) -> None:
-        self.classifier_frozen = False
-
-    def _trainable_arenas(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        sections: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        if not self.features_frozen:
-            key = SplitCNN.FEATURE_PREFIX
-            sections[key] = (self._weights[key], self._grads[key])
-        if not self.classifier_frozen:
-            key = SplitCNN.CLASSIFIER_PREFIX
-            sections[key] = (self._weights[key], self._grads[key])
-        return sections
-
-    def train_step(self, x, y, optimizer: Optional[BatchedSGD] = None) -> np.ndarray:
-        """One training step of every lane; ``x`` is ``(lanes, n, ...)``.
-
-        Returns the per-lane float64 loss vector.  Inputs must already be
-        in the model dtype (``SplitCNN.train_batch`` casts before it calls).
+        ``x`` is the sample-major batch as ``SplitCNN`` has it, already in
+        the model dtype (``SplitCNN.train_batch`` casts before it calls).
+        Gradients land in the model's flat gradient vectors; the caller
+        steps the optimiser.
         """
-        if x.shape[0] != self.lanes or y.shape[0] != self.lanes:
-            raise ValueError(
-                f"expected leading lane dimension {self.lanes}, got x {x.shape} / y {y.shape}"
-            )
-        if x.shape[1] != y.shape[1]:
-            raise ValueError(
-                f"batch size mismatch: x has {x.shape[1]} rows, y has {y.shape[1]}"
-            )
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(f"batch size mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}")
         if x.dtype != self.dtype:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
         _WORKSPACE.arena.reset()
         self.zero_grad()
         logits = self._forward(x, training=True)
-        losses, grad = self.loss.forward_backward(logits, y)
+        loss, grad = self.loss.forward_backward(logits, y)
         for layer in reversed(self.classifier_layers):
             grad = layer.backward(grad)
         if not self.features_frozen and self.feature_layers:
@@ -1257,12 +996,10 @@ class BatchedModel:
             # and col2im (values unaffected; the analytic FLOP trace still
             # charges the oracle's cost).
             self.feature_layers[0].backward(grad, need_input_grad=False)
-        if optimizer is not None:
-            optimizer.step(self._trainable_arenas())
-        return losses
+        return loss
 
     def infer(self, x):
-        """Forward-only pass; ``x`` is ``(lanes, n, ...)``, returns the logits.
+        """Forward-only pass over a sample-major batch; returns the logits.
 
         The result is workspace scratch: valid until this thread's next
         pass of any kind — a training step included — of this or any other
@@ -1277,18 +1014,18 @@ class BatchedModel:
         # Frozen features run no backward, so nothing is kept for one.
         keep = training and not self.features_frozen
         h = x
-        if h.ndim == 5:
-            # Feature kernels run channel-major (L, C, N, H, W): one cheap
+        if h.ndim == 4:
+            # Feature kernels run channel-major (C, N, H, W): one cheap
             # transposed copy here keeps every downstream pass streaming.
             # When the first layer is a padded conv the copy lands straight
             # in its pad-buffer interior, fusing out the pad pass.
-            L, n, c, ih, iw = h.shape
+            n, c, ih, iw = h.shape
             cm = None
             if self.feature_layers and isinstance(self.feature_layers[0], _BatchedConv2D):
-                cm = self.feature_layers[0].stage_input((L, c, n, ih, iw), h.dtype)
+                cm = self.feature_layers[0].stage_input((c, n, ih, iw), h.dtype)
             if cm is None:
-                cm = _WORKSPACE.arena.take((L, c, n, ih, iw), h.dtype)
-            np.copyto(cm, h.transpose(0, 2, 1, 3, 4))
+                cm = _WORKSPACE.arena.take((c, n, ih, iw), h.dtype)
+            np.copyto(cm, h.transpose(1, 0, 2, 3))
             h = cm
         for layer in self.feature_layers:
             h = layer.forward(h, keep)
@@ -1300,18 +1037,11 @@ class BatchedModel:
 def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
     """``(training, inference)`` kernel sets running ``model`` itself.
 
-    Both are ``lanes=1`` :class:`BatchedModel` instances whose arenas are
-    ``(1, size)`` reshapes of the model's flat section vectors — no copy,
-    so whatever writes those vectors (optimiser steps, weight loads, lane
-    materialization) is what the kernels read next.  Neither owns scratch
-    (that is the thread's :class:`Workspace`); they are two so that each
-    keeps conv pad buffers fitted to its own batch shape.  Returns ``()``
-    when a layer has no kernel; the model then runs its layer loop.
+    Neither owns scratch (that is the thread's :class:`Workspace`); they
+    are two so that each keeps conv pad buffers fitted to its own batch
+    shape.  Returns ``()`` when a layer has no kernel; the model then runs
+    its layer loop.
     """
     if not kernels_cover(model):
         return ()
-    arenas = (
-        {s: model.flat_parameters(s).reshape(1, -1) for s in model.SECTIONS},
-        {s: model.flat_grads(s).reshape(1, -1) for s in model.SECTIONS},
-    )
-    return BatchedModel(model, 1, arenas), BatchedModel(model, 1, arenas)
+    return BatchedModel(model), BatchedModel(model)

@@ -23,9 +23,8 @@ single fused numpy operations; the dictionary API (:meth:`get_weights` /
 :meth:`set_weights`) remains available as a thin adapter over the views.
 
 Compute runs on one kernel set: :meth:`SplitCNN.train_batch` and
-inference drive the channel-major kernels of :mod:`repro.nn.batched` at
-``lanes=1``, over ``(1, size)`` reshapes of the same flat vectors.  The
-layer-by-layer loop over :mod:`repro.nn.layers` objects remains as the
+inference drive the channel-major kernels of :mod:`repro.nn.batched`, over
+the same flat vectors.  The layer-by-layer loop over :mod:`repro.nn.layers` objects remains as the
 generic path for a model holding a layer type without a kernel — and, for
 that reason, as the oracle the parity tests compare the kernels against.
 """
@@ -324,10 +323,9 @@ class SplitCNN:
     def _kernel_sets(self) -> tuple:
         """``(training, inference)`` kernel sets, or ``()`` for the layer loop.
 
-        Built on first use: ``lanes=1`` :class:`~repro.nn.batched.BatchedModel`
-        pairs whose arenas are reshapes of this model's flat section
-        vectors, so the optimiser and the flat/dict weight API keep
-        operating on the same memory.  The
+        Built on first use: a :class:`~repro.nn.batched.BatchedModel` pair
+        over this model's flat section vectors, so the optimiser and the
+        flat/dict weight API keep operating on the same memory.  The
         sets own no scratch — that is the calling thread's
         :class:`~repro.nn.batched.Workspace`, shared by every model and by
         both kinds of pass: a training step runs its backward before it
@@ -493,7 +491,7 @@ class SplitCNN:
             return self.forward_layerwise(x, training)
         # The logits are workspace scratch, dead at this thread's next
         # pass; the caller gets its own.
-        return kernels[1].infer(self._cast_input(x)[None])[0].copy()
+        return kernels[1].infer(self._cast_input(x)).copy()
 
     def forward_layerwise(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """:meth:`forward` through the layer objects (generic path and oracle)."""
@@ -587,7 +585,7 @@ class SplitCNN:
         phase is skipped entirely, which is exactly the saving that Aergia's
         weak clients realise after offloading.
 
-        The step runs on the channel-major kernels (``lanes=1``, see
+        The step runs on the channel-major kernels (see
         :meth:`_kernel_sets`) and its trace is the analytic
         :func:`phase_flops`; a model with a layer type the kernels do not
         cover runs :meth:`train_batch_layerwise` instead.  Both are bitwise
@@ -613,10 +611,10 @@ class SplitCNN:
             return self.train_batch_layerwise(x, y, optimizer)
         step = kernels[0]
         step.features_frozen = self.features_frozen
-        losses = step.train_step(self._cast_input(x)[None], y[None])
+        loss = step.train_step(self._cast_input(x), y)
         if optimizer is not None:
             optimizer.step_flat(self._trainable_sections())
-        return float(losses[0]), self.batch_trace(x.shape)
+        return loss, self.batch_trace(x.shape)
 
     def batch_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
         """The trace :meth:`train_batch_layerwise` would record for a batch of

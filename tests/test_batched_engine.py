@@ -1,13 +1,15 @@
-"""The compute kernels at ``lanes > 1``, and per-client execution end to end.
+"""Models stepped in turn through the kernels, and per-client execution end to end.
 
 This file pinned the lockstep cohort engine until it was deleted (ISSUE
-22): a round's clients now step one by one, each at its own simulated
-events, and with ``shards >= 2`` each on the worker process that owns it.
-Every test id is kept and now pins what remains:
+22), and the kernels' lane axis until that went too (ISSUE 24): a round's
+clients step one by one, each at its own simulated events, and with
+``shards >= 2`` each on the worker process that owns it.  Every test id is
+kept and now pins what remains:
 
-* kernel level: ``lanes=N`` == ``N`` solo models, bit for bit — a full
-  parity matrix over the architecture registry plus forced slow-probe
-  fallbacks and max-pool tie/NaN torture inputs (unchanged);
+* kernel level: N differently initialised models stepped in turn on one
+  thread through the kernels == each alone through the layer loop, bit for
+  bit — a full parity matrix over the architecture registry plus forced
+  slow-probe fallbacks and max-pool tie/NaN torture inputs;
 * round level: ``shards`` unset == ``shards=2`` byte for byte — golden
   smoke summaries, offload divergence, churn, the virtualized client pool
   and SIGKILL crash/resume across the two ways of executing a round;
@@ -33,7 +35,6 @@ from repro.experiments.workloads import SCALES, evaluation_config
 from repro.fl.config import ExperimentConfig, ResourceConfig, config_from_dict, config_to_dict
 from repro.fl.runtime import build_experiment, uses_sharded_execution
 from repro.nn.architectures import ARCHITECTURES, build_model
-from repro.nn.batched import BatchedModel, BatchedProximalSGD, BatchedSGD
 from repro.nn.dtype import using_dtype
 from repro.nn.layers import MaxPool2D
 from repro.nn.model import SplitCNN, phase_flops
@@ -46,79 +47,68 @@ def _round_dicts(result):
 
 
 # ---------------------------------------------------------------------------
-# Kernel-level parity: batched == per-client, bitwise
+# Kernel-level parity: models stepped in turn == each alone on the layer loop
 # ---------------------------------------------------------------------------
-def _run_parity_case(arch, dtype_name, frozen, opt_name, lanes=2, n=3, steps=2):
-    """Train ``lanes`` clients one by one and as one ``lanes``-wide kernel set; compare bitwise."""
+def _run_parity_case(arch, dtype_name, frozen, opt_name, clients=2, n=3, steps=2):
+    """Step ``clients`` differently initialised models in turn on this thread
+    through the kernels (one shared ``Workspace``, each its own
+    ``repro.nn.optim`` optimiser); compare each, bitwise, with a twin stepped
+    alone through ``train_batch_layerwise``."""
     spec = ARCHITECTURES[arch]
-    rng = np.random.default_rng(42)
-    with using_dtype(dtype_name):
-        template = build_model(arch, rng=np.random.default_rng(0))
-    dtype = template.dtype
-    x = rng.standard_normal((lanes, n) + spec.input_shape).astype(dtype)
-    y = rng.integers(0, spec.num_classes, size=(lanes, n))
-    lane_weights = []
-    for lane in range(lanes):
-        with using_dtype(dtype_name):
-            model = build_model(arch, rng=np.random.default_rng(100 + lane))
-        lane_weights.append({s: model.get_flat_weights(s) for s in SplitCNN.SECTIONS})
-    anchor = {s: lane_weights[0][s].copy() for s in SplitCNN.SECTIONS}
 
-    def make_optimizer(batched_model=None):
-        if opt_name == "sgd":
-            if batched_model is None:
-                return SGD(lr=0.05, momentum=0.9)
-            return BatchedSGD(lr=0.05, momentum=0.9)
-        if batched_model is None:
-            optimizer = ProximalSGD(lr=0.05, mu=0.01)
-        else:
-            optimizer = BatchedProximalSGD(lr=0.05, mu=0.01)
-        optimizer.set_anchor({s: anchor[s] for s in SplitCNN.SECTIONS})
-        return optimizer
-
-    # Per-client oracle.
-    solo_weights, solo_losses = [], []
-    for lane in range(lanes):
+    def build(seed):
         with using_dtype(dtype_name):
-            model = build_model(arch, rng=np.random.default_rng(0))
-        for section in SplitCNN.SECTIONS:
-            model.set_flat_weights(lane_weights[lane][section], section=section)
+            model = build_model(arch, rng=np.random.default_rng(seed))
         if frozen == "features":
             model.freeze_features()
         elif frozen == "classifier":
             model.freeze_classifier()
-        optimizer = make_optimizer()
-        losses = []
-        for _ in range(steps):
-            loss, _ = model.train_batch(x[lane], y[lane], optimizer)
-            losses.append(loss)
-        solo_weights.append({s: model.get_flat_weights(s) for s in SplitCNN.SECTIONS})
-        solo_losses.append(losses)
+        return model
 
-    # The same clients as the lanes of one kernel set.
-    cohort = BatchedModel(template, lanes)
-    for lane in range(lanes):
-        for section in SplitCNN.SECTIONS:
-            cohort.load_lane(section, lane, lane_weights[lane][section])
-    if frozen == "features":
-        cohort.freeze_features()
-    elif frozen == "classifier":
-        cohort.freeze_classifier()
-    optimizer = make_optimizer(cohort)
-    wave_losses = [cohort.train_step(x, y, optimizer) for _ in range(steps)]
+    kernels = [build(100 + client) for client in range(clients)]
+    oracles = [build(100 + client) for client in range(clients)]
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((clients, n) + spec.input_shape).astype(kernels[0].dtype)
+    y = rng.integers(0, spec.num_classes, size=(clients, n))
+    anchor = {s: kernels[0].get_flat_weights(s) for s in SplitCNN.SECTIONS}
+
+    def make_optimizer():
+        if opt_name == "sgd":
+            return SGD(lr=0.05, momentum=0.9)
+        optimizer = ProximalSGD(lr=0.05, mu=0.01)
+        optimizer.set_anchor(anchor)
+        return optimizer
+
+    # Each oracle alone, all of its steps.
+    oracle_losses = []
+    for client, model in enumerate(oracles):
+        optimizer = make_optimizer()
+        oracle_losses.append(
+            [model.train_batch_layerwise(x[client], y[client], optimizer)[0] for _ in range(steps)]
+        )
+
+    # The kernels round-robin: every step runs on the scratch the previous
+    # model's step left behind.
+    optimizers = [make_optimizer() for _ in kernels]
+    kernel_losses = [[] for _ in kernels]
+    for _ in range(steps):
+        for client, model in enumerate(kernels):
+            loss, _ = model.train_batch(x[client], y[client], optimizers[client])
+            kernel_losses[client].append(loss)
 
     label = f"{arch}/{dtype_name}/{frozen}/{opt_name}"
-    for lane in range(lanes):
+    for client, (kernel, oracle) in enumerate(zip(kernels, oracles)):
+        assert kernel._kernels and not oracle._kernels, "each twin must stay on its path"
         for section in SplitCNN.SECTIONS:
             assert np.array_equal(
-                cohort.lane_flat(section, lane), solo_weights[lane][section]
-            ), f"{label}: lane {lane} section {section} diverged"
+                kernel.flat_parameters(section), oracle.flat_parameters(section)
+            ), f"{label}: client {client} section {section} diverged"
         for step in range(steps):
-            batched_loss = float(wave_losses[step][lane])
-            solo_loss = solo_losses[lane][step]
-            assert batched_loss == solo_loss or (
-                np.isnan(batched_loss) and np.isnan(solo_loss)
-            ), f"{label}: lane {lane} loss diverged at step {step}"
+            kernel_loss = kernel_losses[client][step]
+            oracle_loss = oracle_losses[client][step]
+            assert kernel_loss == oracle_loss or (
+                np.isnan(kernel_loss) and np.isnan(oracle_loss)
+            ), f"{label}: client {client} loss diverged at step {step}"
 
 
 #: mnist-cnn gets the full frozen-mask x optimizer grid; the other
@@ -132,6 +122,8 @@ _FULL_GRID = [
 _CROSS_GRID = [("none", "sgd"), ("none", "prox"), ("features", "sgd"), ("classifier", "prox")]
 
 
+# Now pins: models stepped in turn through the kernels, on one workspace,
+# == each alone through the layer loop (there is no kernel set of N models).
 @pytest.mark.parametrize("dtype_name", ["float32", "float64"])
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_batched_training_is_bitwise_identical_to_per_client(arch, dtype_name):
@@ -140,22 +132,24 @@ def test_batched_training_is_bitwise_identical_to_per_client(arch, dtype_name):
         _run_parity_case(arch, dtype_name, frozen, opt_name)
 
 
+# Now pins the same for four models at the batch sizes whose probes pass.
 @pytest.mark.parametrize("batch_n", [16, 32])
 def test_batched_parity_holds_on_fast_gemm_paths(batch_n):
     """Large batches flip the probed GEMM orientations; parity must hold."""
-    _run_parity_case("mnist-cnn", "float32", "none", "sgd", lanes=4, n=batch_n)
-    _run_parity_case("mnist-cnn", "float64", "none", "prox", lanes=4, n=batch_n)
+    _run_parity_case("mnist-cnn", "float32", "none", "sgd", clients=4, n=batch_n)
+    _run_parity_case("mnist-cnn", "float64", "none", "prox", clients=4, n=batch_n)
 
 
+# Now pins the same with every probe verdict forced false.
 def test_batched_parity_survives_forced_slow_probes(monkeypatch):
     """The probe-rejected kernel layouts are the bitwise reference; force
-    them everywhere and the cohort must still match the oracle.  The third
+    them everywhere and the kernels must still match the oracle.  The third
     verdict gates the input-gradient GEMM on the width-padded grid: false,
     the grid is filled from the oracle-layout GEMM instead."""
     monkeypatch.setattr(batched_mod, "_probe_fast_gemms", lambda *a: (False, "slow", False))
     monkeypatch.setattr(batched_mod, "_probe_gb_reduce", lambda *a: False)
-    _run_parity_case("mnist-cnn", "float32", "none", "sgd", lanes=2, n=16)
-    _run_parity_case("mnist-cnn", "float64", "none", "sgd", lanes=2, n=16)
+    _run_parity_case("mnist-cnn", "float32", "none", "sgd", clients=2, n=16)
+    _run_parity_case("mnist-cnn", "float64", "none", "sgd", clients=2, n=16)
 
 
 def test_gemm_probe_modes_are_cached_and_well_formed():
@@ -180,7 +174,7 @@ def test_gemm_probe_modes_are_cached_and_well_formed():
 def _pool_torture_inputs(pool_size):
     rng = np.random.default_rng(7)
     side = 6 * pool_size
-    x = rng.standard_normal((3, 4, 5, side, side)).astype(np.float32)
+    x = rng.standard_normal((12, 5, side, side)).astype(np.float32)
     # Saturate with exact ties, signed zeros and NaN windows.
     flat = x.reshape(-1)
     flat[::5] = 1.5
@@ -192,13 +186,14 @@ def _pool_torture_inputs(pool_size):
     # What a pool really sees — a ReLU'd map, most windows tied at zero in no
     # regular pattern — at the other dtype and mnist-cnn's first-pool size.
     side = 28 - 28 % pool_size
-    x = rng.standard_normal((2, 3, 4, side, side))
+    x = rng.standard_normal((6, 4, side, side))
     x[rng.random(x.shape) < 0.6] = 0.0
     x[rng.random(x.shape) < 0.05] = -0.0
     x[rng.random(x.shape) < 0.01] = np.nan
     yield x
 
 
+# Now pins the same on the kernel's one-model ``(C, N, H, W)`` input.
 @pytest.mark.parametrize("pool_size", [2, 3])
 def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
     """Tie-breaks and NaN windows are the order-pinned part of pooling: the
@@ -216,23 +211,22 @@ def test_batched_max_pool_matches_oracle_on_ties_and_nans(pool_size):
         grad_out = rng.standard_normal(out.shape).astype(x.dtype)
         grad_in = layer.backward(grad_out)
 
+        # Oracle layout is sample-major (N, C, H, W); the kernel's channel-major.
         oracle = MaxPool2D(pool_size)
-        for lane in range(x.shape[0]):
-            # Oracle layout is sample-major (N, C, H, W); lanes are channel-major.
-            ref_out = oracle.forward(x[lane].transpose(1, 0, 2, 3))
-            # The oracle caches flat input offsets: back to in-window slots.
-            ref_flat = oracle._cache_flat_idx.reshape(ref_out.shape)
-            ref_slots = (ref_flat // w % pool_size) * pool_size + ref_flat % pool_size
-            ref_grad = oracle.backward(grad_out[lane].transpose(1, 0, 2, 3))
-            assert np.array_equal(
-                out[lane].view(bits), ref_out.transpose(1, 0, 2, 3).view(bits)
-            ), f"{label} lane {lane}: forward bits diverged"
-            assert np.array_equal(
-                slots[lane], ref_slots.transpose(1, 0, 2, 3)
-            ), f"{label} lane {lane}: arg-max slots diverged"
-            assert np.array_equal(
-                grad_in[lane].view(bits), ref_grad.transpose(1, 0, 2, 3).view(bits)
-            ), f"{label} lane {lane}: scatter diverged"
+        ref_out = oracle.forward(x.transpose(1, 0, 2, 3))
+        # The oracle caches flat input offsets: back to in-window slots.
+        ref_flat = oracle._cache_flat_idx.reshape(ref_out.shape)
+        ref_slots = (ref_flat // w % pool_size) * pool_size + ref_flat % pool_size
+        ref_grad = oracle.backward(grad_out.transpose(1, 0, 2, 3))
+        assert np.array_equal(
+            out.view(bits), ref_out.transpose(1, 0, 2, 3).view(bits)
+        ), f"{label}: forward bits diverged"
+        assert np.array_equal(
+            slots, ref_slots.transpose(1, 0, 2, 3)
+        ), f"{label}: arg-max slots diverged"
+        assert np.array_equal(
+            grad_in.view(bits), ref_grad.transpose(1, 0, 2, 3).view(bits)
+        ), f"{label}: scatter diverged"
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))

@@ -1,6 +1,6 @@
 """The per-client path runs on the channel-major kernels: kernel == oracle.
 
-``SplitCNN.train_batch`` and inference drive ``lanes=1`` kernel sets of
+``SplitCNN.train_batch`` and inference drive the kernel sets of
 :mod:`repro.nn.batched` over the model's own flat vectors; the layer loop
 (``train_batch_layerwise`` / ``forward_layerwise``) is the generic path and
 the oracle.  Pinned here, bitwise:
@@ -173,18 +173,20 @@ def test_evaluate_walks_full_batches_and_the_ragged_tail(dtype_name):
     assert kernel.evaluate(x, y, batch_size=256) == (total_loss / len(x), correct / len(x))
 
 
+# Now pins the same through ``_forward(x)`` / ``infer(x)`` on the batch as
+# ``SplitCNN`` has it (no leading axis).
 def test_inference_between_forward_and_backward_keeps_the_activations():
     """Inference has its own scratch: run in the middle of a training step
     (here: between two steps' worth of cached state) it changes nothing."""
     kernel, oracle = _twins("mnist-cnn", "float32")
     x, y = _batch("mnist-cnn", kernel, 16, seed=1)
     step, infer = kernel._kernel_sets()
-    logits = step._forward(x[None], training=True)
+    logits = step._forward(x, training=True)
     cached = logits.copy()
     kernel.forward(x[:5])
     kernel.evaluate(x, y, batch_size=8)
     assert np.array_equal(logits, cached)
-    assert not np.shares_memory(logits, infer.infer(x[None]))
+    assert not np.shares_memory(logits, infer.infer(x))
     # Returned logits are the caller's, not scratch of the next call.
     first = kernel.forward(x[:5])
     kept = first.copy()
@@ -218,38 +220,35 @@ def _bits(array):
     return np.ascontiguousarray(array).view(f"u{array.dtype.itemsize}")
 
 
-def _lane_stacked_conv(c, oc, k, stride, padding, lanes, dtype_name, seed=0):
-    """One conv kernel over ``lanes`` differently initialised oracles."""
+def _conv_kernel_and_oracle(c, oc, k, stride, padding, dtype_name, seed=0):
+    """The conv kernel over one layer, and an identically initialised oracle."""
     with using_dtype(dtype_name):
-        oracles = [
-            Conv2D(c, oc, k, stride=stride, padding=padding, rng=np.random.default_rng(seed + lane))
-            for lane in range(lanes)
-        ]
-    for lane, oracle in enumerate(oracles):
-        oracle.params["b"][...] = np.linspace(-1.0, 1.0, oc) + lane
-    params = {name: np.stack([oracle.params[name] for oracle in oracles]) for name in ("W", "b")}
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
-    return batched_mod._BatchedConv2D(oracles[0], params, grads), oracles, grads
+        layer, oracle = (
+            Conv2D(c, oc, k, stride=stride, padding=padding, rng=np.random.default_rng(seed))
+            for _ in range(2)
+        )
+    for conv in (layer, oracle):
+        conv.params["b"][...] = np.linspace(-1.0, 1.0, oc)
+    return batched_mod._BatchedConv2D(layer), oracle
 
 
-def _assert_conv_parity(kernel, oracles, grads, x, grad_out, label):
-    """Forward + backward, bit for bit.  ``x`` is ``(lanes, n, c, h, w)``,
-    ``grad_out`` the kernel's channel-major ``(lanes, oc, n, out_h, out_w)``."""
+def _assert_conv_parity(kernel, oracle, x, grad_out, label):
+    """Forward + backward, bit for bit.  ``x`` is ``(n, c, h, w)``,
+    ``grad_out`` the kernel's channel-major ``(oc, n, out_h, out_w)``."""
     batched_mod._WORKSPACE.arena.reset()
-    out = kernel.forward(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)))
+    out = kernel.forward(np.ascontiguousarray(x.transpose(1, 0, 2, 3)))
     assert out.shape == grad_out.shape, label
     grad_x = kernel.backward(grad_out)
-    for lane, oracle in enumerate(oracles):
-        oracle.zero_grad()
-        ref_out = oracle.forward(x[lane])
-        ref_grad_x = oracle.backward(np.ascontiguousarray(grad_out[lane].transpose(1, 0, 2, 3)))
-        for name, got, ref in (
-            ("out", out[lane].transpose(1, 0, 2, 3), ref_out),
-            ("dX", grad_x[lane].transpose(1, 0, 2, 3), ref_grad_x),
-            ("gW", grads["W"][lane], oracle.grads["W"]),
-            ("gb", grads["b"][lane], oracle.grads["b"]),
-        ):
-            assert np.array_equal(_bits(got), _bits(ref)), f"{label}: lane {lane} {name}"
+    oracle.zero_grad()
+    ref_out = oracle.forward(x)
+    ref_grad_x = oracle.backward(np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)))
+    for name, got, ref in (
+        ("out", out.transpose(1, 0, 2, 3), ref_out),
+        ("dX", grad_x.transpose(1, 0, 2, 3), ref_grad_x),
+        ("gW", kernel.gW, oracle.grads["W"]),
+        ("gb", kernel.gb, oracle.grads["b"]),
+    ):
+        assert np.array_equal(_bits(got), _bits(ref)), f"{label}: {name}"
 
 
 @st.composite
@@ -273,12 +272,12 @@ def _conv_geometries(draw):
         c=draw(st.sampled_from((1, 2, 3))),
         oc=draw(st.sampled_from((1, 2, 4))),
         n=draw(st.sampled_from((1, 2, 7, 16))),
-        lanes=draw(st.sampled_from((1, 3))),
         dtype_name=draw(st.sampled_from(DTYPES)),
         seed=draw(st.integers(0, 2**16)),
     )
 
 
+# Now pins the one-model kernel: ``(c, n, h, w)`` in, no ``lanes`` draw.
 @settings(max_examples=150, deadline=None)
 @given(g=_conv_geometries())
 def test_conv_kernel_matches_the_oracle_over_generated_geometries(g):
@@ -286,22 +285,23 @@ def test_conv_kernel_matches_the_oracle_over_generated_geometries(g):
     architectures never reach: the width-padded grid and its flat shifted
     adds are one formulation for all of them.  Tiny shapes: 150 examples
     take about half a second."""
-    kernel, oracles, grads = _lane_stacked_conv(
-        g.c, g.oc, g.k, g.stride, g.padding, g.lanes, g.dtype_name, g.seed
+    kernel, oracle = _conv_kernel_and_oracle(
+        g.c, g.oc, g.k, g.stride, g.padding, g.dtype_name, g.seed
     )
     rng = np.random.default_rng(g.seed)
     dtype = kernel.W.dtype
-    x = rng.standard_normal((g.lanes, g.n, g.c, g.h, g.w)).astype(dtype)
-    out_h, out_w = oracles[0].output_shape((g.c, g.h, g.w))[1:]
-    grad_out = rng.standard_normal((g.lanes, g.oc, g.n, out_h, out_w)).astype(dtype)
+    x = rng.standard_normal((g.n, g.c, g.h, g.w)).astype(dtype)
+    out_h, out_w = oracle.output_shape((g.c, g.h, g.w))[1:]
+    grad_out = rng.standard_normal((g.oc, g.n, out_h, out_w)).astype(dtype)
     # Exact zeros, as a ReLU or a pooling scatter upstream leaves them.
     grad_out[rng.random(grad_out.shape) < 0.3] = 0.0
-    _assert_conv_parity(kernel, oracles, grads, x, grad_out, repr(g))
+    _assert_conv_parity(kernel, oracle, x, grad_out, repr(g))
 
 
 # ---------------------------------------------------------------------------
 # Forward-only passes run their convs in blocks of samples
 # ---------------------------------------------------------------------------
+# Now pins the one-model kernel: ``(c, n, h, w)`` in, no ``lanes`` draw.
 @settings(max_examples=100, deadline=None)
 @given(
     g=_conv_geometries(),
@@ -314,20 +314,19 @@ def test_forward_only_conv_matches_the_oracle_in_blocks_and_whole(g, n, blocked)
     decides — ragged one-sample tails, 17 and 33, are what it rejects on
     some shapes) and whole where it does not (``blocked=False``: every
     verdict forced).  Either way: the layer's own output, bit for bit."""
-    kernel, oracles, _ = _lane_stacked_conv(
-        g.c, g.oc, g.k, g.stride, g.padding, g.lanes, g.dtype_name, g.seed
+    kernel, oracle = _conv_kernel_and_oracle(
+        g.c, g.oc, g.k, g.stride, g.padding, g.dtype_name, g.seed
     )
-    x = np.random.default_rng(g.seed).standard_normal((g.lanes, n, g.c, g.h, g.w))
+    x = np.random.default_rng(g.seed).standard_normal((n, g.c, g.h, g.w))
     x = x.astype(kernel.W.dtype)
     with pytest.MonkeyPatch.context() as patch:
         if blocked is not None:
             patch.setattr(batched_mod, "_probe_blocked_forward", lambda *a: blocked)
         batched_mod._WORKSPACE.arena.reset()
-        out = kernel.forward(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)), training=False)
+        out = kernel.forward(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), training=False)
     assert kernel._cache is None, "a forward-only pass keeps nothing for a backward"
-    for lane, oracle in enumerate(oracles):
-        ref = oracle.forward(x[lane], training=False)
-        assert np.array_equal(_bits(out[lane].transpose(1, 0, 2, 3)), _bits(ref)), (g, n, lane)
+    ref = oracle.forward(x, training=False)
+    assert np.array_equal(_bits(out.transpose(1, 0, 2, 3)), _bits(ref)), (g, n)
 
 
 @pytest.mark.parametrize(
@@ -376,6 +375,7 @@ def test_a_blocked_pass_the_probe_rejects_would_not_be_bitwise(monkeypatch):
     assert not np.array_equal(kernel.forward(x), logits)
 
 
+# Now pins the one-model kernel: non-finite weights reroute that model's pass.
 @pytest.mark.parametrize("dtype_name", DTYPES)
 @pytest.mark.parametrize("weights", ["finite", "non-finite"])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -384,25 +384,24 @@ def test_non_finite_weights_and_gradients_stay_bitwise(weights, dtype_name):
     not carry that into border pixels the oracle leaves alone.  mnist-cnn's
     second conv at B=16, a shape whose probes all pass on OpenBLAS — so
     finite weights send the NaN, Inf and -0.0 gradients through the grid
-    GEMM, and one bad lane reroutes the whole pass."""
-    lanes, n, c, oc, k, side = 3, 16, 8, 16, 5, 14
-    kernel, oracles, grads = _lane_stacked_conv(c, oc, k, 1, 2, lanes, dtype_name)
+    GEMM, and non-finite ones reroute the pass."""
+    n, c, oc, k, side = 16, 8, 16, 5, 14
+    kernel, oracle = _conv_kernel_and_oracle(c, oc, k, 1, 2, dtype_name)
     if weights == "non-finite":
-        kernel.W[1, 3, 2, 1, 4] = np.inf
-        kernel.W[2, 5, 0, 0, 0] = np.nan
-        kernel.W[2, 7, 1, 2, 3] = -np.inf
-        for lane, oracle in enumerate(oracles):
-            oracle.params["W"][...] = kernel.W[lane]
+        kernel.W[3, 2, 1, 4] = np.inf
+        kernel.W[5, 0, 0, 0] = np.nan
+        kernel.W[7, 1, 2, 3] = -np.inf
+        oracle.params["W"][...] = kernel.W
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((lanes, n, c, side, side)).astype(kernel.W.dtype)
-    grad_out = rng.standard_normal((lanes, oc, n, side, side)).astype(kernel.W.dtype)
+    x = rng.standard_normal((n, c, side, side)).astype(kernel.W.dtype)
+    grad_out = rng.standard_normal((oc, n, side, side)).astype(kernel.W.dtype)
     grad_out.reshape(-1)[23::7] = -0.0
     grad_out.reshape(-1)[29::13] = 0.0
-    grad_out[:, 2, 3, 4, 5] = np.nan
-    grad_out[:, 5, 0, 0, 0] = np.inf
-    grad_out[:, 5, 9, 13, 13] = -np.inf
-    grad_out[:, 9, 15, 7, 0] = np.inf
-    _assert_conv_parity(kernel, oracles, grads, x, grad_out, f"{weights}/{dtype_name}")
+    grad_out[2, 3, 4, 5] = np.nan
+    grad_out[5, 0, 0, 0] = np.inf
+    grad_out[5, 9, 13, 13] = -np.inf
+    grad_out[9, 15, 7, 0] = np.inf
+    _assert_conv_parity(kernel, oracle, x, grad_out, f"{weights}/{dtype_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +450,25 @@ def test_weights_loaded_after_the_kernels_exist_are_what_they_train_on(load):
     assert np.array_equal(kernel.forward(x), oracle.forward_layerwise(x))
 
 
+# Now pins: a kernel set holds no parameter memory of its own — every
+# kernel reads its layer's views into the model's flat vectors (the
+# ``(1, size)`` arenas went with the lane axis).
 def test_kernel_arenas_are_views_of_the_flat_vectors():
     model = _donor_weights()
-    step, infer = model._kernel_sets()
-    for kernels in (step, infer):
-        assert type(kernels) is BatchedModel and kernels.lanes == 1
-        for section in SplitCNN.SECTIONS:
-            assert np.shares_memory(kernels._weights[section], model.flat_parameters(section))
-            assert np.shares_memory(kernels._grads[section], model.flat_grads(section))
-            assert kernels._weights[section].shape == (1, model.flat_parameters(section).size)
+    for kernels in model._kernel_sets():
+        assert type(kernels) is BatchedModel
+        sections = (
+            (SplitCNN.FEATURE_PREFIX, kernels.feature_layers, model.feature_layers),
+            (SplitCNN.CLASSIFIER_PREFIX, kernels.classifier_layers, model.classifier_layers),
+        )
+        for index, (section, kernel_layers, layers) in enumerate(sections):
+            assert kernels._grads[index] is model.flat_grads(section)
+            for kernel, layer in zip(kernel_layers, layers):
+                for name in layer.params:
+                    weights, grads = getattr(kernel, name), getattr(kernel, "g" + name)
+                    assert weights.shape == layer.params[name].shape
+                    assert np.shares_memory(weights, model.flat_parameters(section))
+                    assert np.shares_memory(grads, model.flat_grads(section))
 
 
 def _lane_actor(client_id, n_samples=32):
@@ -493,7 +502,7 @@ class _InProcessWorker:
 
 
 # Now pins: shard worker's result -> the client's own buffers -> kernels,
-# all one memory (the lane used to be a cohort's).
+# all one memory (the "lane" of the id was a lockstep cohort's).
 def test_a_materialized_lane_is_what_the_next_train_batch_sees():
     global_model = _donor_weights(seed=77)
     actor = _lane_actor(0)
@@ -538,6 +547,8 @@ def _tiny_cnn(conv_cls):
         )
 
 
+# Now pins ``BatchedModel(model)`` refusing the layer, and the batch checks
+# both paths share.
 def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
     x = np.random.default_rng(1).standard_normal((4, 1, 8, 8)).astype(np.float32)
     y = np.arange(4) % 3
@@ -547,9 +558,26 @@ def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
     assert plain._kernels and scaled._kernels == ()
     assert np.array_equal(scaled.forward(x), scaled.forward_layerwise(x))
     assert not np.array_equal(scaled.forward(x), plain.forward(x))
-    # ... and no kernel set can be built over it at any width.
+    # ... and no kernel set can be built over it.
     with pytest.raises(TypeError, match="_ScaledConv"):
-        BatchedModel(scaled, 2)
+        BatchedModel(scaled)
+    # One new case (ISSUE 24): a batch whose labels do not match its rows is
+    # refused by both paths with one message, before anything is written;
+    # and the kernels still refuse a batch nobody cast to the model dtype.
+    for model in (plain, scaled):
+        optimizer = SGD(lr=0.1, momentum=0.9)
+        model.train_batch(x, y, optimizer)
+        weights, state = model.get_flat_weights(), optimizer.capture_state()
+        with pytest.raises(ValueError, match=r"^batch size mismatch: x has 4 rows, y has 3$"):
+            model.train_batch(x, y[:3], optimizer)
+        assert np.array_equal(model.get_flat_weights(), weights)
+        after = optimizer.capture_state()
+        assert all(np.array_equal(after["velocity"][k], v) for k, v in state["velocity"].items())
+    step, infer = plain._kernel_sets()
+    with pytest.raises(TypeError, match="pre-cast to float32"):
+        step.train_step(x.astype(np.float64), y)
+    with pytest.raises(TypeError, match="pre-cast to float32"):
+        infer.infer(x.astype(np.float64))
     # ... and its training never goes to a shard worker (which would build
     # the stock architecture and charge the stock layers' analytic cost):
     # it stays in the parent, on the layer loop, like with `shards` unset.

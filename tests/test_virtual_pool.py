@@ -48,6 +48,8 @@ def _profile_config(scale_name):
 
 
 class TestModeSelection:
+    """How many slots the one client pool gets (the eager/virtual mode switch is gone)."""
+
     def test_auto_keeps_small_cohorts_eager(self, smoke_config):
         assert smoke_config.pool_slots is None
         handle = build_experiment(smoke_config)
@@ -263,6 +265,8 @@ def _run_never_evicting(config):
 
 
 class TestEagerParity:
+    """A tight arena == a never-evicting one, bit for bit (the eager loop is gone)."""
+
     @pytest.mark.parametrize("algorithm", ["fedavg", "tifl", "aergia", "fedbuff"])
     def test_virtual_run_matches_eager_bitwise(self, algorithm):
         base = _partial_config(algorithm=algorithm, scenario="churn")

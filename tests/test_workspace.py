@@ -222,8 +222,7 @@ def test_threads_training_concurrently_equal_the_serial_results():
     """The ``repro serve`` shape: hosted runs train on threads of one process."""
     workers = 3  # more than the host's cores
 
-    def work(index):
-        model = _mnist(10 + index, "float32")
+    def work(index, model):
         optimizer = SGD(lr=0.05, momentum=0.9)
         out = []
         for step in range(6):
@@ -235,11 +234,14 @@ def test_threads_training_concurrently_equal_the_serial_results():
             out.append(model.evaluate(x, y, batch_size=8))
         return out, model.get_flat_weights().tobytes()
 
-    serial = [work(index) for index in range(workers)]
+    serial = [work(index, _mnist(10 + index, "float32")) for index in range(workers)]
+    # ``using_dtype`` swaps the process-wide dtype: models are built before
+    # the threads start (under REPRO_DTYPE=float64 they raced for it).
+    models = [_mnist(10 + index, "float32") for index in range(workers)]
     results = [None] * workers
 
     def target(index):
-        results[index] = work(index)
+        results[index] = work(index, models[index])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -255,6 +257,7 @@ def test_threads_training_concurrently_equal_the_serial_results():
     assert results == serial
 
 
+# Now pins the same through ``infer(x)`` on the batch as ``SplitCNN`` has it.
 def test_infer_logits_live_until_the_next_inference_pass_on_this_thread():
     """One arena: the logits live until this thread's next pass *of any kind*.
 
@@ -267,7 +270,7 @@ def test_infer_logits_live_until_the_next_inference_pass_on_this_thread():
     y = rng.integers(0, 10, size=16)
     infer = model._kernel_sets()[1]
     model.train_batch(x, y, SGD(lr=0.01))  # sizes the arena: later passes run on its block
-    logits = infer.infer(x[None])
+    logits = infer.infer(x)
     assert np.shares_memory(logits, batched_mod._WORKSPACE.arena._block)
     kept = logits.copy()
     # Another thread's passes, of either kind, use another workspace.
@@ -278,7 +281,7 @@ def test_infer_logits_live_until_the_next_inference_pass_on_this_thread():
     other.train_batch(x, y, SGD(lr=0.01))
     assert not np.array_equal(logits, kept)
     # ... or an inference pass, of any model.
-    assert np.shares_memory(logits, other._kernel_sets()[1].infer(x[None]))
+    assert np.shares_memory(logits, other._kernel_sets()[1].infer(x))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +460,7 @@ def test_a_thread_that_trains_and_evaluates_holds_one_training_step_of_scratch()
     assert step <= capacity < 1.5 * step
 
 
+# Now pins the same through ``infer(x)`` / ``_forward(x)`` without a leading axis.
 def test_a_forward_only_pass_holds_its_widest_layer_not_all_of_them():
     model = _mnist(0, "float32")
     rng = np.random.default_rng(0)
@@ -464,10 +468,10 @@ def test_a_forward_only_pass_holds_its_widest_layer_not_all_of_them():
     train, infer = model._kernel_sets()
 
     def high_water_marks():
-        infer.infer(x[None])
+        infer.infer(x)
         forward_only = _high_water()
         batched_mod._WORKSPACE.arena.reset()
-        train._forward(x[None], training=True)
+        train._forward(x, training=True)
         return forward_only, _high_water()
 
     # Measured 5.9 MiB against 9.7: both im2col blocks are handed back.
