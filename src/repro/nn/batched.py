@@ -23,12 +23,14 @@ safe (nothing taken from the workspace is read after the pass that took
 it) is stated there.  In the steady state the largest pass is a training
 step: a forward-only conv over more samples than one block
 (``_FORWARD_BLOCK``) runs block by block, so a 256-sample evaluation holds
-one block's im2col, not 256 samples' worth.  The exception is the first
-pass of a process at each evaluation shape: :func:`_probe_blocked_forward`
-compares the blocked product with the oracle's one GEMM, whose operand is
-the whole batch unfolded (38 MiB for mnist-cnn's second conv at 256
-samples, overflow the arena never keeps) — that transient, not a training
-step, is the peak of a process that evaluates.
+one block's im2col, not 256 samples' worth.  The one larger transient is
+the first pass of a process at each evaluation shape:
+:func:`_probe_blocked_forward` compares the blocked product with the
+oracle's one GEMM, whose operand is the whole batch unfolded (38 MiB for
+mnist-cnn's second conv at 256 samples, overflow the arena never keeps).
+:meth:`BatchedModel.warm_up` runs that pass over zeros while a process
+holds nothing else — ``build_experiment`` calls it before it loads the
+dataset — so the transient no longer stacks on a run's working set.
 
 Parity contract
 ---------------
@@ -155,7 +157,9 @@ class Workspace(threading.local):
     forward releases nothing, because its backward reads those blocks.  So
     the arena of a thread settles at one client's training step; only the
     blocked-forward probe, once per shape and process, carves more (the
-    oracle's whole-batch operand, as overflow that is freed with the pass).
+    oracle's whole-batch operand, as overflow that is freed with the pass),
+    and an experiment has it carved at build time, before its dataset
+    exists (:meth:`BatchedModel.warm_up`).
     """
 
     def __init__(self) -> None:
@@ -198,6 +202,37 @@ def _probe_operand(rng: np.random.Generator, shape: Tuple[int, ...], dtype) -> n
 #: draw; it is probed on as many draws as it takes instead.  The convs of
 #: the registered networks need at most six.
 _PROBE_MIN_OUTPUTS = 1024
+
+#: Held while a probe cache miss is filled.  ``repro serve`` builds and runs
+#: hosted runs on threads of one process: two runs of one architecture
+#: would otherwise both miss a fresh key and run its probe side by side,
+#: each thread holding the operands.
+_PROBE_LOCK = threading.Lock()
+
+
+def _known(verdict) -> bool:
+    return verdict is not None
+
+
+def _known_for_training(verdict) -> bool:
+    """A forward-only GEMM probe leaves the backward verdicts ``None``."""
+    return verdict is not None and verdict[1] is not None
+
+
+def _verdict(cache: dict, key: tuple, settled, probe, *args):
+    """``cache[key]``, computed as ``probe(*args)`` when it is not ``settled``.
+
+    A miss is looked up again and filled under :data:`_PROBE_LOCK`, so a key
+    is probed once however many threads ask for it at the same moment.
+    """
+    verdict = cache.get(key)
+    if not settled(verdict):
+        with _PROBE_LOCK:
+            verdict = cache.get(key)
+            if not settled(verdict):
+                verdict = cache[key] = probe(*args)
+    return verdict
+
 
 _GEMM_PROBE_CACHE: Dict[tuple, Tuple[bool, Optional[str], Optional[bool]]] = {}
 
@@ -244,12 +279,14 @@ def _probe_fast_gemms(
     map (numpy reshapes a lone sample without copying), so its backward
     GEMMs see different operand layouts; the probe compares against those.
     """
+    key = geometry + (ckk, oc, np.dtype(dtype).char)
+    settled = _known_for_training if backward else _known
+    return _verdict(_GEMM_PROBE_CACHE, key, settled, _fast_gemm_verdicts, geometry, ckk, oc, dtype, backward)
+
+
+def _fast_gemm_verdicts(geometry, ckk, oc, dtype, backward):
     n, out_h, out_w, wp = geometry
     rows = n * out_h * out_w
-    key = geometry + (ckk, oc, np.dtype(dtype).char)
-    cached = _GEMM_PROBE_CACHE.get(key)
-    if cached is not None and (cached[1] is not None or not backward):
-        return cached
     fewest = min(oc * rows, ckk * oc, ckk * rows) if backward else oc * rows
     draws = -(-_PROBE_MIN_OUTPUTS // fewest)
     fwd = csT = gT = dx = True
@@ -298,9 +335,7 @@ def _probe_fast_gemms(
                 dx_oracle.reshape(n, out_h, out_w, ckk).transpose(3, 1, 2, 0),
             )
         arena.release(start, counted=False)
-    result = (fwd, "csT" if csT else "gT" if gT else "slow", dx) if backward else (fwd, None, None)
-    _GEMM_PROBE_CACHE[key] = result
-    return result
+    return (fwd, "csT" if csT else "gT" if gT else "slow", dx) if backward else (fwd, None, None)
 
 
 #: Samples per block of a forward-only conv pass (any accepted value gives
@@ -329,12 +364,15 @@ def _probe_blocked_forward(n: int, pixels: int, ckk: int, oc: int, dtype) -> boo
     The oracle's operand is the one buffer here as large as the unblocked
     pass's; like every probe's it is workspace scratch released uncounted,
     and the kernel's own buffers take its place once the oracle GEMM has
-    run.
+    run.  It is the largest transient of a process that evaluates, so an
+    experiment decides these verdicts at build time, before it holds a
+    dataset (:meth:`BatchedModel.warm_up`), and a run finds them cached.
     """
     key = (n, pixels, ckk, oc, np.dtype(dtype).char)
-    cached = _BLOCKED_PROBE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _verdict(_BLOCKED_PROBE_CACHE, key, _known, _blocked_forward_equal, n, pixels, ckk, oc, dtype)
+
+
+def _blocked_forward_equal(n, pixels, ckk, oc, dtype) -> bool:
     rows, span = n * pixels, _FORWARD_BLOCK * pixels
     rng = np.random.default_rng(0xB10C)
     arena = _WORKSPACE.arena
@@ -357,7 +395,6 @@ def _probe_blocked_forward(n: int, pixels: int, ckk: int, oc: int, dtype) -> boo
             np.matmul(w_mat, cols, out=out[:, s0:s1])
         result = result and bool(np.array_equal(out, oracle.T))
         arena.release(start, counted=False)
-    _BLOCKED_PROBE_CACHE[key] = result
     return result
 
 
@@ -377,9 +414,10 @@ def _probe_gb_reduce(rows: int, oc: int, dtype) -> bool:
     still comes out the same — 32 sums leave no room for that.
     """
     key = (rows, oc, np.dtype(dtype).char)
-    cached = _GB_PROBE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _verdict(_GB_PROBE_CACHE, key, _known, _gb_reduce_equal, rows, oc, dtype)
+
+
+def _gb_reduce_equal(rows, oc, dtype) -> bool:
     rng = np.random.default_rng(0xB1A5)
     arena = _WORKSPACE.arena
     mark = arena.mark()
@@ -388,8 +426,13 @@ def _probe_gb_reduce(rows: int, oc: int, dtype) -> bool:
         buf = _probe_operand(rng, (rows, oc), dtype)
         result = result and bool(np.array_equal(np.einsum("ro->o", buf), buf.sum(axis=0)))
         arena.release(mark, counted=False)
-    _GB_PROBE_CACHE[key] = result
     return result
+
+
+#: ``(model name, batch shape, dtype)`` of every forward-only pass
+#: :meth:`BatchedModel.warm_up` has run in this process: the verdicts that
+#: pass decided are in the caches above, so asking again runs nothing.
+_WARMED_UP: set = set()
 
 
 class _BatchedConv2D(_BatchedLayer):
@@ -1009,6 +1052,21 @@ class BatchedModel:
             raise TypeError(f"batched inputs must be pre-cast to {self.dtype}, got {x.dtype}")
         _WORKSPACE.arena.reset()
         return self._forward(x, training=False)
+
+    def warm_up(self, shape: Tuple[int, ...], name: str) -> None:
+        """Decide every probe verdict an :meth:`infer` over ``shape`` needs.
+
+        One forward-only pass over zeros, so the probes fire through the
+        code the real pass runs and the verdicts are its own (they depend on
+        shapes, never on values).  Once per process, ``name`` (the model's
+        architecture), shape and dtype: a second call is a set lookup.  Two
+        threads warming one key at once may both run the pass; its probes
+        still run once (:func:`_verdict`).
+        """
+        key = (name, tuple(shape), self.dtype.char)
+        if key not in _WARMED_UP:
+            self.infer(np.zeros(shape, self.dtype))
+            _WARMED_UP.add(key)
 
     def _forward(self, x, training: bool):
         # Frozen features run no backward, so nothing is kept for one.

@@ -172,6 +172,17 @@ def phase_flops(model: "SplitCNN", batch_size: int, input_shape: Sequence[int]) 
     return trace
 
 
+#: Samples per forward pass of :meth:`SplitCNN.evaluate`.
+EVALUATION_BATCH = 256
+
+
+def evaluation_batch_sizes(num_samples: int, batch_size: int = EVALUATION_BATCH) -> Tuple[int, ...]:
+    """The distinct batch sizes :meth:`SplitCNN.evaluate` issues over
+    ``num_samples`` samples: full batches, then the ragged tail."""
+    full, tail = divmod(num_samples, batch_size)
+    return (batch_size,) * bool(full) + (tail,) * bool(tail)
+
+
 @dataclass(frozen=True)
 class FlatSlot:
     """Location of one named parameter inside a section's flat vector."""
@@ -677,7 +688,9 @@ class SplitCNN:
 
         return loss, trace
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Tuple[float, float]:
+    def evaluate(
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = EVALUATION_BATCH
+    ) -> Tuple[float, float]:
         """Compute mean loss and accuracy over a dataset.
 
         Evaluation is performed in mini-batches to bound memory use on the
@@ -695,6 +708,21 @@ class SplitCNN:
             total_loss += self.loss_fn.forward(logits, yb) * xb.shape[0]
             correct += int((np.argmax(logits, axis=1) == yb).sum())
         return total_loss / n, correct / n
+
+    def prepare_evaluation(self, num_samples: int, input_shape: Sequence[int]) -> None:
+        """Decide now what the first :meth:`evaluate` over ``num_samples``
+        samples would probe, one zero-input pass per batch size.
+
+        Its first pass at a batch size probes the blocked conv GEMMs against
+        an oracle that unfolds the whole batch (``BatchedModel.warm_up``);
+        ``build_experiment`` calls this before it loads the dataset, so that
+        transient never stacks on a run's working set.  A no-op for a model
+        on the layer loop.
+        """
+        kernels = self._kernel_sets()
+        if kernels:
+            for n in evaluation_batch_sizes(num_samples):
+                kernels[1].warm_up((n, *input_shape), self.name)
 
     def phase_trace_for_batch(self, x: np.ndarray, y: np.ndarray) -> PhaseTrace:
         """Measure per-phase FLOPs of one batch without updating weights."""
