@@ -165,13 +165,12 @@ def _estimate_client_batch_seconds(
     cluster: SimulatedCluster,
     config: ExperimentConfig,
     sample_x: np.ndarray,
-    sample_y: np.ndarray,
 ) -> Dict[int, float]:
-    """Per-client full-batch durations (used by TiFL's offline profiling)."""
+    """Per-client full-batch durations for TiFL's profiling (analytic: nothing trains)."""
     rng = np.random.default_rng(config.seed)
     model = build_model(config.architecture, rng=rng)
     batch = min(config.batch_size, sample_x.shape[0])
-    trace = model.phase_trace_for_batch(sample_x[:batch], sample_y[:batch])
+    trace = model.batch_trace((batch, *sample_x.shape[1:]))
     return {
         client_id: cluster.cost_model.batch_seconds(trace, cluster.profile(client_id))
         for client_id in cluster.client_ids
@@ -330,7 +329,7 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
         extra_kwargs["enclave"] = enclave
     elif config.algorithm == "tifl":
         extra_kwargs["client_batch_seconds"] = _estimate_client_batch_seconds(
-            cluster, config, dataset.x_train, dataset.y_train
+            cluster, config, dataset.x_train
         )
 
     federator = federator_cls(

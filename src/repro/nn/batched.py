@@ -15,22 +15,16 @@ activations (the classifier sees ``(N, features)``), pad and pool staging
 fused into the consumer's pad buffer, col2im as flat shifted adds over a
 width-padded grid, no input-layer dX.
 
-No kernel set owns scratch.  Every buffer a pass writes and reads back —
+A kernel set holds nothing but views of its model's flat parameter and
+gradient vectors, so a model has one, for every batch shape and both kinds
+of pass.  Every buffer a pass writes and reads back — conv pad buffers,
 im2col blocks, activations, grad-cols, pooling masks — is carved from the
 calling thread's :class:`Workspace`, so a thread holds the scratch of its
-*largest* pass, not of every model it ever ran; the rule that makes that
-safe (nothing taken from the workspace is read after the pass that took
-it) is stated there.  In the steady state the largest pass is a training
-step: a forward-only conv over more samples than one block
-(``_FORWARD_BLOCK``) runs block by block, so a 256-sample evaluation holds
-one block's im2col, not 256 samples' worth.  The one larger transient is
-the first pass of a process at each evaluation shape:
-:func:`_probe_blocked_forward` compares the blocked product with the
-oracle's one GEMM, whose operand is the whole batch unfolded (38 MiB for
-mnist-cnn's second conv at 256 samples, overflow the arena never keeps).
-:meth:`BatchedModel.warm_up` runs that pass over zeros while a process
-holds nothing else — ``build_experiment`` calls it before it loads the
-dataset — so the transient no longer stacks on a run's working set.
+*largest* pass, in the steady state one client's training step, not of
+every model it ever ran; the rule that makes that safe (nothing taken from
+the workspace is read after the pass that took it), and the one larger
+transient (a blocked-forward probe, which :meth:`BatchedModel.warm_up`
+runs at build time), are stated there.
 
 Parity contract
 ---------------
@@ -132,12 +126,12 @@ class _Arena:
 class Workspace(threading.local):
     """The scratch of every kernel pass on one thread.
 
-    Kernel sets own *state* (views of a model's weights and gradients, the
-    conv pad buffers whose zero border is written once); everything a pass
-    writes and reads back within the pass — im2col blocks, activations,
-    grad-cols, pooling masks, the operands of a GEMM probe — is carved from
-    here.  Per thread, because ``repro serve`` trains hosted runs on worker
-    threads of one process (shard and sweep workers are processes).
+    A kernel set holds views of its model's weights and gradients and
+    nothing else; everything a pass writes and reads back within the pass —
+    conv pad buffers, im2col blocks, activations, grad-cols, pooling masks,
+    the operands of a GEMM probe — is carved from here.  Per thread, because
+    ``repro serve`` trains hosted runs on worker threads of one process
+    (shard and sweep workers are processes).
 
     One arena: :meth:`BatchedModel.train_step` (backward included) and
     :meth:`BatchedModel.infer` each reset it and run to completion, so two
@@ -335,7 +329,15 @@ def _fast_gemm_verdicts(geometry, ckk, oc, dtype, backward):
                 dx_oracle.reshape(n, out_h, out_w, ckk).transpose(3, 1, 2, 0),
             )
         arena.release(start, counted=False)
-    return (fwd, "csT" if csT else "gT" if gT else "slow", dx) if backward else (fwd, None, None)
+    # A product with a one-wide output is a GEMV on one side, whose edge
+    # kernel can round a few outputs its own way one draw in several: the
+    # last four of a 3->1-channel conv's 396, one draw in five each, passed
+    # three draws one time in eleven.  So none is reoriented.
+    fwd = fwd and min(oc, rows) > 1
+    if not backward:
+        return fwd, None, None
+    gw_mode = "csT" if csT else "gT" if gT else "slow"
+    return fwd, gw_mode if min(oc, ckk) > 1 else "slow", dx and min(ckk, rows) > 1
 
 
 #: Samples per block of a forward-only conv pass (any accepted value gives
@@ -395,7 +397,7 @@ def _blocked_forward_equal(n, pixels, ckk, oc, dtype) -> bool:
             np.matmul(w_mat, cols, out=out[:, s0:s1])
         result = result and bool(np.array_equal(out, oracle.T))
         arena.release(start, counted=False)
-    return result
+    return result and oc > 1  # a GEMV: see _fast_gemm_verdicts
 
 
 _GB_PROBE_CACHE: Dict[Tuple[int, int, str], bool] = {}
@@ -483,62 +485,56 @@ class _BatchedConv2D(_BatchedLayer):
         self.b = template.params["b"]  # (oc,)
         self.gW = template.grads["W"]
         self.gb = template.grads["b"]
-        # The pad buffer with its interior and im2col window views.
-        self._pad: Optional[np.ndarray] = None
-        self._interior: Optional[np.ndarray] = None
-        self._pad_windows: Optional[np.ndarray] = None
+        # (pad buffer, interior) staged for this pass's input; _windows takes it.
+        self._staged: Optional[tuple] = None
         # (colsT, oracle-layout cols or None, input shape, weight-grad mode,
         # input-grad verdict) of a training forward; backward takes it.
         self._cache: Optional[tuple] = None
 
     def stage_input(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-        """Interior view of the pad buffer for a ``shape``-shaped input.
+        """Interior view of a zeroed pad buffer for a ``shape``-shaped input.
 
         The producing layer writes its output straight into this view, so
         ``_windows`` can skip the separate interior copy (the values are
         identical either way — only the copy is fused out).  Returns
-        ``None`` when this conv has no pad buffer to stage into.
+        ``None`` when this conv has no padding.  The buffer is scratch of
+        this pass (so two convs of one padded shape get two), zeroed by one
+        contiguous fill: cheaper than four strided border fills.
         """
         p = self.padding
         if p == 0:
             return None
         c, n, h, w = shape
-        padded_shape = (c, n, h + 2 * p, w + 2 * p)
-        if (
-            self._pad is None
-            or self._pad.shape != padded_shape
-            or self._pad.dtype != dtype
-        ):
-            # State, not scratch: zeroed once; only the interior is
-            # rewritten per pass, the border stays zero (same trick as the
-            # oracle's pad buffer).  Its views are built once with it.
-            self._pad = np.zeros(padded_shape, dtype=dtype)
-            self._interior = self._pad[:, :, p:-p, p:-p]
-            self._pad_windows = self._window_view(self._pad)
-        return self._interior
+        pad = _WORKSPACE.arena.take((c, n, h + 2 * p, w + 2 * p), dtype)
+        pad.fill(0)
+        self._staged = (pad, pad[:, :, p:-p, p:-p])
+        return self._staged[1]
 
     def _window_view(self, padded):
-        """Overlapping ``(c, k, k, n, out_h, out_w)`` im2col windows."""
+        """Overlapping ``(c, k, k, n, out_h, out_w)`` im2col windows.
+
+        Built every pass, by the ``np.ndarray`` constructor at a seventh of
+        ``as_strided``'s cost: it refuses a ``padded`` that is not
+        C-contiguous (every conv input is workspace scratch, which is) and a
+        view that would reach past it.
+        """
         k, s = self.kernel_size, self.stride
         c, n, hp, wp = padded.shape
         sc, sn, sH, sW = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(c, k, k, n, (hp - k) // s + 1, (wp - k) // s + 1),
-            strides=(sc, sH, sW, sn, s * sH, s * sW),
-        )
+        shape = (c, k, k, n, (hp - k) // s + 1, (wp - k) // s + 1)
+        return np.ndarray(shape, padded.dtype, padded, strides=(sc, sH, sW, sn, s * sH, s * sW))
 
     def _windows(self, x):
         """The im2col window view over ``x``, zero-padded."""
         if self.padding == 0:
             # ``x`` is workspace scratch: nothing built on it is kept.
             return self._window_view(x)
-        interior = self.stage_input(x.shape, x.dtype)
         # A producer that staged its output directly into the interior left
         # nothing to copy; the border is already zero either way.
-        if x is not interior:
-            interior[...] = x
-        return self._pad_windows
+        if self._staged is None or x is not self._staged[1]:
+            self.stage_input(x.shape, x.dtype)[...] = x
+        (pad, _), self._staged = self._staged, None
+        return self._window_view(pad)
 
     def forward(self, x, training: bool = True):
         c, n, h, w = x.shape
@@ -674,6 +670,30 @@ class _BatchedConv2D(_BatchedLayer):
         return gx
 
 
+#: ``(h, w, pool)`` -> read-only offsets for the most images yet asked for,
+#: shared by every model and thread: fewer images read a prefix.
+_WINDOW_OFFSETS: Dict[Tuple[int, int, int], np.ndarray] = {}
+
+
+def _window_base_offsets(images: int, h: int, w: int, p: int) -> np.ndarray:
+    """Flat offset of each window's top-left element over a C-order
+    ``(images, h, w)`` block, image-major.  ``intp``, the type fancy
+    indexing works in: narrower indices are converted on every scatter,
+    which costs more than the traffic they save.
+    """
+    count = images * (h // p) * (w // p)
+    offsets = _WINDOW_OFFSETS.get((h, w, p))
+    if offsets is None or offsets.size < count:
+        rows = np.arange(0, h, p, dtype=np.intp) * w
+        cols = np.arange(0, w, p, dtype=np.intp)
+        plane = (rows[:, None] + cols[None, :]).ravel()
+        image_base = np.arange(images, dtype=np.intp) * (h * w)
+        offsets = (image_base[:, None] + plane[None, :]).ravel()
+        offsets.flags.writeable = False
+        _WINDOW_OFFSETS[(h, w, p)] = offsets
+    return offsets[:count]
+
+
 class _BatchedMaxPool2D(_BatchedLayer):
     """MaxPool2D over channel-major ``(C, N, H, W)`` input.
 
@@ -696,29 +716,8 @@ class _BatchedMaxPool2D(_BatchedLayer):
         # When the next layer is a padded conv, its pad-buffer interior is
         # used as this pool's output buffer, fusing out the conv's pad copy.
         self.sink: Optional[_BatchedConv2D] = None
-        self._base_shape: Optional[Tuple[int, ...]] = None
-        self._base_offsets: Optional[np.ndarray] = None
         # (arg-max slots, input shape) of a training forward; backward takes it.
         self._cache: Optional[tuple] = None
-
-    def _window_base_offsets(self, images: int, h: int, w: int) -> np.ndarray:
-        """Flat offset of each window's top-left element, window-major.
-
-        ``images`` is the image count (``c * n`` for channel-major input)
-        over a C-order ``(images, h, w)`` block.  ``intp``, the type fancy
-        indexing works in: narrower indices are converted on every scatter,
-        which costs more than the traffic they save.
-        """
-        if self._base_shape == (images, h, w) and self._base_offsets is not None:
-            return self._base_offsets
-        p = self.pool_size
-        rows = np.arange(0, h, p, dtype=np.intp) * w
-        cols = np.arange(0, w, p, dtype=np.intp)
-        plane = (rows[:, None] + cols[None, :]).ravel()
-        image_base = np.arange(images, dtype=np.intp) * (h * w)
-        self._base_offsets = (image_base[:, None] + plane[None, :]).ravel()
-        self._base_shape = (images, h, w)
-        return self._base_offsets
 
     def _fold_max(self, columns, out):
         """Sequential window fold, first operand kept on ties (the oracle's)."""
@@ -811,7 +810,7 @@ class _BatchedMaxPool2D(_BatchedLayer):
         np.multiply(offset, narrow.type(w - p), out=offset)
         np.add(offset, idx, out=offset)
         flat = take(idx.shape, np.intp)
-        np.add(offset, self._window_base_offsets(c * n, h, w), out=flat)
+        np.add(offset, _window_base_offsets(c * n, h, w, p), out=flat)
         grad = take((c * n * h * w,), grad_out.dtype)
         grad.fill(0)
         grad[flat] = grad_out.reshape(-1)
@@ -859,7 +858,8 @@ class _BatchedFlatten(_BatchedLayer):
         self._cache_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x, training: bool = True):
-        self._cache_shape = x.shape
+        if training:
+            self._cache_shape = x.shape
         if x.ndim == 4:
             c, n, h, w = x.shape
             out = _WORKSPACE.arena.take((n, c, h, w), x.dtype)
@@ -870,7 +870,7 @@ class _BatchedFlatten(_BatchedLayer):
     def backward(self, grad_out, need_input_grad: bool = True):
         if self._cache_shape is None:
             raise RuntimeError("_BatchedFlatten.backward called before forward")
-        shape = self._cache_shape
+        shape, self._cache_shape = self._cache_shape, None
         if len(shape) == 4:
             c, n, h, w = shape
             gx = _WORKSPACE.arena.take(shape, grad_out.dtype)
@@ -1092,14 +1092,11 @@ class BatchedModel:
         return h
 
 
-def solo_kernels(model: SplitCNN) -> Tuple[BatchedModel, ...]:
-    """``(training, inference)`` kernel sets running ``model`` itself.
+def solo_kernels(model: SplitCNN) -> Optional[BatchedModel]:
+    """The kernel set running ``model`` itself, for training and inference.
 
-    Neither owns scratch (that is the thread's :class:`Workspace`); they
-    are two so that each keeps conv pad buffers fitted to its own batch
-    shape.  Returns ``()`` when a layer has no kernel; the model then runs
-    its layer loop.
+    It holds nothing but views of the model's weights and gradients, so one
+    serves every batch shape.  ``None`` when a layer has no kernel; the
+    model then runs its layer loop.
     """
-    if not kernels_cover(model):
-        return ()
-    return BatchedModel(model), BatchedModel(model)
+    return BatchedModel(model) if kernels_cover(model) else None

@@ -311,7 +311,7 @@ class SplitCNN:
             section: _FlatSection(section, self._section_layers(section), self.dtype)
             for section in self.SECTIONS
         }
-        # The legacy dict-view adapter and the kernel sets alias the section
+        # The legacy dict-view adapter and the kernel set alias the section
         # buffers just replaced, so any cached copy is stale now.
         self._trainable_cache = None
         self._kernels: Optional[tuple] = None
@@ -332,21 +332,22 @@ class SplitCNN:
         self._rebuild_flat_buffers()
 
     def _kernel_sets(self) -> tuple:
-        """``(training, inference)`` kernel sets, or ``()`` for the layer loop.
+        """``(kernels,)``, this model's one kernel set, or ``()`` for the layer loop.
 
-        Built on first use: a :class:`~repro.nn.batched.BatchedModel` pair
-        over this model's flat section vectors, so the optimiser and the
-        flat/dict weight API keep operating on the same memory.  The
-        sets own no scratch — that is the calling thread's
-        :class:`~repro.nn.batched.Workspace`, shared by every model and by
-        both kinds of pass: a training step runs its backward before it
-        returns, so no evaluation ever falls between the two.
+        Built on first use: a :class:`~repro.nn.batched.BatchedModel` over
+        this model's flat section vectors and nothing else, so the optimiser
+        and the flat/dict weight API keep operating on the memory it reads.
+        It runs training steps and inference passes of every batch shape, in
+        the calling thread's :class:`~repro.nn.batched.Workspace`: a training
+        step runs its backward before it returns, so no evaluation ever falls
+        between the two.
         """
         if self._kernels is None:
             # Imported here: repro.nn.batched imports this module.
             from repro.nn.batched import solo_kernels
 
-            self._kernels = solo_kernels(self)
+            kernels = solo_kernels(self)
+            self._kernels = () if kernels is None else (kernels,)
         return self._kernels
 
     def num_parameters(self) -> int:
@@ -502,7 +503,7 @@ class SplitCNN:
             return self.forward_layerwise(x, training)
         # The logits are workspace scratch, dead at this thread's next
         # pass; the caller gets its own.
-        return kernels[1].infer(self._cast_input(x)).copy()
+        return kernels[0].infer(self._cast_input(x)).copy()
 
     def forward_layerwise(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """:meth:`forward` through the layer objects (generic path and oracle)."""
@@ -722,7 +723,7 @@ class SplitCNN:
         kernels = self._kernel_sets()
         if kernels:
             for n in evaluation_batch_sizes(num_samples):
-                kernels[1].warm_up((n, *input_shape), self.name)
+                kernels[0].warm_up((n, *input_shape), self.name)
 
     def phase_trace_for_batch(self, x: np.ndarray, y: np.ndarray) -> PhaseTrace:
         """Measure per-phase FLOPs of one batch without updating weights."""

@@ -19,7 +19,10 @@ pair.  Pinned here:
   model or per kind of pass, and its largest pass is one client's training
   step: a round's clients step one by one, a forward-only pass holds its
   widest layer, not all of them, and no more than one block of samples
-  unfolded; a probe costs no more than the unblocked pass it decides;
+  unfolded; a probe costs no more than the unblocked pass it decides; and
+  between passes a kernel set holds no array but its model's weight and
+  gradient views (pad buffers are pass scratch, pooling offsets one shared
+  cache), so more models add no kernel memory;
 * the probes' verdicts — the rank-one im2col operand lets no orientation
   through that the iid operand it replaced rejects.
 """
@@ -268,9 +271,9 @@ def test_infer_logits_live_until_the_next_inference_pass_on_this_thread():
     rng = np.random.default_rng(0)
     x = (0.5 * rng.standard_normal((16, 1, 28, 28))).astype(np.float32)
     y = rng.integers(0, 10, size=16)
-    infer = model._kernel_sets()[1]
+    (kernels,) = model._kernel_sets()
     model.train_batch(x, y, SGD(lr=0.01))  # sizes the arena: later passes run on its block
-    logits = infer.infer(x)
+    logits = kernels.infer(x)
     assert np.shares_memory(logits, batched_mod._WORKSPACE.arena._block)
     kept = logits.copy()
     # Another thread's passes, of either kind, use another workspace.
@@ -281,7 +284,7 @@ def test_infer_logits_live_until_the_next_inference_pass_on_this_thread():
     other.train_batch(x, y, SGD(lr=0.01))
     assert not np.array_equal(logits, kept)
     # ... or an inference pass, of any model.
-    assert np.shares_memory(logits, other._kernel_sets()[1].infer(x))
+    assert np.shares_memory(logits, other._kernel_sets()[0].infer(x))
 
 
 # ---------------------------------------------------------------------------
@@ -331,56 +334,117 @@ def _train_step_demand(batch=16):
     return _on_a_fresh_thread(step)
 
 
-# Now pins: the scratch of a churn run is one client's pass.  (Until the
+def _live_kernel_arrays():
+    """Live traced bytes of the numpy buffers ``nn/batched.py`` allocated."""
+    numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, batched_mod.__file__)]
+    )
+    return sum(trace.size for trace in snapshot.filter_traces([numpy_only]).traces)
+
+
+def _shape_cache_bytes():
+    """Bytes of the process-wide pooling offsets, the only kernel arrays
+    that are neither scratch nor a model's weights."""
+    return sum(offsets.nbytes for offsets in batched_mod._WINDOW_OFFSETS.values())
+
+
+# Now pins: the scratch of a churn run is one client's pass, and nothing
+# else of ``nn/batched.py`` is an array but the shape caches.  (Until the
 # lockstep cohort was deleted a wave of the round's 20 clients sized the
-# arena — 26.1 MiB here, 6.3 without — and before PR 16 a kernel set per
-# cohort size, which is what the id remembers.)
-def test_a_churn_run_holds_its_largest_pass_not_a_set_per_cohort_size():
+# arena — 26.1 MiB here, 6.3 without — before that a kernel set per cohort
+# size, which is what the id remembers, and later every hydrated client's
+# kernel sets held their own pad buffers and pooling offsets.)
+def test_a_churn_run_holds_its_largest_pass_not_a_set_per_cohort_size(monkeypatch):
+    monkeypatch.setattr(batched_mod, "_WINDOW_OFFSETS", {})  # filled, and traced, by these runs
+
     def measure():
         tracemalloc.start()
         try:
             short = _churn_run(rounds=3)
             largest_pass = batched_mod._WORKSPACE.arena._capacity
-            live_short = _live_kernel_bytes()
+            live_short = _live_kernel_arrays(), _shape_cache_bytes()
             long = _churn_run(rounds=5)
-            return largest_pass, live_short, _live_kernel_bytes(), (short, long)
+            block = batched_mod._WORKSPACE.arena._block.nbytes
+            live_long = _live_kernel_arrays(), block + _shape_cache_bytes()
+            return largest_pass, live_short, live_long, (short, long)
         finally:
             tracemalloc.stop()
 
     # A fresh thread, so the arena is sized by this run alone.
-    largest_pass, live_short, live_long, _ = _on_a_fresh_thread(measure)
-    # Eight-sample steps and a blocked 64-sample evaluation: under one
-    # B=16 step (measured 6.3 MiB against 10.1).
+    largest_pass, (live_short, shared), (live_long, accounted), _ = _on_a_fresh_thread(measure)
+    # Eight-sample steps and a blocked 64-sample evaluation, pad buffers
+    # included: under one B=16 step (measured 6.5 MiB against 10.3).
     assert largest_pass <= _train_step_demand()
-    # The rest is state — pad buffers and pooling offsets of the hydrated
-    # clients' kernel sets — which grows with the pool's slots, not with
-    # rounds: the longer run (kept alive beside the shorter) adds what the
-    # shorter holds (measured 7.5 MiB against 7.1).
-    assert live_long - live_short <= 1.25 * (live_short - largest_pass)
+    # With two runs' hydrated clients alive, what the kernels hold is the
+    # thread's one block and the pooling offsets every model shares
+    # (measured 7.1 + 0.2 MiB): no pad buffer, no offsets, no array at all
+    # per client.
+    assert live_short == largest_pass + _ALIGN + shared
+    assert live_long == accounted
 
 
-def test_eight_models_stepped_in_turn_hold_one_models_scratch():
+def test_eight_models_stepped_in_turn_hold_one_models_scratch(monkeypatch):
     rng = np.random.default_rng(0)
     x = (0.5 * rng.standard_normal((32, 1, 28, 28))).astype(np.float32)
     y = rng.integers(0, 10, size=32)
 
     def live_after_stepping(count):
         models = [_mnist(seed, "float32") for seed in range(count)]
+        monkeypatch.setattr(batched_mod, "_WINDOW_OFFSETS", {})  # each count traces its own
         tracemalloc.start()
         try:
             for _ in range(2):
                 for model in models:
                     model.train_batch(x, y, SGD(lr=0.01))
-            return _live_kernel_bytes()
+                    model.evaluate(x, y, batch_size=24)
+            block = batched_mod._WORKSPACE.arena._block.nbytes
+            return _live_kernel_arrays(), block + _shape_cache_bytes()
         finally:
             tracemalloc.stop()
 
-    one = _on_a_fresh_thread(live_after_stepping, 1)
-    eight = _on_a_fresh_thread(live_after_stepping, 8)
-    # Each further model adds its state (pad buffers, pooling offsets),
-    # a twentieth of a step's scratch (measured 1.34x); private scratch
-    # made it 8x.
-    assert eight < 1.5 * one
+    one, accounted = _on_a_fresh_thread(live_after_stepping, 1)
+    eight, _ = _on_a_fresh_thread(live_after_stepping, 8)
+    # Seven more models add no array at all: the arena of the thread's
+    # largest pass and the shared shape caches are all there is.  (Private
+    # scratch made this 8x; pad buffers and pooling offsets per model, 1.34x.)
+    assert one == accounted
+    assert eight == one
+
+
+def _arrays_held(obj, seen):
+    """Every ndarray reachable from a kernel object's attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [array for item in obj for array in _arrays_held(item, seen)]
+    if type(obj).__module__ == batched_mod.__name__ and id(obj) not in seen:
+        seen.add(id(obj))
+        return _arrays_held(vars(obj), seen)
+    return []
+
+
+def test_no_kernel_holds_an_array_but_its_models_weights_between_passes():
+    """A kernel set is views of its model's flat parameter and gradient
+    vectors and nothing else: pad buffers are pass scratch, pooling offsets
+    a process-wide cache, and every forward cache is taken by its backward
+    — after any kind of pass, at any batch size."""
+    zoo = _build_zoo()
+    for index, model in enumerate(zoo[0]):
+        (kernels,) = model._kernel_sets()
+        flat = [model.flat_parameters(s) for s in SplitCNN.SECTIONS]
+        flat += [model.flat_grads(s) for s in SplitCNN.SECTIONS]
+        passes = ((16, "train"), (40, "infer"), (5, "train-frozen"), (1, "train"))
+        for position, (n, kind) in enumerate(passes):
+            _run_op(*zoo, position, (index, n, kind))
+            held = _arrays_held(kernels, set())
+            assert held, "the kernels of a layer with parameters hold its views"
+            for array in held:
+                # A section without parameters has an empty vector.
+                owned = array.size == 0 or any(np.shares_memory(array, v) for v in flat)
+                assert owned, (index, kind, n, array.shape)
 
 
 def _high_water():
@@ -465,13 +529,13 @@ def test_a_forward_only_pass_holds_its_widest_layer_not_all_of_them():
     model = _mnist(0, "float32")
     rng = np.random.default_rng(0)
     x = (0.5 * rng.standard_normal((32, 1, 28, 28))).astype(np.float32)
-    train, infer = model._kernel_sets()
+    (kernels,) = model._kernel_sets()
 
     def high_water_marks():
-        infer.infer(x)
+        kernels.infer(x)
         forward_only = _high_water()
         batched_mod._WORKSPACE.arena.reset()
-        train._forward(x, training=True)
+        kernels._forward(x, training=True)
         return forward_only, _high_water()
 
     # Measured 5.9 MiB against 9.7: both im2col blocks are handed back.
