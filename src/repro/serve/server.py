@@ -36,7 +36,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.store import ROUNDS_NAME, RunStore
@@ -50,7 +50,7 @@ from repro.serve.protocol import (
     record_line,
     trailer_line,
 )
-from repro.serve.session import SessionManager
+from repro.serve.session import HostedRun, SessionManager
 
 #: Default wall-clock allowance for checkpointing everything on SIGTERM.
 DRAIN_TIMEOUT_S = 120.0
@@ -67,12 +67,21 @@ class _ServeHTTPServer(ThreadingHTTPServer):
     #: Set by ExperimentServer after construction.
     app: "ExperimentServer" = None
 
+    def handle_error(self, request, client_address) -> None:
+        # A buffered response meets a client that has gone at its flush,
+        # after the handler's own error handling: nothing to report.
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Without this, small keep-alive request/response pairs serialize on
     # the kernel's Nagle + delayed-ACK handshake (~40ms per round trip).
     disable_nagle_algorithm = True
+    # Buffer the response so its status line, headers and body leave in one
+    # write; chunked streams flush each piece themselves.
+    wbufsize = -1
     server: _ServeHTTPServer
 
     # ------------------------------------------------------------- plumbing
@@ -122,9 +131,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _chunk(self, text: str) -> None:
         data = text.encode("utf-8")
         self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
+        self.wfile.flush()
 
     def _end_chunks(self) -> None:
         self.wfile.write(b"0\r\n\r\n")
+        self.wfile.flush()
 
     # -------------------------------------------------------------- routing
     def do_GET(self) -> None:  # noqa: N802
@@ -192,6 +203,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         sent = 0
         try:
+            self.wfile.flush()  # a live run may not finalize a round for a while
             if hosted is not None:
                 index = max(0, start)
                 while max_records is None or sent < max_records:
@@ -222,6 +234,30 @@ class _Handler(BaseHTTPRequestHandler):
             self._end_chunks()
         except (BrokenPipeError, ConnectionResetError, OSError):
             self.close_connection = True
+
+
+def _checkin_line(item: object) -> Tuple[str, Tuple[int, bool, float]]:
+    """One ``/checkin`` line as ``(run, (client, online, delay))``, checked."""
+    if not isinstance(item, dict):
+        raise ProtocolError(ERR_BAD_REQUEST, "checkin line must be an object")
+    client = item.get("client")
+    if isinstance(client, float) and client.is_integer():
+        client = int(client)
+    if type(client) is not int:  # bool is an int subclass; JSON true is not
+        raise ProtocolError(
+            ERR_BAD_REQUEST, f"checkin client must be an integer, got {client!r}"
+        )
+    online = item.get("online", True)
+    if type(online) is not bool:
+        raise ProtocolError(
+            ERR_BAD_REQUEST, f"checkin online must be true or false, got {online!r}"
+        )
+    delay = item.get("delay", 0.0)
+    if type(delay) not in (int, float) or not 0 <= delay <= sys.float_info.max:
+        raise ProtocolError(
+            ERR_BAD_REQUEST, f"checkin delay must be a finite number >= 0, got {delay!r}"
+        )
+    return str(item.get("run", "")), (client, online, float(delay))
 
 
 class ExperimentServer:
@@ -297,33 +333,39 @@ class ExperimentServer:
     def checkin(self, raw: bytes) -> Dict[str, object]:
         """Apply a JSONL batch of device availability events.
 
-        Per-event errors don't fail the batch: the response counts what
-        was admitted and reports the first few rejections, so a fleet of
-        devices checking in at high rate is never gated on its slowest
-        (or most confused) member.
+        Every line is checked here, where its sender can still see the
+        error; the accepted lines of each run then enter that run's
+        simulation as one injected action.  Per-event errors don't fail the
+        batch: the response counts what was admitted and reports the first
+        few rejections, so a fleet of devices checking in at high rate is
+        never gated on its slowest (or most confused) member.
         """
         accepted = 0
         rejected = 0
         errors = []
+        targets: Dict[str, HostedRun] = {}
+        batches: Dict[str, List[Tuple[int, bool, float]]] = {}
         for item in parse_jsonl_body(raw):
             try:
-                if not isinstance(item, dict):
-                    raise ProtocolError(ERR_BAD_REQUEST, "checkin line must be an object")
-                self.manager.checkin(
-                    str(item.get("run", "")),
-                    int(item.get("client", -1)),
-                    bool(item.get("online", True)),
-                    float(item.get("delay", 0.0)),
-                )
+                run_id, line = _checkin_line(item)
+                hosted = targets.get(run_id)
+                if hosted is None:
+                    hosted = targets[run_id] = self.manager.checkin_target(run_id)
+                num_clients = hosted.handle.config.num_clients
+                if not 0 <= line[0] < num_clients:
+                    raise ProtocolError(
+                        ERR_BAD_REQUEST,
+                        f"client {line[0]} out of range for run {run_id!r} "
+                        f"({num_clients} clients)",
+                    )
+                batches.setdefault(run_id, []).append(line)
                 accepted += 1
             except ProtocolError as exc:
                 rejected += 1
                 if len(errors) < 8:
                     errors.append(exc.body())
-            except (TypeError, ValueError) as exc:
-                rejected += 1
-                if len(errors) < 8:
-                    errors.append({"error": ERR_BAD_REQUEST, "message": str(exc)})
+        for run_id, lines in batches.items():
+            self.manager.checkin(targets[run_id], lines)
         return {"accepted": accepted, "rejected": rejected, "errors": errors}
 
     def run_status(self, run_id: str) -> Dict[str, object]:

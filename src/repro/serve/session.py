@@ -46,7 +46,6 @@ from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import RoundRecord
 from repro.nn.dtype import compute_dtype, resolve_dtype
 from repro.serve.protocol import (
-    ERR_BAD_REQUEST,
     ERR_DRAINING,
     ERR_INVALID_SPEC,
     ERR_NO_DYNAMICS,
@@ -273,13 +272,8 @@ class SessionManager:
         }
 
     # --------------------------------------------------------------- control
-    def checkin(self, run_id: str, client_id: int, online: bool, delay: float = 0.0) -> None:
-        """Feed one device-availability event into a hosted run's scenario.
-
-        The event is injected through :meth:`RunHandle.inject`, so the
-        simulation applies it between two events of its queue — never
-        mid-event, never from a foreign thread.
-        """
+    def checkin_target(self, run_id: str) -> HostedRun:
+        """The hosted run ``run_id``, if it can take check-ins now."""
         hosted = self.get(run_id)
         if not hosted.handle.config.dynamics.is_active():
             raise ProtocolError(
@@ -292,25 +286,27 @@ class SessionManager:
             raise ProtocolError(
                 ERR_RUN_NOT_ACTIVE, f"run {run_id!r} is {hosted.state}; not accepting check-ins"
             )
-        if not 0 <= int(client_id) < hosted.handle.config.num_clients:
-            # Validate here, against the config, instead of letting the
-            # injected action raise inside the simulation thread where the
-            # client could never see the error.
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                f"client {client_id} out of range for run {run_id!r} "
-                f"({hosted.handle.config.num_clients} clients)",
-            )
+        return hosted
+
+    def checkin(self, hosted: HostedRun, lines: List[Tuple[int, bool, float]]) -> None:
+        """Feed validated ``(client, online, delay)`` lines into a run's scenario.
+
+        The lines are injected through :meth:`RunHandle.inject` as one
+        action, so the simulation admits all of them between two events of
+        its queue — never mid-event, never from a foreign thread.  Every
+        line must already have passed the server's checks (client in range,
+        finite delay >= 0): the action runs where no caller can see an error.
+        """
         handle = hosted.handle
 
         def admit() -> None:
             experiment = handle.experiment
             if experiment is not None and experiment.dynamics is not None:
-                experiment.dynamics.admit_checkin(client_id, online, delay)
+                experiment.dynamics.admit_checkins(lines)
 
         handle.inject(admit)
         with hosted.cond:
-            hosted.checkins += 1
+            hosted.checkins += len(lines)
 
     def cancel(self, run_id: str) -> Dict[str, object]:
         """Cancel a hosted run (idempotent; terminal states pass through)."""

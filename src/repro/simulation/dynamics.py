@@ -32,7 +32,7 @@ once the experiment is over so the simulation can drain.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -256,25 +256,42 @@ class ScenarioDynamics:
         self.cluster.clear_link_loss(client_id)
 
     # ------------------------------------------------------- external checkins
-    def admit_checkin(self, client_id: int, online: bool, delay: float = 0.0) -> Event:
-        """Admit an externally driven availability event (service mode).
+    def admit_checkins(self, lines: Iterable[Tuple[int, bool, float]]) -> List[Event]:
+        """Admit externally driven availability events (service mode).
 
-        ``repro serve``'s ``/checkin`` endpoint feeds simulated device
-        check-ins into a hosted run through this seam: the transition is
-        scheduled on the event queue like every scenario event (so it
-        composes with churn, in-flight messages and checkpoints) and is
-        applied at the next pump of the simulation.  Unlike churn windows,
-        a check-in schedules no follow-up events and draws nothing from the
-        rng stream.  Must be called from the thread driving the simulation
-        (use :meth:`repro.api.RunHandle.inject` from other threads).
+        ``repro serve``'s ``/checkin`` endpoint feeds one request's device
+        check-ins for this run through this seam, as ``(client, online,
+        delay)`` lines.  They go on the event queue like every scenario
+        event (so they compose with churn, in-flight messages and
+        checkpoints) as one ``"checkins"`` event per distinct firing time
+        ``now + delay``, applying that time's lines in line order.
+        Same-time events fire in sequence order and whatever a check-in
+        triggers sorts after all of them, so this applies exactly what one
+        event per line would.  Check-ins schedule no follow-up events and
+        draw nothing from the rng stream.  Every line is checked before any
+        is scheduled.  Must be called from the thread driving the
+        simulation (use :meth:`repro.api.RunHandle.inject` from other
+        threads).
         """
-        client_id = int(client_id)
-        if not 0 <= client_id < len(self.cluster.client_ids):
-            raise ValueError(
-                f"check-in for unknown client {client_id} "
-                f"(cohort has {len(self.cluster.client_ids)} clients)"
-            )
-        return self._schedule(float(delay), "checkin", (client_id, bool(online)))
+        cohort = len(self.cluster.client_ids)
+        now = self.env.now
+        by_time: Dict[float, List[Tuple[int, bool]]] = {}
+        for client_id, online, delay in lines:
+            if not 0 <= client_id < cohort:
+                raise ValueError(
+                    f"check-in for unknown client {client_id} (cohort has {cohort} clients)"
+                )
+            if not delay >= 0.0:  # also false for NaN
+                raise ValueError(f"check-in delay must be a number >= 0, got {delay}")
+            by_time.setdefault(now + delay, []).append((int(client_id), bool(online)))
+        return [
+            self._schedule_at(time, "checkins", tuple(pairs))
+            for time, pairs in by_time.items()
+        ]
+
+    def _checkins(self, *pairs: Tuple[int, bool]) -> None:
+        for client_id, online in pairs:
+            self._checkin(client_id, online)
 
     def _checkin(self, client_id: int, online: bool) -> None:
         if self._stopped():
@@ -304,6 +321,9 @@ class ScenarioDynamics:
         "restore_link": _restore_link,
         "loss_burst": _loss_burst,
         "restore_loss": _restore_loss,
+        "checkins": _checkins,
+        # One check-in per event: what checkpoints written before check-ins
+        # were batched hold.
         "checkin": _checkin,
     }
 

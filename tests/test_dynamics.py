@@ -11,6 +11,8 @@ the next round.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,105 @@ class TestScenarioDynamicsDriver:
 
         assert trace(42) == trace(42)
         assert trace(42) != trace(43)
+
+
+# ---------------------------------------------------------------------------
+# Externally admitted check-ins (service mode)
+# ---------------------------------------------------------------------------
+class TestCheckinBatches:
+    """``admit_checkins`` schedules one event per firing time; it must apply
+    exactly what one ``"checkin"`` event per line applied."""
+
+    #: Two requests drained at one pump, as ``(client, online, delay)``:
+    #: mixed online/offline lines for client 0, equal and distinct delays,
+    #: and a wave of offline lines that runs into ``min_online_clients``.
+    REQUESTS = (
+        [(0, False, 0.0), (0, True, 0.0), (0, False, 0.0), (1, False, 0.1), (2, True, 0.1)]
+        + [(client, False, 0.25) for client in range(4)]
+        + [(3, True, 0.25), (0, True, 0.6)],
+        [(0, True, 0.0), (1, True, 0.1), (2, False, 0.25), (0, False, 0.6), (1, False, 1.0)],
+    )
+
+    def _run(self, admit):
+        config = evaluation_config(
+            "mnist", "fedavg", "iid", SCALES["smoke"], seed=42, scenario="churn"
+        ).with_overrides(rounds=10)
+        with build_experiment(config) as experiment:
+            cluster, dynamics = experiment.cluster, experiment.dynamics
+            log = []
+            cluster.add_membership_listener(
+                lambda cid, online: log.append(("membership", cluster.env.now, cid, online))
+            )
+            fire = dynamics._fire
+
+            def logged_fire(handle):
+                kind = dynamics._pending[handle][1]
+                if kind not in ("checkin", "checkins"):
+                    log.append((kind, cluster.env.now))
+                fire(handle)
+
+            dynamics._fire = logged_fire
+            experiment.federator.start()
+            cluster.run(until=0.5)
+            for lines in self.REQUESTS:
+                admit(dynamics, lines)
+            cluster.run(until=0.5 + 1.0)
+            online = cluster.online_client_ids
+            result = experiment.federator.result
+            cluster.run()
+            counters = (
+                dynamics.online_events,
+                dynamics.offline_events,
+                dynamics.checkin_events,
+            )
+            return online, counters, log, [repr(dataclasses.asdict(r)) for r in result.rounds]
+
+    def test_batch_applies_what_one_event_per_line_applied(self):
+        def batched(dynamics, lines):
+            dynamics.admit_checkins(lines)
+
+        def per_line(dynamics, lines):
+            for client, online, delay in lines:
+                dynamics._schedule(delay, "checkin", (client, online))
+
+        batch = self._run(batched)
+        legacy = self._run(per_line)
+        assert batch[0] == legacy[0]  # online set after the last firing time
+        assert batch[1] == legacy[1]
+        assert batch[1][2] == sum(len(lines) for lines in self.REQUESTS)
+        assert batch[2] == legacy[2]  # every transition and later event, in order
+        assert batch[3] == legacy[3]
+        # The offline wave was cut short by min_online_clients.
+        assert batch[1][1] < sum(
+            1 for lines in self.REQUESTS for _c, online, _d in lines if not online
+        )
+
+    def test_one_event_per_firing_time(self):
+        config = evaluation_config(
+            "mnist", "fedavg", "iid", SCALES["smoke"], seed=42, scenario="churn"
+        )
+        with build_experiment(config) as experiment:
+            dynamics = experiment.dynamics
+            before = dynamics.pending_count()
+            events = dynamics.admit_checkins(self.REQUESTS[0])
+            assert [event.time for event in events] == [0.0, 0.1, 0.25, 0.6]
+            assert dynamics.pending_count() == before + 4
+            kinds = [kind for _event, kind, _args in dynamics._pending.values()]
+            assert kinds.count("checkins") == 4
+
+    @pytest.mark.parametrize(
+        "line", [(4, True, 0.0), (-1, True, 0.0), (0, True, -1.0), (0, True, float("nan"))]
+    )
+    def test_a_bad_line_admits_none(self, line):
+        config = evaluation_config(
+            "mnist", "fedavg", "iid", SCALES["smoke"], seed=42, scenario="churn"
+        )
+        with build_experiment(config) as experiment:
+            dynamics = experiment.dynamics
+            before = dynamics.pending_count()
+            with pytest.raises(ValueError):
+                dynamics.admit_checkins([(0, False, 0.0), line])
+            assert dynamics.pending_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,59 @@ def test_checkpoint_of_an_older_format_restarts_from_scratch(tmp_path):
     assert store.get(config) is not None
 
 
+#: Check-ins admitted once round 1 has finalized, as ``(client, online,
+#: delay)``: both firing times lie after round 2 ends, where the drain below
+#: checkpoints, and before the run's last round.
+CHECKINS = [(0, False, 0.5), (1, False, 0.5), (0, True, 0.5), (2, False, 0.9), (0, False, 0.9)]
+
+
+def _admit_batch(dynamics):
+    dynamics.admit_checkins(CHECKINS)
+
+
+def _admit_one_event_per_line(dynamics):
+    # What a checkpoint written before check-ins were batched holds.
+    for client, online, delay in CHECKINS:
+        dynamics._schedule(delay, "checkin", (client, online))
+
+
+def _run_with_checkins(config, store, admit, drain=False):
+    handle = run(config, store=store)
+    stream = handle.stream()
+    next(stream)  # between two events: the stream is suspended
+    admit(handle.experiment.dynamics)
+    if drain:
+        handle.request_stop("checkpoint")
+    for _record in stream:
+        pass
+    return handle
+
+
+@pytest.mark.parametrize(
+    "admit, kind", [(_admit_batch, "checkins"), (_admit_one_event_per_line, "checkin")]
+)
+def test_pending_checkins_resume_bitwise_identical(admit, kind, tmp_path):
+    config = make_config("fedavg", rounds=8)
+    key = run_key(config)
+    golden_store = RunStore(tmp_path / "golden")
+    _run_with_checkins(config, golden_store, _admit_batch)
+
+    store = RunStore(tmp_path / "drained")
+    drained = _run_with_checkins(config, store, admit, drain=True)
+    assert drained.stopped
+    snapshot = load_checkpoint(store.run_dir(key) / CHECKPOINT_NAME, run_key=key)
+    assert snapshot["format"] == CHECKPOINT_FORMAT
+    pending = [entry[2] for entry in snapshot["dynamics"]["pending"]]
+    assert pending.count(kind) == (2 if kind == "checkins" else len(CHECKINS))
+
+    resumed = run(config, store=store, resume=True)
+    for _record in resumed.stream():
+        applied = resumed.experiment.dynamics.checkin_events
+    assert resumed.resumed_from_round is not None
+    assert applied == len(CHECKINS)  # every one fired after the resume
+    assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
+
+
 def test_capture_refuses_busy_client_and_unaccounted_events():
     config = make_config("fedavg")
     experiment = build_experiment(config)

@@ -16,8 +16,10 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -217,6 +219,26 @@ class TestRequestBodyFraming:
         response = self._raw_request(server, head, b"")
         assert b" 400 " in response.split(b"\r\n", 1)[0]
 
+    def test_client_gone_before_its_response_is_quiet(self, server, capfd):
+        """A buffered response meets a client that has reset the connection
+        at its flush: the server drops it without a traceback and serves on."""
+        host, port = server.address
+        body = b'{"run": "nope", "client": 0}\n' * 2000
+        head = b"POST /checkin HTTP/1.1\r\nHost: t\r\n" + (
+            f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+        for _ in range(10):
+            sock = socket.create_connection((host, port), timeout=30)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(head + body)
+            sock.close()  # SO_LINGER 0: a reset, not a polite close
+        time.sleep(1.0)  # let the handlers reach their flush
+        response = self._raw_request(
+            server, b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", b""
+        )
+        assert b" 200 " in response.split(b"\r\n", 1)[0]
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_segmented_body_is_reassembled(self, server):
         body = json.dumps({"spec": {"algorithm": "not-an-algorithm"}}).encode()
         head = (
@@ -275,6 +297,53 @@ class TestServerLifecycle:
         assert any(
             run["run_id"] == run_id for run in listing["stored"]["complete"]
         )
+
+    def test_live_stream_flushes_headers_and_each_round(self, server, client):
+        """Responses leave in one write, but a live stream sends its headers
+        at once and each round as it finalizes, not when the stream ends."""
+        long_spec = dict(CHURN_SPEC, overrides={"rounds": 100000})
+        _, doc = client.json("POST", "/runs", {"spec": long_spec})
+        run_id = doc["run_id"]
+        hosted = server.manager.get(run_id)
+        assert hosted.wait_record(0, timeout=60) is not None
+        frozen, thaw, release = threading.Event(), threading.Event(), threading.Event()
+        published = []
+
+        def hold_second_round(record):
+            published.append(record.round_number)
+            if len(published) == 2:
+                release.wait(60)  # before the round reaches the stream
+
+        def freeze():
+            # Between two events: no round is half published.
+            hosted.handle.add_round_listener(hold_second_round)
+            frozen.set()
+            thaw.wait(60)
+
+        hosted.handle.inject(freeze)
+        assert frozen.wait(60)
+        start = len(hosted.records)
+        reader = Client(server)
+        try:
+            reader.conn.sock.settimeout(30)
+            reader.conn.request("GET", f"/runs/{run_id}/rounds?from={start}&max=2")
+            response = reader.conn.getresponse()
+            assert response.status == 200
+            assert len(hosted.records) == start  # no round finalized meanwhile
+            thaw.set()
+            first = json.loads(response.readline())
+            assert first["round_number"] == start + 1
+            assert len(hosted.records) == start + 1  # the next one is held
+            release.set()
+            second = json.loads(response.readline())
+            assert second["round_number"] == start + 2
+            assert json.loads(response.read())["event"] == "end"
+        finally:
+            thaw.set()
+            release.set()
+            reader.close()
+        client.json("POST", f"/runs/{run_id}/cancel")
+        _wait_state(client, run_id, ("cancelled",))
 
     def test_invalid_spec_fails_fast_without_state(self, server, client):
         status, doc = client.json(
@@ -342,10 +411,10 @@ class TestServerLifecycle:
         while time.monotonic() < deadline:
             experiment = hosted.handle.experiment  # None until the build ran
             if experiment is not None and experiment.dynamics is not None:
-                if experiment.dynamics.checkin_events > 0:
+                if experiment.dynamics.checkin_events == 40:
                     break
             time.sleep(0.05)
-        assert hosted.handle.experiment.dynamics.checkin_events > 0
+        assert hosted.handle.experiment.dynamics.checkin_events == 40
         _, stats = client.json("GET", "/stats")
         assert stats["checkins"] == 40
 
@@ -385,6 +454,57 @@ class TestServerLifecycle:
         for rid in (run_id, submitted2["run_id"]):
             client.json("POST", f"/runs/{rid}/cancel")
             _wait_state(client, rid, ("cancelled",))
+
+    def test_malformed_checkin_lines_are_rejected(self, server, client, monkeypatch):
+        """A line the simulation could not apply is a ``bad_request`` here:
+        it never reaches the run, and ``/stats`` does not count it."""
+        long_spec = dict(CHURN_SPEC, overrides={"rounds": 100000})
+        _, doc = client.json("POST", "/runs", {"spec": long_spec})
+        run_id = doc["run_id"]
+        _wait_state(client, run_id, ("running",))
+        injected = []
+        checkin = server.manager.checkin
+        monkeypatch.setattr(
+            server.manager,
+            "checkin",
+            lambda hosted, lines: injected.append(list(lines)) or checkin(hosted, lines),
+        )
+
+        bad = [
+            '{"run": "%s", "client": 1, "delay": -1}',
+            '{"run": "%s", "client": 1, "delay": NaN}',
+            '{"run": "%s", "client": 1, "online": "false"}',
+            '{"run": "%s", "client": 1, "delay": Infinity}',
+            '{"run": "%s", "client": 1, "delay": "2"}',
+            '{"run": "%s", "client": true}',
+            '{"run": "%s", "client": 1.5}',
+            '{"run": "%s", "client": "1"}',
+        ]
+        body = "".join(line % run_id + "\n" for line in bad).encode()
+        status, data = client.request("POST", "/checkin", body)
+        doc = json.loads(data)
+        assert status == 200
+        assert (doc["accepted"], doc["rejected"]) == (0, len(bad))
+        assert [error["error"] for error in doc["errors"]] == [ERR_BAD_REQUEST] * len(bad)
+        assert injected == []  # nothing was handed to the run
+        _, stats = client.json("GET", "/stats")
+        assert stats["checkins"] == 0
+
+        # Mixed with valid lines, only the valid ones reach the run: as one
+        # injected batch, in line order, with the defaults filled in.
+        good = [
+            '{"run": "%s", "client": 2, "online": false, "delay": 0.5}',
+            '{"run": "%s", "client": 3.0}',
+        ]
+        body = "".join(line % run_id + "\n" for line in bad[:3] + good).encode()
+        doc = json.loads(client.request("POST", "/checkin", body)[1])
+        assert (doc["accepted"], doc["rejected"]) == (2, 3)
+        assert injected == [[(2, False, 0.5), (3, True, 0.0)]]
+        _, stats = client.json("GET", "/stats")
+        assert stats["checkins"] == 2
+
+        client.json("POST", f"/runs/{run_id}/cancel")
+        _wait_state(client, run_id, ("cancelled",))
 
     def test_draining_rejects_submissions(self, tmp_path):
         manager = SessionManager(api.RunStore(tmp_path / "r"), workers=1)
