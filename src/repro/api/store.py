@@ -55,8 +55,7 @@ STORE_FORMAT = 1
 #: ``pool_slots`` — a tight arena == one that never evicts
 #: (tests/test_virtual_pool.py); ``checkpoint_interval`` — checkpointed ==
 #: straight-through (tests/test_resume.py); ``shards`` — sharded ==
-#: single-process (tests/test_shard.py), except under
-#: ``shard_aggregate="partial"``, where :func:`canonical_config` re-adds it.
+#: single-process (tests/test_shard.py).
 EXECUTION_FIELDS = (
     "pool_slots",
     "checkpoint_interval",
@@ -89,16 +88,6 @@ def canonical_config(config: ExperimentConfig) -> Dict[str, object]:
     # keys.  A non-null transport changes results and therefore the key.
     if canonical.get("transport") == _jsonable(dataclasses.asdict(TransportConfig())):
         canonical.pop("transport", None)
-    # The exact shard-aggregation mode is bitwise identical to the flat
-    # reduction, so (like the null transport) it is dropped and archives
-    # written before the field existed keep their keys.  The partial mode
-    # changes the float reduction order: it stays in the canonical form
-    # *and* makes the shard topology result-relevant, so ``shards`` is
-    # re-added alongside it.
-    if canonical.get("shard_aggregate", "exact") == "exact":
-        canonical.pop("shard_aggregate", None)
-    else:
-        canonical["shards"] = config.shards
     return canonical
 
 

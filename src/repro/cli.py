@@ -263,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="train each round's clients on N worker processes, each client on "
-        "the worker that owns it (hierarchical edge/root aggregation); results "
-        "are bitwise identical "
-        "to the single-process run (default: the config's shards, i.e. 1)",
+        "the worker that owns it; results are bitwise identical to the "
+        "single-process run (default: the config's shards, i.e. 1)",
     )
     run_p.add_argument(
         "--resume",

@@ -51,9 +51,10 @@ from typing import List, Optional, Tuple
 
 #: Bump when the snapshot layout changes; stale checkpoints are ignored
 #: (the run restarts from scratch rather than resuming wrongly).
-#: 3: snapshots grew the ``"shard"`` section — the sharded executor's
-#:    merged per-shard state (seed streams, cumulative counters, per-worker
-#:    stats/RSS) — ``None`` for unsharded runs.
+#: 3: snapshots grew the ``"shard"`` section (the sharded executor's seed
+#:    streams and counters).  It is no longer written, and a format-4
+#:    snapshot that still has it resumes as if it had not: the sharded
+#:    compute plane schedules no events and holds no state between rounds.
 #: 4: every cohort lives in the client pool, so the per-client ``"clients"``
 #:    section is gone and ``"pool"`` is always present.
 CHECKPOINT_FORMAT = 4
@@ -99,12 +100,6 @@ def capture_snapshot(experiment) -> Optional[dict]:
     ):
         return None
 
-    # The sharded compute plane schedules no events and holds no round
-    # state at a capture boundary (workers idle between rounds); its
-    # contribution is the merged per-shard bookkeeping.
-    executor = cluster.shard_executor
-    shard_state = executor.shard_snapshot() if executor is not None else None
-
     return {
         "format": CHECKPOINT_FORMAT,
         "run_key": None,  # filled in by the writer
@@ -118,7 +113,6 @@ def capture_snapshot(experiment) -> Optional[dict]:
         "dynamics": dynamics_state,
         "messages": messages,
         "transport": transport_state,
-        "shard": shard_state,
     }
 
 
@@ -142,9 +136,6 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
 
     federator.restore_checkpoint_state(snapshot["federator"])
     federator.result.rounds.extend(snapshot["records"])
-
-    if cluster.shard_executor is not None:
-        cluster.shard_executor.restore_shard_snapshot(snapshot.get("shard"))
 
     if experiment.dynamics is not None and snapshot["dynamics"] is not None:
         experiment.dynamics.restore_state(snapshot["dynamics"])

@@ -359,22 +359,9 @@ class ExperimentConfig:
     #: selected client's round of training to the worker owning it.
     #: Sharded execution is bitwise identical to the single-process path
     #: (pinned by tests), so — like ``pool_slots`` — the field is an
-    #: execution knob excluded from ``run_key`` (except under
-    #: ``shard_aggregate="partial"``, which makes the shard topology
-    #: results-relevant; see below).  Sharding requires a synchronous
-    #: federator; otherwise it is inert.
+    #: execution knob excluded from ``run_key``.  Sharding requires a
+    #: synchronous federator; otherwise it is inert.
     shards: int = 1
-
-    #: How the hierarchical aggregation tree reduces shard traffic:
-    #: ``"exact"`` (default) concatenates the edge aggregators' blocks in
-    #: shard order — bitwise identical to the flat single-process
-    #: reduction because shard ownership is contiguous in client-id
-    #: order — while ``"partial"`` has each edge reduce its own block to a
-    #: per-shard partial average that the root merges by shard sample
-    #: counts (mathematically equivalent, not bitwise; results then depend
-    #: on the shard topology, so ``"partial"`` makes both this field and
-    #: ``shards`` hash-relevant).
-    shard_aggregate: str = "exact"
 
     # Checkpointing
     #: Write a resumable mid-run checkpoint into the run's store directory
@@ -422,11 +409,6 @@ class ExperimentConfig:
             raise ValueError("pool_slots must be at least 1 when set")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.shard_aggregate not in {"exact", "partial"}:
-            raise ValueError(
-                f"unknown shard_aggregate mode {self.shard_aggregate!r}; "
-                "valid: exact, partial"
-            )
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1 when set")
 
@@ -482,6 +464,26 @@ class ExperimentConfig:
 RETIRED_CONFIG_KEYS = ("client_pool", "batched_execution")
 
 
+def drop_retired_keys(fields: Dict[str, object]) -> Dict[str, object]:
+    """``fields`` without the config keys of earlier releases.
+
+    :data:`RETIRED_CONFIG_KEYS` go whatever their value.  So does
+    ``shard_aggregate`` when it is ``"exact"`` — the value of every manifest
+    written while the field existed, the flat FedAvg bit for bit.  Its
+    ``"partial"`` mode reduced each shard's block first, a different float
+    reduction order and so a different experiment: it raises
+    ``ValueError`` rather than run as something else.
+    """
+    kept = {key: value for key, value in fields.items() if key not in RETIRED_CONFIG_KEYS}
+    mode = kept.pop("shard_aggregate", "exact")
+    if mode != "exact":
+        raise ValueError(
+            f"shard_aggregate={mode!r} is no longer supported: sharded runs "
+            "always reduce exactly like the single-process run"
+        )
+    return kept
+
+
 def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
     """JSON-safe dict round-trippable through :func:`config_from_dict`."""
     import dataclasses
@@ -495,13 +497,14 @@ def config_from_dict(payload: Dict[str, object]) -> ExperimentConfig:
     This is how a restarted ``repro serve`` reconstructs in-flight runs
     from their :class:`repro.api.RunStore` manifests (``manifest["config"]``
     is exactly this shape), and how the wire protocol accepts full-config
-    submissions.  :data:`RETIRED_CONFIG_KEYS` are dropped, so manifests and
-    submissions written before a result-neutral field was retired still
-    load; every other unknown key raises ``TypeError`` like the dataclass
-    constructor would, so a manifest from an incompatible version fails
-    loudly instead of running a silently different experiment.
+    submissions.  Retired keys are dropped (:func:`drop_retired_keys`), so
+    manifests and submissions written before a result-neutral field was
+    retired still load; every other unknown key raises ``TypeError`` like
+    the dataclass constructor would, so a manifest from an incompatible
+    version fails loudly instead of running a silently different
+    experiment.
     """
-    payload = {key: value for key, value in payload.items() if key not in RETIRED_CONFIG_KEYS}
+    payload = drop_retired_keys(payload)
     payload["resources"] = ResourceConfig(**dict(payload.get("resources") or {}))
     payload["dynamics"] = DynamicsConfig(**dict(payload.get("dynamics") or {}))
     payload["transport"] = TransportConfig(**dict(payload.get("transport") or {}))

@@ -339,25 +339,11 @@ class BaseFederator:
 
         The hot path stacks the clients' flat parameter vectors and runs one
         fused weighted reduction; the per-key dictionary implementation
-        remains as the fallback for post-processed contributions.  Under
-        sharded execution the reduction runs through the executor's
-        hierarchical aggregation tree (edge aggregators per shard, root
-        merge) — bitwise identical to the flat path in its default
-        ``"exact"`` mode.
+        remains as the fallback for post-processed contributions.
         """
         rows = self.flat_contributions(state, contributions)
         if rows is not None:
-            sizes = [n for _, n, _ in contributions]
-            if self.cluster.shard_executor is not None:
-                hierarchy = self.cluster.shard_executor.hierarchy
-                ordered = [
-                    client_id
-                    for client_id in sorted(state.results)
-                    if client_id not in state.dropped_clients
-                ]
-                averaged = hierarchy.aggregate_flat(rows, sizes, ordered)
-            else:
-                averaged = fedavg_aggregate_flat(rows, sizes)
+            averaged = fedavg_aggregate_flat(rows, [n for _, n, _ in contributions])
             return unflatten_weights(averaged, weight_spec(contributions[0][0]))
         return fedavg_aggregate([(w, n) for w, n, _ in contributions])
 

@@ -283,16 +283,13 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
 
     if uses_sharded_execution(config):
         # Sharded compute plane: clients send their rounds to worker
-        # processes, and the hierarchical aggregation tree hangs off the
-        # executor.
+        # processes.
         from repro.simulation.shard import ShardedClientExecutor
 
         cluster.shard_executor = ShardedClientExecutor(
             num_shards=config.shards,
             num_clients=config.num_clients,
             architecture=config.architecture,
-            seed=config.seed,
-            aggregate_mode=config.shard_aggregate,
         )
 
     def client_model_factory():

@@ -11,8 +11,10 @@ The policy is a process-wide default plus explicit overrides:
 
 * ``REPRO_DTYPE`` environment variable (``"float32"`` / ``"float64"``)
   selects the default at import time — parallel sweep workers inherit it;
-* :func:`set_compute_dtype` / :func:`using_dtype` change it at runtime
-  (the experiment runner applies a config's ``dtype`` field this way);
+* :func:`set_compute_dtype` changes the default at runtime;
+* :func:`using_dtype` overrides it for the calling thread only (the
+  experiment runner applies a config's ``dtype`` field this way), so runs
+  of different dtypes can be built side by side in one process;
 * layer constructors accept an explicit ``dtype=`` argument that wins over
   the global default (used by the dual-dtype gradient-check tests).
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -63,14 +66,19 @@ def _dtype_from_env() -> np.dtype:
 
 _COMPUTE_DTYPE: np.dtype = _dtype_from_env()
 
+#: The calling thread's :func:`using_dtype` override (a new thread starts
+#: without one and sees the process default).
+_OVERRIDE: ContextVar[Optional[np.dtype]] = ContextVar("repro_compute_dtype", default=None)
+
 
 def compute_dtype() -> np.dtype:
     """The dtype newly constructed layers and models use for parameters."""
-    return _COMPUTE_DTYPE
+    override = _OVERRIDE.get()
+    return _COMPUTE_DTYPE if override is None else override
 
 
 def set_compute_dtype(spec: DtypeLike) -> np.dtype:
-    """Set the global compute dtype; returns the resolved ``np.dtype``."""
+    """Set the process-wide default compute dtype; returns the resolved ``np.dtype``."""
     global _COMPUTE_DTYPE
     dtype = np.dtype(spec)
     if dtype.name not in SUPPORTED_DTYPES:
@@ -83,10 +91,10 @@ def set_compute_dtype(spec: DtypeLike) -> np.dtype:
 
 @contextmanager
 def using_dtype(spec: DtypeLike) -> Iterator[np.dtype]:
-    """Temporarily switch the global compute dtype (restored on exit)."""
-    previous = compute_dtype()
-    dtype = set_compute_dtype(spec)
+    """Switch the calling thread's compute dtype (restored on exit)."""
+    dtype = resolve_dtype(spec)
+    token = _OVERRIDE.set(dtype)
     try:
         yield dtype
     finally:
-        set_compute_dtype(previous)
+        _OVERRIDE.reset(token)

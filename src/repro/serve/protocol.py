@@ -42,7 +42,7 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.api.store import _jsonable
-from repro.fl.config import RETIRED_CONFIG_KEYS, ExperimentConfig
+from repro.fl.config import ExperimentConfig, drop_retired_keys
 from repro.fl.metrics import RoundRecord
 
 ERR_INVALID_JSON = "invalid_json"
@@ -129,8 +129,8 @@ def parse_spec_payload(payload: object) -> Tuple[ExperimentConfig, str]:
         if not isinstance(overrides, dict):
             raise ProtocolError(ERR_BAD_REQUEST, "overrides must be a JSON object")
         # A submitter written against an earlier release may still set a
-        # retired, result-neutral field: same run either way.
-        overrides = {k: v for k, v in overrides.items() if k not in RETIRED_CONFIG_KEYS}
+        # retired field: same run when it named no change, refused otherwise.
+        overrides = drop_retired_keys(overrides)
         if overrides:
             spec = spec.override(**overrides)
         return spec.build(), spec.run_label

@@ -16,12 +16,9 @@ workers use it — but execution here stays in-process, with all
 cross-thread mutation funnelled through :meth:`RunHandle.inject` so the
 simulation only ever sees state changes between two events.
 
-Thread-safety of the compute dtype: the engine's dtype is process-global
-(:mod:`repro.nn.dtype`), toggled around experiment construction.  Two
-concurrent builds are only safe when they toggle X -> X, so the manager
-rejects submissions whose resolved dtype differs from the server
-process's — the error tells the client to start a server with the dtype
-it wants instead of silently racing the global.
+The compute dtype is per run: experiment construction overrides it for
+the building thread only (:func:`repro.nn.dtype.using_dtype`), so a
+float32 and a float64 run can be hosted side by side.
 
 Lifecycle::
 
@@ -44,10 +41,8 @@ from repro.api.handles import RunHandle
 from repro.api.store import RunLockedError, RunStore, run_key
 from repro.fl.config import ExperimentConfig
 from repro.fl.metrics import RoundRecord
-from repro.nn.dtype import compute_dtype, resolve_dtype
 from repro.serve.protocol import (
     ERR_DRAINING,
-    ERR_INVALID_SPEC,
     ERR_NO_DYNAMICS,
     ERR_RUN_NOT_ACTIVE,
     ERR_STORE_CONFLICT,
@@ -171,15 +166,6 @@ class SessionManager:
         key returns the existing session (``created=False``) instead of
         racing two writers for one store directory.
         """
-        requested = resolve_dtype(config.dtype)
-        if requested != compute_dtype():
-            raise ProtocolError(
-                ERR_INVALID_SPEC,
-                f"this server computes in {compute_dtype().name}; a "
-                f"{requested.name} run needs a server started with "
-                f"REPRO_DTYPE={requested.name} (the compute dtype is "
-                "process-wide and cannot change per run)",
-            )
         if config.checkpoint_interval is None and self.checkpoint_interval is not None:
             # Drainability by default: an execution-strategy knob, outside
             # the run_key, so server runs stay byte-identical to library

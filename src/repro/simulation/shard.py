@@ -3,13 +3,13 @@
 One Python process pumping every simulated event *and* computing every
 training step is the scale ceiling of a large cohort.  This module moves
 the training steps to worker processes while keeping *all* simulation
-state — the event queue, clients, network, dynamics — in the parent,
-which is what makes the result bitwise identical to the single-process
-run:
+state — the event queue, clients, network, dynamics, aggregation — in
+the parent, which is what makes the result bitwise identical to the
+single-process run:
 
 * :class:`ShardPlan` partitions the client population into ``N``
-  contiguous ownership ranges (deterministic in ``(num_clients, N)``),
-  so sorted client-id order *is* shard-block concatenation order.
+  contiguous ownership ranges (deterministic in ``(num_clients, N)``):
+  the owner of a client is an O(1) lookup.
 * A round is a bag of independent per-client trainings.  When a client's
   TRAIN_REQUEST arrives, :meth:`ShardedClientExecutor.submit` sends its
   whole local training — round-start weights, data slice, loader
@@ -28,26 +28,12 @@ run:
   capture — *replays* its batches in the parent from the round-start
   weights; one whose round is void (disconnect, a superseding
   TRAIN_REQUEST) only advances its loader and *cancels* the job: the
-  parent forgets it (a late reply is discarded by its job id) and tells
-  the owning worker, which counts the notice and trains on — a cancel
-  overtook its job on 0-2 of 128 jobs a ``city_churn`` run, too few to
-  pay for a queue scan.
+  parent forgets it, and a late reply is discarded by its job id.
 * Workers are stateless compute servers over ``multiprocessing`` pipes
   (spawn context, same re-import discipline as
-  ``experiments/parallel``): a SIGKILLed worker is respawned and its
-  outstanding jobs re-dispatched with identical results.
-* :class:`HierarchicalAggregator` gives each shard an
-  :class:`EdgeAggregator` over its block of round traffic and merges the
-  edges at the root.  The default ``"exact"`` mode reduces the
-  concatenation of the shard blocks — bitwise identical to the flat
-  single-process reduction because ownership is contiguous — while
-  ``"partial"`` reduces each block to a per-shard partial average first
-  (mathematically equivalent, not bitwise, hence hash-relevant).
-
-Per-shard RNG streams are split from the experiment seed with
-``np.random.SeedSequence.spawn``; they seed each worker's template-model
-initializer (overwritten by the round-start weights before any training,
-like every client model's initializer).
+  ``experiments/parallel``): jobs in, results out.  A SIGKILLed worker is
+  respawned and its outstanding jobs re-dispatched with identical
+  results.
 """
 
 from __future__ import annotations
@@ -60,12 +46,9 @@ import threading
 from collections import deque
 from multiprocessing import connection
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.data.loader import BatchLoader
-from repro.fl.aggregation import fedavg_aggregate_flat
 from repro.nn.batched import kernels_cover
 from repro.nn.model import SplitCNN
 from repro.nn.optim import ProximalSGD, SGD
@@ -83,9 +66,8 @@ class ShardPlan:
 
     Shard ``s`` owns ``range(start_s, start_s + size_s)`` with the first
     ``num_clients % num_shards`` shards one client larger (the
-    ``np.array_split`` convention).  Contiguity is the property the exact
-    aggregation mode rests on: sorting contributions by client id groups
-    them into shard blocks automatically.
+    ``np.array_split`` convention), so the owner of a client is a pure
+    function of ``(client_id, num_clients, num_shards)``.
     """
 
     def __init__(self, num_clients: int, num_shards: int) -> None:
@@ -140,15 +122,19 @@ def _maxrss_kb() -> int:
         return 0
 
 
-def _template(templates: dict, architecture: str, dtype_name: str, seed: int):
-    """The worker's model of one architecture/dtype, built once per worker."""
+def _template(templates: dict, architecture: str, dtype_name: str):
+    """The worker's model of one architecture/dtype, built once per worker.
+
+    Its initial weights never matter: :func:`_train_solo` overwrites every
+    section with the job's round-start weights before the first step.
+    """
     from repro.nn.architectures import build_model
     from repro.nn.dtype import using_dtype
 
     cached = templates.get((architecture, dtype_name))
     if cached is None:
         with using_dtype(dtype_name):
-            cached = build_model(architecture, rng=np.random.default_rng(seed))
+            cached = build_model(architecture)
         templates[(architecture, dtype_name)] = cached
     return cached
 
@@ -203,10 +189,9 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
     thread reads the pipe as fast as the parent writes it: a round's
     submissions never wait in the parent behind the job that is running
     (the parent would stall on a full pipe with the other shards' jobs
-    still unsent); it also answers snapshots and counts cancels while a
-    job runs.  An orphan watchdog exits when the parent pid changes (the
-    parent was SIGKILLed — the crash harness relies on workers not
-    outliving it).
+    still unsent); it also answers snapshots while a job runs.  An orphan
+    watchdog exits when the parent pid changes (the parent was SIGKILLed —
+    the crash harness relies on workers not outliving it).
     """
     import sys
 
@@ -216,7 +201,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
 
     load_plugins()
 
-    stats = {"jobs": 0, "cancels_received": 0}
+    stats = {"jobs": 0}
     queued: deque = deque()  # job messages, then ("stop",) when the pipe ends
     changed = threading.Condition()  # guards ``queued`` and ``stats``
     sending = threading.Lock()  # one writer on the pipe at a time
@@ -241,12 +226,8 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
                     conn.send(("snapshot", info))
                 continue
             with changed:
-                if kind == "cancel":
-                    # A notice only: the parent already discards the reply.
-                    stats["cancels_received"] += 1
-                else:
-                    queued.append(message)
-                    changed.notify()
+                queued.append(message)
+                changed.notify()
             if kind == "stop":
                 return
 
@@ -263,7 +244,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
             stats["jobs"] += 1
         _, job_id, job = message
         try:
-            model = _template(templates, job["architecture"], job["dtype"], job["seed"])
+            model = _template(templates, job["architecture"], job["dtype"])
             reply = ("result", job_id, _train_solo(model, job))
         except BaseException as exc:  # surface worker bugs to the parent
             reply = ("error", job_id, repr(exc))
@@ -301,7 +282,8 @@ class ShardPool:
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[Optional[_Worker]] = [None] * self.num_shards
         self._outstanding: Dict[Tuple[int, int], dict] = {}
-        self._buffered: Dict[Tuple[int, int], dict] = {}
+        # Replies not yet collected: a result dict, or the job's error.
+        self._buffered: Dict[Tuple[int, int], object] = {}
         self._job_ids = itertools.count(1)
 
     # ---------------------------------------------------------------- spawn
@@ -375,11 +357,15 @@ class ShardPool:
         except (BrokenPipeError, OSError):
             self._respawn_and_redispatch(shard)
 
-    def _keep(self, shard: int, message: tuple) -> None:
-        """Buffer a result somebody still waits for; drop any other."""
-        key = (shard, message[1])
-        if key in self._outstanding:
-            self._buffered[key] = message[2]
+    def _take(self, shard: int, message: tuple) -> None:
+        """Buffer a reply somebody still waits for — a result, or the error
+        :meth:`collect` raises in its place — and drop any other."""
+        kind, job_id, body = message
+        if (shard, job_id) not in self._outstanding:
+            return
+        if kind == "error":
+            body = ShardWorkerError(f"shard {shard} worker failed job {job_id}: {body}")
+        self._buffered[(shard, job_id)] = body
 
     def collect(self, shard: int, job_id: int) -> dict:
         """The result of one job, waiting for it if need be.
@@ -400,7 +386,10 @@ class ShardPool:
             for conn in connection.wait(list(pipes)):
                 self._receive(pipes[conn])
         self._outstanding.pop(key, None)
-        return self._buffered.pop(key)
+        reply = self._buffered.pop(key)
+        if isinstance(reply, ShardWorkerError):
+            raise reply
+        return reply
 
     def _receive(self, shard: int) -> None:
         """Take one message off a worker's pipe (readable, or at its end)."""
@@ -409,28 +398,14 @@ class ShardPool:
         except (EOFError, OSError):
             self._respawn_and_redispatch(shard)
             return
-        if message[0] == "result":
-            self._keep(shard, message)
-        elif message[0] == "error" and (shard, message[1]) in self._outstanding:
-            del self._outstanding[(shard, message[1])]
-            raise ShardWorkerError(
-                f"shard {shard} worker failed job {message[1]}: {message[2]}"
-            )
+        self._take(shard, message)
 
     def cancel(self, shard: int, job_id: int) -> None:
-        """Forget a job nobody will collect (its reply, if one comes, is
-        discarded by :meth:`_keep`) and notify the worker that owns it."""
+        """Forget a job nobody will collect: its reply, if one comes, is
+        discarded by :meth:`_take`."""
         key = (shard, job_id)
         self._buffered.pop(key, None)
-        if self._outstanding.pop(key, None) is None:
-            return
-        worker = self._workers[shard]
-        if worker is None:
-            return
-        try:
-            worker.conn.send(("cancel", job_id))
-        except (BrokenPipeError, OSError):
-            pass
+        self._outstanding.pop(key, None)
 
     def snapshot(self) -> List[Optional[dict]]:
         """Per-shard worker stats + peak RSS (``None`` for unspawned/dead)."""
@@ -447,8 +422,7 @@ class ShardPool:
                     if message[0] == "snapshot":
                         infos.append(message[1])
                         break
-                    if message[0] == "result":
-                        self._keep(shard, message)
+                    self._take(shard, message)
             except (BrokenPipeError, EOFError, OSError):
                 infos.append(None)
         return infos
@@ -510,85 +484,6 @@ def _shutdown_cached_pools() -> None:  # pragma: no cover - process teardown
 
 
 # ---------------------------------------------------------------------------
-# Hierarchical aggregation: edge partials, root merge
-# ---------------------------------------------------------------------------
-class EdgeAggregator:
-    """Partial FedAvg over one shard's block of round contributions."""
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-
-    def reduce(
-        self, rows: Sequence[np.ndarray], sizes: Sequence[int]
-    ) -> Tuple[np.ndarray, float]:
-        partial = fedavg_aggregate_flat(rows, sizes)
-        total = float(sum(max(int(size), 0) for size in sizes))
-        return partial, total
-
-
-class HierarchicalAggregator:
-    """Edge aggregators per shard plus the root merge.
-
-    ``"exact"`` (default): contributions arrive sorted by client id and
-    shard ownership is contiguous, so the sorted order already *is* the
-    concatenation of the shard blocks — the root reduces that
-    concatenation with the unchanged flat kernel, bitwise identical to
-    the single-process path while the tree structure (counted in
-    ``edge_reduces``/``root_merges``) stays real.
-
-    ``"partial"``: each edge reduces its block to one weighted partial;
-    the root merges the partials weighted by shard sample totals.
-    Mathematically the same average, not bitwise (float reduction order
-    changes), which is why the mode is hash-relevant.
-    """
-
-    def __init__(self, plan: ShardPlan, mode: str = "exact", stats: Optional[dict] = None) -> None:
-        if mode not in {"exact", "partial"}:
-            raise ValueError(f"unknown shard aggregation mode {mode!r}")
-        self.plan = plan
-        self.mode = mode
-        self.stats = stats if stats is not None else {}
-        self.edges = [EdgeAggregator(shard) for shard in range(plan.num_shards)]
-
-    def _blocks(self, client_ids: Sequence[int]) -> List[Tuple[int, slice]]:
-        blocks: List[Tuple[int, slice]] = []
-        start = 0
-        while start < len(client_ids):
-            shard = self.plan.shard_of(client_ids[start])
-            stop = start + 1
-            while stop < len(client_ids) and self.plan.shard_of(client_ids[stop]) == shard:
-                stop += 1
-            blocks.append((shard, slice(start, stop)))
-            start = stop
-        return blocks
-
-    def aggregate_flat(
-        self,
-        rows: Sequence[np.ndarray],
-        sizes: Sequence[int],
-        client_ids: Sequence[int],
-    ) -> np.ndarray:
-        if len(client_ids) != len(rows):
-            # A subclass reshaped the contribution list; without the id
-            # alignment the tree cannot attribute rows to shards.
-            return fedavg_aggregate_flat(rows, sizes)
-        blocks = self._blocks(client_ids)
-        self.stats["edge_reduces"] = self.stats.get("edge_reduces", 0) + len(blocks)
-        self.stats["root_merges"] = self.stats.get("root_merges", 0) + 1
-        if self.mode == "exact":
-            # The blocks' concatenation is the input order: the root
-            # reduction over it is the flat reduction, bit for bit.
-            return fedavg_aggregate_flat(rows, sizes)
-        partials: List[np.ndarray] = []
-        weights: List[float] = []
-        for shard, block in blocks:
-            partial, total = self.edges[shard].reduce(rows[block], sizes[block])
-            partials.append(partial)
-            weights.append(total)
-        return fedavg_aggregate_flat(partials, weights)
-
-
-# ---------------------------------------------------------------------------
 # Sharded executor: per-client remote trainings
 # ---------------------------------------------------------------------------
 class RemoteTraining:
@@ -623,7 +518,7 @@ class RemoteTraining:
         return self._result
 
     def _cancel(self) -> None:
-        """Nobody will read the job's result: forget it, and tell the worker."""
+        """Nobody will read the job's result: the pool forgets it."""
         if self._result is None:
             self._executor.stats["remote_cancels"] += 1
             self._executor.pool.cancel(self._shard, self._job_id)
@@ -679,22 +574,9 @@ class RemoteTraining:
 class ShardedClientExecutor:
     """Sends each client's round of training to the worker owning the client."""
 
-    def __init__(
-        self,
-        num_shards: int,
-        num_clients: int,
-        architecture: str,
-        seed: int,
-        aggregate_mode: str = "exact",
-    ) -> None:
+    def __init__(self, num_shards: int, num_clients: int, architecture: str) -> None:
         self.plan = ShardPlan(num_clients, num_shards)
         self.architecture = architecture
-        self.seed = int(seed)
-        self.aggregate_mode = aggregate_mode
-        self._shard_seeds = [
-            int(stream.generate_state(1)[0])
-            for stream in np.random.SeedSequence(self.seed).spawn(self.plan.num_shards)
-        ]
         self._pool: Optional[ShardPool] = None
         self.stats: Dict[str, int] = {
             "shard_jobs": 0,
@@ -704,12 +586,7 @@ class ShardedClientExecutor:
             "abandons": 0,
             "remote_cancels": 0,
             "worker_restarts": 0,
-            "edge_reduces": 0,
-            "root_merges": 0,
         }
-        self.hierarchy = HierarchicalAggregator(
-            self.plan, mode=aggregate_mode, stats=self.stats
-        )
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -718,9 +595,6 @@ class ShardedClientExecutor:
             self._pool = _acquire_pool(self.plan.num_shards)
             self._pool.stats_sink = self.stats
         return self._pool
-
-    def shard_seed(self, shard: int) -> int:
-        return self._shard_seeds[shard]
 
     def submit(self, client, total_batches: int) -> Optional[RemoteTraining]:
         """Start ``client``'s round on its worker, from the state it is in now
@@ -744,7 +618,6 @@ class ShardedClientExecutor:
         job = {
             "architecture": self.architecture,
             "dtype": str(model.dtype),
-            "seed": self.shard_seed(shard),
             "globals": {s: model.get_flat_weights(s) for s in model.SECTIONS},
             "optimizer": optimizer,
             "total": int(total_batches),
@@ -766,29 +639,3 @@ class ShardedClientExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             _release_pool(pool)
-
-    # ----------------------------------------------------------- checkpoint
-    def shard_snapshot(self) -> dict:
-        """Per-shard state merged into the run checkpoint."""
-        workers = self._pool.snapshot() if self._pool is not None else None
-        return {
-            "num_shards": self.plan.num_shards,
-            "aggregate_mode": self.aggregate_mode,
-            "seed": self.seed,
-            "shard_seeds": list(self._shard_seeds),
-            "stats": dict(self.stats),
-            "workers": workers,
-        }
-
-    def restore_shard_snapshot(self, snapshot: Optional[dict]) -> None:
-        """Re-absorb cumulative counters from a checkpoint.
-
-        Worker processes are not restored — they are stateless, and the
-        resumed run re-seeds its shard streams from the config — so only
-        the parent-side counters carry over.
-        """
-        if not snapshot:
-            return
-        for key, value in (snapshot.get("stats") or {}).items():
-            if key in self.stats:
-                self.stats[key] = self.stats[key] + int(value)

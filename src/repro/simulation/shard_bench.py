@@ -64,9 +64,8 @@ def _run_instrumented(config) -> Dict[str, object]:
         handle.cluster.run()
         wall_s = time.perf_counter() - start
         executor = handle.cluster.shard_executor
-        shard_state = executor.shard_snapshot() if executor is not None else None
+        workers = executor.pool.snapshot() if executor is not None else []
         result = handle.federator.result
-    workers = (shard_state or {}).get("workers") or []
     return {
         "wall_s": wall_s,
         "records": [dataclasses.asdict(record) for record in result.rounds],

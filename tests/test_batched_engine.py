@@ -417,9 +417,7 @@ class _RecordingPool:
 
 
 def _executor_without_workers(num_clients=4):
-    executor = ShardedClientExecutor(
-        num_shards=2, num_clients=num_clients, architecture="mnist-cnn", seed=0
-    )
+    executor = ShardedClientExecutor(num_shards=2, num_clients=num_clients, architecture="mnist-cnn")
     executor._pool = _RecordingPool()
     return executor
 

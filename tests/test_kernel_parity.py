@@ -551,7 +551,7 @@ def test_a_materialized_lane_is_what_the_next_train_batch_sees():
     actor.model.train_batch(x[:16], y[:16], None)
     actor.model.set_weights(global_model.get_weights())  # the TRAIN_REQUEST
 
-    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn", seed=0)
+    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn")
     executor._pool = _InProcessWorker()
     remote = executor.submit(actor, 1)
     assert remote.batch_shape(0) == (16, 1, 28, 28)
@@ -621,7 +621,7 @@ def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
     # ... and its training never goes to a shard worker (which would build
     # the stock architecture and charge the stock layers' analytic cost):
     # it stays in the parent, on the layer loop, like with `shards` unset.
-    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn", seed=0)
+    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn")
     executor._pool = _InProcessWorker()
 
     def client_with(model):

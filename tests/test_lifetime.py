@@ -236,7 +236,6 @@ def test_finished_sessions_do_not_pin_their_experiments(tmp_path, no_collector):
         for seed in range(4):
             # Two rounds: the thread's scratch workspace takes its final size
             # at the second evaluation, and the first run is the yardstick.
-            # At the server's compute dtype: it refuses any other.
             spec = _spec("fedavg", "churn", scale="city", seed=seed, rounds=2, **CITY_SIZES)
             hosted, created = manager.submit(spec.dtype(compute_dtype().name).build())
             assert created and hosted.wait_terminal(timeout=120)

@@ -344,3 +344,38 @@ class TestRealArchitectureTraining:
             model.train_batch(x[32:], y[32:], optimizer)
         _, accuracy_after = model.evaluate(x, y)
         assert accuracy_after > accuracy_before
+
+
+class TestComputeDtypeOverride:
+    def test_an_override_on_one_thread_is_invisible_on_another(self):
+        """``using_dtype`` is per thread: two experiments of different
+        dtypes can be built side by side in one process."""
+        import threading
+
+        from repro.nn.dtype import compute_dtype, using_dtype
+
+        default = compute_dtype()
+        other = "float64" if default.name == "float32" else "float32"
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_override():
+            with using_dtype(other):
+                seen["inside"] = compute_dtype()
+                seen["model"] = tiny_model().dtype
+                entered.set()
+                checked.wait(timeout=10)
+            seen["after"] = compute_dtype()
+
+        thread = threading.Thread(target=hold_override)
+        thread.start()
+        assert entered.wait(timeout=10)
+        try:
+            # The other thread is inside its override right now.
+            assert compute_dtype() == default
+            assert tiny_model().dtype == default
+        finally:
+            checked.set()
+            thread.join(timeout=10)
+        assert seen["inside"] == seen["model"] == np.dtype(other)
+        assert seen["after"] == default

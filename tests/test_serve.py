@@ -549,6 +549,33 @@ class TestServerLibraryParity:
         assert served_manifest["summary"] == direct_manifest["summary"]
 
 
+    def test_a_float32_and_a_float64_run_are_hosted_side_by_side(self, server, client, tmp_path):
+        """The compute dtype is per run, not per server: both runs are in
+        flight at once on the server's two threads, each computes in the
+        dtype its spec asks for, and each is the library run of its spec."""
+        specs = {
+            dtype: dict(CHURN_SPEC, overrides={"rounds": 3, "dtype": dtype})
+            for dtype in ("float32", "float64")
+        }
+        run_ids = {}
+        for dtype, spec in specs.items():
+            status, doc = client.json("POST", "/runs", {"spec": spec})
+            assert status == 202, doc
+            run_ids[dtype] = doc["run_id"]
+        served = {}
+        for dtype, spec in specs.items():
+            assert _wait_state(client, run_ids[dtype], ("complete", "failed")) == "complete"
+            config, label = parse_spec_payload(spec)
+            handle = api.run(config, store=tmp_path / dtype, label=label)
+            handle.result()
+            assert run_ids[dtype] == handle.config_hash
+            served[dtype] = (server.store.run_dir(run_ids[dtype]) / "rounds.jsonl").read_bytes()
+            direct = api.RunStore(tmp_path / dtype).run_dir(handle.config_hash) / "rounds.jsonl"
+            assert served[dtype] == direct.read_bytes()
+        # The two widths really computed different numbers.
+        assert served["float32"] != served["float64"]
+
+
 # ---------------------------------------------------------------------------
 # Graceful drain + restart resume
 # ---------------------------------------------------------------------------

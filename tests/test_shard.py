@@ -1,20 +1,18 @@
 """Sharded multi-process simulation: bitwise parity and integration.
 
-The contract under test (docs/architecture.md, "Sharded simulation &
-hierarchical federation"): partitioning the virtual cohort across worker
-processes — with per-shard seeded RNG streams, edge aggregators and a
-root federator merge — produces **bitwise identical** round records,
-weights and summaries to the single-process run, for every registered
-federator under stable and churn scenarios.  ``shards`` is therefore a
-pure execution knob, excluded from ``run_key`` exactly
-like ``pool_slots`` (only the opt-in ``shard_aggregate="partial"``
-mode, which reorders the floating-point reduction, is hash-relevant).
+The contract under test (docs/architecture.md, "Sharded simulation"):
+training each client on the worker process that owns it produces
+**bitwise identical** round records, weights and summaries to the
+single-process run, for every registered federator under stable and
+churn scenarios.  ``shards`` is therefore a pure execution knob, excluded
+from ``run_key`` exactly like ``pool_slots``.
 
 Also pinned here: deterministic contiguous shard ownership
 (:class:`ShardPlan`), a round's per-client jobs all submitted before the
 first is collected, per-job cancellation on churn, worker-death respawn
-with identical results, SIGKILL crash/resume byte-identity on the sharded
-path, and bounded executor lifecycle (pool release).
+with identical results, a worker's error reply reaching ``collect``,
+SIGKILL crash/resume byte-identity on the sharded path, the retired
+``shard_aggregate`` key, and bounded executor lifecycle (pool release).
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import dataclasses
 import json
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -35,17 +34,20 @@ from crash_harness import (
     run_and_crash,
 )
 from repro.api import RunStore, run, run_key
-from repro.api.store import canonical_config
+from repro.api.store import CHECKPOINT_NAME, canonical_config
 from repro.experiments.workloads import SCALES, evaluation_config
+from repro.fl.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, write_checkpoint
+from repro.fl.config import ExperimentConfig, config_from_dict, config_to_dict
 from repro.fl.runtime import (
     available_algorithms,
     build_experiment,
     uses_sharded_execution,
 )
 from repro.simulation.shard import (
-    HierarchicalAggregator,
     ShardedClientExecutor,
     ShardPlan,
+    ShardPool,
+    ShardWorkerError,
 )
 
 
@@ -102,8 +104,7 @@ class TestShardPlan:
     def test_split_matches_array_split_convention(self):
         # First (num_clients % num_shards) shards get the extra client —
         # the same convention as np.array_split, so sorted-cid order IS
-        # shard-block concatenation order (the "exact" hierarchy relies
-        # on this).
+        # shard-block concatenation order.
         plan = ShardPlan(10, 3)
         assert [len(plan.owned(s)) for s in range(3)] == [4, 3, 3]
         expected = np.array_split(np.arange(10), 3)
@@ -143,8 +144,6 @@ def test_sharded_cohorts_really_run_on_workers():
     config = handle.config
     assert stats["shard_jobs"] == config.rounds * config.effective_clients_per_round
     assert stats["fast_materializations"] == stats["shard_jobs"]
-    assert stats["edge_reduces"] > 0
-    assert stats["root_merges"] > 0
 
 
 def test_ragged_shard_counts_stay_bitwise():
@@ -196,6 +195,9 @@ def test_a_rounds_jobs_are_all_submitted_before_the_first_is_collected():
 # ---------------------------------------------------------------------------
 # Churn: events targeting clients owned by a remote shard
 # ---------------------------------------------------------------------------
+# Now pins: every abandon of an uncollected job is forgotten in the parent
+# (``remote_cancels > 0`` at seed 3), nothing stays outstanding, and the run
+# equals the single-process one.
 def test_churn_cancels_reach_the_owning_shard():
     # Seed 3: one of this churn trace's three mid-round disconnects lands
     # before its client's first loss was read, i.e. with the job uncollected
@@ -205,20 +207,13 @@ def test_churn_cancels_reach_the_owning_shard():
     config_off = _smoke_config("fedavg", "iid", "churn", **kwargs)
 
     # Drive the sharded run manually so the worker pool can be inspected
-    # before the executor releases it.  Workers are cached across runs, so
-    # their counters are cumulative: compare against a pre-run baseline.
+    # before the executor releases it.
     handle = build_experiment(config_sharded)
     executor = handle.cluster.shard_executor
     try:
-        before = sum(
-            entry["stats"]["cancels_received"]
-            for entry in executor.pool.snapshot() or []
-            if entry
-        )
         handle.federator.start()
         handle.cluster.run()
         stats = dict(executor.stats)
-        snapshot = executor.shard_snapshot()
         leaked = not executor.pool.idle()
     finally:
         executor.close()
@@ -227,29 +222,19 @@ def test_churn_cancels_reach_the_owning_shard():
 
     # Mid-round disconnects abandoned trainings whose job was on a worker:
     # every job ended exactly one way — adopted or abandoned — none leaked,
-    # and an abandon with the job still uncollected told the owning shard.
+    # and an abandon with the job still uncollected forgot it.
     assert stats["abandons"] > 0
     assert stats["shard_jobs"] == stats["fast_materializations"] + stats["abandons"]
     assert 0 < stats["remote_cancels"] <= stats["abandons"]
     assert not leaked, "a job was neither collected nor cancelled"
-    received = sum(
-        entry["stats"]["cancels_received"]
-        for entry in snapshot["workers"] or []
-        if entry
-    )
-    assert received - before == stats["remote_cancels"]
 
 
 def test_a_disconnect_cancels_only_that_clients_job():
     """A client that goes offline with its job still uncollected cancels
-    that job and no other — the worker that owns it hears of exactly one
-    cancel, the other worker of none: the round's remaining jobs are
-    collected as if nothing had happened, and the run matches the
-    single-process one driven through the same disconnect."""
+    that job and no other: the round's remaining jobs are collected as if
+    nothing had happened, and the run matches the single-process one
+    driven through the same disconnect."""
     victim = 1
-
-    def cancels_received(pool):
-        return [entry["stats"]["cancels_received"] if entry else 0 for entry in pool.snapshot()]
 
     def everyone_is_training(handle):
         clients = handle.active_clients()
@@ -258,11 +243,10 @@ def test_a_disconnect_cancels_only_that_clients_job():
     def drive(config):
         handle = build_experiment(config)
         executor = handle.cluster.shard_executor
-        cancelled, survivors, heard = [], None, None
+        cancelled, survivors = [], None
         try:
             if executor is not None:
                 pool = executor.pool
-                heard_before = cancels_received(pool)
                 pool_cancel = pool.cancel
                 pool.cancel = lambda shard, job_id: (
                     cancelled.append((shard, job_id)),
@@ -280,19 +264,14 @@ def test_a_disconnect_cancels_only_that_clients_job():
                 survivors = (before, dict(pool._outstanding))
             handle.cluster.set_client_online(victim)
             handle.cluster.run()
-            if executor is not None:
-                # Cached workers count over their lifetime: the difference.
-                heard = [
-                    now - then for now, then in zip(cancels_received(pool), heard_before)
-                ]
             stats = dict(executor.stats) if executor is not None else None
         finally:
             if executor is not None:
                 executor.close()
-        return handle.federator.result, stats, cancelled, survivors, heard
+        return handle.federator.result, stats, cancelled, survivors
 
     kwargs = dict(train_size=384)
-    sharded, stats, cancelled, (before, after), heard = drive(
+    sharded, stats, cancelled, (before, after) = drive(
         _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs)
     )
     flat = drive(_smoke_config("fedavg", "iid", "stable", **kwargs))[0]
@@ -302,7 +281,6 @@ def test_a_disconnect_cancels_only_that_clients_job():
     assert cancelled[0][0] == owner
     assert set(before) - set(after) == set(cancelled)
     assert stats["remote_cancels"] == 1 and stats["abandons"] == 1
-    assert heard == [int(shard == owner) for shard in range(2)]
     # The cancelled job's reply, whenever it came, answered nobody: every
     # other job of the run was adopted.
     assert stats["shard_jobs"] == 2 * 4
@@ -339,6 +317,36 @@ def test_worker_sigkill_mid_run_respawns_and_stays_bitwise():
     stats = dict(executor.stats)
     assert stats["worker_restarts"] >= 1
     assert _round_dicts(result) == _round_dicts(golden)
+
+
+def test_a_worker_error_read_by_snapshot_still_reaches_collect():
+    """``snapshot()`` reads a worker's pipe up to its own reply; an error
+    reply it meets on the way is kept for the job's ``collect``, which
+    raises it instead of waiting for a reply that will not come."""
+    pool = ShardPool(1)
+    outcome = []
+
+    def collect():
+        try:
+            outcome.append(pool.collect(0, job_id))
+        except ShardWorkerError as exc:
+            outcome.append(exc)
+
+    job_id = pool.new_job_id()
+    pool.submit(0, job_id, {"architecture": "no-such-net", "dtype": "float32"})
+    assert pool._workers[0].conn.poll(60), "the worker never replied"
+    (info,) = pool.snapshot()
+    assert info["stats"]["jobs"] == 1
+    waiter = threading.Thread(target=collect, daemon=True)
+    waiter.start()
+    waiter.join(timeout=30)
+    # A collect() still waiting keeps its pool open: closing the pipe under
+    # it would have it respawn the worker and re-dispatch the job.
+    assert not waiter.is_alive(), "collect() never returned"
+    pool.close()
+    (error,) = outcome
+    assert isinstance(error, ShardWorkerError) and "no-such-net" in str(error)
+    assert pool.idle()
 
 
 # ---------------------------------------------------------------------------
@@ -394,87 +402,109 @@ def test_worker_sigkill_with_outstanding_jobs_then_crash_resumes_bitwise(tmp_pat
     assert_bitwise_resume(config_sharded, golden, golden_store, resumed, store)
 
 
-def test_shard_snapshot_round_trips_through_checkpoint():
-    config = _smoke_config(
-        "fedavg", "iid", "stable", shards=2, train_size=384
-    )
-    _, stats, handle = _run_with_stats(config)
-    executor = handle.cluster.shard_executor
-    snapshot = executor.shard_snapshot()
-    assert snapshot["num_shards"] == 2
-    assert snapshot["aggregate_mode"] == "exact"
-    assert len(snapshot["shard_seeds"]) == 2
-    assert snapshot["stats"]["shard_jobs"] == stats["shard_jobs"]
+# Now pins: a format-4 snapshot that still has the ``"shard"`` section
+# (which checkpoints carried until the section was deleted) resumes
+# byte-identically.
+def test_shard_snapshot_round_trips_through_checkpoint(tmp_path):
+    base = dict(checkpoint_interval=1, rounds=4, train_size=384)
+    config_flat = _smoke_config("fedavg", "iid", "stable", seed=7, **base)
+    config_sharded = config_flat.with_overrides(shards=2)
+    golden, golden_store = golden_run(config_flat, tmp_path)
 
-    # Restoring merges the persisted counters into a fresh executor.
-    fresh = ShardedClientExecutor(
-        num_shards=2,
-        num_clients=config.num_clients,
-        architecture=config.architecture,
-        seed=config.seed,
-    )
-    try:
-        assert fresh._shard_seeds == executor._shard_seeds  # seed-derived
-        fresh.restore_shard_snapshot(snapshot)
-        assert fresh.stats["shard_jobs"] == stats["shard_jobs"]
-        fresh.restore_shard_snapshot(None)  # unsharded snapshot: no-op
-    finally:
-        fresh.close()
+    store = RunStore(tmp_path / "drained")
+    handle = run(config_sharded, store=store)
+    stream = handle.stream()
+    next(stream)
+    handle.request_stop("checkpoint")
+    for _record in stream:
+        pass
+    assert handle.stopped
+    key = run_key(config_sharded)
+    path = store.run_dir(key) / CHECKPOINT_NAME
+    snapshot = load_checkpoint(path, run_key=key)
+    assert snapshot["format"] == CHECKPOINT_FORMAT == 4
+    assert "shard" not in snapshot
+    snapshot["shard"] = {
+        "num_shards": 2,
+        "aggregate_mode": "exact",
+        "seed": 7,
+        "shard_seeds": [1234, 5678],
+        "stats": {"shard_jobs": 4, "remote_cancels": 0, "edge_reduces": 2},
+        "workers": [{"shard": 0, "pid": 1, "stats": {"jobs": 2}, "maxrss_kb": 1}, None],
+    }
+    write_checkpoint(path, snapshot)
+
+    resumed = run(config_sharded, store=store, resume=True)
+    assert_bitwise_resume(config_sharded, golden, golden_store, resumed, store)
 
 
 # ---------------------------------------------------------------------------
-# Hierarchical aggregation: exact vs partial
+# The retired ``shard_aggregate`` key: "exact" loads, "partial" is refused
 # ---------------------------------------------------------------------------
-def test_exact_hierarchy_is_bitwise_flat_reduction():
-    rng = np.random.default_rng(0)
-    rows = [rng.standard_normal(32).astype(np.float32) for _ in range(6)]
-    sizes = [3, 1, 4, 1, 5, 9]
-    client_ids = [0, 1, 2, 5, 7, 9]
-    from repro.fl.aggregation import fedavg_aggregate_flat
+# Now pins: a stored manifest that still has ``"shard_aggregate": "exact"``
+# (every manifest written while the field existed) loads to the same run_key.
+def test_exact_hierarchy_is_bitwise_flat_reduction(tmp_path):
+    config = _smoke_config("fedavg", "iid", "stable", train_size=384, rounds=1)
+    key = run_key(config)
+    run(config, store=RunStore(tmp_path)).result()
+    manifest_path = RunStore(tmp_path).run_dir(key) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["shard_aggregate"] = "exact"
+    manifest_path.write_text(json.dumps(manifest))
 
-    stats = {"edge_reduces": 0, "root_merges": 0}
-    hierarchy = HierarchicalAggregator(ShardPlan(10, 3), "exact", stats)
-    merged = hierarchy.aggregate_flat(rows, sizes, client_ids)
-    flat = fedavg_aggregate_flat(rows, sizes)
-    np.testing.assert_array_equal(merged, flat)
-    assert stats["root_merges"] == 1
+    store = RunStore(tmp_path)
+    (stored,) = store.scan()["complete"]
+    assert stored.config_hash == key
+    assert run_key(stored.load_config()) == key
+    assert store.get(config).complete
 
 
+# Now pins: ``config_from_dict`` refuses ``"partial"`` — a different float
+# reduction order, never the run the current code would compute.
 def test_partial_hierarchy_is_close_but_need_not_be_bitwise():
-    rng = np.random.default_rng(1)
-    rows = [rng.standard_normal(64).astype(np.float32) for _ in range(8)]
-    sizes = [2, 3, 5, 7, 1, 4, 6, 8]
-    client_ids = list(range(8))
-    from repro.fl.aggregation import fedavg_aggregate_flat
-
-    stats = {"edge_reduces": 0, "root_merges": 0}
-    hierarchy = HierarchicalAggregator(ShardPlan(8, 3), "partial", stats)
-    merged = hierarchy.aggregate_flat(rows, sizes, client_ids)
-    flat = fedavg_aggregate_flat(rows, sizes)
-    np.testing.assert_allclose(merged, flat, rtol=1e-5, atol=1e-6)
-    assert stats["edge_reduces"] == 3  # one partial per owning shard
+    payload = config_to_dict(_smoke_config("fedavg", "iid", "stable", shards=2))
+    with pytest.raises(ValueError, match="shard_aggregate='partial'"):
+        config_from_dict(dict(payload, shard_aggregate="partial"))
+    assert config_from_dict(dict(payload, shard_aggregate="exact")) == config_from_dict(payload)
 
 
-def test_partial_mode_runs_close_to_exact():
-    config_exact = _smoke_config(
-        "fedavg", "iid", "stable", shards=2, train_size=384
-    )
-    config_partial = config_exact.with_overrides(shard_aggregate="partial")
-    result_exact, _, _ = _run_with_stats(config_exact)
-    result_partial, stats, _ = _run_with_stats(config_partial)
-    assert stats["edge_reduces"] > 0
-    summary_exact = result_exact.summary()
-    summary_partial = result_partial.summary()
-    assert summary_exact.keys() == summary_partial.keys()
-    np.testing.assert_allclose(
-        summary_partial["final_accuracy"],
-        summary_exact["final_accuracy"],
-        atol=1e-3,
-    )
+# Now pins: ``POST /runs`` answers 422 ``invalid_spec`` to ``"partial"``,
+# and takes ``"exact"`` as the run without the key.
+def test_partial_mode_runs_close_to_exact(tmp_path):
+    import http.client
+
+    from repro.serve.protocol import ERR_INVALID_SPEC, parse_spec_payload
+    from repro.serve.server import ExperimentServer
+
+    spec = {"algorithm": "fedavg", "scale": "smoke", "overrides": {"shards": 2}}
+    server = ExperimentServer(tmp_path, workers=1)
+    server.start_background()
+    try:
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        legacy = dict(spec, overrides=dict(spec["overrides"], shard_aggregate="partial"))
+        conn.request("POST", "/runs", body=json.dumps({"spec": legacy}).encode())
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+        conn.close()
+    finally:
+        server.close()
+    assert response.status == 422
+    assert doc["error"] == ERR_INVALID_SPEC and "shard_aggregate" in doc["message"]
+    assert list(tmp_path.iterdir()) == []
+    exact = dict(spec, overrides=dict(spec["overrides"], shard_aggregate="exact"))
+    assert parse_spec_payload(exact) == parse_spec_payload(spec)
+
+
+# Now pins: ``shard_aggregate`` is no field of the config any more.
+def test_partial_aggregation_changes_the_run_key():
+    spec = api.experiment("fedavg").scale("smoke").override(shard_aggregate="exact")
+    with pytest.raises(TypeError, match="shard_aggregate"):
+        spec.build()
+    assert "shard_aggregate" not in {field.name for field in dataclasses.fields(ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------
-# Hashing: shards is an execution knob; partial mode is hash-relevant
+# Hashing: shards is an execution knob
 # ---------------------------------------------------------------------------
 def test_shards_are_excluded_from_run_key():
     config = _smoke_config("fedavg", "iid", "stable")
@@ -485,21 +515,11 @@ def test_shards_are_excluded_from_run_key():
     assert "shard_aggregate" not in canonical
 
 
-def test_partial_aggregation_changes_the_run_key():
-    config = _smoke_config("fedavg", "iid", "stable", shards=2)
-    partial = config.with_overrides(shard_aggregate="partial")
-    assert run_key(config) != run_key(partial)
-    canonical = canonical_config(partial)
-    # Partial reductions depend on the shard topology, so both knobs are
-    # part of the identity in that mode.
-    assert canonical["shard_aggregate"] == "partial"
-    assert canonical["shards"] == 2
-
-
 def test_config_validation_rejects_bad_shard_knobs():
     with pytest.raises(ValueError, match="shards"):
         _smoke_config("fedavg", "iid", "stable", shards=0)
-    with pytest.raises(ValueError, match="shard_aggregate"):
+    # The aggregation mode is no knob any more: an unknown field.
+    with pytest.raises(TypeError, match="shard_aggregate"):
         _smoke_config("fedavg", "iid", "stable", shard_aggregate="fuzzy")
 
 

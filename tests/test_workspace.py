@@ -238,8 +238,7 @@ def test_threads_training_concurrently_equal_the_serial_results():
         return out, model.get_flat_weights().tobytes()
 
     serial = [work(index, _mnist(10 + index, "float32")) for index in range(workers)]
-    # ``using_dtype`` swaps the process-wide dtype: models are built before
-    # the threads start (under REPRO_DTYPE=float64 they raced for it).
+    # Models are built before the threads start.
     models = [_mnist(10 + index, "float32") for index in range(workers)]
     results = [None] * workers
 
