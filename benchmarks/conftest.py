@@ -2,8 +2,7 @@
 
 Every benchmark regenerates one table or figure of the paper at the
 "bench" scale (override with ``REPRO_SCALE=full`` for paper-sized runs) and
-prints the regenerated rows/series so they can be compared with the paper;
-EXPERIMENTS.md records that comparison.
+prints the regenerated rows/series so they can be compared with the paper.
 
 The figure functions hand their sweeps to :func:`repro.api.sweep` — one
 path, the :class:`~repro.experiments.scheduler.SweepScheduler`, and one

@@ -10,9 +10,9 @@ freeze-and-offload design.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.fl.federator import BaseFederator, RoundState
+from repro.fl.federator import BaseFederator
 from repro.registry import register_federator
 
 
@@ -44,23 +44,3 @@ class DeadlineFederator(BaseFederator):
         dropped = sum(len(r.dropped_clients) for r in self.result.rounds)
         return dropped / selected if selected else 0.0
 
-
-def deadline_sweep_values() -> Sequence[Optional[float]]:
-    """The deadline values used by Figures 1(b) and 1(c): ∞, 70, 50, 30, 10 s."""
-    return (None, 70.0, 50.0, 30.0, 10.0)
-
-
-def scaled_deadline(seconds: Optional[float], scale: float) -> Optional[float]:
-    """Scale a paper deadline to the reproduction's virtual-time units."""
-    if seconds is None:
-        return None
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return float(seconds) * scale
-
-
-def drop_fraction(results: Sequence[RoundState]) -> float:  # pragma: no cover - helper for notebooks
-    """Fraction of clients dropped across a set of round states."""
-    selected = sum(len(state.selected_clients) for state in results)
-    dropped = sum(len(state.dropped_clients) for state in results)
-    return dropped / selected if selected else 0.0

@@ -37,6 +37,7 @@ from repro.core.similarity import ClientSimilarity
 from repro.fl.config import ExperimentConfig
 from repro.fl.federator import BaseFederator, RoundState
 from repro.fl.messages import MessageKind, ProfileReport
+from repro.fl.training import run_jobs
 from repro.nn.model import SplitCNN
 from repro.registry import register_federator
 from repro.simulation.cluster import FEDERATOR_ID, SimulatedCluster
@@ -162,16 +163,24 @@ class AergiaFederator(BaseFederator):
 
     # ------------------------------------------------------------ aggregation
     def collect_contributions(self, state: RoundState) -> List[Tuple[Weights, int, int]]:
+        results = [
+            state.results[client_id]
+            for client_id in sorted(state.results)
+            if client_id not in state.dropped_clients
+        ]
+        offloads = {
+            result.client_id: state.offload_results[result.client_id]
+            for result in results
+            if result.offloaded_to is not None and result.client_id in state.offload_results
+        }
+        # The round's own jobs, then the offloaded models they froze: one call.
+        run_jobs([result.job for result in results] + [offload.job for offload in offloads.values()])
         contributions: List[Tuple[Weights, int, int]] = []
-        for client_id in sorted(state.results):
-            if client_id in state.dropped_clients:
-                continue
-            result = state.results[client_id]
+        for result in results:
             weights = result.weights
-            if result.offloaded_to is not None:
-                offload = state.offload_results.get(client_id)
-                if offload is not None:
-                    weights = recombine_offloaded_model(result.weights, offload.feature_weights)
+            offload = offloads.get(result.client_id)
+            if offload is not None:
+                weights = recombine_offloaded_model(result.weights, offload.feature_weights)
             contributions.append((weights, result.num_samples, result.num_steps))
         return contributions
 

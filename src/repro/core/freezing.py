@@ -89,8 +89,9 @@ class FrozenModelPackage:
         Full model weights at the moment of freezing — the strong client
         needs both sections: it trains the features and keeps the classifier
         fixed to compute gradients.  ``None`` when the package was built
-        from a model's flat buffer (:meth:`from_model`), in which case
-        :attr:`flat_weights` holds the same state as one contiguous vector.
+        from a model's flat buffer (:meth:`from_model`) or from a job, in
+        which case :attr:`flat_weights` holds the same state as one
+        contiguous vector.
     batches_to_train:
         Number of local batch updates the strong client should run on the
         offloaded feature layers (the ``op`` output of Algorithm 2).
@@ -99,6 +100,10 @@ class FrozenModelPackage:
         :meth:`repro.nn.model.SplitCNN.get_flat_weights` layout; preferred
         over ``weights`` when present (no per-key dictionaries are built
         anywhere on the offload path).
+    job:
+        The weak client's :class:`repro.fl.training.TrainingJob`, whose state
+        at its freeze is the package: :meth:`snapshot` runs the job the first
+        time the state is read and fills :attr:`flat_weights` from it.
     """
 
     source_client_id: int
@@ -106,13 +111,14 @@ class FrozenModelPackage:
     weights: Optional[Weights] = field(default=None, repr=False)
     batches_to_train: int = 0
     flat_weights: Optional[np.ndarray] = field(default=None, repr=False)
+    job: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.batches_to_train < 0:
             raise ValueError("batches_to_train cannot be negative")
         has_dict = bool(self.weights)
         has_flat = self.flat_weights is not None and self.flat_weights.size > 0
-        if not has_dict and not has_flat:
+        if not has_dict and not has_flat and self.job is None:
             raise ValueError("an offloaded package must contain model weights")
 
     @classmethod
@@ -131,9 +137,19 @@ class FrozenModelPackage:
             flat_weights=model.get_flat_weights(),
         )
 
+    def snapshot(self) -> Optional[np.ndarray]:
+        """The packaged state as a flat vector, running the job it comes from
+        if nobody has yet (``None`` for a package of per-key weights)."""
+        if self.flat_weights is None and self.job is not None:
+            from repro.fl.training import run_jobs
+
+            run_jobs([self.job])
+            self.flat_weights, self.job = self.job.snapshot, None
+        return self.flat_weights
+
     def load_into(self, model: SplitCNN) -> None:
         """Restore the packaged state into ``model`` (flat path when available)."""
-        if self.flat_weights is not None:
+        if self.snapshot() is not None:
             model.set_flat_weights(self.flat_weights)
         else:
             model.set_weights(self.weights or {})
@@ -142,6 +158,8 @@ class FrozenModelPackage:
         """Number of scalar parameters carried by the package."""
         if self.flat_weights is not None:
             return int(self.flat_weights.size)
+        if self.job is not None:
+            return self.job.trainer.model.num_parameters()
         return int(sum(array.size for array in (self.weights or {}).values()))
 
     def payload_bytes(self) -> float:
@@ -155,3 +173,8 @@ class FrozenModelPackage:
         from repro.simulation.network import WIRE_BYTES_PER_PARAM
 
         return float(self.num_parameters() * WIRE_BYTES_PER_PARAM)
+
+    def __getstate__(self) -> dict:
+        # Pickled (a checkpoint, a pipe) as the state it carries.
+        self.snapshot()
+        return self.__dict__

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.nn.model import Phase, PhaseTrace, SplitCNN
+from repro.nn.model import Phase, SplitCNN
 
 
 @dataclass
@@ -155,9 +155,3 @@ def profile_model_phases(
     model.set_weights(saved)
     return profiler.profile()
 
-
-def merge_traces_to_durations(trace: PhaseTrace, rate: float) -> Dict[Phase, float]:
-    """Convert a FLOP trace into per-phase durations at a given compute rate."""
-    if rate <= 0:
-        raise ValueError("compute rate must be positive")
-    return {phase: trace.flops[phase] / rate for phase in Phase}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -47,8 +47,10 @@ class BatchLoader:
     def num_samples(self) -> int:
         return int(self.x.shape[0])
 
-    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the next mini-batch, reshuffling at epoch boundaries."""
+    def next_indices(self) -> np.ndarray:
+        """Draw the next mini-batch's sample indices, reshuffling at epoch
+        boundaries; nothing is gathered.  The array is the caller's: a later
+        reshuffle does not move it."""
         n = self.x.shape[0]
         if n == 0:
             raise ValueError("cannot draw batches from an empty dataset")
@@ -56,20 +58,14 @@ class BatchLoader:
             self._cursor = 0
             if self.shuffle:
                 self._rng.shuffle(self._order)
-        idx = self._order[self._cursor : self._cursor + self.batch_size]
+        idx = self._order[self._cursor : self._cursor + self.batch_size].copy()
         self._cursor += self.batch_size
-        return self.x[idx], self.y[idx]
+        return idx
 
-    def upcoming_batch_sizes(self, count: int) -> List[int]:
-        """Sample counts of the next ``count`` batches; nothing is drawn."""
-        n = self.x.shape[0]
-        sizes, cursor = [], self._cursor
-        for _ in range(count):
-            if cursor >= n:
-                cursor = 0
-            sizes.append(min(self.batch_size, n - cursor))
-            cursor += self.batch_size
-        return sizes
+    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the next mini-batch, reshuffling at epoch boundaries."""
+        idx = self.next_indices()
+        return self.x[idx], self.y[idx]
 
     def state(self) -> dict:
         """The loader's position in its shuffle stream, as plain data.

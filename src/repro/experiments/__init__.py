@@ -2,8 +2,8 @@
 
 Each ``figure*`` function in :mod:`repro.experiments.figures` runs the
 workload behind one figure of the paper's evaluation (scaled down to sizes
-a pure-numpy reproduction can execute in seconds — see EXPERIMENTS.md for
-the exact scaling) and returns the same rows/series the paper reports.
+a pure-numpy reproduction can execute in seconds — README.md "Scale
+profiles" lists the scales) and returns the same rows/series the paper reports.
 The benchmark suite under ``benchmarks/`` calls these functions and prints
 their renderings.
 """

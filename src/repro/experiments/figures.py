@@ -3,8 +3,7 @@
 Each ``figure*`` function runs the corresponding workload (at the requested
 :class:`repro.experiments.workloads.ScaleProfile`) and returns a dictionary
 with the same rows/series the paper plots, plus a ``render()``-able text
-table.  EXPERIMENTS.md records how the regenerated shapes compare with the
-paper's figures.
+table.
 """
 
 from __future__ import annotations

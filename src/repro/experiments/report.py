@@ -1,8 +1,7 @@
 """Plain-text report rendering, including Table 1 of the paper.
 
 The benchmark harness prints these renderings so that the regenerated
-numbers can be compared side by side with the paper's figures (the
-comparison itself is recorded in EXPERIMENTS.md).
+numbers can be compared side by side with the paper's figures.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ discrete-event simulation deterministic:
 * the client pool: every hydrated client's execution state (loader
   position, lifetime counters, mid-round model/optimizer state and the
   pending batch completion) in LRU order, plus the descriptor records of
-  the dehydrated rest,
+  the dehydrated rest — a capture reads every training job it holds, so
+  it runs them all first, in one call (:func:`repro.fl.training.run_jobs`),
+  a round still in progress up to its last batch drawn,
 * the cluster's mutable environment (offline set, speed fractions, link
   overrides, clock skews) and the scenario driver's declarative pending
   events plus its rng stream,
@@ -49,6 +51,8 @@ import pickle
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.fl.training import run_jobs
+
 #: Bump when the snapshot layout changes; stale checkpoints are ignored
 #: (the run restarts from scratch rather than resuming wrongly).
 #: 3: snapshots grew the ``"shard"`` section (the sharded executor's seed
@@ -75,6 +79,16 @@ def capture_snapshot(experiment) -> Optional[dict]:
     if federator_state is None:
         return None
 
+    messages = cluster.network.capture_in_flight()
+    transport_state = cluster.transport.capture_state()
+    payloads = [message["payload"] for message in messages]
+    if transport_state is not None:
+        payloads += [entry["payload"] for entry in transport_state["pending"]]
+    run_jobs(
+        [client.job for client in experiment.pool.hydrated_clients()]
+        + [getattr(payload, "job", None) for payload in payloads]
+    )
+
     pool_state = experiment.pool.capture_state()
     if pool_state is None:
         return None
@@ -85,11 +99,9 @@ def capture_snapshot(experiment) -> Optional[dict]:
         dynamics_state = experiment.dynamics.capture_state()
         dynamics_pending = experiment.dynamics.pending_count()
 
-    messages = cluster.network.capture_in_flight()
     pending_batches = sum(
         1 for _cid, state in pool_state["hydrated"] if state["pending_batch"] is not None
     )
-    transport_state = cluster.transport.capture_state()
     transport_timers = cluster.transport.pending_count()
 
     # Every pending event must be one we can re-create; anything else (a
@@ -160,8 +172,8 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
     for client_id, state in snapshot["pool"]["hydrated"]:
         pending = state["pending_batch"]
         if pending is not None:
-            time, sequence, loss = pending
-            entries.append((time, sequence, ("batch", client_id, loss)))
+            time, sequence, _loss = pending
+            entries.append((time, sequence, ("batch", client_id)))
     entries.sort(key=lambda entry: (entry[0], entry[1]))
 
     for _time, _sequence, action in entries:
@@ -172,7 +184,7 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
         elif action[0] == "transport":
             cluster.transport.schedule_restored(action[1])
         else:  # "batch"
-            experiment.pool.client(action[1]).schedule_restored_batch(_time, action[2])
+            experiment.pool.client(action[1]).schedule_restored_batch(_time)
 
     if snapshot["bootstrap_round"]:
         # The sync engine checkpoints before the next round starts; in the

@@ -17,26 +17,27 @@ reacts to messages from the federator and from other clients:
   feature layers of the received model on the *local* dataset and return
   them to the federator.
 
-Every batch is a real numpy gradient step; its *duration* is charged to
-virtual time through the cluster's cost model, which is how the
-reproduction recreates heterogeneous training speeds.
+A batch's *duration* is charged to virtual time through the cluster's
+cost model, which is how the reproduction recreates heterogeneous training
+speeds; its numpy gradient step is recorded in a
+:class:`repro.fl.training.TrainingJob` that runs where it is first read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.freezing import FrozenModelPackage, split_weights
+from repro.core.freezing import FrozenModelPackage
 from repro.core.profiler import OnlineProfiler
 from repro.data.loader import BatchLoader
 from repro.fl.config import ExperimentConfig
 from repro.fl.messages import MessageKind, OffloadResult, ProfileReport, TrainingResult
-from repro.nn.model import Phase, SplitCNN
+from repro.fl.training import TrainingJob
 from repro.nn.optim import Optimizer, ProximalSGD, SGD
 from repro.simulation.cluster import FEDERATOR_ID, SimulatedCluster
-from repro.simulation.network import Message, weights_wire_bytes
+from repro.simulation.network import Message, wire_bytes
 
 
 class FLClient:
@@ -46,7 +47,6 @@ class FLClient:
         self,
         client_id: int,
         cluster: SimulatedCluster,
-        model: SplitCNN,
         x_train: np.ndarray,
         y_train: np.ndarray,
         config: ExperimentConfig,
@@ -61,33 +61,30 @@ class FLClient:
         self.cost_model = cluster.cost_model
         self.resource = cluster.profile(client_id)
         self.clock = cluster.nodes[client_id].clock
+        #: Where this client's jobs run; its model prices a batch.
+        self.trainer = cluster.trainer
 
-        self.model = model
         self.loader = BatchLoader(
             x_train, y_train, batch_size=config.batch_size, seed=config.seed * 10_007 + client_id
         )
         self.class_counts = class_counts
+        #: Hyper-parameters every round's job starts a fresh optimizer from.
         self.optimizer: Optimizer = self._build_optimizer()
 
         self.transport.register(client_id, self.handle_message)
         cluster.attach_actor(client_id, self)
 
-        #: Sharded execution: the handle of this round's training while it
-        #: runs on the shard worker that owns this client (``None`` in a
-        #: single-process run, and once the client has left it).  Batches
-        #: are then computed by the worker instead of ``model.train_batch``;
-        #: timing, events and losses are identical either way (see
-        #: :mod:`repro.simulation.shard`).
-        self._remote = None
-
         # Round state (reset at every TRAIN_REQUEST).
         self._round: Optional[int] = None
+        #: This round's own training while it goes on (``None`` once the
+        #: result is sent, or when the round is void).
+        self.job: Optional[TrainingJob] = None
+        self._features_frozen = False
         self._total_batches = 0
         self._give_up_batches = 0
         self._profile_batches = 0
         self._report_profile = False
         self._batches_done = 0
-        self._losses: List[float] = []
         self._profiler = OnlineProfiler()
         self._profile_sent = False
         self._offload_target: Optional[int] = None
@@ -96,7 +93,7 @@ class FLClient:
         self._own_training_done = False
         self._result_sent = False
         self._incoming_package: Optional[FrozenModelPackage] = None
-        self._offload_model: Optional[SplitCNN] = None
+        self._offload_job: Optional[TrainingJob] = None
         self._offload_batches_done = 0
         self._offload_training_active = False
         #: An OFFLOAD_EXPECT promised this client an incoming model that has
@@ -110,10 +107,6 @@ class FLClient:
         #: cancel them instead of letting them corrupt later rounds.
         self._pending_batch_event = None
         self._pending_offload_event = None
-        #: The already-computed loss the pending batch event will report;
-        #: kept as plain data (not only inside the event's closure) so a
-        #: checkpoint can serialize and re-schedule the completion exactly.
-        self._pending_batch_loss: Optional[float] = None
 
         # Lifetime statistics (used by tests and reports).
         self.rounds_participated = 0
@@ -166,14 +159,14 @@ class FLClient:
 
         All local work is aborted: pending batch completions are cancelled
         and the round state is cleared, so nothing from the interrupted
-        round can leak into a later one.  The model itself keeps its weights
-        (a rejoining client is handed fresh global weights with the next
-        training request anyway).
+        round can leak into a later one.  Its jobs are dropped: nobody reads
+        them, so they never run (a rejoining client is handed fresh global
+        weights with the next training request anyway).
         """
         self.times_disconnected += 1
-        self._abandon_remote()
         self._cancel_pending_work()
         self._round = None
+        self.job = self._offload_job = None
         self._own_training_done = False
         self._result_sent = False
         self._incoming_package = None
@@ -189,9 +182,9 @@ class FLClient:
 
     # --------------------------------------------------- pool (de)hydration
     #: Attribute names that survive dehydration.  Only the batch loader's
-    #: position affects numerics (model weights and optimizer state are
-    #: overwritten at every TRAIN_REQUEST); the counters are lifetime
-    #: diagnostics that reports and tests read.
+    #: position affects numerics (every TRAIN_REQUEST starts a new job from
+    #: the request's weights); the counters are lifetime diagnostics that
+    #: reports and tests read.
     PERSISTENT_COUNTERS = (
         "rounds_participated",
         "total_batches_trained",
@@ -246,12 +239,8 @@ class FLClient:
         """Capture the state that must survive eviction from the pool.
 
         The caller guarantees :meth:`is_quiescent`; everything else the
-        client owns (model buffers, optimizer scratch, data slices) is
-        reconstructed — or recycled from the pool's arena — on rehydration.
+        client owns (its data slice) is reconstructed on rehydration.
         """
-        # A remote training implies a pending batch event, which is_quiescent
-        # rejects; this is a backstop against future lifecycle changes.
-        assert self._remote is None, "cannot dehydrate a client whose training is remote"
         state = {name: getattr(self, name) for name in self.PERSISTENT_COUNTERS}
         state["loader"] = self.loader.state()
         return state
@@ -267,7 +256,6 @@ class FLClient:
         if self._pending_batch_event is not None:
             self._pending_batch_event.cancel()
             self._pending_batch_event = None
-            self._pending_batch_loss = None
         if self._pending_offload_event is not None:
             self._pending_offload_event.cancel()
             self._pending_offload_event = None
@@ -277,17 +265,15 @@ class FLClient:
         """Full mid-run state for a checkpoint, or ``None`` when the client
         is in a state the checkpointer does not serialize.
 
-        This extends :meth:`dehydrate` (loader position + lifetime counters)
-        with the in-flight training task: model weights, optimizer momentum,
-        round progress, profiler accumulators, and the already-computed
-        pending batch completion.  Mid-offload-training states are refused —
-        offloading happens only inside a synchronous round, and the
-        synchronous engine checkpoints at round boundaries where it is never
-        active.  *Residual* round flags (frozen features, a stale offload
-        expectation, a profiler that never hit its stop condition) can
-        outlive the round until the next ``TRAIN_REQUEST`` resets them; they
-        are captured as plain data so pool-eviction decisions after a resume
-        match the uninterrupted run exactly.
+        This extends :meth:`dehydrate` with round progress, profiler
+        accumulators, the pending batch completion and — while the round's
+        own training goes on — the state after every batch drawn, which
+        runs the job that far.  Mid-offload-training states are refused:
+        the synchronous engine, the only one that offloads, checkpoints at
+        round boundaries where it is never active.  *Residual* round flags
+        (frozen features, a stale offload expectation) are captured as
+        plain data so pool-eviction decisions after a resume match the
+        uninterrupted run exactly.
         """
         if (
             self._incoming_package is not None
@@ -295,19 +281,19 @@ class FLClient:
             or self._pending_offload_event is not None
         ):
             return None
-        # A mid-flight straggler's training may still be remote: materialize
-        # it into the client's own buffers so the snapshot (weights, momentum,
-        # loader, pending loss) is exactly what a single-process run would
-        # hold.  The resumed run continues in the parent, which is bitwise
-        # identical.
-        self._adopt_remote()
         state = self.dehydrate()
-        mid_round = self._round is not None
+        job, pending = self.job, self._pending_batch_event
+        losses = weights = optimizer = pending_batch = None
+        if job is not None:
+            weights = self.trainer.per_key(job.flat_weights())
+            losses, optimizer = job.losses[: self._batches_done], job.optimizer_state
+            if pending is not None:
+                pending_batch = (pending.time, pending.sequence, job.losses[self._batches_done])
         state.update(
             round=self._round,
             total_batches=self._total_batches,
             batches_done=self._batches_done,
-            losses=list(self._losses),
+            losses=losses or [],
             own_training_done=self._own_training_done,
             result_sent=self._result_sent,
             give_up_batches=self._give_up_batches,
@@ -320,19 +306,10 @@ class FLClient:
             has_offloaded=self._has_offloaded,
             offload_expected=self._offload_expected,
             offload_source=self._offload_source,
-            features_frozen=self.model.features_frozen,
-            weights=self.model.get_weights() if mid_round else None,
-            optimizer=self.optimizer.capture_state() if mid_round else None,
-            pending_batch=(
-                (
-                    self._pending_batch_event.time,
-                    self._pending_batch_event.sequence,
-                    self._pending_batch_loss,
-                )
-                if self._pending_batch_event is not None
-                and not self._pending_batch_event.cancelled
-                else None
-            ),
+            features_frozen=self._features_frozen,
+            weights=weights,
+            optimizer=optimizer,
+            pending_batch=pending_batch,
         )
         return state
 
@@ -348,7 +325,6 @@ class FLClient:
         self._round = state["round"]
         self._total_batches = int(state["total_batches"])
         self._batches_done = int(state["batches_done"])
-        self._losses = list(state["losses"])
         self._own_training_done = bool(state["own_training_done"])
         self._result_sent = bool(state["result_sent"])
         self._give_up_batches = int(state["give_up_batches"])
@@ -364,19 +340,35 @@ class FLClient:
         self._offload_training_active = False
         self._offload_expected = bool(state["offload_expected"])
         self._offload_source = state["offload_source"]
-        if state["weights"] is not None:
-            self.model.unfreeze_features()
-            self.model.unfreeze_classifier()
-            self.model.set_weights(state["weights"])
-            self.optimizer.restore_state(state["optimizer"])
-            if state["features_frozen"]:
-                self.model.freeze_features()
+        self._features_frozen = bool(state["features_frozen"])
+        self.job = None
+        if state["weights"] is not None and not self._own_training_done:
+            # The round goes on from the captured state; a pending batch
+            # was drawn and run before the capture, its loss is known.
+            pending = state["pending_batch"]
+            self.job = self._new_job(
+                state["weights"],
+                state["optimizer"],
+                frozen=self._features_frozen,
+                losses=list(state["losses"]) + ([pending[2]] if pending is not None else []),
+            )
 
-    def schedule_restored_batch(self, time: float, loss: float) -> None:
+    def schedule_restored_batch(self, time: float) -> None:
         """Re-schedule a captured pending batch completion at its absolute
         fire time (called by the checkpoint orchestrator in event order)."""
-        self._pending_batch_loss = loss
         self._pending_batch_event = self.env.schedule_at(time, self._on_own_batch_done)
+
+    def _new_job(self, weights, optimizer_state: dict, **kwargs) -> TrainingJob:
+        return TrainingJob(
+            self.trainer,
+            self.client_id,
+            self.loader.x,
+            self.loader.y,
+            self.trainer.sections(weights),
+            self.optimizer,
+            optimizer_state,
+            **kwargs,
+        )
 
     # ------------------------------------------------------------ round start
     def _start_round(self, message: Message) -> None:
@@ -384,11 +376,8 @@ class FLClient:
         # A new round supersedes whatever this client was doing: if it was
         # still training for an expired round (e.g. it was dropped by a
         # deadline or timeout), the stale batch completion must not fire
-        # into the new round's accounting.  A stale remote training only
-        # needs its loader draws replayed (the weights are overwritten
-        # below); this must happen before the pending event is cancelled
-        # because the draw count includes the in-flight batch.
-        self._abandon_remote()
+        # into the new round's accounting, and the stale job is dropped
+        # unread (its batches were drawn, which is all the loader keeps).
         self._cancel_pending_work()
         self._round = message.round_number
         self._total_batches = int(payload["total_batches"])
@@ -396,7 +385,6 @@ class FLClient:
         self._report_profile = bool(payload.get("report_profile", False))
         self._give_up_batches = 0
         self._batches_done = 0
-        self._losses = []
         self._profiler.reset()
         if self._profile_batches == 0:
             self._profiler.stop()
@@ -407,32 +395,18 @@ class FLClient:
         self._own_training_done = False
         self._result_sent = False
         self._incoming_package = None
+        self._offload_job = None
         self._offload_batches_done = 0
         self._offload_training_active = False
         self._offload_expected = False
         self._offload_source = None
 
-        self.model.unfreeze_features()
-        self.model.unfreeze_classifier()
-        self.model.set_weights(payload["weights"])
-        self.optimizer.reset_state()
+        self._features_frozen = False
+        optimizer_state = self.optimizer.capture_state()
+        self.job = self._new_job(payload["weights"], optimizer_state)
         if isinstance(self.optimizer, ProximalSGD):
-            # Anchor the proximal term on the just-loaded global weights,
-            # held as one contiguous vector per section so the proximal
-            # gradient is a fused vector operation (set_anchor copies).
-            self.optimizer.set_anchor(
-                {
-                    section: self.model.flat_parameters(section)
-                    for section in self.model.SECTIONS
-                }
-            )
-
-        shards = self.cluster.shard_executor
-        if shards is not None:
-            # The whole round goes to the owning worker now, from exactly
-            # this state (None when a worker could not rebuild it: this
-            # process then trains it, identically).
-            self._remote = shards.submit(self, self._total_batches)
+            # The proximal term pulls towards the just-loaded global weights.
+            optimizer_state["anchor"] = self.job.weights
 
         self.rounds_participated += 1
         self._train_own_batch()
@@ -443,16 +417,10 @@ class FLClient:
         return max(self._total_batches - self._give_up_batches, self._batches_done)
 
     def _train_own_batch(self) -> None:
-        if self._remote is not None:
-            # Computed by the worker: only its (analytic, identical) cost is
-            # needed to schedule the completion, which fetches the loss.
-            loss = None
-            trace = self.model.batch_trace(self._remote.batch_shape(self._batches_done))
-        else:
-            xb, yb = self.loader.next_batch()
-            loss, trace = self.model.train_batch(xb, yb, self.optimizer)
+        shape = self.job.draw(self.loader)
+        trace = self.trainer.model.batch_trace(shape, features_frozen=self._features_frozen)
         phase_durations = self.cost_model.phase_seconds(trace, self.resource, self.env.now)
-        if self.model.features_frozen:
+        if self._features_frozen:
             duration = self.cost_model.frozen_batch_seconds(trace, self.resource, self.env.now)
         else:
             duration = self.cost_model.batch_seconds(trace, self.resource, self.env.now)
@@ -461,21 +429,12 @@ class FLClient:
                 phase: self.clock.measure(seconds) for phase, seconds in phase_durations.items()
             }
             duration += self._profiler.record_batch(measured)
-        self._pending_batch_loss = loss
         self._pending_batch_event = self.env.schedule(duration, self._on_own_batch_done)
 
     def _on_own_batch_done(self) -> None:
-        # Parked when the batch was computed here — or when the client left
-        # its remote training with this completion in flight; fetched from
-        # the worker's result otherwise.
-        loss = self._pending_batch_loss
-        if self._remote is not None:
-            loss = self._remote.loss(self._batches_done)
         self._pending_batch_event = None
-        self._pending_batch_loss = None
         self._batches_done += 1
         self.total_batches_trained += 1
-        self._losses.append(loss)
 
         if (
             self._profiler.active
@@ -491,33 +450,6 @@ class FLClient:
             self._train_own_batch()
         else:
             self._finish_own_training()
-
-    # ------------------------------------------------------- remote training
-    def _adopt_remote(self) -> None:
-        """Bring the remote training's state into this client's own buffers.
-
-        After this the client's model weights, optimizer state and loader
-        position are bitwise what a single-process run would hold after the
-        same number of drawn batches (including a still-in-flight one).
-        """
-        remote = self._remote
-        if remote is None:
-            return
-        self._remote = None
-        pending = self._pending_batch_event is not None
-        drawn = self._batches_done + (1 if pending else 0)
-        last_loss = remote.materialize(self, drawn)
-        if pending:
-            self._pending_batch_loss = last_loss
-
-    def _abandon_remote(self) -> None:
-        """Leave the remote training syncing only the loader (weights are obsolete)."""
-        remote = self._remote
-        if remote is None:
-            return
-        self._remote = None
-        drawn = self._batches_done + (1 if self._pending_batch_event is not None else 0)
-        remote.abandon(self, drawn)
 
     def _send_profile_report(self) -> None:
         profile = self._profiler.profile()
@@ -572,16 +504,15 @@ class FLClient:
         remaining = self._total_batches - self._batches_done
         if remaining <= 0 or remaining > self._offload_budget:
             return
-        # The worker trains every batch unfrozen: from here on this client's
-        # round is not the one it was sent, so it continues in this process.
-        self._adopt_remote()
-        # Freeze the feature layers and ship the model to the strong client
-        # as one flat vector snapshot (no per-key dictionaries are built).
-        package = FrozenModelPackage.from_model(
-            self.model,
+        # Freeze the feature layers and ship the model to the strong client:
+        # the package is the job's state at the freeze, a flat vector once
+        # somebody reads it.
+        self.job.freeze_features()
+        package = FrozenModelPackage(
             source_client_id=self.client_id,
             round_number=self._round if self._round is not None else -1,
             batches_to_train=remaining,
+            job=self.job,
         )
         self.transport.send(
             self.client_id,
@@ -591,7 +522,7 @@ class FLClient:
             round_number=package.round_number,
             size_bytes=package.payload_bytes(),
         )
-        self.model.freeze_features()
+        self._features_frozen = True
         self._has_offloaded = True
         self.total_offloads_sent += 1
 
@@ -608,20 +539,18 @@ class FLClient:
     def _finish_own_training(self) -> None:
         if self._own_training_done:
             return
-        self._adopt_remote()
         self._own_training_done = True
         result = TrainingResult(
             client_id=self.client_id,
             round_number=self._round if self._round is not None else -1,
-            weights=self.model.get_weights(),
-            flat_weights=self.model.get_flat_weights(),
             num_samples=self.num_samples,
             num_steps=self._batches_done,
-            train_loss=float(np.mean(self._losses)) if self._losses else 0.0,
-            features_frozen=self.model.features_frozen,
+            features_frozen=self._features_frozen,
             offloaded_to=self._offload_target if self._has_offloaded else None,
             finished_at=self.env.now,
+            job=self.job,
         )
+        self.job = None
         self._result_sent = True
         self.transport.send(
             self.client_id,
@@ -629,7 +558,7 @@ class FLClient:
             MessageKind.TRAIN_RESULT,
             payload=result,
             round_number=result.round_number,
-            size_bytes=weights_wire_bytes(result.weights),
+            size_bytes=wire_bytes(self.trainer.model.num_parameters()),
         )
         if self._incoming_package is not None and not self._offload_training_active:
             self._start_offloaded_training()
@@ -641,25 +570,28 @@ class FLClient:
             return
         self._offload_training_active = True
         self._offload_batches_done = 0
-        if self._offload_model is None:
-            self._offload_model = self.model.clone_architecture()
-        package.load_into(self._offload_model)
-        self._offload_model.unfreeze_features()
-        self._offload_model.freeze_classifier()
-        self._offload_optimizer = SGD(
+        # The package's features train on this client's data, its classifier
+        # held fixed, with a fresh plain SGD.
+        optimizer = SGD(
             lr=self.config.learning_rate,
             momentum=self.config.momentum,
             weight_decay=self.config.weight_decay,
         )
+        self._offload_job = TrainingJob(
+            self.trainer,
+            self.client_id,
+            self.loader.x,
+            self.loader.y,
+            package,
+            optimizer,
+            optimizer.capture_state(),
+            features_only=True,
+        )
         self._train_offloaded_batch()
 
     def _train_offloaded_batch(self) -> None:
-        package = self._incoming_package
-        model = self._offload_model
-        if package is None or model is None:  # pragma: no cover - defensive
-            return
-        xb, yb = self.loader.next_batch()
-        _, trace = model.train_batch(xb, yb, self._offload_optimizer)
+        shape = self._offload_job.draw(self.loader)
+        trace = self.trainer.model.batch_trace(shape, features_frozen=False)
         duration = self.cost_model.feature_training_seconds(trace, self.resource, self.env.now)
         self._pending_offload_event = self.env.schedule(duration, self._on_offloaded_batch_done)
 
@@ -676,26 +608,24 @@ class FLClient:
 
     def _finish_offloaded_training(self) -> None:
         package = self._incoming_package
-        model = self._offload_model
-        if package is None or model is None:  # pragma: no cover - defensive
+        if package is None:  # pragma: no cover - defensive
             return
-        feature_weights, _ = split_weights(model.get_weights())
         result = OffloadResult(
             source_client_id=package.source_client_id,
             trainer_client_id=self.client_id,
             round_number=package.round_number,
-            feature_weights=feature_weights,
             batches_trained=self._offload_batches_done,
             finished_at=self.env.now,
+            job=self._offload_job,
         )
         self.total_offloads_trained += 1
         self._offload_training_active = False
-        self._incoming_package = None
+        self._incoming_package = self._offload_job = None
         self.transport.send(
             self.client_id,
             FEDERATOR_ID,
             MessageKind.OFFLOAD_RESULT,
             payload=result,
             round_number=result.round_number,
-            size_bytes=weights_wire_bytes(feature_weights),
+            size_bytes=wire_bytes(self.trainer.model.num_feature_parameters()),
         )

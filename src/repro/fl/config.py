@@ -274,8 +274,8 @@ class ExperimentConfig:
 
     The defaults are scaled-down relative to the paper (smaller synthetic
     datasets, fewer local updates and rounds) so that a pure-numpy
-    reproduction completes in seconds; the experiment harness documents the
-    scaling in EXPERIMENTS.md.
+    reproduction completes in seconds; README.md "Scale profiles" lists
+    the harness's scales.
     """
 
     # Workload
@@ -352,11 +352,12 @@ class ExperimentConfig:
     pool_slots: Optional[int] = None
 
     # Sharded multi-process simulation
-    #: Number of worker processes the clients' training is sharded across.
-    #: ``1`` (the default) keeps everything in-process: every client steps
-    #: itself at its own simulated events.  ``N >= 2`` partitions the
-    #: client population into N contiguous ownership ranges and sends each
-    #: selected client's round of training to the worker owning it.
+    #: Number of worker processes the clients' training jobs run on.
+    #: ``1`` (the default) keeps everything in-process.  ``N >= 2``
+    #: partitions the client population into N contiguous ownership ranges
+    #: and runs every job (a client's round, an offloaded model — see
+    #: :mod:`repro.fl.training`) on the worker owning its client, where its
+    #: result is first read; the same runner, only in another process.
     #: Sharded execution is bitwise identical to the single-process path
     #: (pinned by tests), so — like ``pool_slots`` — the field is an
     #: execution knob excluded from ``run_key``.  Sharding requires a

@@ -63,6 +63,7 @@ from repro.fl.config import ExperimentConfig
 from repro.fl.messages import MessageKind, OffloadResult, ProfileReport, TrainingResult
 from repro.fl.metrics import ExperimentResult, RoundRecord
 from repro.fl.selection import select_all, select_random
+from repro.fl.training import run_jobs
 from repro.nn.model import SplitCNN
 from repro.registry import register_federator
 from repro.simulation.cluster import FEDERATOR_ID, SimulatedCluster
@@ -199,7 +200,11 @@ class BaseFederator:
         """Drop the global model, the test split, round state and hooks.
 
         ``result`` stays: it is what a finished run hands to its caller.
+        A round still in flight lets go of its timers, whose callbacks hold
+        the round state that holds them.
         """
+        if self._round_state is not None:
+            self._cancel_round_timers(self._round_state)
         self.global_model = self.global_weights = self.x_test = self.y_test = None
         self._round_state = self.checkpoint_hook = self.pool = None
 
@@ -217,10 +222,6 @@ class BaseFederator:
         if self._round_state is None:
             return RoundPhase.IDLE
         return self._round_state.phase
-
-    @property
-    def current_round(self) -> int:
-        return self._round_state.round_number if self._round_state else self._rounds_completed
 
     # ----------------------------------------------------------------- hooks
     def wants_profile_reports(self) -> bool:
@@ -302,15 +303,16 @@ class BaseFederator:
         """Build the (weights, num_samples, num_steps) list to aggregate.
 
         Dropped clients are excluded from the aggregation weights even if a
-        late result somehow landed in ``state.results``.
+        late result somehow landed in ``state.results``.  The round's jobs
+        run here, all in one call.
         """
-        contributions = []
-        for client_id in sorted(state.results):
-            if client_id in state.dropped_clients:
-                continue
-            result = state.results[client_id]
-            contributions.append((result.weights, result.num_samples, result.num_steps))
-        return contributions
+        results = [
+            state.results[client_id]
+            for client_id in sorted(state.results)
+            if client_id not in state.dropped_clients
+        ]
+        run_jobs(result.job for result in results)
+        return [(result.weights, result.num_samples, result.num_steps) for result in results]
 
     def flat_contributions(
         self, state: RoundState, contributions: List[Tuple[Weights, int, int]]

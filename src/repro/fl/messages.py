@@ -10,11 +10,14 @@ through the simulated network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.nn.model import Phase
+
+if TYPE_CHECKING:
+    from repro.fl.training import TrainingJob
 
 
 class MessageKind:
@@ -101,8 +104,24 @@ class ProfileReport:
         return self.remaining_batches * self.batch_seconds
 
 
-@dataclass
-class TrainingResult:
+class _ReadsJob:
+    """A result whose arrays are its training ``job``'s: computed the first
+    time one of them is read (subclasses' ``_read``), then kept and the job
+    let go.  A pickled result carries the values, never the job."""
+
+    def _values(self) -> dict:
+        values = self.__dict__
+        if values.get("job") is not None:
+            values.update(self._read(values["job"]))
+            values["job"] = None
+        return values
+
+    def __getstate__(self) -> dict:
+        return self._values()
+
+
+@dataclass(eq=False)
+class TrainingResult(_ReadsJob):
     """A client's contribution at the end of a round.
 
     ``weights`` is the per-key dictionary view (used by Aergia's
@@ -110,29 +129,61 @@ class TrainingResult:
     contiguous vector in :meth:`repro.nn.model.SplitCNN.get_flat_weights`
     layout.  The federators aggregate the flat vectors directly whenever a
     contribution is the client's verbatim model state, so the per-round
-    reduction is a handful of fused vector operations.
+    reduction is a handful of fused vector operations.  Both, and
+    ``train_loss``, are read off the client's ``job``
+    (:class:`repro.fl.training.TrainingJob`) the first time one is read.
     """
 
     client_id: int
     round_number: int
-    weights: Dict[str, np.ndarray]
     num_samples: int
     num_steps: int
-    train_loss: float
     features_frozen: bool = False
     offloaded_to: Optional[int] = None
     finished_at: float = 0.0
     extra: Dict[str, float] = field(default_factory=dict)
-    flat_weights: Optional[np.ndarray] = field(default=None, repr=False)
+    job: Optional["TrainingJob"] = field(default=None, repr=False)
+
+    def _read(self, job) -> dict:
+        flat = job.flat_weights()
+        return {
+            "flat_weights": flat,
+            "weights": job.trainer.per_key(flat),
+            "train_loss": float(np.mean(job.losses)) if job.losses else 0.0,
+        }
+
+    @property
+    def weights(self) -> Dict[str, np.ndarray]:
+        return self._values()["weights"]
+
+    @property
+    def flat_weights(self) -> np.ndarray:
+        return self._values()["flat_weights"]
+
+    @property
+    def train_loss(self) -> float:
+        return self._values()["train_loss"]
 
 
-@dataclass
-class OffloadResult:
-    """Feature layers of an offloaded model, trained by a strong client."""
+@dataclass(eq=False)
+class OffloadResult(_ReadsJob):
+    """Feature layers of an offloaded model, trained by a strong client
+    (``feature_weights`` is read off its ``job``, like a
+    :class:`TrainingResult`'s weights)."""
 
     source_client_id: int
     trainer_client_id: int
     round_number: int
-    feature_weights: Dict[str, np.ndarray]
     batches_trained: int
     finished_at: float = 0.0
+    job: Optional["TrainingJob"] = field(default=None, repr=False)
+
+    def _read(self, job) -> dict:
+        from repro.fl.training import run_jobs
+
+        run_jobs([job])
+        return {"feature_weights": job.trainer.per_key(job.weights["features"])}
+
+    @property
+    def feature_weights(self) -> Dict[str, np.ndarray]:
+        return self._values()["feature_weights"]

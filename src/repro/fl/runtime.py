@@ -23,6 +23,7 @@ from repro.fl.client import FLClient
 from repro.fl.config import ExperimentConfig, ResourceConfig
 from repro.fl.federator import BaseFederator
 from repro.fl.metrics import ExperimentResult
+from repro.fl.training import LocalTrainer
 from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.dtype import resolve_dtype, using_dtype
 from repro.registry import FEDERATORS
@@ -207,11 +208,11 @@ def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
 def uses_sharded_execution(config: ExperimentConfig) -> bool:
     """Whether this configuration trains its clients on shard workers.
 
-    That takes ``shards >= 2`` and the synchronous round structure (an
-    asynchronous federator checkpoints clients in mid-training, which a
-    remote training would have to be pulled back for every time).  Results
-    are bitwise identical either way; this gate only decides whether
-    worker processes are worth spawning.
+    That takes ``shards >= 2`` and the synchronous round structure: an
+    asynchronous federator reads each update alone, on its arrival, so a
+    worker would only add a round trip to every job.  Results are bitwise
+    identical either way; this gate only decides whether worker processes
+    are worth spawning.
     """
     if config.shards < 2:
         return False
@@ -281,34 +282,22 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
             build_transport(cluster.network, cluster.env, transport_cfg, seed=config.seed)
         )
 
+    # Clients own no model: every job of the run trains on this one, in this
+    # process or — shards >= 2 — on the worker owning the job's client.
+    model = build_model(config.architecture, rng=np.random.default_rng(config.seed))
     if uses_sharded_execution(config):
-        # Sharded compute plane: clients send their rounds to worker
-        # processes.
         from repro.simulation.shard import ShardedClientExecutor
 
-        cluster.shard_executor = ShardedClientExecutor(
+        cluster.trainer = cluster.shard_executor = ShardedClientExecutor(
             num_shards=config.shards,
             num_clients=config.num_clients,
             architecture=config.architecture,
+            model=model,
         )
+    else:
+        cluster.trainer = LocalTrainer(model)
 
-    def client_model_factory():
-        # Every slot's model starts from the same seeded initializer;
-        # TRAIN_REQUESTs overwrite the weights anyway.  Pin the experiment
-        # dtype explicitly: the pool calls this lazily at hydration time,
-        # long after build_experiment's using_dtype context has exited, and
-        # the ambient default may differ from the config's dtype.
-        with using_dtype(dtype):
-            return build_model(config.architecture, rng=np.random.default_rng(config.seed))
-
-    pool = VirtualClientPool(
-        cluster,
-        config,
-        dataset,
-        plan,
-        model_factory=client_model_factory,
-        slots=config.pool_slots,
-    )
+    pool = VirtualClientPool(cluster, config, dataset, plan, slots=config.pool_slots)
 
     federator_cls = federator_class(config.algorithm)
     extra_kwargs: Dict[str, object] = {}

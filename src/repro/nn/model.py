@@ -628,17 +628,37 @@ class SplitCNN:
             optimizer.step_flat(self._trainable_sections())
         return loss, self.batch_trace(x.shape)
 
-    def batch_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
+    def batch_trace(
+        self, batch_shape: Tuple[int, ...], features_frozen: Optional[bool] = None
+    ) -> PhaseTrace:
         """The trace :meth:`train_batch_layerwise` would record for a batch of
-        this shape — what a step costs, known without running it."""
+        this shape — what a step costs, known without running it.
+
+        ``features_frozen`` defaults to this model's own flag.  A layer type
+        with no analytic FLOP model is measured instead, by one layer-loop
+        pass over zeros per shape: its counts are shape-derived all the same.
+        """
         unfrozen = self._batch_traces.get(batch_shape)
         if unfrozen is None:
-            unfrozen = phase_flops(self, batch_shape[0], batch_shape[1:])
+            try:
+                unfrozen = phase_flops(self, batch_shape[0], batch_shape[1:])
+            except TypeError:
+                unfrozen = self._measured_trace(batch_shape)
             self._batch_traces[batch_shape] = unfrozen
         flops = dict(unfrozen.flops)
-        if self.features_frozen:
+        if self.features_frozen if features_frozen is None else features_frozen:
             flops[Phase.BACKWARD_FEATURES] = 0.0
         return PhaseTrace(flops)
+
+    def _measured_trace(self, batch_shape: Tuple[int, ...]) -> PhaseTrace:
+        frozen = self.features_frozen
+        self.features_frozen = False
+        try:
+            zeros = np.zeros(batch_shape, dtype=self.dtype)
+            _, trace = self.train_batch_layerwise(zeros, np.zeros(batch_shape[0], dtype=int))
+        finally:
+            self.features_frozen = frozen
+        return trace
 
     def train_batch_layerwise(
         self,

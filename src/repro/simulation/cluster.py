@@ -18,7 +18,7 @@ import numpy as np
 from repro.simulation.clock import LocalClock
 from repro.simulation.cost import ComputeCostModel
 from repro.simulation.events import SimulationEnvironment
-from repro.simulation.network import LinkSpec, Message, Network
+from repro.simulation.network import LinkSpec, Network
 from repro.simulation.resources import ResourceProfile
 
 
@@ -76,10 +76,12 @@ class SimulatedCluster:
         #: Client actors (``repro.fl.client.FLClient``) by node id; attached
         #: so that churn events can abort a disconnected client's local work.
         self._actors: Dict[Any, Any] = {}
-        #: The ``repro.simulation.shard.ShardedClientExecutor`` the runtime
-        #: installs for ``shards >= 2``; clients send their rounds through it
-        #: and the federator aggregates through its tree.  ``None``: every
-        #: client trains in this process.
+        #: The job plane every client's training runs on
+        #: (:class:`repro.fl.training.LocalTrainer`), installed by the runtime.
+        self.trainer: Optional[Any] = None
+        #: The trainer again when it is the
+        #: ``repro.simulation.shard.ShardedClientExecutor`` of
+        #: ``shards >= 2``; ``None``: every job runs in this process.
         self.shard_executor: Optional[Any] = None
         #: Callbacks fired on every membership change: ``cb(client_id, online)``.
         self._membership_listeners: List[Callable[[Any, bool], None]] = []
@@ -112,12 +114,6 @@ class SimulatedCluster:
         if node is None or node.profile is None:
             raise KeyError(f"no client with id {client_id!r}")
         return node.profile
-
-    def register_handler(self, node_id: Any, handler: Callable[[Message], None]) -> None:
-        """Register a node's message handler with the network."""
-        if node_id not in self.nodes:
-            raise KeyError(f"unknown node {node_id!r}")
-        self.network.register(node_id, handler)
 
     # ----------------------------------------------------- dynamic membership
     def attach_actor(self, node_id: Any, actor: Any) -> None:

@@ -1,39 +1,21 @@
 """Sharded multi-process simulation: the compute plane behind ``--shards``.
 
-One Python process pumping every simulated event *and* computing every
-training step is the scale ceiling of a large cohort.  This module moves
-the training steps to worker processes while keeping *all* simulation
-state — the event queue, clients, network, dynamics, aggregation — in
-the parent, which is what makes the result bitwise identical to the
-single-process run:
+The event loop never trains (:mod:`repro.fl.training`): a client's round
+is a job that runs once, where its result is first read.  This module
+runs a read point's jobs on worker processes while *all* simulation state
+— the event queue, clients, network, dynamics, aggregation — stays in the
+parent, which is what keeps results bitwise identical to one process:
 
-* :class:`ShardPlan` partitions the client population into ``N``
-  contiguous ownership ranges (deterministic in ``(num_clients, N)``):
-  the owner of a client is an O(1) lookup.
-* A round is a bag of independent per-client trainings.  When a client's
-  TRAIN_REQUEST arrives, :meth:`ShardedClientExecutor.submit` sends its
-  whole local training — round-start weights, data slice, loader
-  position, batch count — to the worker that owns it as one job and
-  hands the client a :class:`RemoteTraining`; so a round's jobs are all
-  on the pipes before the parent's first batch-completion event asks for
-  a loss.  The worker runs the client's own per-client path
-  (``SplitCNN.train_batch``, the same kernels, the same bytes), so there
-  is nothing to prove beyond process-independence of numpy.
-* The parent keeps simulating: batch completions are scheduled from the
-  analytic batch cost, and the job is *collected* at the first event that
-  needs a number from it (a loss, the final weights) — reading every
-  worker's pipe while it waits, so no worker stalls on a full one.  A
-  client that leaves the common schedule before its last batch — an
-  offload freeze, batches given up for an incoming offload, a checkpoint
-  capture — *replays* its batches in the parent from the round-start
-  weights; one whose round is void (disconnect, a superseding
-  TRAIN_REQUEST) only advances its loader and *cancels* the job: the
-  parent forgets it, and a late reply is discarded by its job id.
+* :class:`ShardPlan` partitions the clients into ``N`` contiguous
+  ownership ranges: the owner of a client is an O(1) lookup.
+* :class:`ShardedClientExecutor` puts every job of a read point on the
+  pipe of the worker owning its client, then collects them, reading every
+  worker's pipe while it waits so that no worker stalls on a full one.
+  The worker runs the same :func:`~repro.fl.training.train` as the parent.
 * Workers are stateless compute servers over ``multiprocessing`` pipes
-  (spawn context, same re-import discipline as
-  ``experiments/parallel``): jobs in, results out.  A SIGKILLed worker is
-  respawned and its outstanding jobs re-dispatched with identical
-  results.
+  (spawn context, same re-import discipline as ``experiments/parallel``):
+  jobs in, results out.  A SIGKILLed worker is respawned and its
+  outstanding jobs re-dispatched with identical results.
 """
 
 from __future__ import annotations
@@ -48,10 +30,9 @@ from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.data.loader import BatchLoader
+from repro.fl.training import LocalTrainer, TrainingJob, train
 from repro.nn.batched import kernels_cover
 from repro.nn.model import SplitCNN
-from repro.nn.optim import ProximalSGD, SGD
 
 #: Directory whose presence on ``sys.path`` makes ``import repro`` work in
 #: spawned workers (as ``experiments/parallel.worker_pool`` does).
@@ -125,8 +106,9 @@ def _maxrss_kb() -> int:
 def _template(templates: dict, architecture: str, dtype_name: str):
     """The worker's model of one architecture/dtype, built once per worker.
 
-    Its initial weights never matter: :func:`_train_solo` overwrites every
-    section with the job's round-start weights before the first step.
+    Its initial weights never matter: :func:`repro.fl.training.train`
+    overwrites every section with the job's start weights before the first
+    step.
     """
     from repro.nn.architectures import build_model
     from repro.nn.dtype import using_dtype
@@ -137,49 +119,6 @@ def _template(templates: dict, architecture: str, dtype_name: str):
             cached = build_model(architecture)
         templates[(architecture, dtype_name)] = cached
     return cached
-
-
-def _optimizer_key(optimizer) -> Optional[tuple]:
-    """What rebuilds ``optimizer`` in a worker, or ``None`` for a family
-    (a subclass may override the update) only the parent can step."""
-    if type(optimizer) is ProximalSGD:
-        return ("prox", optimizer.lr, optimizer.mu, optimizer.momentum, optimizer.weight_decay)
-    if type(optimizer) is SGD:
-        return ("sgd", optimizer.lr, optimizer.momentum, optimizer.weight_decay)
-    return None
-
-
-def _make_optimizer(key: tuple):
-    if key[0] == "prox":
-        return ProximalSGD(lr=key[1], mu=key[2], momentum=key[3], weight_decay=key[4])
-    return SGD(lr=key[1], momentum=key[2], weight_decay=key[3])
-
-
-def _train_solo(model, job: dict) -> dict:
-    """One client's local training: the per-client path, verbatim."""
-    loader = BatchLoader(job["x"], job["y"], batch_size=job["batch_size"], shuffle=job["shuffle"])
-    loader.set_state(job["loader_state"])
-    model.unfreeze_features()
-    model.unfreeze_classifier()
-    for section in model.SECTIONS:
-        model.set_flat_weights(job["globals"][section], section=section)
-    optimizer = _make_optimizer(job["optimizer"])
-    if isinstance(optimizer, ProximalSGD):
-        optimizer.set_anchor(job["globals"])
-    losses: List[float] = []
-    for _ in range(job["total"]):
-        xb, yb = loader.next_batch()
-        loss, _ = model.train_batch(xb, yb, optimizer)
-        losses.append(float(loss))
-    opt_state = optimizer.capture_state()
-    # Bulky, and the parent has it: the round-start weights, verbatim.
-    opt_state.pop("anchor", None)
-    return {
-        "losses": losses,
-        "weights": {s: model.get_flat_weights(s) for s in model.SECTIONS},
-        "optimizer": opt_state,
-        "loader_state": loader.state(),
-    }
 
 
 def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: str) -> None:
@@ -245,7 +184,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
         _, job_id, job = message
         try:
             model = _template(templates, job["architecture"], job["dtype"])
-            reply = ("result", job_id, _train_solo(model, job))
+            reply = ("result", job_id, train(model, job))
         except BaseException as exc:  # surface worker bugs to the parent
             reply = ("error", job_id, repr(exc))
         with sending:
@@ -346,7 +285,7 @@ class ShardPool:
     # ------------------------------------------------------------------ rpc
     def new_job_id(self) -> int:
         """An id no job of this pool has had: a reply that outlives its job
-        (cancelled, or from before a respawn) can never answer another."""
+        (from before a respawn) can never answer another."""
         return next(self._job_ids)
 
     def submit(self, shard: int, job_id: int, payload: dict) -> None:
@@ -399,13 +338,6 @@ class ShardPool:
             self._respawn_and_redispatch(shard)
             return
         self._take(shard, message)
-
-    def cancel(self, shard: int, job_id: int) -> None:
-        """Forget a job nobody will collect: its reply, if one comes, is
-        discarded by :meth:`_take`."""
-        key = (shard, job_id)
-        self._buffered.pop(key, None)
-        self._outstanding.pop(key, None)
 
     def snapshot(self) -> List[Optional[dict]]:
         """Per-shard worker stats + peak RSS (``None`` for unspawned/dead)."""
@@ -484,109 +416,24 @@ def _shutdown_cached_pools() -> None:  # pragma: no cover - process teardown
 
 
 # ---------------------------------------------------------------------------
-# Sharded executor: per-client remote trainings
+# Sharded executor: the job plane over the workers
 # ---------------------------------------------------------------------------
-class RemoteTraining:
-    """One client's local training of one round, run by the worker that owns it.
+class ShardedClientExecutor(LocalTrainer):
+    """Runs each job on the worker owning its client.
 
-    The owning :class:`repro.fl.client.FLClient` holds it from its
-    TRAIN_REQUEST until its training is over, and simulates on: batch
-    costs are analytic, the job's result is fetched at the first event
-    that needs a number from it.  Leaving it puts the client's model,
-    optimizer and loader where the per-client path would have them after
-    ``drawn`` batches — :meth:`materialize` — or, when the weights are
-    about to be overwritten anyway, only the loader — :meth:`abandon`.
+    A model a worker cannot rebuild — not the configured architecture's
+    plain :class:`SplitCNN` of stock layers (a subclassed layer's math is
+    its layer loop's, which the worker's stock model would not run) — has
+    its jobs run in this process, identically (``stats["fallbacks"]``).
     """
 
-    def __init__(
-        self, executor: "ShardedClientExecutor", shard: int, job_id: int, job: dict, sizes: List[int]
-    ) -> None:
-        self._executor = executor
-        self._shard = shard
-        self._job_id = job_id
-        self._job = job
-        self._sizes = sizes
-        self._result: Optional[dict] = None
-
-    def batch_shape(self, index: int) -> Tuple[int, ...]:
-        """The shape of the client's batch ``index`` of this round."""
-        return (self._sizes[index],) + self._job["x"].shape[1:]
-
-    def _collect(self) -> dict:
-        if self._result is None:
-            self._result = self._executor.pool.collect(self._shard, self._job_id)
-        return self._result
-
-    def _cancel(self) -> None:
-        """Nobody will read the job's result: the pool forgets it."""
-        if self._result is None:
-            self._executor.stats["remote_cancels"] += 1
-            self._executor.pool.cancel(self._shard, self._job_id)
-
-    def loss(self, index: int) -> float:
-        """The loss of the client's batch ``index`` of this round."""
-        return self._collect()["losses"][index]
-
-    def materialize(self, client, drawn: int) -> Optional[float]:
-        """Leave with the state after ``drawn`` batches; returns the last loss.
-
-        The worker trained the whole round: its result is that state only
-        when the client drew every batch.  One that left the common
-        schedule earlier (offload freeze, batches given up, a checkpoint
-        mid-round) replays its ``drawn`` batches here, from the round-start
-        weights, through the per-client path the worker mirrored.
-        """
-        job, stats = self._job, self._executor.stats
-        model, optimizer = client.model, client.optimizer
-        if drawn == job["total"]:
-            result = self._collect()
-            for section in model.SECTIONS:
-                model.set_flat_weights(result["weights"][section], section=section)
-            state = dict(result["optimizer"])
-            if isinstance(optimizer, ProximalSGD):
-                state["anchor"] = job["globals"]
-            optimizer.restore_state(state)
-            client.loader.set_state(result["loader_state"])
-            stats["fast_materializations"] += 1
-            return result["losses"][-1]
-        self._cancel()
-        stats["replays"] += 1
-        for section in model.SECTIONS:
-            model.set_flat_weights(job["globals"][section], section=section)
-        optimizer.reset_state()
-        if isinstance(optimizer, ProximalSGD):
-            optimizer.set_anchor(job["globals"])
-        last: Optional[float] = None
-        for _ in range(drawn):
-            xb, yb = client.loader.next_batch()
-            last, _ = model.train_batch(xb, yb, optimizer)
-        return last
-
-    def abandon(self, client, drawn: int) -> None:
-        """Leave a void round: the per-client run would have drawn ``drawn``
-        batches, and nothing else of it survives the next TRAIN_REQUEST."""
-        for _ in range(drawn):
-            client.loader.next_batch()
-        self._executor.stats["abandons"] += 1
-        self._cancel()
-
-
-class ShardedClientExecutor:
-    """Sends each client's round of training to the worker owning the client."""
-
-    def __init__(self, num_shards: int, num_clients: int, architecture: str) -> None:
+    def __init__(self, num_shards: int, num_clients: int, architecture: str, model: SplitCNN) -> None:
+        super().__init__(model)
         self.plan = ShardPlan(num_clients, num_shards)
         self.architecture = architecture
         self._pool: Optional[ShardPool] = None
-        self.stats: Dict[str, int] = {
-            "shard_jobs": 0,
-            "fallbacks": 0,
-            "fast_materializations": 0,
-            "replays": 0,
-            "abandons": 0,
-            "remote_cancels": 0,
-            "worker_restarts": 0,
-        }
+        self._plain = type(model) is SplitCNN and kernels_cover(model)
+        self.stats: Dict[str, int] = {"shard_jobs": 0, "fallbacks": 0, "worker_restarts": 0}
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -596,46 +443,24 @@ class ShardedClientExecutor:
             self._pool.stats_sink = self.stats
         return self._pool
 
-    def submit(self, client, total_batches: int) -> Optional[RemoteTraining]:
-        """Start ``client``'s round on its worker, from the state it is in now
-        (weights loaded, optimizer reset, loader where the last round left it).
-
-        ``None`` — the client trains in the parent, which is always correct —
-        for what a worker cannot rebuild from the job: a model that is not
-        the configured architecture's plain :class:`SplitCNN` of stock
-        layers (a subclassed layer's math and step cost are its layer
-        loop's, which only the parent runs), an optimizer other than the
-        two stock families, nothing to train.
-        """
-        model, loader = client.model, client.loader
-        optimizer = _optimizer_key(client.optimizer)
-        trainable = total_batches >= 1 and loader.num_samples > 0
-        plain = type(model) is SplitCNN and kernels_cover(model)
-        if not plain or optimizer is None or not trainable:
-            self.stats["fallbacks"] += 1
-            return None
-        shard = self.plan.shard_of(client.client_id)
-        job = {
-            "architecture": self.architecture,
-            "dtype": str(model.dtype),
-            "globals": {s: model.get_flat_weights(s) for s in model.SECTIONS},
-            "optimizer": optimizer,
-            "total": int(total_batches),
-            "x": loader.x,
-            "y": loader.y,
-            "batch_size": loader.batch_size,
-            "shuffle": loader.shuffle,
-            "loader_state": loader.state(),
-        }
-        job_id = self.pool.new_job_id()
-        self.pool.submit(shard, job_id, job)
-        self.stats["shard_jobs"] += 1
-        return RemoteTraining(
-            self, shard, job_id, job, loader.upcoming_batch_sizes(total_batches)
-        )
+    def run(self, jobs: List[TrainingJob]) -> None:
+        """Put every job on its worker's pipe, then take the results."""
+        if not self._plain:
+            self.stats["fallbacks"] += len(jobs)
+            super().run(jobs)
+            return
+        keys = []
+        for job in jobs:
+            shard, job_id = self.plan.shard_of(job.client_id), self.pool.new_job_id()
+            payload = dict(job.spec(), architecture=self.architecture, dtype=str(self.model.dtype))
+            self.pool.submit(shard, job_id, payload)
+            keys.append((shard, job_id))
+        self.stats["shard_jobs"] += len(jobs)
+        for job, (shard, job_id) in zip(jobs, keys):
+            job.absorb(self.pool.collect(shard, job_id))
 
     def close(self) -> None:
-        """Give the workers back (outstanding jobs go with them); ``stats`` stays."""
+        """Give the workers back; ``stats`` stays."""
         pool, self._pool = self._pool, None
         if pool is not None:
             _release_pool(pool)

@@ -1,30 +1,28 @@
 """The client pool: O(hydrated) memory for O(cohort) clients.
 
-A fully hydrated :class:`repro.fl.client.FLClient` owns a model (the
-dominant allocation: per-layer parameter/scratch buffers), an optimizer,
-and a private copy of the client's data shard — but a round only ever
+A hydrated :class:`repro.fl.client.FLClient` owns a private copy of the
+client's data shard and its round state (clients own no model: their
+rounds are jobs, see :mod:`repro.fl.training`) — but a round only ever
 *trains* ``clients_per_round`` of the cohort.
 
 :class:`VirtualClientPool` is the one way a client exists.  The cohort
 lives as lightweight :class:`ClientDescriptor` records (a few counters plus
-the dehydrated loader position), and a bounded LRU arena of reusable
-:class:`_Slot` objects holds the expensive state.  A client is *hydrated* —
-given a slot's recycled model, a freshly sliced data shard (derived on
-demand from the lazy :class:`repro.data.partition.PartitionPlan`) and a new
-optimizer — only when the federator selects it for a round; when the arena
-is full, the least-recently-used idle client is dehydrated back into its
-descriptor and its slot recycled.  The arena is sized from the per-round
-participant count and capped at the cohort, so a full-participation run
-(the paper's 8-24 client regime) hydrates each client once and never
-evicts, while a 10 000-client cohort holds only its participants.
+the dehydrated loader position), and a bounded LRU arena holds the
+hydrated clients.  A client is *hydrated* — given a freshly sliced data
+shard (derived on demand from the lazy
+:class:`repro.data.partition.PartitionPlan`) — only when the federator
+selects it for a round; when the arena is full, the least-recently-used
+idle client is dehydrated back into its descriptor.  The arena is sized
+from the per-round participant count and capped at the cohort, so a
+full-participation run (the paper's 8-24 client regime) hydrates each
+client once and never evicts, while a 10 000-client cohort holds only its
+participants.
 
 Hydration is bit-for-bit transparent (a tight arena and one that never
 evicts produce identical runs):
 
-* Model weights and optimizer state are overwritten by every
-  ``TRAIN_REQUEST`` (clients load the global model at round start), so a
-  recycled model never leaks state between clients — every slot's model is
-  built from the same seeded initializer anyway.
+* Every ``TRAIN_REQUEST`` starts a new job from the request's weights, so
+  nothing numeric of a past round lives in the client.
 * The batch loader is the only numeric state that persists across rounds;
   its exact position (generator state, shuffle order, cursor) round-trips
   through the descriptor, so a re-selected client resumes its batch
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.data.datasets import Dataset
 from repro.data.partition import PartitionPlan
@@ -64,8 +62,8 @@ class ClientDescriptor:
 
     A descriptor is a few dozen bytes: identity, shard size, and — after the
     first eviction — the dehydrated persistent state (loader position plus
-    lifetime counters).  Everything heavy lives in a pool slot while the
-    client is hydrated.
+    lifetime counters).  Everything heavy — the data shard — lives in the
+    hydrated client.
     """
 
     client_id: int
@@ -78,16 +76,6 @@ class ClientDescriptor:
     #: into ``times_disconnected`` at the next hydration so the lifetime
     #: counter matches what an always-hydrated client would report.
     pending_disconnects: int = 0
-
-
-class _Slot:
-    """One reusable arena entry: the recycled model buffers."""
-
-    __slots__ = ("model", "client")
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self.client: Optional[FLClient] = None
 
 
 class VirtualClientPool:
@@ -105,9 +93,6 @@ class VirtualClientPool:
         The global dataset; shards are sliced per hydration.
     plan:
         Lazy partition plan deriving any client's shard on demand.
-    model_factory:
-        Zero-argument callable building one model with the experiment's
-        seeded initializer — called once per *slot*, not per client.
     slots:
         Arena capacity; ``None`` derives it from the config's per-round
         participant count plus :data:`POOL_SLOT_HEADROOM`.
@@ -119,14 +104,12 @@ class VirtualClientPool:
         config: ExperimentConfig,
         dataset: Dataset,
         plan: PartitionPlan,
-        model_factory: Callable[[], object],
         slots: Optional[int] = None,
     ) -> None:
         self.cluster = cluster
         self.config = config
         self.dataset = dataset
         self.plan = plan
-        self.model_factory = model_factory
         if slots is None:
             participants = max(
                 config.effective_clients_per_round, config.effective_async_concurrency
@@ -138,16 +121,13 @@ class VirtualClientPool:
             for client_id in range(config.num_clients)
         }
         #: Hydrated clients in LRU order (oldest first).
-        self._active: "OrderedDict[int, _Slot]" = OrderedDict()
-        #: Recycled slots awaiting a client.
-        self._free: List[_Slot] = []
+        self._active: "OrderedDict[int, FLClient]" = OrderedDict()
         #: Clients the federator is currently working with; never evicted.
         self._pinned: frozenset = frozenset()
 
         # Diagnostics (reports, benchmarks, tests).
         self.hydrations = 0
         self.evictions = 0
-        self.slots_built = 0
         self.peak_hydrated = 0
 
         # Churn can disconnect a client that is not hydrated (no actor to
@@ -179,12 +159,11 @@ class VirtualClientPool:
 
     def client(self, client_id: int) -> Optional[FLClient]:
         """The hydrated actor for a client, or ``None`` if dehydrated."""
-        slot = self._active.get(client_id)
-        return slot.client if slot is not None else None
+        return self._active.get(client_id)
 
     def hydrated_clients(self) -> List[FLClient]:
         """The currently hydrated actors (for handle/test introspection)."""
-        return [slot.client for slot in self._active.values() if slot.client is not None]
+        return list(self._active.values())
 
     def describe(self) -> Dict[str, int]:
         """Pool diagnostics for logs and benchmarks."""
@@ -195,7 +174,6 @@ class VirtualClientPool:
             "peak_hydrated": self.peak_hydrated,
             "hydrations": self.hydrations,
             "evictions": self.evictions,
-            "slots_built": self.slots_built,
         }
 
     def close(self) -> None:
@@ -205,8 +183,7 @@ class VirtualClientPool:
         """
         self.descriptors.clear()
         self._active.clear()
-        self._free.clear()
-        self.dataset = self.plan = self.model_factory = None
+        self.dataset = self.plan = None
 
     # -------------------------------------------------------------- hydration
     def ensure_active(self, client_ids: Iterable[int]) -> None:
@@ -224,18 +201,21 @@ class VirtualClientPool:
 
     def hydrate(self, client_id: int) -> FLClient:
         """Return the client's actor, materialising it if dehydrated."""
-        slot = self._active.get(client_id)
-        if slot is not None:
+        client = self._active.get(client_id)
+        if client is not None:
             self._active.move_to_end(client_id)
-            return slot.client  # type: ignore[return-value]
+            return client
 
+        # A full arena evicts its least recently used idle client; with
+        # every hydrated client pinned or mid-flight it grows past the
+        # nominal bound rather than deadlock (peak_hydrated records it).
+        if len(self._active) >= self.slots:
+            self._evict_lru()
         descriptor = self.descriptors[client_id]
-        slot = self._acquire_slot()
         partition = self.plan.partition(client_id)
         client = FLClient(
             client_id=client_id,
             cluster=self.cluster,
-            model=slot.model,
             x_train=self.dataset.x_train[partition.indices],
             y_train=self.dataset.y_train[partition.indices],
             config=self.config,
@@ -247,27 +227,11 @@ class VirtualClientPool:
         if descriptor.pending_disconnects:
             client.times_disconnected += descriptor.pending_disconnects
             descriptor.pending_disconnects = 0
-        slot.client = client
-        self._active[client_id] = slot
+        self._active[client_id] = client
         descriptor.hydrations += 1
         self.hydrations += 1
         self.peak_hydrated = max(self.peak_hydrated, len(self._active))
         return client
-
-    def _acquire_slot(self) -> _Slot:
-        if self._free:
-            return self._free.pop()
-        if len(self._active) < self.slots:
-            return self._build_slot()
-        if self._evict_lru():
-            return self._free.pop()
-        # Every hydrated client is pinned or mid-flight: grow past the
-        # nominal bound rather than deadlock (peak_hydrated records it).
-        return self._build_slot()
-
-    def _build_slot(self) -> _Slot:
-        self.slots_built += 1
-        return _Slot(self.model_factory())
 
     # --------------------------------------------------------------- eviction
     def _evictable(self, client_id: int, client: FLClient) -> bool:
@@ -287,13 +251,11 @@ class VirtualClientPool:
             and self.cluster.transport.pending_involving(client_id) == 0
         )
 
-    def _evict_lru(self) -> bool:
-        for client_id in list(self._active):  # LRU order: oldest first
-            slot = self._active[client_id]
-            if slot.client is not None and self._evictable(client_id, slot.client):
+    def _evict_lru(self) -> None:
+        for client_id, client in self._active.items():  # LRU order: oldest first
+            if self._evictable(client_id, client):
                 self.dehydrate(client_id)
-                return True
-        return False
+                return
 
     # ------------------------------------------------------ checkpoint seams
     def capture_state(self) -> Optional[dict]:
@@ -307,10 +269,8 @@ class VirtualClientPool:
         mid-offload-training) makes the whole pool refuse.
         """
         hydrated = []
-        for client_id, slot in self._active.items():
-            if slot.client is None:  # pragma: no cover - defensive
-                return None
-            state = slot.client.capture_execution_state()
+        for client_id, client in self._active.items():
+            state = client.capture_execution_state()
             if state is None:
                 return None
             hydrated.append((client_id, state))
@@ -328,7 +288,6 @@ class VirtualClientPool:
             "pinned": sorted(self._pinned),
             "hydrations": self.hydrations,
             "evictions": self.evictions,
-            "slots_built": self.slots_built,
             "peak_hydrated": self.peak_hydrated,
         }
 
@@ -354,22 +313,16 @@ class VirtualClientPool:
             self.descriptors[client_id].hydrations = entry["hydrations"]
         self.hydrations = state["hydrations"]
         self.evictions = state["evictions"]
-        self.slots_built = state["slots_built"]
         self.peak_hydrated = state["peak_hydrated"]
 
     def dehydrate(self, client_id: int) -> None:
         """Evict a client: persist its loader position, free its shard.
 
         The client's network handler and cluster actor registration are
-        removed, so nothing can reach the retired instance; the slot (with
-        its model buffers) joins the free list for recycling.
+        removed, so nothing can reach the retired instance.
         """
-        slot = self._active.pop(client_id)
-        client = slot.client
-        if client is not None:
-            self.descriptors[client_id].saved_state = client.dehydrate()
-            self.cluster.transport.unregister(client_id)
-            self.cluster.detach_actor(client_id)
-            slot.client = None
+        client = self._active.pop(client_id)
+        self.descriptors[client_id].saved_state = client.dehydrate()
+        self.cluster.transport.unregister(client_id)
+        self.cluster.detach_actor(client_id)
         self.evictions += 1
-        self._free.append(slot)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.dtype import using_dtype
 from repro.nn.layers import MaxPool2D
 from repro.nn.model import SplitCNN, phase_flops
+from repro.fl.training import LocalTrainer, TrainingJob, run_jobs, train
 from repro.nn.optim import SGD, ProximalSGD
 from repro.simulation.shard import ShardedClientExecutor
 
@@ -295,21 +295,22 @@ def test_golden_smoke_reproduces_with_batching_forced_on(algorithm):
     assert stats["shard_jobs"] > 0 and stats["fallbacks"] == 0
 
 
-# Now pins: shards unset == shards=2, and a client that draws every batch
-# adopts its worker's result (nothing is replayed).
+# Now pins: shards unset == shards=2, and every round's jobs go to the
+# workers once each, at aggregation (nothing runs twice).
 def test_batched_rounds_are_bitwise_identical_with_live_cohorts():
     kwargs = dict(train_size=384)
     result, stats = _assert_bitwise_equal_runs(
         _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs),
         _smoke_config("fedavg", "iid", "stable", **kwargs),
     )
-    assert stats["shard_jobs"] > 0 and stats["fallbacks"] == 0
-    assert stats["fast_materializations"] == stats["shard_jobs"]
-    assert stats["replays"] == 0
+    assert stats["fallbacks"] == 0
+    assert stats["shard_jobs"] == sum(len(record.completed_clients) for record in result.rounds)
 
 
-# Now pins: a client that freezes for an offload before its last batch
-# replays its batches in the parent, with exactly the single-process state.
+# Now pins: a client that freezes for an offload before its last batch is
+# one job like any other, run on its worker with the freeze inside it, and
+# the strong client's training of the offloaded model is a second job on
+# the strong client's worker: one job per result read, none in the parent.
 def test_offloading_clients_leave_their_lane_bitwise():
     kwargs = dict(
         seed=13,
@@ -321,7 +322,8 @@ def test_offloading_clients_leave_their_lane_bitwise():
         _smoke_config("aergia", "iid", "stable", **kwargs),
     )
     assert result.summary()["total_offloads"] > 0
-    assert stats["replays"] > 0, "the straggler's divergence must replay in the parent"
+    reads = sum(len(record.completed_clients) + record.num_offloads for record in result.rounds)
+    assert stats["shard_jobs"] == reads and stats["fallbacks"] == 0
 
 
 # Now pins: disconnects mid-training (abandoned remote trainings) leave the
@@ -354,15 +356,17 @@ def test_virtual_pool_runs_bitwise_identical_with_batching():
     assert stats["shard_jobs"] > 0
 
 
+# Now pins: the one model every job trains on is built with the
+# experiment, at its dtype, and a client hydrated later under another
+# ambient default still holds its data at the config's dtype — clients
+# would otherwise silently train at a precision other than the config's.
 def test_virtual_pool_hydrates_models_at_config_dtype():
-    """Slot models are built lazily at hydration time; the factory must pin
-    the experiment's dtype even when the ambient default differs, or
-    clients would silently train at a precision other than the config's."""
     config = _smoke_config("fedavg", "iid", "stable", train_size=384)
     handle = build_experiment(config)
     with using_dtype("float64"):
         actor = handle.pool.hydrate(0)
-    assert actor.model.dtype == np.dtype("float32")
+    assert handle.cluster.trainer.model.dtype == np.dtype("float32")
+    assert actor.trainer is handle.cluster.trainer
     assert actor.loader.x.dtype == np.dtype("float32")
 
 
@@ -401,10 +405,11 @@ def test_sigkill_crash_resumes_bitwise_identical_across_engines(tmp_path):
 # What goes to a worker, what stays in the parent, and the retired knob
 # ---------------------------------------------------------------------------
 class _RecordingPool:
-    """Stands in for the worker pool: records the traffic, spawns nothing."""
+    """Stands in for the worker pool: records the traffic, spawns nothing,
+    and answers ``collect`` with the worker's own code run here."""
 
     def __init__(self):
-        self.submitted, self.cancelled = [], []
+        self.submitted = []
 
     def new_job_id(self):
         return len(self.submitted) + 1
@@ -412,82 +417,91 @@ class _RecordingPool:
     def submit(self, shard, job_id, payload):
         self.submitted.append((shard, job_id, payload))
 
-    def cancel(self, shard, job_id):
-        self.cancelled.append((shard, job_id))
+    def collect(self, shard, job_id):
+        payload = self.submitted[job_id - 1][2]
+        with using_dtype(payload["dtype"]):
+            template = build_model(payload["architecture"], rng=np.random.default_rng(5))
+        return train(template, payload)
+
+
+def _model():
+    with using_dtype("float32"):
+        return build_model("mnist-cnn", rng=np.random.default_rng(0))
 
 
 def _executor_without_workers(num_clients=4):
-    executor = ShardedClientExecutor(num_shards=2, num_clients=num_clients, architecture="mnist-cnn")
+    executor = ShardedClientExecutor(
+        num_shards=2, num_clients=num_clients, architecture="mnist-cnn", model=_model()
+    )
     executor._pool = _RecordingPool()
     return executor
 
 
-def _fake_client(client_id, n_samples, batch_size=16, optimizer=None):
-    with using_dtype("float32"):
-        model = build_model("mnist-cnn", rng=np.random.default_rng(0))
+def _job(trainer, client_id, n_samples, batches, batch_size=16, optimizer=None):
+    """A client's round as the event loop records it: ``batches`` drawn."""
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((n_samples, 1, 28, 28)).astype(model.dtype)
+    x = rng.standard_normal((n_samples, 1, 28, 28)).astype(np.float32)
     y = rng.integers(0, 10, size=n_samples)
-    loader = BatchLoader(x, y, batch_size=batch_size, shuffle=False)
-    return SimpleNamespace(
-        client_id=client_id,
-        model=model,
-        loader=loader,
-        optimizer=optimizer or SGD(lr=0.05, momentum=0.9),
+    optimizer = optimizer or SGD(lr=0.05, momentum=0.9)
+    state = optimizer.capture_state()
+    job = TrainingJob(
+        trainer, client_id, x, y, trainer.sections(_model().get_weights()), optimizer, state
     )
+    if isinstance(optimizer, ProximalSGD):
+        state["anchor"] = job.weights
+    loader = BatchLoader(x, y, batch_size=batch_size, shuffle=False)
+    return job, [job.draw(loader) for _ in range(batches)]
 
 
-# Now pins what ``submit`` sends to a worker: everything the parent could
-# train itself, ragged epoch tails included, with the optimizer's
-# hyper-parameters in the job — and what it keeps (``None``: the client
-# trains in the parent).
+# Now pins what a read sends to the workers: every job it needs in one go,
+# each to the shard owning its client — ragged epoch tails included, and
+# with its optimizer's hyper-parameters in the payload — and that a worker
+# computes what the parent would.
 def test_planner_rejects_ragged_and_mismatched_clients():
     executor = _executor_without_workers()
     pool = executor.pool
-    assert executor.submit(_fake_client(0, 96), 2) is not None
+    jobs = [
+        _job(executor, 0, 96, 2)[0],
+        _job(executor, 1, 100, 8)[0],
+        _job(executor, 3, 96, 2, optimizer=ProximalSGD(lr=0.01, mu=0.5))[0],
+    ]
     # A ragged epoch (100 samples, batch 16) is a sequence of batch shapes
-    # like any other: the handle knows each batch's shape before it ran.
-    ragged = executor.submit(_fake_client(1, 100), 8)
-    assert [ragged.batch_shape(i)[0] for i in range(8)] == [16] * 6 + [4, 16]
-    # Unknown optimizer families cannot be rebuilt in a worker.
-    class OddOptimizer(SGD):
-        pass
-
-    assert executor.submit(_fake_client(2, 96, optimizer=OddOptimizer(lr=0.05)), 2) is None
-    # Hyper-parameters travel with the job.
-    executor.submit(_fake_client(3, 96, optimizer=ProximalSGD(lr=0.01, mu=0.5)), 2)
-    assert [job["optimizer"][:2] for _, _, job in pool.submitted] == [
-        ("sgd", 0.05), ("sgd", 0.05), ("prox", 0.01),
-    ]  # fmt: skip
+    # like any other: known before anything ran.
+    assert [len(idx) for idx in jobs[1].indices] == [16] * 6 + [4, 16]
+    run_jobs(jobs)
     # Clients 0-1 live on shard 0, clients 2-3 on shard 1.
     assert [shard for shard, _, _ in pool.submitted] == [0, 0, 1]
-    assert executor.stats["shard_jobs"] == 3 and executor.stats["fallbacks"] == 1
+    assert [
+        (type(payload["optimizer"]).__name__, payload["optimizer"].lr)
+        for _, _, payload in pool.submitted
+    ] == [("SGD", 0.05), ("SGD", 0.05), ("ProximalSGD", 0.01)]
+    assert executor.stats["shard_jobs"] == 3 and executor.stats["fallbacks"] == 0
+    local = LocalTrainer(_model())
+    for job, (client_id, n, batches, optimizer) in zip(
+        jobs,
+        [(0, 96, 2, None), (1, 100, 8, None), (3, 96, 2, ProximalSGD(lr=0.01, mu=0.5))],
+    ):
+        twin = _job(local, client_id, n, batches, optimizer=optimizer)[0]
+        run_jobs([twin])
+        assert twin.losses == job.losses
+        assert np.array_equal(twin.flat_weights(), job.flat_weights())
 
 
-# Now pins: a round of one client goes to its worker like any other (the
-# planner kept "cohorts of one" in the parent); only a client with nothing
-# to train stays; and a training that is superseded cancels its own job,
-# nobody else's.
+# Now pins: a read of one job sends that job alone — a round of one client
+# goes to its worker like any other; a job with nothing drawn sends
+# nothing; and a job nobody reads (its round superseded or voided) is never
+# sent at all.
 def test_planner_falls_back_for_singletons_and_late_activations():
     executor = _executor_without_workers()
     pool = executor.pool
-    a, b = _fake_client(0, 96), _fake_client(1, 48, batch_size=8)
-    first, other = executor.submit(a, 2), executor.submit(b, 2)
-    assert first is not None and other is not None
-    assert executor.submit(_fake_client(2, 96), 0) is None
-    assert executor.submit(_fake_client(3, 0), 2) is None
-    assert executor.stats["fallbacks"] == 2
-
-    # A new TRAIN_REQUEST reaches client 0 with its first batch in flight:
-    # the loader advances by the one draw the parent would have made, and
-    # only that client's job is cancelled.
-    cursor = a.loader.state()["cursor"]
-    first.abandon(a, 1)
-    assert a.loader.state()["cursor"] == cursor + a.loader.batch_size
-    assert pool.cancelled == [(0, 1)]
-    assert executor.stats["abandons"] == 1 and executor.stats["remote_cancels"] == 1
-    assert executor.submit(a, 2) is not None
-    assert [job_id for _, job_id, _ in pool.submitted] == [1, 2, 3]
+    first, _ = _job(executor, 0, 96, 2)
+    idle, _ = _job(executor, 2, 96, 0)
+    _job(executor, 1, 48, 2, batch_size=8)  # superseded before anybody read it
+    run_jobs([first])
+    assert [(shard, job_id) for shard, job_id, _ in pool.submitted] == [(0, 1)]
+    run_jobs([idle, first])  # nothing drawn since: nothing to send
+    assert len(pool.submitted) == 1 and len(first.losses) == 2
+    assert executor.stats == {"shard_jobs": 1, "fallbacks": 0, "worker_restarts": 0}
 
 
 # Now pins the retirement of the knob: stored manifests and wire

@@ -47,7 +47,8 @@ from repro.nn.loss import softmax
 from repro.nn.model import SplitCNN
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.reference import reference_mnist_cnn
-from repro.simulation.shard import RemoteTraining, ShardedClientExecutor, _train_solo
+from repro.fl.training import TrainingJob, run_jobs, train
+from repro.simulation.shard import ShardedClientExecutor
 
 DTYPES = ("float32", "float64")
 #: The 28x28 networks run at both dtypes in every session.  The CIFAR
@@ -526,8 +527,9 @@ def _lane_actor(client_id, n_samples=32):
 class _InProcessWorker:
     """A shard pool of no processes: ``collect`` runs the worker's own code here."""
 
-    def __init__(self):
+    def __init__(self, template=None):
         self.jobs = {}
+        self.template = template
 
     def new_job_id(self):
         return len(self.jobs) + 1
@@ -536,33 +538,48 @@ class _InProcessWorker:
         self.jobs[job_id] = payload
 
     def collect(self, shard, job_id):
-        with using_dtype("float32"):
-            template = build_model("mnist-cnn", rng=np.random.default_rng(99))
-        return _train_solo(template, self.jobs[job_id])
+        template = self.template
+        if template is None:
+            with using_dtype("float32"):
+                template = build_model("mnist-cnn", rng=np.random.default_rng(99))
+        return train(template, self.jobs[job_id])
 
 
-# Now pins: shard worker's result -> the client's own buffers -> kernels,
-# all one memory (the "lane" of the id was a lockstep cohort's).
+# Now pins: a job the shard plane runs (through a pool of no processes) is
+# the layer loop's step, and a model whose kernel sets exist before the
+# job's weights land — the one every job of a run trains on — takes the
+# oracle's next step from them: result -> model buffers -> kernels, all one
+# memory.
 def test_a_materialized_lane_is_what_the_next_train_batch_sees():
     global_model = _donor_weights(seed=77)
     actor = _lane_actor(0)
     x, y = actor.loader.x, actor.loader.y
-    # The client's kernel sets exist (and have run) before the result lands.
+    # The model's kernel sets exist (and have run) before the result lands.
     actor.model.train_batch(x[:16], y[:16], None)
-    actor.model.set_weights(global_model.get_weights())  # the TRAIN_REQUEST
 
-    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn")
+    executor = ShardedClientExecutor(
+        num_shards=2, num_clients=2, architecture="mnist-cnn", model=actor.model
+    )
     executor._pool = _InProcessWorker()
-    remote = executor.submit(actor, 1)
-    assert remote.batch_shape(0) == (16, 1, 28, 28)
-    remote_loss = remote.loss(0)
-    assert remote.materialize(actor, drawn=1) == remote_loss
-    assert executor.stats["fast_materializations"] == 1
+    job = TrainingJob(
+        executor,
+        0,
+        x,
+        y,
+        executor.sections(global_model.get_weights()),
+        actor.optimizer,
+        actor.optimizer.capture_state(),
+    )
+    assert job.draw(actor.loader) == (16, 1, 28, 28)
+    run_jobs([job])
+    assert executor.stats["shard_jobs"] == 1 and len(executor._pool.jobs) == 1
 
     oracle = _donor_weights(seed=77)
     oracle_opt = SGD(lr=0.01, momentum=0.9)
     ref_loss, _ = oracle.train_batch_layerwise(x[:16], y[:16], oracle_opt)
-    assert remote_loss == ref_loss
+    assert job.losses == [ref_loss]
+    actor.model.set_flat_weights(job.flat_weights())
+    actor.optimizer.restore_state(job.optimizer_state)
     _assert_same_step(
         actor.model, oracle, x[16:], y[16:], actor.optimizer, oracle_opt, "after adopting"
     )
@@ -618,19 +635,28 @@ def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
         kernels.train_step(x.astype(np.float64), y)
     with pytest.raises(TypeError, match="pre-cast to float32"):
         kernels.infer(x.astype(np.float64))
-    # ... and its training never goes to a shard worker (which would build
-    # the stock architecture and charge the stock layers' analytic cost):
-    # it stays in the parent, on the layer loop, like with `shards` unset.
-    executor = ShardedClientExecutor(num_shards=2, num_clients=2, architecture="mnist-cnn")
-    executor._pool = _InProcessWorker()
+    # ... and its jobs never go to a shard worker (which would build the
+    # stock architecture): they run in the parent, on the layer loop, like
+    # with `shards` unset — the same bytes as the model's own train_batch.
+    def run_one(model):
+        executor = ShardedClientExecutor(
+            num_shards=2, num_clients=2, architecture="mnist-cnn", model=model
+        )
+        executor._pool = _InProcessWorker(template=_tiny_cnn(Conv2D))
+        job = TrainingJob(
+            executor, 0, x, y, executor.sections(model.get_weights()), SGD(lr=0.1), {"velocity": {}}
+        )
+        job.draw(BatchLoader(x, y, batch_size=4, shuffle=False))
+        oracle = copy.deepcopy(model)
+        run_jobs([job])
+        assert job.losses == [oracle.train_batch(x, y, SGD(lr=0.1))[0]]
+        assert np.array_equal(job.flat_weights(), oracle.get_flat_weights())
+        return executor
 
-    def client_with(model):
-        loader = BatchLoader(x, y, batch_size=4, shuffle=False)
-        return SimpleNamespace(client_id=0, model=model, loader=loader, optimizer=SGD(lr=0.1))
-
-    assert executor.submit(client_with(scaled), 1) is None
-    assert isinstance(executor.submit(client_with(plain), 1), RemoteTraining)
-    assert executor.stats["fallbacks"] == 1 and executor.stats["shard_jobs"] == 1
+    fallback, sent = run_one(scaled), run_one(plain)
+    assert fallback.stats == {"shard_jobs": 0, "fallbacks": 1, "worker_restarts": 0}
+    assert fallback._pool.jobs == {}
+    assert sent.stats == {"shard_jobs": 1, "fallbacks": 0, "worker_restarts": 0}
 
 
 def test_the_seed_reference_engine_takes_the_layer_loop():

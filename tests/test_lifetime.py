@@ -69,7 +69,11 @@ def _watch(experiment):
     client = experiment.pool.hydrated_clients()[0]
     return {
         "dataset images": weakref.ref(experiment.pool.dataset.x_train),
-        "client model vector": weakref.ref(client.model.flat_parameters("features")),
+        # Clients own no model: every job of the run trains on this one.
+        "training model vector": weakref.ref(
+            experiment.cluster.trainer.model.flat_parameters("features")
+        ),
+        "client data shard": weakref.ref(client.loader.x),
         "pool": weakref.ref(experiment.pool),
     }
 

@@ -9,7 +9,7 @@ from ``run_key`` exactly like ``pool_slots``.
 
 Also pinned here: deterministic contiguous shard ownership
 (:class:`ShardPlan`), a round's per-client jobs all submitted before the
-first is collected, per-job cancellation on churn, worker-death respawn
+first is collected, a churned client's job never sent, worker-death respawn
 with identical results, a worker's error reply reaching ``collect``,
 SIGKILL crash/resume byte-identity on the sharded path, the retired
 ``shard_aggregate`` key, and bounded executor lifecycle (pool release).
@@ -132,8 +132,9 @@ def test_sharded_run_is_bitwise_identical_to_single_process(algorithm, scenario)
     )
 
 
-# Now pins: each client's round is one job on the worker that owns it, and
-# a client that draws every batch adopts the worker's result.
+# Now pins: each client's round is one job on the worker that owns it,
+# sent when the round aggregates — one job per result read, nothing in the
+# parent.
 def test_sharded_cohorts_really_run_on_workers():
     kwargs = dict(train_size=384)
     _, stats, handle = _assert_bitwise_equal_runs(
@@ -143,7 +144,7 @@ def test_sharded_cohorts_really_run_on_workers():
     assert isinstance(handle.cluster.shard_executor, ShardedClientExecutor)
     config = handle.config
     assert stats["shard_jobs"] == config.rounds * config.effective_clients_per_round
-    assert stats["fast_materializations"] == stats["shard_jobs"]
+    assert stats["fallbacks"] == 0
 
 
 def test_ragged_shard_counts_stay_bitwise():
@@ -166,9 +167,9 @@ def test_more_shards_than_clients_per_round_is_fine():
 
 
 def test_a_rounds_jobs_are_all_submitted_before_the_first_is_collected():
-    """A client's job goes out when its TRAIN_REQUEST arrives, and nothing
-    is collected before a batch completion asks for a loss: the whole round
-    is on the pipes — both workers busy — before the parent waits for
+    """A round's jobs go out together where they are first read — at
+    aggregation — and only then is anything collected: the whole round is
+    on the pipes — both workers busy — before the parent waits for
     anybody.  (The cohort dispatched a job per shard at its first wave and
     collected it at once: one worker ran while the parent waited.)"""
     config = _smoke_config("fedavg", "iid", "stable", shards=2, train_size=384)
@@ -195,13 +196,12 @@ def test_a_rounds_jobs_are_all_submitted_before_the_first_is_collected():
 # ---------------------------------------------------------------------------
 # Churn: events targeting clients owned by a remote shard
 # ---------------------------------------------------------------------------
-# Now pins: every abandon of an uncollected job is forgotten in the parent
-# (``remote_cancels > 0`` at seed 3), nothing stays outstanding, and the run
-# equals the single-process one.
+# Now pins: a client that disconnects mid-round has its job dropped
+# unread — there is nothing to cancel: every job sent is a result the round
+# aggregated (one per completed client), nothing stays outstanding, and the
+# run equals the single-process one.
 def test_churn_cancels_reach_the_owning_shard():
-    # Seed 3: one of this churn trace's three mid-round disconnects lands
-    # before its client's first loss was read, i.e. with the job uncollected
-    # (which of them do is decided in sim-time, not by the workers' speed).
+    # Seed 3: this churn trace has three mid-round disconnects.
     kwargs = dict(train_size=384, rounds=4, seed=3)
     config_sharded = _smoke_config("fedavg", "iid", "churn", shards=2, **kwargs)
     config_off = _smoke_config("fedavg", "iid", "churn", **kwargs)
@@ -218,22 +218,20 @@ def test_churn_cancels_reach_the_owning_shard():
     finally:
         executor.close()
     result_off, _, _ = _run_with_stats(config_off)
-    assert _round_dicts(handle.federator.result) == _round_dicts(result_off)
+    result = handle.federator.result
+    assert _round_dicts(result) == _round_dicts(result_off)
 
-    # Mid-round disconnects abandoned trainings whose job was on a worker:
-    # every job ended exactly one way — adopted or abandoned — none leaked,
-    # and an abandon with the job still uncollected forgot it.
-    assert stats["abandons"] > 0
-    assert stats["shard_jobs"] == stats["fast_materializations"] + stats["abandons"]
-    assert 0 < stats["remote_cancels"] <= stats["abandons"]
-    assert not leaked, "a job was neither collected nor cancelled"
+    assert sum(len(record.dropped_clients) for record in result.rounds) > 0
+    assert stats["shard_jobs"] == sum(len(record.completed_clients) for record in result.rounds)
+    assert not leaked, "a job was sent and never collected"
 
 
+# Now pins: a client that goes offline mid-round with its job unread is
+# left out of the round's read and nobody else is: the round's remaining
+# jobs go to their workers as if nothing had happened, the victim's is
+# never sent, and the run matches the single-process one driven through
+# the same disconnect.
 def test_a_disconnect_cancels_only_that_clients_job():
-    """A client that goes offline with its job still uncollected cancels
-    that job and no other: the round's remaining jobs are collected as if
-    nothing had happened, and the run matches the single-process one
-    driven through the same disconnect."""
     victim = 1
 
     def everyone_is_training(handle):
@@ -243,48 +241,37 @@ def test_a_disconnect_cancels_only_that_clients_job():
     def drive(config):
         handle = build_experiment(config)
         executor = handle.cluster.shard_executor
-        cancelled, survivors = [], None
+        reads, stats = [], None
         try:
             if executor is not None:
-                pool = executor.pool
-                pool_cancel = pool.cancel
-                pool.cancel = lambda shard, job_id: (
-                    cancelled.append((shard, job_id)),
-                    pool_cancel(shard, job_id),
+                executor_run = executor.run
+                executor.run = lambda jobs: (
+                    reads.append([job.client_id for job in jobs]),
+                    executor_run(jobs),
                 )
             handle.federator.start()
-            # Up to the arrival of every TRAIN_REQUEST: all jobs submitted,
-            # no batch completed, nothing collected.
+            # Up to the arrival of every TRAIN_REQUEST: every client has
+            # drawn its first batch, nothing has been read.
             while not everyone_is_training(handle):
                 assert handle.cluster.env.step()
-            if executor is not None:
-                before = dict(pool._outstanding)
+            assert reads == []
             handle.cluster.set_client_offline(victim)
-            if executor is not None:
-                survivors = (before, dict(pool._outstanding))
             handle.cluster.set_client_online(victim)
             handle.cluster.run()
             stats = dict(executor.stats) if executor is not None else None
         finally:
             if executor is not None:
                 executor.close()
-        return handle.federator.result, stats, cancelled, survivors
+        return handle.federator.result, stats, reads
 
     kwargs = dict(train_size=384)
-    sharded, stats, cancelled, (before, after) = drive(
-        _smoke_config("fedavg", "iid", "stable", shards=2, **kwargs)
-    )
+    sharded, stats, reads = drive(_smoke_config("fedavg", "iid", "stable", shards=2, **kwargs))
     flat = drive(_smoke_config("fedavg", "iid", "stable", **kwargs))[0]
     assert _round_dicts(sharded) == _round_dicts(flat)
-    owner = ShardPlan(4, 2).shard_of(victim)
-    assert len(before) == 4 and len(cancelled) == 1
-    assert cancelled[0][0] == owner
-    assert set(before) - set(after) == set(cancelled)
-    assert stats["remote_cancels"] == 1 and stats["abandons"] == 1
-    # The cancelled job's reply, whenever it came, answered nobody: every
-    # other job of the run was adopted.
-    assert stats["shard_jobs"] == 2 * 4
-    assert stats["fast_materializations"] == stats["shard_jobs"] - 1
+    assert sharded.rounds[0].dropped_clients == [victim]
+    # One read per round; the victim's first round is in none of them.
+    assert reads == [[0, 2, 3], [0, 1, 2, 3]]
+    assert stats["shard_jobs"] == 2 * 4 - 1
 
 
 # ---------------------------------------------------------------------------

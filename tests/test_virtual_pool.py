@@ -135,16 +135,21 @@ class TestPoolMechanics:
         pool.hydrate(3)  # arena full: evicts client 1 (least recently used)
         assert pool.hydrated_ids() == [2, 0, 3]
         assert pool.client(1) is None
-        assert pool.evictions == 1 and pool.slots_built == 3
+        assert pool.evictions == 1 and pool.peak_hydrated == 3
 
+    # Now pins: an arena entry holds a client and its data shard, never a
+    # model — every job of the run trains on the trainer's one model, so
+    # eviction has no model buffers to recycle.
     def test_eviction_recycles_model_buffers(self):
-        _, pool = self._pool(slots=2)
+        handle, pool = self._pool(slots=2)
         a = pool.hydrate(0)
         pool.hydrate(1)
-        model = a.model
-        pool.hydrate(2)  # evicts 0, recycling its slot
-        assert pool.client(2).model is model
-        assert pool.slots_built == 2  # no new model was built
+        pool.hydrate(2)  # evicts 0
+        assert pool.hydrated_ids() == [1, 2] and pool.peak_hydrated == 2
+        for client in (a, pool.client(2)):
+            assert not hasattr(client, "model")
+            assert client.trainer is handle.cluster.trainer
+        assert "slots_built" not in pool.describe()
 
     def test_pinned_clients_are_never_evicted(self):
         _, pool = self._pool(slots=2)
