@@ -5,11 +5,13 @@ Three legs, each compared with the single-process run of its config:
 
 * a city churn cohort (FedAvg);
 * the paper's algorithm under churn, with its mid-round offload freezes;
-* Aergia under ``partition-storm`` at ``shards=2``, checkpointed every
-  round, stopped after its first round and resumed.  Its rounds finalize
-  on a quorum, so a straggler is still training at the checkpoint: a
-  checkpoint runs every training job it holds, a round still in progress
-  up to its last batch drawn.
+* Aergia under ``partition-storm`` at ``shards=2``, seed 7, checkpointed
+  every round, asked to drain after its first round and resumed.  Its
+  rounds finalize on a quorum, so at the boundary after round 2, where the
+  drain stops, a strong client is still training the offloaded model of a
+  weak client that missed the quorum: a checkpoint runs every training job
+  it holds — own or offloaded, a round still in progress up to its last
+  batch drawn — and captures the client's round whole.
 
 Run from the repository root (spawned workers re-import this file, hence
 the ``__main__`` guard)::
@@ -61,7 +63,7 @@ def _leg(root: Path, algorithm: str, scale: str, scenario: str, seed: int, resum
         assert handle.stopped, "the sharded run did not stop at its checkpoint"
         resumed = run(sharded, store=shard_store, resume=True)
         resumed.result()
-        assert resumed.resumed_from_round is not None, "the sharded run did not resume"
+        assert resumed.resumed_from_round == 2, "the drain did not stop at the next boundary"
     else:
         run(sharded, store=shard_store).result()
     solo_bytes, shard_bytes = _rounds_bytes(solo_store, key), _rounds_bytes(shard_store, key)
@@ -74,7 +76,7 @@ def main() -> int:
     for leg in (
         ("fedavg", "city", "churn", 7, False),
         ("aergia", "smoke", "churn", 13, False),
-        ("aergia", "smoke", "partition-storm", 1, True),
+        ("aergia", "smoke", "partition-storm", 7, True),
     ):
         root = Path(tempfile.mkdtemp(prefix="repro-smoke-shard-"))
         try:

@@ -152,12 +152,14 @@ class RunHandle:
     def request_stop(self, mode: str = "checkpoint") -> None:
         """Ask the running stream to stop at the next safe point.
 
-        ``mode="checkpoint"`` (graceful drain): keep pumping until the next
-        checkpoint opportunity succeeds, persist the snapshot, mark the
-        stored run incomplete and end the stream — a later ``resume=True``
-        run of the same config continues bitwise-identically.  Requires a
-        store and ``config.checkpoint_interval``; without them it degrades
-        to ``mode="abort"``.
+        ``mode="checkpoint"`` (graceful drain): keep pumping to the next
+        capture point, write the checkpoint there (a capture never refuses),
+        mark the stored run incomplete and end the stream — a later
+        ``resume=True`` run of the same config continues
+        bitwise-identically.  A drain requested after the run's last capture
+        point lets the run complete.  Requires a store and
+        ``config.checkpoint_interval``; without them it degrades to
+        ``mode="abort"``.
 
         ``mode="abort"`` (cancel): stop at the next event boundary, mark
         the stored run incomplete and delete any mid-run checkpoint, so
@@ -244,9 +246,9 @@ class RunHandle:
                 self._drain_injections()
                 mode = self._stop_mode
                 if mode == "checkpoint" and checkpointer is not None:
-                    # Graceful drain: force a checkpoint and keep pumping
-                    # until one lands (capture refuses mid-round), then end
-                    # the stream; the finally clause marks the stored run
+                    # Graceful drain: force a checkpoint, keep pumping to
+                    # the next capture point, which writes it, then end the
+                    # stream; the finally clause marks the stored run
                     # incomplete, leaving it resumable.
                     if checkpoints_before_stop is None:
                         checkpoints_before_stop = checkpointer.written

@@ -252,7 +252,7 @@ class AsyncFederatorBase(BaseFederator):
             self._dispatch(idle_id)
 
     # ------------------------------------------------------ checkpoint seams
-    def _capture_extra_state(self) -> Optional[dict]:
+    def _capture_extra_state(self) -> dict:
         return {
             "global_flat": self.global_flat.copy(),
             "model_version": self.model_version,

@@ -102,7 +102,7 @@ class TiFLFederator(BaseFederator):
         return tier
 
     # ------------------------------------------------------ checkpoint seams
-    def _capture_extra_state(self) -> Optional[dict]:
+    def _capture_extra_state(self) -> dict:
         # Tiers and setup time are recomputed deterministically by the
         # constructor; only the credit ledger mutates across rounds.
         return {"tier_credits": list(self._tier_credits)}

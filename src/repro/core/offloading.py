@@ -82,9 +82,6 @@ class OffloadPlan:
                 return assignment
         return None
 
-    def offloading_clients(self) -> List[int]:
-        return [assignment.weak_client for assignment in self.assignments]
-
     def receiving_clients(self) -> List[int]:
         return [assignment.strong_client for assignment in self.assignments]
 

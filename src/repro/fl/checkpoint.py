@@ -14,7 +14,8 @@ discrete-event simulation deterministic:
   a round still in progress up to its last batch drawn,
 * the cluster's mutable environment (offline set, speed fractions, link
   overrides, clock skews) and the scenario driver's declarative pending
-  events plus its rng stream,
+  events plus its rng stream — and, when the capture point lies inside a
+  scenario event, what that event has left to do,
 * every message in flight on the network, with its original delivery
   ``(time, sequence)``,
 * the reliable transport's channel state (un-ACKed sends with their
@@ -33,15 +34,17 @@ Capture points differ per engine:
 
 * The synchronous engine offers the boundary *between* rounds (no round
   state, no timers, no training requests in flight yet); a resumed run
-  re-enters ``_start_round`` (``bootstrap_round``).
+  re-enters ``_start_round`` (``bootstrap_round``).  A client going offline
+  — scenario churn, a check-in — can end a round, so the boundary can lie
+  inside a scenario event: its rest is captured declaratively and runs
+  right after the round start, as it did in the uninterrupted run.
 * The asynchronous engines offer the end of every update application; the
   captured in-flight task set then re-drives the dispatch loop on its own.
 
-A capture *refuses* (returns ``None``) whenever some component holds state
-the snapshot cannot represent — a client mid-offload-training, a round in
-flight, or any unaccounted event on the queue.  The
-:class:`RunCheckpointer` simply retries at the next opportunity, so a
-refused boundary costs nothing but checkpoint freshness.
+A capture never refuses: every client state — a strong client still
+training an offloaded model included — is one the snapshot holds, so a
+due checkpoint is written at the next capture point.  An event on the
+queue the snapshot cannot re-create is a capture bug and raises.
 """
 
 from __future__ import annotations
@@ -65,34 +68,30 @@ CHECKPOINT_FORMAT = 4
 
 
 # --------------------------------------------------------------------- capture
-def capture_snapshot(experiment) -> Optional[dict]:
-    """Snapshot a running experiment, or ``None`` when it refuses capture.
+def capture_snapshot(experiment) -> dict:
+    """Snapshot a running experiment at a capture point.
 
     ``experiment`` is the :class:`repro.fl.runtime.ExperimentHandle` of the
-    run in flight.  Refusal is normal operation (see module docstring).
+    run in flight.
     """
     federator = experiment.federator
     cluster = experiment.cluster
     env = cluster.env
 
     federator_state = federator.capture_checkpoint_state()
-    if federator_state is None:
-        return None
-
     messages = cluster.network.capture_in_flight()
     transport_state = cluster.transport.capture_state()
     payloads = [message["payload"] for message in messages]
     if transport_state is not None:
         payloads += [entry["payload"] for entry in transport_state["pending"]]
+    held = [client.round_state for client in experiment.pool.hydrated_clients()]
+    held = [record for record in held if record is not None]
+    payloads += [record.package for record in held]
     run_jobs(
-        [client.job for client in experiment.pool.hydrated_clients()]
-        + [getattr(payload, "job", None) for payload in payloads]
+        [record.job for record in held] + [getattr(payload, "job", None) for payload in payloads]
     )
 
     pool_state = experiment.pool.capture_state()
-    if pool_state is None:
-        return None
-
     dynamics_state = None
     dynamics_pending = 0
     if experiment.dynamics is not None:
@@ -100,17 +99,19 @@ def capture_snapshot(experiment) -> Optional[dict]:
         dynamics_pending = experiment.dynamics.pending_count()
 
     pending_batches = sum(
-        1 for _cid, state in pool_state["hydrated"] if state["pending_batch"] is not None
+        1 for _cid, state in pool_state["hydrated"] if state.get("pending_batch") is not None
     )
     transport_timers = cluster.transport.pending_count()
 
-    # Every pending event must be one we can re-create; anything else (a
-    # round timer, a stale event from an untracked source) makes the cut
-    # incomplete and the capture refuses.
-    if env.pending_events() != (
-        dynamics_pending + len(messages) + pending_batches + transport_timers
-    ):
-        return None
+    # Every pending event must be one the snapshot re-creates; anything else
+    # (a round timer, a stale event from an untracked source) would be lost
+    # by the resume.
+    accounted = dynamics_pending + len(messages) + pending_batches + transport_timers
+    if env.pending_events() != accounted:
+        raise RuntimeError(
+            f"checkpoint capture: {env.pending_events()} events pending, "
+            f"{accounted} of them re-creatable"
+        )
 
     return {
         "format": CHECKPOINT_FORMAT,
@@ -170,7 +171,7 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
         for entry in snapshot["transport"]["pending"]:
             entries.append((entry["fire_at"], entry["sequence"], ("transport", entry)))
     for client_id, state in snapshot["pool"]["hydrated"]:
-        pending = state["pending_batch"]
+        pending = state.get("pending_batch")
         if pending is not None:
             time, sequence, _loss = pending
             entries.append((time, sequence, ("batch", client_id)))
@@ -193,6 +194,11 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
         # after the restored events claimed their sequence numbers, keeps
         # the event order identical.
         federator._start_round()
+    if experiment.dynamics is not None:
+        # A disconnect that finalized the round took the checkpoint inside a
+        # scenario event; the rest of that event runs now, after the round
+        # start, as it did then.
+        experiment.dynamics.finish_interrupted_event()
 
 
 # ------------------------------------------------------------------- files
@@ -235,8 +241,8 @@ class RunCheckpointer:
 
     Installed onto the federator's ``checkpoint_hook``; every call is a
     cheap counter check until a checkpoint becomes *due* (``interval``
-    completed rounds since the last write), after which each opportunity
-    attempts a capture until one succeeds (skip-and-retry).
+    completed rounds since the last write, or :meth:`force`), and a due
+    checkpoint is written at that capture point.
     """
 
     def __init__(self, experiment, interval: int, path, run_key: Optional[str] = None) -> None:
@@ -251,36 +257,31 @@ class RunCheckpointer:
         #: interval later.
         self.last_round = experiment.federator._rounds_completed
         self.written = 0
-        self.skipped = 0
-        self._due = False
+        self._forced = False
 
     def install(self) -> None:
         self.experiment.federator.checkpoint_hook = self.maybe_checkpoint
 
     def force(self) -> None:
-        """Make the next capture opportunity write, whatever the interval.
+        """Make the next capture point write, whatever the interval.
 
         The graceful-drain path of ``repro serve`` uses this: on SIGTERM
-        every in-flight run is asked to checkpoint at its next quiet point
-        and stop, so a restarted server resumes it bitwise-identically.
+        every in-flight run is asked to checkpoint at its next capture
+        point and stop, so a restarted server resumes it bitwise-identically.
         """
-        self._due = True
+        self._forced = True
 
     def maybe_checkpoint(self) -> None:
         federator = self.experiment.federator
         if federator.finished:
             return  # the finalized run supersedes any checkpoint
         completed = federator._rounds_completed
-        if completed > self.last_round and completed % self.interval == 0:
-            self._due = True
-        if not self._due:
+        due = completed > self.last_round and completed % self.interval == 0
+        if not (due or self._forced):
             return
         snapshot = capture_snapshot(self.experiment)
-        if snapshot is None:
-            self.skipped += 1
-            return
         snapshot["run_key"] = self.run_key
         write_checkpoint(self.path, snapshot)
         self.last_round = completed
         self.written += 1
-        self._due = False
+        self._forced = False

@@ -17,6 +17,12 @@ reacts to messages from the federator and from other clients:
   feature layers of the received model on the *local* dataset and return
   them to the federator.
 
+Own and offloaded training never overlap, so one batch loop runs both: a
+client has one pending batch completion and one current job.  Everything
+a client holds of a round lives in one :class:`ClientRound` record, which a
+``TRAIN_REQUEST`` replaces, a disconnect clears, and a checkpoint captures
+and restores whole.
+
 A batch's *duration* is charged to virtual time through the cluster's
 cost model, which is how the reproduction recreates heterogeneous training
 speeds; its numpy gradient step is recorded in a
@@ -25,6 +31,7 @@ speeds; its numpy gradient step is recorded in a
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -38,6 +45,48 @@ from repro.fl.training import TrainingJob
 from repro.nn.optim import Optimizer, ProximalSGD, SGD
 from repro.simulation.cluster import FEDERATOR_ID, SimulatedCluster
 from repro.simulation.network import Message, wire_bytes
+
+
+@dataclass
+class ClientRound:
+    """What a client holds of the round it was last asked to train.
+
+    The plain fields are checkpointed under their own names;
+    :attr:`job`, :attr:`profiler` and :attr:`package` are captured by
+    :meth:`FLClient.capture_execution_state`.
+    """
+
+    round: int
+    total_batches: int
+    profile_batches: int = 0
+    report_profile: bool = False
+    batches_done: int = 0
+    #: Own updates given up for an expected offloaded model.
+    give_up_batches: int = 0
+    profile_sent: bool = False
+    features_frozen: bool = False
+    offload_target: Optional[int] = None
+    offload_budget: int = 0
+    has_offloaded: bool = False
+    #: The result is sent; the batch loop runs the offloaded model, if any.
+    own_training_done: bool = False
+    #: An OFFLOAD_EXPECT promised an incoming model that has not arrived
+    #: yet (``offload_source`` is the promising weak client).
+    offload_expected: bool = False
+    offload_source: Optional[int] = None
+    offload_batches_done: int = 0
+    #: The one job the batch loop runs: the round's own training until its
+    #: result is sent, then the incoming offloaded model's.
+    job: Optional[TrainingJob] = field(default=None, repr=False)
+    profiler: OnlineProfiler = field(default_factory=OnlineProfiler, repr=False)
+    #: An offloaded model received and not yet trained to the end.
+    package: Optional[FrozenModelPackage] = field(default=None, repr=False)
+
+
+#: The fields of a :class:`ClientRound` a checkpoint holds as they are.
+_PLAIN_FIELDS = tuple(
+    f.name for f in fields(ClientRound) if f.name not in ("job", "profiler", "package")
+)
 
 
 class FLClient:
@@ -69,44 +118,20 @@ class FLClient:
         )
         self.class_counts = class_counts
         #: Hyper-parameters every round's job starts a fresh optimizer from.
-        self.optimizer: Optimizer = self._build_optimizer()
+        self.optimizer: Optimizer = self._build_optimizer(proximal=config.algorithm == "fedprox")
+        #: An offloaded model's features train under a plain SGD.
+        self._offload_optimizer: Optimizer = self._build_optimizer(proximal=False)
 
         self.transport.register(client_id, self.handle_message)
         cluster.attach_actor(client_id, self)
 
-        # Round state (reset at every TRAIN_REQUEST).
-        self._round: Optional[int] = None
-        #: This round's own training while it goes on (``None`` once the
-        #: result is sent, or when the round is void).
-        self.job: Optional[TrainingJob] = None
-        self._features_frozen = False
-        self._total_batches = 0
-        self._give_up_batches = 0
-        self._profile_batches = 0
-        self._report_profile = False
-        self._batches_done = 0
-        self._profiler = OnlineProfiler()
-        self._profile_sent = False
-        self._offload_target: Optional[int] = None
-        self._offload_budget = 0
-        self._has_offloaded = False
-        self._own_training_done = False
-        self._result_sent = False
-        self._incoming_package: Optional[FrozenModelPackage] = None
-        self._offload_job: Optional[TrainingJob] = None
-        self._offload_batches_done = 0
-        self._offload_training_active = False
-        #: An OFFLOAD_EXPECT promised this client an incoming model that has
-        #: not arrived yet (``_offload_source`` is the promising weak
-        #: client).  Cleared when the model lands, when a new round starts,
-        #: or on disconnect (the expectation is void either way).
-        self._offload_expected = False
-        self._offload_source: Optional[int] = None
-        #: Pending batch-completion events, kept so that a disconnect (or a
-        #: new round arriving while a stale batch is still in flight) can
-        #: cancel them instead of letting them corrupt later rounds.
+        #: The current round (``None`` before the first TRAIN_REQUEST and
+        #: after a disconnect).
+        self.round_state: Optional[ClientRound] = None
+        #: The pending batch completion, kept so that a disconnect (or a new
+        #: round arriving while a stale batch is still in flight) can cancel
+        #: it instead of letting it corrupt later rounds.
         self._pending_batch_event = None
-        self._pending_offload_event = None
 
         # Lifetime statistics (used by tests and reports).
         self.rounds_participated = 0
@@ -116,19 +141,15 @@ class FLClient:
         self.times_disconnected = 0
 
     # ------------------------------------------------------------------ setup
-    def _build_optimizer(self) -> Optimizer:
-        if self.config.algorithm == "fedprox":
-            return ProximalSGD(
-                lr=self.config.learning_rate,
-                mu=self.config.fedprox_mu,
-                momentum=self.config.momentum,
-                weight_decay=self.config.weight_decay,
-            )
-        return SGD(
+    def _build_optimizer(self, proximal: bool) -> Optimizer:
+        knobs = dict(
             lr=self.config.learning_rate,
             momentum=self.config.momentum,
             weight_decay=self.config.weight_decay,
         )
+        if proximal:
+            return ProximalSGD(mu=self.config.fedprox_mu, **knobs)
+        return SGD(**knobs)
 
     @property
     def num_samples(self) -> int:
@@ -151,13 +172,13 @@ class FLClient:
 
     def _stale(self, message: Message) -> bool:
         """Whether a control message belongs to a round other than the current one."""
-        return self._round is None or message.round_number != self._round
+        return self.round_state is None or message.round_number != self.round_state.round
 
     # ------------------------------------------------------------- lifecycle
     def on_disconnect(self) -> None:
         """Called by the cluster when this client goes offline.
 
-        All local work is aborted: pending batch completions are cancelled
+        All local work is aborted: the pending batch completion is cancelled
         and the round state is cleared, so nothing from the interrupted
         round can leak into a later one.  Its jobs are dropped: nobody reads
         them, so they never run (a rejoining client is handed fresh global
@@ -165,16 +186,7 @@ class FLClient:
         """
         self.times_disconnected += 1
         self._cancel_pending_work()
-        self._round = None
-        self.job = self._offload_job = None
-        self._own_training_done = False
-        self._result_sent = False
-        self._incoming_package = None
-        self._offload_training_active = False
-        self._offload_target = None
-        self._has_offloaded = False
-        self._offload_expected = False
-        self._offload_source = None
+        self.round_state = None
 
     def on_reconnect(self) -> None:
         """Called by the cluster when this client comes back online."""
@@ -204,12 +216,10 @@ class FLClient:
         :meth:`_offload_expectation_live`; without it an unfulfilled
         expectation conservatively blocks.
         """
-        return (
-            self._pending_batch_event is None
-            and self._pending_offload_event is None
-            and self._incoming_package is None
-            and not self._offload_training_active
-            and not self._offload_expectation_live(resolve_peer)
+        state = self.round_state
+        return self._pending_batch_event is None and (
+            state is None
+            or (state.package is None and not self._offload_expectation_live(resolve_peer))
         )
 
     def _offload_expectation_live(self, resolve_peer=None) -> bool:
@@ -222,17 +232,20 @@ class FLClient:
         nothing can send anymore and the expectation stops blocking
         eviction.  Without ``resolve_peer`` the answer is conservative.
         """
-        if not self._offload_expected:
+        state = self.round_state
+        if not state.offload_expected:
             return False
-        if resolve_peer is None or self._offload_source is None:
+        if resolve_peer is None or state.offload_source is None:
             return True
-        source = resolve_peer(self._offload_source)
+        source = resolve_peer(state.offload_source)
         if source is None:
             return False  # dehydrated (hence quiescent) or unknown: void
+        peer = source.round_state
         return (
-            source._round == self._round
-            and not source._own_training_done
-            and not source._has_offloaded
+            peer is not None
+            and peer.round == state.round
+            and not peer.own_training_done
+            and not peer.has_offloaded
         )
 
     def dehydrate(self) -> dict:
@@ -252,61 +265,42 @@ class FLClient:
         self.loader.set_state(state["loader"])
 
     def _cancel_pending_work(self) -> None:
-        """Cancel any scheduled batch-completion events."""
+        """Cancel the scheduled batch completion, if any."""
         if self._pending_batch_event is not None:
             self._pending_batch_event.cancel()
             self._pending_batch_event = None
-        if self._pending_offload_event is not None:
-            self._pending_offload_event.cancel()
-            self._pending_offload_event = None
 
     # ----------------------------------------------------- checkpoint seams
-    def capture_execution_state(self) -> Optional[dict]:
-        """Full mid-run state for a checkpoint, or ``None`` when the client
-        is in a state the checkpointer does not serialize.
+    def capture_execution_state(self) -> dict:
+        """Full mid-run state for a checkpoint, in any state the client is in.
 
-        This extends :meth:`dehydrate` with round progress, profiler
-        accumulators, the pending batch completion and — while the round's
-        own training goes on — the state after every batch drawn, which
-        runs the job that far.  Mid-offload-training states are refused:
-        the synchronous engine, the only one that offloads, checkpoints at
-        round boundaries where it is never active.  *Residual* round flags
-        (frozen features, a stale offload expectation) are captured as
-        plain data so pool-eviction decisions after a resume match the
-        uninterrupted run exactly.
+        This extends :meth:`dehydrate` with the round record: its plain
+        fields, the profiler's accumulators, an incoming offloaded model (a
+        value once pickled) and the current job — own or offloaded — as
+        its state after every batch drawn, which runs the job that far,
+        plus the pending batch completion.  *Residual* round flags (frozen
+        features, a stale offload expectation) are captured as plain data
+        so pool-eviction decisions after a resume match the uninterrupted
+        run exactly.
         """
-        if (
-            self._incoming_package is not None
-            or self._offload_training_active
-            or self._pending_offload_event is not None
-        ):
-            return None
         state = self.dehydrate()
-        job, pending = self.job, self._pending_batch_event
+        record = self.round_state
+        if record is None:
+            state["round"] = None
+            return state
+        state.update({name: getattr(record, name) for name in _PLAIN_FIELDS})
+        job, pending = record.job, self._pending_batch_event
         losses = weights = optimizer = pending_batch = None
         if job is not None:
+            done = record.offload_batches_done if record.own_training_done else record.batches_done
             weights = self.trainer.per_key(job.flat_weights())
-            losses, optimizer = job.losses[: self._batches_done], job.optimizer_state
+            losses, optimizer = job.losses[:done], job.optimizer_state
             if pending is not None:
-                pending_batch = (pending.time, pending.sequence, job.losses[self._batches_done])
+                pending_batch = (pending.time, pending.sequence, job.losses[done])
         state.update(
-            round=self._round,
-            total_batches=self._total_batches,
-            batches_done=self._batches_done,
+            profiler=record.profiler.capture_state(),
+            package=record.package,
             losses=losses or [],
-            own_training_done=self._own_training_done,
-            result_sent=self._result_sent,
-            give_up_batches=self._give_up_batches,
-            profile_batches=self._profile_batches,
-            report_profile=self._report_profile,
-            profile_sent=self._profile_sent,
-            profiler=self._profiler.capture_state(),
-            offload_target=self._offload_target,
-            offload_budget=self._offload_budget,
-            has_offloaded=self._has_offloaded,
-            offload_expected=self._offload_expected,
-            offload_source=self._offload_source,
-            features_frozen=self._features_frozen,
             weights=weights,
             optimizer=optimizer,
             pending_batch=pending_batch,
@@ -319,54 +313,51 @@ class FLClient:
         The pending batch event (if any) is *not* re-scheduled here: the
         checkpoint orchestrator replays all captured events in globally
         merged (time, sequence) order via :meth:`schedule_restored_batch`.
+        A snapshot without the offload keys holds no offload in progress.
         """
         self.rehydrate({key: state[key] for key in (*self.PERSISTENT_COUNTERS, "loader")})
         self._cancel_pending_work()
-        self._round = state["round"]
-        self._total_batches = int(state["total_batches"])
-        self._batches_done = int(state["batches_done"])
-        self._own_training_done = bool(state["own_training_done"])
-        self._result_sent = bool(state["result_sent"])
-        self._give_up_batches = int(state["give_up_batches"])
-        self._profile_batches = int(state["profile_batches"])
-        self._report_profile = bool(state["report_profile"])
-        self._profile_sent = bool(state["profile_sent"])
-        self._profiler.restore_state(state["profiler"])
-        self._offload_target = state["offload_target"]
-        self._offload_budget = int(state["offload_budget"])
-        self._has_offloaded = bool(state["has_offloaded"])
-        self._incoming_package = None
-        self._offload_batches_done = 0
-        self._offload_training_active = False
-        self._offload_expected = bool(state["offload_expected"])
-        self._offload_source = state["offload_source"]
-        self._features_frozen = bool(state["features_frozen"])
-        self.job = None
-        if state["weights"] is not None and not self._own_training_done:
-            # The round goes on from the captured state; a pending batch
-            # was drawn and run before the capture, its loss is known.
+        self.round_state = None
+        if state["round"] is None:
+            return
+        record = self.round_state = ClientRound(
+            **{name: state[name] for name in _PLAIN_FIELDS if name in state}
+        )
+        record.profiler.restore_state(state["profiler"])
+        record.package = state.get("package")
+        if state["weights"] is not None:
+            # The job goes on from the captured state; a pending batch was
+            # drawn and run before the capture, its loss is known.
             pending = state["pending_batch"]
-            self.job = self._new_job(
+            record.job = self._new_job(
                 state["weights"],
                 state["optimizer"],
-                frozen=self._features_frozen,
+                offloaded=record.own_training_done,
+                frozen=record.features_frozen and not record.own_training_done,
                 losses=list(state["losses"]) + ([pending[2]] if pending is not None else []),
             )
 
     def schedule_restored_batch(self, time: float) -> None:
         """Re-schedule a captured pending batch completion at its absolute
         fire time (called by the checkpoint orchestrator in event order)."""
-        self._pending_batch_event = self.env.schedule_at(time, self._on_own_batch_done)
+        self._pending_batch_event = self.env.schedule_at(time, self._on_batch_done)
 
-    def _new_job(self, weights, optimizer_state: dict, **kwargs) -> TrainingJob:
+    def _new_job(
+        self, weights, optimizer_state: dict, offloaded: bool = False, **kwargs
+    ) -> TrainingJob:
+        """A job on this client's data from per-key ``weights`` or an
+        incoming package; an ``offloaded`` model trains its features only."""
+        if not isinstance(weights, FrozenModelPackage):
+            weights = self.trainer.sections(weights)
         return TrainingJob(
             self.trainer,
             self.client_id,
             self.loader.x,
             self.loader.y,
-            self.trainer.sections(weights),
-            self.optimizer,
+            weights,
+            self._offload_optimizer if offloaded else self.optimizer,
             optimizer_state,
+            features_only=offloaded,
             **kwargs,
         )
 
@@ -379,89 +370,90 @@ class FLClient:
         # into the new round's accounting, and the stale job is dropped
         # unread (its batches were drawn, which is all the loader keeps).
         self._cancel_pending_work()
-        self._round = message.round_number
-        self._total_batches = int(payload["total_batches"])
-        self._profile_batches = int(payload.get("profile_batches", 0))
-        self._report_profile = bool(payload.get("report_profile", False))
-        self._give_up_batches = 0
-        self._batches_done = 0
-        self._profiler.reset()
-        if self._profile_batches == 0:
-            self._profiler.stop()
-        self._profile_sent = False
-        self._offload_target = None
-        self._offload_budget = 0
-        self._has_offloaded = False
-        self._own_training_done = False
-        self._result_sent = False
-        self._incoming_package = None
-        self._offload_job = None
-        self._offload_batches_done = 0
-        self._offload_training_active = False
-        self._offload_expected = False
-        self._offload_source = None
-
-        self._features_frozen = False
+        record = self.round_state = ClientRound(
+            round=message.round_number,
+            total_batches=int(payload["total_batches"]),
+            profile_batches=int(payload.get("profile_batches", 0)),
+            report_profile=bool(payload.get("report_profile", False)),
+        )
+        if record.profile_batches == 0:
+            record.profiler.stop()
         optimizer_state = self.optimizer.capture_state()
-        self.job = self._new_job(payload["weights"], optimizer_state)
+        record.job = self._new_job(payload["weights"], optimizer_state)
         if isinstance(self.optimizer, ProximalSGD):
             # The proximal term pulls towards the just-loaded global weights.
-            optimizer_state["anchor"] = self.job.weights
+            optimizer_state["anchor"] = record.job.weights
 
         self.rounds_participated += 1
-        self._train_own_batch()
+        self._train_batch()
 
-    # ---------------------------------------------------------- local training
+    # ------------------------------------------------------------- the batch loop
     def _effective_total_batches(self) -> int:
         """Own updates to perform, after giving up capacity for offloaded work."""
-        return max(self._total_batches - self._give_up_batches, self._batches_done)
+        record = self.round_state
+        return max(record.total_batches - record.give_up_batches, record.batches_done)
 
-    def _train_own_batch(self) -> None:
-        shape = self.job.draw(self.loader)
-        trace = self.trainer.model.batch_trace(shape, features_frozen=self._features_frozen)
-        phase_durations = self.cost_model.phase_seconds(trace, self.resource, self.env.now)
-        if self._features_frozen:
-            duration = self.cost_model.frozen_batch_seconds(trace, self.resource, self.env.now)
+    def _train_batch(self) -> None:
+        """Draw the current job's next batch and schedule its completion
+        after the batch's simulated duration."""
+        record = self.round_state
+        shape = record.job.draw(self.loader)
+        if record.own_training_done:
+            # An offloaded model: its features train, nothing is profiled.
+            trace = self.trainer.model.batch_trace(shape, features_frozen=False)
+            duration = self.cost_model.feature_training_seconds(trace, self.resource, self.env.now)
         else:
-            duration = self.cost_model.batch_seconds(trace, self.resource, self.env.now)
-        if self._profiler.active:
-            measured = {
-                phase: self.clock.measure(seconds) for phase, seconds in phase_durations.items()
-            }
-            duration += self._profiler.record_batch(measured)
-        self._pending_batch_event = self.env.schedule(duration, self._on_own_batch_done)
+            trace = self.trainer.model.batch_trace(shape, features_frozen=record.features_frozen)
+            phase_durations = self.cost_model.phase_seconds(trace, self.resource, self.env.now)
+            if record.features_frozen:
+                duration = self.cost_model.frozen_batch_seconds(trace, self.resource, self.env.now)
+            else:
+                duration = self.cost_model.batch_seconds(trace, self.resource, self.env.now)
+            if record.profiler.active:
+                measured = {
+                    phase: self.clock.measure(seconds) for phase, seconds in phase_durations.items()
+                }
+                duration += record.profiler.record_batch(measured)
+        self._pending_batch_event = self.env.schedule(duration, self._on_batch_done)
 
-    def _on_own_batch_done(self) -> None:
+    def _on_batch_done(self) -> None:
         self._pending_batch_event = None
-        self._batches_done += 1
-        self.total_batches_trained += 1
+        record = self.round_state
+        if record.own_training_done:
+            record.offload_batches_done += 1
+            if record.offload_batches_done < record.package.batches_to_train:
+                self._train_batch()
+            else:
+                self._finish_offloaded_training()
+            return
 
-        if (
-            self._profiler.active
-            and self._profiler.batches_recorded >= self._profile_batches
-        ):
-            self._profiler.stop()
-            if self._report_profile and not self._profile_sent:
+        record.batches_done += 1
+        self.total_batches_trained += 1
+        profiler = record.profiler
+        if profiler.active and profiler.batches_recorded >= record.profile_batches:
+            profiler.stop()
+            if record.report_profile and not record.profile_sent:
                 self._send_profile_report()
 
         self._maybe_freeze_and_offload()
 
-        if self._batches_done < self._effective_total_batches():
-            self._train_own_batch()
+        if record.batches_done < self._effective_total_batches():
+            self._train_batch()
         else:
             self._finish_own_training()
 
     def _send_profile_report(self) -> None:
-        profile = self._profiler.profile()
+        record = self.round_state
+        profile = record.profiler.profile()
         report = ProfileReport(
             client_id=self.client_id,
-            round_number=self._round if self._round is not None else -1,
+            round_number=record.round,
             phase_seconds=dict(profile.phase_seconds),
             batches_measured=profile.batches_measured,
-            batches_completed=self._batches_done,
-            remaining_batches=max(self._total_batches - self._batches_done, 0),
+            batches_completed=record.batches_done,
+            remaining_batches=max(record.total_batches - record.batches_done, 0),
         )
-        self._profile_sent = True
+        record.profile_sent = True
         self.transport.send(
             self.client_id,
             FEDERATOR_ID,
@@ -474,84 +466,86 @@ class FLClient:
     def _handle_offload_instruction(self, message: Message) -> None:
         if self._stale(message):
             return
+        record = self.round_state
         payload = message.payload
-        self._offload_target = int(payload["target"])
-        self._offload_budget = int(payload["offload_batches"])
+        record.offload_target = int(payload["target"])
+        record.offload_budget = int(payload["offload_batches"])
         # The instruction may arrive while the client is between batches (its
         # next completion event is already scheduled); freezing happens at the
         # next batch boundary via _maybe_freeze_and_offload.  If the client
         # already finished its own training, offloading no longer helps and
         # the instruction is ignored.
-        if not self._own_training_done:
+        if not record.own_training_done:
             self._maybe_freeze_and_offload()
 
     def _handle_offload_expect(self, message: Message) -> None:
         if self._stale(message):
             return
-        self._give_up_batches = int(message.payload["offload_batches"])
-        self._offload_expected = True
+        record = self.round_state
+        record.give_up_batches = int(message.payload["offload_batches"])
+        record.offload_expected = True
         source = message.payload.get("source")
-        self._offload_source = int(source) if source is not None else None
+        record.offload_source = int(source) if source is not None else None
 
     def _maybe_freeze_and_offload(self) -> None:
+        record = self.round_state
         if (
-            self._offload_target is None
-            or self._has_offloaded
-            or self._own_training_done
-            or self._offload_budget <= 0
+            record.offload_target is None
+            or record.has_offloaded
+            or record.own_training_done
+            or record.offload_budget <= 0
         ):
             return
-        remaining = self._total_batches - self._batches_done
-        if remaining <= 0 or remaining > self._offload_budget:
+        remaining = record.total_batches - record.batches_done
+        if remaining <= 0 or remaining > record.offload_budget:
             return
         # Freeze the feature layers and ship the model to the strong client:
         # the package is the job's state at the freeze, a flat vector once
         # somebody reads it.
-        self.job.freeze_features()
+        record.job.freeze_features()
         package = FrozenModelPackage(
             source_client_id=self.client_id,
-            round_number=self._round if self._round is not None else -1,
+            round_number=record.round,
             batches_to_train=remaining,
-            job=self.job,
+            job=record.job,
         )
         self.transport.send(
             self.client_id,
-            self._offload_target,
+            record.offload_target,
             MessageKind.OFFLOADED_MODEL,
             payload=package,
             round_number=package.round_number,
             size_bytes=package.payload_bytes(),
         )
-        self._features_frozen = True
-        self._has_offloaded = True
+        record.features_frozen = True
+        record.has_offloaded = True
         self.total_offloads_sent += 1
 
     def _handle_offloaded_model(self, message: Message) -> None:
         if self._stale(message):
             return
-        self._offload_expected = False
-        self._offload_source = None
-        self._incoming_package = message.payload
-        if self._own_training_done and not self._offload_training_active:
+        record = self.round_state
+        record.offload_expected = False
+        record.offload_source = None
+        record.package = message.payload
+        if record.own_training_done and record.job is None:
             self._start_offloaded_training()
 
     # --------------------------------------------------------------- completion
     def _finish_own_training(self) -> None:
-        if self._own_training_done:
-            return
-        self._own_training_done = True
+        record = self.round_state
+        record.own_training_done = True
         result = TrainingResult(
             client_id=self.client_id,
-            round_number=self._round if self._round is not None else -1,
+            round_number=record.round,
             num_samples=self.num_samples,
-            num_steps=self._batches_done,
-            features_frozen=self._features_frozen,
-            offloaded_to=self._offload_target if self._has_offloaded else None,
+            num_steps=record.batches_done,
+            features_frozen=record.features_frozen,
+            offloaded_to=record.offload_target if record.has_offloaded else None,
             finished_at=self.env.now,
-            job=self.job,
+            job=record.job,
         )
-        self.job = None
-        self._result_sent = True
+        record.job = None
         self.transport.send(
             self.client_id,
             FEDERATOR_ID,
@@ -560,67 +554,32 @@ class FLClient:
             round_number=result.round_number,
             size_bytes=wire_bytes(self.trainer.model.num_parameters()),
         )
-        if self._incoming_package is not None and not self._offload_training_active:
+        if record.package is not None:
             self._start_offloaded_training()
 
-    # ------------------------------------------------- offloaded model training
     def _start_offloaded_training(self) -> None:
-        package = self._incoming_package
-        if package is None:
-            return
-        self._offload_training_active = True
-        self._offload_batches_done = 0
         # The package's features train on this client's data, its classifier
         # held fixed, with a fresh plain SGD.
-        optimizer = SGD(
-            lr=self.config.learning_rate,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
+        record = self.round_state
+        record.offload_batches_done = 0
+        record.job = self._new_job(
+            record.package, self._offload_optimizer.capture_state(), offloaded=True
         )
-        self._offload_job = TrainingJob(
-            self.trainer,
-            self.client_id,
-            self.loader.x,
-            self.loader.y,
-            package,
-            optimizer,
-            optimizer.capture_state(),
-            features_only=True,
-        )
-        self._train_offloaded_batch()
-
-    def _train_offloaded_batch(self) -> None:
-        shape = self._offload_job.draw(self.loader)
-        trace = self.trainer.model.batch_trace(shape, features_frozen=False)
-        duration = self.cost_model.feature_training_seconds(trace, self.resource, self.env.now)
-        self._pending_offload_event = self.env.schedule(duration, self._on_offloaded_batch_done)
-
-    def _on_offloaded_batch_done(self) -> None:
-        self._pending_offload_event = None
-        package = self._incoming_package
-        if package is None:  # pragma: no cover - defensive
-            return
-        self._offload_batches_done += 1
-        if self._offload_batches_done < package.batches_to_train:
-            self._train_offloaded_batch()
-        else:
-            self._finish_offloaded_training()
+        self._train_batch()
 
     def _finish_offloaded_training(self) -> None:
-        package = self._incoming_package
-        if package is None:  # pragma: no cover - defensive
-            return
+        record = self.round_state
+        package = record.package
         result = OffloadResult(
             source_client_id=package.source_client_id,
             trainer_client_id=self.client_id,
             round_number=package.round_number,
-            batches_trained=self._offload_batches_done,
+            batches_trained=record.offload_batches_done,
             finished_at=self.env.now,
-            job=self._offload_job,
+            job=record.job,
         )
         self.total_offloads_trained += 1
-        self._offload_training_active = False
-        self._incoming_package = self._offload_job = None
+        record.package = record.job = None
         self.transport.send(
             self.client_id,
             FEDERATOR_ID,

@@ -168,7 +168,7 @@ class BaseFederator:
         self._round_pending = False
         self._rounds_completed = 0
         self.setup_time = 0.0
-        #: Called at every checkpoint opportunity (see
+        #: Called at every capture point (see
         #: :class:`repro.fl.checkpoint.RunCheckpointer`); ``None`` when the
         #: run is not checkpointed.  The synchronous engine offers the
         #: boundary between rounds, *before* the next round starts.
@@ -627,19 +627,15 @@ class BaseFederator:
             self._net_baseline = dict(totals)
 
     # ------------------------------------------------------ checkpoint seams
-    def capture_checkpoint_state(self) -> Optional[dict]:
-        """Serializable federator state at a round boundary, or ``None``.
+    def capture_checkpoint_state(self) -> dict:
+        """Serializable federator state at a capture point.
 
-        The synchronous engine only checkpoints between rounds, so a round
-        in flight refuses capture (the checkpointer retries at the next
-        boundary).  Subclasses contribute algorithm state through
-        :meth:`_capture_extra_state`.
+        The synchronous engine's capture point lies between rounds, where
+        no round is in flight.  Subclasses contribute algorithm state
+        through :meth:`_capture_extra_state`.
         """
         if self._round_state is not None:
-            return None
-        extra = self._capture_extra_state()
-        if extra is None:
-            return None
+            raise RuntimeError("a synchronous federator is captured between rounds only")
         return {
             "global_weights": {k: v.copy() for k, v in self.global_weights.items()},
             "rng": self._rng.bit_generator.state,
@@ -647,7 +643,7 @@ class BaseFederator:
             "round_pending": self._round_pending,
             "setup_time": self.setup_time,
             "net_baseline": dict(self._net_baseline),
-            "extra": extra,
+            "extra": self._capture_extra_state(),
         }
 
     def restore_checkpoint_state(self, state: dict) -> None:
@@ -665,16 +661,13 @@ class BaseFederator:
         self._net_baseline = dict(state["net_baseline"])
         self._restore_extra_state(state["extra"])
 
-    def _capture_extra_state(self) -> Optional[dict]:
+    def _capture_extra_state(self) -> dict:
         """Algorithm-specific mutable state (TiFL tier credits, async
-        buffers, ...).  Return ``None`` to refuse the checkpoint."""
+        buffers, ...)."""
         return {}
 
     def _restore_extra_state(self, extra: dict) -> None:
         """Restore state captured by :meth:`_capture_extra_state`."""
-
-    # Backwards-compatible alias (pre-refactor name).
-    _finalize_round = finalize_round
 
 
 @register_federator("fedavg")

@@ -44,18 +44,6 @@ def he_normal(
     return rng.normal(0.0, std, size=shape).astype(resolve_dtype(dtype), copy=False)
 
 
-def xavier_uniform(
-    shape: tuple,
-    fan_in: int,
-    fan_out: int,
-    rng: np.random.Generator,
-    dtype: Optional[DtypeLike] = None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(resolve_dtype(dtype), copy=False)
-
-
 def zeros(shape: tuple, dtype: Optional[DtypeLike] = None) -> np.ndarray:
     """All-zero initialisation, used for biases."""
     return np.zeros(shape, dtype=resolve_dtype(dtype))

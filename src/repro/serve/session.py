@@ -310,10 +310,10 @@ class SessionManager:
         """Stop accepting work and checkpoint everything in flight.
 
         Queued runs that never started are cancelled outright (nothing to
-        checkpoint); running ones are asked to stop at their next
-        checkpoint opportunity.  Returns a summary of where every session
-        ended up; sessions that failed to reach a terminal state within
-        ``timeout`` are reported as still in flight.
+        checkpoint); running ones are asked to stop at their next capture
+        point, where the checkpoint is written.  Returns a summary of where
+        every session ended up; sessions that failed to reach a terminal
+        state within ``timeout`` are reported as still in flight.
         """
         with self._lock:
             self._draining = True

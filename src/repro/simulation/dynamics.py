@@ -85,6 +85,14 @@ class ScenarioDynamics:
         #: implementation scheduled bare closures).
         self._pending: Dict[int, Tuple[Event, str, tuple]] = {}
         self._next_handle = 0
+        #: What the event being fired has left to do while it takes a client
+        #: offline, as a ``(kind, args)`` pair (``None`` otherwise).  The
+        #: disconnect can finalize a round, and the synchronous engine
+        #: checkpoints at that boundary, inside this event: the snapshot
+        #: holds the tail, and a resume runs it once the round start is
+        #: re-entered (:meth:`finish_interrupted_event`), as the
+        #: uninterrupted run does.
+        self._tail: Optional[Tuple[str, tuple]] = None
 
         # Diagnostics (used by tests and experiment logs).
         self.offline_events = 0
@@ -174,8 +182,13 @@ class ScenarioDynamics:
             self._schedule(self._exp(d.mean_online_s), "go_offline", (client_id,))
             return
         self.offline_events += 1
+        self._tail = ("stay_offline", (client_id,))
         self.cluster.set_client_offline(client_id)
-        self._schedule(self._exp(d.mean_offline_s), "go_online", (client_id,))
+        self._tail = None
+        self._stay_offline(client_id)
+
+    def _stay_offline(self, client_id: int) -> None:
+        self._schedule(self._exp(self.dynamics.mean_offline_s), "go_online", (client_id,))
 
     def _go_online(self, client_id: int) -> None:
         if self._stopped():
@@ -290,8 +303,10 @@ class ScenarioDynamics:
         ]
 
     def _checkins(self, *pairs: Tuple[int, bool]) -> None:
-        for client_id, online in pairs:
+        for index, (client_id, online) in enumerate(pairs):
+            self._tail = ("checkins", pairs[index + 1 :])
             self._checkin(client_id, online)
+        self._tail = None
 
     def _checkin(self, client_id: int, online: bool) -> None:
         if self._stopped():
@@ -314,6 +329,7 @@ class ScenarioDynamics:
     #: serializable for checkpoints.
     _DISPATCH: Dict[str, Callable] = {
         "go_offline": _go_offline,
+        "stay_offline": _stay_offline,
         "go_online": _go_online,
         "slowdown_burst": _slowdown_burst,
         "restore_speed": _restore_speed,
@@ -353,6 +369,7 @@ class ScenarioDynamics:
             "loss_burst_tokens": dict(self._loss_burst_tokens),
             "loss_burst_counter": self._loss_burst_counter,
             "pending": pending,
+            "tail": self._tail,
         }
 
     def cancel_pending(self) -> None:
@@ -389,6 +406,15 @@ class ScenarioDynamics:
         self._link_trace_counter = int(state["link_trace_counter"])
         self._loss_burst_tokens = dict(state["loss_burst_tokens"])
         self._loss_burst_counter = int(state["loss_burst_counter"])
+        # Snapshots written before the tail was captured hold none.
+        self._tail = state.get("tail")
+
+    def finish_interrupted_event(self) -> None:
+        """Run what the event a restored checkpoint was taken in had left."""
+        tail, self._tail = self._tail, None
+        if tail is not None:
+            kind, args = tail
+            self._DISPATCH[kind](self, *args)
 
     def schedule_restored(self, time: float, kind: str, args: list) -> Event:
         """Re-schedule one captured pending event at its absolute time."""

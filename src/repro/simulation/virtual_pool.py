@@ -258,22 +258,19 @@ class VirtualClientPool:
                 return
 
     # ------------------------------------------------------ checkpoint seams
-    def capture_state(self) -> Optional[dict]:
-        """Serializable snapshot of the whole pool, or ``None`` to refuse.
+    def capture_state(self) -> dict:
+        """Serializable snapshot of the whole pool.
 
         Hydrated clients are captured through
-        :meth:`FLClient.capture_execution_state` (full mid-run state);
-        dehydrated ones contribute their descriptor record.  The hydrated
-        set is recorded in LRU order so a resumed pool makes identical
-        eviction choices.  Any hydrated client that refuses capture (e.g.
-        mid-offload-training) makes the whole pool refuse.
+        :meth:`FLClient.capture_execution_state` (full mid-run state, in
+        whatever state the client is); dehydrated ones contribute their
+        descriptor record.  The hydrated set is recorded in LRU order so a
+        resumed pool makes identical eviction choices.
         """
-        hydrated = []
-        for client_id, client in self._active.items():
-            state = client.capture_execution_state()
-            if state is None:
-                return None
-            hydrated.append((client_id, state))
+        hydrated = [
+            (client_id, client.capture_execution_state())
+            for client_id, client in self._active.items()
+        ]
         descriptors = {
             d.client_id: {
                 "saved_state": d.saved_state,

@@ -13,6 +13,11 @@ Two interruption modes are exercised:
   round (see ``tests/crash_harness.py``) — no cleanup code runs at all —
   for the paper's headline algorithms across stable and churning
   clusters.
+
+A graceful drain (``request_stop("checkpoint")``) is a generated property:
+Hypothesis draws the federator, scenario, transport, seed, drain round and
+shard count, and the drain must stop at the first capture point after the
+request and resume bitwise — a capture never refuses.
 """
 
 from __future__ import annotations
@@ -20,8 +25,12 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from crash_harness import (
@@ -34,7 +43,9 @@ from crash_harness import (
 from repro.api import RunStore, run, run_key
 from repro.api.store import CHECKPOINT_NAME
 from repro.fl.checkpoint import CHECKPOINT_FORMAT, capture_snapshot, load_checkpoint
+from repro.experiments.workloads import SCALES, scenario_transport
 from repro.fl.runtime import build_experiment
+from repro.registry import SCENARIOS
 
 ALL_ALGORITHMS = [
     "aergia",
@@ -55,7 +66,7 @@ CRASH_ALGORITHMS = ["aergia", "fedavg", "fedbuff"]
 ROUNDS = 4
 
 
-def make_config(algorithm, scenario="churn", **overrides):
+def make_config(algorithm, scenario="churn", seed=7, **overrides):
     merged = {"checkpoint_interval": 1, "rounds": ROUNDS, **overrides}
     return (
         api.experiment(algorithm)
@@ -63,7 +74,7 @@ def make_config(algorithm, scenario="churn", **overrides):
         .partition("iid")
         .scale("smoke")
         .scenario(scenario)
-        .seed(7)
+        .seed(seed)
         .override(**merged)
         .build()
     )
@@ -77,6 +88,33 @@ def interrupt_after(config, store, consumed_rounds):
         next(iterator)
     iterator.close()  # writer aborts; manifest stays "running"
     return handle
+
+
+def _drain(config, store, after_rounds):
+    """Stream a store-backed run, ask for a graceful drain once
+    ``after_rounds`` records are out, and return the checkpoint the run
+    stopped at — which must be the first capture point after the request."""
+    handle = run(config, store=store)
+    stream = handle.stream()
+    for _ in range(after_rounds):
+        next(stream)
+    federator = handle.experiment.federator
+    hook, points = federator.checkpoint_hook, []
+
+    def watched_hook():
+        points.append((federator.env.now, federator._rounds_completed))
+        hook()
+
+    federator.checkpoint_hook = watched_hook
+    handle.request_stop("checkpoint")
+    for _record in stream:
+        pass
+    assert handle.stopped, "the drain ran the run to its end"
+    key = run_key(config)
+    snapshot = load_checkpoint(store.run_dir(key) / CHECKPOINT_NAME, run_key=key)
+    assert len(points) == 1, "the drain passed a capture point without stopping"
+    assert (snapshot["now"], snapshot["round"]) == points[0]
+    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +141,68 @@ def test_virtual_pool_run_resumes_bitwise_identical(tmp_path):
     interrupt_after(config, store, consumed_rounds=2)
     resumed = run(config, store=store, resume=True)
     assert_bitwise_resume(config, golden, golden_store, resumed, store)
+
+
+# ---------------------------------------------------------------------------
+# Graceful drain: generated federator x scenario x transport x execution mode
+# ---------------------------------------------------------------------------
+#: Drains whose checkpoint holds a strong client mid-offload: a capture used
+#: to refuse these boundaries, so the drain ran the run to its end.
+MID_OFFLOAD_DRAINS = {("aergia", "churn", 13), ("aergia", "partition-storm", 7)}
+#: Drains whose checkpoint is taken inside the scenario event that ends the
+#: round (a client going offline): the event's rest is in the snapshot.
+MID_EVENT_DRAINS = {("fedavg", "churn", 6)}
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@example(
+    algorithm="aergia", scenario="churn", transport="stable", seed=13, drain_round=1, shards=1
+)
+@example(
+    algorithm="fedavg", scenario="churn", transport="stable", seed=6, drain_round=1, shards=1
+)
+@example(
+    algorithm="aergia",
+    scenario="partition-storm",
+    transport="partition-storm",
+    seed=7,
+    drain_round=1,
+    shards=1,
+)
+@given(
+    algorithm=st.sampled_from(ALL_ALGORITHMS),
+    scenario=st.sampled_from(SCENARIOS.names()),
+    transport=st.sampled_from(["stable", "lossy", "partition-storm"]),
+    seed=st.integers(0, 10_000),
+    drain_round=st.integers(1, 2),
+    shards=st.sampled_from([1, 2]),
+)
+def test_a_drain_stops_at_the_next_capture_point_and_resumes_bitwise(
+    algorithm, scenario, transport, seed, drain_round, shards
+):
+    config = make_config(
+        algorithm,
+        scenario,
+        seed=seed,
+        rounds=drain_round + 2,
+        transport=scenario_transport(transport, SCALES["smoke"]),
+        shards=shards,
+    )
+    key = run_key(config)
+    with tempfile.TemporaryDirectory() as root:
+        golden_store, store = RunStore(Path(root) / "golden"), RunStore(Path(root) / "drained")
+        # The straight-through run in this process: sharded == flat.
+        run(config.with_overrides(shards=1), store=golden_store).result()
+        snapshot = _drain(config, store, after_rounds=drain_round)
+        if (algorithm, scenario, seed) in MID_OFFLOAD_DRAINS:
+            hydrated = snapshot["pool"]["hydrated"]
+            assert any(state.get("package") is not None for _cid, state in hydrated)
+        if (algorithm, scenario, seed) in MID_EVENT_DRAINS:
+            assert snapshot["dynamics"]["tail"] is not None
+        resumed = run(config, store=store, resume=True)
+        resumed.result()
+        assert resumed.resumed_from_round == snapshot["round"]
+        assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +350,53 @@ def test_pending_checkins_resume_bitwise_identical(admit, kind, tmp_path):
     assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
 
 
-def test_capture_refuses_busy_client_and_unaccounted_events():
-    config = make_config("fedavg")
-    experiment = build_experiment(config)
-    assert capture_snapshot(experiment) is not None
+def test_a_checkin_batch_that_ends_a_round_resumes_bitwise(tmp_path):
+    # Client 0 going offline ends round 2 inside the batch event, where the
+    # drain checkpoints: the snapshot holds the batch's other seven lines,
+    # and the resume applies them once it has re-entered the round start.
+    lines = [(client, False, 0.25) for client in range(4)]
+    lines += [(client, True, 0.25) for client in range(4)]
 
-    # A stray event the snapshot cannot attribute makes the cut incomplete.
+    def admit(dynamics):
+        dynamics.admit_checkins(lines)
+
+    config = make_config("fedavg")
+    key = run_key(config)
+    golden_store, store = RunStore(tmp_path / "golden"), RunStore(tmp_path / "drained")
+    _run_with_checkins(config, golden_store, admit)
+    assert _run_with_checkins(config, store, admit, drain=True).stopped
+    snapshot = load_checkpoint(store.run_dir(key) / CHECKPOINT_NAME, run_key=key)
+    assert snapshot["round"] == 2
+    assert snapshot["dynamics"]["tail"] == ("checkins", tuple((c, o) for c, o, _ in lines[1:]))
+    run(config, store=store, resume=True).result()
+    assert read_rounds_bytes(store.root, key) == read_rounds_bytes(golden_store.root, key)
+
+
+def test_capture_refuses_busy_client_and_unaccounted_events(tmp_path):
+    # Now pins: a capture never refuses.  A stray event the snapshot cannot
+    # re-create is a capture bug and raises, naming both counts; a strong
+    # client still training an offloaded model when the round ends is
+    # captured, and the run resumes from it bitwise.
+    experiment = build_experiment(make_config("fedavg"))
+    accounted = experiment.cluster.env.pending_events()
+    assert capture_snapshot(experiment) is not None
     stray = experiment.cluster.env.schedule(1.0, lambda: None)
-    assert capture_snapshot(experiment) is None
+    with pytest.raises(RuntimeError, match=f"{accounted + 1} events pending, {accounted} of"):
+        capture_snapshot(experiment)
     stray.cancel()
 
-    # A client mid-offload-training refuses capture outright.
-    client = experiment.pool.hydrate(0)
-    assert capture_snapshot(experiment) is not None
-    client._offload_training_active = True
-    assert client.capture_execution_state() is None
-    assert capture_snapshot(experiment) is None
-    client._offload_training_active = False
+    # Aergia under churn, seed 13: weak client 1 going offline ends round 2,
+    # and the boundary finds client 3 still training client 1's model.
+    config = make_config("aergia", seed=13, rounds=3)
+    golden, golden_store = golden_run(config, tmp_path)
+    store = RunStore(tmp_path / "drained")
+    snapshot = _drain(config, store, after_rounds=1)
+    assert snapshot["round"] == 2
+    strong = dict(snapshot["pool"]["hydrated"])[3]
+    assert strong["package"].source_client_id == 1
+    assert strong["own_training_done"] and strong["pending_batch"] is not None
+    resumed = run(config, store=store, resume=True)
+    assert_bitwise_resume(config, golden, golden_store, resumed, store)
 
 
 def test_checkpoint_interval_excluded_from_run_key():

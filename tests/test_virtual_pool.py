@@ -205,13 +205,15 @@ class TestPoolMechanics:
         # the expectation must pin the client; once the source finishes
         # without offloading (or vanishes), the void promise must *not*
         # pin it forever.
+        from repro.fl.client import ClientRound
         from repro.fl.messages import MessageKind
         from repro.simulation.network import Message
 
         _, pool = self._pool(slots=2)
         strong = pool.hydrate(0)
         weak = pool.hydrate(2)
-        strong._round = weak._round = 1
+        strong.round_state = ClientRound(round=1, total_batches=6)
+        weak.round_state = ClientRound(round=1, total_batches=6)
         weak._pending_batch_event = object()  # still training toward the freeze point
         strong.handle_message(
             Message(
@@ -229,7 +231,7 @@ class TestPoolMechanics:
         # The source finishes its own training without offloading: the
         # expectation is void and the strong client is evictable again.
         weak._pending_batch_event = None
-        weak._own_training_done = True
+        weak.round_state.own_training_done = True
         assert strong.is_quiescent(resolve_peer=pool.client)
         # Without peer resolution the check stays conservative.
         assert not strong.is_quiescent()
