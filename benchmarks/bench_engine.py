@@ -24,7 +24,8 @@ from conftest import run_once
 
 from repro.experiments.engine_bench import render_engine_bench, run_engine_bench
 from repro.nn.architectures import build_model
-from repro.nn.dtype import using_dtype
+from repro.nn.model import SplitCNN
+from repro.nn.optim import SGD
 from repro.nn.reference import REFERENCE_ARCHITECTURES, ReferenceSGD
 
 
@@ -60,10 +61,8 @@ def test_flop_counts_identical_across_engines(print_figure):
 
     traces = {"reference(float64)": ref_trace}
     for dtype_name in ("float64", "float32"):
-        with using_dtype(dtype_name):
-            model = build_model("mnist-cnn", rng=np.random.default_rng(0))
-        from repro.nn.optim import SGD
-
+        built = build_model("mnist-cnn", rng=np.random.default_rng(0))
+        model = SplitCNN(built.feature_layers, built.classifier_layers, built.name, dtype=dtype_name)
         _, trace = model.train_batch(x64.astype(model.dtype), y, SGD(lr=0.05))
         traces[f"optimised({dtype_name})"] = trace
 

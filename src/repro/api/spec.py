@@ -112,7 +112,8 @@ class ExperimentSpec:
         return self.override(rounds=int(value))
 
     def dtype(self, name: str) -> "ExperimentSpec":
-        """Select the compute dtype (float32 fast path / float64 bit-exact)."""
+        """Name the compute dtype: ``"float32"``, the one every run computes
+        in; any other name fails at :meth:`build`."""
         return self.override(dtype=name)
 
     def override(self, **fields: object) -> "ExperimentSpec":

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Unio
 import repro
 from repro.fl.config import ExperimentConfig, TransportConfig
 from repro.fl.metrics import ExperimentResult, RoundRecord
-from repro.nn.dtype import resolve_dtype
 
 #: Bumped whenever the on-disk layout of manifests/round records changes,
 #: or when simulation semantics change such that replaying an old stored
@@ -94,18 +93,17 @@ def canonical_config(config: ExperimentConfig) -> Dict[str, object]:
 def run_key(config: ExperimentConfig) -> str:
     """The store key of a configuration: a sha256 over its canonical JSON.
 
-    The key depends only on the configuration (with the dtype resolved) and
-    :data:`STORE_FORMAT` — not on the package version.  The RunStore is an
+    The key depends only on the configuration and :data:`STORE_FORMAT` —
+    not on the package version.  The RunStore is an
     *archive*: a version bump must not orphan weeks of persisted runs, so a
     complete run is a hit whatever release wrote it; provenance lives in
     each manifest's ``version`` / ``source_revision`` fields, and pointing
     at a fresh results directory is how to force a recompute.
     """
     canonical = canonical_config(config)
-    # A config with dtype=None resolves to the process default at build
-    # time, so the effective dtype is part of the identity (results differ
-    # across dtypes even though simulated times do not).
-    canonical["dtype"] = resolve_dtype(config.dtype).name
+    # dtype None and "float32" are one run; the constant keeps the keys of
+    # releases that also ran float64.
+    canonical["dtype"] = "float32"
     payload = {"store_format": STORE_FORMAT, "config": canonical}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -350,7 +348,7 @@ class RunWriter:
             "partition": config.partition,
             "scenario": config.dynamics.scenario,
             "seed": config.seed,
-            "dtype": resolve_dtype(config.dtype).name,
+            "dtype": "float32",
             "created_at": time.time(),
             "status": "running",
             "config": _jsonable(dataclasses.asdict(config)),

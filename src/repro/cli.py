@@ -136,26 +136,6 @@ def _add_scale_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_dtype_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dtype",
-        choices=("float32", "float64"),
-        default=None,
-        help="compute dtype of the numpy engine (default: $REPRO_DTYPE or float32; "
-        "float64 reproduces the original engine bit-for-bit; simulated times are "
-        "identical either way)",
-    )
-
-
-def _apply_dtype(args: argparse.Namespace) -> None:
-    """Make an explicit --dtype the process-wide default (workers inherit it)."""
-    if getattr(args, "dtype", None):
-        from repro.nn.dtype import set_compute_dtype
-
-        os.environ["REPRO_DTYPE"] = args.dtype
-        set_compute_dtype(args.dtype)
-
-
 def _apply_results_dir(args: argparse.Namespace) -> None:
     """Make an explicit --results-dir the process-wide default store.
 
@@ -275,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_flag(run_p)
     _add_scale_flag(run_p)
-    _add_dtype_flag(run_p)
     _add_results_dir_flag(run_p)
 
     sweep_p = sub.add_parser(
@@ -339,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_flag(sweep_p)
     _add_scale_flag(sweep_p)
-    _add_dtype_flag(sweep_p)
     _add_workers_flag(sweep_p)
     _add_results_dir_flag(sweep_p)
 
@@ -360,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override each figure's default seed"
     )
     _add_scale_flag(fig_p)
-    _add_dtype_flag(fig_p)
     _add_workers_flag(fig_p)
     _add_results_dir_flag(fig_p)
 
@@ -433,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="seconds allowed for checkpointing in-flight runs on SIGTERM (default: 120)",
     )
-    _add_dtype_flag(serve_p)
 
     bench_p = sub.add_parser(
         "bench",
@@ -464,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--seed", type=int, default=42, help="experiment seed (default: 42)")
     _add_scenario_flag(bench_p)
     _add_scale_flag(bench_p)
-    _add_dtype_flag(bench_p)
     bench_p.add_argument(
         "--engine",
         action="store_true",
@@ -543,12 +518,11 @@ def _grid_configs(
     partition: str,
     scale: ScaleProfile,
     seed: int,
-    dtype: Optional[str] = None,
     scenario: Optional[str] = None,
 ) -> Dict[str, object]:
     return {
         f"{dataset}/{algorithm}": evaluation_config(
-            dataset, algorithm, partition, scale, seed=seed, dtype=dtype, scenario=scenario
+            dataset, algorithm, partition, scale, seed=seed, scenario=scenario
         )
         for dataset in datasets
         for algorithm in algorithms
@@ -603,7 +577,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scale = SCALES[args.scale]
-    _apply_dtype(args)
     _apply_results_dir(args)
     spec = (
         api.experiment(args.algorithm)
@@ -612,7 +585,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         .scale(args.scale)
         .scenario(args.scenario)
         .seed(args.seed)
-        .override(dtype=args.dtype)
     )
     if args.rounds is not None:
         spec = spec.rounds(args.rounds)
@@ -668,7 +640,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scale = SCALES[args.scale]
-    _apply_dtype(args)
     _apply_results_dir(args)
     configs = _grid_configs(
         args.datasets,
@@ -676,7 +647,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.partition,
         scale,
         args.seed,
-        dtype=args.dtype,
         scenario=args.scenario,
     )
     workers = resolve_workers(args.workers)
@@ -765,7 +735,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _apply_dtype(args)
     _apply_results_dir(args)
     # Like --results-dir, the worker count reaches the figure functions
     # (which take no such argument) through the environment.
@@ -783,7 +752,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived experiment server (see :mod:`repro.serve`)."""
-    _apply_dtype(args)
     from repro.serve.server import run_server
 
     return run_server(
@@ -841,7 +809,6 @@ def _cmd_bench_serve(args: argparse.Namespace, scale: ScaleProfile) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     scale = SCALES[args.scale]
-    _apply_dtype(args)
     if args.engine:
         return _cmd_bench_engine(args, scale)
     if args.shard:
@@ -854,7 +821,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         args.partition,
         scale,
         args.seed,
-        dtype=args.dtype,
         scenario=args.scenario,
     )
     workers = resolve_workers(args.workers)

@@ -166,9 +166,9 @@ class FrozenModelPackage:
         """Size of the package on the wire (charged by the network model).
 
         Payloads are charged at the canonical wire width
-        (:data:`repro.simulation.network.WIRE_BYTES_PER_PARAM`) regardless
-        of the in-memory compute dtype, so simulated communication times do
-        not depend on whether the engine runs in float32 or float64.
+        (:data:`repro.simulation.network.WIRE_BYTES_PER_PARAM`), not at the
+        in-memory dtype of the weights, so simulated communication times do
+        not depend on the width the engine computes in.
         """
         from repro.simulation.network import WIRE_BYTES_PER_PARAM
 

@@ -56,8 +56,6 @@ class OffloadPlan:
     round_number: int
     mean_compute_time: float
     assignments: List[OffloadAssignment] = field(default_factory=list)
-    senders: List[int] = field(default_factory=list)
-    receivers: List[int] = field(default_factory=list)
 
     def add(self, assignment: OffloadAssignment) -> None:
         if self.assignment_for(assignment.weak_client) is not None:
@@ -74,16 +72,6 @@ class OffloadPlan:
             if assignment.weak_client == weak_client:
                 return assignment
         return None
-
-    def assignment_received_by(self, strong_client: int) -> Optional[OffloadAssignment]:
-        """The assignment in which ``strong_client`` receives work, if any."""
-        for assignment in self.assignments:
-            if assignment.strong_client == strong_client:
-                return assignment
-        return None
-
-    def receiving_clients(self) -> List[int]:
-        return [assignment.strong_client for assignment in self.assignments]
 
     @property
     def num_offloads(self) -> int:

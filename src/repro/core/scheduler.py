@@ -74,8 +74,6 @@ class SchedulerDecision:
 
     plan: OffloadPlan
     mean_compute_time: float
-    sending_clients: Tuple[int, ...]
-    receiving_clients: Tuple[int, ...]
 
 
 def calc_op(
@@ -183,8 +181,7 @@ def schedule_offloading(
     Returns
     -------
     SchedulerDecision
-        The offloading plan plus the intermediate quantities (mean compute
-        time, sender/receiver sets) that the evaluation figures report.
+        The offloading plan plus the round's mean compute time.
     """
     if similarity_factor < 0:
         raise ValueError("similarity_factor must be non-negative")
@@ -194,8 +191,6 @@ def schedule_offloading(
         return SchedulerDecision(
             plan=OffloadPlan(round_number=round_number, mean_compute_time=0.0),
             mean_compute_time=0.0,
-            sending_clients=(),
-            receiving_clients=(),
         )
 
     ids = [p.client_id for p in performances]
@@ -209,8 +204,6 @@ def schedule_offloading(
         index_of = {client_id: index for index, client_id in enumerate(sim_ids)}
     else:
         index_of = {}
-
-    by_id = {p.client_id: p for p in performances}
 
     # Line 12: mean compute time over the active clients.
     mean_compute_time = float(np.mean([p.estimated_completion for p in performances]))
@@ -227,12 +220,7 @@ def schedule_offloading(
     sending.sort(key=lambda p: p.estimated_completion, reverse=True)
     receiving.sort(key=lambda p: p.estimated_completion)
 
-    plan = OffloadPlan(
-        round_number=round_number,
-        mean_compute_time=mean_compute_time,
-        senders=[p.client_id for p in sending],
-        receivers=[p.client_id for p in receiving],
-    )
+    plan = OffloadPlan(round_number=round_number, mean_compute_time=mean_compute_time)
 
     available = list(receiving)
     for weak in sending:
@@ -278,11 +266,4 @@ def schedule_offloading(
         )
         available = [p for p in available if p.client_id != selected.client_id]
 
-    # Keep a deterministic, useful ordering of the plan fields.
-    _ = by_id  # retained for future extensions (e.g. multi-hop offloading)
-    return SchedulerDecision(
-        plan=plan,
-        mean_compute_time=mean_compute_time,
-        sending_clients=tuple(p.client_id for p in sending),
-        receiving_clients=tuple(p.client_id for p in receiving),
-    )
+    return SchedulerDecision(plan=plan, mean_compute_time=mean_compute_time)

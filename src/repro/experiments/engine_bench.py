@@ -29,7 +29,7 @@ import numpy as np
 from repro.fl.aggregation import fedavg_aggregate_flat, fednova_aggregate_flat
 from repro.nn.architectures import build_model
 from repro.nn.batched import _GEMM_PROBE_CACHE
-from repro.nn.dtype import using_dtype
+from repro.nn.model import SplitCNN
 from repro.nn.optim import SGD
 from repro.nn.reference import (
     REFERENCE_ARCHITECTURES,
@@ -118,6 +118,13 @@ def _time_interleaved_ms(
     return [float(median(column)) for column in samples], ratios
 
 
+def _build_at(arch: str, dtype_name: str, rng: np.random.Generator) -> SplitCNN:
+    """``build_model(arch, rng)`` with its parameters cast to ``dtype_name``:
+    the float64 columns time the engine at the seed engine's width."""
+    model = build_model(arch, rng=rng)
+    return SplitCNN(model.feature_layers, model.classifier_layers, model.name, dtype=dtype_name)
+
+
 def _input_batch(arch: str, batch_size: int, dtype) -> tuple:
     from repro.nn.architectures import ARCHITECTURES
 
@@ -140,8 +147,7 @@ def bench_train_step(arch: str, batch_size: int, repeats: int, warmup: int) -> D
     )
 
     for dtype_name in ("float64", "float32"):
-        with using_dtype(dtype_name):
-            model = build_model(arch, rng=np.random.default_rng(0))
+        model = _build_at(arch, dtype_name, np.random.default_rng(0))
         x = x64.astype(model.dtype)
         optimizer = SGD(lr=0.05, momentum=0.9)
         results[f"{dtype_name}_ms"] = _time_ms(
@@ -163,8 +169,7 @@ def bench_eval_step(arch: str, batch_size: int, repeats: int, warmup: int) -> Di
     )
 
     for dtype_name in ("float64", "float32"):
-        with using_dtype(dtype_name):
-            model = build_model(arch, rng=np.random.default_rng(0))
+        model = _build_at(arch, dtype_name, np.random.default_rng(0))
         x = x64.astype(model.dtype)
         results[f"{dtype_name}_ms"] = _time_ms(
             lambda: model.evaluate(x, y, batch_size=batch_size), repeats, warmup
@@ -185,16 +190,16 @@ def bench_aggregation(
     sizes = [10 * (i + 1) for i in range(num_clients)]
     steps = [1 + (i % 5) for i in range(num_clients)]
 
-    with using_dtype("float64"):
-        dicts64 = [
-            build_model(arch, rng=np.random.default_rng(i)).get_weights()
-            for i in range(num_clients)
-        ]
-        global64 = build_model(arch, rng=np.random.default_rng(99)).get_weights()
-    with using_dtype("float32"):
-        models32 = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
-        rows32 = [model.get_flat_weights() for model in models32]
-        global32 = build_model(arch, rng=np.random.default_rng(99)).get_flat_weights()
+    dicts64 = [
+        _build_at(arch, "float64", np.random.default_rng(i)).get_weights()
+        for i in range(num_clients)
+    ]
+    global64 = _build_at(arch, "float64", np.random.default_rng(99)).get_weights()
+    rows32 = [
+        build_model(arch, rng=np.random.default_rng(i)).get_flat_weights()
+        for i in range(num_clients)
+    ]
+    global32 = build_model(arch, rng=np.random.default_rng(99)).get_flat_weights()
     rows64 = [np.concatenate([value.ravel() for value in weights.values()]) for weights in dicts64]
     global64_vec = np.concatenate([value.ravel() for value in global64.values()])
 
@@ -249,9 +254,8 @@ def bench_round_step(
     spec = ARCHITECTURES[arch]
     results: Dict[str, float] = {}
     for dtype_name in ("float64", "float32"):
-        with using_dtype(dtype_name):
-            oracles = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
-            models = [build_model(arch, rng=np.random.default_rng(i)) for i in range(num_clients)]
+        oracles = [_build_at(arch, dtype_name, np.random.default_rng(i)) for i in range(num_clients)]
+        models = [_build_at(arch, dtype_name, np.random.default_rng(i)) for i in range(num_clients)]
         dtype = models[0].dtype
         rng = np.random.default_rng(7)
         x = rng.normal(size=(num_clients, batch_size, *spec.input_shape)).astype(dtype)
@@ -286,8 +290,7 @@ def bench_step_breakdown(arch: str, repeats: int, warmup: int) -> Dict[str, obje
     select ran 16x faster than on real activations — branch prediction).
     """
     size = 16  # the paper's batch size: the step a ``bench``-scale run spends its time in
-    with using_dtype("float32"):
-        model = build_model(arch, rng=np.random.default_rng(0))
+    model = build_model(arch, rng=np.random.default_rng(0))
     x, y = _input_batch(arch, size * (1 + warmup + repeats), model.dtype)
     optimizer = SGD(lr=0.05, momentum=0.9)
     model.train_batch(x[:size], y[:size], optimizer)  # builds the kernel set, runs its probes

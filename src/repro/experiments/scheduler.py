@@ -206,14 +206,6 @@ class SweepScheduler:
             # checkpoint_interval is an execution field: the override keeps
             # the run key (and thus the store identity) unchanged.
             config = config.with_overrides(checkpoint_interval=self.checkpoint_interval)
-        if pool is not None and config.dtype is None:
-            # A worker resolves dtype=None from its *own* environment (fresh
-            # module state under the spawn start method), so an explicit
-            # set_compute_dtype() in this process would otherwise key the
-            # cell by one dtype and execute it in another.
-            from repro.nn.dtype import resolve_dtype
-
-            config = config.with_overrides(dtype=resolve_dtype(None).name)
         done: Future = Future()
         try:
             if pool is not None:

@@ -334,10 +334,9 @@ class ExperimentConfig:
     transport: TransportConfig = field(default_factory=TransportConfig)
 
     # Compute engine
-    #: Numeric width of the numpy engine: "float32" (fast default),
-    #: "float64" (bit-identical with the original engine), or None to use
-    #: the process-wide default (REPRO_DTYPE env var, else float32).
-    #: FLOP accounting and simulated times are identical across dtypes.
+    #: Every run computes in float32 (:mod:`repro.nn.dtype`): None and
+    #: "float32" name that one run (and share its run key); anything else
+    #: — a float64 manifest of an earlier release included — is refused.
     dtype: Optional[str] = None
 
     # Client materialization
@@ -394,9 +393,10 @@ class ExperimentConfig:
             raise ValueError("deadline_seconds must be positive when set")
         if self.aergia_similarity_factor < 0:
             raise ValueError("aergia_similarity_factor must be non-negative")
-        if self.dtype is not None and self.dtype not in {"float32", "float64"}:
+        if self.dtype not in (None, "float32"):
             raise ValueError(
-                f"unknown compute dtype {self.dtype!r}; valid: float32, float64 (or None)"
+                f"dtype={self.dtype!r} is no longer supported: every run computes "
+                "in float32 (dtype None or 'float32')"
             )
         if not 0 < self.fedasync_alpha <= 1:
             raise ValueError("fedasync_alpha must be in (0, 1]")

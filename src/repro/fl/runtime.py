@@ -25,7 +25,7 @@ from repro.fl.federator import BaseFederator
 from repro.fl.metrics import ExperimentResult
 from repro.fl.training import LocalTrainer
 from repro.nn.architectures import ARCHITECTURES, build_model
-from repro.nn.dtype import resolve_dtype, using_dtype
+from repro.nn.dtype import COMPUTE_DTYPE
 from repro.registry import FEDERATORS
 from repro.fl.transport import build_transport
 from repro.simulation.cluster import SimulatedCluster
@@ -178,31 +178,20 @@ def _estimate_client_batch_seconds(
     }
 
 
-def _cast_dataset(dataset, dtype: np.dtype):
+def _cast_dataset(dataset):
     """Cast a dataset's images to the compute dtype once, ahead of training.
 
     Doing the cast here keeps the per-batch path allocation-free: batch
     loaders slice pre-cast arrays, so ``SplitCNN`` never needs to convert
     inputs.  A no-op (returning the same object) when the dtype matches.
     """
-    if dataset.x_train.dtype == dtype and dataset.x_test.dtype == dtype:
+    if dataset.x_train.dtype == COMPUTE_DTYPE and dataset.x_test.dtype == COMPUTE_DTYPE:
         return dataset
     return dataclasses.replace(
         dataset,
-        x_train=dataset.x_train.astype(dtype),
-        x_test=dataset.x_test.astype(dtype),
+        x_train=dataset.x_train.astype(COMPUTE_DTYPE),
+        x_test=dataset.x_test.astype(COMPUTE_DTYPE),
     )
-
-
-def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
-    """Assemble a complete experiment from its configuration.
-
-    The experiment's compute dtype (``config.dtype``, else the process-wide
-    default from ``REPRO_DTYPE``) is applied to every model built here and
-    to the dataset arrays; simulated times are dtype-independent.
-    """
-    with using_dtype(resolve_dtype(config.dtype)) as dtype:
-        return _build_experiment(config, dtype)
 
 
 def uses_sharded_execution(config: ExperimentConfig) -> bool:
@@ -220,7 +209,12 @@ def uses_sharded_execution(config: ExperimentConfig) -> bool:
     return bool(getattr(federator_cls, "checkpoint_bootstraps_round", True))
 
 
-def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHandle:
+def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
+    """Assemble a complete experiment from its configuration.
+
+    Every model built here and the dataset arrays are
+    :data:`repro.nn.dtype.COMPUTE_DTYPE`.
+    """
     rng = np.random.default_rng(config.seed)
 
     # The global model draws from a generator of its own, so building it
@@ -239,9 +233,8 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
             train_size=config.train_size,
             test_size=config.test_size,
             seed=config.seed,
-            dtype=dtype,
-        ),
-        dtype,
+            dtype=COMPUTE_DTYPE,
+        )
     )
     plan = plan_partition(
         dataset,

@@ -18,12 +18,7 @@ in the experiments are the product of actual learning, while FLOP counts
 per phase feed the cluster simulator's virtual-time cost model.
 """
 
-from repro.nn.dtype import (
-    compute_dtype,
-    resolve_dtype,
-    set_compute_dtype,
-    using_dtype,
-)
+from repro.nn.dtype import COMPUTE_DTYPE, resolve_dtype
 from repro.nn.layers import (
     Layer,
     Conv2D,
@@ -49,10 +44,8 @@ from repro.nn.architectures import (
 )
 
 __all__ = [
-    "compute_dtype",
+    "COMPUTE_DTYPE",
     "resolve_dtype",
-    "set_compute_dtype",
-    "using_dtype",
     "Layer",
     "Conv2D",
     "Dense",

@@ -6,10 +6,10 @@ deterministically from a seed.  This is essential for reproducing the
 paper's experiments: the federator and every client must start from the
 same global model.
 
-Random draws always happen in ``float64`` and are cast to the compute
+Random draws always happen in ``float64`` and are cast to the target
 dtype afterwards, so a ``float32`` model is the *rounded* version of the
 corresponding ``float64`` model — the underlying random stream (and hence
-seed bookkeeping) is identical in both modes.
+seed bookkeeping) is identical at either width.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def he_normal(
     rng:
         Source of randomness.
     dtype:
-        Target dtype; defaults to the global compute dtype.
+        Target dtype; defaults to :data:`repro.nn.dtype.COMPUTE_DTYPE`.
     """
     std = np.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape).astype(resolve_dtype(dtype), copy=False)

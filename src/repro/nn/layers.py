@@ -11,8 +11,8 @@ Every layer exposes:
   which is how the reproduction recreates the heterogeneous training times
   of the paper's Docker/Kubernetes testbed without real CPU throttling.
 
-Layers operate on arrays of the configured compute dtype (see
-:mod:`repro.nn.dtype`; ``float32`` by default, ``float64`` opt-in) in
+Layers operate on arrays of their parameters' dtype (``float32``, see
+:mod:`repro.nn.dtype`; ``float64`` when a test builds one so) in
 ``(N, C, H, W)`` layout for images and ``(N, F)`` layout for flat features.
 
 The per-batch path is engineered to be allocation-free where possible:
@@ -20,9 +20,10 @@ scratch buffers (im2col columns, padded inputs, ReLU masks, pooling
 windows) are reused across same-shape batches, ``zero_grad`` fills
 existing gradient buffers in place, and ``MaxPool2D`` caches the flat
 indices of each window's maximum instead of materialising boolean masks.
-In ``float64`` mode every optimisation preserves the exact floating-point
-operation order of the original implementation, so results are
-bit-identical with the seed engine.
+Every optimisation preserves the exact floating-point operation order of
+the original implementation: a ``float64`` layer is bit-identical with the
+seed engine's (:mod:`repro.nn.reference`, which the parity tests hold it
+to).
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class Conv2D(Layer):
         generator is created when omitted, which is convenient in tests but
         should be avoided in experiments that must be reproducible.
     dtype:
-        Parameter dtype; defaults to the global compute dtype.
+        Parameter dtype; defaults to :data:`repro.nn.dtype.COMPUTE_DTYPE`.
 
     The im2col column matrix — the largest per-batch intermediate, ``k**2``
     times the input size — lives in a scratch buffer that is reused across

@@ -4,11 +4,10 @@ The paper trains image classifiers with the cross-entropy loss; this module
 provides a numerically stable softmax cross-entropy with the gradient with
 respect to the logits.
 
-The loss follows the dtype of the incoming logits (``float32`` on the
-default fast path, ``float64`` opt-in); the scalar batch mean is always
-accumulated in ``float64`` so that reported losses stay stable regardless
-of the compute dtype.  In ``float64`` mode every value is bit-identical
-with the seed implementation.
+The loss follows the dtype of the incoming logits; the scalar batch mean
+is always accumulated in ``float64`` so that reported losses stay stable
+at ``float32``.  On ``float64`` logits (the parity tests') every value is
+bit-identical with the seed implementation.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.dtype import DtypeLike, compute_dtype, resolve_dtype
+from repro.nn.dtype import COMPUTE_DTYPE, DtypeLike, resolve_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU, ResidualBlock
 from repro.nn.loss import CrossEntropyLoss, softmax
 from repro.nn.optim import Optimizer
@@ -243,8 +243,8 @@ class SplitCNN:
     dtype:
         Compute dtype of the model's parameters and activations; defaults
         to the dtype of the provided layers' parameters (which in turn
-        default to the global compute dtype).  Inputs are cast to this
-        dtype at the model boundary.
+        default to :data:`repro.nn.dtype.COMPUTE_DTYPE`).  Inputs are cast
+        to this dtype at the model boundary.
 
     .. note::
        Construction **takes ownership** of the given layers: their
@@ -286,7 +286,7 @@ class SplitCNN:
         for _, layer in self._named_layers():
             for value in layer.params.values():
                 return value.dtype
-        return compute_dtype()
+        return COMPUTE_DTYPE
 
     # ------------------------------------------------------------ structure
     def _named_layers(self) -> Iterable[Tuple[str, Layer]]:

@@ -22,8 +22,8 @@ that are reused across steps.  The dictionary :meth:`Optimizer.step` API is
 kept as a thin adapter over the same fused kernel, so existing baselines
 and tests keep working unchanged.  The fused kernel preserves the exact
 floating-point operation order of the original per-key implementation
-(``update = grad + wd*w``; ``v = m*v + update``; ``w -= lr*v``), so
-``float64`` runs are bit-identical with the seed engine.
+(``update = grad + wd*w``; ``v = m*v + update``; ``w -= lr*v``), so a
+``float64`` model steps bit-identically with the seed engine.
 """
 
 from __future__ import annotations

@@ -16,10 +16,6 @@ workers use it — but execution here stays in-process, with all
 cross-thread mutation funnelled through :meth:`RunHandle.inject` so the
 simulation only ever sees state changes between two events.
 
-The compute dtype is per run: experiment construction overrides it for
-the building thread only (:func:`repro.nn.dtype.using_dtype`), so a
-float32 and a float64 run can be hosted side by side.
-
 Lifecycle::
 
     queued -> running -> complete        (ran to its round budget)

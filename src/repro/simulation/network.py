@@ -81,10 +81,9 @@ class Message:
 
 
 #: Canonical on-the-wire width of one model parameter.  Model payloads are
-#: charged at this width regardless of the engine's in-memory compute dtype
-#: (float32 by default, see :mod:`repro.nn.dtype`), so simulated
-#: communication times are identical across dtypes and match the original
-#: float64 engine bit-for-bit.
+#: charged at this width, not at the engine's in-memory float32 (see
+#: :mod:`repro.nn.dtype`), so simulated communication times match the
+#: original float64 engine bit-for-bit.
 WIRE_BYTES_PER_PARAM = 8
 
 

@@ -103,21 +103,18 @@ def _maxrss_kb() -> int:
         return 0
 
 
-def _template(templates: dict, architecture: str, dtype_name: str):
-    """The worker's model of one architecture/dtype, built once per worker.
+def _template(templates: dict, architecture: str):
+    """The worker's model of one architecture, built once per worker.
 
     Its initial weights never matter: :func:`repro.fl.training.train`
     overwrites every section with the job's start weights before the first
     step.
     """
     from repro.nn.architectures import build_model
-    from repro.nn.dtype import using_dtype
 
-    cached = templates.get((architecture, dtype_name))
+    cached = templates.get(architecture)
     if cached is None:
-        with using_dtype(dtype_name):
-            cached = build_model(architecture)
-        templates[(architecture, dtype_name)] = cached
+        cached = templates[architecture] = build_model(architecture)
     return cached
 
 
@@ -183,7 +180,7 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
             stats["jobs"] += 1
         _, job_id, job = message
         try:
-            model = _template(templates, job["architecture"], job["dtype"])
+            model = _template(templates, job["architecture"])
             reply = ("result", job_id, train(model, job))
         except BaseException as exc:  # surface worker bugs to the parent
             reply = ("error", job_id, repr(exc))
@@ -388,7 +385,7 @@ class ShardPool:
 
 
 #: Idle pools kept warm across executors/runs (workers are stateless and
-#: generic — every job carries its architecture/dtype/globals — so reuse
+#: generic — every job carries its architecture and globals — so reuse
 #: is safe and saves the ~1s spawn cost per worker per run).
 _POOL_CACHE: Dict[int, ShardPool] = {}
 
@@ -452,7 +449,7 @@ class ShardedClientExecutor(LocalTrainer):
         keys = []
         for job in jobs:
             shard, job_id = self.plan.shard_of(job.client_id), self.pool.new_job_id()
-            payload = dict(job.spec(), architecture=self.architecture, dtype=str(self.model.dtype))
+            payload = dict(job.spec(), architecture=self.architecture)
             self.pool.submit(shard, job_id, payload)
             keys.append((shard, job_id))
         self.stats["shard_jobs"] += len(jobs)

@@ -83,7 +83,6 @@ def _ladder_config(shards: int, quick: bool):
         scale,
         seed=7,
         scenario="stable",
-        dtype="float32",
         shards=shards,
         # Compute-heavy round: more local steps per client so worker-side
         # training dominates dispatch/collect overhead.
@@ -131,7 +130,6 @@ def run_shard_bench(quick: bool = False, output: Optional[str] = "BENCH_shard.js
             SCALES["continent"],
             seed=7,
             scenario="stable",
-            dtype="float32",
             shards=4,
         )
         run = _run_instrumented(config)

@@ -61,18 +61,17 @@ class TestFluentSpec:
         config = api.experiment("fedsgd").build()
         assert config.num_clients == SCALES["smoke"].num_clients
 
+    # Now pins: ``.dtype("float32")`` reaches the config and
+    # ``.dtype("float64")`` is refused at build — every run computes in
+    # float32.
     def test_overrides_reach_the_config(self):
-        config = (
-            api.experiment("fedprox")
-            .scale("smoke")
-            .rounds(3)
-            .dtype("float64")
-            .override(fedprox_mu=0.2)
-            .build()
-        )
+        spec = api.experiment("fedprox").scale("smoke").rounds(3).override(fedprox_mu=0.2)
+        config = spec.dtype("float32").build()
         assert config.rounds == 3
-        assert config.dtype == "float64"
+        assert config.dtype == "float32"
         assert config.fedprox_mu == 0.2
+        with pytest.raises(ValueError, match="dtype"):
+            spec.dtype("float64").build()
 
     def test_repr_reads_as_the_fluent_chain(self):
         spec = api.experiment("tifl").scale("smoke").seed(9)

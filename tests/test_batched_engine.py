@@ -34,7 +34,6 @@ from repro.experiments.workloads import SCALES, evaluation_config
 from repro.fl.config import ExperimentConfig, ResourceConfig, config_from_dict, config_to_dict
 from repro.fl.runtime import build_experiment, uses_sharded_execution
 from repro.nn.architectures import ARCHITECTURES, build_model
-from repro.nn.dtype import using_dtype
 from repro.nn.layers import MaxPool2D
 from repro.nn.model import SplitCNN, phase_flops
 from repro.fl.training import LocalTrainer, TrainingJob, run_jobs, train
@@ -57,8 +56,8 @@ def _run_parity_case(arch, dtype_name, frozen, opt_name, clients=2, n=3, steps=2
     spec = ARCHITECTURES[arch]
 
     def build(seed):
-        with using_dtype(dtype_name):
-            model = build_model(arch, rng=np.random.default_rng(seed))
+        built = build_model(arch, rng=np.random.default_rng(seed))
+        model = SplitCNN(built.feature_layers, built.classifier_layers, arch, dtype=dtype_name)
         if frozen == "features":
             model.freeze_features()
         elif frozen == "classifier":
@@ -235,8 +234,7 @@ def test_analytic_phase_flops_match_executed_trace(arch):
     computed on a shard worker is charged before it ran: both costs come
     from :func:`phase_flops`; it must equal the real trace."""
     spec = ARCHITECTURES[arch]
-    with using_dtype("float32"):
-        model = build_model(arch, rng=np.random.default_rng(0))
+    model = build_model(arch, rng=np.random.default_rng(0))
     batch_n = 4
     rng = np.random.default_rng(1)
     x = rng.standard_normal((batch_n,) + spec.input_shape).astype(model.dtype)
@@ -357,14 +355,12 @@ def test_virtual_pool_runs_bitwise_identical_with_batching():
 
 
 # Now pins: the one model every job trains on is built with the
-# experiment, at its dtype, and a client hydrated later under another
-# ambient default still holds its data at the config's dtype — clients
-# would otherwise silently train at a precision other than the config's.
+# experiment, at float32, and a client hydrated later holds its data at
+# float32 too — there is no ambient dtype for a later hydration to read.
 def test_virtual_pool_hydrates_models_at_config_dtype():
     config = _smoke_config("fedavg", "iid", "stable", train_size=384)
     handle = build_experiment(config)
-    with using_dtype("float64"):
-        actor = handle.pool.hydrate(0)
+    actor = handle.pool.hydrate(0)
     assert handle.cluster.trainer.model.dtype == np.dtype("float32")
     assert actor.trainer is handle.cluster.trainer
     assert actor.loader.x.dtype == np.dtype("float32")
@@ -419,14 +415,12 @@ class _RecordingPool:
 
     def collect(self, shard, job_id):
         payload = self.submitted[job_id - 1][2]
-        with using_dtype(payload["dtype"]):
-            template = build_model(payload["architecture"], rng=np.random.default_rng(5))
+        template = build_model(payload["architecture"], rng=np.random.default_rng(5))
         return train(template, payload)
 
 
 def _model():
-    with using_dtype("float32"):
-        return build_model("mnist-cnn", rng=np.random.default_rng(0))
+    return build_model("mnist-cnn", rng=np.random.default_rng(0))
 
 
 def _executor_without_workers(num_clients=4):
@@ -542,8 +536,7 @@ def test_trainable_params_cache_aliases_and_invalidates():
     """The legacy dict-view adapter is cached: repeated calls return the
     same alias of the flat buffers (no copies), and freeze/unfreeze or a
     flat-buffer rebuild invalidates it."""
-    with using_dtype("float32"):
-        model = build_model("mnist-cnn", rng=np.random.default_rng(0))
+    model = build_model("mnist-cnn", rng=np.random.default_rng(0))
     params, grads = model._trainable_params()
     again_params, again_grads = model._trainable_params()
     assert params is again_params and grads is again_grads  # cached, not rebuilt

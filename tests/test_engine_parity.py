@@ -7,8 +7,9 @@ floating-point operation order of the seed implementation when running in
 
 1. per-layer forward/backward against :mod:`repro.nn.reference`,
 2. multi-step training and the fused optimiser/aggregation kernels,
-3. whole serial experiment suites: per-label summaries produced with the
-   reference layers must equal the ones produced with the optimised layers.
+3. the federated loop: client jobs run by ``fl.training.train`` and FedAvg
+   over several rounds on the reference layers must equal the same loop on
+   the optimised layers.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import pytest
 
 from repro.fl.aggregation import fedavg_aggregate, fednova_aggregate
 from repro.nn import architectures
-from repro.nn.architectures import ArchitectureSpec
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.model import SplitCNN
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.reference import (
-    REFERENCE_ARCHITECTURES,
     ReferenceConv2D,
     ReferenceDense,
     ReferenceMaxPool2D,
@@ -164,31 +163,86 @@ class TestModelParity:
 
 
 class TestSuiteParity:
-    def _suite_summaries(self):
-        import repro.api as api
-        from repro.experiments.workloads import SCALES, evaluation_config
+    """The federated loop, seed engine against optimised engine (float64)."""
 
-        cells = {
-            f"mnist/{algorithm}": evaluation_config(
-                "mnist", algorithm, "noniid", SCALES["smoke"], seed=42, dtype="float64"
-            )
-            for algorithm in ("fedavg", "fedprox")
-        }
-        suite = api.sweep(cells, workers=1).suite
-        return {label: suite.results[label].summary() for label in cells}
+    CLIENT_SIZES = (40, 48, 56, 64)
+    ROUNDS = 3
+    BATCHES = 3
 
+    def _federate(self, model, aggregate):
+        """FedAvg over non-IID mnist shards: every round, each client's job
+        runs through ``fl.training.train`` from the global weights; returns
+        the losses, each round's global vector and the final evaluation."""
+        from repro.data.datasets import load_dataset
+        from repro.fl.training import train
+
+        data = load_dataset("mnist", train_size=256, test_size=64, seed=42, dtype=np.float64)
+        order = np.argsort(data.y_train, kind="stable")  # label-sorted: non-IID shards
+        bounds = np.cumsum((0,) + self.CLIENT_SIZES)
+        shards = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        optimizer = SGD(lr=0.05, momentum=0.9, weight_decay=1e-4)
+        states = [{"velocity": {}} for _ in shards]
+        global_weights = reference_mnist_cnn(rng=np.random.default_rng(9)).get_flat_weights()
+        losses, trajectory = [], []
+        for round_number in range(self.ROUNDS):
+            outcomes = []
+            for client, shard in enumerate(shards):
+                rng = np.random.default_rng(100 * round_number + client)
+                outcome = train(
+                    model,
+                    {
+                        "weights": global_weights,
+                        "optimizer": optimizer,
+                        "optimizer_state": states[client],
+                        "x": data.x_train[shard],
+                        "y": data.y_train[shard],
+                        "indices": [
+                            rng.choice(len(shard), 16, replace=False) for _ in range(self.BATCHES)
+                        ],
+                        "frozen": False,
+                        "features_only": False,
+                        "freeze_at": None,
+                    },
+                )
+                states[client] = outcome["optimizer"]
+                losses.extend(outcome["losses"])
+                outcomes.append(np.concatenate([outcome["weights"][s] for s in model.SECTIONS]))
+            global_weights = aggregate(model, outcomes)
+            trajectory.append(global_weights)
+        model.set_flat_weights(global_weights)
+        return losses, trajectory, model.evaluate(data.x_test, data.y_test)
+
+    # Now pins: seed parity of the federated loop at float64 without a
+    # float64 run — client jobs through ``fl.training.train`` and FedAvg,
+    # over several rounds and clients: the optimised layers (cast to
+    # float64) with the flat FedAvg kernel against the reference layers with
+    # the seed FedAvg loop, every loss, every round's global model and the
+    # final evaluation bit for bit.
     def test_serial_suite_summaries_match_reference_engine(self):
-        """Per-label summaries: reference layers vs optimised layers (float64)."""
-        spec = architectures.ARCHITECTURES["mnist-cnn"]
-        architectures.ARCHITECTURES["mnist-cnn"] = ArchitectureSpec(
-            spec.name,
-            spec.input_shape,
-            spec.num_classes,
-            REFERENCE_ARCHITECTURES["mnist-cnn"],
+        """Per-round global models: reference layers vs optimised layers (float64)."""
+        from repro.fl.aggregation import fedavg_aggregate_flat
+
+        def flat_fedavg(model, rows):
+            return fedavg_aggregate_flat(rows, self.CLIENT_SIZES)
+
+        def seed_fedavg(model, rows):
+            updates = []
+            for row, size in zip(rows, self.CLIENT_SIZES):
+                model.set_flat_weights(row)
+                updates.append((model.get_weights(), size))
+            model.set_weights(reference_fedavg_aggregate(updates))
+            return model.get_flat_weights()
+
+        built = architectures.mnist_cnn(rng=np.random.default_rng(2))
+        optimised = SplitCNN(
+            built.feature_layers, built.classifier_layers, "mnist-cnn", dtype=np.float64
         )
-        try:
-            reference_summaries = self._suite_summaries()
-        finally:
-            architectures.ARCHITECTURES["mnist-cnn"] = spec
-        optimised_summaries = self._suite_summaries()
-        assert reference_summaries == optimised_summaries
+        reference = reference_mnist_cnn(rng=np.random.default_rng(9))
+        new_losses, new_trajectory, new_eval = self._federate(optimised, flat_fedavg)
+        ref_losses, ref_trajectory, ref_eval = self._federate(reference, seed_fedavg)
+        assert len(new_losses) == len(self.CLIENT_SIZES) * self.ROUNDS * self.BATCHES
+        assert new_losses == ref_losses
+        for new_global, ref_global in zip(new_trajectory, ref_trajectory):
+            assert new_global.dtype == ref_global.dtype == np.float64
+            assert np.array_equal(new_global, ref_global)
+        assert new_eval == ref_eval

@@ -9,7 +9,8 @@ so the transient no longer stacks on a run's working set.  Pinned here:
 
 * evaluation issues exactly the batch sizes the build decides;
 * a run finds every blocked-forward verdict its evaluations need already
-  decided, both dtypes, two architectures; a second build runs no pass;
+  decided, two architectures (a float64 config is refused before any
+  probe); a second build runs no pass;
 * the first run of a process peaks no higher than the next;
 * a fresh probe key asked for by two threads at once is probed once.
 """
@@ -98,6 +99,13 @@ def test_evaluate_issues_the_batch_sizes_the_build_decides(monkeypatch):
     [("mnist", dict(test_size=400), (256, 144)), ("cifar10", {}, (120,))],
 )
 def test_a_run_finds_its_evaluation_verdicts_decided_at_build(no_verdicts, dataset, overrides, sizes, dtype):
+    # Now pins, for the float64 cases: the config is refused before
+    # anything is probed — every run computes in float32.
+    if dtype == "float64":
+        with pytest.raises(ValueError, match="dtype"):
+            _config(dataset, dtype, **overrides)
+        assert batched_mod._BLOCKED_PROBE_CACHE == batched_mod._GEMM_PROBE_CACHE == {}
+        return
     handle = build_experiment(_config(dataset, dtype, **overrides))
     decided = dict(batched_mod._BLOCKED_PROBE_CACHE)
     # Every conv of the network at every evaluation batch size.

@@ -9,8 +9,8 @@ bit-for-bit.  The values below were captured from the pre-refactor code
 drift in them means the engine changed observable behaviour for static
 clusters, which is a regression even if all behavioural tests still pass.
 
-The configs pin ``dtype="float32"`` explicitly so the guard holds under
-the CI dtype matrix (``REPRO_DTYPE=float64`` runs).
+The configs name ``dtype="float32"``, the width every run computes in; it
+shares the key of ``dtype=None``.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from repro.core.freezing import FrozenModelPackage
 from repro.data.loader import BatchLoader
 from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.batched import BatchedModel
-from repro.nn.dtype import compute_dtype, using_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.loss import softmax
 from repro.nn.model import SplitCNN
@@ -51,16 +50,15 @@ from repro.fl.training import TrainingJob, run_jobs, train
 from repro.simulation.shard import ShardedClientExecutor
 
 DTYPES = ("float32", "float64")
-#: The 28x28 networks run at both dtypes in every session.  The CIFAR
-#: networks cost 10-30x as much per sample, so a session runs them at its
-#: own compute dtype: float32 by default, float64 in CI's
-#: ``REPRO_DTYPE=float64`` leg — the matrix covers the product, no single
-#: run pays for all of it.
+#: The 28x28 networks run at both dtypes: float64 models are built by
+#: argument and keep the kernels honest at the seed engine's width.  The
+#: CIFAR networks cost 10-30x as much per sample and run at float32, the
+#: width every run computes in.
 CHEAP = ("mnist-cnn", "fmnist-cnn")
 GRID = [
     pytest.param(arch, dtype_name, id=f"{arch}-{dtype_name}")
     for arch in sorted(ARCHITECTURES)
-    for dtype_name in (DTYPES if arch in CHEAP else (compute_dtype().name,))
+    for dtype_name in (DTYPES if arch in CHEAP else ("float32",))
 ]
 FROZEN = ("none", "features", "classifier")
 #: Odd sizes land on GEMM shapes where ``_probe_fast_gemms`` rejects an
@@ -73,13 +71,15 @@ OPTIMIZERS = ("sgd", "prox")
 STEPS = dict.fromkeys(CHEAP, 3)
 
 
+def _build_at(arch, dtype_name, seed):
+    """``build_model`` with its parameters cast to ``dtype_name``."""
+    model = build_model(arch, rng=np.random.default_rng(seed))
+    return SplitCNN(model.feature_layers, model.classifier_layers, model.name, dtype=dtype_name)
+
+
 def _twins(arch, dtype_name, seed=0):
     """Two identically initialised models: one per path."""
-    with using_dtype(dtype_name):
-        return (
-            build_model(arch, rng=np.random.default_rng(seed)),
-            build_model(arch, rng=np.random.default_rng(seed)),
-        )
+    return _build_at(arch, dtype_name, seed), _build_at(arch, dtype_name, seed)
 
 
 def _batch(arch, model, n, seed):
@@ -204,7 +204,7 @@ def test_inference_between_forward_and_backward_keeps_the_activations():
     [cell for cell in GRID if cell.values[0] in CHEAP]
     # Two convs of one padded shape in one pass: the CNN's last two, and
     # each residual block's conv1 and conv2.
-    + [pytest.param(arch, compute_dtype().name) for arch in ("cifar10-cnn", "cifar10-resnet")],
+    + [pytest.param(arch, "float32") for arch in ("cifar10-cnn", "cifar10-resnet")],
 )
 def test_training_alternating_with_evaluation_sized_passes_is_the_layer_loop(arch, dtype_name):
     """One kernel set serves every batch shape on one thread: B=16 steps
@@ -232,10 +232,9 @@ def test_training_alternating_with_evaluation_sized_passes_is_the_layer_loop(arc
 
 def test_inference_does_not_rewrite_the_callers_batch():
     """A ReLU behind a Flatten sees the caller's array through a view."""
-    with using_dtype("float32"):
-        rng = np.random.default_rng(0)
-        model = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=rng)])
-        oracle = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=np.random.default_rng(0))])
+    rng = np.random.default_rng(0)
+    model = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=rng)])
+    oracle = SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=np.random.default_rng(0))])
     x = np.random.default_rng(1).standard_normal((6, 12)).astype(np.float32)
     y = np.arange(6) % 3
     before = x.copy()
@@ -255,11 +254,10 @@ def _bits(array):
 
 def _conv_kernel_and_oracle(c, oc, k, stride, padding, dtype_name, seed=0):
     """The conv kernel over one layer, and an identically initialised oracle."""
-    with using_dtype(dtype_name):
-        layer, oracle = (
-            Conv2D(c, oc, k, stride=stride, padding=padding, rng=np.random.default_rng(seed))
-            for _ in range(2)
-        )
+    layer, oracle = (
+        Conv2D(c, oc, k, stride, padding, rng=np.random.default_rng(seed), dtype=dtype_name)
+        for _ in range(2)
+    )
     for conv in (layer, oracle):
         conv.params["b"][...] = np.linspace(-1.0, 1.0, oc)
     return batched_mod._BatchedConv2D(layer), oracle
@@ -449,8 +447,7 @@ def test_non_finite_weights_and_gradients_stay_bitwise(weights, dtype_name):
 # Aliasing: the kernels read the model's own flat vectors
 # ---------------------------------------------------------------------------
 def _donor_weights(seed=9):
-    with using_dtype("float32"):
-        return build_model("mnist-cnn", rng=np.random.default_rng(seed))
+    return build_model("mnist-cnn", rng=np.random.default_rng(seed))
 
 
 def _load_flat(model, donor):
@@ -513,8 +510,7 @@ def test_kernel_arenas_are_views_of_the_flat_vectors():
 
 
 def _lane_actor(client_id, n_samples=32):
-    with using_dtype("float32"):
-        model = build_model("mnist-cnn", rng=np.random.default_rng(client_id))
+    model = build_model("mnist-cnn", rng=np.random.default_rng(client_id))
     x, y = _batch("mnist-cnn", model, n_samples, seed=40 + client_id)
     return SimpleNamespace(
         client_id=client_id,
@@ -540,8 +536,7 @@ class _InProcessWorker:
     def collect(self, shard, job_id):
         template = self.template
         if template is None:
-            with using_dtype("float32"):
-                template = build_model("mnist-cnn", rng=np.random.default_rng(99))
+            template = build_model("mnist-cnn", rng=np.random.default_rng(99))
         return train(template, self.jobs[job_id])
 
 
@@ -597,11 +592,10 @@ class _ScaledConv(Conv2D):
 
 def _tiny_cnn(conv_cls):
     rng = np.random.default_rng(0)
-    with using_dtype("float32"):
-        return SplitCNN(
-            [conv_cls(1, 2, 3, padding=1, rng=rng), ReLU(), MaxPool2D(2), Flatten()],
-            [Dense(2 * 4 * 4, 3, rng=rng)],
-        )
+    return SplitCNN(
+        [conv_cls(1, 2, 3, padding=1, rng=rng), ReLU(), MaxPool2D(2), Flatten()],
+        [Dense(2 * 4 * 4, 3, rng=rng)],
+    )
 
 
 # Now pins ``BatchedModel(model)`` refusing the layer, and the batch checks
@@ -698,8 +692,7 @@ def _array_bytes(obj, seen=None):
 
 def _used_model(arch="cifar10-resnet"):
     """A model that has trained and evaluated on both paths."""
-    with using_dtype("float32"):
-        model = build_model(arch, rng=np.random.default_rng(3))
+    model = build_model(arch, rng=np.random.default_rng(3))
     x, y = _batch(arch, model, 8, seed=4)
     model.train_batch(x, y, SGD(lr=0.01))
     model.train_batch_layerwise(x, y, SGD(lr=0.01))

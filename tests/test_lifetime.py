@@ -24,7 +24,6 @@ import repro.api as api
 from crash_harness import assert_bitwise_resume, golden_run, read_rounds_bytes, round_dicts
 from repro.api import RunStore, run, run_key
 from repro.fl.runtime import build_experiment
-from repro.nn.dtype import compute_dtype
 from repro.serve.protocol import record_line
 from repro.serve.session import SessionManager
 
@@ -241,7 +240,7 @@ def test_finished_sessions_do_not_pin_their_experiments(tmp_path, no_collector):
             # Two rounds: the thread's scratch workspace takes its final size
             # at the second evaluation, and the first run is the yardstick.
             spec = _spec("fedavg", "churn", scale="city", seed=seed, rounds=2, **CITY_SIZES)
-            hosted, created = manager.submit(spec.dtype(compute_dtype().name).build())
+            hosted, created = manager.submit(spec.build())
             assert created and hosted.wait_terminal(timeout=120)
             assert hosted.state == "complete", hosted.error
             assert hosted.handle.experiment is None

@@ -347,35 +347,26 @@ class TestRealArchitectureTraining:
 
 
 class TestComputeDtypeOverride:
+    # Now pins: there is no override to leak between threads — a model's
+    # dtype is its own argument, and a model built without one is float32
+    # whichever thread builds it.
     def test_an_override_on_one_thread_is_invisible_on_another(self):
-        """``using_dtype`` is per thread: two experiments of different
-        dtypes can be built side by side in one process."""
+        """Two models of different dtypes built side by side on two threads."""
         import threading
 
-        from repro.nn.dtype import compute_dtype, using_dtype
+        built = {}
 
-        default = compute_dtype()
-        other = "float64" if default.name == "float32" else "float32"
-        entered, checked = threading.Event(), threading.Event()
-        seen = {}
+        def build_float64():
+            plain = tiny_model()
+            built["float64"] = SplitCNN(
+                plain.feature_layers, plain.classifier_layers, "tiny64", dtype=np.float64
+            )
+            built["plain"] = tiny_model()
 
-        def hold_override():
-            with using_dtype(other):
-                seen["inside"] = compute_dtype()
-                seen["model"] = tiny_model().dtype
-                entered.set()
-                checked.wait(timeout=10)
-            seen["after"] = compute_dtype()
-
-        thread = threading.Thread(target=hold_override)
+        thread = threading.Thread(target=build_float64)
         thread.start()
-        assert entered.wait(timeout=10)
-        try:
-            # The other thread is inside its override right now.
-            assert compute_dtype() == default
-            assert tiny_model().dtype == default
-        finally:
-            checked.set()
-            thread.join(timeout=10)
-        assert seen["inside"] == seen["model"] == np.dtype(other)
-        assert seen["after"] == default
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert built["float64"].dtype == np.float64
+        assert built["float64"].get_flat_weights().dtype == np.float64
+        assert built["plain"].dtype == tiny_model().dtype == np.float32

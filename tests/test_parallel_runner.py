@@ -55,15 +55,17 @@ class TestConfigHash:
         assert len(digest) == 64
         int(digest, 16)
 
+    # Now pins: dtype None and "float32" keep the float32 key of the parent
+    # commit; a float64 config, which had its own key, is refused.
     def test_keys_of_the_parent_commit_are_unchanged(self, smoke_config):
         """Stores written before identity moved into ``repro.api.store`` are
         still hits: these literals were captured at the parent commit."""
-        assert run_key(smoke_config.with_overrides(dtype="float32")) == (
-            "e887fe28dae55fcf3705027e463e59ce04c543bbda5b6172b58fdeba943cc721"
-        )
-        assert run_key(smoke_config.with_overrides(dtype="float64")) == (
-            "85b80ba38f468bfecf8f1f116a03f88f84d614895950306245ccd2f16e5d3b45"
-        )
+        for dtype in (None, "float32"):
+            assert run_key(smoke_config.with_overrides(dtype=dtype)) == (
+                "e887fe28dae55fcf3705027e463e59ce04c543bbda5b6172b58fdeba943cc721"
+            )
+        with pytest.raises(ValueError, match="dtype"):
+            smoke_config.with_overrides(dtype="float64")
 
     def test_covers_dynamics_config(self, smoke_config):
         """Two configs differing only in their scenario dynamics must never
@@ -109,13 +111,6 @@ class TestConfigHash:
             "network_bandwidth_bytes_per_s": 1e6,
             "deadline_seconds": 12.0,
         }
-        # dtype=None hashes as the *effective* process-wide dtype, so the
-        # perturbation must be the opposite of whatever is active.
-        from repro.nn.dtype import resolve_dtype
-
-        perturbations["dtype"] = (
-            "float64" if resolve_dtype(None).name == "float32" else "float32"
-        )
         base = run_key(smoke_config)
         for field_name, value in perturbations.items():
             tweaked = smoke_config.with_overrides(**{field_name: value})

@@ -148,10 +148,14 @@ class TestRunStoreRoundTrip:
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         assert run_key(smoke_eval_config) == before
 
+    # Now pins: dtype None and "float32" are one run with one key, and
+    # "float64" is refused before it could be keyed.
     def test_run_key_covers_the_effective_dtype(self, smoke_eval_config):
-        assert run_key(smoke_eval_config) != run_key(
-            smoke_eval_config.with_overrides(dtype="float64")
+        assert run_key(smoke_eval_config.with_overrides(dtype=None)) == run_key(
+            smoke_eval_config.with_overrides(dtype="float32")
         )
+        with pytest.raises(ValueError, match="dtype"):
+            smoke_eval_config.with_overrides(dtype="float64")
 
     def test_store_summary_matches_direct_execution(self, tmp_path, smoke_eval_config):
         """The persisted summary equals the plain run_experiment path."""
@@ -424,3 +428,78 @@ class TestStaleBreakRace:
             total_overlaps += overlaps
         assert total_overlaps == 0
         assert total_wins >= 8  # the stale-break path really was contended
+
+
+# ---------------------------------------------------------------------------
+# The retired float64 runs: null and "float32" load, "float64" is refused
+# ---------------------------------------------------------------------------
+class TestLegacyDtype:
+    """Every run computes in float32; releases that also ran float64 wrote
+    ``"dtype": "float64"`` into manifests, and submitters may still send it."""
+
+    @pytest.mark.parametrize("value", [None, "float32"])
+    def test_a_float32_manifest_or_override_loads_to_an_equal_config(self, smoke_eval_config, value):
+        from repro.fl.config import config_from_dict, config_to_dict
+        from repro.serve.protocol import parse_spec_payload
+
+        written = smoke_eval_config.with_overrides(dtype=value)
+        assert config_from_dict(config_to_dict(written)) == written
+        assert run_key(written) == run_key(smoke_eval_config)
+        spec = {"algorithm": "fedavg", "scale": "smoke"}
+        legacy, _ = parse_spec_payload(dict(spec, overrides={"dtype": value}))
+        plain, _ = parse_spec_payload(spec)
+        assert legacy.dtype == value
+        assert legacy.with_overrides(dtype=None) == plain
+        assert run_key(legacy) == run_key(plain)
+
+    def test_float64_is_refused_naming_the_field(self, smoke_eval_config):
+        from repro.fl.config import config_from_dict, config_to_dict
+        from repro.serve.protocol import ERR_INVALID_SPEC, ProtocolError, parse_spec_payload
+
+        payload = config_to_dict(smoke_eval_config)
+        with pytest.raises(ValueError, match="dtype='float64'"):
+            config_from_dict(dict(payload, dtype="float64"))
+        spec = {"algorithm": "fedavg", "scale": "smoke", "overrides": {"dtype": "float64"}}
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_spec_payload(spec)
+        assert excinfo.value.code == ERR_INVALID_SPEC and "dtype" in excinfo.value.message
+
+    @staticmethod
+    def _as_float64(store_root, config, **manifest_fields):
+        """Rewrite a stored run's manifest as a float64 release wrote it."""
+        path = api.RunStore(store_root).run_dir(run_key(config)) / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["dtype"] = manifest["config"]["dtype"] = "float64"
+        manifest.update(manifest_fields)
+        path.write_text(json.dumps(manifest))
+
+    def test_a_stored_float64_run_scans_and_loads_but_its_config_does_not(
+        self, tmp_path, smoke_eval_config
+    ):
+        expected = api.run(smoke_eval_config, store=tmp_path).result().summary()
+        self._as_float64(tmp_path, smoke_eval_config)
+        (stored,) = api.RunStore(tmp_path).scan()["complete"]
+        assert stored.config_hash == run_key(smoke_eval_config)
+        assert stored.manifest["dtype"] == "float64"
+        assert stored.load_result().summary() == expected
+        with pytest.raises(ValueError, match="dtype"):
+            stored.load_config()
+
+    def test_a_restarted_server_skips_a_resumable_float64_run(
+        self, tmp_path, smoke_eval_config, caplog
+    ):
+        from repro.api.store import CHECKPOINT_NAME
+        from repro.serve.session import SessionManager
+
+        api.run(smoke_eval_config, store=tmp_path).result()
+        self._as_float64(tmp_path, smoke_eval_config, status="running")
+        (api.RunStore(tmp_path).run_dir(run_key(smoke_eval_config)) / CHECKPOINT_NAME).write_bytes(b"")
+        store = api.RunStore(tmp_path)
+        assert len(store.scan()["resumable"]) == 1
+        manager = SessionManager(store, workers=1)
+        try:
+            with caplog.at_level("WARNING", logger="repro.serve.session"):
+                assert manager.resume_all() == []
+        finally:
+            manager.drain()
+        assert "cannot resume stored run" in caplog.text and "dtype" in caplog.text

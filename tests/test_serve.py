@@ -549,31 +549,29 @@ class TestServerLibraryParity:
         assert served_manifest["summary"] == direct_manifest["summary"]
 
 
+    # Now pins: a float64 spec is refused with ``invalid_spec`` naming
+    # ``dtype`` and leaves nothing behind, while a float32 spec runs and is
+    # the library run of its spec, byte for byte.
     def test_a_float32_and_a_float64_run_are_hosted_side_by_side(self, server, client, tmp_path):
-        """The compute dtype is per run, not per server: both runs are in
-        flight at once on the server's two threads, each computes in the
-        dtype its spec asks for, and each is the library run of its spec."""
-        specs = {
-            dtype: dict(CHURN_SPEC, overrides={"rounds": 3, "dtype": dtype})
-            for dtype in ("float32", "float64")
-        }
-        run_ids = {}
-        for dtype, spec in specs.items():
-            status, doc = client.json("POST", "/runs", {"spec": spec})
-            assert status == 202, doc
-            run_ids[dtype] = doc["run_id"]
-        served = {}
-        for dtype, spec in specs.items():
-            assert _wait_state(client, run_ids[dtype], ("complete", "failed")) == "complete"
-            config, label = parse_spec_payload(spec)
-            handle = api.run(config, store=tmp_path / dtype, label=label)
-            handle.result()
-            assert run_ids[dtype] == handle.config_hash
-            served[dtype] = (server.store.run_dir(run_ids[dtype]) / "rounds.jsonl").read_bytes()
-            direct = api.RunStore(tmp_path / dtype).run_dir(handle.config_hash) / "rounds.jsonl"
-            assert served[dtype] == direct.read_bytes()
-        # The two widths really computed different numbers.
-        assert served["float32"] != served["float64"]
+        """Every run computes in float32: a float64 spec fails fast."""
+        float64 = dict(CHURN_SPEC, overrides={"rounds": 3, "dtype": "float64"})
+        status, doc = client.json("POST", "/runs", {"spec": float64})
+        assert status == 422
+        assert doc["error"] == ERR_INVALID_SPEC and "dtype" in doc["message"]
+        assert list(server.store.root.iterdir()) == []
+
+        spec = dict(CHURN_SPEC, overrides={"rounds": 3, "dtype": "float32"})
+        status, doc = client.json("POST", "/runs", {"spec": spec})
+        assert status == 202, doc
+        run_id = doc["run_id"]
+        assert _wait_state(client, run_id, ("complete", "failed")) == "complete"
+        config, label = parse_spec_payload(spec)
+        handle = api.run(config, store=tmp_path / "direct", label=label)
+        handle.result()
+        assert run_id == handle.config_hash
+        served = (server.store.run_dir(run_id) / "rounds.jsonl").read_bytes()
+        direct = api.RunStore(tmp_path / "direct").run_dir(run_id) / "rounds.jsonl"
+        assert served == direct.read_bytes()
 
 
 # ---------------------------------------------------------------------------

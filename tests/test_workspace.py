@@ -44,7 +44,6 @@ from repro import api
 from repro.fl.runtime import build_experiment
 from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.batched import _ALIGN, _Arena
-from repro.nn.dtype import using_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, ResidualBlock
 from repro.nn.model import SplitCNN
 from repro.nn.optim import SGD
@@ -143,21 +142,21 @@ def test_arena_release_hands_bytes_back_and_the_high_water_mark_sizes_the_block(
 # ---------------------------------------------------------------------------
 def _tiny_resnet(seed):
     rng = np.random.default_rng(seed)
-    with using_dtype("float32"):
-        return SplitCNN(
-            [Conv2D(2, 4, 3, rng=rng), ReLU(), ResidualBlock(4, 6, rng=rng), MaxPool2D(2), Flatten()],
-            [Dense(6 * 3 * 3, 5, rng=rng)],
-        )
+    return SplitCNN(
+        [Conv2D(2, 4, 3, rng=rng), ReLU(), ResidualBlock(4, 6, rng=rng), MaxPool2D(2), Flatten()],
+        [Dense(6 * 3 * 3, 5, rng=rng)],
+    )
 
 
 def _dense_only(seed):
-    with using_dtype("float64"):
-        return SplitCNN([Flatten(), ReLU()], [Dense(12, 3, rng=np.random.default_rng(seed))])
+    return SplitCNN(
+        [Flatten(), ReLU()], [Dense(12, 3, rng=np.random.default_rng(seed), dtype=np.float64)]
+    )
 
 
 def _mnist(seed, dtype_name):
-    with using_dtype(dtype_name):
-        return build_model("mnist-cnn", rng=np.random.default_rng(seed))
+    model = build_model("mnist-cnn", rng=np.random.default_rng(seed))
+    return SplitCNN(model.feature_layers, model.classifier_layers, model.name, dtype=dtype_name)
 
 
 #: (factory, input shape, classes): different architectures, seeds and
@@ -594,8 +593,8 @@ def test_the_rank_one_probe_accepts_no_orientation_the_iid_probe_rejects(monkeyp
     monkeypatch.setattr(batched_mod, "_GEMM_PROBE_CACHE", {})
     for dtype_name in ("float32", "float64"):
         for name, spec in ARCHITECTURES.items():
-            with using_dtype(dtype_name):
-                model = build_model(name, rng=np.random.default_rng(0))
+            built = build_model(name, rng=np.random.default_rng(0))
+            model = SplitCNN(built.feature_layers, built.classifier_layers, name, dtype=dtype_name)
             for n in (1, 7):
                 x = np.zeros((n,) + spec.input_shape, dtype=model.dtype)
                 model.train_batch(x, np.zeros(n, dtype=np.int64), SGD(lr=0.01))
