@@ -800,7 +800,7 @@ class Results:
     def to_json(self, **filters: object) -> Dict[str, object]:
         """Machine-readable summaries of the stored runs.
 
-        The service clients and the loadgen benchmark assert results from
+        Service clients and the CI serve smoke check assert results from
         this document instead of scraping rendered tables (``repro report
         --json`` prints it).  Accepts the same filters as :meth:`runs`;
         pass ``complete_only=False`` to include crashed/in-flight runs.

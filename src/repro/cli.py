@@ -20,10 +20,6 @@ experiment harness without writing any Python:
     Long-lived experiment server: submit specs over HTTP, stream rounds
     live as JSONL, feed device check-ins into running scenarios; SIGTERM
     drains via checkpoints and a restart resumes bitwise-identically.
-``repro bench``
-    Time the same sweep serially and in parallel, verify the summaries
-    are identical, and report the speedup.  ``--serve`` benchmarks the
-    service mode instead (loadgen -> BENCH_serve.json).
 
 Every subcommand accepts ``--scale {smoke,bench,full}`` (defaulting to the
 ``REPRO_SCALE`` environment variable) and the sweep-shaped ones accept
@@ -411,101 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds allowed for checkpointing in-flight runs on SIGTERM (default: 120)",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="time serial vs parallel execution of the same sweep",
-        description="Run one sweep serially and in parallel, verify per-label "
-        "summaries are identical, and report both wall-clocks.",
-    )
-    bench_p.add_argument(
-        "--datasets",
-        nargs="+",
-        default=["mnist", "fmnist"],
-        choices=known_datasets(),
-        help="datasets (default: mnist fmnist)",
-    )
-    bench_p.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=list(baseline_algorithms()),
-        choices=available_algorithms(),
-        help="algorithms (default: the paper's five baselines)",
-    )
-    bench_p.add_argument(
-        "--partition",
-        default="noniid",
-        choices=("iid", "noniid", "dirichlet"),
-        help="client data partition scheme (default: noniid)",
-    )
-    bench_p.add_argument("--seed", type=int, default=42, help="experiment seed (default: 42)")
-    _add_scenario_flag(bench_p)
-    _add_scale_flag(bench_p)
-    bench_p.add_argument(
-        "--engine",
-        action="store_true",
-        help="benchmark the compute engine (train/eval/aggregation microbenchmarks "
-        "vs the seed reference engine) instead of the sweep, writing BENCH_engine.json",
-    )
-    bench_p.add_argument(
-        "--output",
-        default="BENCH_engine.json",
-        metavar="PATH",
-        help="where --engine writes its JSON results (default: BENCH_engine.json)",
-    )
-    bench_p.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--engine timing repeats per benchmark (default: 20, or 5 at smoke scale)",
-    )
-    bench_p.add_argument(
-        "--warmup",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--engine discarded warmup runs per benchmark (default: 3, or 1 at smoke scale)",
-    )
-    bench_p.add_argument(
-        "--shard",
-        action="store_true",
-        help="benchmark the sharded compute plane instead: round-throughput "
-        "ladder over worker counts plus per-worker peak RSS and a "
-        "continent-scale completion check, writing BENCH_shard.json",
-    )
-    bench_p.add_argument(
-        "--serve",
-        action="store_true",
-        help="benchmark the service mode instead: start a `repro serve` "
-        "subprocess, host concurrent churn experiments, replay a high-rate "
-        "client workload from worker processes, and write per-endpoint "
-        "throughput + p50/p95/p99 latency to BENCH_serve.json",
-    )
-    bench_p.add_argument(
-        "--events",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--serve total client events (default: 100000, or 2000 at smoke scale)",
-    )
-    bench_p.add_argument(
-        "--experiments",
-        type=int,
-        default=4,
-        metavar="N",
-        help="--serve concurrent hosted experiments (default: 4)",
-    )
-    # No --results-dir here: bench times actual execution, and serving the
-    # parallel leg from a warm store would turn the "speedup" into a
-    # store-load measurement.
-    bench_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool size for the parallel leg (default: $REPRO_WORKERS, else one per CPU)",
-    )
-
     return parser
 
 
@@ -765,116 +666,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_bench_shard(args: argparse.Namespace, scale: ScaleProfile) -> int:
-    """Sharded compute-plane benchmark: throughput ladder + RSS ceiling."""
-    from repro.simulation.shard_bench import render_shard_bench, run_shard_bench
-
-    output = args.output if args.output != "BENCH_engine.json" else "BENCH_shard.json"
-    quick = scale.name == "smoke"
-    print(
-        f"benchmarking sharded execution ({'quick' if quick else 'full'} ladder) ...",
-        file=sys.stderr,
-    )
-    results = run_shard_bench(quick=quick, output=output)
-    print(render_shard_bench(results))
-    print(f"\nresults written to {output}")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace, scale: ScaleProfile) -> int:
-    """Service-mode benchmark: loadgen against a `repro serve` subprocess."""
-    from repro.serve.loadgen import render_loadgen, run_loadgen
-
-    events = args.events
-    if events is None:
-        events = 2000 if scale.name == "smoke" else 100_000
-    output = args.output if args.output != "BENCH_engine.json" else "BENCH_serve.json"
-    workers = resolve_workers(args.workers) if args.workers is not None else 4
-    print(
-        f"benchmarking repro serve: {events} events, {args.experiments} hosted "
-        f"experiments, {workers} client workers ...",
-        file=sys.stderr,
-    )
-    results = run_loadgen(
-        events=events,
-        experiments=args.experiments,
-        workers=workers,
-        output=output,
-        seed=args.seed,
-    )
-    print(render_loadgen(results))
-    print(f"\nresults written to {output}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scale = SCALES[args.scale]
-    if args.engine:
-        return _cmd_bench_engine(args, scale)
-    if args.shard:
-        return _cmd_bench_shard(args, scale)
-    if args.serve:
-        return _cmd_bench_serve(args, scale)
-    configs = _grid_configs(
-        args.datasets,
-        args.algorithms,
-        args.partition,
-        scale,
-        args.seed,
-        scenario=args.scenario,
-    )
-    workers = resolve_workers(args.workers)
-    # bench times execution: a default store would replay the second leg.
-    os.environ.pop("REPRO_RESULTS_DIR", None)
-
-    print(f"benchmarking {len(configs)} cells at {scale.name} scale ...", file=sys.stderr)
-    start = time.perf_counter()
-    serial = api.sweep(configs, workers=1)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = api.sweep(configs, workers=workers)
-    parallel_s = time.perf_counter() - start
-
-    for error in (*serial.errors.values(), *parallel.errors.values()):
-        raise error
-    mismatched = [
-        label
-        for label in configs
-        if serial.results[label].summary() != parallel.results[label].summary()
-    ]
-    print(render_summaries(parallel.summaries(), title="repro bench: sweep summaries"))
-    print(f"\nserial wall-clock:   {serial_s:.2f}s")
-    print(f"parallel wall-clock: {parallel_s:.2f}s  ({workers} workers)")
-    if parallel_s > 0:
-        print(f"speedup: {serial_s / parallel_s:.2f}x")
-    if mismatched:
-        print(f"ERROR: serial/parallel summary mismatch for: {', '.join(mismatched)}")
-        return 1
-    print("serial and parallel per-label summaries are identical.")
-    return 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace, scale: ScaleProfile) -> int:
-    """Engine microbenchmarks (train/eval/aggregation vs the seed engine)."""
-    from repro.experiments.engine_bench import render_engine_bench, run_engine_bench
-
-    # The smoke scale is a fast CI-friendly pass; larger scales measure more.
-    if scale.name == "smoke":
-        settings = {"architectures": ("mnist-cnn",), "batch_size": 16, "repeats": 5, "warmup": 1}
-    else:
-        settings = {"batch_size": scale.batch_size, "repeats": 20, "warmup": 3}
-    if args.repeats is not None:
-        settings["repeats"] = max(1, args.repeats)
-    if args.warmup is not None:
-        settings["warmup"] = max(0, args.warmup)
-    print(f"benchmarking the compute engine ({scale.name} settings) ...", file=sys.stderr)
-    results = run_engine_bench(output_path=args.output, **settings)
-    print(render_engine_bench(results))
-    print(f"\nresults written to {args.output}")
-    return 0
-
-
 _COMMANDS: Mapping[str, Callable[[argparse.Namespace], int]] = {
     "list": _cmd_list,
     "run": _cmd_run,
@@ -882,7 +673,6 @@ _COMMANDS: Mapping[str, Callable[[argparse.Namespace], int]] = {
     "figures": _cmd_figures,
     "report": _cmd_report,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
 }
 
 

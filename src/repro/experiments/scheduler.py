@@ -1,7 +1,7 @@
 """The sweep executor: every batch of cells runs through :class:`SweepScheduler`.
 
-:func:`repro.api.sweep`, ``repro sweep``, ``repro figures`` and ``repro
-bench`` all construct one scheduler per batch; there is no other way a
+:func:`repro.api.sweep`, ``repro sweep`` and ``repro figures`` all
+construct one scheduler per batch; there is no other way a
 batch executes.  What it guarantees:
 
 * every cell moves through an explicit state machine

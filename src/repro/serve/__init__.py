@@ -1,12 +1,12 @@
-"""Service mode: the ``repro serve`` experiment server and its benchmark.
+"""Service mode: the ``repro serve`` experiment server.
 
 * :mod:`repro.serve.protocol` — wire format: spec payloads, JSONL round
   framing, machine-readable error codes.
 * :mod:`repro.serve.session` — hosted runs multiplexed over a worker pool,
   with graceful checkpoint-drain and restart-resume.
 * :mod:`repro.serve.server` — the HTTP front (``repro serve``).
-* :mod:`repro.serve.loadgen` — the multi-process load generator behind
-  ``repro bench --serve`` (writes ``BENCH_serve.json``).
+
+Its load generator is ``benchmarks/loadgen.py`` (writes ``BENCH_serve.json``).
 """
 
 from repro.serve.protocol import ProtocolError, parse_spec_payload

@@ -437,8 +437,9 @@ def run_server(
     resumed = server.manager.resume_all() if resume else []
     for hosted in resumed:
         print(f"repro serve: resuming {hosted.label} ({hosted.run_id[:12]})", file=sys.stderr)
-    # The machine-readable line loadgen and the CI smoke step parse; stdout
-    # and flushed so a pipe reader sees it before the first request.
+    # The machine-readable line benchmarks/loadgen.py and the CI smoke step
+    # parse; stdout and flushed so a pipe reader sees it before the first
+    # request.
     print(f"repro serve: listening on {server.url} (results: {server.store.root})", flush=True)
 
     drained = threading.Event()

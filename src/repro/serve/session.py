@@ -9,12 +9,11 @@ The :class:`SessionManager` multiplexes N hosted runs over a fixed thread
 pool.  Threads, not processes, are deliberate: the ``/checkin`` endpoint
 and live round streams need to reach the *running* simulation's state
 (its :class:`~repro.simulation.dynamics.ScenarioDynamics`, its record
-stream), which only exists in the executing process.  The process-pool
-spawn/seeding discipline of :mod:`repro.experiments.parallel` still
-applies where processes make sense — the loadgen benchmark's client
-workers use it — but execution here stays in-process, with all
-cross-thread mutation funnelled through :meth:`RunHandle.inject` so the
-simulation only ever sees state changes between two events.
+stream), which only exists in the executing process.  Load comes from
+processes (``benchmarks/loadgen.py`` spawns its clients), but execution
+here stays in-process, with all cross-thread mutation funnelled through
+:meth:`RunHandle.inject` so the simulation only ever sees state changes
+between two events.
 
 Lifecycle::
 

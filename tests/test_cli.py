@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 
 import pytest
@@ -52,6 +53,14 @@ class TestParser:
         assert args.command == "sweep"
         assert args.workers == 2
         assert args.scale == "smoke"
+        (subcommands,) = [
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands.choices) == {"list", "run", "sweep", "figures", "report", "serve"}
+        # The benchmarks run as scripts under benchmarks/, not through the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["bench"])
+        assert excinfo.value.code == 2
 
     def test_figures_without_names_defaults_to_all(self):
         args = build_parser().parse_args(["figures"])
