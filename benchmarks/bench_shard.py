@@ -18,8 +18,7 @@ smaller hosts the ladder is still recorded (and parity still enforced)
 but the speedup verdict is reported as not evaluable — a single-core
 container cannot honestly demonstrate multi-process scaling.
 
-Results are written to ``BENCH_shard.json`` (spawned shard workers
-re-import this file, hence the ``__main__`` guard)::
+Results are written to ``BENCH_shard.json``::
 
     python benchmarks/bench_shard.py            # full: metro ladder + continent
     python benchmarks/bench_shard.py --quick    # city ladder, no continent run

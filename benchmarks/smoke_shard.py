@@ -13,8 +13,9 @@ Three legs, each compared with the single-process run of its config:
   it holds — own or offloaded, a round still in progress up to its last
   batch drawn — and captures the client's round whole.
 
-Run from the repository root (spawned workers re-import this file, hence
-the ``__main__`` guard)::
+The single-process legs pin ``shards=1``: an unset ``shards`` runs on one
+worker per usable core, which would compare the shard plane with itself.
+Run from the repository root::
 
     PYTHONPATH=src python benchmarks/smoke_shard.py
 """
@@ -35,7 +36,7 @@ def _rounds_bytes(store: RunStore, key: str) -> bytes:
 
 
 def _leg(root: Path, algorithm: str, scale: str, scenario: str, seed: int, resume: bool) -> None:
-    overrides = dict(rounds=2)
+    overrides = dict(rounds=2, shards=1)
     if resume:
         overrides.update(rounds=3, checkpoint_interval=1)
     solo = (

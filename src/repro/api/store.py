@@ -175,7 +175,7 @@ def _break_stale_lock(lock_path: Path, stale_inode: int) -> None:
     was replaced (different inode) or revived (live pid again) is left
     alone; only the exact stale inode we classified is unlinked — and
     while we hold the guard nothing else can swap the file out from under
-    us (writers only ever create through ``O_EXCL`` on an absent path, a
+    us (writers only ever create by linking to an absent path, a
     stale lock has no live owner to release it, and rival breakers queue
     on the guard).  The zero-byte guard file is left behind; it is inert
     advisory state, and deleting it would reopen the race on its inode.
@@ -214,21 +214,41 @@ def _sleep_backoff(rng: "random.Random", attempt: int) -> None:
     time.sleep(base * (0.5 + rng.random()))
 
 
+def _create_lock(lock_path: Path) -> None:
+    """Create the lock with this writer's pid already in it.
+
+    The pid is written to a file of this thread's own, which is then
+    hard-linked to the lock path: the link fails with ``FileExistsError``
+    when the lock exists, and a rival never sees the lock without its pid.
+    """
+    draft = lock_path.with_name(f"{lock_path.name}.{os.getpid()}.{threading.get_ident()}")
+    fd = os.open(str(draft), os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+    try:
+        os.write(fd, str(os.getpid()).encode("ascii"))
+    finally:
+        os.close(fd)
+    try:
+        os.link(str(draft), str(lock_path))
+    finally:
+        os.unlink(str(draft))
+
+
 def _acquire_run_lock(lock_path: Path) -> None:
     """Take the per-run writer lock or raise :class:`RunLockedError`.
 
-    The lock is an ``O_CREAT | O_EXCL`` file holding the writer's pid.  A
-    lock whose pid is no longer alive is *stale* — its writer crashed (the
-    SIGKILL crash-injection tests leave exactly this behind) — and is
-    broken and re-taken; a live pid means a genuinely concurrent writer.
-    Stale locks are broken through the serialized, inode-verified path of
+    The lock is a file holding the writer's pid from the moment it exists
+    (:func:`_create_lock`).  A lock whose pid is no longer alive, or that
+    holds no pid at all, is *stale* — its writer crashed (the SIGKILL
+    crash-injection tests leave exactly this behind) — and is broken and
+    re-taken; a live pid means a genuinely concurrent writer.  Stale locks
+    are broken through the serialized, inode-verified path of
     :func:`_break_stale_lock`, never by a blind unlink.
     """
     key = str(lock_path)
     rng = random.Random(os.getpid())
     for attempt in range(64):
         try:
-            fd = os.open(key, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            _create_lock(lock_path)
         except FileExistsError:
             with _HELD_LOCKS_GUARD:
                 held_here = key in _HELD_LOCKS
@@ -240,14 +260,6 @@ def _acquire_run_lock(lock_path: Path) -> None:
             if lock is None:
                 continue  # gone between EXCL-fail and read: retry
             pid, inode = lock
-            if pid is None:
-                # Creator may be mid-write; give it a beat, then re-read —
-                # a still-empty file is debris from a crash.
-                time.sleep(0.01)
-                lock = _read_lock(lock_path)
-                if lock is None:
-                    continue
-                pid, inode = lock
             if pid is not None and _pid_alive(pid):
                 raise RunLockedError(
                     f"run is locked by live writer pid {pid}: {lock_path.parent}"
@@ -255,10 +267,6 @@ def _acquire_run_lock(lock_path: Path) -> None:
             _break_stale_lock(lock_path, inode)
             _sleep_backoff(rng, attempt)
             continue
-        try:
-            os.write(fd, str(os.getpid()).encode("ascii"))
-        finally:
-            os.close(fd)
         with _HELD_LOCKS_GUARD:
             _HELD_LOCKS.add(key)
         return

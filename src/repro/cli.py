@@ -239,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="train each round's clients on N worker processes, each client on "
-        "the worker that owns it; results are bitwise identical to the "
-        "single-process run (default: the config's shards, i.e. 1)",
+        "the worker that owns it; 1 keeps the run in this process; results "
+        "are bitwise identical either way (default: one per usable core, a "
+        "core per BLAS thread, at most one per client of a round)",
     )
     run_p.add_argument(
         "--resume",

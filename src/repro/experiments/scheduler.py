@@ -206,6 +206,10 @@ class SweepScheduler:
             # checkpoint_interval is an execution field: the override keeps
             # the run key (and thus the store identity) unchanged.
             config = config.with_overrides(checkpoint_interval=self.checkpoint_interval)
+        if pool is not None and config.shards is None:
+            # The pool already runs a cell per core: a cell sent to it
+            # trains in its worker unless it asks for shard workers.
+            config = config.with_overrides(shards=1)
         done: Future = Future()
         try:
             if pool is not None:

@@ -352,16 +352,22 @@ class ExperimentConfig:
 
     # Sharded multi-process simulation
     #: Number of worker processes the clients' training jobs run on.
-    #: ``1`` (the default) keeps everything in-process.  ``N >= 2``
-    #: partitions the client population into N contiguous ownership ranges
-    #: and runs every job (a client's round, an offloaded model — see
-    #: :mod:`repro.fl.training`) on the worker owning its client, where its
-    #: result is first read; the same runner, only in another process.
+    #: ``None`` (the default) means one per usable core, counting a core
+    #: per thread of a BLAS call (``OPENBLAS_NUM_THREADS`` and the like;
+    #: unpinned, BLAS already spans the host) and capped at the clients a
+    #: round trains; ``1`` keeps everything in-process.  With two
+    #: or more the client population is partitioned into that many
+    #: contiguous ownership ranges and every job (a client's round, an
+    #: offloaded model — see :mod:`repro.fl.training`) runs on the worker
+    #: owning its client, where its result is first read; the same runner,
+    #: only in another process.  Callers that already own the cores fill
+    #: in ``1`` when the field is unset: ``repro serve`` for its hosted
+    #: runs, and a sweep for the cells it sends to its process pool.
     #: Sharded execution is bitwise identical to the single-process path
     #: (pinned by tests), so — like ``pool_slots`` — the field is an
     #: execution knob excluded from ``run_key``.  Sharding requires a
     #: synchronous federator; otherwise it is inert.
-    shards: int = 1
+    shards: Optional[int] = None
 
     # Checkpointing
     #: Write a resumable mid-run checkpoint into the run's store directory
@@ -408,8 +414,8 @@ class ExperimentConfig:
             raise ValueError("async_concurrency must be at least 1 when set")
         if self.pool_slots is not None and self.pool_slots < 1:
             raise ValueError("pool_slots must be at least 1 when set")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
+        if self.shards is not None and self.shards < 1:
+            raise ValueError("shards must be at least 1 when set")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1 when set")
 

@@ -12,6 +12,7 @@ runs the simulation to completion and returns the
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -194,16 +195,51 @@ def _cast_dataset(dataset):
     )
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads one BLAS call of this process (and of a shard worker,
+    which inherits the environment) runs on: the count the environment
+    pins, else one per usable core, OpenBLAS's default."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cores()
+
+
+def resolved_shards(config: ExperimentConfig) -> int:
+    """How many worker processes ``config`` trains its clients on.
+
+    ``shards`` when it is set.  Unset, one per usable core — counting a
+    core for each thread a BLAS call takes, since every worker runs its
+    own BLAS pool (a pool of two threads on two cores is this process's
+    already: two workers of two threads each ran a round 3x slower than
+    one process) — and at most one per client a round trains.  ``1``
+    means this process.
+    """
+    if config.shards is not None:
+        return config.shards
+    per_core = usable_cores() // blas_threads()
+    return max(1, min(per_core, config.effective_clients_per_round))
+
+
 def uses_sharded_execution(config: ExperimentConfig) -> bool:
     """Whether this configuration trains its clients on shard workers.
 
-    That takes ``shards >= 2`` and the synchronous round structure: an
-    asynchronous federator reads each update alone, on its arrival, so a
-    worker would only add a round trip to every job.  Results are bitwise
-    identical either way; this gate only decides whether worker processes
-    are worth spawning.
+    That takes two or more :func:`resolved_shards` and the synchronous
+    round structure: an asynchronous federator reads each update alone, on
+    its arrival, so a worker would only add a round trip to every job.
+    Results are bitwise identical either way; this gate only decides
+    whether worker processes are worth spawning.
     """
-    if config.shards < 2:
+    if resolved_shards(config) < 2:
         return False
     federator_cls = federator_class(config.algorithm)
     return bool(getattr(federator_cls, "checkpoint_bootstraps_round", True))
@@ -276,13 +312,13 @@ def build_experiment(config: ExperimentConfig) -> ExperimentHandle:
         )
 
     # Clients own no model: every job of the run trains on this one, in this
-    # process or — shards >= 2 — on the worker owning the job's client.
+    # process or — on shard workers — on the worker owning the job's client.
     model = build_model(config.architecture, rng=np.random.default_rng(config.seed))
     if uses_sharded_execution(config):
         from repro.simulation.shard import ShardedClientExecutor
 
         cluster.trainer = cluster.shard_executor = ShardedClientExecutor(
-            num_shards=config.shards,
+            num_shards=resolved_shards(config),
             num_clients=config.num_clients,
             architecture=config.architecture,
             model=model,

@@ -168,6 +168,11 @@ class SessionManager:
             config = dataclasses.replace(
                 config, checkpoint_interval=self.checkpoint_interval
             )
+        if config.shards is None:
+            # The server's runs and its request threads already share the
+            # cores: a hosted run trains in this process unless it asks
+            # for workers (also outside the run_key).
+            config = dataclasses.replace(config, shards=1)
         run_id = run_key(config)
         with self._lock:
             if self._draining:

@@ -80,8 +80,8 @@ class SimulatedCluster:
         #: (:class:`repro.fl.training.LocalTrainer`), installed by the runtime.
         self.trainer: Optional[Any] = None
         #: The trainer again when it is the
-        #: ``repro.simulation.shard.ShardedClientExecutor`` of
-        #: ``shards >= 2``; ``None``: every job runs in this process.
+        #: ``repro.simulation.shard.ShardedClientExecutor`` when the run
+        #: trains on shard workers; ``None``: every job runs in this process.
         self.shard_executor: Optional[Any] = None
         #: Callbacks fired on every membership change: ``cb(client_id, online)``.
         self._membership_listeners: List[Callable[[Any, bool], None]] = []

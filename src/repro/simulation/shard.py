@@ -12,18 +12,23 @@ parent, which is what keeps results bitwise identical to one process:
   pipe of the worker owning its client, then collects them, reading every
   worker's pipe while it waits so that no worker stalls on a full one.
   The worker runs the same :func:`~repro.fl.training.train` as the parent.
-* Workers are stateless compute servers over ``multiprocessing`` pipes
-  (spawn context, same re-import discipline as ``experiments/parallel``):
-  jobs in, results out.  A SIGKILLed worker is respawned and its
-  outstanding jobs re-dispatched with identical results.
+* Workers are stateless compute servers, each a fresh interpreter started
+  with :mod:`subprocess` and talking over a socket pair wrapped in a
+  ``multiprocessing`` :class:`~multiprocessing.connection.Connection`:
+  jobs in, results out.  Nothing re-imports the parent's ``__main__``, so
+  a script fed through stdin or one without a ``__main__`` guard can run
+  sharded.  A SIGKILLed worker is respawned and its outstanding jobs
+  re-dispatched with identical results.
 """
 
 from __future__ import annotations
 
 import atexit
 import itertools
-import multiprocessing
 import os
+import socket
+import subprocess
+import sys
 import threading
 from collections import deque
 from multiprocessing import connection
@@ -35,8 +40,24 @@ from repro.nn.batched import kernels_cover
 from repro.nn.model import SplitCNN
 
 #: Directory whose presence on ``sys.path`` makes ``import repro`` work in
-#: spawned workers (as ``experiments/parallel.worker_pool`` does).
+#: a worker (as ``experiments/parallel.worker_pool`` does).
 _PACKAGE_PARENT = str(Path(__file__).resolve().parents[2])
+
+#: What a worker interpreter runs: adopt the parent's ``sys.path`` (the
+#: first message on its end of the socket pair), then serve jobs.  A worker
+#: that cannot import the package says why before it exits.
+_WORKER_BOOT = """\
+import sys
+from multiprocessing.connection import Connection
+conn = Connection(int(sys.argv[1]))
+sys.path[:] = conn.recv()
+try:
+    from repro.simulation.shard import _shard_worker_main
+except BaseException as exc:
+    conn.send(("error", None, repr(exc)))
+    raise
+_shard_worker_main(conn, int(sys.argv[2]), int(sys.argv[3]))
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +139,8 @@ def _template(templates: dict, architecture: str):
     return cached
 
 
-def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: str) -> None:
-    """Entry point of one shard worker (spawn context).
+def _shard_worker_main(conn, shard_index: int, parent_pid: int) -> None:
+    """Entry point of one shard worker (see :data:`_WORKER_BOOT`).
 
     Jobs run in arrival order on this thread, one reply each.  A second
     thread reads the pipe as fast as the parent writes it: a round's
@@ -129,10 +150,6 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
     watchdog exits when the parent pid changes (the parent was SIGKILLed —
     the crash harness relies on workers not outliving it).
     """
-    import sys
-
-    if package_parent and package_parent not in sys.path:
-        sys.path.insert(0, package_parent)
     from repro.registry import load_plugins
 
     load_plugins()
@@ -192,30 +209,35 @@ def _shard_worker_main(conn, shard_index: int, parent_pid: int, package_parent: 
 # Parent side: the worker pool
 # ---------------------------------------------------------------------------
 class ShardWorkerError(RuntimeError):
-    """A shard worker raised while executing a job."""
+    """A shard worker raised while executing a job, or could not start."""
 
 
 class _Worker:
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "replied", "strikes")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, process: subprocess.Popen, conn, strikes: int) -> None:
         self.process = process
         self.conn = conn
+        #: Whether anything has come back from this worker yet.
+        self.replied = False
+        #: How many workers before this one, in a row, died without a reply.
+        self.strikes = strikes
 
 
 class ShardPool:
-    """One pipe-connected worker process per shard, spawned lazily.
+    """One socket-connected worker process per shard, started lazily.
 
     Workers are stateless (every job carries its full inputs), which is
     what makes the failure story simple: a dead worker — crashed,
     SIGKILLed, or found with a broken pipe — is respawned and its
-    outstanding jobs re-dispatched, producing identical results.
+    outstanding jobs re-dispatched, producing identical results.  A worker
+    whose predecessor also died before its first reply is not respawned
+    again: :class:`ShardWorkerError` names why it died.
     """
 
     def __init__(self, num_shards: int) -> None:
         self.num_shards = int(num_shards)
         self.stats_sink: Optional[dict] = None
-        self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[Optional[_Worker]] = [None] * self.num_shards
         self._outstanding: Dict[Tuple[int, int], dict] = {}
         # Replies not yet collected: a result dict, or the job's error.
@@ -223,29 +245,21 @@ class ShardPool:
         self._job_ids = itertools.count(1)
 
     # ---------------------------------------------------------------- spawn
-    def _spawn(self, shard: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, shard, os.getpid(), _PACKAGE_PARENT),
-            daemon=True,
-        )
-        # The spawned interpreter must be able to ``import repro`` before
-        # it can unpickle the worker target: surface the package parent
-        # through PYTHONPATH for the duration of the exec.
-        saved = os.environ.get("PYTHONPATH")
-        entries = [] if not saved else saved.split(os.pathsep)
-        if _PACKAGE_PARENT not in entries:
-            os.environ["PYTHONPATH"] = os.pathsep.join([_PACKAGE_PARENT] + entries)
+    def _spawn(self, shard: int, strikes: int = 0) -> _Worker:
+        ours, theirs = socket.socketpair()
+        with theirs:
+            process = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_BOOT, str(theirs.fileno()), str(shard), str(os.getpid())],
+                stdin=subprocess.DEVNULL,
+                pass_fds=(theirs.fileno(),),
+            )
+        worker = _Worker(process, connection.Connection(ours.detach()), strikes)
+        path = sys.path if _PACKAGE_PARENT in sys.path else [_PACKAGE_PARENT, *sys.path]
         try:
-            process.start()
-        finally:
-            if saved is None:
-                os.environ.pop("PYTHONPATH", None)
-            else:
-                os.environ["PYTHONPATH"] = saved
-        child_conn.close()
-        return _Worker(process, parent_conn)
+            worker.conn.send(list(path))
+        except OSError:
+            pass  # died already: its pipe reads as ended, which respawns it
+        return worker
 
     def _ensure_worker(self, shard: int) -> _Worker:
         worker = self._workers[shard]
@@ -260,24 +274,29 @@ class ShardPool:
 
     def _respawn_and_redispatch(self, shard: int) -> None:
         worker = self._workers[shard]
+        strikes = 0
         if worker is not None:
-            try:
-                worker.process.terminate()
-            except Exception:
-                pass
-            worker.process.join(timeout=5)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
-        self._workers[shard] = self._spawn(shard)
+            worker.process.kill()
+            code = worker.process.wait()
+            worker.conn.close()
+            self._workers[shard] = None
+            strikes = 0 if worker.replied else worker.strikes + 1
+            if strikes >= 2:
+                cause = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ShardWorkerError(
+                    f"shard {shard} worker died before its first reply, twice in a row ({cause})"
+                )
+        self._workers[shard] = self._spawn(shard, strikes)
         if self.stats_sink is not None:
             self.stats_sink["worker_restarts"] = (
                 self.stats_sink.get("worker_restarts", 0) + 1
             )
         for key, payload in sorted(self._outstanding.items()):
             if key[0] == shard and key not in self._buffered:
-                self._workers[shard].conn.send(("job", key[1], payload))
+                try:
+                    self._workers[shard].conn.send(("job", key[1], payload))
+                except OSError:
+                    return  # died too: its pipe reads as ended
 
     # ------------------------------------------------------------------ rpc
     def new_job_id(self) -> int:
@@ -297,6 +316,9 @@ class ShardPool:
         """Buffer a reply somebody still waits for — a result, or the error
         :meth:`collect` raises in its place — and drop any other."""
         kind, job_id, body = message
+        if job_id is None:
+            raise ShardWorkerError(f"shard {shard} worker could not start: {body}")
+        self._workers[shard].replied = True
         if (shard, job_id) not in self._outstanding:
             return
         if kind == "error":
@@ -341,7 +363,7 @@ class ShardPool:
         infos: List[Optional[dict]] = []
         for shard in range(self.num_shards):
             worker = self._workers[shard]
-            if worker is None or not worker.process.is_alive():
+            if worker is None or worker.process.poll() is not None:
                 infos.append(None)
                 continue
             try:
@@ -349,6 +371,7 @@ class ShardPool:
                 while True:
                     message = worker.conn.recv()
                     if message[0] == "snapshot":
+                        worker.replied = True
                         infos.append(message[1])
                         break
                     self._take(shard, message)
@@ -371,14 +394,12 @@ class ShardPool:
         for worker in self._workers:
             if worker is None:
                 continue
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
             try:
-                worker.conn.close()
-            except Exception:
-                pass
+                worker.process.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                worker.process.kill()
+                worker.process.wait()
+            worker.conn.close()
         self._workers = [None] * self.num_shards
         self._outstanding.clear()
         self._buffered.clear()
@@ -388,6 +409,11 @@ class ShardPool:
 #: generic — every job carries its architecture and globals — so reuse
 #: is safe and saves the ~1s spawn cost per worker per run).
 _POOL_CACHE: Dict[int, ShardPool] = {}
+
+# A forked child (a sweep's pool worker) inherits the cache, whose workers
+# are its parent's: it lets go of them without a word to them and starts
+# its own when it needs some.
+os.register_at_fork(after_in_child=_POOL_CACHE.clear)
 
 
 def _acquire_pool(num_shards: int) -> ShardPool:

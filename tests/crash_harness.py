@@ -181,7 +181,7 @@ def kill_a_shard_worker_holding_jobs(marker: Path) -> None:
         if len(held) >= 2 and not marker.exists():
             worker = pool._workers[shard]
             os.kill(worker.process.pid, signal.SIGKILL)
-            worker.process.join(timeout=30)
+            worker.process.wait(timeout=30)
             marker.write_text(str(len(held)))
         return collect(pool, shard, job_id)
 

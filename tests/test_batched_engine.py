@@ -10,7 +10,7 @@ kept and now pins what remains:
   thread through the kernels == each alone through the layer loop, bit for
   bit — a full parity matrix over the architecture registry plus forced
   slow-probe fallbacks and max-pool tie/NaN torture inputs;
-* round level: ``shards`` unset == ``shards=2`` byte for byte — golden
+* round level: ``shards=1`` == ``shards=2`` byte for byte — golden
   smoke summaries, offload divergence, churn, the virtualized client pool
   and SIGKILL crash/resume across the two ways of executing a round;
 * what goes to a worker and what stays in the parent, and the retired
@@ -248,6 +248,9 @@ def test_analytic_phase_flops_match_executed_trace(arch):
 # Round-level integration: where a client trains changes nothing observable
 # ---------------------------------------------------------------------------
 def _smoke_config(algorithm, partition, scenario, seed=42, **overrides):
+    """A smoke config that runs in this process unless it names ``shards``:
+    the reference leg of every parity case here is the single-process run."""
+    overrides.setdefault("shards", 1)
     return evaluation_config(
         "mnist",
         algorithm,
@@ -293,7 +296,7 @@ def test_golden_smoke_reproduces_with_batching_forced_on(algorithm):
     assert stats["shard_jobs"] > 0 and stats["fallbacks"] == 0
 
 
-# Now pins: shards unset == shards=2, and every round's jobs go to the
+# Now pins: shards=1 == shards=2, and every round's jobs go to the
 # workers once each, at aggregation (nothing runs twice).
 def test_batched_rounds_are_bitwise_identical_with_live_cohorts():
     kwargs = dict(train_size=384)
@@ -378,7 +381,7 @@ def test_sigkill_crash_resumes_bitwise_identical_across_engines(tmp_path):
         .scale("smoke")
         .scenario("stable")
         .seed(7)
-        .override(**base)
+        .override(shards=1, **base)
         .build()
     )
     config_sharded = config_flat.with_overrides(shards=2)
@@ -520,8 +523,8 @@ def test_batched_execution_is_excluded_from_run_key_and_cache():
 
 
 # Now pins: no executor in-process at any round size — a 16-client round
-# steps its clients one by one like a 4-client one; workers are spawned for
-# ``shards >= 2`` only.
+# steps its clients one by one like a 4-client one at ``shards=1``; workers
+# are spawned for ``shards >= 2`` only.
 def test_auto_mode_batches_large_rounds_only():
     config = _smoke_config("fedavg", "iid", "stable")  # 4 clients/round
     big = config.with_overrides(num_clients=16, clients_per_round=16)

@@ -62,7 +62,7 @@ def _config(dataset, dtype, algorithm="fedavg", **overrides):
         .scenario("stable")
         .seed(1)
         .dtype(dtype)
-        .override(rounds=2, **overrides)
+        .override(rounds=2, shards=1, **overrides)  # probes and passes of this process
         .build()
     )
 

@@ -630,8 +630,8 @@ def test_a_model_with_an_unregistered_layer_type_takes_the_layer_loop():
     with pytest.raises(TypeError, match="pre-cast to float32"):
         kernels.infer(x.astype(np.float64))
     # ... and its jobs never go to a shard worker (which would build the
-    # stock architecture): they run in the parent, on the layer loop, like
-    # with `shards` unset — the same bytes as the model's own train_batch.
+    # stock architecture): they run in the parent, on the layer loop, as
+    # at `shards=1` — the same bytes as the model's own train_batch.
     def run_one(model):
         executor = ShardedClientExecutor(
             num_shards=2, num_clients=2, architecture="mnist-cnn", model=model

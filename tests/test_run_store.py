@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -428,6 +429,63 @@ class TestStaleBreakRace:
             total_overlaps += overlaps
         assert total_overlaps == 0
         assert total_wins >= 8  # the stale-break path really was contended
+
+    def test_a_lock_its_creator_has_not_signed_yet_is_not_broken(self, tmp_path):
+        """The creator of a lock stalls between creating it and writing its
+        pid; a rival that finds the lock meanwhile must not take it for the
+        debris of a crash.  Exactly one of the two may hold the lock."""
+        lock = tmp_path / LOCK_NAME
+        stalled = tmp_path / "creator-stalled"
+        src_root = str(
+            __import__("pathlib").Path(__file__).resolve().parent.parent / "src"
+        )
+        creator = tmp_path / "lock_creator.py"
+        creator.write_text(
+            "import os, sys, time\n"
+            f"sys.path.insert(0, {src_root!r})\n"
+            "from pathlib import Path\n"
+            "from repro.api.store import RunLockedError, _acquire_run_lock\n"
+            "lock, stalled = Path(sys.argv[1]), Path(sys.argv[2])\n"
+            "write = os.write\n"
+            "def stalling_write(fd, data):\n"
+            "    os.write = write\n"
+            "    stalled.touch()\n"
+            "    time.sleep(1.5)\n"
+            "    return write(fd, data)\n"
+            "os.write = stalling_write\n"
+            "try:\n"
+            "    _acquire_run_lock(lock)\n"
+            "except RunLockedError:\n"
+            "    print('refused', flush=True)\n"
+            "else:\n"
+            "    print('holds', flush=True)\n"
+            "sys.stdin.read()  # hold on until the test has looked\n"
+        )
+        from repro.api.store import RunLockedError, _acquire_run_lock, _release_run_lock
+
+        proc = subprocess.Popen(
+            [sys.executable, str(creator), str(lock), str(stalled)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not stalled.exists():
+                assert proc.poll() is None and time.monotonic() < deadline, "the creator never stalled"
+                time.sleep(0.005)
+            try:
+                _acquire_run_lock(lock)
+            except RunLockedError:
+                rival_holds = False
+            else:
+                rival_holds = True
+            creator_holds = proc.stdout.readline().strip() == "holds"
+            if rival_holds:
+                _release_run_lock(lock)
+        finally:
+            proc.communicate(timeout=60)
+        assert rival_holds != creator_holds, (rival_holds, creator_holds)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ def _round_dicts(result):
 
 
 def _smoke_config(algorithm, partition, scenario, seed=42, **overrides):
+    """A smoke config that runs in this process unless it names ``shards``:
+    the reference leg of every parity case here is the single-process run."""
+    overrides.setdefault("shards", 1)
     return evaluation_config(
         "mnist",
         algorithm,
@@ -295,7 +298,7 @@ def test_worker_sigkill_mid_run_respawns_and_stays_bitwise():
             os.kill(pid, signal.SIGKILL)
             # Join so the death lands before the next round dispatches:
             # the respawn path, not scheduling luck, is what's under test.
-            executor.pool._workers[0].process.join(timeout=30)
+            executor.pool._workers[0].process.wait(timeout=30)
             killed.append(pid)
 
     handle.federator.result.add_round_listener(kill_worker)
@@ -351,7 +354,7 @@ def test_sharded_sigkill_crash_resumes_bitwise_identical(tmp_path):
         .scale("smoke")
         .scenario("stable")
         .seed(7)
-        .override(**base)
+        .override(shards=1, **base)
         .build()
     )
     config_sharded = config_off.with_overrides(shards=2)
@@ -496,7 +499,7 @@ def test_partial_aggregation_changes_the_run_key():
 def test_shards_are_excluded_from_run_key():
     config = _smoke_config("fedavg", "iid", "stable")
     sharded = config.with_overrides(shards=4)
-    assert run_key(config) == run_key(sharded)
+    assert run_key(config) == run_key(sharded) == run_key(config.with_overrides(shards=None))
     canonical = canonical_config(sharded)
     assert "shards" not in canonical
     assert "shard_aggregate" not in canonical
@@ -525,6 +528,158 @@ def test_sharded_execution_gating():
         assert not uses_sharded_execution(config)
         handle = build_experiment(config)
         assert not isinstance(handle.cluster.shard_executor, ShardedClientExecutor)
+
+
+def test_an_unset_shards_is_one_worker_per_usable_core(monkeypatch):
+    from repro.fl import runtime
+
+    config = _smoke_config("fedavg", "iid", "stable", shards=None)  # 4 clients/round
+    monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 1)
+    assert runtime.resolved_shards(config) == 1
+    assert not uses_sharded_execution(config)
+    assert build_experiment(config).cluster.shard_executor is None
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+    assert runtime.resolved_shards(config) == 2
+    assert uses_sharded_execution(config)
+    # Capped at the clients a round trains: a fifth worker would own no job.
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 64)
+    assert runtime.resolved_shards(config) == config.effective_clients_per_round == 4
+    # A core per BLAS thread: a BLAS pool as wide as the host is this
+    # process's already.
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+    monkeypatch.setattr(runtime, "blas_threads", lambda: 2)
+    assert runtime.resolved_shards(config) == 1
+    monkeypatch.undo()
+    for pinned, cores in (({"OPENBLAS_NUM_THREADS": "1"}, 1), ({"OMP_NUM_THREADS": "3"}, 3), ({}, runtime.usable_cores())):
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in pinned.items():
+            monkeypatch.setenv(name, value)
+        assert runtime.blas_threads() == cores
+    # A value that is set always wins, and none of them moves the run key.
+    for shards in (1, 3):
+        assert runtime.resolved_shards(config.with_overrides(shards=shards)) == shards
+        assert run_key(config.with_overrides(shards=shards)) == run_key(config)
+    assert not uses_sharded_execution(_smoke_config("fedasync", "iid", "stable", shards=None))
+
+
+def test_hosted_runs_and_pool_swept_cells_fill_in_one_shard(tmp_path, monkeypatch):
+    """The callers that already own the cores run an unset ``shards`` in
+    their own process; an explicit value still wins.  Nothing is spawned."""
+    from repro.experiments.scheduler import SweepScheduler
+    from repro.serve.session import SessionManager
+
+    unset = _smoke_config("fedavg", "iid", "stable", shards=None)
+    manager = SessionManager(RunStore(tmp_path), workers=1)
+    monkeypatch.setattr(manager._pool, "submit", lambda *args: None)  # host, never drive
+    try:
+        hosted, _ = manager.submit(unset)
+        asked, _ = manager.submit(unset.with_overrides(shards=2, seed=43))
+    finally:
+        manager._pool.shutdown()
+    assert (hosted.handle.config.shards, asked.handle.config.shards) == (1, 2)
+
+    sent = []
+
+    class _Pool:
+        def submit(self, fn, label, config, *rest):
+            sent.append(config.shards)
+
+    cells = {"unset": unset, "asked": unset.with_overrides(shards=2, seed=43)}
+    scheduler = SweepScheduler(cells, workers=2, executor=lambda label, config: sent.append(config.shards))
+    for label in cells:
+        scheduler._submit(_Pool(), label)
+    # In-process (no pool), the cell keeps its unset value: one per core.
+    scheduler._submit(None, "unset")
+    assert sent == [1, 2, None]
+
+
+def test_a_forked_sweep_worker_starts_its_own_shard_workers():
+    """A sharded run leaves its idle pool in this process's cache; a sweep's
+    forked pool worker inherits the cache, whose workers are this
+    process's.  The child starts its own, and this process's survive."""
+    from repro.simulation import shard as shard_mod
+
+    kwargs = dict(train_size=384, rounds=1, shards=2)
+    _run_with_stats(_smoke_config("fedavg", "iid", "stable", **kwargs))
+    cached = shard_mod._POOL_CACHE.get(2)
+    assert cached is not None
+    pids = [cached.worker_pid(shard) for shard in range(2)]
+
+    cells = {f"seed{seed}": _smoke_config("fedavg", "iid", "stable", seed=seed, **kwargs) for seed in (1, 2)}
+    sweep = api.sweep(cells, workers=2)
+    assert sweep.errors == {}
+    for label, config in cells.items():
+        flat, _, _ = _run_with_stats(config.with_overrides(shards=1))
+        assert _round_dicts(sweep.results[label]) == _round_dicts(flat)
+
+    _, stats, _ = _run_with_stats(_smoke_config("fedavg", "iid", "stable", **kwargs))
+    assert stats["worker_restarts"] == 0
+    assert [shard_mod._POOL_CACHE[2].worker_pid(shard) for shard in range(2)] == pids
+
+
+_SHARDED_SCRIPT = """\
+import json
+import repro.api as api
+from repro.fl.runtime import build_experiment
+config = (
+    api.experiment("fedavg").dataset("mnist").partition("iid").scale("smoke").seed(7)
+    .override(rounds=1, train_size=384, shards=2).build()
+)
+with build_experiment(config) as handle:
+    result = handle.run()
+    jobs = handle.cluster.shard_executor.stats["shard_jobs"]
+print(jobs, json.dumps(result.summary(), sort_keys=True))
+"""
+
+
+def test_a_script_on_stdin_or_without_a_main_guard_runs_sharded(tmp_path):
+    """Workers never import the parent's ``__main__``: neither a script
+    fed through stdin (which has no file to import) nor one without an
+    ``if __name__ == "__main__"`` guard (which would run again)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    config = (
+        api.experiment("fedavg").dataset("mnist").partition("iid").scale("smoke").seed(7)
+        .override(rounds=1, train_size=384, shards=1).build()
+    )
+    expected = json.dumps(run(config).result().summary(), sort_keys=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    script = tmp_path / "unguarded.py"
+    script.write_text(_SHARDED_SCRIPT)
+    for command, stdin in (([sys.executable, "-"], _SHARDED_SCRIPT), ([sys.executable, str(script)], None)):
+        done = subprocess.run(
+            command, input=stdin, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        jobs, summary = done.stdout.strip().split(" ", 1)
+        assert int(jobs) > 0 and summary == expected
+
+
+def test_a_worker_that_cannot_start_names_why(monkeypatch):
+    """A worker that dies before its first reply is respawned once; a
+    second such death, or an import that fails, raises the cause."""
+    from repro.simulation import shard as shard_mod
+
+    boot = shard_mod._WORKER_BOOT
+    for broken, cause in (
+        ("import sys; sys.exit(3)", "exit status 3"),
+        (boot.replace("repro.simulation.shard", "repro.no_such_module"), "No module named 'repro.no_such_module'"),
+    ):
+        monkeypatch.setattr(shard_mod, "_WORKER_BOOT", broken)
+        pool, restarts = ShardPool(1), {}
+        pool.stats_sink = restarts
+        job_id = pool.new_job_id()
+        try:
+            pool.submit(0, job_id, {"architecture": "mnist-cnn"})
+            with pytest.raises(ShardWorkerError, match=cause):
+                pool.collect(0, job_id)
+        finally:
+            pool.close()
+        assert restarts.get("worker_restarts", 0) <= 1
 
 
 def test_executor_pool_is_released_after_run():

@@ -12,7 +12,7 @@ Two contracts of :mod:`repro.fl.training`:
   property must reject it.
 * **Every batch of a read result is computed exactly once, and a voided
   round's batches never.**  Counted under churn plus offloading, with
-  ``shards`` unset and at ``shards=2`` (where the parent computes none).
+  ``shards=1`` and at ``shards=2`` (where the parent computes none).
 """
 
 from __future__ import annotations

@@ -313,6 +313,7 @@ def _churn_run(rounds):
             rounds=rounds,
             local_updates=2,
             profile_batches=1,
+            shards=1,  # the scratch measured is this thread's
         )
     )
     handle = build_experiment(spec.build())
