@@ -1,8 +1,8 @@
 """Pooled sweeps: speed and determinism at bench scale.
 
 Runs the Figure 6-style (dataset x algorithm) grid through
-:func:`repro.api.sweep` once in-process (``workers=1``) and once in a
-process pool, and checks the invariant the whole subsystem rests on:
+:func:`repro.api.sweep` once in-process (``workers=1``) and once in the
+pool its unset ``workers`` resolves to, and checks the invariant the whole subsystem rests on:
 per-label summaries are byte-identical regardless of how the sweep was
 executed.  The printed table reports both wall-clocks; the speedup
 depends on the core count of the machine (a single-core CI runner will show parity plus a small pool
@@ -17,9 +17,9 @@ import time
 from conftest import run_once
 
 import repro.api as api
-from repro.experiments.parallel import default_workers
 from repro.experiments.report import format_table
 from repro.experiments.workloads import evaluation_config, scale_from_env
+from repro.fl.runtime import split_cores
 
 
 def _grid():
@@ -40,7 +40,8 @@ def test_parallel_sweep_matches_serial(benchmark, print_figure, monkeypatch):
     serial = api.sweep(configs, workers=1)
     serial_s = time.perf_counter() - start
 
-    workers = default_workers()
+    # The sweep's own default: the cells across the cores, a core per BLAS thread.
+    workers = split_cores(len(configs), 1)[0]
     start = time.perf_counter()
     parallel = run_once(benchmark, api.sweep, configs, workers=workers)
     parallel_s = time.perf_counter() - start

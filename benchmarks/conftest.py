@@ -6,9 +6,10 @@ prints the regenerated rows/series so they can be compared with the paper.
 
 The figure functions hand their sweeps to :func:`repro.api.sweep` — one
 path, the :class:`~repro.experiments.scheduler.SweepScheduler`, and one
-cache, the run store — so the whole harness can be parallelised and/or
-replayed without code changes: set ``REPRO_WORKERS=8`` and/or
-``REPRO_RESULTS_DIR=results/`` before invoking pytest.
+cache, the run store — so the whole harness can be replayed without code
+changes: set ``REPRO_RESULTS_DIR=results/`` before invoking pytest.  Each
+sweep spreads its cells over the usable cores on its own, a core per BLAS
+thread (pin ``OPENBLAS_NUM_THREADS=1`` to give every core a cell).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ if str(SRC_ROOT) not in sys.path:
 # Benchmarks default to the "bench" scale unless the user overrides it.
 os.environ.setdefault("REPRO_SCALE", "bench")
 
-# api.sweep reads REPRO_WORKERS/REPRO_RESULTS_DIR itself (in-process and
-# storeless when unset) — nothing to configure here.
+# api.sweep splits the cores and reads REPRO_RESULTS_DIR itself (storeless
+# when unset) — nothing to configure here.
 
 
 @pytest.fixture

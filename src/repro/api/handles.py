@@ -410,8 +410,9 @@ def sweep(
     configuration is already complete in the store are loaded from disk
     (listed in ``SweepHandle.store_hits``); every other cell executes as a
     store-backed :func:`run` — in this process, or in a pool of ``workers``
-    processes (an unset ``workers`` is filled from ``REPRO_WORKERS``; with
-    neither, the sweep stays in-process).  The budget
+    processes (unset, :func:`repro.fl.runtime.split_cores` spreads the cells
+    the store did not hold over the cores first: in-process when BLAS is
+    unpinned, one cell per core when pinned to one thread).  The budget
     (``budget_seconds`` / ``max_cells``) is checked before each cell and
     marks what it never let start ``budget_exceeded``; a cell that raises
     is recorded in ``SweepHandle.errors`` and the sweep continues; with
@@ -426,6 +427,6 @@ def sweep(
         budget=BudgetTracker(wall_seconds=budget_seconds, max_cells=max_cells),
         resume=resume,
         checkpoint_interval=checkpoint_interval,
-        workers=resolve_workers(workers, default=1),
+        workers=resolve_workers(workers),
         progress=progress,
     ).run()

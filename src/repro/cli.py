@@ -42,7 +42,6 @@ from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import repro.api as api
-from repro.experiments.parallel import resolve_workers
 from repro.experiments.report import render_network_counters, render_summaries, render_table1
 from repro.experiments.workloads import (
     SCALES,
@@ -57,30 +56,25 @@ from repro.registry import load_plugins, registries
 
 
 # ---------------------------------------------------------------------------
-# Figure registry: name -> callable(scale, seed) -> printable rendering
+# Figure registry: name -> callable(scale, seed, workers) -> printable rendering
 # ---------------------------------------------------------------------------
-def _figure_registry() -> Dict[str, Callable[[ScaleProfile, Optional[int]], str]]:
+def _figure_registry() -> Dict[str, Callable[[ScaleProfile, Optional[int], Optional[int]], str]]:
     from repro.experiments import figures as F
 
     def scaled(func):
-        def runner(scale: ScaleProfile, seed: Optional[int]) -> str:
-            kwargs = {"scale": scale}
-            if seed is not None:
-                kwargs["seed"] = seed
-            return func(**kwargs)["render"]
+        def runner(scale: ScaleProfile, seed: Optional[int], workers: Optional[int]) -> str:
+            seeded = {} if seed is None else {"seed": seed}
+            return func(scale=scale, workers=workers, **seeded)["render"]
 
         return runner
 
     def unscaled(func):
-        def runner(scale: ScaleProfile, seed: Optional[int]) -> str:
-            return func()["render"]
-
-        return runner
+        return lambda scale, seed, workers: func()["render"]
 
     return {
         "fig1a": scaled(F.figure1a),
         "fig1bc": scaled(F.figure1b_1c),
-        "fig4": lambda scale, seed: F.figure4(**({"seed": seed} if seed is not None else {}))[
+        "fig4": lambda scale, seed, workers: F.figure4(**({"seed": seed} if seed is not None else {}))[
             "render"
         ],
         "fig6": scaled(F.figure6),
@@ -88,7 +82,7 @@ def _figure_registry() -> Dict[str, Callable[[ScaleProfile, Optional[int]], str]
         "fig8": scaled(F.figure8),
         "fig9": scaled(F.figure9),
         "fig10": scaled(F.figure10),
-        "table1": lambda scale, seed: render_table1(),
+        "table1": lambda scale, seed, workers: render_table1(),
         "headline": scaled(F.headline_claims),
         "profiler-overhead": scaled(F.profiler_overhead),
         "ablation-profile-length": scaled(F.ablation_profile_length),
@@ -161,8 +155,9 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for the sweep "
-        "(default: $REPRO_WORKERS, else one per CPU; 1 = in-process)",
+        help="process-pool size for the sweep (default: the cells go across "
+        "the usable cores, a core per BLAS thread, and their clients get the "
+        "rest; 1 = in-process)",
     )
 
 
@@ -551,11 +546,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.seed,
         scenario=args.scenario,
     )
-    workers = resolve_workers(args.workers)
     start = time.perf_counter()
     handle = api.sweep(
         configs,
-        workers=workers,
+        workers=args.workers,
         store=args.results_dir,
         progress=lambda label, _result: print(f"  done: {label}", file=sys.stderr),
         budget_seconds=args.budget_seconds,
@@ -567,8 +561,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(
         render_summaries(
             handle.summaries(),
-            title=f"repro sweep: {len(configs)} cells, {scale.name} scale, "
-            f"{workers} worker{'s' if workers != 1 else ''}",
+            title=f"repro sweep: {len(configs)} cells, {scale.name} scale",
         )
     )
     counts = Counter(handle.states.values())
@@ -638,14 +631,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         )
         return 2
     _apply_results_dir(args)
-    # Like --results-dir, the worker count reaches the figure functions
-    # (which take no such argument) through the environment.
-    os.environ["REPRO_WORKERS"] = str(resolve_workers(args.workers))
     if "all" in names:
         names = list(FIGURE_NAMES)
     for name in names:
         start = time.perf_counter()
-        rendering = registry[name](scale, args.seed)
+        rendering = registry[name](scale, args.seed, args.workers)
         elapsed = time.perf_counter() - start
         print(rendering)
         print(f"[{name}: {elapsed:.2f}s]\n")
@@ -683,21 +673,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     load_plugins()
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --results-dir and (for figures) --workers route through the
-    # environment so that code with no such parameter of its own (the
-    # figure sweeps) sees them too; restore the variables afterwards so
-    # neither leaks past the command into library callers sharing this
-    # process.
-    routed = ("REPRO_RESULTS_DIR", "REPRO_WORKERS")
-    saved = {name: os.environ.get(name) for name in routed}
+    # --results-dir routes through the environment so that code with no
+    # such parameter of its own (the figure sweeps) sees it too; restore
+    # the variable afterwards so it does not leak past the command into
+    # library callers sharing this process.
+    saved = os.environ.get("REPRO_RESULTS_DIR")
     try:
         return _COMMANDS[args.command](args)
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        os.environ.pop("REPRO_RESULTS_DIR", None)
+        if saved is not None:
+            os.environ["REPRO_RESULTS_DIR"] = saved
 
 
 if __name__ == "__main__":

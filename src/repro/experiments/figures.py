@@ -3,7 +3,7 @@
 Each ``figure*`` function runs the corresponding workload (at the requested
 :class:`repro.experiments.workloads.ScaleProfile`) and returns a dictionary
 with the same rows/series the paper plots, plus a ``render()``-able text
-table.
+table.  Those that sweep take ``workers``, the sweep's process count.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.model import Phase
 
 
-def _sweep(configs) -> SuiteResult:
+def _sweep(configs, workers: Optional[int]) -> SuiteResult:
     """Run a labelled batch through the public API.
 
     The figure functions are thin clients of :func:`repro.api.sweep`: the
-    batch runs in ``REPRO_WORKERS`` processes (in-process when unset; the
-    CLI's ``--workers`` travels through it) and — when a results directory
+    batch runs in ``workers`` processes (the CLI's ``--workers``; unset,
+    :func:`repro.fl.runtime.split_cores` decides) and — when a results directory
     is configured (``REPRO_RESULTS_DIR`` or the CLI's ``--results-dir``) —
     every run is persisted to, and replayed from, the
     :class:`repro.api.RunStore`, so figures can be re-rendered from the
@@ -45,7 +45,7 @@ def _sweep(configs) -> SuiteResult:
     """
     from repro.api import sweep
 
-    handle = sweep(configs)
+    handle = sweep(configs, workers=workers)
     for error in handle.errors.values():
         raise error
     return handle.suite
@@ -59,6 +59,7 @@ def figure1a(
     client_counts: Sequence[int] = (3, 5, 7),
     variances: Sequence[float] = (0.0, 0.1, 0.3, 0.5),
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figure 1(a): round-duration multiplier vs. variance of client CPUs.
 
@@ -72,7 +73,7 @@ def figure1a(
         for clients in client_counts
         for variance in variances
     }
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     multipliers: Dict[int, Dict[float, float]] = {}
     for clients in client_counts:
         baseline = suite[f"{clients}/{variances[0]}"].total_time
@@ -101,6 +102,7 @@ def figure1b_1c(
     scale: Optional[ScaleProfile] = None,
     deadlines: Sequence[Optional[float]] = (None, 70.0, 50.0, 30.0, 10.0),
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figures 1(b) and 1(c): effect of round deadlines on time and accuracy.
 
@@ -113,7 +115,7 @@ def figure1b_1c(
         ("inf" if d is None else f"{int(d)}s"): motivation_deadline_config(d, scale, seed=seed)
         for d in deadlines
     }
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     rows = []
     for label, result in suite.results.items():
         rows.append(
@@ -202,6 +204,7 @@ def _evaluation_grid(
     datasets: Sequence[str],
     algorithms: Sequence[str],
     seed: int,
+    workers: Optional[int],
 ) -> Dict[str, object]:
     per_dataset: Dict[str, SuiteResult] = {}
     for dataset in datasets:
@@ -209,7 +212,7 @@ def _evaluation_grid(
             algorithm: evaluation_config(dataset, algorithm, partition, scale, seed=seed)
             for algorithm in algorithms
         }
-        per_dataset[dataset] = _sweep(configs)
+        per_dataset[dataset] = _sweep(configs, workers)
 
     rows = []
     accuracy: Dict[str, Dict[str, float]] = {}
@@ -240,11 +243,12 @@ def figure6(
     datasets: Sequence[str] = ("mnist", "fmnist", "cifar10"),
     algorithms: Optional[Sequence[str]] = None,
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figure 6: accuracy and training time after the budgeted rounds, IID data."""
     scale = scale or scale_from_env()
     algorithms = algorithms if algorithms is not None else baseline_algorithms()
-    return _evaluation_grid("iid", scale, datasets, algorithms, seed)
+    return _evaluation_grid("iid", scale, datasets, algorithms, seed, workers)
 
 
 def figure7(
@@ -252,11 +256,12 @@ def figure7(
     datasets: Sequence[str] = ("mnist", "fmnist", "cifar10"),
     algorithms: Optional[Sequence[str]] = None,
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figure 7: accuracy and training time after the budgeted rounds, non-IID data."""
     scale = scale or scale_from_env()
     algorithms = algorithms if algorithms is not None else baseline_algorithms()
-    return _evaluation_grid("noniid", scale, datasets, algorithms, seed)
+    return _evaluation_grid("noniid", scale, datasets, algorithms, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +272,7 @@ def figure8(
     algorithms: Optional[Sequence[str]] = None,
     seed: int = 42,
     bins: int = 12,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figure 8: distribution of per-round durations on FMNIST (non-IID).
 
@@ -279,7 +285,7 @@ def figure8(
         algorithm: evaluation_config("fmnist", algorithm, "noniid", scale, seed=seed)
         for algorithm in algorithms
     }
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     densities = round_duration_density(list(suite.results.values()), bins=bins)
     mean_durations = {
         algorithm: result.mean_round_duration() for algorithm, result in suite.results.items()
@@ -305,6 +311,7 @@ def figure9(
     scale: Optional[ScaleProfile] = None,
     factors: Sequence[float] = (1.0, 0.75, 0.5, 0.25, 0.0),
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Figure 9: impact of the similarity factor f on accuracy and round time.
 
@@ -316,7 +323,7 @@ def figure9(
     configs = {
         f"f={factor}": similarity_factor_config(factor, scale, seed=seed) for factor in factors
     }
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     rows = []
     for label, result in suite.results.items():
         rows.append([label, result.final_accuracy, result.mean_round_duration()])
@@ -338,7 +345,9 @@ def figure9(
 # ---------------------------------------------------------------------------
 # Figure 10 — degree of non-IIDness
 # ---------------------------------------------------------------------------
-def figure10(scale: Optional[ScaleProfile] = None, seed: int = 42) -> Dict[str, object]:
+def figure10(
+    scale: Optional[ScaleProfile] = None, seed: int = 42, workers: Optional[int] = None
+) -> Dict[str, object]:
     """Figure 10: accuracy over time for IID and non-IID(10/5/2) under Aergia.
 
     The runs use twice the scale's round budget: the accuracy gap between the
@@ -349,7 +358,7 @@ def figure10(scale: Optional[ScaleProfile] = None, seed: int = 42) -> Dict[str, 
         (label, config.with_overrides(rounds=max(config.rounds * 2, 6)))
         for label, config in noniid_degree_configs(scale, seed=seed)
     ]
-    suite = _sweep(dict(labelled))
+    suite = _sweep(dict(labelled), workers)
     rows = []
     timelines: Dict[str, List[Tuple[float, float]]] = {}
     for label, result in suite.results.items():
@@ -377,6 +386,7 @@ def headline_claims(
     dataset: str = "fmnist",
     partition: str = "noniid",
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """The headline comparison (§1, §5.2): Aergia vs FedAvg and TiFL.
 
@@ -389,7 +399,7 @@ def headline_claims(
         algorithm: evaluation_config(dataset, algorithm, partition, scale, seed=seed)
         for algorithm in ("fedavg", "tifl", "aergia")
     }
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     aergia = suite["aergia"]
     fedavg = suite["fedavg"]
     tifl = suite["tifl"]
@@ -418,7 +428,7 @@ def headline_claims(
 
 
 def profiler_overhead(
-    scale: Optional[ScaleProfile] = None, seed: int = 42
+    scale: Optional[ScaleProfile] = None, seed: int = 42, workers: Optional[int] = None
 ) -> Dict[str, object]:
     """§4.2/§5.4: the online profiler's overhead as a fraction of training time.
 
@@ -429,7 +439,7 @@ def profiler_overhead(
     scale = scale or scale_from_env()
     config = evaluation_config("fmnist", "aergia", "iid", scale, seed=seed)
     no_profile_config = config.with_overrides(profile_batches=0, algorithm="fedavg")
-    suite = _sweep({"with": config, "without": no_profile_config})
+    suite = _sweep({"with": config, "without": no_profile_config}, workers)
     with_profiling = suite["with"]
     without_profiling = suite["without"]
 
@@ -463,6 +473,7 @@ def ablation_profile_length(
     scale: Optional[ScaleProfile] = None,
     profile_lengths: Sequence[int] = (1, 2, 4),
     seed: int = 42,
+    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """How the number of profiling batches affects Aergia's time and accuracy."""
     scale = scale or scale_from_env()
@@ -472,7 +483,7 @@ def ablation_profile_length(
         configs[f"P={length}"] = config.with_overrides(
             profile_batches=min(length, config.local_updates)
         )
-    suite = _sweep(configs)
+    suite = _sweep(configs, workers)
     rows = [
         [label, result.final_accuracy, result.total_time, result.mean_round_duration()]
         for label, result in suite.results.items()

@@ -9,15 +9,17 @@ cells in worker processes produces byte-identical
 files) to in-process execution.
 
 The :class:`~repro.experiments.scheduler.SweepScheduler` is the one executor
-of a batch; this module only resolves its worker count
-(:func:`resolve_workers`: explicit request > ``REPRO_WORKERS`` > default)
-and builds the spawn-safe process pool its cells run in
+of a batch; an unset worker count is its to resolve, by
+:func:`repro.fl.runtime.split_cores`.  This module only reads an explicit
+one (:func:`resolve_workers`: a request, else the deprecated
+``REPRO_WORKERS``) and builds the spawn-safe process pool the cells run in
 (:func:`worker_pool`).
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
@@ -53,25 +55,15 @@ def worker_pool(max_workers: int) -> ProcessPoolExecutor:
     )
 
 
-def default_workers() -> int:
-    """One worker per CPU."""
-    return max(1, os.cpu_count() or 1)
-
-
-def resolve_workers(requested: Optional[int] = None, default: Optional[int] = None) -> int:
-    """Worker-count precedence: explicit request > ``REPRO_WORKERS`` > ``default``.
-
-    ``default=None`` means one per CPU (the CLI's sweep-shaped commands);
-    :func:`repro.api.sweep` passes ``1``, so a library sweep stays
-    in-process unless the caller or the environment asks for a pool.
-    """
-    if requested is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if raw:
-            try:
-                requested = int(raw)
-            except ValueError:
-                raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from None
-    if requested is None:
-        requested = default_workers() if default is None else default
-    return max(1, int(requested))
+def resolve_workers(requested: Optional[int] = None) -> Optional[int]:
+    """An explicit worker count, else the deprecated ``REPRO_WORKERS``, else
+    ``None``: the sweep splits the cores by :func:`repro.fl.runtime.split_cores`."""
+    raw = os.environ.get("REPRO_WORKERS", "").strip() if requested is None else ""
+    if raw:
+        message = "REPRO_WORKERS is deprecated; pass workers= (CLI: --workers) instead"
+        warnings.warn(message, DeprecationWarning, stacklevel=3)
+        try:
+            requested = int(raw)
+        except ValueError:
+            raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from None
+    return None if requested is None else max(1, int(requested))

@@ -20,7 +20,9 @@ batch executes.  What it guarantees:
 * a cell that raises is marked ``failed`` and the sweep *continues* —
   one bad configuration does not abort the campaign;
 * admitted cells run inline at ``workers == 1`` and in a process pool
-  otherwise.  Either way a cell executes as :func:`repro.api.run` against
+  otherwise — unset, :func:`~repro.fl.runtime.split_cores` over the cells
+  the store did not hold, whose pooled cells get the cores left over as
+  ``shards``.  Either way a cell executes as :func:`repro.api.run` against
   the scheduler's store, so the process that computes it streams its
   ``rounds.jsonl``, writes its checkpoints and holds its writer lock: a
   pooled cell killed mid-run is as resumable as an inline one, and the
@@ -29,7 +31,8 @@ batch executes.  What it guarantees:
   are one execution: the first runs, the rest receive its outcome.
 
 The inline executor is injectable (``executor(label, config) -> (result,
-wall_seconds)``) so the state machine is testable with fake clocks and
+wall_seconds)``), and a scheduler given one runs every cell through it in
+this process, so the state machine is testable with fake clocks and
 scripted failures.
 """
 
@@ -44,6 +47,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.experiments.parallel import worker_pool
 from repro.experiments.runner import SuiteResult
 from repro.fl.config import ExperimentConfig
+from repro.fl.runtime import split_cores
 from repro.fl.metrics import ExperimentResult
 
 
@@ -154,7 +158,7 @@ class SweepScheduler:
         budget: Optional[BudgetTracker] = None,
         resume: bool = False,
         checkpoint_interval: Optional[int] = None,
-        workers: int = 1,
+        workers: Optional[int] = None,
         executor: Optional[
             Callable[[str, ExperimentConfig], Tuple[ExperimentResult, float]]
         ] = None,
@@ -165,7 +169,7 @@ class SweepScheduler:
         self.budget = budget if budget is not None else BudgetTracker()
         self.resume = resume
         self.checkpoint_interval = checkpoint_interval
-        self.workers = max(1, int(workers))
+        self.workers = 1 if executor is not None else workers
         self._executor = executor if executor is not None else self._default_executor
         self.progress = progress
 
@@ -199,7 +203,7 @@ class SweepScheduler:
     ) -> Tuple[ExperimentResult, float]:
         return _run_cell(label, config, self.store, self.resume)
 
-    def _submit(self, pool, label: str) -> Future:
+    def _submit(self, pool, label: str, workers: int) -> Future:
         """Start one admitted cell: inline without a pool, else on a worker."""
         config = self.configs[label]
         if self.checkpoint_interval is not None and config.checkpoint_interval is None:
@@ -207,9 +211,10 @@ class SweepScheduler:
             # the run key (and thus the store identity) unchanged.
             config = config.with_overrides(checkpoint_interval=self.checkpoint_interval)
         if pool is not None and config.shards is None:
-            # The pool already runs a cell per core: a cell sent to it
-            # trains in its worker unless it asks for shard workers.
-            config = config.with_overrides(shards=1)
+            # The pool's workers hold the cores first (in-process, the
+            # unset value resolves to the same split on its own).
+            shards = split_cores(workers, config.effective_clients_per_round)[1]
+            config = config.with_overrides(shards=shards)
         done: Future = Future()
         try:
             if pool is not None:
@@ -260,11 +265,11 @@ class SweepScheduler:
 
         self.budget.start()
         queue = deque(self._groups())
-        slots = max(1, min(self.workers, len(queue)))
+        workers = split_cores(len(queue), 1, self.workers)[0]
         in_flight: Dict[Future, List[str]] = {}
-        with (worker_pool(slots) if slots > 1 else nullcontext()) as pool:
+        with (worker_pool(workers) if workers > 1 else nullcontext()) as pool:
             while queue or in_flight:
-                while queue and len(in_flight) < slots:
+                while queue and len(in_flight) < workers:
                     group = queue.popleft()
                     state = (
                         CellState.BUDGET_EXCEEDED
@@ -274,7 +279,7 @@ class SweepScheduler:
                     for label in group:
                         self.transition(label, state)
                     if state == CellState.RUNNING:
-                        in_flight[self._submit(pool, group[0])] = group
+                        in_flight[self._submit(pool, group[0], workers)] = group
                 for future in wait(in_flight, return_when=FIRST_COMPLETED).done:
                     self._settle(in_flight.pop(future), future)
 

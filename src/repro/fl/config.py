@@ -352,18 +352,15 @@ class ExperimentConfig:
 
     # Sharded multi-process simulation
     #: Number of worker processes the clients' training jobs run on.
-    #: ``None`` (the default) means one per usable core, counting a core
-    #: per thread of a BLAS call (``OPENBLAS_NUM_THREADS`` and the like;
-    #: unpinned, BLAS already spans the host) and capped at the clients a
-    #: round trains; ``1`` keeps everything in-process.  With two
-    #: or more the client population is partitioned into that many
-    #: contiguous ownership ranges and every job (a client's round, an
-    #: offloaded model — see :mod:`repro.fl.training`) runs on the worker
-    #: owning its client, where its result is first read; the same runner,
-    #: only in another process.  Callers that already own the cores fill
-    #: in ``1`` when the field is unset: ``repro serve`` for its hosted
-    #: runs, and a sweep for the cells it sends to its process pool.
-    #: Sharded execution is bitwise identical to the single-process path
+    #: ``None`` (the default) is what :func:`repro.fl.runtime.split_cores`
+    #: leaves the run: the usable cores, a core per BLAS thread, after a
+    #: sweep's pooled cells took theirs, capped at the clients a round
+    #: trains (``repro serve`` fills in ``1``); ``1`` keeps everything
+    #: in-process.  With two or more the client population is partitioned
+    #: into that many contiguous ownership ranges and every job (a client's
+    #: round, an offloaded model — see :mod:`repro.fl.training`) runs on the
+    #: worker owning its client, where its result is first read; the same
+    #: runner, only in another process.  Sharded execution is bitwise identical to the single-process path
     #: (pinned by tests), so — like ``pool_slots`` — the field is an
     #: execution knob excluded from ``run_key``.  Sharding requires a
     #: synchronous federator; otherwise it is inert.

@@ -214,20 +214,26 @@ def blas_threads() -> int:
     return usable_cores()
 
 
-def resolved_shards(config: ExperimentConfig) -> int:
-    """How many worker processes ``config`` trains its clients on.
+def split_cores(cells: int, clients: int, workers: Optional[int] = None) -> Tuple[int, int]:
+    """How ``cells`` independent runs of ``clients`` clients a round share
+    the host: ``(cell_workers, shards)``, each ``1`` for in-process.
 
-    ``shards`` when it is set.  Unset, one per usable core — counting a
-    core for each thread a BLAS call takes, since every worker runs its
-    own BLAS pool (a pool of two threads on two cores is this process's
-    already: two workers of two threads each ran a round 3x slower than
-    one process) — and at most one per client a round trains.  ``1``
-    means this process.
+    A slot is a usable core per BLAS thread: every process runs its own
+    BLAS pool.  The cells take the slots first (``workers`` of them when it
+    is set), at most one per cell; each cell's clients get what is left.
     """
+    slots = max(1, usable_cores() // blas_threads())
+    cell_workers = max(1, min(cells, slots if workers is None else workers))
+    return cell_workers, max(1, min(slots // cell_workers, clients))
+
+
+def resolved_shards(config: ExperimentConfig) -> int:
+    """How many worker processes ``config`` trains its clients on:
+    ``shards`` when it is set, else what :func:`split_cores` leaves a
+    single run.  ``1`` means this process."""
     if config.shards is not None:
         return config.shards
-    per_core = usable_cores() // blas_threads()
-    return max(1, min(per_core, config.effective_clients_per_round))
+    return split_cores(1, config.effective_clients_per_round)[1]
 
 
 def uses_sharded_execution(config: ExperimentConfig) -> bool:

@@ -210,37 +210,66 @@ class TestResultCache:
         assert len(parsed) == smoke_config.rounds
 
 
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _spy_pools(monkeypatch):
+    """Record each pool a sweep builds (its size) and the ``shards`` of
+    every cell sent to it."""
+    from repro.experiments import parallel
+
+    built, shards = [], []
+
+    def _pool(max_workers):
+        built.append(max_workers)
+        pool = parallel.worker_pool(max_workers)
+        submit = pool.submit
+
+        def recording(fn, label, config, *rest):
+            shards.append(config.shards)
+            return submit(fn, label, config, *rest)
+
+        pool.submit = recording
+        return pool
+
+    monkeypatch.setattr("repro.experiments.scheduler.worker_pool", _pool)
+    return built, shards
+
+
 class TestRunSuitePolicy:
     """How a sweep finds its worker count and its default store."""
 
     def test_default_policy_is_serial(self, sweep_configs, monkeypatch):
-        """With neither ``workers`` nor ``REPRO_WORKERS``, no pool is built."""
+        """Unpinned, one BLAS call spans every usable core: with neither
+        ``workers`` nor ``REPRO_WORKERS`` the rule builds no pool."""
+        from repro.fl import runtime
+
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        for name in BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 4)
 
         def _no_pool(_max_workers):
-            raise AssertionError("an unset worker count must stay in-process")
+            raise AssertionError("an unpinned BLAS must keep the sweep in-process")
 
         monkeypatch.setattr("repro.experiments.scheduler.worker_pool", _no_pool)
         handle = api.sweep(sweep_configs)
         assert handle.states == dict.fromkeys(sweep_configs, CellState.COMPLETE)
 
     def test_configure_routes_through_parallel(self, sweep_configs, monkeypatch):
-        """``REPRO_WORKERS`` fills an unset ``workers``: the cells run in
-        other processes (how ``repro figures --workers N`` reaches the
-        figure functions)."""
+        """The deprecated ``REPRO_WORKERS`` still fills an unset ``workers``
+        as an explicit value (the rule would stay in-process here), and
+        says what replaces it."""
+        for name in BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        built = []
-        from repro.experiments import parallel
-
-        def _pool(max_workers):
-            built.append(max_workers)
-            return parallel.worker_pool(max_workers)
-
-        monkeypatch.setattr("repro.experiments.scheduler.worker_pool", _pool)
-        first = api.sweep(sweep_configs)
-        assert built == [2]
+        built, shards = _spy_pools(monkeypatch)
+        with pytest.warns(DeprecationWarning, match="workers="):
+            first = api.sweep(sweep_configs)
+        assert built == [2] and shards == [1, 1]
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert _summaries_json(api.sweep(sweep_configs)) == _summaries_json(first)
+        with pytest.warns(DeprecationWarning, match="--workers"):
+            assert _summaries_json(api.sweep(sweep_configs)) == _summaries_json(first)
         assert built == [2]
 
     def test_env_policy(self, sweep_configs, monkeypatch, tmp_path):
@@ -252,28 +281,77 @@ class TestRunSuitePolicy:
         assert sorted(api.sweep(sweep_configs).store_hits) == sorted(sweep_configs)
 
     def test_resolve_workers_precedence(self, monkeypatch):
-        from repro.experiments.parallel import default_workers, resolve_workers
+        import warnings
+
+        from repro.experiments.parallel import resolve_workers
 
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == 1
-        assert resolve_workers(None) == default_workers()
-        assert resolve_workers(None, default=1) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_workers(None) == 2  # env fills in an unset flag
-        assert resolve_workers(None, default=1) == 2
-        assert resolve_workers(5) == 5  # explicit flag beats env
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_workers(3) == 3
+            assert resolve_workers(0) == 1
+            assert resolve_workers(None) is None  # the sweep applies the rule
+            monkeypatch.setenv("REPRO_WORKERS", "2")
+            assert resolve_workers(5) == 5  # explicit flag beats env, unread
+        with pytest.warns(DeprecationWarning, match="REPRO_WORKERS"):
+            assert resolve_workers(None) == 2  # env fills in an unset flag
         monkeypatch.setenv("REPRO_WORKERS", "auto")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError, match="REPRO_WORKERS"):
             resolve_workers(None)
 
     def test_configure_falls_back_to_env(self, sweep_configs, monkeypatch):
         """A bad ``REPRO_WORKERS`` is an error of the sweep that reads it,
         and an explicit ``workers`` never reads it."""
         monkeypatch.setenv("REPRO_WORKERS", "auto")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError, match="REPRO_WORKERS"):
             api.sweep(sweep_configs)
         assert api.sweep(sweep_configs, workers=1).errors == {}
+
+    def test_split_cores_puts_cells_across_cores_first(self, monkeypatch):
+        from repro.fl import runtime
+
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 4)
+        for name in BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
+        # Unpinned, one BLAS call already spans the four cores.
+        assert runtime.split_cores(6, 8) == (1, 1)
+        assert runtime.split_cores(1, 8) == (1, 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert runtime.split_cores(6, 8) == (4, 1)
+        assert runtime.split_cores(3, 8) == (3, 1)
+        assert runtime.split_cores(2, 8) == (2, 2)  # the cores left over
+        for clients in (2, 4, 8):
+            assert runtime.split_cores(1, clients) == (1, min(4, clients))
+        # An explicit worker count wins, still at most one per cell.
+        assert runtime.split_cores(6, 8, workers=2) == (2, 2)
+        assert runtime.split_cores(1, 8, workers=3) == (1, 4)
+        assert runtime.split_cores(0, 8) == (1, 4)  # nothing pending
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # wider than a slot
+        assert runtime.split_cores(6, 8) == (1, 1)
+
+    def test_pooled_by_default_matches_in_process(self, sweep_configs, smoke_config, tmp_path, monkeypatch):
+        """With a slot per core on two cores, an unset ``workers`` pools
+        three cells two at a time, each on one shard, and leaves the bytes
+        of the in-process sweep; one pending cell builds no pool."""
+        from repro.fl import runtime
+
+        # ``blas_threads`` is patched rather than OPENBLAS_NUM_THREADS set:
+        # spawned workers read the environment, this process's BLAS read it
+        # at import, and a run's bytes depend on the thread count.
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        configs = dict(sweep_configs, third=sweep_configs["fedavg"].with_overrides(seed=9))
+        built, shards = _spy_pools(monkeypatch)
+        pooled = api.sweep(configs, store=tmp_path / "pooled")
+        assert built == [2] and shards == [1, 1, 1]
+        inline = api.sweep(configs, workers=1, store=tmp_path / "inline")
+        assert built == [2]
+        assert pooled.states == inline.states == dict.fromkeys(configs, CellState.COMPLETE)
+        assert _rounds_bytes(tmp_path / "pooled", configs) == _rounds_bytes(tmp_path / "inline", configs)
+        topped_up = api.sweep(dict(configs, fourth=smoke_config), store=tmp_path / "pooled")
+        assert sorted(topped_up.store_hits) == sorted(configs)
+        assert built == [2] and topped_up.errors == {}
 
 
 # ---------------------------------------------------------------------------

@@ -565,8 +565,10 @@ def test_an_unset_shards_is_one_worker_per_usable_core(monkeypatch):
 
 
 def test_hosted_runs_and_pool_swept_cells_fill_in_one_shard(tmp_path, monkeypatch):
-    """The callers that already own the cores run an unset ``shards`` in
-    their own process; an explicit value still wins.  Nothing is spawned."""
+    """A hosted run keeps an unset ``shards`` in the server's process, and a
+    pooled sweep cell gets the cores its pool leaves over (one each when
+    the pool holds them all); an explicit value still wins.  Nothing is
+    spawned."""
     from repro.experiments.scheduler import SweepScheduler
     from repro.serve.session import SessionManager
 
@@ -586,13 +588,20 @@ def test_hosted_runs_and_pool_swept_cells_fill_in_one_shard(tmp_path, monkeypatc
         def submit(self, fn, label, config, *rest):
             sent.append(config.shards)
 
+    from repro.fl import runtime
+
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+    monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
     cells = {"unset": unset, "asked": unset.with_overrides(shards=2, seed=43)}
-    scheduler = SweepScheduler(cells, workers=2, executor=lambda label, config: sent.append(config.shards))
+    scheduler = SweepScheduler(cells, executor=lambda label, config: sent.append(config.shards))
     for label in cells:
-        scheduler._submit(_Pool(), label)
+        scheduler._submit(_Pool(), label, 2)
     # In-process (no pool), the cell keeps its unset value: one per core.
-    scheduler._submit(None, "unset")
-    assert sent == [1, 2, None]
+    scheduler._submit(None, "unset", 1)
+    # Two cells on eight slots: each cell's clients get the four left over.
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 8)
+    scheduler._submit(_Pool(), "unset", 2)
+    assert sent == [1, 2, None, 4]
 
 
 def test_a_forked_sweep_worker_starts_its_own_shard_workers():
